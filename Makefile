@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race chaos crash crash-cluster crash-coordinator verify golden bench bench-serving bench-dayloop bench-cluster bench-router bench-all benchdiff fuzz-smoke
+.PHONY: build vet test race chaos crash crash-cluster crash-coordinator bench-check verify golden bench bench-serving bench-dayloop bench-cluster bench-router bench-all benchdiff fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -50,12 +50,18 @@ crash-cluster:
 crash-coordinator:
 	$(GO) test -race -count=1 -run 'TestCrashCoordinator' ./cmd/fraudcluster
 
+# bench-check vets and tests the benchmark program. bench/ is its own
+# module (BENCHMARK.json runs it with `go run -C bench .`), so the root
+# `./...` patterns above never reach it.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # verify is the full pre-merge gate: static checks, build, the whole
 # suite (goldens, determinism, invariants, smoke tests, chaos) under the
 # race detector, the crash-safety sweeps (single-process, cluster, and
-# coordinator disaster recovery), and a short corpus-plus-exploration
-# pass over every fuzz target.
-verify: vet build race chaos crash crash-cluster crash-coordinator fuzz-smoke
+# coordinator disaster recovery), a short corpus-plus-exploration pass
+# over every fuzz target, and the benchmark module's own checks.
+verify: vet build race chaos crash crash-cluster crash-coordinator fuzz-smoke bench-check
 
 # golden regenerates every golden fixture (sim digests, per-experiment
 # report outputs, the façade quickstart). Only the packages that define

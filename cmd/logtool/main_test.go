@@ -219,6 +219,9 @@ func TestRepairTornTail(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		dw.Append(eventlog.Event{Type: eventlog.TypeImpression, Day: int32(i), Account: 7, Country: "US"})
 	}
+	if err := dw.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	tmps, err := filepath.Glob(filepath.Join(dir, "events-*.evlog.tmp"))
 	if err != nil || len(tmps) != 1 {
 		t.Fatalf("want one unsealed tail, got %v (%v)", tmps, err)

@@ -22,6 +22,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"repro/internal/eventlog"
 )
 
 // manifestMagic identifies a cluster manifest; the trailing byte is the
@@ -195,7 +197,7 @@ func WriteManifest(dir string, m *Manifest) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(dir)
+	return eventlog.SyncDir(dir)
 }
 
 // ReadManifest reads and validates the cluster manifest in dir. It is a
@@ -209,15 +211,4 @@ func ReadManifest(dir string) (*Manifest, error) {
 		return nil, err
 	}
 	return DecodeManifest(data)
-}
-
-// syncDir fsyncs a directory so a rename into it survives power loss.
-// Errors are ignored on platforms where directories cannot be fsynced.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	d.Sync()
-	return d.Close()
 }

@@ -90,7 +90,7 @@ func writeManifest(dir string, m *Manifest, sync bool) error {
 		return err
 	}
 	if sync {
-		return syncDir(dir)
+		return SyncDir(dir)
 	}
 	return nil
 }
@@ -109,10 +109,12 @@ func SegmentIndex(name string) (int, bool) {
 	return idx, true
 }
 
-// syncDir fsyncs a directory so renames into it survive power loss.
-// Errors opening the directory are ignored on platforms where
-// directories cannot be opened for sync.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so renames into it survive power loss. It
+// is the one directory-sync helper of the durable layers (event log,
+// checkpoints, cluster manifest). Errors opening the directory are
+// ignored on platforms where directories cannot be opened for sync; a
+// failed sync is returned.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return nil

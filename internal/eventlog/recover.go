@@ -325,7 +325,7 @@ func RecoverDir(dir string, apply bool) (*Report, error) {
 	if err := writeManifest(dir, m, true); err != nil {
 		return rep, err
 	}
-	if err := syncDir(dir); err != nil {
+	if err := SyncDir(dir); err != nil {
 		return rep, err
 	}
 	rep.Applied = true
@@ -385,5 +385,5 @@ func TruncateToSegment(dir string, nextSegment int) error {
 			return err
 		}
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }

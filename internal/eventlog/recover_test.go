@@ -84,7 +84,10 @@ func TestSealedSegmentsHaveManifest(t *testing.T) {
 
 func TestRecoverTornTmpTail(t *testing.T) {
 	dir := t.TempDir()
-	buildLog(t, dir, 60) // abandoned: active segment left as .tmp
+	dw := buildLog(t, dir, 60) // abandoned: active segment left as .tmp
+	if err := dw.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	tmps, _ := filepath.Glob(filepath.Join(dir, "events-*.evlog"+TmpSuffix))
 	if len(tmps) != 1 {
 		t.Fatalf("want one tmp tail, got %v", tmps)

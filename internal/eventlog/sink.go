@@ -35,6 +35,12 @@ func AppendAll(s Sink, evs []Event) {
 	}
 }
 
+// flusher is implemented by sinks that hold appended events in memory
+// before writing them out (DirWriter).
+type flusher interface {
+	Flush() error
+}
+
 // NopSink discards every event. It is the default sink wired through
 // the simulator: a nil-checked no-op that keeps the non-logging path at
 // its previous cost.
@@ -82,20 +88,35 @@ func NewAsync(dst Sink, buffer int) *Async {
 	}
 	go func() {
 		defer close(a.done)
-		for {
+		// A destination that buffers (DirWriter) is flushed whenever the
+		// queue runs empty, so at low traffic the log on disk does not
+		// lag behind the events served. A flush failure is sticky in the
+		// destination's own Err, like an append failure.
+		fl, _ := dst.(flusher)
+		dirty := false
+		for quitting := false; ; {
 			select {
 			case ev := <-a.ch:
 				dst.Append(ev)
+				dirty = true
+				continue
+			default:
+			}
+			if dirty && fl != nil {
+				_ = fl.Flush()
+			}
+			dirty = false
+			if quitting {
+				return
+			}
+			select {
+			case ev := <-a.ch:
+				dst.Append(ev)
+				dirty = true
 			case <-a.quit:
-				// Drain whatever was buffered before shutdown.
-				for {
-					select {
-					case ev := <-a.ch:
-						dst.Append(ev)
-					default:
-						return
-					}
-				}
+				// Closed before quit fires, so nothing more is enqueued:
+				// drain what was buffered, then exit.
+				quitting = true
 			}
 		}
 	}()

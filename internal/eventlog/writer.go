@@ -134,6 +134,15 @@ const (
 	SyncInterval
 )
 
+// BufferBytes is the size of the DirWriter's write buffer. Under every
+// policy the active segment's newest frames sit in it until it fills, an
+// fsync is due, the segment is sealed, or Flush is called. Every fsync
+// is preceded by a flush, so what a policy promises against power loss
+// is what it promised when each frame was its own write; a killed
+// process additionally loses the unflushed buffer, and the live .tmp
+// segment on disk can lag Events by up to BufferBytes.
+const BufferBytes = 64 << 10
+
 // SegmentPattern names segment files inside a log directory.
 const SegmentPattern = "events-%05d.evlog"
 
@@ -145,7 +154,8 @@ const SegmentPattern = "events-%05d.evlog"
 // "sealed" on rotation or Close — synced per the Sync policy, closed,
 // atomically renamed to its final name, and recorded in the directory's
 // manifest. A final-named segment is therefore always complete; a crash
-// leaves at most one torn .tmp tail for RecoverDir to repair.
+// leaves at most one torn .tmp tail for RecoverDir to repair. Appended
+// frames reach the file one buffer at a time (see BufferBytes).
 type DirWriter struct {
 	dir          string
 	SegmentBytes uint64
@@ -163,6 +173,68 @@ type DirWriter struct {
 	events   uint64
 	bytes    uint64
 	dropped  uint64
+
+	// buf holds the active segment's frames not yet written to out: one
+	// write(2) per BufferBytes instead of one per ~16-byte frame.
+	// flushedEvents/flushedBytes are the segment Writer's counters as of
+	// the last flush, i.e. what the file holds.
+	buf           []byte
+	out           io.Writer // file, or wrapFile's wrapper of it
+	flushedEvents uint64
+	flushedBytes  uint64
+
+	// wrapFile, when set (fault-injection tests only), interposes on
+	// every segment file's writes.
+	wrapFile func(*os.File) io.Writer
+}
+
+// segOut is the io.Writer the segment Writer frames into: the
+// DirWriter's buffer, flushed first when the next frame would not fit.
+// A frame is at most MaxString plus a few dozen bytes, so it always fits
+// an empty buffer.
+type segOut DirWriter
+
+func (o *segOut) Write(p []byte) (int, error) {
+	d := (*DirWriter)(o)
+	if len(d.buf)+len(p) > cap(d.buf) {
+		if err := d.flush(); err != nil {
+			return 0, err
+		}
+	}
+	d.buf = append(d.buf, p...)
+	return len(p), nil
+}
+
+// flush writes the buffered frames to the segment file. Whenever it
+// runs — between Appends, or inside one before the new frame is counted
+// — the segment Writer's counters cover exactly the frames in the file
+// plus the buffer, so after a successful write they describe the file.
+func (d *DirWriter) flush() error {
+	if len(d.buf) > 0 {
+		if _, err := d.out.Write(d.buf); err != nil {
+			return err
+		}
+		d.buf = d.buf[:0]
+	}
+	d.flushedEvents, d.flushedBytes = d.seg.Events(), d.seg.Bytes()
+	return nil
+}
+
+// Flush writes buffered frames to the active segment file without
+// fsyncing, so a reader of the live directory sees every event appended
+// so far.
+func (d *DirWriter) Flush() error {
+	if d.err != nil {
+		return d.err
+	}
+	if d.seg == nil {
+		return nil
+	}
+	if err := d.flush(); err != nil {
+		d.abandon(err)
+		return err
+	}
+	return nil
 }
 
 // NewDirWriter creates dir (if needed) and returns a segmented writer
@@ -191,6 +263,7 @@ func NewDirWriterAt(dir string, nextSegment int) (*DirWriter, error) {
 		Sync:         SyncRotate,
 		SyncBytes:    DefaultSyncBytes,
 		segIdx:       nextSegment,
+		buf:          make([]byte, 0, BufferBytes),
 	}
 	if nextSegment > 0 {
 		m, err := ReadManifest(dir)
@@ -227,9 +300,12 @@ func (d *DirWriter) Append(ev Event) {
 			d.fail(err)
 			return
 		}
-		d.file = f
-		d.seg = NewWriter(f)
-		d.lastSync = 0
+		d.file, d.out = f, f
+		if d.wrapFile != nil {
+			d.out = d.wrapFile(f)
+		}
+		d.seg = NewWriter((*segOut)(d))
+		d.lastSync, d.flushedEvents, d.flushedBytes = 0, 0, 0
 	}
 	d.seg.Append(ev)
 	if err := d.seg.Err(); err != nil {
@@ -238,8 +314,12 @@ func (d *DirWriter) Append(ev Event) {
 	}
 	d.events++
 	if d.Sync == SyncInterval && d.seg.Bytes()-d.lastSync >= d.syncBytes() {
-		if err := d.file.Sync(); err != nil {
-			d.fail(err)
+		err := d.flush()
+		if err == nil {
+			err = d.file.Sync()
+		}
+		if err != nil {
+			d.abandon(err)
 			return
 		}
 		d.lastSync = d.seg.Bytes()
@@ -285,16 +365,22 @@ func (d *DirWriter) Rotate() error {
 		return nil
 	}
 	if err := d.seal(); err != nil {
-		d.fail(err)
+		d.abandon(err)
 		return err
 	}
 	return nil
 }
 
-// seal syncs, closes, and renames the active segment to its final name,
-// then records it in the manifest. The file handle is always closed,
-// even when the sync fails, so a failed seal never leaks it.
+// seal flushes, syncs, closes, and renames the active segment to its
+// final name, then records it in the manifest. Once the flush succeeded
+// the file handle is always closed, even when the sync fails, so a
+// failed seal never leaks it; a failed flush leaves the segment for
+// abandon to account for. The manifest entry is built after the flush,
+// so it describes bytes the file holds.
 func (d *DirWriter) seal() error {
+	if err := d.flush(); err != nil {
+		return err
+	}
 	entry := ManifestSegment{
 		Name:   fmt.Sprintf(SegmentPattern, d.segIdx),
 		Bytes:  d.seg.Bytes(),
@@ -304,7 +390,7 @@ func (d *DirWriter) seal() error {
 	d.bytes += d.seg.Bytes()
 	d.seg = nil
 	f := d.file
-	d.file = nil
+	d.file, d.out = nil, nil
 	final := d.segmentPath(d.segIdx)
 	d.segIdx++
 
@@ -323,7 +409,7 @@ func (d *DirWriter) seal() error {
 		return err
 	}
 	if d.Sync != SyncNone {
-		if err := syncDir(d.dir); err != nil {
+		if err := SyncDir(d.dir); err != nil {
 			return err
 		}
 	}
@@ -335,21 +421,34 @@ func (d *DirWriter) seal() error {
 	}, d.Sync != SyncNone)
 }
 
+// fail abandons the writer and drops the event being appended.
 func (d *DirWriter) fail(err error) {
-	d.err = err
+	d.abandon(err)
 	d.dropped++
-	if d.file != nil {
-		d.file.Close()
-		d.file = nil
-		d.seg = nil
-	}
 }
 
-// Close seals the active segment (sync, close, rename, manifest).
+// abandon makes err sticky and gives up the active segment. Frames still
+// in the buffer never reached the file, so they move from Events to
+// Dropped, and Bytes keeps only what was flushed.
+func (d *DirWriter) abandon(err error) {
+	d.err = err
+	if d.seg == nil {
+		return
+	}
+	lost := d.seg.Events() - d.flushedEvents
+	d.events -= lost
+	d.dropped += lost
+	d.bytes += d.flushedBytes
+	d.buf = d.buf[:0]
+	d.file.Close()
+	d.file, d.out, d.seg = nil, nil, nil
+}
+
+// Close seals the active segment (flush, sync, close, rename, manifest).
 func (d *DirWriter) Close() error {
 	if d.seg != nil {
-		if err := d.seal(); err != nil && d.err == nil {
-			d.err = err
+		if err := d.seal(); err != nil {
+			d.abandon(err)
 		}
 	}
 	return d.err

@@ -1,8 +1,17 @@
 package platform
 
 // Checkpoint support. A Snapshot is the gob-friendly form of the whole
-// platform. Accounts, ads and bids are fully exported structs and are
-// carried wholesale; two things need explicit treatment:
+// platform, laid out flat so the encoder never walks a pointer graph:
+//
+//   - Accounts and ads are value copies with their child slices cleared
+//     (an account's Ads, an ad's Bids); AdCount and BidCount say how many
+//     of the following rows belong to each parent. Ads appear in account
+//     order, bids in ad order, both in slice-position order.
+//
+//   - Bids — two orders of magnitude more numerous than accounts — are
+//     stored as one primitive slice per field. gob writes a []int or
+//     []float64 in a single tight loop, where a []*KeywordBid costs a
+//     reflective visit per bid.
 //
 //   - The eligible-bid index holds pointers into the account table and its
 //     posting lists are ordered by descending static score with ties in
@@ -10,19 +19,27 @@ package platform
 //     sequence it saw). Rebuilding the index by re-inserting bids in any
 //     other order could reorder equal-score ties and change auction
 //     outcomes, so the index is serialized explicitly as (AdID, bid
-//     position) references in list order and restored by direct append.
+//     position) references in list order — again as two columns, with a
+//     per-list count — and restored by direct append.
 //
 //   - The ledger's maps are flattened to account-sorted entry lists so the
 //     encoded snapshot is byte-deterministic for a given state.
 //
-// Snapshot shares memory with the live platform: encode it (or deep-copy
-// it) before mutating the platform again.
+// A Snapshot shares no mutable memory with the platform it was taken from.
+//
+// Snapshot is an ordinary gob value, but a checkpoint writes it with
+// Encode, one gob value per field: gob buffers a whole value before
+// writing any of it, so this keeps the encoder's (and the decoder's)
+// buffer at the size of the largest column instead of the whole platform.
 
 import (
+	"cmp"
+	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/market"
+	"repro/internal/simclock"
 	"repro/internal/verticals"
 )
 
@@ -32,117 +49,170 @@ type LedgerEntry struct {
 	Amount  float64
 }
 
-// IndexRef locates one posting-list entry: the ad and the position of the
-// bid within that ad's Bids slice.
-type IndexRef struct {
-	Ad  AdID
-	Bid int32
-}
-
-// IndexEntry is one posting list with its key.
+// IndexEntry is one posting list's key and its number of rows in the
+// RefAd/RefBid columns.
 type IndexEntry struct {
 	Vertical verticals.Vertical
 	Country  market.Country
 	Kw       int32
 	Broad    bool
-	Refs     []IndexRef
+	Refs     int32
 }
 
 // Snapshot is the serializable state of a Platform.
 type Snapshot struct {
-	Accounts []*Account
+	Accounts []Account // Ads cleared; see AdCount
 	NextAdID AdID
 	AdsLive  int
+
+	AdCount []int32 // per account: its rows in Ads
+	Ads     []Ad    // Bids cleared; see BidCount
+
+	// One row per bid across the five Bid* columns.
+	BidCount   []int32 // per ad: its rows in the bid columns
+	BidKeyword []int
+	BidCluster []int
+	BidMatch   []uint8
+	BidMax     []float64
+	BidCreated []float64
 
 	Billed      []LedgerEntry
 	Uncollected []LedgerEntry
 	TotalBilled float64
 	TotalLost   float64
 
-	Index []IndexEntry
+	// One row per posting-list slot across RefAd/RefBid: the ad and the
+	// position of the bid within that ad's Bids.
+	Index  []IndexEntry
+	RefAd  []int32
+	RefBid []int32
+}
+
+// fields lists every field of the snapshot in wire order.
+func (st *Snapshot) fields() []any {
+	return []any{
+		&st.Accounts, &st.NextAdID, &st.AdsLive,
+		&st.AdCount, &st.Ads,
+		&st.BidCount, &st.BidKeyword, &st.BidCluster, &st.BidMatch, &st.BidMax, &st.BidCreated,
+		&st.Billed, &st.Uncollected, &st.TotalBilled, &st.TotalLost,
+		&st.Index, &st.RefAd, &st.RefBid,
+	}
+}
+
+// Encode writes the snapshot to enc, one gob value per field.
+func (st *Snapshot) Encode(enc *gob.Encoder) error {
+	for _, f := range st.fields() {
+		if err := enc.Encode(f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Decode reads what Encode wrote.
+func (st *Snapshot) Decode(dec *gob.Decoder) error {
+	for _, f := range st.fields() {
+		if err := dec.Decode(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Snapshot captures the platform's full state.
 func (p *Platform) Snapshot() *Snapshot {
 	st := &Snapshot{
-		Accounts:    p.accounts,
+		Accounts:    make([]Account, len(p.accounts)),
 		NextAdID:    p.nextAdID,
 		AdsLive:     p.adsLive,
+		AdCount:     make([]int32, len(p.accounts)),
 		Billed:      ledgerEntries(p.ledger.billed),
 		Uncollected: ledgerEntries(p.ledger.uncollected),
 		TotalBilled: p.ledger.totalBilled,
 		TotalLost:   p.ledger.totalLost,
 	}
 
-	// Locate every live bid so posting-list pointers can be expressed as
-	// (AdID, position) pairs.
-	type bidPos struct {
-		ad  AdID
-		idx int32
-	}
-	pos := make(map[*KeywordBid]bidPos)
+	nAds, nBids := 0, 0
 	for _, a := range p.accounts {
+		nAds += len(a.Ads)
 		for _, ad := range a.Ads {
-			for i, b := range ad.Bids {
-				pos[b] = bidPos{ad.ID, int32(i)}
+			nBids += len(ad.Bids)
+		}
+	}
+	st.Ads = make([]Ad, 0, nAds)
+	st.BidCount = make([]int32, 0, nAds)
+	st.BidKeyword = make([]int, 0, nBids)
+	st.BidCluster = make([]int, 0, nBids)
+	st.BidMatch = make([]uint8, 0, nBids)
+	st.BidMax = make([]float64, 0, nBids)
+	st.BidCreated = make([]float64, 0, nBids)
+	for i, a := range p.accounts {
+		st.Accounts[i] = *a
+		st.Accounts[i].Ads = nil
+		st.AdCount[i] = int32(len(a.Ads))
+		for _, ad := range a.Ads {
+			st.Ads = append(st.Ads, *ad)
+			st.Ads[len(st.Ads)-1].Bids = nil
+			st.BidCount = append(st.BidCount, int32(len(ad.Bids)))
+			for _, b := range ad.Bids {
+				st.BidKeyword = append(st.BidKeyword, b.KeywordID)
+				st.BidCluster = append(st.BidCluster, b.Cluster)
+				st.BidMatch = append(st.BidMatch, uint8(b.Match))
+				st.BidMax = append(st.BidMax, b.MaxBid)
+				st.BidCreated = append(st.BidCreated, float64(b.Created))
 			}
 		}
 	}
 
 	// Flatten the two-level index into (vertical, country, kw, broad)
-	// keyed lists, sorted for byte-determinism. Lists emptied by ad
-	// removal keep their map slot for capacity reuse but are skipped here.
-	type flatKey struct {
-		vertical verticals.Vertical
-		country  market.Country
-		kw       int32
-		broad    bool
-	}
-	keys := make([]flatKey, 0, len(p.index.byVC))
+	// keyed lists in sorted key order, for byte-determinism: groups by
+	// their string pair, then each group's lists by one integer key, so
+	// the big sort compares no strings. Lists emptied by ad removal keep
+	// their map slot for capacity reuse but are skipped here.
+	vcs := make([]vcKey, 0, len(p.index.byVC))
+	nLists := 0
 	for vc, ps := range p.index.byVC {
+		vcs = append(vcs, vc)
+		nLists += len(ps.kw) + len(ps.broad)
+	}
+	slices.SortFunc(vcs, func(a, b vcKey) int {
+		return cmp.Or(cmp.Compare(a.vertical, b.vertical), cmp.Compare(a.country, b.country))
+	})
+	type keyedList struct {
+		key  int64 // kw<<1 | broad
+		list []entry
+	}
+	var lists []keyedList
+	st.Index = make([]IndexEntry, 0, nLists)
+	// Every posting-list slot is a distinct live bid.
+	st.RefAd = make([]int32, 0, nBids)
+	st.RefBid = make([]int32, 0, nBids)
+	for _, vc := range vcs {
+		ps := p.index.byVC[vc]
+		lists = lists[:0]
 		for id, list := range ps.kw {
 			if len(list) > 0 {
-				keys = append(keys, flatKey{vc.vertical, vc.country, id, false})
+				lists = append(lists, keyedList{int64(id) << 1, list})
 			}
 		}
 		for id, list := range ps.broad {
 			if len(list) > 0 {
-				keys = append(keys, flatKey{vc.vertical, vc.country, id, true})
+				lists = append(lists, keyedList{int64(id)<<1 | 1, list})
 			}
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.vertical != b.vertical {
-			return a.vertical < b.vertical
-		}
-		if a.country != b.country {
-			return a.country < b.country
-		}
-		if a.kw != b.kw {
-			return a.kw < b.kw
-		}
-		return !a.broad && b.broad
-	})
-	st.Index = make([]IndexEntry, 0, len(keys))
-	for _, k := range keys {
-		ps := p.index.byVC[vcKey{k.vertical, k.country}]
-		list := ps.kw[k.kw]
-		if k.broad {
-			list = ps.broad[k.kw]
-		}
-		e := IndexEntry{Vertical: k.vertical, Country: k.country, Kw: k.kw, Broad: k.broad, Refs: make([]IndexRef, len(list))}
-		for i := range list {
-			bp, ok := pos[list[i].bid]
-			if !ok {
-				// Cannot happen with the maintained invariants (RemoveAd
-				// drops bids before Bids is released); guard anyway so a
-				// snapshot never emits a dangling reference.
-				continue
+		slices.SortFunc(lists, func(a, b keyedList) int { return cmp.Compare(a.key, b.key) })
+		for _, l := range lists {
+			st.Index = append(st.Index, IndexEntry{vc.vertical, vc.country, int32(l.key >> 1), l.key&1 == 1, int32(len(l.list))})
+			for i := range l.list {
+				// An entry's ad holds its bid (RemoveAd drops the entries
+				// before Bids is released), and an ad carries a handful
+				// of bids, so a scan finds the position faster than a map
+				// over every bid on the platform would.
+				e := &l.list[i]
+				st.RefAd = append(st.RefAd, int32(e.ad.ID))
+				st.RefBid = append(st.RefBid, int32(slices.Index(e.ad.Bids, e.bid)))
 			}
-			e.Refs[i] = IndexRef{Ad: bp.ad, Bid: bp.idx}
 		}
-		st.Index = append(st.Index, e)
 	}
 	return st
 }
@@ -152,62 +222,133 @@ func ledgerEntries(m map[AccountID]float64) []LedgerEntry {
 	for id, v := range m {
 		out = append(out, LedgerEntry{id, v})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Account < out[j].Account })
+	slices.SortFunc(out, func(a, b LedgerEntry) int { return cmp.Compare(a.Account, b.Account) })
 	return out
 }
 
-// FromSnapshot rebuilds a Platform from a snapshot. All cross-references
-// are bounds-checked so hostile snapshot bytes yield an error, never a
-// panic.
+// sumCounts adds up a count column, rejecting negative entries.
+func sumCounts(what string, counts []int32) (int, error) {
+	n := 0
+	for i, c := range counts {
+		if c < 0 {
+			return 0, fmt.Errorf("platform: snapshot %s count %d is negative (%d)", what, i, c)
+		}
+		n += int(c)
+	}
+	return n, nil
+}
+
+// FromSnapshot rebuilds a Platform from a snapshot, taking ownership of
+// it. Column lengths, counts and all cross-references are checked so
+// hostile snapshot bytes yield an error, never a panic.
 func FromSnapshot(st *Snapshot) (*Platform, error) {
 	if st == nil {
 		return nil, fmt.Errorf("platform: nil snapshot")
 	}
+	if len(st.AdCount) != len(st.Accounts) || len(st.BidCount) != len(st.Ads) {
+		return nil, fmt.Errorf("platform: snapshot has %d ad counts for %d accounts, %d bid counts for %d ads",
+			len(st.AdCount), len(st.Accounts), len(st.BidCount), len(st.Ads))
+	}
+	nAds, err := sumCounts("ad", st.AdCount)
+	if err != nil {
+		return nil, err
+	}
+	nBids, err := sumCounts("bid", st.BidCount)
+	if err != nil {
+		return nil, err
+	}
+	if nAds != len(st.Ads) {
+		return nil, fmt.Errorf("platform: snapshot ad counts sum to %d, have %d ads", nAds, len(st.Ads))
+	}
+	if nBids != len(st.BidKeyword) || nBids != len(st.BidCluster) || nBids != len(st.BidMatch) ||
+		nBids != len(st.BidMax) || nBids != len(st.BidCreated) {
+		return nil, fmt.Errorf("platform: snapshot bid counts sum to %d, columns hold %d/%d/%d/%d/%d",
+			nBids, len(st.BidKeyword), len(st.BidCluster), len(st.BidMatch), len(st.BidMax), len(st.BidCreated))
+	}
+
 	p := New()
-	p.accounts = st.Accounts
 	p.nextAdID = st.NextAdID
 	p.adsLive = st.AdsLive
-
-	adByID := make(map[AdID]*Ad)
-	for i, a := range p.accounts {
-		if a == nil {
-			return nil, fmt.Errorf("platform: snapshot account %d is nil", i)
-		}
+	p.accounts = make([]*Account, len(st.Accounts))
+	adByID := make(map[AdID]*Ad, len(st.Ads))
+	nextAd, nextBid := 0, 0
+	for i := range st.Accounts {
+		// The account table only grows, so the accounts can live in the
+		// snapshot's one array; ads and bids are retired individually
+		// and get allocations with their own lifetimes.
+		a := &st.Accounts[i]
 		if int(a.ID) != i {
 			return nil, fmt.Errorf("platform: snapshot account %d carries ID %d", i, a.ID)
 		}
-		for _, ad := range a.Ads {
-			if ad == nil {
-				return nil, fmt.Errorf("platform: snapshot account %d holds a nil ad", i)
+		a.Ads = nil
+		if n := int(st.AdCount[i]); n > 0 {
+			a.Ads = make([]*Ad, n)
+		}
+		for j := range a.Ads {
+			ad := new(Ad)
+			*ad = st.Ads[nextAd]
+			if ad.Account != a.ID {
+				return nil, fmt.Errorf("platform: snapshot ad %d under account %d carries account %d", ad.ID, a.ID, ad.Account)
 			}
+			ad.Bids = nil
+			if n := int(st.BidCount[nextAd]); n > 0 {
+				// One exact-size backing array per ad, as AddBidsBatch
+				// builds them.
+				arr := make([]KeywordBid, n)
+				ad.Bids = make([]*KeywordBid, n)
+				for k := range arr {
+					arr[k] = KeywordBid{
+						KeywordID: st.BidKeyword[nextBid],
+						Cluster:   st.BidCluster[nextBid],
+						Match:     MatchType(st.BidMatch[nextBid]),
+						MaxBid:    st.BidMax[nextBid],
+						Created:   simclock.Stamp(st.BidCreated[nextBid]),
+					}
+					ad.Bids[k] = &arr[k]
+					nextBid++
+				}
+			}
+			nextAd++
+			a.Ads[j] = ad
 			adByID[ad.ID] = ad
 		}
+		p.accounts[i] = a
 	}
 
+	nRefs := 0
+	for i := range st.Index {
+		if st.Index[i].Refs < 0 {
+			return nil, fmt.Errorf("platform: snapshot index list %d has negative length %d", i, st.Index[i].Refs)
+		}
+		nRefs += int(st.Index[i].Refs)
+	}
+	if nRefs != len(st.RefAd) || nRefs != len(st.RefBid) {
+		return nil, fmt.Errorf("platform: snapshot index lists sum to %d refs, columns hold %d/%d", nRefs, len(st.RefAd), len(st.RefBid))
+	}
+	next := 0
 	for _, e := range st.Index {
 		ps := p.index.byVC[vcKey{e.Vertical, e.Country}]
 		if ps == nil {
 			ps = &postings{kw: make(map[int32][]entry), broad: make(map[int32][]entry)}
 			p.index.byVC[vcKey{e.Vertical, e.Country}] = ps
 		}
-		list := make([]entry, 0, len(e.Refs))
-		for _, ref := range e.Refs {
-			ad, ok := adByID[ref.Ad]
+		list := make([]entry, e.Refs)
+		for i := range list {
+			adID, pos := AdID(st.RefAd[next]), st.RefBid[next]
+			next++
+			ad, ok := adByID[adID]
 			if !ok {
-				return nil, fmt.Errorf("platform: snapshot index references unknown ad %d", ref.Ad)
+				return nil, fmt.Errorf("platform: snapshot index references unknown ad %d", adID)
 			}
-			if ref.Bid < 0 || int(ref.Bid) >= len(ad.Bids) {
-				return nil, fmt.Errorf("platform: snapshot index references bid %d of ad %d (has %d)", ref.Bid, ref.Ad, len(ad.Bids))
+			if pos < 0 || int(pos) >= len(ad.Bids) {
+				return nil, fmt.Errorf("platform: snapshot index references bid %d of ad %d (has %d)", pos, adID, len(ad.Bids))
 			}
-			b := ad.Bids[ref.Bid]
-			if b == nil {
-				return nil, fmt.Errorf("platform: snapshot ad %d holds a nil bid", ref.Ad)
-			}
+			b := ad.Bids[pos]
 			// The cached score invariant is "current MaxBid × Quality"
 			// (UpdateBid keeps it synced through in-place modifications),
 			// so recomputing from the serialized amounts restores the
 			// live run's exact values.
-			list = append(list, entry{ad: ad, bid: b, score: b.MaxBid * ad.Quality, acct: ad.Account, match: b.Match})
+			list[i] = entry{ad: ad, bid: b, score: b.MaxBid * ad.Quality, acct: ad.Account, match: b.Match}
 		}
 		if e.Broad {
 			ps.broad[e.Kw] = list

@@ -2,11 +2,20 @@ package sim
 
 // Checkpoint file format. A checkpoint is one CRC-framed gob payload:
 //
-//	offset 0: magic "FRSNAP" + one format-version byte (currently 2;
-//	          version 2 added the detection pipeline's per-account RNG
-//	          streams and the mid-day phase cursor, which a version-1
-//	          reader would silently misinterpret)
+//	offset 0: magic "FRSNAP" + one format-version byte (currently 3;
+//	          version 3 stores the platform flat — accounts and ads as
+//	          value rows with per-parent counts, bids and index
+//	          references as one primitive column per field, see
+//	          platform.Snapshot — which an older reader would not
+//	          recognise at all; older files are refused by the version
+//	          check, there is no migration)
 //	then:     uvarint payload length | payload | crc32c(payload) LE
+//
+// The payload is one gob stream: the Checkpoint value with its platform
+// snapshot detached, then the platform as platform.Snapshot.Encode
+// writes it. Everything outside the platform — collector, pipeline,
+// agents, RNG streams — is a few percent of the bytes and stays ordinary
+// gob structs.
 //
 // The CRC is computed with the Castagnoli polynomial — the same framing
 // discipline as the event log — so a torn or bit-flipped snapshot is
@@ -22,11 +31,14 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"repro/internal/eventlog"
+	"repro/internal/platform"
 )
 
 // checkpointMagic identifies a checkpoint file; the trailing byte is the
 // format version.
-var checkpointMagic = []byte{'F', 'R', 'S', 'N', 'A', 'P', 2}
+var checkpointMagic = []byte{'F', 'R', 'S', 'N', 'A', 'P', 3}
 
 var checkpointCRC = crc32.MakeTable(crc32.Castagnoli)
 
@@ -48,25 +60,49 @@ type Checkpoint struct {
 	Log   LogPosition
 }
 
-// encodeCheckpoint renders a checkpoint as its on-disk frame: magic,
-// version, uvarint payload length, gob payload, CRC32C.
-func encodeCheckpoint(c *Checkpoint) ([]byte, error) {
-	if c == nil || c.State == nil {
+// frameHead is the space encodeCheckpoint reserves ahead of the payload
+// for the magic and the length, whose width is known only once the
+// payload is encoded.
+var frameHead = len(checkpointMagic) + binary.MaxVarintLen64
+
+// encodeCheckpoint renders a checkpoint into buf as its on-disk frame —
+// magic, version, uvarint payload length, gob payload, CRC32C — and
+// returns the frame, which aliases buf.
+func encodeCheckpoint(buf *bytes.Buffer, c *Checkpoint) ([]byte, error) {
+	if c == nil || c.State == nil || c.State.Platform == nil {
 		return nil, fmt.Errorf("sim: nil checkpoint")
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(c); err != nil {
+	buf.Reset()
+	buf.Write(make([]byte, frameHead))
+	st := *c.State
+	st.Platform = nil
+	enc := gob.NewEncoder(buf)
+	err := enc.Encode(&Checkpoint{State: &st, Log: c.Log})
+	if err == nil {
+		err = c.State.Platform.Encode(enc)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
-	var buf bytes.Buffer
-	buf.Write(checkpointMagic)
+	n := buf.Len() - frameHead
+	buf.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(buf.Bytes()[frameHead:], checkpointCRC)))
+	// The head goes in right-aligned against the payload; the frame
+	// starts wherever that leaves it.
 	var lenBuf [binary.MaxVarintLen64]byte
-	buf.Write(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(payload.Len()))])
-	buf.Write(payload.Bytes())
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.Checksum(payload.Bytes(), checkpointCRC))
-	buf.Write(crcBuf[:])
-	return buf.Bytes(), nil
+	w := binary.PutUvarint(lenBuf[:], uint64(n))
+	frame := buf.Bytes()[binary.MaxVarintLen64-w:]
+	copy(frame, checkpointMagic)
+	copy(frame[len(checkpointMagic):], lenBuf[:w])
+	return frame, nil
+}
+
+// stageCheckpoint encodes c through buf and writes it, fsynced, to path.
+func stageCheckpoint(buf *bytes.Buffer, path string, c *Checkpoint) error {
+	frame, err := encodeCheckpoint(buf, c)
+	if err != nil {
+		return err
+	}
+	return writeFileSync(path, frame)
 }
 
 // writeFileSync writes data to path (truncating) and fsyncs it, removing
@@ -96,30 +132,19 @@ func writeFileSync(path string, data []byte) error {
 
 // WriteCheckpoint atomically writes a checkpoint file.
 func WriteCheckpoint(path string, c *Checkpoint) error {
-	frame, err := encodeCheckpoint(c)
-	if err != nil {
-		return err
-	}
+	return writeCheckpoint(new(bytes.Buffer), path, c)
+}
+
+func writeCheckpoint(buf *bytes.Buffer, path string, c *Checkpoint) error {
 	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, frame); err != nil {
+	if err := stageCheckpoint(buf, tmp, c); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory so a rename into it survives power loss.
-// Errors are ignored on platforms where directories cannot be fsynced.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	d.Sync()
-	return d.Close()
+	return eventlog.SyncDir(filepath.Dir(path))
 }
 
 // ReadCheckpoint reads and validates a checkpoint file: magic, version,
@@ -167,11 +192,16 @@ func DecodeCheckpoint(data []byte) (c *Checkpoint, err error) {
 		}
 	}()
 	c = &Checkpoint{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(c); err != nil {
+	dec := gob.NewDecoder(bytes.NewReader(payload))
+	if err := dec.Decode(c); err != nil {
 		return nil, fmt.Errorf("sim: decode checkpoint: %w", err)
 	}
 	if c.State == nil {
 		return nil, fmt.Errorf("sim: checkpoint has no state")
+	}
+	c.State.Platform = new(platform.Snapshot)
+	if err := c.State.Platform.Decode(dec); err != nil {
+		return nil, fmt.Errorf("sim: decode checkpoint platform: %w", err)
 	}
 	if c.Log.NextSegment < 0 {
 		return nil, fmt.Errorf("sim: checkpoint has negative segment index %d", c.Log.NextSegment)
@@ -182,7 +212,7 @@ func DecodeCheckpoint(data []byte) (c *Checkpoint, err error) {
 // WriteCheckpointFile snapshots the sim and writes it with the given log
 // position in one call.
 func (s *Sim) WriteCheckpointFile(path string, pos LogPosition) error {
-	return WriteCheckpoint(path, &Checkpoint{State: s.Snapshot(), Log: pos})
+	return writeCheckpoint(&s.frame, path, &Checkpoint{State: s.Snapshot(), Log: pos})
 }
 
 // CheckpointInfo is what InspectCheckpoint can say about a checkpoint

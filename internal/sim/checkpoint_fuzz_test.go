@@ -46,6 +46,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FRSNAP\x01"))
 	f.Add([]byte("FRSNAP\x02junk"))
+	f.Add([]byte("FRSNAP\x03junk"))
 	for _, i := range []int{7, len(valid) / 3, len(valid) - 5} {
 		mut := bytes.Clone(valid)
 		mut[i] ^= 0x40
@@ -62,6 +63,11 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	if hostile, err := os.ReadFile(path); err == nil {
+		f.Add(hostile)
+	}
+	// Likewise for the platform's flat layout: column lengths and counts
+	// that disagree with each other.
+	for _, hostile := range hostilePlatformFrames(f, valid) {
 		f.Add(hostile)
 	}
 

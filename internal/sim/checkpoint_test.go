@@ -1,0 +1,124 @@
+package sim_test
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// hostilePlatformFrames re-frames a valid checkpoint after breaking the
+// platform snapshot's flat layout in ways only platform.FromSnapshot can
+// notice: the frames are CRC-valid and decode cleanly, but their columns
+// and counts disagree. Shared by the restore test below and the fuzz
+// targets' seed corpora.
+func hostilePlatformFrames(t testing.TB, valid []byte) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	path := filepath.Join(t.TempDir(), "hostile.frsnap")
+	for name, vandalize := range map[string]func(*sim.State){
+		"short bid column":   func(st *sim.State) { st.Platform.BidMax = st.Platform.BidMax[1:] },
+		"no created column":  func(st *sim.State) { st.Platform.BidCreated = nil },
+		"ad counts oversum":  func(st *sim.State) { st.Platform.AdCount[0] += 3 },
+		"bid counts oversum": func(st *sim.State) { st.Platform.BidCount[0] += 3 },
+		"negative bid count": func(st *sim.State) { st.Platform.BidCount[0] = -st.Platform.BidCount[0] - 1 },
+		"ref columns differ": func(st *sim.State) { st.Platform.RefBid = st.Platform.RefBid[1:] },
+		"refs oversum":       func(st *sim.State) { st.Platform.Index[0].Refs += 2 },
+		"bid out of range":   func(st *sim.State) { st.Platform.RefBid[0] = 1 << 20 },
+		"missing ad":         func(st *sim.State) { st.Platform.RefAd[0] = -7 },
+		"ads without counts": func(st *sim.State) { st.Platform.AdCount = nil },
+	} {
+		c, err := sim.DecodeCheckpoint(valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vandalize(c.State)
+		if err := sim.WriteCheckpoint(path, c); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = frame
+	}
+	return out
+}
+
+// midRunCheckpoint runs a small sim to a mid-horizon day boundary and
+// returns it with its checkpoint frame.
+func midRunCheckpoint(t testing.TB) (*sim.Sim, []byte) {
+	t.Helper()
+	s := sim.New(crashConfig(5))
+	for int(s.Day()) < 12 {
+		if !s.Step() {
+			t.Fatal("horizon ended before checkpoint day")
+		}
+	}
+	return s, checkpointFrame(t, s)
+}
+
+func checkpointFrame(t testing.TB, s *sim.Sim) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ck.frsnap")
+	if err := s.WriteCheckpointFile(path, sim.LogPosition{NextSegment: 3, Events: 99}); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestCheckpointRoundTripByteEqual: encode → decode → Restore → Snapshot
+// → encode reproduces the file byte for byte, and saving twice through
+// the sim's reused frame buffer does too.
+func TestCheckpointRoundTripByteEqual(t *testing.T) {
+	s, first := midRunCheckpoint(t)
+	if again := checkpointFrame(t, s); !bytes.Equal(first, again) {
+		t.Fatal("two saves of one state differ")
+	}
+	c, err := sim.DecodeCheckpoint(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := sim.Restore(c.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second := checkpointFrame(t, restored); !bytes.Equal(first, second) {
+		t.Fatalf("round trip changed the checkpoint: %d bytes -> %d bytes", len(first), len(second))
+	}
+}
+
+// TestRestoreRejectsInconsistentPlatform: a frame that passes the CRC and
+// gob but whose platform columns disagree is an error from Restore.
+func TestRestoreRejectsInconsistentPlatform(t *testing.T) {
+	_, valid := midRunCheckpoint(t)
+	for name, frame := range hostilePlatformFrames(t, valid) {
+		c, err := sim.DecodeCheckpoint(frame)
+		if err != nil {
+			t.Fatalf("%s: frame should decode (the damage is semantic): %v", name, err)
+		}
+		if _, err := sim.Restore(c.State); err == nil || !strings.Contains(err.Error(), "platform: snapshot") {
+			t.Fatalf("%s: Restore = %v, want a platform snapshot error", name, err)
+		}
+	}
+}
+
+// TestCheckpointRefusesOlderVersions: the flat layout replaced version 2
+// outright; older files are refused by the version check, not misread.
+func TestCheckpointRefusesOlderVersions(t *testing.T) {
+	_, valid := midRunCheckpoint(t)
+	for _, v := range []byte{1, 2} {
+		old := bytes.Clone(valid)
+		old[6] = v
+		if _, err := sim.DecodeCheckpoint(old); err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {
+			t.Fatalf("version %d: DecodeCheckpoint = %v, want a version refusal", v, err)
+		}
+	}
+}

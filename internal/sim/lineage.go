@@ -26,6 +26,7 @@ package sim
 // crash_lineage_test.go).
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -33,6 +34,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/eventlog"
 )
 
 // DefaultRetain is how many checkpoints a lineage keeps when the caller
@@ -156,12 +159,12 @@ func (l Lineage) SweepTmp() (string, error) {
 // checkpoint intact (each shift step is a single atomic rename), so the
 // worst a crash can cost is the checkpoint being staged.
 func (l Lineage) Save(c *Checkpoint) error {
-	frame, err := encodeCheckpoint(c)
-	if err != nil {
-		return err
-	}
+	return l.save(new(bytes.Buffer), c)
+}
+
+func (l Lineage) save(buf *bytes.Buffer, c *Checkpoint) error {
 	tmp := l.Path + ".tmp"
-	if err := writeFileSync(tmp, frame); err != nil {
+	if err := stageCheckpoint(buf, tmp, c); err != nil {
 		return err
 	}
 	// Shift oldest-first so no generation is ever overwritten by a
@@ -177,7 +180,7 @@ func (l Lineage) Save(c *Checkpoint) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := syncDir(filepath.Dir(l.Path)); err != nil {
+	if err := eventlog.SyncDir(filepath.Dir(l.Path)); err != nil {
 		return err
 	}
 	// Prune generations beyond the retention (a shrunk Retain, or the
@@ -247,5 +250,5 @@ func (l Lineage) Load() (*Checkpoint, *LineageReport, error) {
 // newest checkpoint — the retained-chain counterpart of
 // WriteCheckpointFile.
 func (s *Sim) SaveCheckpointLineage(l Lineage, pos LogPosition) error {
-	return l.Save(&Checkpoint{State: s.Snapshot(), Log: pos})
+	return l.save(&s.frame, &Checkpoint{State: s.Snapshot(), Log: pos})
 }

@@ -49,6 +49,13 @@ func FuzzLineageLoad(f *testing.F) {
 	f.Add(flipped, torn, []byte{}, false)
 	f.Add([]byte{}, []byte{}, []byte{}, true)
 	f.Add([]byte("FRSNAP\x02junk"), flipped, torn, false)
+	f.Add([]byte("FRSNAP\x03junk"), flipped, torn, false)
+	// Frames that validate but hold a self-inconsistent platform: Load
+	// accepts them (it checks framing, not meaning); they are here so the
+	// fuzzer mutates from both sides of that line.
+	for _, hostile := range hostilePlatformFrames(f, valid) {
+		f.Add(hostile, valid, torn, false)
+	}
 
 	f.Fuzz(func(t *testing.T, g0, g1, g2 []byte, staleTmp bool) {
 		lin := sim.Lineage{Path: filepath.Join(t.TempDir(), "ck.frsnap")}

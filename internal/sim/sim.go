@@ -6,6 +6,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"time"
@@ -216,6 +217,10 @@ type Sim struct {
 	allocs  *PhaseAllocs
 
 	res Result
+
+	// frame is the checkpoint frame buffer, kept between saves: a frame
+	// is megabytes and a durable run writes one every few days.
+	frame bytes.Buffer
 }
 
 // New wires up a simulation from the configuration.
