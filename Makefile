@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race chaos crash crash-cluster crash-coordinator bench-check verify golden bench bench-serving bench-dayloop bench-cluster bench-router bench-all benchdiff fuzz-smoke
+.PHONY: build vet test race chaos crash crash-cluster crash-coordinator bench-check verify golden bench bench-serving bench-dayloop bench-cluster bench-router bench-all benchdiff bench-pair fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -121,6 +121,40 @@ benchdiff:
 		-bench-dayloop-out $(CURDIR)/BENCH_dayloop.new.json -timeout 20m
 	$(GO) run ./cmd/benchdiff -old $(CURDIR)/BENCH_dayloop.json \
 		-new $(CURDIR)/BENCH_dayloop.new.json -max-regress 10
+
+# bench-pair runs the repository benchmark (BENCHMARK.json, bench/) on
+# workload W at revision BASE and on the working tree, N pairs, the same
+# seed on both sides of a pair (SEED, SEED+1, ...) and alternating which
+# side runs first, then judges the pairs with `benchdiff -pairs` by the
+# merge pipeline's rule (a gain is >= 9/10 wins and a median gap beyond
+# the parent's IQR). BASE is exported with `git archive` into the scratch
+# directory .bench_pair/ (emptied first); each side's bench is built once
+# from its own tree and run from its own bench/ directory for
+# BENCHMARK.json's run_seconds. One result line per run is left in
+# .bench_pair/old.jsonl and new.jsonl.
+#
+#	make bench-pair BASE=HEAD~1 W=repro_queries N=10
+BASE ?= HEAD
+W ?= repro_queries
+N ?= 10
+SEED ?= 51
+bench-pair:
+	@set -e; dir=$(CURDIR)/.bench_pair; rm -rf "$$dir"; mkdir -p "$$dir/base"; \
+	trap 'rm -rf "$$dir/base" "$$dir/old" "$$dir/new"' EXIT; \
+	git archive $(BASE) | tar -x -C "$$dir/base"; \
+	(cd "$$dir/base/bench" && $(GO) build -o "$$dir/old" .); \
+	(cd bench && $(GO) build -o "$$dir/new" .); \
+	one() { (cd "$$1" && "$$2" --workload $(W) --seed "$$3" --seconds 15 --trace 0 2>/dev/null | tail -n 1) >> "$$2.jsonl"; }; \
+	for i in $$(seq 1 $(N)); do \
+		seed=$$(( $(SEED) + i - 1 )); \
+		if [ $$(( i % 2 )) -eq 1 ]; then \
+			one "$$dir/base/bench" "$$dir/old" $$seed; one bench "$$dir/new" $$seed; \
+		else \
+			one bench "$$dir/new" $$seed; one "$$dir/base/bench" "$$dir/old" $$seed; \
+		fi; \
+		echo "pair $$i/$(N) (seed $$seed) done"; \
+	done; \
+	$(GO) run ./cmd/benchdiff -pairs "$$dir/old.jsonl" "$$dir/new.jsonl"
 
 # fuzz-smoke runs each fuzz target briefly — enough to exercise the
 # corpus plus a short exploration burst.

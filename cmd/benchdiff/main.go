@@ -12,6 +12,12 @@
 // bench-smoke in .github/workflows/ci.yml); comparing records from
 // different hosts tells you about the hosts, not the code, which is why
 // the gate is advisory rather than blocking.
+//
+//	benchdiff -pairs OLD.jsonl NEW.jsonl
+//
+// judges paired runs of the repository benchmark instead (see pairs.go
+// and `make bench-pair`): one result line of `go run -C bench .` per run
+// and side, metric directions and bounds from -benchmark.
 package main
 
 import (
@@ -49,8 +55,17 @@ func run(argv []string, out, errw io.Writer) int {
 	oldPath := fs.String("old", "", "baseline report JSON (typically the committed BENCH_*.json)")
 	newPath := fs.String("new", "", "candidate report JSON to compare against the baseline")
 	maxRegress := fs.Float64("max-regress", 10, "maximum tolerated time regression, percent")
+	pairs := fs.Bool("pairs", false, "compare paired benchmark runs: benchdiff -pairs OLD.jsonl NEW.jsonl")
+	specPath := fs.String("benchmark", "BENCHMARK.json", "with -pairs: the benchmark declaration (metric directions and bounds)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
+	}
+	if *pairs {
+		if fs.NArg() != 2 {
+			fmt.Fprintln(errw, "benchdiff: -pairs takes two files: OLD.jsonl NEW.jsonl")
+			return 2
+		}
+		return runPairs(*specPath, fs.Arg(0), fs.Arg(1), out, errw)
 	}
 	if *oldPath == "" || *newPath == "" {
 		fmt.Fprintln(errw, "benchdiff: both -old and -new are required")

@@ -161,6 +161,8 @@ func NewFraudTargetSampler(rng *stats.RNG) *Sampler {
 func (s *Sampler) RNG() *stats.RNG { return s.rng }
 
 // Sample draws a country.
-func (s *Sampler) Sample() Country {
-	return all[stats.Categorical(s.rng, s.weights)].Country
-}
+func (s *Sampler) Sample() Country { return all[s.SampleIndex()].Country }
+
+// SampleIndex draws a country as its position in All(): the same draw as
+// Sample, for callers that key on the integer.
+func (s *Sampler) SampleIndex() int { return stats.Categorical(s.rng, s.weights) }

@@ -9,6 +9,7 @@ package queries
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/adcopy"
 	"repro/internal/market"
@@ -17,13 +18,17 @@ import (
 	"repro/internal/verticals"
 )
 
-// Query is a single search event as the auction sees it.
+// Query is a single search event as the auction sees it. VerticalIdx and
+// CountryIdx are the positions of Vertical and Country in verticals.All()
+// and market.All(); Cluster is the keyword's cluster in its vertical's
+// universe.
 type Query struct {
 	VerticalIdx int
 	Vertical    verticals.Vertical
 	KeywordID   int
 	Cluster     int
 	Form        platform.QueryForm
+	CountryIdx  int
 	Country     market.Country
 }
 
@@ -77,15 +82,21 @@ type GeneratorState struct {
 
 // State captures the generator's RNG stream positions.
 func (g *Generator) State() GeneratorState {
-	st := GeneratorState{
-		RNG:       g.rng.State(),
-		Countries: g.countries.RNG().State(),
-		Zipfs:     make([]stats.RNGState, len(g.zipfs)),
-	}
-	for i, z := range g.zipfs {
-		st.Zipfs[i] = z.RNG().State()
-	}
+	var st GeneratorState
+	g.StateInto(&st)
 	return st
+}
+
+// StateInto is State written over st, reusing its Zipfs storage: a caller
+// that records the state every simulated day allocates only the first
+// time.
+func (g *Generator) StateInto(st *GeneratorState) {
+	st.RNG = g.rng.State()
+	st.Countries = g.countries.RNG().State()
+	st.Zipfs = slices.Grow(st.Zipfs[:0], len(g.zipfs))
+	for _, z := range g.zipfs {
+		st.Zipfs = append(st.Zipfs, z.RNG().State())
+	}
 }
 
 // SetState restores stream positions captured by State onto a generator
@@ -129,13 +140,15 @@ func (g *Generator) Next() Query {
 	default:
 		form = platform.FormReordered
 	}
+	ci := g.countries.SampleIndex()
 	return Query{
 		VerticalIdx: vi,
 		Vertical:    g.verts[vi].Name,
 		KeywordID:   kw,
 		Cluster:     u.Keywords[kw].Cluster,
 		Form:        form,
-		Country:     g.countries.Sample(),
+		CountryIdx:  ci,
+		Country:     market.All()[ci].Country,
 	}
 }
 

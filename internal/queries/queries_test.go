@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/market"
 	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/verticals"
@@ -22,7 +23,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 
 func TestQueriesWellFormed(t *testing.T) {
 	g := NewGenerator(stats.NewRNG(2))
-	verts := verticals.All()
+	verts, markets := verticals.All(), market.All()
 	for i := 0; i < 20000; i++ {
 		q := g.Next()
 		if q.VerticalIdx < 0 || q.VerticalIdx >= len(verts) {
@@ -41,8 +42,8 @@ func TestQueriesWellFormed(t *testing.T) {
 		if q.Form > platform.FormReordered {
 			t.Fatalf("bad form %v", q.Form)
 		}
-		if q.Country == "" {
-			t.Fatal("empty country")
+		if q.CountryIdx < 0 || q.CountryIdx >= len(markets) || markets[q.CountryIdx].Country != q.Country {
+			t.Fatalf("country %q / index %d mismatch", q.Country, q.CountryIdx)
 		}
 	}
 }

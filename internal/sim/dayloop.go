@@ -23,6 +23,9 @@ package sim
 // StepPhase exposes the phase boundaries to callers: checkpoints may be
 // taken between any two phases, not just between days, and resumed at a
 // different worker count.
+//
+// With more than one worker the agents phase also draws the day's query
+// stream ahead of serving, on one goroutine of its own (queryDraw below).
 
 import (
 	"runtime"
@@ -30,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/agents"
+	"repro/internal/queries"
 	"repro/internal/simclock"
 	"repro/internal/stats"
 )
@@ -61,12 +65,19 @@ func (p Phase) String() string {
 
 // PhaseTimes accumulates wall time per day-loop phase; attach with
 // SetPhaseTimes to profile where a day's cost goes (see the dayloop
-// benchmark harness).
+// benchmark harness). QueryDraw and DrawWait split out the draw-ahead
+// inside the agents phase: QueryDraw is time spent on the draw goroutine
+// (concurrent with planning and applying, so not part of any phase's
+// wall), DrawWait the part of Agents spent blocked on it. Both stay zero
+// at one worker, where serving draws the stream itself.
 type PhaseTimes struct {
 	Arrivals  time.Duration
 	Agents    time.Duration
 	Serving   time.Duration
 	Detection time.Duration
+
+	QueryDraw time.Duration
+	DrawWait  time.Duration
 }
 
 // SetPhaseTimes attaches (or with nil detaches) a per-phase timing
@@ -209,12 +220,99 @@ func (s *Sim) arrivalsPhase(day simclock.Day) {
 	s.compromiseAccounts(day)
 }
 
+// queryDraw is the day's query stream, drawn ahead of the serving phase.
+// The stream depends on nothing but the generator's own RNGs, and the
+// agents phase reads only the generator's immutable keyword universes
+// (PlanStep and ApplyStep through Runtime.universe), so with more than
+// one worker agentPhase draws the day's QueriesPerDay queries on a
+// goroutine of its own while plans are made and applied, and joins it
+// before returning: no goroutine outlives a StepPhase call. Serving then
+// takes the drawn queries instead of drawing them. Between the two phases
+// the generator is a day ahead of the fused engine, so Snapshot writes
+// pre, the state recorded before the draw — a restore at that boundary
+// redraws the same queries — and every seeded byte stays identical at
+// any worker count.
+type queryDraw struct {
+	qs      []queries.Query        // the day's queries; reused every day
+	pre     queries.GeneratorState // generator state before the draw
+	pending bool                   // qs is drawn and not yet served
+	took    time.Duration          // wall time of the last draw
+
+	wg  sync.WaitGroup
+	run func() // the goroutine's body, built once so a day allocates nothing
+}
+
+// drawQueries draws the day's query stream into the buffer the Sim keeps.
+func (s *Sim) drawQueries() []queries.Query {
+	d := &s.draw
+	n := s.cfg.QueriesPerDay
+	if cap(d.qs) < n {
+		d.qs = make([]queries.Query, n)
+	}
+	d.qs = d.qs[:n]
+	for i := range d.qs {
+		d.qs[i] = s.qgen.Next()
+	}
+	return d.qs
+}
+
+// startDraw records the generator's state and starts the draw goroutine;
+// joinDraw must follow before the phase returns.
+func (s *Sim) startDraw() {
+	d := &s.draw
+	if d.run == nil {
+		d.run = func() {
+			defer d.wg.Done()
+			t0 := time.Now()
+			s.drawQueries()
+			d.took = time.Since(t0)
+		}
+	}
+	s.qgen.StateInto(&d.pre)
+	d.wg.Add(1)
+	go d.run()
+}
+
+// joinDraw waits for the draw goroutine and marks the queries pending.
+func (s *Sim) joinDraw() {
+	d := &s.draw
+	var t0 time.Time
+	if s.timing != nil {
+		t0 = time.Now()
+	}
+	d.wg.Wait()
+	d.pending = true
+	if s.timing != nil {
+		s.timing.DrawWait += time.Since(t0)
+		s.timing.QueryDraw += d.took
+	}
+}
+
+// takeDrawn hands serving the queries a draw-ahead left pending, or nil
+// when none ran: at one worker, or on a Sim restored at the serving
+// boundary.
+func (s *Sim) takeDrawn() []queries.Query {
+	if !s.draw.pending {
+		return nil
+	}
+	s.draw.pending = false
+	return s.draw.qs
+}
+
 // agentPhase runs one day of campaign management. A sequential pre-pass
 // compacts dead agents out of the live list and closes accounts whose
 // business has run its course (those draws come from the shared arrival
 // stream, in live order); the surviving agents then plan and apply their
-// campaign steps via runAgents.
+// campaign steps via runAgents. With more than one worker the day's
+// queries are drawn meanwhile (see queryDraw). The draw is for this day's
+// serving phase, which StepPhase runs next, so none is ever started for a
+// day past the horizon and the generator ends a run where the fused
+// engine leaves it.
 func (s *Sim) agentPhase(day simclock.Day) {
+	if s.resolveWorkers() > 1 {
+		s.startDraw()
+		defer s.joinDraw()
+	}
 	liveOut := s.live[:0]
 	for _, a := range s.live {
 		acct := s.p.MustAccount(a.Account)

@@ -65,6 +65,11 @@ type DayloopBenchMode struct {
 	AgentsNsPerDay    float64 `json:"agents_ns_per_day"`
 	ServingNsPerDay   float64 `json:"serving_ns_per_day"`
 	DetectionNsPerDay float64 `json:"detection_ns_per_day"`
+	// The draw-ahead inside the agents phase (PhaseTimes.QueryDraw and
+	// DrawWait): the draw runs beside plan/apply, only the wait is part
+	// of agents_ns_per_day. Both are zero at workers=1.
+	QueryDrawNsPerDay float64 `json:"query_draw_ns_per_day"`
+	DrawWaitNsPerDay  float64 `json:"draw_wait_ns_per_day"`
 
 	AllocsPerDay          float64 `json:"allocs_per_day"`
 	ArrivalsAllocsPerDay  float64 `json:"arrivals_allocs_per_day"`
@@ -128,6 +133,8 @@ func measureDayloop(tb testing.TB, state []byte, workers, days int) DayloopBench
 		AgentsNsPerDay:    float64(pt.Agents.Nanoseconds()) / d,
 		ServingNsPerDay:   float64(pt.Serving.Nanoseconds()) / d,
 		DetectionNsPerDay: float64(pt.Detection.Nanoseconds()) / d,
+		QueryDrawNsPerDay: float64(pt.QueryDraw.Nanoseconds()) / d,
+		DrawWaitNsPerDay:  float64(pt.DrawWait.Nanoseconds()) / d,
 
 		AllocsPerDay:          float64(total) / d,
 		ArrivalsAllocsPerDay:  float64(pa.Arrivals) / d,
@@ -147,7 +154,11 @@ func dayloopBenchReport(tb testing.TB, state []byte, cfgName string, workerCount
 	}
 	note := "wall time and heap allocations per simulated day, split by phase (arrivals is " +
 		"sequential by design; agents, serving and detection parallelize with workers); " +
-		"allocation counts come from an untimed second pass over the same days"
+		"allocation counts come from an untimed second pass over the same days; " +
+		"at workers > 1 the day's query draw (serving's phase A) runs inside the agents phase " +
+		"beside plan/apply — query_draw_ns_per_day is its cost, draw_wait_ns_per_day the part " +
+		"agents blocked on — so against a record from before that move compare ns_per_day, " +
+		"not the agents/serving split"
 	if procs == 1 {
 		note += "; HOST HAS 1 CPU: multi-worker modes run time-sliced on one core, " +
 			"so the parallel speedup is not observable here — rerun on a multi-core host"
@@ -206,6 +217,9 @@ func TestDayloopBenchReportSmoke(t *testing.T) {
 		phases := m.ArrivalsNsPerDay + m.AgentsNsPerDay + m.ServingNsPerDay + m.DetectionNsPerDay
 		if phases <= 0 || phases > m.NsPerDay*1.01 {
 			t.Fatalf("phase split inconsistent with day total: %+v", m)
+		}
+		if drew := m.QueryDrawNsPerDay > 0; drew != (m.Workers > 1) || m.DrawWaitNsPerDay > m.AgentsNsPerDay {
+			t.Fatalf("draw-ahead split inconsistent with the worker count or the agents phase: %+v", m)
 		}
 		if m.AllocsPerDay <= 0 {
 			t.Fatalf("allocation pass measured nothing: %+v", m)

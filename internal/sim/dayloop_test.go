@@ -12,6 +12,7 @@ package sim_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
 	"fmt"
 	"testing"
@@ -99,18 +100,7 @@ func TestPhaseBoundaryCheckpointResume(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	var st sim.State
-	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := sim.Restore(&st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := restoreThroughGob(t, s)
 	if resumed.Phase() != sim.PhaseServing || int(resumed.Day()) != snapDay {
 		t.Fatalf("restored at day %d phase %s, want day %d phase %s",
 			resumed.Day(), resumed.Phase(), snapDay, sim.PhaseServing)
@@ -136,6 +126,137 @@ func TestPhaseBoundaryCheckpointResume(t *testing.T) {
 	if got := finish(s); !bytes.Equal(want, got) {
 		t.Fatalf("donor run diverged after its mid-phase snapshot:\n%s",
 			testutil.Diff(string(want), string(got)))
+	}
+
+	// The same portability at every boundary there is, not one: the
+	// snapshot bytes of a run at any worker count equal the one-worker
+	// run's after every single phase, the horizon included. The
+	// agents→serving boundaries are the ones the draw-ahead could break
+	// (the generator is a day ahead there and Snapshot must say it is
+	// not); the last one is the horizon case (no draw for a day that is
+	// never served). A small world and a short horizon keep the encodes
+	// cheap under the race detector.
+	sweepConfig := func(seed uint64, workers int) sim.Config {
+		cfg := matrixConfig(seed, workers)
+		cfg.Days = 8
+		cfg.QueriesPerDay = 300
+		cfg.InitialLegit = 100
+		return cfg
+	}
+	for _, seed := range []uint64{17, 29, 43} {
+		want := boundarySnapshots(t, sweepConfig(seed, 1))
+		for _, workers := range []int{2, 4} {
+			t.Run(fmt.Sprintf("every-boundary/seed=%d/workers=%d", seed, workers), func(t *testing.T) {
+				got := boundarySnapshots(t, sweepConfig(seed, workers))
+				if len(got) != len(want) {
+					t.Fatalf("%d phase boundaries, one-worker run has %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("snapshot after day %d phase %s differs from the one-worker run's",
+							i/4, sim.Phase(i%4))
+					}
+				}
+			})
+		}
+	}
+}
+
+// restoreThroughGob snapshots s, sends the state through a gob encode and
+// decode as a checkpoint would, and restores a new Sim from it.
+func restoreThroughGob(t *testing.T, s *sim.Sim) *sim.Sim {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(s.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	var st sim.State
+	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := sim.Restore(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
+// boundarySnapshots steps a run to its horizon one phase at a time and
+// returns a hash of the gob-encoded Snapshot taken after every phase.
+// Workers, the one config field allowed to differ between runs, is
+// zeroed in the encoded state.
+func boundarySnapshots(t *testing.T, cfg sim.Config) [][sha256.Size]byte {
+	t.Helper()
+	s := sim.New(cfg)
+	var out [][sha256.Size]byte
+	var buf bytes.Buffer
+	for more := true; more; {
+		more = s.StepPhase()
+		st := s.Snapshot()
+		st.Config.Workers = 0
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, sha256.Sum256(buf.Bytes()))
+	}
+	return out
+}
+
+// TestDrawAheadBoundary stops a workers=3 run between the agents and
+// serving phases of a mid-run day, where the day's queries are drawn but
+// not served, and takes each way out of that boundary the draw-ahead has
+// to survive: serving on the fused one-worker loop (SetWorkers(1)), on a
+// rebuilt engine of another size (SetWorkers(4)), and on a Sim restored
+// from a snapshot, which holds no drawn queries and must redraw the same
+// ones. Each must finish on the sequential run's digest and event log,
+// record for record.
+func TestDrawAheadBoundary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs several partial simulations")
+	}
+	const snapDay = 25
+	config := func(workers int) sim.Config {
+		cfg := matrixConfig(17, workers)
+		cfg.Days = 40
+		return cfg
+	}
+	wantDigest, wantLog := runDigestAndLog(t, config(1))
+
+	for _, tc := range []struct {
+		name string
+		exit func(t *testing.T, s *sim.Sim, sink eventlog.Sink) *sim.Sim
+	}{
+		{"SetWorkers(1)", func(_ *testing.T, s *sim.Sim, _ eventlog.Sink) *sim.Sim { s.SetWorkers(1); return s }},
+		{"SetWorkers(4)", func(_ *testing.T, s *sim.Sim, _ eventlog.Sink) *sim.Sim { s.SetWorkers(4); return s }},
+		{"restore", func(t *testing.T, s *sim.Sim, sink eventlog.Sink) *sim.Sim {
+			restored := restoreThroughGob(t, s)
+			restored.SetEvents(sink)
+			return restored
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sink eventlog.SliceSink
+			cfg := config(3)
+			cfg.Events = &sink
+			s := sim.New(cfg)
+			for int(s.Day()) < snapDay || s.Phase() != sim.PhaseServing {
+				if !s.StepPhase() {
+					t.Fatal("horizon ended before the boundary")
+				}
+			}
+			s = tc.exit(t, s, &sink)
+			for s.Step() {
+			}
+			got, err := testutil.MarshalStable(testutil.DigestResult(s.Finish()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantDigest, got) {
+				t.Fatalf("diverged from the sequential run:\n%s", testutil.Diff(string(wantDigest), string(got)))
+			}
+			diffEvents(t, wantLog, sink.Events)
+		})
 	}
 }
 

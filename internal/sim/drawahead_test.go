@@ -1,0 +1,83 @@
+package sim
+
+// White-box pins for the two serving-side mechanisms of DESIGN.md §12
+// "Serving at more than one worker": the agents-phase draw-ahead costs no
+// allocation per day, and the packed page key cannot collide.
+
+import (
+	"testing"
+
+	"repro/internal/market"
+	"repro/internal/platform"
+	"repro/internal/queries"
+	"repro/internal/verticals"
+)
+
+// TestDrawAheadAllocFree pins a day's draw-ahead — state record, goroutine
+// start, the draw, the join, and serving taking the queries — at zero
+// allocations once the query buffer and the state's storage exist.
+func TestDrawAheadAllocFree(t *testing.T) {
+	cfg := SmallConfig()
+	cfg.Workers = 2
+	s := New(cfg)
+	day := func() {
+		s.startDraw()
+		s.joinDraw()
+		if qs := s.takeDrawn(); len(qs) != cfg.QueriesPerDay {
+			t.Fatalf("took %d queries, want %d", len(qs), cfg.QueriesPerDay)
+		}
+	}
+	day() // the buffers' first and only allocation
+	if avg := testing.AllocsPerRun(50, day); avg != 0 {
+		t.Fatalf("draw-ahead allocates %.1f times per day, want 0", avg)
+	}
+}
+
+// TestPageKeyInjective unpacks every key the real tables can produce —
+// each vertical's whole keyword universe × every form × every country —
+// back into the fields it was packed from. A packing with a left inverse
+// is injective, so two query classes can never share a cached page.
+func TestPageKeyInjective(t *testing.T) {
+	gen := New(SmallConfig()).Queries()
+	fieldMask := func(bits int) uint64 { return 1<<bits - 1 }
+	for vi := range verticals.All() {
+		for kw := 0; kw < gen.Universe(vi).Size(); kw++ {
+			for form := platform.FormBare; form <= platform.FormReordered; form++ {
+				for ci := range market.All() {
+					q := queries.Query{VerticalIdx: vi, KeywordID: kw, Form: form, CountryIdx: ci}
+					k := uint64(makePageKey(&q))
+					back := queries.Query{
+						KeywordID:   int(k & fieldMask(keyKeywordBits)),
+						VerticalIdx: int(k >> keyVerticalShift & fieldMask(keyVerticalBits)),
+						CountryIdx:  int(k >> keyCountryShift & fieldMask(keyCountryBits)),
+						Form:        platform.QueryForm(k >> keyFormShift),
+					}
+					if back != q {
+						t.Fatalf("key %#x of %+v unpacks to %+v", k, q, back)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPageKeyWidthsChecked: a table too wide for its field is refused
+// with an error (newWired turns it into a panic at construction), and
+// the exact width still passes.
+func TestPageKeyWidthsChecked(t *testing.T) {
+	if err := checkPageKeyWidths(1<<keyKeywordBits, 1<<keyVerticalBits, 1<<keyCountryBits); err != nil {
+		t.Fatalf("tables that exactly fill their fields refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name                           string
+		keywords, verticals, countries int
+	}{
+		{"keywords", 1<<keyKeywordBits + 1, 1, 1},
+		{"verticals", 1, 1<<keyVerticalBits + 1, 1},
+		{"countries", 1, 1, 1<<keyCountryBits + 1},
+	} {
+		if err := checkPageKeyWidths(tc.keywords, tc.verticals, tc.countries); err == nil {
+			t.Errorf("over-wide %s accepted", tc.name)
+		}
+	}
+}

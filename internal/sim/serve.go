@@ -13,7 +13,9 @@ package sim
 // global query order. Concretely the sharded path runs five sub-phases
 // per day:
 //
-//	A. generate the day's queries sequentially (one RNG stream);
+//	A. take the day's queries as the agents phase drew them ahead
+//	   (queryDraw in dayloop.go), else draw them now, sequentially — one
+//	   RNG stream either way;
 //	B. shard the query indices into contiguous blocks, one per worker;
 //	   each worker resolves eligibility + auction for its block against
 //	   the frozen index — through a per-worker, epoch-invalidated page
@@ -33,7 +35,9 @@ package sim
 // Workers <= 1 uses a fused single-pass loop (the pre-sharding engine)
 // over the same page cache, so the sequential path keeps its speed and
 // the parallel path provably matches it byte for byte (see the digest
-// matrix in serve_test.go).
+// matrix in serve_test.go). It draws each query as it serves it, unless
+// SetWorkers(1) was called after a draw-ahead, in which case it too takes
+// the drawn queries.
 
 import (
 	"fmt"
@@ -52,13 +56,49 @@ import (
 
 // pageKey identifies a query equivalence class: two queries with the same
 // key see the same eligible bids and auction outcome while the index
-// epoch is unchanged.
-type pageKey struct {
-	vi      int32
-	kw      int32
-	cl      int32
-	form    platform.QueryForm
-	country market.Country
+// epoch is unchanged. It packs (keyword, vertical, country, form) into
+// one integer, so the page cache is a map the runtime hashes on its
+// fast 64-bit path; the keyword's cluster is a function of vertical and
+// keyword and needs no bits. checkPageKeyWidths proves every field fits
+// its width, which makes two distinct classes sharing a key impossible.
+type pageKey uint64
+
+// pageKey field layout, low bits to high: keyword 32, vertical 16,
+// country 8, form 8 (platform.QueryForm is a uint8).
+const (
+	keyKeywordBits  = 32
+	keyVerticalBits = 16
+	keyCountryBits  = 8
+
+	keyVerticalShift = keyKeywordBits
+	keyCountryShift  = keyVerticalShift + keyVerticalBits
+	keyFormShift     = keyCountryShift + keyCountryBits
+)
+
+func makePageKey(q *queries.Query) pageKey {
+	return pageKey(uint64(q.KeywordID) |
+		uint64(q.VerticalIdx)<<keyVerticalShift |
+		uint64(q.CountryIdx)<<keyCountryShift |
+		uint64(q.Form)<<keyFormShift)
+}
+
+// checkPageKeyWidths reports whether keyword IDs below keywords, vertical
+// indices below verticals and country indices below countries all fit
+// their pageKey fields.
+func checkPageKeyWidths(keywords, verticals, countries int) error {
+	for _, f := range []struct {
+		name    string
+		n, bits int
+	}{
+		{"keywords per vertical", keywords, keyKeywordBits},
+		{"verticals", verticals, keyVerticalBits},
+		{"countries", countries, keyCountryBits},
+	} {
+		if f.n < 0 || uint64(f.n) > 1<<f.bits {
+			return fmt.Errorf("sim: %d %s do not fit the page key's %d bits", f.n, f.name, f.bits)
+		}
+	}
+	return nil
 }
 
 // page is one cached auction outcome: the placements, each placement's
@@ -151,8 +191,8 @@ type shard struct {
 	pages  []servePage
 }
 
-// serveEngine owns the worker shards and the per-day query/substream
-// tables.
+// serveEngine owns the worker shards and the per-day substream tables;
+// queries is the day's stream, which the Sim owns (queryDraw).
 type serveEngine struct {
 	workers int
 	shards  []*shard
@@ -216,7 +256,7 @@ func (sh *shard) sublists(s *Sim, q *queries.Query) platform.Sublists {
 // auction. Empty outcomes are cached too. live is the day's stamped
 // account-liveness bitmap (platform.LiveSet).
 func (sh *shard) page(s *Sim, q *queries.Query, live []bool) *page {
-	key := pageKey{int32(q.VerticalIdx), int32(q.KeywordID), int32(q.Cluster), q.Form, q.Country}
+	key := makePageKey(q)
 	if pg, ok := sh.cache[key]; ok {
 		return pg
 	}
@@ -226,11 +266,14 @@ func (sh *shard) page(s *Sim, q *queries.Query, live []bool) *page {
 		res := auction.RunInto(s.cfg.Auction, sh.eligBuf, q.Form, &sh.scr)
 		if len(res.Placements) > 0 {
 			pg.placements = append(pg.placements, res.Placements...)
+			// Every eligible ad sits in the query's own (vertical, country)
+			// posting group, so its vertical index is the query's.
+			vi := int32(q.VerticalIdx)
 			for i := range pg.placements {
 				pl := &pg.placements[i]
 				cp := s.model.ClickProbability(*pl)
 				pg.cps = append(pg.cps, cp)
-				pg.vis = append(pg.vis, int32(verticals.Index(pl.Ref.Ad.Vertical)))
+				pg.vis = append(pg.vis, vi)
 				pg.accts = append(pg.accts, s.p.MustAccount(pl.Ref.Ad.Account))
 				if cp > 0 && cp < 1 {
 					pg.draws++
@@ -274,8 +317,8 @@ func (s *Sim) serveQueries(day simclock.Day) {
 }
 
 // serveQueriesSequential is the fused single-goroutine loop: one pass
-// per query doing auction (via the page cache), click rolls off the
-// master click stream, and immediate folds. Events are staged in the
+// per query doing the draw, auction (via the page cache), click rolls off
+// the master click stream, and immediate folds. Events are staged in the
 // shard buffer and flushed in one batch at the end of the phase — the
 // order the sink sees is unchanged.
 func (s *Sim) serveQueriesSequential(day simclock.Day) {
@@ -287,8 +330,14 @@ func (s *Sim) serveQueriesSequential(day simclock.Day) {
 	}
 	sh.events = sh.events[:0]
 	live := s.p.LiveSet()
+	drawn := s.takeDrawn()
 	for i := 0; i < s.cfg.QueriesPerDay; i++ {
-		q := s.qgen.Next()
+		var q queries.Query
+		if drawn != nil {
+			q = drawn[i]
+		} else {
+			q = s.qgen.Next()
+		}
 		pg := sh.page(s, &q, live)
 		if len(pg.placements) == 0 {
 			continue
@@ -371,16 +420,15 @@ func (s *Sim) serveQueriesSharded(day simclock.Day) {
 	e := s.eng
 	n := s.cfg.QueriesPerDay
 
-	// Phase A: the query stream is one sequential RNG; draw it up front.
-	if cap(e.queries) < n {
-		e.queries = make([]queries.Query, n)
+	// Phase A: the query stream is one sequential RNG, drawn up front —
+	// by the agents phase when it ran at more than one worker, else here.
+	if e.queries = s.takeDrawn(); e.queries == nil {
+		e.queries = s.drawQueries()
+	}
+	if cap(e.draws) < n {
 		e.draws = make([]int32, n)
 	}
-	e.queries = e.queries[:n]
 	e.draws = e.draws[:n]
-	for i := 0; i < n; i++ {
-		e.queries[i] = s.qgen.Next()
-	}
 
 	epoch := s.p.Index().Epoch()
 	nWin := s.col.ActiveWindowCount(day)

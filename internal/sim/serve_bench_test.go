@@ -4,7 +4,10 @@ package sim
 // the phase the Workers pool parallelizes — against a warmed MediumConfig
 // world, per worker count. Each iteration bumps the index epoch first, so
 // every measured day pays the realistic cold-cache start a live day pays
-// (agent campaign edits invalidate the page cache daily).
+// (agent campaign edits invalidate the page cache daily). serveQueries is
+// called with no agents phase before it, so it draws the day's queries
+// itself at every worker count; measureServing, which feeds the committed
+// record, runs the draw-ahead off the clock as a live day does.
 //
 // TestWriteServingBenchJSON is the `make bench-serving` entry point: it
 // measures sequential versus Workers=GOMAXPROCS throughput and writes
@@ -109,6 +112,10 @@ type ServingBenchMode struct {
 	MeasuredDays  int     `json:"measured_days"`
 	QueriesPerSec float64 `json:"queries_per_sec"`
 	NsPerQuery    float64 `json:"ns_per_query"`
+	// QueryDrawNsPerDay is the day's query draw when it happens ahead of
+	// the serving phase and so outside ns_per_query: workers > 1. At
+	// workers=1 it is zero and the draw is part of ns_per_query.
+	QueryDrawNsPerDay float64 `json:"query_draw_ns_per_day"`
 	// AllocsPerDay counts heap allocations per served day (process-wide
 	// Mallocs delta bracketing the measured loop, so worker-goroutine
 	// allocations are included).
@@ -135,20 +142,28 @@ func measureServing(tb testing.TB, state []byte, day simclock.Day, qpd, workers,
 	s.p.Index().BumpEpoch()
 	s.serveQueries(day) // untimed shakedown: page allocations, buffer growth
 	m0 := mallocs()     // two MemStats reads bracket the loop, outside the timing
-	start := time.Now()
+	var elapsed, draw time.Duration
 	for i := 0; i < days; i++ {
 		s.p.Index().BumpEpoch()
+		if workers > 1 {
+			// What agentPhase does on a live day: the draw is not serving's.
+			s.startDraw()
+			s.joinDraw()
+			draw += s.draw.took
+		}
+		start := time.Now()
 		s.serveQueries(day)
+		elapsed += time.Since(start)
 	}
-	elapsed := time.Since(start)
 	allocs := mallocs() - m0
 	served := float64(days) * float64(qpd)
 	return ServingBenchMode{
-		Workers:       workers,
-		MeasuredDays:  days,
-		QueriesPerSec: served / elapsed.Seconds(),
-		NsPerQuery:    float64(elapsed.Nanoseconds()) / served,
-		AllocsPerDay:  float64(allocs) / float64(days),
+		Workers:           workers,
+		MeasuredDays:      days,
+		QueriesPerSec:     served / elapsed.Seconds(),
+		NsPerQuery:        float64(elapsed.Nanoseconds()) / served,
+		QueryDrawNsPerDay: float64(draw.Nanoseconds()) / float64(days),
+		AllocsPerDay:      float64(allocs) / float64(days),
 	}
 }
 
@@ -165,7 +180,10 @@ func servingBenchReport(tb testing.TB, state []byte, day simclock.Day, cfgName s
 		modes = append(modes, measureServing(tb, state, day, qpd, 4, days))
 	}
 	note := "queries/sec for one day of serving, cold page cache per day; " +
-		"sequential (workers=1) vs pooled (workers=GOMAXPROCS)"
+		"sequential (workers=1) vs pooled (workers=GOMAXPROCS); the pooled mode's query draw " +
+		"(phase A) happens ahead of serving, in the agents phase, and is reported apart as " +
+		"query_draw_ns_per_day — against a record from before that move its ns_per_query is " +
+		"lower by the draw, so judge the day loop by BENCH_dayloop.json's ns_per_day"
 	if pooled == 1 {
 		note += "; HOST HAS 1 CPU: pooled mode runs 4 workers time-sliced on one core, " +
 			"so the parallel speedup is not observable here — rerun on a multi-core host"

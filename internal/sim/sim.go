@@ -17,6 +17,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/detection"
 	"repro/internal/eventlog"
+	"repro/internal/market"
 	"repro/internal/platform"
 	"repro/internal/queries"
 	"repro/internal/simclock"
@@ -190,6 +191,9 @@ type Sim struct {
 	// plans is the agent phase's reusable per-agent plan buffer
 	// (workers > 1 only); see dayloop.go.
 	plans []agents.StepPlan
+	// draw is the day's query stream and the agents phase's draw-ahead of
+	// it (workers > 1 only); see queryDraw in dayloop.go.
+	draw queryDraw
 
 	// fraudProfiles remembers each fraud account's profile so shutdowns
 	// can spawn next-generation re-registrations.
@@ -247,6 +251,13 @@ func newWired(cfg Config, p *platform.Platform, col *dataset.Collector) *Sim {
 	runtime := agents.NewRuntime(p, col, qgen.Universe, root.ForkNamed("runtime"))
 	runtime.FullCreatives = cfg.FullCreatives
 	pipeline := detection.New(cfg.Detection, root.ForkNamed("pipeline"), p, col, cfg.Days)
+	maxKeywords := 0
+	for i := range verticals.All() {
+		maxKeywords = max(maxKeywords, qgen.Universe(i).Size())
+	}
+	if err := checkPageKeyWidths(maxKeywords, len(verticals.All()), len(market.All())); err != nil {
+		panic(err) // the tables are compiled in: only a code change gets here
+	}
 	return &Sim{
 		cfg:           cfg,
 		rng:           root,
@@ -331,7 +342,17 @@ func (s *Sim) Platform() *platform.Platform { return s.p }
 // Collector exposes the dataset collector.
 func (s *Sim) Collector() *dataset.Collector { return s.col }
 
-// Queries exposes the query generator (examples use its universes).
+// Queries exposes the live query generator, the one the day loop draws
+// from. Its keyword universes are immutable and safe to read at any time
+// (the adserver and the load harness resolve keywords through them). Its
+// stream positions — State, or anything Next would return — are meaningful
+// only between days: with more than one worker the agents phase draws the
+// day's queries ahead of serving, so at the agents→serving boundary the
+// generator is a day ahead of the day cursor (Snapshot corrects for that;
+// this accessor does not). No draw is started for a day StepPhase will not
+// serve, so after the last day the generator stands exactly where a
+// one-worker run leaves it. Drawing from it mid-run perturbs the
+// trajectory like any other use of a seeded stream.
 func (s *Sim) Queries() *queries.Generator { return s.qgen }
 
 // fraudShare returns the fraudulent fraction of arrivals on a day.

@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/agents"
@@ -114,7 +115,7 @@ func (s *Sim) Snapshot() *State {
 		Platform:  s.p.Snapshot(),
 		Collector: s.col.State(),
 		Pipeline:  s.pipeline.State(),
-		Queries:   s.qgen.State(),
+		Queries:   s.queriesState(),
 		Factory:   s.factory.State(),
 		Runtime:   s.runtime.State(),
 	}
@@ -130,6 +131,19 @@ func (s *Sim) Snapshot() *State {
 		st.PendingReregs = append(st.PendingReregs, PendingRereg{day, profs})
 	}
 	sort.Slice(st.PendingReregs, func(i, j int) bool { return st.PendingReregs[i].Day < st.PendingReregs[j].Day })
+	return st
+}
+
+// queriesState is the query generator's state as the fused engine would
+// have it at this phase boundary: while a draw-ahead is pending (agents
+// done, serving not yet run) that is the state recorded before the draw,
+// not the generator's own, which is a day further on.
+func (s *Sim) queriesState() queries.GeneratorState {
+	if !s.draw.pending {
+		return s.qgen.State()
+	}
+	st := s.draw.pre
+	st.Zipfs = slices.Clone(st.Zipfs)
 	return st
 }
 
