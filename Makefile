@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race chaos crash crash-cluster crash-coordinator bench-check verify golden bench bench-serving bench-dayloop bench-cluster bench-router bench-all benchdiff bench-pair fuzz-smoke
+.PHONY: build vet test race chaos crash crash-supervise bench-check verify golden bench bench-serving bench-dayloop bench-router bench-all benchdiff bench-pair fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -32,23 +32,17 @@ chaos:
 crash:
 	$(GO) test -run 'TestCrash' ./internal/sim ./cmd/fraudsim
 
-# crash-cluster runs the multi-process shard cluster suite under -race:
-# the seeds x shard-counts merged-replay equivalence matrix, supervised
-# kill-point/stall/restart-budget recovery, and a harness that SIGKILLs
-# real worker subprocesses at seeded points — all required to converge
-# to the byte-identical single-process digest (DESIGN.md §9).
-crash-cluster:
-	$(GO) test -race -count=1 ./internal/cluster
-
-# crash-coordinator is the disaster-recovery proof: a real fraudcluster
-# coordinator subprocess is SIGKILLed — together with its whole worker
-# process group — at seeded manifest-barrier days, then the run is
-# finished with `fraudcluster -resume` and must print a digest
-# byte-identical to an uninterrupted run; a double-kill case repeats the
-# disaster mid-resume. The lineage corruption sweep (TestCrashLineage*,
-# part of `make crash`) is the matching checkpoint-damage proof.
-crash-coordinator:
-	$(GO) test -race -count=1 -run 'TestCrashCoordinator' ./cmd/fraudcluster
+# crash-supervise runs the supervised-run suite under -race: the seeds
+# x failure-modes equivalence matrix on in-process workers, a harness
+# that SIGKILLs real worker subprocesses at seeded points, and the
+# disaster-recovery proof — a real fraudsupervise supervisor SIGKILLed
+# with its whole process group at seeded checkpoint days (twice, in the
+# double-kill case) and finished with `fraudsupervise -resume`. Every
+# path must land on the digest of an undisturbed run (DESIGN.md §9). The
+# lineage corruption sweep (TestCrashLineage*, part of `make crash`) is
+# the matching checkpoint-damage proof.
+crash-supervise:
+	$(GO) test -race -count=1 ./internal/supervise ./cmd/fraudsupervise
 
 # bench-check vets and tests the benchmark program. bench/ is its own
 # module (BENCHMARK.json runs it with `go run -C bench .`), so the root
@@ -58,10 +52,10 @@ bench-check:
 
 # verify is the full pre-merge gate: static checks, build, the whole
 # suite (goldens, determinism, invariants, smoke tests, chaos) under the
-# race detector, the crash-safety sweeps (single-process, cluster, and
-# coordinator disaster recovery), a short corpus-plus-exploration pass
-# over every fuzz target, and the benchmark module's own checks.
-verify: vet build race chaos crash crash-cluster crash-coordinator fuzz-smoke bench-check
+# race detector, the crash-safety sweeps (single-process and supervised),
+# a short corpus-plus-exploration pass over every fuzz target, and the
+# benchmark module's own checks.
+verify: vet build race chaos crash crash-supervise fuzz-smoke bench-check
 
 # golden regenerates every golden fixture (sim digests, per-experiment
 # report outputs, the façade quickstart). Only the packages that define
@@ -88,13 +82,6 @@ bench-serving:
 bench-dayloop:
 	$(GO) test ./internal/sim -run TestWriteDayloopBenchJSON \
 		-bench-dayloop-out $(CURDIR)/BENCH_dayloop.json -timeout 20m -v
-
-# bench-cluster measures the supervised shard cluster end to end per
-# shard count — end-to-day wall time, plus merger throughput (events/s
-# the merged replay folds) — and records BENCH_cluster.json.
-bench-cluster:
-	$(GO) test ./internal/cluster -run TestWriteClusterBenchJSON \
-		-bench-cluster-out $(CURDIR)/BENCH_cluster.json -timeout 20m -v
 
 # bench-router measures the routed adserver cluster under the
 # synthetic traffic harness: round-robin vs least-loaded on a scenario
@@ -170,5 +157,10 @@ fuzz-smoke:
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzRecoverDir -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzRestoreCheckpoint -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLineageLoad -fuzztime 5s
-	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 5s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzSubStreams -fuzztime 5s
+
+# loc prints the tracked Go line counts, non-test and test, outside the
+# benchmark module — the numbers a PR's "net line delta" is stated in.
+loc:
+	@git ls-files '*.go' ':!bench' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo non-test
+	@git ls-files '*.go' ':!bench' | grep '_test\.go$$' | xargs cat | wc -l | xargs echo test

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	adserver [-addr :8406] [-scale small|medium] [-seed N] [-days N]
+//	adserver [-addr :8406] [-scale small|medium|full] [-seed N] [-days N]
 //	         [-max-inflight N] [-request-timeout D] [-grace D]
 //	         [-eventlog DIR] [-eventlog-queue N]
 //
@@ -56,7 +56,7 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal, onReady func(ne
 	fs := flag.NewFlagSet("adserver", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8406", "listen address")
-	scale := fs.String("scale", "small", "bootstrap simulation scale: small or medium")
+	scale := fs.String("scale", "small", "bootstrap simulation scale: small, medium, or full")
 	seed := fs.Uint64("seed", 42, "simulation seed")
 	days := fs.Int("days", 0, "override bootstrap simulation days (0 = scale default)")
 	queries := fs.Int("queries", 0, "override bootstrap queries per day (0 = scale default)")
@@ -143,14 +143,9 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal, onReady func(ne
 
 // simConfig maps the scale flags onto a bootstrap simulation config.
 func simConfig(scale string, seed uint64, days, queries int) (sim.Config, error) {
-	var cfg sim.Config
-	switch scale {
-	case "small":
-		cfg = sim.SmallConfig()
-	case "medium":
-		cfg = sim.MediumConfig()
-	default:
-		return sim.Config{}, fmt.Errorf("adserver: unknown scale %q", scale)
+	cfg, err := sim.ScaleConfig(scale)
+	if err != nil {
+		return sim.Config{}, fmt.Errorf("adserver: %w", err)
 	}
 	cfg.Seed = seed
 	if days > 0 {
@@ -180,7 +175,7 @@ func setup(args []string, stderr io.Writer) (*adserver.Server, string, error) {
 	fs := flag.NewFlagSet("adserver", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8406", "listen address")
-	scale := fs.String("scale", "small", "bootstrap simulation scale: small or medium")
+	scale := fs.String("scale", "small", "bootstrap simulation scale: small, medium, or full")
 	seed := fs.Uint64("seed", 42, "simulation seed")
 	days := fs.Int("days", 0, "override bootstrap simulation days (0 = scale default)")
 	queries := fs.Int("queries", 0, "override bootstrap queries per day (0 = scale default)")

@@ -57,16 +57,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	var cfg sim.Config
-	switch *scale {
-	case "small":
-		cfg = sim.SmallConfig()
-	case "medium":
-		cfg = sim.MediumConfig()
-	case "full":
-		cfg = sim.DefaultConfig()
-	default:
-		return fmt.Errorf("experiments: unknown scale %q", *scale)
+	cfg, err := sim.ScaleConfig(*scale)
+	if err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
 	cfg.Seed = *seed
 	if *days > 0 {

@@ -83,9 +83,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	policy, err := syncPolicyFor(*syncMode)
+	policy, err := eventlog.ParseSyncPolicy(*syncMode)
 	if err != nil {
-		return err
+		return fmt.Errorf("fraudsim: %w", err)
 	}
 	if *ckptEvery > 0 && *ckptPath == "" && *resume == "" {
 		return fmt.Errorf("fraudsim: -checkpoint-every needs -checkpoint PATH")
@@ -117,46 +117,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("fraudsim: %s cannot be combined with -resume (run parameters come from the checkpoint)",
 				strings.Join(bad, ", "))
 		}
-		// Restore walks the checkpoint lineage newest→oldest: a file that
-		// fails validation is quarantined as .corrupt and the next-older
-		// snapshot is used. An all-corrupt lineage is a hard error — the
-		// operator named this run explicitly; silently starting over
-		// would discard it.
-		c, lrep, err := sim.Lineage{Path: *resume, Retain: *ckptRetain}.Load()
-		if note := lrep.String(); note != "" {
-			fmt.Fprintf(stderr, "checkpoint lineage: %s\n", note)
-		}
+		// ResumeRun walks the checkpoint lineage newest→oldest: a file
+		// that fails validation is quarantined as .corrupt and the
+		// next-older snapshot is used. An all-corrupt lineage is a hard
+		// error — the operator named this run explicitly; silently
+		// starting over would discard it.
+		r, err := sim.ResumeRun(sim.Lineage{Path: *resume, Retain: *ckptRetain}, *evDir, stderr)
 		if err != nil {
 			return fmt.Errorf("fraudsim: %w", err)
 		}
-		if *evDir == "" && (c.Log.NextSegment > 0 || c.Log.Events > 0) {
-			return fmt.Errorf("fraudsim: checkpoint was taken with an event log; pass -eventlog DIR to resume it")
-		}
-		if *evDir != "" {
-			// Heal whatever the crash left behind, then drop everything
-			// written after the checkpoint so the log rejoins the
-			// simulation at the same day boundary.
-			if rep, err := eventlog.RecoverDir(*evDir, true); err != nil {
-				return fmt.Errorf("fraudsim: recover event log: %w", err)
-			} else if !rep.Healthy {
-				fmt.Fprintln(stderr, rep.String())
-			}
-			if err := eventlog.TruncateToSegment(*evDir, c.Log.NextSegment); err != nil {
-				return fmt.Errorf("fraudsim: %w", err)
-			}
-			dw, err = eventlog.NewDirWriterAt(*evDir, c.Log.NextSegment)
-			if err != nil {
-				return err
-			}
-			dw.Sync = policy
-			logBase = c.Log.Events
-		}
-		s, err = sim.Restore(c.State)
-		if err != nil {
-			return fmt.Errorf("fraudsim: %w", err)
-		}
+		s, dw, logBase = r.Sim, r.Log, r.LogBase
 		if dw != nil {
-			s.SetEvents(dw)
+			dw.Sync = policy
 		}
 		if workersSet {
 			s.SetWorkers(*workers)
@@ -164,11 +136,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *verbose {
 			s.SetProgress(func(line string) { fmt.Fprintln(stderr, line) })
 		}
-		fmt.Fprintf(stdout, "resumed from %s at day %d\n", lrep.From, s.Day())
+		fmt.Fprintf(stdout, "resumed from %s at day %d\n", r.From, s.Day())
 	} else {
-		cfg, err := configFor(*scale)
+		cfg, err := sim.ScaleConfig(*scale)
 		if err != nil {
-			return err
+			return fmt.Errorf("fraudsim: %w", err)
 		}
 		cfg.Seed = *seed
 		if *days > 0 {
@@ -193,6 +165,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			cfg.Events = dw
 		}
 		s = sim.New(cfg)
+	}
+	if dw != nil {
+		// An error return below must not leave the staged segment
+		// behind. The success path checks Close itself; a second Close
+		// is a no-op.
+		defer dw.Close()
 	}
 
 	if *cpuProfile != "" {
@@ -295,32 +273,6 @@ func writeCheckpoint(s *sim.Sim, dw *eventlog.DirWriter, lin sim.Lineage, logBas
 		pos = sim.LogPosition{NextSegment: dw.NextSegment(), Events: logBase + dw.Events()}
 	}
 	return s.SaveCheckpointLineage(lin, pos)
-}
-
-func syncPolicyFor(mode string) (eventlog.SyncPolicy, error) {
-	switch mode {
-	case "none":
-		return eventlog.SyncNone, nil
-	case "rotate":
-		return eventlog.SyncRotate, nil
-	case "interval":
-		return eventlog.SyncInterval, nil
-	default:
-		return 0, fmt.Errorf("fraudsim: unknown sync policy %q (want none, rotate, or interval)", mode)
-	}
-}
-
-func configFor(scale string) (sim.Config, error) {
-	switch scale {
-	case "small":
-		return sim.SmallConfig(), nil
-	case "medium":
-		return sim.MediumConfig(), nil
-	case "full":
-		return sim.DefaultConfig(), nil
-	default:
-		return sim.Config{}, fmt.Errorf("fraudsim: unknown scale %q (want small, medium, or full)", scale)
-	}
 }
 
 func printSummary(w io.Writer, res *sim.Result) {

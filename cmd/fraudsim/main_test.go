@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eventlog"
 	"repro/internal/sim"
+	"repro/internal/supervise"
 	"repro/internal/testutil"
 )
 
@@ -85,6 +88,41 @@ func TestRunRejectsResumeWithOverrides(t *testing.T) {
 	err := run([]string{"-resume", "nope.frsnap", "-seed", "9"}, &out, &errw)
 	if err == nil || !strings.Contains(err.Error(), "-seed") {
 		t.Fatalf("resume with -seed: %v", err)
+	}
+}
+
+// TestResumeRestoreFailureLeavesNoStagedSegment: a checkpoint that
+// passes its CRC but whose state Restore refuses fails the resume after
+// the log writer has been reopened; the writer must be closed on the
+// way out, so no staged *.evlog.tmp survives in the log directory.
+func TestResumeRestoreFailureLeavesNoStagedSegment(t *testing.T) {
+	logDir := filepath.Join(t.TempDir(), "log")
+	ckpt := filepath.Join(t.TempDir(), "ck.frsnap")
+	var sb strings.Builder
+	err := run([]string{"-scale", "small", "-seed", "5", "-days", "9", "-queries", "100", "-regs", "6",
+		"-eventlog", logDir, "-checkpoint", ckpt, "-checkpoint-every", "4"}, &sb, &sb)
+	if err != nil {
+		t.Fatalf("checkpointed run: %v\n%s", err, sb.String())
+	}
+	c, err := sim.ReadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.State.Day = c.State.Config.Days + 1 // outside the horizon: Restore refuses it
+	if err := sim.WriteCheckpoint(ckpt, c); err != nil {
+		t.Fatal(err)
+	}
+
+	err = run([]string{"-resume", ckpt, "-eventlog", logDir}, &sb, &sb)
+	if err == nil || !strings.Contains(err.Error(), "restore") {
+		t.Fatalf("resume from an unrestorable checkpoint: %v", err)
+	}
+	tmps, err := filepath.Glob(filepath.Join(logDir, "*.evlog"+eventlog.TmpSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) > 0 {
+		t.Errorf("failed resume left staged segments behind: %v", tmps)
 	}
 }
 
@@ -266,5 +304,100 @@ func TestCrashSubprocessKillResume(t *testing.T) {
 	}
 	if a, b := testutil.CollectorDigests(refCol), testutil.CollectorDigests(gotCol); a != b {
 		t.Errorf("replayed logs diverge:\n ref %+v\n got %+v", a, b)
+	}
+}
+
+// TestSupervisedWorkerChild is the re-exec target of the test below:
+// run with worker flags after "--", this "test" is a supervised worker
+// speaking the protocol on stdout. It exits the process directly so the
+// test framework's PASS banner never lands in the protocol stream.
+func TestSupervisedWorkerChild(t *testing.T) {
+	if flag.NArg() == 0 {
+		t.Skip("re-exec helper for TestSupervisedLogByteIdenticalToFraudsim")
+	}
+	sp, err := supervise.ParseWorkerArgs(flag.Args())
+	if err == nil {
+		err = supervise.RunWorker(sp, os.Stdin, os.Stdout, os.Stderr)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	os.Exit(0)
+}
+
+// TestSupervisedLogByteIdenticalToFraudsim: a supervised run whose
+// worker — a real subprocess — is SIGKILLed twice and restarted from
+// its checkpoints leaves the very log an undisturbed `fraudsim -eventlog
+// -checkpoint-every N -sync rotate` run of the same shape writes: the
+// same manifest (segment names, sizes, CRC32Cs) over the same segment
+// bytes. The supervised worker adds nothing to the log and recovery
+// loses nothing from it.
+func TestSupervisedLogByteIdenticalToFraudsim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations and worker subprocesses")
+	}
+	for _, seed := range []uint64{42, 43, 44} {
+		refDir := t.TempDir()
+		refLog := filepath.Join(refDir, "log")
+		var sb strings.Builder
+		err := run([]string{"-scale", "small", "-seed", fmt.Sprint(seed), "-days", "12", "-queries", "200", "-regs", "8",
+			"-eventlog", refLog, "-checkpoint", filepath.Join(refDir, "run.frsnap"),
+			"-checkpoint-every", "4", "-sync", "rotate"}, &sb, &sb)
+		if err != nil {
+			t.Fatalf("seed %d: fraudsim reference: %v\n%s", seed, err, sb.String())
+		}
+
+		dir := t.TempDir()
+		res, err := supervise.Run(supervise.Config{
+			Spec: supervise.WorkerSpec{
+				Dir: dir, Scale: "small", Seed: seed, Days: 12, Queries: 200, Regs: 8,
+				CheckpointEvery: 4, HBInterval: 50 * time.Millisecond, Sync: "rotate",
+			},
+			Spawn: &supervise.ExecSpawner{
+				Command:  os.Args[0],
+				BaseArgs: []string{"-test.run=TestSupervisedWorkerChild$", "--"},
+				Stderr:   io.Discard,
+			},
+			MaxRestarts: 4,
+			BackoffBase: 10 * time.Millisecond,
+			BackoffCap:  100 * time.Millisecond,
+			Seed:        seed,
+			// One self-inflicted SIGKILL within the first incarnation's
+			// first eight messages, one from the supervisor after eight
+			// day reports: before and after the first checkpoint.
+			Faults: "kill@msg=4..8",
+			Kills:  []int{8},
+			Logf:   t.Logf,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: supervised run: %v", seed, err)
+		}
+		if res.Restarts != 2 {
+			t.Errorf("seed %d: restarts = %d, want 2", seed, res.Restarts)
+		}
+
+		gotLog := supervise.LogDir(dir)
+		names := []string{eventlog.ManifestName}
+		segs, err := eventlog.Segments(refLog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range segs {
+			names = append(names, filepath.Base(seg))
+		}
+		for _, name := range names {
+			want, err := os.ReadFile(filepath.Join(refLog, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(gotLog, name))
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("seed %d: %s differs between the killed-and-restarted supervised run and fraudsim", seed, name)
+			}
+		}
 	}
 }

@@ -1,0 +1,183 @@
+// Command fraudsupervise runs the simulation's durable run — what
+// `fraudsim -eventlog DIR/log -checkpoint DIR/run.frsnap
+// -checkpoint-every N` writes — as one supervised worker process
+// (internal/supervise): the supervisor spawns the worker, watches its
+// heartbeats and day reports, restarts it from its last checkpoint when
+// it dies or goes silent, and finishes by replaying the log and proving
+// it reproduces the worker's live digest.
+//
+// Usage:
+//
+//	fraudsupervise -dir DIR [-scale small|medium|full]
+//	               [-seed N] [-days N] [-queries N] [-regs F]
+//	               [-checkpoint-every N] [-checkpoint-retain K]
+//	               [-sync none|rotate|interval]
+//	               [-hb-interval D] [-hb-timeout D] [-max-restarts N] [-v]
+//	               [-faults SPEC] [-kill N[,N...]]
+//
+//	fraudsupervise -resume DIR [-checkpoint-every N] [-checkpoint-retain K]
+//	               [-sync MODE] [-hb-interval D] [-hb-timeout D]
+//	               [-max-restarts N] [-v]
+//
+//	fraudsupervise worker <worker flags>   (internal; spawned by the supervisor)
+//
+// A run whose supervisor dies — SIGKILL, power loss, the whole box —
+// restarts with -resume DIR: the run's shape comes from the newest valid
+// checkpoint in DIR (shape flags cannot be overridden, exactly like
+// `fraudsim -resume`), the log is healed and rewound to that checkpoint,
+// and the finished run's digest is byte-identical to an uninterrupted
+// one. A run that died before its first checkpoint has nothing to resume
+// and must be rerun fresh. Everything else may be changed on resume;
+// keep -checkpoint-every if the log's segment boundaries should match an
+// uninterrupted run's too.
+//
+// The chaos levers: -faults attaches a process fault profile
+// (faultinject.ParseProcFaults syntax, e.g. "kill@msg=5..40") to the
+// worker's first incarnation; -kill makes the supervisor SIGKILL the
+// worker after its Nth day report. Either way the run must still finish
+// on the digest of an undisturbed run — that is the whole point.
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"strconv"
+	"strings"
+	"time"
+
+	"repro/internal/sim"
+	"repro/internal/supervise"
+)
+
+func main() {
+	if len(os.Args) > 1 && os.Args[1] == "worker" {
+		sp, err := supervise.ParseWorkerArgs(os.Args[2:])
+		if err == nil {
+			err = supervise.RunWorker(sp, os.Stdin, os.Stdout, os.Stderr)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
+	}
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("fraudsupervise", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dir := fs.String("dir", "", "run working directory (DIR/log + DIR/run.frsnap*; required)")
+	scale := fs.String("scale", "medium", "simulation scale: small, medium, or full")
+	seed := fs.Uint64("seed", 42, "simulation seed")
+	days := fs.Int("days", 0, "override simulated days (0 = scale default)")
+	queries := fs.Int("queries", 0, "override queries per day (0 = scale default)")
+	regs := fs.Float64("regs", 0, "override registrations per day (0 = scale default)")
+	ckptEvery := fs.Int("checkpoint-every", 8, "checkpoint every N simulated days")
+	ckptRetain := fs.Int("checkpoint-retain", sim.DefaultRetain, "checkpoint lineage depth (last K kept)")
+	syncMode := fs.String("sync", "rotate", "event log fsync policy: none, rotate, or interval")
+	hbInterval := fs.Duration("hb-interval", 500*time.Millisecond, "worker heartbeat interval")
+	hbTimeout := fs.Duration("hb-timeout", 5*time.Second, "silence after which the worker is declared dead")
+	maxRestarts := fs.Int("max-restarts", 3, "restarts allowed before the run fails")
+	verbose := fs.Bool("v", false, "print supervisor narration")
+	faults := fs.String("faults", "", "fault profile of the worker's first incarnation (chaos testing)")
+	killSpecs := fs.String("kill", "", "supervisor kill points, NREPORTS[,NREPORTS...] (chaos testing)")
+	resume := fs.String("resume", "", "resume an interrupted run from its working directory")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	spec := supervise.WorkerSpec{
+		Dir:             *dir,
+		CheckpointEvery: *ckptEvery,
+		Retain:          *ckptRetain,
+		HBInterval:      *hbInterval,
+		Sync:            *syncMode,
+	}
+	if *resume != "" {
+		// The run's shape lives in the checkpoint; flags that would
+		// change the trajectory are refused, exactly like `fraudsim
+		// -resume`.
+		var bad []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "dir", "scale", "seed", "days", "queries", "regs":
+				bad = append(bad, "-"+f.Name)
+			}
+		})
+		if len(bad) > 0 {
+			return fmt.Errorf("fraudsupervise: %s cannot be combined with -resume (run parameters come from the checkpoint)",
+				strings.Join(bad, ", "))
+		}
+		spec.Dir = *resume
+	} else {
+		if *dir == "" {
+			return fmt.Errorf("fraudsupervise: -dir DIR is required")
+		}
+		if err := os.MkdirAll(*dir, 0o755); err != nil {
+			return err
+		}
+		spec.Scale, spec.Seed, spec.Days, spec.Queries, spec.Regs = *scale, *seed, *days, *queries, *regs
+	}
+
+	kills, err := parseKillPoints(*killSpecs)
+	if err != nil {
+		return err
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		return err
+	}
+	cfg := supervise.Config{
+		Spec:        spec,
+		Spawn:       &supervise.ExecSpawner{Command: exe, BaseArgs: []string{"worker"}, Stderr: stderr},
+		HBTimeout:   *hbTimeout,
+		MaxRestarts: *maxRestarts,
+		Seed:        *seed,
+		Resume:      *resume != "",
+		Faults:      *faults,
+		Kills:       kills,
+	}
+	if *verbose {
+		cfg.Logf = func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) }
+	}
+
+	res, err := supervise.Run(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "supervised run completed in %s\n", res.Elapsed.Round(10*time.Millisecond))
+	fmt.Fprintf(stdout, "event log: %s (%d events)\n", supervise.LogDir(spec.Dir), res.Events)
+	fmt.Fprintf(stdout, "restarts: %d\n", res.Restarts)
+	fmt.Fprintf(stdout, "digest (live == replayed log): %s\n", shortDigest(res.Digest))
+	return nil
+}
+
+// shortDigest compresses the JSON fingerprint for terminal output.
+func shortDigest(d string) string {
+	if len(d) <= 96 {
+		return d
+	}
+	return d[:96] + "..."
+}
+
+// parseKillPoints parses "5,12": day-report counts, ascending.
+func parseKillPoints(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(part)
+		if err != nil || n < 1 || (len(out) > 0 && n <= out[len(out)-1]) {
+			return nil, fmt.Errorf("fraudsupervise: bad -kill report count %q (want ascending positive integers)", part)
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}

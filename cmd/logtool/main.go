@@ -13,19 +13,15 @@
 // read in write order) or a single segment file. repair takes log
 // directories only; ckpt takes FRSNAP checkpoint files.
 //
-//	stat    per-type record counts, day range, bytes, segment count;
-//	        with several paths (e.g. a cluster's shard-* log dirs) each
-//	        path gets its own block followed by merged totals
+//	stat    per-type record counts, day range, bytes, segment count
 //	cat     print matching records, one per line (-json for JSON lines)
 //	verify  walk every frame, checking CRCs and record encodings; on
-//	        damage, report the last CRC-valid byte offset and exit 1;
-//	        with several paths, damage is also rolled up per path so one
-//	        corrupt shard is identifiable at a glance
+//	        damage, report the last CRC-valid byte offset and exit 1
 //	repair  recover a crash-torn log directory: truncate the torn tail
 //	        to the last valid frame, finalize the unsealed segment, and
 //	        rewrite the manifest (-dry-run reports without touching it)
-//	ckpt    inspect checkpoint files — a lineage like shard-0.frsnap
-//	        shard-0.frsnap.1 shard-0.frsnap.2, or a quarantined
+//	ckpt    inspect checkpoint files — a lineage like run.frsnap
+//	        run.frsnap.1 run.frsnap.2, or a quarantined
 //	        *.corrupt — printing version, day, phase cursor, log
 //	        position, and CRC state per file; exit 1 if any is invalid
 package main
@@ -139,114 +135,56 @@ func typeNameList() string {
 	return strings.Join(names, ", ")
 }
 
-// statBlock accumulates one stat report — a single path's, or the
-// merged totals across paths.
-type statBlock struct {
-	segments       int
-	bytes          int64
-	events         uint64
-	minDay, maxDay int32
-	counts         map[eventlog.Type]uint64
-}
-
-// statSegments scans a resolved segment list into a block.
-func statSegments(segs []string) (*statBlock, error) {
-	b := &statBlock{segments: len(segs), counts: map[eventlog.Type]uint64{}}
-	err := eventlog.ScanFiles(segs, eventlog.Filter{}, func(ev *eventlog.Event) error {
-		if b.events == 0 || ev.Day < b.minDay {
-			b.minDay = ev.Day
-		}
-		if b.events == 0 || ev.Day > b.maxDay {
-			b.maxDay = ev.Day
-		}
-		b.counts[ev.Type]++
-		b.events++
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("logtool: %w", err)
-	}
-	for _, p := range segs {
-		fi, err := os.Stat(p)
-		if err != nil {
-			return nil, fmt.Errorf("logtool: %w", err)
-		}
-		b.bytes += fi.Size()
-	}
-	return b, nil
-}
-
-// add folds another block into the merged totals.
-func (b *statBlock) add(o *statBlock) {
-	if o.events > 0 {
-		if b.events == 0 || o.minDay < b.minDay {
-			b.minDay = o.minDay
-		}
-		if b.events == 0 || o.maxDay > b.maxDay {
-			b.maxDay = o.maxDay
-		}
-	}
-	b.segments += o.segments
-	b.bytes += o.bytes
-	b.events += o.events
-	for t, n := range o.counts {
-		b.counts[t] += n
-	}
-}
-
-func (b *statBlock) print(w io.Writer) {
-	fmt.Fprintf(w, "segments  %d\n", b.segments)
-	fmt.Fprintf(w, "bytes     %d\n", b.bytes)
-	fmt.Fprintf(w, "events    %d\n", b.events)
-	if b.events > 0 {
-		fmt.Fprintf(w, "days      %d..%d\n", b.minDay, b.maxDay)
-	}
-	for _, t := range eventlog.Types() {
-		if n := b.counts[t]; n > 0 {
-			fmt.Fprintf(w, "  %-16s %10d\n", t, n)
-		}
-	}
-}
-
 func runStat(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("logtool stat", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	inputs := fs.Args()
-	if len(inputs) <= 1 {
-		segs, err := resolve(inputs)
-		if err != nil {
-			return err
-		}
-		b, err := statSegments(segs)
-		if err != nil {
-			return err
-		}
-		b.print(stdout)
-		return nil
+	paths, err := resolve(fs.Args())
+	if err != nil {
+		return err
 	}
 
-	// Several paths — shard log dirs, typically: one block per path so
-	// skew between shards is visible, then the merged totals.
-	merged := &statBlock{counts: map[eventlog.Type]uint64{}}
-	for _, p := range inputs {
-		segs, err := resolve([]string{p})
-		if err != nil {
-			return err
+	var (
+		events         uint64
+		minDay, maxDay int32
+		counts         = map[eventlog.Type]uint64{}
+	)
+	err = eventlog.ScanFiles(paths, eventlog.Filter{}, func(ev *eventlog.Event) error {
+		if events == 0 || ev.Day < minDay {
+			minDay = ev.Day
 		}
-		b, err := statSegments(segs)
-		if err != nil {
-			return err
+		if events == 0 || ev.Day > maxDay {
+			maxDay = ev.Day
 		}
-		fmt.Fprintf(stdout, "== %s\n", p)
-		b.print(stdout)
-		fmt.Fprintln(stdout)
-		merged.add(b)
+		counts[ev.Type]++
+		events++
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("logtool: %w", err)
 	}
-	fmt.Fprintf(stdout, "== merged (%d paths)\n", len(inputs))
-	merged.print(stdout)
+	var bytes int64
+	for _, p := range paths {
+		fi, err := os.Stat(p)
+		if err != nil {
+			return fmt.Errorf("logtool: %w", err)
+		}
+		bytes += fi.Size()
+	}
+
+	fmt.Fprintf(stdout, "segments  %d\n", len(paths))
+	fmt.Fprintf(stdout, "bytes     %d\n", bytes)
+	fmt.Fprintf(stdout, "events    %d\n", events)
+	if events > 0 {
+		fmt.Fprintf(stdout, "days      %d..%d\n", minDay, maxDay)
+	}
+	for _, t := range eventlog.Types() {
+		if n := counts[t]; n > 0 {
+			fmt.Fprintf(stdout, "  %-16s %10d\n", t, n)
+		}
+	}
 	return nil
 }
 
@@ -335,55 +273,28 @@ func runVerify(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	inputs := fs.Args()
-	if len(inputs) == 0 {
-		_, err := resolve(inputs) // produces the canonical no-paths error
+	paths, err := resolve(fs.Args())
+	if err != nil {
 		return err
 	}
 
 	// Every segment is walked to its end even after another is found
-	// damaged, so one bad file does not hide the state of the rest. With
-	// several input paths, damage is additionally rolled up per path, so
-	// a cluster operator sees which shard dir is hurt without reading
-	// every segment line.
-	multi := len(inputs) > 1
-	totalBad, totalSegs := 0, 0
-	var damaged []string
-	for _, in := range inputs {
-		segs, err := resolve([]string{in})
+	// damaged, so one bad file does not hide the state of the rest.
+	bad := 0
+	for _, p := range paths {
+		frames, valid, err := verifyFile(p)
 		if err != nil {
-			return err
+			bad++
+			fmt.Fprintf(stdout, "%s: CORRUPT after %d good frames, last valid byte offset %d: %v\n",
+				p, frames, valid, err)
+			continue
 		}
-		bad := 0
-		for _, p := range segs {
-			frames, valid, err := verifyFile(p)
-			if err != nil {
-				bad++
-				fmt.Fprintf(stdout, "%s: CORRUPT after %d good frames, last valid byte offset %d: %v\n",
-					p, frames, valid, err)
-				continue
-			}
-			if !*quiet {
-				fmt.Fprintf(stdout, "%s: ok (%d frames, %d bytes)\n", p, frames, valid)
-			}
-		}
-		totalBad += bad
-		totalSegs += len(segs)
-		if multi {
-			if bad > 0 {
-				damaged = append(damaged, in)
-				fmt.Fprintf(stdout, "== %s: %d of %d segments corrupt\n", in, bad, len(segs))
-			} else if !*quiet {
-				fmt.Fprintf(stdout, "== %s: ok (%d segments)\n", in, len(segs))
-			}
+		if !*quiet {
+			fmt.Fprintf(stdout, "%s: ok (%d frames, %d bytes)\n", p, frames, valid)
 		}
 	}
-	if totalBad > 0 {
-		if multi {
-			return fmt.Errorf("logtool: %d of %d segments corrupt (damaged: %s)",
-				totalBad, totalSegs, strings.Join(damaged, ", "))
-		}
-		return fmt.Errorf("logtool: %d of %d segments corrupt", totalBad, totalSegs)
+	if bad > 0 {
+		return fmt.Errorf("logtool: %d of %d segments corrupt", bad, len(paths))
 	}
 	return nil
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -291,6 +294,45 @@ func TestVerifyAcceptsSingleFile(t *testing.T) {
 	var out, errw strings.Builder
 	if err := run([]string{"verify", segs[0]}, &out, &errw); err != nil {
 		t.Fatalf("verify single segment: %v", err)
+	}
+}
+
+// TestVerifyRejectsRetiredDayEndFrame: wire type 9 was the shard
+// cluster's day-end marker and is retired. A log from that era — here a
+// well-framed, CRC-valid type-9 record appended to a healthy segment —
+// must fail verify as an unknown type, at the offset where the intact
+// frames end.
+func TestVerifyRejectsRetiredDayEndFrame(t *testing.T) {
+	dir := writeSampleLog(t)
+	segs, err := eventlog.Segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := segs[len(segs)-1]
+	fi, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte{9, 0, 0} // type 9, day 0, account 0
+	frame := append([]byte{byte(len(payload))}, payload...)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var out, errw strings.Builder
+	if err := run([]string{"verify", dir}, &out, &errw); err == nil {
+		t.Fatalf("verify accepted a type-9 frame:\n%s", out.String())
+	}
+	for _, want := range []string{last + ": CORRUPT", "unknown type 9", fmt.Sprintf("last valid byte offset %d", fi.Size())} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("verify output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 

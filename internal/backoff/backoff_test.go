@@ -1,4 +1,4 @@
-package cluster
+package backoff
 
 import (
 	"testing"
@@ -6,11 +6,11 @@ import (
 )
 
 // TestBackoffSeededDeterminism: the whole delay schedule is a pure
-// function of (seed, shard) — same inputs, same sleeps, so a chaos
+// function of (seed, stream) — same inputs, same sleeps, so a chaos
 // run's restart timing replays exactly.
 func TestBackoffSeededDeterminism(t *testing.T) {
-	schedule := func(seed uint64, shard int) []time.Duration {
-		b := NewBackoff(seed, shard, 10*time.Millisecond, time.Second)
+	schedule := func(seed uint64, stream int) []time.Duration {
+		b := New(seed, stream, 10*time.Millisecond, time.Second)
 		out := make([]time.Duration, 8)
 		for i := range out {
 			out[i] = b.Next()
@@ -20,11 +20,20 @@ func TestBackoffSeededDeterminism(t *testing.T) {
 	a, b := schedule(42, 1), schedule(42, 1)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("attempt %d: %v != %v for identical (seed, shard)", i, a[i], b[i])
+			t.Fatalf("attempt %d: %v != %v for identical (seed, stream)", i, a[i], b[i])
 		}
 	}
-	// Different shards draw different jitter (lockstep restarts after a
-	// simultaneous multi-shard death are exactly what jitter prevents).
+	// The schedule is part of every chaos test's expectations (router
+	// re-admission, supervisor restarts): these are the values the
+	// schedule produced before it moved to this package.
+	pinned := []time.Duration{11371363, 15465401, 52969614, 102931794, 213072998, 475228531}
+	for i, want := range pinned {
+		if a[i] != want {
+			t.Errorf("attempt %d: %d ns, pinned %d ns", i, a[i], want)
+		}
+	}
+	// Different streams draw different jitter (lockstep restarts after a
+	// simultaneous multi-member failure are exactly what jitter prevents).
 	c := schedule(42, 2)
 	same := true
 	for i := range a {
@@ -34,7 +43,7 @@ func TestBackoffSeededDeterminism(t *testing.T) {
 		}
 	}
 	if same {
-		t.Error("two shards drew identical backoff schedules; jitter ignores the shard")
+		t.Error("two streams drew identical backoff schedules; jitter ignores the stream")
 	}
 }
 
@@ -44,7 +53,7 @@ func TestBackoffSeededDeterminism(t *testing.T) {
 func TestBackoffDoublingAndJitterBounds(t *testing.T) {
 	const base, cap = 10 * time.Millisecond, 10 * time.Second
 	for seed := uint64(0); seed < 20; seed++ {
-		b := NewBackoff(seed, int(seed), base, cap)
+		b := New(seed, int(seed), base, cap)
 		for attempt := 0; attempt < 10; attempt++ {
 			mean := base << attempt
 			if mean > cap {
@@ -68,7 +77,7 @@ func TestBackoffDoublingAndJitterBounds(t *testing.T) {
 // still <= Cap — including the shifted-mean overflow regime.
 func TestBackoffCapRespected(t *testing.T) {
 	const cap = 100 * time.Millisecond
-	b := NewBackoff(7, 0, 10*time.Millisecond, cap)
+	b := New(7, 0, 10*time.Millisecond, cap)
 	for i := 0; i < 80; i++ { // well past 62 attempts, where Base<<attempt overflows
 		if d := b.Next(); d <= 0 || d > cap {
 			t.Fatalf("attempt %d: delay %v escapes (0, %v]", i, d, cap)
@@ -84,7 +93,7 @@ func TestBackoffCapRespected(t *testing.T) {
 // schedule stays a function of the seed alone.
 func TestBackoffResetRewindsDoublingNotJitter(t *testing.T) {
 	const base, cap = 10 * time.Millisecond, 10 * time.Second
-	b := NewBackoff(3, 1, base, cap)
+	b := New(3, 1, base, cap)
 	for i := 0; i < 5; i++ {
 		b.Next()
 	}
@@ -102,7 +111,7 @@ func TestBackoffResetRewindsDoublingNotJitter(t *testing.T) {
 // TestBackoffDefaults: non-positive base and an inverted cap fall back
 // to usable values instead of a zero-delay hot loop.
 func TestBackoffDefaults(t *testing.T) {
-	b := NewBackoff(1, 0, 0, 0)
+	b := New(1, 0, 0, 0)
 	if b.Base <= 0 || b.Cap < b.Base {
 		t.Fatalf("zero-config backoff resolved to base %v cap %v", b.Base, b.Cap)
 	}

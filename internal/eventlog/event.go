@@ -9,10 +9,7 @@
 // An event log removes that bound: the simulator (and the live adserver)
 // emit every record through a Sink, and any analysis — including a
 // byte-for-byte rebuild of the Collector's aggregates, see
-// dataset.Replayer — can be re-run later from the log alone. It is also
-// the fan-in substrate future sharded serving needs: every event is
-// self-contained, and the aggregates consumers fold them into are
-// commutative across accounts, so per-shard logs can be merged by day.
+// dataset.Replayer — can be re-run later from the log alone.
 //
 // Determinism: the simulation emits events from its single-goroutine
 // loop, interning assigns string IDs in first-seen order, and no
@@ -60,14 +57,10 @@ const (
 	// (rejection or shutdown) with sub-day stamp At, pipeline Stage and
 	// free-text Reason.
 	TypeDetection
-	// TypeDayEnd is a day-barrier marker: every event of the marker's Day
-	// has been written when it appears. Cluster shard workers
-	// (internal/cluster) append one at each day barrier so per-shard logs
-	// can be merged back into exact sequential order without trusting the
-	// Day field of control records, which may be stamped ahead of their
-	// emission day (scheduled arrivals). Header-only; carries no dataset
-	// record and replays as a no-op.
-	TypeDayEnd
+	// Value 9 is retired and must never be reused: it was TypeDayEnd, the
+	// day-barrier marker of the multi-process shard cluster's per-shard
+	// logs, and a log that still carries one is rejected as an unknown
+	// type.
 
 	numTypes
 )
@@ -82,7 +75,6 @@ var typeNames = [numTypes]string{
 	TypeBidModified:    "bid-modified",
 	TypeImpression:     "impression",
 	TypeDetection:      "detection",
-	TypeDayEnd:         "day-end",
 }
 
 // String returns the kebab-case name of the type.

@@ -245,6 +245,27 @@ func TestUnknownTypeRejectedOnWrite(t *testing.T) {
 	}
 }
 
+// TestRetiredTypeRejected: value 9 was the shard cluster's day-end
+// marker. It is retired, not reused: neither side of the codec accepts
+// it, so a log from that era fails loudly instead of replaying a record
+// nothing understands.
+func TestRetiredTypeRejected(t *testing.T) {
+	var dec decoder
+	var ev Event
+	if err := dec.decodeEvent([]byte{9, 0, 0}, &ev); !errors.Is(err, ErrBadEvent) {
+		t.Errorf("decode of type 9 = %v, want ErrBadEvent", err)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Append(Event{Type: Type(9)})
+	if !errors.Is(w.Err(), ErrBadEvent) {
+		t.Errorf("append of type 9 = %v, want ErrBadEvent", w.Err())
+	}
+	if _, ok := ParseType("day-end"); ok {
+		t.Error(`ParseType still resolves "day-end"`)
+	}
+}
+
 func TestDirWriterRotation(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log")
 	dw, err := NewDirWriter(dir)

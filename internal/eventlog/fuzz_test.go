@@ -48,6 +48,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Add([]byte{})
+	f.Add([]byte{9, 0, 0}) // the retired day-end marker: type 9, day 0, account 0
 	f.Add([]byte{byte(TypeDetection), 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 1, 0, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var dec decoder

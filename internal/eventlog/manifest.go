@@ -111,9 +111,9 @@ func SegmentIndex(name string) (int, bool) {
 
 // SyncDir fsyncs a directory so renames into it survive power loss. It
 // is the one directory-sync helper of the durable layers (event log,
-// checkpoints, cluster manifest). Errors opening the directory are
-// ignored on platforms where directories cannot be opened for sync; a
-// failed sync is returned.
+// checkpoints). Errors opening the directory are ignored on platforms
+// where directories cannot be opened for sync; a failed sync is
+// returned.
 func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

@@ -134,6 +134,22 @@ const (
 	SyncInterval
 )
 
+// ParseSyncPolicy maps a -sync flag value ("none", "rotate" or
+// "interval") onto its policy. The error carries no package prefix;
+// each binary adds its own.
+func ParseSyncPolicy(mode string) (SyncPolicy, error) {
+	switch mode {
+	case "none":
+		return SyncNone, nil
+	case "rotate":
+		return SyncRotate, nil
+	case "interval":
+		return SyncInterval, nil
+	default:
+		return 0, fmt.Errorf("unknown sync policy %q (want none, rotate, or interval)", mode)
+	}
+}
+
 // BufferBytes is the size of the DirWriter's write buffer. Under every
 // policy the active segment's newest frames sit in it until it fills, an
 // fsync is due, the segment is sealed, or Flush is called. Every fsync

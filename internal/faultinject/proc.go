@@ -1,13 +1,13 @@
 package faultinject
 
-// Process-level fault profiles for the shard-cluster chaos suite
-// (internal/cluster): where Faults and WriteFaults perturb one request
+// Process-level fault profiles for the supervised-run chaos suite
+// (internal/supervise): where Faults and WriteFaults perturb one request
 // or one write, ProcFaults perturbs a whole worker process — heartbeats
-// silently dropped, a shard stalling mid-run, an exit that lingers, or
+// silently dropped, a worker stalling mid-run, an exit that lingers, or
 // the process SIGKILLing itself at a seeded control-message index. The
-// cluster worker consults a ProcInjector at each protocol step, so the
-// same seeded-injection discipline the serving chaos tests use extends
-// to coordinator/worker supervision tests without hand-rolled mocks.
+// supervised worker consults a ProcInjector at each protocol step, so
+// the same seeded-injection discipline the serving chaos tests use
+// extends to supervisor/worker tests without hand-rolled mocks.
 
 import (
 	"fmt"
@@ -43,7 +43,7 @@ type ProcFaults struct {
 	// message index in [Min, Max] and SIGKILL the process just before it
 	// sends that message. Min defaults to 1. Min == Max pins the exact
 	// message. The draw is a pure function of (injector seed, proc name),
-	// so a given cluster seed always kills at the same point.
+	// so a given seed always kills at the same point.
 	KillAtControlMin int
 	KillAtControlMax int
 }
@@ -158,7 +158,7 @@ func (p *ProcInjector) KillPoint() int { return p.killAt }
 // DroppedHeartbeats returns how many heartbeats the profile swallowed.
 func (p *ProcInjector) DroppedHeartbeats() uint64 { return p.dropped }
 
-// ParseProcFaults parses the compact spec the cluster CLI and chaos
+// ParseProcFaults parses the compact spec the fraudsupervise CLI and chaos
 // tests use to hand a profile to a worker process. Comma-separated
 // clauses:
 //

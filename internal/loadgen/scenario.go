@@ -29,7 +29,7 @@ type Scenario struct {
 	Policy    string `json:"policy"` // round_robin | least_loaded | affinity
 
 	// Bootstrap simulation shape (the platform every instance serves).
-	Scale   string `json:"scale,omitempty"`   // small | medium (default small)
+	Scale   string `json:"scale,omitempty"`   // small | medium | full (default small)
 	Days    int    `json:"days,omitempty"`    // override bootstrap days (0 = scale default)
 	Queries int    `json:"queries,omitempty"` // override bootstrap queries/day
 
@@ -420,14 +420,13 @@ func mustRequest(path string) *http.Request {
 
 // simScenarioConfig maps the scenario's bootstrap knobs onto sim.Config.
 func simScenarioConfig(spec Scenario) (sim.Config, error) {
-	var cfg sim.Config
-	switch spec.Scale {
-	case "small", "":
-		cfg = sim.SmallConfig()
-	case "medium":
-		cfg = sim.MediumConfig()
-	default:
-		return sim.Config{}, fmt.Errorf("adbench: unknown scale %q", spec.Scale)
+	scale := spec.Scale
+	if scale == "" {
+		scale = "small"
+	}
+	cfg, err := sim.ScaleConfig(scale)
+	if err != nil {
+		return sim.Config{}, fmt.Errorf("adbench: %w", err)
 	}
 	cfg.Seed = spec.Seed
 	if spec.Days > 0 {

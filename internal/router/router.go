@@ -3,8 +3,8 @@
 // admission gate's in-flight gauge, keyword-affinity via rendezvous
 // hashing so a query's cache locality survives member churn),
 // health-aware member management (eject on consecutive proxy errors or
-// failed /readyz probes, seeded-backoff re-admission reusing the
-// cluster Backoff), bounded retry of connection errors and 5xx to a
+// failed /readyz probes, seeded-backoff re-admission on the
+// internal/backoff schedule), bounded retry of connection errors and 5xx to a
 // different backend, and per-backend admission awareness (a 429's
 // Retry-After cools that backend instead of hammering it).
 //
@@ -25,7 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/backoff"
 )
 
 // State is a backend's membership state.
@@ -69,7 +69,7 @@ type Backend struct {
 	ejections atomic.Uint64
 	readmits  atomic.Uint64
 
-	backoff   *cluster.Backoff
+	backoff   *backoff.Backoff
 	nextProbe atomic.Int64 // unix nanos of the next re-admission probe
 }
 
@@ -215,7 +215,7 @@ func (rt *Router) AddNamedBackend(name, raw string) (*Backend, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	b := &Backend{Name: name, URL: u, idx: len(rt.backends)}
-	b.backoff = cluster.NewBackoff(rt.opts.Seed, b.idx, rt.opts.BackoffBase, rt.opts.BackoffCap)
+	b.backoff = backoff.New(rt.opts.Seed, b.idx, rt.opts.BackoffBase, rt.opts.BackoffCap)
 	rt.backends = append(rt.backends, b)
 	return b, nil
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -58,32 +59,28 @@ func stepWithLineage(t *testing.T, s *sim.Sim, dw *eventlog.DirWriter, lin sim.L
 // re-simulate to the end. The deterministic rerun rewrites the dropped
 // segments byte-identically, which is what makes the digest comparison
 // below meaningful.
-func resumeFromLineage(t *testing.T, dir string, lin sim.Lineage, every int) (*sim.Result, *sim.LineageReport) {
+func resumeFromLineage(t *testing.T, dir string, lin sim.Lineage, every int) *sim.Result {
 	t.Helper()
-	if _, err := eventlog.RecoverDir(dir, true); err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	c, rep, err := lin.Load()
+	var notes strings.Builder
+	r, err := sim.ResumeRun(lin, dir, &notes)
 	if err != nil {
-		t.Fatalf("lineage load: %v (report: %s)", err, rep)
+		t.Fatalf("resume: %v (notes: %s)", err, notes.String())
 	}
-	if err := eventlog.TruncateToSegment(dir, c.Log.NextSegment); err != nil {
+	res := stepWithLineage(t, r.Sim, r.Log, lin, every, -1, nil)
+	if err := r.Log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	dw, err := eventlog.NewDirWriterAt(dir, c.Log.NextSegment)
+	return res
+}
+
+// quarantined lists the lineage's .corrupt evidence files.
+func quarantined(t *testing.T, lin sim.Lineage) []string {
+	t.Helper()
+	q, err := filepath.Glob(lin.Path + "*" + sim.CorruptSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.Restore(c.State)
-	if err != nil {
-		t.Fatalf("restore from %s: %v", rep.From, err)
-	}
-	s.SetEvents(dw)
-	res := stepWithLineage(t, s, dw, lin, every, -1, nil)
-	if err := dw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return res, rep
+	return q
 }
 
 func checkCanonical(t *testing.T, dir string, res *sim.Result, wantFP string, wantReplay testutil.CollectorDigestSet) {
@@ -179,14 +176,9 @@ func TestCrashLineageCorruptionFallback(t *testing.T) {
 					return
 				}
 
-				res, rep := resumeFromLineage(t, dir, lin, every)
-				if len(rep.Quarantined) != depth {
-					t.Errorf("quarantined %v, want %d files", rep.Quarantined, depth)
-				}
-				for _, q := range rep.Quarantined {
-					if _, err := os.Stat(q + sim.CorruptSuffix); err != nil {
-						t.Errorf("quarantine evidence %s%s missing: %v", q, sim.CorruptSuffix, err)
-					}
+				res := resumeFromLineage(t, dir, lin, every)
+				if q := quarantined(t, lin); len(q) != depth {
+					t.Errorf("quarantine evidence %v, want %d files", q, depth)
 				}
 				checkCanonical(t, dir, res, wantFP, wantReplay)
 			})
@@ -229,13 +221,13 @@ func TestCrashLineageCorruptSaveN(t *testing.T) {
 				t.Fatal("crash run was not abandoned")
 			}
 
-			res, rep := resumeFromLineage(t, dir, lin, every)
+			res := resumeFromLineage(t, dir, lin, every)
 			wantQuarantine := 0
 			if n == 4 {
 				wantQuarantine = 1 // the newest snapshot was the poisoned one
 			}
-			if len(rep.Quarantined) != wantQuarantine {
-				t.Errorf("quarantined %v, want %d files", rep.Quarantined, wantQuarantine)
+			if q := quarantined(t, lin); len(q) != wantQuarantine {
+				t.Errorf("quarantine evidence %v, want %d files", q, wantQuarantine)
 			}
 			checkCanonical(t, dir, res, wantFP, wantReplay)
 		})

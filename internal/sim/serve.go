@@ -305,9 +305,6 @@ func (s *Sim) serveQueries(day simclock.Day) {
 	if s.eng == nil {
 		s.eng = newServeEngine(s.resolveWorkers())
 	}
-	if s.shardSinks != nil && len(s.shardSinks) != s.eng.workers {
-		panic(fmt.Sprintf("sim: %d shard event sinks for %d workers", len(s.shardSinks), s.eng.workers))
-	}
 	if s.eng.workers > 1 {
 		s.serveQueriesSharded(day)
 	} else {
@@ -325,9 +322,6 @@ func (s *Sim) serveQueriesSequential(day simclock.Day) {
 	sh := s.eng.shards[0]
 	sh.ensureEpoch(s.p.Index().Epoch())
 	sink := s.events
-	if s.shardSinks != nil {
-		sink = s.shardSinks[0]
-	}
 	sh.events = sh.events[:0]
 	live := s.p.LiveSet()
 	drawn := s.takeDrawn()
@@ -453,14 +447,11 @@ func (s *Sim) serveQueriesSharded(day simclock.Day) {
 	e.states = stats.SubStreams(s.clickRNG, e.draws, e.states[:0])
 
 	// Phase D: click rolls and outcome staging from private substreams.
-	// Staging is per shard: a worker whose events would flush into a nil
-	// sink (a cluster replica that owns a different shard) skips the
-	// event buffer entirely — the rolls and folds are unaffected.
 	for k := 0; k < e.workers; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			s.shardClicks(day, k, n, s.shardSinkFor(k) != nil)
+			s.shardClicks(day, k, n)
 		}(k)
 	}
 	wg.Wait()
@@ -483,21 +474,10 @@ func (s *Sim) serveQueriesSharded(day simclock.Day) {
 			}
 			s.col.ApplyClick(day, *row)
 		}
-		if sink := s.shardSinkFor(k); sink != nil {
-			eventlog.AppendAll(sink, sh.events)
+		if s.events != nil {
+			eventlog.AppendAll(s.events, sh.events)
 		}
 	}
-}
-
-// shardSinkFor returns the sink worker k's serving events flush into at
-// the day barrier: its per-shard sink when sharded routing is active
-// (possibly nil — a cluster replica discarding shards it does not own),
-// the main sink otherwise.
-func (s *Sim) shardSinkFor(k int) eventlog.Sink {
-	if s.shardSinks != nil {
-		return s.shardSinks[k]
-	}
-	return s.events
 }
 
 // shardAuctions is phase B for one worker: resolve every query in the
@@ -531,10 +511,11 @@ func (s *Sim) shardAuctions(day simclock.Day, k, n, nWin int, epoch uint64, live
 // shardClicks is phase D for one worker: roll clicks for each query from
 // its private substream (bit-identical to the sequential rolls) and
 // stage counter increments, click rows and events.
-func (s *Sim) shardClicks(day simclock.Day, k, n int, stage bool) {
+func (s *Sim) shardClicks(day simclock.Day, k, n int) {
 	e := s.eng
 	sh := e.shards[k]
 	lo, hi := e.bounds(k, n)
+	logging := s.events != nil
 	var rng stats.RNG
 	for gi := lo; gi < hi; gi++ {
 		sp := &sh.pages[gi-lo]
@@ -568,7 +549,7 @@ func (s *Sim) shardClicks(day simclock.Day, k, n int, stage bool) {
 					Price:     price,
 				})
 			}
-			if stage {
+			if logging {
 				var flags uint8
 				if isFraud {
 					flags |= eventlog.FlagFraud

@@ -1,10 +1,10 @@
 // Parallel-serving suite: serve.go's contract is that Workers is a pure
 // throughput knob — every seeded outcome (dataset digests, billing,
 // event records, RNG stream positions) is byte-identical across worker
-// counts. These tests prove it three ways: a digest matrix across
-// workers × seeds, mid-run snapshot byte-equality plus checkpoint/resume
-// across a worker-count change, and record-for-record reconstruction of
-// the sequential event log from per-shard logs. CI runs the matrix under
+// counts. These tests prove it two ways: a digest matrix across
+// workers × seeds, and mid-run snapshot byte-equality plus
+// checkpoint/resume across a worker-count change; dayloop_test.go adds
+// the record-for-record event-log comparison. CI runs the matrix under
 // -race, which also makes it the data-race proof for the phase structure.
 package sim_test
 
@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/dataset"
-	"repro/internal/eventlog"
 	"repro/internal/sim"
 	"repro/internal/testutil"
 )
@@ -131,154 +129,4 @@ func TestParallelCheckpointResume(t *testing.T) {
 		t.Fatalf("sequential continuation diverged from parallel run:\n%s",
 			testutil.Diff(string(want), string(got)))
 	}
-}
-
-// TestPerShardEventLogReplay proves the sharded event-log contract end
-// to end: with SetShardEventSinks, shard k's sink receives exactly shard
-// k's impressions in query order, each shard log survives a codec
-// round-trip independently, and the control log plus the shard logs —
-// merged per day, shards in order — reproduce the sequential engine's
-// single log and replay (via dataset.Replayer) to the live collector's
-// digests.
-func TestPerShardEventLogReplay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two logged simulations")
-	}
-	const workers = 3
-	cfg := matrixConfig(7, workers)
-
-	var control eventlog.SliceSink
-	cfg.Events = &control
-	shardSinks := make([]eventlog.SliceSink, workers)
-	sinks := make([]eventlog.Sink, workers)
-	for i := range shardSinks {
-		sinks[i] = &shardSinks[i]
-	}
-	s := sim.New(cfg)
-	s.SetShardEventSinks(sinks)
-	res := s.Run()
-	live := testutil.CollectorDigests(res.Collector)
-
-	// The sequential single-log reference run.
-	seqCfg := matrixConfig(7, 1)
-	var single eventlog.SliceSink
-	seqCfg.Events = &single
-	sim.New(seqCfg).Run()
-
-	// Every shard log must survive the binary codec on its own: each has
-	// its own first-seen intern table, independent of the others.
-	for k := range shardSinks {
-		var buf bytes.Buffer
-		w := eventlog.NewWriter(&buf)
-		for _, ev := range shardSinks[k].Events {
-			w.Append(ev)
-		}
-		if err := w.Err(); err != nil {
-			t.Fatalf("shard %d: encode: %v", k, err)
-		}
-		rd := eventlog.NewReader(&buf, eventlog.Filter{})
-		var ev eventlog.Event
-		for i := 0; ; i++ {
-			if err := rd.Next(&ev); err != nil {
-				if i != len(shardSinks[k].Events) {
-					t.Fatalf("shard %d: decoded %d of %d events: %v", k, i, len(shardSinks[k].Events), err)
-				}
-				break
-			}
-			if ev != shardSinks[k].Events[i] {
-				t.Fatalf("shard %d event %d: codec round trip changed the record:\n got %+v\nwant %+v",
-					k, i, ev, shardSinks[k].Events[i])
-			}
-		}
-	}
-
-	// The control log must be exactly the sequential log minus serving:
-	// same non-impression records in the same order.
-	var nonImpr []eventlog.Event
-	for _, ev := range single.Events {
-		if ev.Type != eventlog.TypeImpression {
-			nonImpr = append(nonImpr, ev)
-		}
-	}
-	if len(control.Events) != len(nonImpr) {
-		t.Fatalf("control log has %d events, sequential log has %d non-impression events",
-			len(control.Events), len(nonImpr))
-	}
-	for i := range nonImpr {
-		if control.Events[i] != nonImpr[i] {
-			t.Fatalf("control event %d differs from sequential log:\n got %+v\nwant %+v",
-				i, control.Events[i], nonImpr[i])
-		}
-	}
-
-	// Shard blocks are contiguous in query order, so concatenating each
-	// day's shard events (shards in order) must reproduce the sequential
-	// log's impression stream record for record.
-	var mergedImpr []eventlog.Event
-	cursors := make([]int, workers)
-	for day := int32(0); day < int32(cfg.Days); day++ {
-		for k := 0; k < workers; k++ {
-			evs := shardSinks[k].Events
-			for cursors[k] < len(evs) && evs[cursors[k]].Day == day {
-				mergedImpr = append(mergedImpr, evs[cursors[k]])
-				cursors[k]++
-			}
-		}
-	}
-	for k, c := range cursors {
-		if c != len(shardSinks[k].Events) {
-			t.Fatalf("shard %d: %d events not consumed by the day merge", k, len(shardSinks[k].Events)-c)
-		}
-	}
-	var seqImpr []eventlog.Event
-	for _, ev := range single.Events {
-		if ev.Type == eventlog.TypeImpression {
-			seqImpr = append(seqImpr, ev)
-		}
-	}
-	if len(mergedImpr) != len(seqImpr) {
-		t.Fatalf("merged shard logs have %d impressions, sequential log has %d",
-			len(mergedImpr), len(seqImpr))
-	}
-	for i := range seqImpr {
-		if mergedImpr[i] != seqImpr[i] {
-			t.Fatalf("merged impression %d differs from sequential log:\n got %+v\nwant %+v",
-				i, mergedImpr[i], seqImpr[i])
-		}
-	}
-
-	// Replaying control + merged shard impressions rebuilds the live
-	// collector digest for digest, same as replaying the sequential log.
-	replay := func(streams ...[]eventlog.Event) testutil.CollectorDigestSet {
-		rep := dataset.NewReplayer(dataset.NewCollector(cfg.Windows, cfg.SampleWindow))
-		for _, evs := range streams {
-			for _, ev := range evs {
-				rep.Append(ev)
-			}
-		}
-		return testutil.CollectorDigests(rep.Collector())
-	}
-	if got := replay(control.Events, mergedImpr); got != live {
-		t.Errorf("sharded-log replay diverges from live collector:\n got %+v\nwant %+v", got, live)
-	}
-	if got := replay(single.Events); got != live {
-		t.Errorf("sequential-log replay diverges from live collector:\n got %+v\nwant %+v", got, live)
-	}
-}
-
-// TestShardSinkCountMismatch pins the guard: attaching a sink set whose
-// length disagrees with the worker count must panic loudly rather than
-// silently misroute shard events.
-func TestShardSinkCountMismatch(t *testing.T) {
-	cfg := matrixConfig(7, 2)
-	cfg.Days = 1
-	cfg.InitialLegit = 20
-	s := sim.New(cfg)
-	s.SetShardEventSinks([]eventlog.Sink{&eventlog.SliceSink{}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched shard sink count did not panic")
-		}
-	}()
-	s.Run()
 }

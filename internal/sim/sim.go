@@ -147,6 +147,22 @@ func SmallConfig() Config {
 	return c
 }
 
+// ScaleConfig maps a -scale flag value onto its preset: "small",
+// "medium" or "full" (DefaultConfig). The error carries no package
+// prefix; each binary adds its own.
+func ScaleConfig(name string) (Config, error) {
+	switch name {
+	case "small":
+		return SmallConfig(), nil
+	case "medium":
+		return MediumConfig(), nil
+	case "full":
+		return DefaultConfig(), nil
+	default:
+		return Config{}, fmt.Errorf("unknown scale %q (want small, medium, or full)", name)
+	}
+}
+
 // Result summarizes a completed run. The live objects — platform and
 // collector — are what the measurement library consumes.
 type Result struct {
@@ -206,9 +222,6 @@ type Sim struct {
 	eng *serveEngine
 
 	events eventlog.Sink
-	// shardSinks, when set, receives each serving shard's impression
-	// events instead of the main sink (see SetShardEventSinks).
-	shardSinks []eventlog.Sink
 
 	// day is the next day to simulate, phase the next phase of that day,
 	// and seeded records whether the initial population warmup has run.
@@ -316,24 +329,6 @@ func (s *Sim) resolveWorkers() int {
 		w = 1
 	}
 	return w
-}
-
-// SetShardEventSinks routes serving-impression events to one sink per
-// worker shard instead of the main Events sink: shard k's sink receives
-// exactly the impressions of shard k's queries, in query order, flushed
-// at each day barrier. Non-serving events (registrations, campaign
-// actions, detections) still go to the main sink, so the main log plus
-// the shard logs — merged per day, shards in order — reconstruct the
-// sequential engine's single log record for record. len(sinks) must
-// equal the effective worker count; nil restores single-sink routing.
-//
-// Individual entries may be nil: that shard's impressions are then
-// discarded instead of logged. A cluster replica (internal/cluster)
-// exploits this — every worker process computes the full trajectory but
-// keeps a sink only at its own shard index, so the replicas together
-// write each event exactly once.
-func (s *Sim) SetShardEventSinks(sinks []eventlog.Sink) {
-	s.shardSinks = sinks
 }
 
 // Platform exposes the underlying ad network (read access for analyses).

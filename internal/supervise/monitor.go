@@ -1,9 +1,9 @@
-package cluster
+package supervise
 
 import "time"
 
 // hbMonitor is the supervisor's per-worker liveness state machine,
-// split out from the coordinator loop so its edge cases — late-but-
+// split out from the supervisor loop so its edge cases — late-but-
 // alive versus genuinely dead — are unit-testable against a fake clock.
 //
 // The rule: a worker is expired when no message (heartbeat, day report,
