@@ -67,10 +67,11 @@ golden:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-serving measures the parallel serving loop — sequential vs
-# Workers=GOMAXPROCS at MediumConfig — and records queries/sec and
-# ns/query in BENCH_serving.json. The report includes GOMAXPROCS, so
-# numbers from different hosts are comparable at a glance.
+# bench-serving measures the serving loop — Workers=1 vs
+# Workers=GOMAXPROCS, the same code at two fan-outs, at MediumConfig —
+# and records queries/sec and ns/query in BENCH_serving.json. The report
+# includes GOMAXPROCS, so numbers from different hosts are comparable at
+# a glance.
 bench-serving:
 	$(GO) test ./internal/sim -run TestWriteServingBenchJSON \
 		-bench-serving-out $(CURDIR)/BENCH_serving.json -timeout 20m -v

@@ -128,7 +128,7 @@ func TestResumeRestoreFailureLeavesNoStagedSegment(t *testing.T) {
 
 // TestRunWorkersAndProfiles covers the serving-parallelism and profiling
 // flags: a multi-worker run must export byte-identical datasets to a
-// sequential run of the same seed, a checkpoint resumed with a different
+// one-worker run of the same seed, a checkpoint resumed with a different
 // -workers value must land on the same datasets, and the pprof flags
 // must leave non-empty profile files behind.
 func TestRunWorkersAndProfiles(t *testing.T) {
@@ -152,7 +152,7 @@ func TestRunWorkersAndProfiles(t *testing.T) {
 	seqOut := t.TempDir()
 	var sb strings.Builder
 	if err := run(append(base[:len(base):len(base)], "-workers", "1", "-export", seqOut), &sb, &sb); err != nil {
-		t.Fatalf("sequential run: %v\n%s", err, sb.String())
+		t.Fatalf("one-worker run: %v\n%s", err, sb.String())
 	}
 	want := exportOf(seqOut)
 

@@ -67,12 +67,13 @@ func run(w io.Writer) error {
 		}
 	}
 
-	alive := func(id platform.AccountID) bool { return p.MustAccount(id).Alive() }
+	lists := p.Index().Sublists(verticals.Downloads, market.US)
+	live := p.LiveSet()
 	cfg := auction.DefaultConfig()
 
 	for _, form := range []platform.QueryForm{platform.FormBare, platform.FormExtended, platform.FormReordered} {
 		fmt.Fprintf(w, "=== query form: %s ===\n", form)
-		eligible := p.Index().Eligible(verticals.Downloads, market.US, 0, 0, form, alive)
+		eligible := lists.EligibleAppendLive(nil, 0, 0, form, live)
 		fmt.Fprintf(w, "eligible bids: %d of %d\n", len(eligible), len(specs))
 		res := auction.Run(cfg, eligible, form)
 		for _, pl := range res.Placements {

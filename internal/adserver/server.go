@@ -5,11 +5,11 @@
 //
 // The server operates over a read-only snapshot of a simulated platform
 // (accounts frozen, index immutable), so request handling is lock-free
-// and safe for arbitrary concurrency; per-request auction scratch comes
-// from a sync.Pool. Click rolls are a pure function of (server seed,
-// query, country), so identical requests produce identical responses
-// regardless of request order or concurrency — the property the golden
-// response snapshot pins.
+// and safe for arbitrary concurrency; per-request eligibility and auction
+// scratch comes from a sync.Pool. Click rolls are a pure function of
+// (server seed, query, country), so identical requests produce identical
+// responses regardless of request order or concurrency — the property
+// the golden response snapshot pins.
 //
 // Handler composes the production resilience stack around the raw
 // routes: request-ID tagging, panic recovery, admission control with
@@ -48,6 +48,12 @@ type kwRef struct {
 	cluster     int
 }
 
+// searchScratch is one request's reusable eligibility and auction storage.
+type searchScratch struct {
+	eligible []platform.BidRef
+	auction  auction.Scratch
+}
+
 // Server is the HTTP ad front end.
 type Server struct {
 	p    *platform.Platform
@@ -55,7 +61,8 @@ type Server struct {
 	gen  *queries.Generator
 	mux  *http.ServeMux
 	seed uint64
-	scr  sync.Pool // *auction.Scratch
+	live []bool    // p.LiveSet(), stamped once: the snapshot is frozen
+	scr  sync.Pool // *searchScratch
 
 	// exact maps a canonical keyword phrase to its reference; tokens is
 	// an inverted token index for fuzzy resolution.
@@ -90,10 +97,11 @@ func New(p *platform.Platform, gen *queries.Generator, cfg auction.Config, seed 
 		cfg:    cfg,
 		gen:    gen,
 		seed:   seed,
+		live:   p.LiveSet(),
 		exact:  make(map[string]kwRef),
 		tokens: make(map[string][]kwRef),
 	}
-	s.scr.New = func() interface{} { return &auction.Scratch{} }
+	s.scr.New = func() interface{} { return &searchScratch{} }
 
 	for vi := range verticals.All() {
 		u := gen.Universe(vi)
@@ -364,11 +372,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeTimeout(w, r, "admission")
 		return
 	}
-	alive := func(id platform.AccountID) bool { return s.p.MustAccount(id).Alive() }
-	eligible := s.p.Index().Eligible(ref.vertical, country, ref.keywordID, ref.cluster, form, alive)
-
-	scr := s.scr.Get().(*auction.Scratch)
-	res := auction.RunInto(s.cfg, eligible, form, scr)
+	scr := s.scr.Get().(*searchScratch)
+	scr.eligible = s.p.Index().Sublists(ref.vertical, country).
+		EligibleAppendLive(scr.eligible[:0], ref.keywordID, ref.cluster, form, s.live)
+	res := auction.RunInto(s.cfg, scr.eligible, form, &scr.auction)
 	if ctx.Err() != nil {
 		s.scr.Put(scr)
 		s.writeTimeout(w, r, "auction")

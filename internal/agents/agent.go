@@ -10,7 +10,8 @@ import (
 )
 
 // Agent binds a sampled Profile to a live platform account and executes
-// its campaign-management behavior day by day.
+// its campaign-management behavior day by day: Runtime.PlanStep decides,
+// Runtime.ApplyStep acts (plan.go).
 type Agent struct {
 	Profile
 	Account platform.AccountID
@@ -69,10 +70,6 @@ type Runtime struct {
 	// aggregate counters. Emission consumes no randomness, so attaching a
 	// sink never perturbs a seeded run.
 	Events eventlog.Sink
-
-	// scratch is Step's reusable plan buffer (single-goroutine use only;
-	// parallel callers pass their own plans to PlanStep/ApplyStep).
-	scratch StepPlan
 
 	// kbScratch stages one ad's keyword bids for the batched platform
 	// insert; ApplyStep always runs on the simulation goroutine, so one
@@ -148,17 +145,6 @@ func (r *Runtime) Hijack(a *Agent, takeover Profile, day simclock.Day) {
 	a.kwSampler = nil
 	a.dispURLs = nil
 	a.destURLs = nil
-}
-
-// Step runs one day of campaign management for a live agent. It returns
-// the number of ads created (zero when the agent is dormant or its account
-// is no longer active). Step is the fused single-goroutine form of the
-// plan/apply split (see plan.go): it plans into a scratch buffer and
-// applies immediately, producing byte-identical outcomes to the pooled
-// path, which plans many agents concurrently and applies in order.
-func (r *Runtime) Step(a *Agent, day simclock.Day) int {
-	r.PlanStep(a, day, &r.scratch)
-	return r.ApplyStep(a, day, &r.scratch)
 }
 
 // emit forwards a campaign event to the sink, if one is attached.

@@ -165,6 +165,13 @@ func spawnActive(t *testing.T, p *platform.Platform, rt *Runtime, prof Profile) 
 	return rt.Spawn(prof, acct.ID, simclock.StampAt(0, 0))
 }
 
+// step runs one agent's day: plan, then apply, as the day loop does.
+func step(rt *Runtime, a *Agent, day simclock.Day) int {
+	var plan StepPlan
+	rt.PlanStep(a, day, &plan)
+	return rt.ApplyStep(a, day, &plan, 0)
+}
+
 func TestAgentBuildsPortfolio(t *testing.T) {
 	p, col, rt, f := testWorld(t, 5)
 	prof := f.NewLegit()
@@ -174,7 +181,7 @@ func TestAgentBuildsPortfolio(t *testing.T) {
 	prof.MaintainRate = 0
 	a := spawnActive(t, p, rt, prof)
 	for day := simclock.Day(0); day < 30; day++ {
-		rt.Step(a, day)
+		step(rt, a, day)
 	}
 	acct := p.MustAccount(a.Account)
 	if len(acct.Ads) != 10 {
@@ -205,7 +212,7 @@ func TestAgentRespectsStartDay(t *testing.T) {
 	p, _, rt, f := testWorld(t, 6)
 	prof := f.NewLegit()
 	a := spawnActive(t, p, rt, prof)
-	if rt.Step(a, a.StartDay-1) != 0 {
+	if step(rt, a, a.StartDay-1) != 0 {
 		t.Fatal("agent acted before its start day")
 	}
 	if len(p.MustAccount(a.Account).Ads) != 0 {
@@ -218,12 +225,12 @@ func TestAgentStopsWhenShutdown(t *testing.T) {
 	prof := f.NewFraud()
 	a := spawnActive(t, p, rt, prof)
 	for day := a.StartDay; day < a.StartDay+3; day++ {
-		rt.Step(a, day)
+		step(rt, a, day)
 	}
 	if err := p.Shutdown(a.Account, simclock.StampAt(a.StartDay+3, 0), "x"); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Step(a, a.StartDay+4) != 0 {
+	if step(rt, a, a.StartDay+4) != 0 {
 		t.Fatal("dead agent still creating ads")
 	}
 }
@@ -233,7 +240,7 @@ func TestFraudBuildsFast(t *testing.T) {
 	prof := f.NewFraud()
 	prof.PortfolioSize = 5
 	a := spawnActive(t, p, rt, prof)
-	rt.Step(a, a.StartDay)
+	step(rt, a, a.StartDay)
 	if got := len(p.MustAccount(a.Account).Ads); got != 5 {
 		t.Fatalf("fraud built %d ads on day one, want full portfolio 5", got)
 	}
@@ -247,7 +254,7 @@ func TestExactBidsOnHeadKeywords(t *testing.T) {
 	prof.BuildPerDay = 40
 	prof.KeywordsPerAd = 10
 	a := spawnActive(t, p, rt, prof)
-	rt.Step(a, a.StartDay)
+	step(rt, a, a.StartDay)
 	var exactSum, exactN, broadSum, broadN float64
 	for _, ad := range p.MustAccount(a.Account).Ads {
 		for _, b := range ad.Bids {

@@ -1,34 +1,31 @@
 package agents
 
-// Plan/apply split of the daily campaign-management step.
-//
-// Step used to be one fused loop: draw a decision, mutate the platform,
-// repeat. To run agents on a worker pool without perturbing a seeded run,
-// the step is split into two halves with a strict contract:
+// The daily campaign-management step, in two halves with a strict
+// contract so that agents run on a worker pool without perturbing a
+// seeded run:
 //
 //   - PlanStep is read-only. Every behavioral decision and every RNG draw
 //     happens here, against frozen platform state, recorded into a
 //     StepPlan. Each agent draws only from its private stream and reads
 //     only its own account plus immutable tables (keyword universes,
 //     market data), so PlanStep is safe to call concurrently for distinct
-//     agents.
+//     agents, each goroutine recording into a StepPlan of its own.
 //   - ApplyStep executes the recorded operations — platform mutations,
 //     collector records, event emission — with no RNG draws from the
 //     agent's stream. The simulation goroutine applies plans in canonical
-//     (live-list) order, so index insertion order, collector folds and
-//     event-log bytes match the fused sequential loop exactly.
+//     (live-list) order, which fixes index insertion order, collector
+//     folds and event-log bytes whatever the planning fan-out was.
 //
 // The one subtlety is that decisions reference the evolving ad list: a
 // churn victim is drawn from the ads present *after* this morning's
 // builds, and CreateAd appends while RetireAd swap-removes. PlanStep
 // mirrors that evolution symbolically (adsSim tracks each slot's bid
 // count), so the Intn draws that pick victims and maintenance targets
-// land on exactly the ads the fused loop would have picked.
+// land on the ads ApplyStep will find in those slots.
 //
 // Shared-stream draws are split by half: the agent's private stream is
 // consumed entirely at plan time; the runtime's shared ad-copy generator
-// (FullCreatives only) is consumed at apply time, in canonical order —
-// the same order the fused loop consumed it.
+// (FullCreatives only) is consumed at apply time, in canonical order.
 
 import (
 	"fmt"
@@ -74,7 +71,7 @@ type planBid struct {
 	maxBid  float64
 }
 
-// createPlan is one planned ad creation. Bids live in the plan's shared
+// createPlan is one planned ad creation. Bids live in the plan's bid
 // arena at [bidOff, bidOff+bidLen). domIdx indexes the agent's domain
 // list (the apply half resolves it against the agent's cached URL
 // strings). phrase carries the head keyword's phrase for the
@@ -89,16 +86,20 @@ type createPlan struct {
 	bidLen      int32
 }
 
-// StepPlan is the recorded outcome of one agent's PlanStep, reusable
-// across days: reset keeps the backing arrays.
+// StepPlan is the recorded outcome of PlanStep over a run of agents —
+// one worker's block of the live list — as three arenas the agents'
+// operations are appended to in plan order; steps[i] is where the i-th
+// planned agent's operations begin. It is reusable across days: Reset
+// keeps the backing arrays, so a day's planning allocates nothing once
+// they have grown to the busiest day's size.
 type StepPlan struct {
-	active  bool
+	steps   []int32
 	ops     []planOp
 	creates []createPlan
 	bids    []planBid
 
-	// adsSim mirrors the account's ad list while planning: one entry per
-	// ad slot holding its bid count (the only property later draws need).
+	// adsSim mirrors the planning agent's ad list: one entry per ad slot
+	// holding its bid count (the only property later draws need).
 	adsSim []int32
 
 	// kwBuf and matchBuf are planCreateAd's per-create scratch, truncated
@@ -108,24 +109,25 @@ type StepPlan struct {
 	matchBuf []platform.MatchType
 }
 
-func (p *StepPlan) reset() {
-	p.active = false
+// Reset empties the plan for a new day.
+func (p *StepPlan) Reset() {
+	p.steps = p.steps[:0]
 	p.ops = p.ops[:0]
 	p.creates = p.creates[:0]
 	p.bids = p.bids[:0]
-	p.adsSim = p.adsSim[:0]
 }
 
 // PlanStep runs the decision half of one day of campaign management for
-// a live agent, recording the operations into plan (which is reset
-// first). It performs no platform, collector or event-sink writes.
+// a live agent, appending the operations to plan as its next step (none
+// when the agent is dormant or its account is no longer active). It
+// performs no platform, collector or event-sink writes.
 func (r *Runtime) PlanStep(a *Agent, day simclock.Day, plan *StepPlan) {
-	plan.reset()
+	plan.steps = append(plan.steps, int32(len(plan.ops)))
 	acct := r.p.MustAccount(a.Account)
 	if !acct.Alive() || day < a.StartDay {
 		return
 	}
-	plan.active = true
+	plan.adsSim = plan.adsSim[:0]
 	for _, ad := range acct.Ads {
 		plan.adsSim = append(plan.adsSim, int32(len(ad.Bids)))
 	}
@@ -175,8 +177,7 @@ func (r *Runtime) PlanStep(a *Agent, day simclock.Day, plan *StepPlan) {
 }
 
 // planCreateAd draws one ad creation — domain, keywords, quality, stamp,
-// match types and bid amounts — and records it. The draw sequence is
-// exactly the fused createAd's.
+// match types and bid amounts — and records it.
 func (r *Runtime) planCreateAd(a *Agent, day simclock.Day, created simclock.Stamp, plan *StepPlan) {
 	u := r.universe(a.VerticalIdx)
 	if u == nil || u.Size() == 0 {
@@ -257,22 +258,24 @@ func (r *Runtime) planCreateAd(a *Agent, day simclock.Day, created simclock.Stam
 	plan.adsSim = append(plan.adsSim, cp.bidLen)
 }
 
-// ApplyStep executes a recorded plan: all platform mutations, collector
-// records and event emissions, in recorded order. It returns the number
-// of ads created. It must run on the simulation goroutine; plans are
-// applied in canonical agent order so every order-sensitive byte (index
-// insertion, shared creative stream, event log) matches the fused loop.
-func (r *Runtime) ApplyStep(a *Agent, day simclock.Day, plan *StepPlan) int {
-	if !plan.active {
+// ApplyStep executes step i of a recorded plan — what the i-th PlanStep
+// since Reset recorded, for the same agent: all platform mutations,
+// collector records and event emissions, in recorded order. It returns
+// the number of ads created. It must run on the simulation goroutine;
+// steps are applied in canonical agent order, which fixes every
+// order-sensitive byte (index insertion, shared creative stream, event
+// log).
+func (r *Runtime) ApplyStep(a *Agent, day simclock.Day, plan *StepPlan, i int) int {
+	ops := plan.ops[plan.steps[i]:]
+	if i+1 < len(plan.steps) {
+		ops = ops[:plan.steps[i+1]-plan.steps[i]]
+	}
+	if len(ops) == 0 {
 		return 0
 	}
 	acct := r.p.MustAccount(a.Account)
 	created := 0
-	var def float64
-	if len(plan.creates) > 0 {
-		def = market.Get(a.Target).DefaultMaxBid
-	}
-	for _, op := range plan.ops {
+	for _, op := range ops {
 		switch op.kind {
 		case opRetire:
 			r.p.RetireAd(acct.Ads[op.slot])
@@ -333,6 +336,7 @@ func (r *Runtime) ApplyStep(a *Agent, day simclock.Day, plan *StepPlan) int {
 				})
 			}
 			r.p.AddBidsBatch(ad, r.kbScratch, cp.at)
+			def := market.Get(a.Target).DefaultMaxBid
 			for _, pb := range pbs {
 				if pb.maxBid <= 0 {
 					continue

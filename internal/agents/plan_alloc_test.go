@@ -3,7 +3,7 @@ package agents
 // Allocation pin for the planning half of the agent step: after the
 // per-agent caches (keyword sampler, URL strings) and the plan's backing
 // arrays warm up, PlanStep must stop allocating entirely — the property
-// the pooled day loop relies on to stay allocation-flat across days.
+// the day loop relies on to stay allocation-flat across days.
 
 import (
 	"testing"
@@ -27,8 +27,9 @@ func TestPlanStepAllocationFlat(t *testing.T) {
 	var plan StepPlan
 	day := a.StartDay
 	for i := 0; i < 50; i++ {
+		plan.Reset()
 		rt.PlanStep(a, day, &plan)
-		rt.ApplyStep(a, day, &plan)
+		rt.ApplyStep(a, day, &plan, 0)
 		day++
 	}
 
@@ -36,13 +37,14 @@ func TestPlanStepAllocationFlat(t *testing.T) {
 	// fresh days (the RNG keeps advancing, so churn and maintenance
 	// draws keep firing) must allocate nothing.
 	avg := testing.AllocsPerRun(100, func() {
+		plan.Reset()
 		rt.PlanStep(a, day, &plan)
 		day++
 	})
 	if avg != 0 {
 		t.Fatalf("PlanStep allocates %.2f objects/op after warm-up, want 0", avg)
 	}
-	if !plan.active {
+	if !p.MustAccount(a.Account).Alive() {
 		t.Fatal("agent went dormant during the measurement window")
 	}
 	_ = simclock.Day(day)

@@ -281,7 +281,7 @@ func (c *Collector) windowAggFor(a *AccountAgg, day simclock.Day) []*WindowAgg {
 // barrier, and a click lane carrying every float accumulation (spend),
 // which the engine applies strictly in global click order so that
 // floating-point addition order — and with it the canonical digests — is
-// identical to sequential serving.
+// that of folding the impressions one at a time, as a log replay does.
 func (c *Collector) Impression(day simclock.Day, acct platform.AccountID, fraud bool,
 	vertical int, country market.Country, position int, match platform.MatchType,
 	fraudComp, clicked bool, price float64) {

@@ -173,8 +173,8 @@ func (c *Collector) MergeShard(day simclock.Day, sa *ShardAccumulator) {
 // ApplyClick folds one clicked impression's click lane — week/window
 // click counts and every spend accumulation. The engine calls it in
 // global click order (shards in order, rows within a shard in query
-// order), which makes float accumulation order identical to sequential
-// serving.
+// order), which makes float accumulation order that of folding the
+// impressions one at a time.
 func (c *Collector) ApplyClick(day simclock.Day, row ClickRow) {
 	c.clickFold(c.agg(row.Account), day, row.Fraud, int(row.Vertical),
 		row.Country, row.Match, row.FraudComp, row.Price)

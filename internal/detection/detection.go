@@ -361,13 +361,9 @@ type sweepOutcome struct {
 // SetWorkers sets the sweep's scan parallelism. Because every account
 // scans from its own private RNG stream and enforcement is merged in ID
 // order, the worker count never changes a seeded trajectory — it is a
-// pure throughput knob, like sim.Config.Workers (which drives it).
-func (d *Pipeline) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	d.workers = n
-}
+// pure throughput knob, like sim.Config.Workers (which drives it). Below
+// one, the sweep scans in one block.
+func (d *Pipeline) SetWorkers(n int) { d.workers = n }
 
 // EndOfDay runs the daily detection sweep: activity detectors over every
 // monitored live account, then enforcement of everything due. It returns
@@ -376,12 +372,11 @@ func (d *Pipeline) SetWorkers(n int) {
 //
 // The sweep is freeze-then-merge: the scan half reads frozen platform
 // state (its own account's counters, the ledger) and draws only from the
-// account's private stream, so with Workers > 1 it fans out over
-// contiguous ID blocks; the enforcement half — shutdowns, collector
-// records, events, counters — runs on the caller's goroutine in ID
-// order. With one worker the two halves run fused per account, which
-// yields the same bytes: a scan depends only on its own account, never
-// on an earlier account's enforcement.
+// account's private stream, so it fans out over contiguous ID blocks, one
+// per worker; the enforcement half — shutdowns, collector records,
+// events, counters — runs on the caller's goroutine in ID order. A scan
+// depends only on its own account, never on another account's
+// enforcement, so the worker count never changes the outcome.
 func (d *Pipeline) EndOfDay(day simclock.Day) []platform.AccountID {
 	// Everything due before the next day begins is enforced tonight; a
 	// due date in the last millisecond of today must not buy the account
@@ -390,30 +385,7 @@ func (d *Pipeline) EndOfDay(day simclock.Day) []platform.AccountID {
 	banActive := day >= d.cfg.TechSupportBanDay
 	var shut []platform.AccountID
 	n := len(d.states)
-	w := d.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i, s := range d.states {
-			if s == nil {
-				continue
-			}
-			acct := d.p.MustAccount(s.id)
-			if acct.Status != platform.StatusActive {
-				d.states[i] = nil
-				d.monitored--
-				continue
-			}
-			if due, stage, hit := d.scanAccount(s, acct, dayEnd, banActive); hit {
-				shut = d.enforce(s, due, stage, shut)
-				d.states[i] = nil
-				d.monitored--
-			}
-		}
-		return shut
-	}
-
+	w := min(max(d.workers, 1), n)
 	for len(d.shards) < w {
 		d.shards = append(d.shards, nil)
 	}
@@ -442,7 +414,7 @@ func (d *Pipeline) EndOfDay(day simclock.Day) []platform.AccountID {
 	}
 	wg.Wait()
 	// Merge: shards cover contiguous ID blocks in order, so walking them
-	// in shard order is ID order — the sequential enforcement order.
+	// in shard order is ID order.
 	for k := 0; k < w; k++ {
 		for _, o := range d.shards[k] {
 			i := int(o.idx)

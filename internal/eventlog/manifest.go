@@ -65,32 +65,45 @@ func writeManifest(dir string, m *Manifest, sync bool) error {
 	data = append(data, '\n')
 	path := filepath.Join(dir, ManifestName)
 	tmp := path + TmpSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err := StageFile(tmp, data, sync); err != nil {
+		return err
+	}
+	return CommitFile(tmp, path, sync)
+}
+
+// StageFile is the first half of an atomic file replacement, shared by
+// the durable layers (manifest, checkpoints): it writes data to path
+// (truncating), fsyncs the file when sync is set, and closes it. The file
+// is removed on any failure, so a half-written staging file never
+// survives its own error path.
+func StageFile(path string, data []byte, sync bool) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = f.Sync()
 	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err != nil {
+		os.Remove(path)
 	}
+	return err
+}
+
+// CommitFile is the second half: it renames the staged file tmp over
+// path and, when sync is set, fsyncs the directory so the rename survives
+// power loss. A failed rename removes tmp.
+func CommitFile(tmp, path string, sync bool) error {
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	if sync {
-		return SyncDir(dir)
+		return SyncDir(filepath.Dir(path))
 	}
 	return nil
 }

@@ -114,7 +114,8 @@ const DefaultSyncBytes = 1 << 20
 // lives at "<name>.evlog.tmp" and is renamed to its final name only
 // after a successful sync+close ("sealing"), so a final-named segment is
 // always complete. A crash leaves at most one .tmp tail behind;
-// RecoverDir repairs and finalizes it.
+// RecoverDir repairs and finalizes it. The manifest and the checkpoint
+// files are staged under the same suffix (StageFile, CommitFile).
 const TmpSuffix = ".tmp"
 
 // SyncPolicy selects how aggressively DirWriter fsyncs segment data.

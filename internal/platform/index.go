@@ -265,11 +265,15 @@ func (x *Index) Sublists(v verticals.Vertical, c market.Country) Sublists {
 	return Sublists{ps: x.byVC[vcKey{v, c}]}
 }
 
-// EligibleAppendLive is the hot serving path: like EligibleAppend but the
-// liveness check is a dense array load (live[account]) instead of a
-// closure call, and the match filter reads the entry's cached match type.
-// live must cover every account with indexed bids — use Platform.LiveSet,
-// which restamps whenever the index epoch moves.
+// EligibleAppendLive appends to dst the bids eligible for a query on
+// keyword kw (cluster cl) with the given form — the §5.3 semantics of
+// Matches — whose accounts are live, and returns the extended slice; dst
+// may be a reused scratch buffer. Lists are score-sorted, so each
+// contributes at most MaxPerList candidates: everything further down
+// cannot outrank them. The liveness check is a dense array load
+// (live[account]) and the match filter reads the entry's cached match
+// type. live must cover every account with indexed bids — use
+// Platform.LiveSet, which restamps whenever the index epoch moves.
 //
 // Inactive ads never appear in posting lists (every deactivation path
 // goes through PauseAd → RemoveAd before the ad's bids are released), so
@@ -306,63 +310,6 @@ func (s Sublists) EligibleAppendLive(dst []BidRef, kw, cl int, form QueryForm, l
 		}
 		e := &list[i]
 		if !live[e.acct] {
-			continue
-		}
-		dst = append(dst, BidRef{Ad: e.ad, Bid: e.bid})
-		taken++
-	}
-	return dst
-}
-
-// EligibleAppendLive is the index-level convenience wrapper around
-// Sublists resolution plus the dense-liveness scan.
-func (x *Index) EligibleAppendLive(dst []BidRef, v verticals.Vertical, c market.Country, kw, cl int, form QueryForm, live []bool) []BidRef {
-	return x.Sublists(v, c).EligibleAppendLive(dst, kw, cl, form, live)
-}
-
-// Eligible enumerates the bids eligible for a query in the given vertical
-// and market on keyword kw (cluster cl) with the given form. Bids from
-// inactive ads or non-active accounts are filtered via the liveness check.
-// The result shares no storage with the index.
-func (x *Index) Eligible(v verticals.Vertical, c market.Country, kw, cl int, form QueryForm, alive func(AccountID) bool) []BidRef {
-	return x.EligibleAppend(nil, v, c, kw, cl, form, alive)
-}
-
-// EligibleAppend is the allocation-free closure-predicate variant of
-// Eligible: results are appended to dst (which may be a reused scratch
-// buffer) and the extended slice is returned. Callers that serve queries
-// in bulk should prefer EligibleAppendLive with a stamped liveness slice.
-func (x *Index) EligibleAppend(dst []BidRef, v verticals.Vertical, c market.Country, kw, cl int, form QueryForm, alive func(AccountID) bool) []BidRef {
-	ps := x.byVC[vcKey{v, c}]
-	if ps == nil {
-		return dst
-	}
-	// Lists are score-sorted, so stop after MaxPerList live candidates —
-	// everything further down cannot outrank them.
-	taken := 0
-	kwList := ps.kw[int32(kw)]
-	for i := range kwList {
-		if taken >= MaxPerList {
-			break
-		}
-		e := &kwList[i]
-		if !e.ad.Active || !alive(e.acct) {
-			continue
-		}
-		if !Matches(e.match, e.bid.KeywordID, kw, true, form) {
-			continue
-		}
-		dst = append(dst, BidRef{Ad: e.ad, Bid: e.bid})
-		taken++
-	}
-	taken = 0
-	brList := ps.broad[int32(cl)]
-	for i := range brList {
-		if taken >= MaxPerList {
-			break
-		}
-		e := &brList[i]
-		if !e.ad.Active || !alive(e.acct) {
 			continue
 		}
 		dst = append(dst, BidRef{Ad: e.ad, Bid: e.bid})

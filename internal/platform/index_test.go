@@ -31,7 +31,21 @@ func indexFixture(t *testing.T) (*Platform, *Account) {
 	return p, a
 }
 
-func alwaysAlive(AccountID) bool { return true }
+// allLive is a liveness stamp that filters nothing: every account of p
+// reads live.
+func allLive(p *Platform) []bool {
+	live := make([]bool, p.NumAccounts())
+	for i := range live {
+		live[i] = true
+	}
+	return live
+}
+
+// eligible is the serving lookup: resolve the (vertical, market) sublists,
+// then scan them against a liveness stamp.
+func eligible(x *Index, v verticals.Vertical, c market.Country, kw, cl int, form QueryForm, live []bool) []BidRef {
+	return x.Sublists(v, c).EligibleAppendLive(nil, kw, cl, form, live)
+}
 
 func TestMatchesSemantics(t *testing.T) {
 	// Exact: same keyword, bare form only.
@@ -87,45 +101,91 @@ func TestMatchesHierarchyProperty(t *testing.T) {
 
 func TestEligibleByForm(t *testing.T) {
 	p, _ := indexFixture(t)
-	x := p.Index()
-	// Bare query on keyword 3: exact + phrase + broad all eligible.
-	if got := x.Eligible(verticals.Games, market.US, 3, 1, FormBare, alwaysAlive); len(got) != 3 {
-		t.Fatalf("bare: %d eligible, want 3", len(got))
+	for _, tc := range []struct {
+		name   string
+		kw, cl int
+		form   QueryForm
+		want   int
+	}{
+		{"bare: exact + phrase + broad", 3, 1, FormBare, 3},
+		{"extended: phrase + broad", 3, 1, FormExtended, 2},
+		{"reordered: broad only", 3, 1, FormReordered, 1},
+		{"same-cluster other keyword: broad only", 7, 1, FormBare, 1},
+		{"other cluster: nothing", 9, 2, FormBare, 0},
+	} {
+		if got := eligible(p.Index(), verticals.Games, market.US, tc.kw, tc.cl, tc.form, allLive(p)); len(got) != tc.want {
+			t.Errorf("%s: %d eligible, want %d", tc.name, len(got), tc.want)
+		}
 	}
-	// Extended: phrase + broad.
-	if got := x.Eligible(verticals.Games, market.US, 3, 1, FormExtended, alwaysAlive); len(got) != 2 {
-		t.Fatalf("extended: %d eligible, want 2", len(got))
+}
+
+// TestEligibleAppendLiveAgreesWithMatches checks the posting-list scan
+// against the §5.3 reference predicate, one bid at a time: for every
+// match type, query form, keyword relation and liveness of the bidding
+// account, the bid is returned exactly when the account is live and
+// Matches accepts it.
+func TestEligibleAppendLiveAgreesWithMatches(t *testing.T) {
+	const bidKw, bidCl = 3, 1
+	queries := []struct {
+		name   string
+		kw, cl int
+	}{
+		{"same keyword", bidKw, bidCl},
+		{"other keyword, same cluster", 7, bidCl},
+		{"other keyword, other cluster", 9, 2},
 	}
-	// Reordered: broad only.
-	if got := x.Eligible(verticals.Games, market.US, 3, 1, FormReordered, alwaysAlive); len(got) != 1 {
-		t.Fatalf("reordered: %d eligible, want 1", len(got))
-	}
-	// Different keyword in the same cluster: broad only.
-	if got := x.Eligible(verticals.Games, market.US, 7, 1, FormBare, alwaysAlive); len(got) != 1 {
-		t.Fatalf("same-cluster other keyword: %d eligible, want 1", len(got))
-	}
-	// Different cluster: nothing.
-	if got := x.Eligible(verticals.Games, market.US, 9, 2, FormBare, alwaysAlive); len(got) != 0 {
-		t.Fatalf("other cluster: %d eligible, want 0", len(got))
+	for _, m := range MatchTypes {
+		p := New()
+		a := p.Register(RegistrationRequest{Country: market.US, PrimaryVertical: verticals.Games})
+		if err := p.Approve(a.ID); err != nil {
+			t.Fatal(err)
+		}
+		ad, err := p.CreateAd(a.ID, verticals.Games, market.US, adcopy.Creative{}, 0.5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddBid(ad, KeywordBid{KeywordID: bidKw, Cluster: bidCl, Match: m, MaxBid: 1}, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, form := range []QueryForm{FormBare, FormExtended, FormReordered} {
+			for _, q := range queries {
+				for _, live := range []bool{true, false} {
+					want := live && Matches(m, bidKw, q.kw, q.cl == bidCl, form)
+					got := eligible(p.Index(), verticals.Games, market.US, q.kw, q.cl, form, []bool{live})
+					if (len(got) == 1) != want || len(got) > 1 {
+						t.Errorf("%s bid, %s query, %s, live=%v: %d eligible, Matches says %v",
+							m, form, q.name, live, len(got), want)
+					}
+					if len(got) == 1 && (got[0].Ad != ad || got[0].Bid != ad.Bids[0]) {
+						t.Errorf("%s bid, %s query, %s: returned a different (ad, bid)", m, form, q.name)
+					}
+				}
+			}
+		}
 	}
 }
 
 func TestEligibleFiltersMarketAndVertical(t *testing.T) {
 	p, _ := indexFixture(t)
-	x := p.Index()
-	if got := x.Eligible(verticals.Games, market.DE, 3, 1, FormBare, alwaysAlive); len(got) != 0 {
-		t.Fatal("wrong market matched")
-	}
-	if got := x.Eligible(verticals.Luxury, market.US, 3, 1, FormBare, alwaysAlive); len(got) != 0 {
-		t.Fatal("wrong vertical matched")
+	for _, tc := range []struct {
+		name string
+		v    verticals.Vertical
+		c    market.Country
+	}{
+		{"wrong market", verticals.Games, market.DE},
+		{"wrong vertical", verticals.Luxury, market.US},
+	} {
+		if got := eligible(p.Index(), tc.v, tc.c, 3, 1, FormBare, allLive(p)); len(got) != 0 {
+			t.Errorf("%s matched", tc.name)
+		}
 	}
 }
 
 func TestEligibleFiltersDeadAccounts(t *testing.T) {
 	p, a := indexFixture(t)
 	x := p.Index()
-	dead := func(AccountID) bool { return false }
-	if got := x.Eligible(verticals.Games, market.US, 3, 1, FormBare, dead); len(got) != 0 {
+	// The stamp alone decides: the account is still active on the platform.
+	if got := eligible(x, verticals.Games, market.US, 3, 1, FormBare, make([]bool, p.NumAccounts())); len(got) != 0 {
 		t.Fatal("dead account served")
 	}
 	// Shutdown removes entries outright.
@@ -139,9 +199,8 @@ func TestEligibleFiltersDeadAccounts(t *testing.T) {
 
 func TestEligibleAppendReusesBuffer(t *testing.T) {
 	p, _ := indexFixture(t)
-	x := p.Index()
 	buf := make([]BidRef, 0, 16)
-	got := x.EligibleAppend(buf, verticals.Games, market.US, 3, 1, FormBare, alwaysAlive)
+	got := p.Index().Sublists(verticals.Games, market.US).EligibleAppendLive(buf, 3, 1, FormBare, allLive(p))
 	if len(got) != 3 || cap(got) != 16 {
 		t.Fatalf("append variant: len=%d cap=%d", len(got), cap(got))
 	}
@@ -163,7 +222,7 @@ func TestRemoveAdIsolation(t *testing.T) {
 		}
 	}
 	p.RetireAd(ad1)
-	got := p.Index().Eligible(verticals.Games, market.US, 0, 0, FormBare, alwaysAlive)
+	got := eligible(p.Index(), verticals.Games, market.US, 0, 0, FormBare, allLive(p))
 	if len(got) != 1 || got[0].Ad != ad2 {
 		t.Fatalf("wrong survivor: %d refs", len(got))
 	}
@@ -182,9 +241,9 @@ func TestIndexEpoch(t *testing.T) {
 	}
 
 	// Reads leave the epoch alone.
-	x.Eligible(verticals.Games, market.US, 3, 1, FormBare, alwaysAlive)
+	eligible(x, verticals.Games, market.US, 3, 1, FormBare, p.LiveSet())
 	if x.Epoch() != e0 {
-		t.Fatal("Eligible advanced the epoch")
+		t.Fatal("a lookup advanced the epoch")
 	}
 
 	ad := a.Ads[0]

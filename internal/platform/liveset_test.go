@@ -1,7 +1,7 @@
 package platform
 
 // Tests for the dense liveness bitmap the serving hot path filters with
-// (Platform.LiveSet + Index.EligibleAppendLive): the epoch-keyed stamp
+// (Platform.LiveSet + Sublists.EligibleAppendLive): the epoch-keyed stamp
 // must make every liveness transition visible to the very next lookup,
 // while fraud flags stay out of the stamp entirely (they are read live
 // per impression — the uncached-fraud rule), and the fast path must stay

@@ -195,7 +195,7 @@ func (p *Platform) Ledger() *Ledger { return p.ledger }
 func (p *Platform) Index() *Index { return p.index }
 
 // LiveSet returns a dense liveness bitmap indexed by AccountID, for use
-// with Index.EligibleAppendLive: live[id] is true iff the account is in
+// with Sublists.EligibleAppendLive: live[id] is true iff the account is in
 // StatusActive. The stamp is cached and keyed on the index epoch, which
 // is sound because every liveness transition of an account with indexed
 // bids removes those bids (and so bumps the epoch), and accounts that
@@ -372,15 +372,10 @@ func (p *Platform) Bill(acct AccountID, price float64) {
 	p.ledger.Charge(acct, price, a.StolenPayment)
 }
 
-// CountImpression increments the account's impression counter.
-func (p *Platform) CountImpression(acct AccountID) {
-	p.MustAccount(acct).Impressions++
-}
-
-// CountImpressions is the batched variant of CountImpression: sharded
-// serving counts impressions per worker and applies one delta per
-// account at the day barrier. Impression counters are plain sums, so the
-// batched apply is order-insensitive.
+// CountImpressions adds n to the account's impression counter: serving
+// counts impressions per worker and applies one delta per account at the
+// day barrier. Impression counters are plain sums, so the batched apply
+// is order-insensitive.
 func (p *Platform) CountImpressions(acct AccountID, n int64) {
 	p.MustAccount(acct).Impressions += n
 }

@@ -114,8 +114,8 @@ func TestSnapshotRoundTripByteEqual(t *testing.T) {
 	}
 	for _, c := range []market.Country{market.US, market.GB} {
 		for kw := 0; kw < 8; kw++ {
-			want := p.Index().Eligible(verticals.Downloads, c, kw, 1, FormBare, alwaysAlive)
-			got := q.Index().Eligible(verticals.Downloads, c, kw, 1, FormBare, alwaysAlive)
+			want := eligible(p.Index(), verticals.Downloads, c, kw, 1, FormBare, allLive(p))
+			got := eligible(q.Index(), verticals.Downloads, c, kw, 1, FormBare, allLive(q))
 			if len(got) != len(want) {
 				t.Fatalf("%s kw %d: %d eligible, want %d", c, kw, len(got), len(want))
 			}
@@ -130,7 +130,7 @@ func TestSnapshotRoundTripByteEqual(t *testing.T) {
 	// The restored index points at the restored ads' own bids, not copies.
 	ad := q.MustAccount(0).Ads[0]
 	found := false
-	for _, ref := range q.Index().Eligible(verticals.Downloads, ad.Target, ad.Bids[0].KeywordID, 0, FormBare, alwaysAlive) {
+	for _, ref := range eligible(q.Index(), verticals.Downloads, ad.Target, ad.Bids[0].KeywordID, 0, FormBare, allLive(q)) {
 		found = found || (ref.Ad == ad && ref.Bid == ad.Bids[0])
 	}
 	if !found {

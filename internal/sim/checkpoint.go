@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 
 	"repro/internal/eventlog"
 	"repro/internal/platform"
@@ -102,32 +101,7 @@ func stageCheckpoint(buf *bytes.Buffer, path string, c *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	return writeFileSync(path, frame)
-}
-
-// writeFileSync writes data to path (truncating) and fsyncs it, removing
-// the file on any failure so a half-written staging file never survives
-// its own error path.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return err
-	}
-	return nil
+	return eventlog.StageFile(path, frame, true)
 }
 
 // WriteCheckpoint atomically writes a checkpoint file.
@@ -136,15 +110,11 @@ func WriteCheckpoint(path string, c *Checkpoint) error {
 }
 
 func writeCheckpoint(buf *bytes.Buffer, path string, c *Checkpoint) error {
-	tmp := path + ".tmp"
+	tmp := path + eventlog.TmpSuffix
 	if err := stageCheckpoint(buf, tmp, c); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return eventlog.SyncDir(filepath.Dir(path))
+	return eventlog.CommitFile(tmp, path, true)
 }
 
 // ReadCheckpoint reads and validates a checkpoint file: magic, version,

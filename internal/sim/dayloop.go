@@ -15,10 +15,10 @@ package sim
 // simulation goroutine at a phase barrier, in canonical order, while the
 // embarrassingly parallel half (per-agent planning from private RNG
 // streams; per-account detector scans from per-account RNG streams) fans
-// out across the Workers pool. Worker count is therefore a pure
-// throughput knob for the whole day loop — every seeded byte (digests,
-// checkpoints, event logs) is identical at any Workers value, proven by
-// the differential matrix in dayloop_test.go.
+// out across Workers goroutines. Each phase has this one form, so the
+// worker count is a pure throughput knob for the whole day loop — every
+// seeded byte (digests, checkpoints, event logs) is identical at any
+// Workers value, proven by the differential matrix in dayloop_test.go.
 //
 // StepPhase exposes the phase boundaries to callers: checkpoints may be
 // taken between any two phases, not just between days, and resumed at a
@@ -228,10 +228,10 @@ func (s *Sim) arrivalsPhase(day simclock.Day) {
 // goroutine of its own while plans are made and applied, and joins it
 // before returning: no goroutine outlives a StepPhase call. Serving then
 // takes the drawn queries instead of drawing them. Between the two phases
-// the generator is a day ahead of the fused engine, so Snapshot writes
-// pre, the state recorded before the draw — a restore at that boundary
-// redraws the same queries — and every seeded byte stays identical at
-// any worker count.
+// the generator is a day ahead of a run that draws in the serving phase,
+// so Snapshot writes pre, the state recorded before the draw — a restore
+// at that boundary redraws the same queries — and every seeded byte stays
+// identical at any worker count.
 type queryDraw struct {
 	qs      []queries.Query        // the day's queries; reused every day
 	pre     queries.GeneratorState // generator state before the draw
@@ -306,8 +306,8 @@ func (s *Sim) takeDrawn() []queries.Query {
 // campaign steps via runAgents. With more than one worker the day's
 // queries are drawn meanwhile (see queryDraw). The draw is for this day's
 // serving phase, which StepPhase runs next, so none is ever started for a
-// day past the horizon and the generator ends a run where the fused
-// engine leaves it.
+// day past the horizon and the generator ends a run where a one-worker
+// run leaves it.
 func (s *Sim) agentPhase(day simclock.Day) {
 	if s.resolveWorkers() > 1 {
 		s.startDraw()
@@ -331,43 +331,28 @@ func (s *Sim) agentPhase(day simclock.Day) {
 	s.runAgents(day)
 }
 
-// runAgents steps every live agent once. With one worker the fused
-// plan+apply loop runs inline. With more, planning — all RNG draws,
+// runAgents steps every live agent once. Planning — all RNG draws,
 // against frozen account state — fans out over contiguous blocks of the
 // live list, and the recorded plans are applied on this goroutine in
-// live order, so platform mutations, collector folds and event bytes
-// land exactly as the fused loop would have landed them. (Plans only
-// read the planning agent's own account, so a plan never depends on
-// another agent's apply; the fused and staged forms are equivalent.)
+// live order, which fixes the order of platform mutations, collector
+// folds and event bytes. (Plans only read the planning agent's own
+// account, so a plan never depends on another agent's apply.)
 func (s *Sim) runAgents(day simclock.Day) {
 	n := len(s.live)
-	w := s.resolveWorkers()
-	if w > n {
-		w = n
+	w := min(s.resolveWorkers(), n)
+	for len(s.plans) < w {
+		s.plans = append(s.plans, new(agents.StepPlan))
 	}
-	if w <= 1 {
-		for _, a := range s.live {
-			s.runtime.Step(a, day)
+	fanOut(w, n, func(k, lo, hi int) {
+		s.plans[k].Reset()
+		for _, a := range s.live[lo:hi] {
+			s.runtime.PlanStep(a, day, s.plans[k])
 		}
-		return
-	}
-	for len(s.plans) < n {
-		s.plans = append(s.plans, agents.StepPlan{})
-	}
-	plans := s.plans[:n]
-	var wg sync.WaitGroup
+	})
 	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for i := k * n / w; i < (k+1)*n/w; i++ {
-				s.runtime.PlanStep(s.live[i], day, &plans[i])
-			}
-		}(k)
-	}
-	wg.Wait()
-	for i, a := range s.live {
-		s.runtime.ApplyStep(a, day, &plans[i])
+		for i, a := range s.live[k*n/w : (k+1)*n/w] {
+			s.runtime.ApplyStep(a, day, s.plans[k], i)
+		}
 	}
 }
 

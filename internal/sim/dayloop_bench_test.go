@@ -67,7 +67,8 @@ type DayloopBenchMode struct {
 	DetectionNsPerDay float64 `json:"detection_ns_per_day"`
 	// The draw-ahead inside the agents phase (PhaseTimes.QueryDraw and
 	// DrawWait): the draw runs beside plan/apply, only the wait is part
-	// of agents_ns_per_day. Both are zero at workers=1.
+	// of agents_ns_per_day. Both are zero at workers=1, where there is no
+	// draw-ahead and the draw is part of serving_ns_per_day.
 	QueryDrawNsPerDay float64 `json:"query_draw_ns_per_day"`
 	DrawWaitNsPerDay  float64 `json:"draw_wait_ns_per_day"`
 
@@ -95,7 +96,7 @@ type DayloopBenchReport struct {
 func measureDayloop(tb testing.TB, state []byte, workers, days int) DayloopBenchMode {
 	tb.Helper()
 	s := restoreServing(tb, state, workers)
-	s.Step() // untimed shakedown: plan scratch, shard buffers, page cache
+	s.Step() // untimed shakedown: plan buffers, shard buffers, page cache
 	var pt PhaseTimes
 	s.SetPhaseTimes(&pt)
 	start := time.Now()
@@ -153,12 +154,13 @@ func dayloopBenchReport(tb testing.TB, state []byte, cfgName string, workerCount
 		modes = append(modes, measureDayloop(tb, state, w, days))
 	}
 	note := "wall time and heap allocations per simulated day, split by phase (arrivals is " +
-		"sequential by design; agents, serving and detection parallelize with workers); " +
+		"sequential by design; agents, serving and detection run one freeze-then-merge form " +
+		"whose fan-out is workers, so the workers=1 row is the same code as the others); " +
 		"allocation counts come from an untimed second pass over the same days; " +
 		"at workers > 1 the day's query draw (serving's phase A) runs inside the agents phase " +
 		"beside plan/apply — query_draw_ns_per_day is its cost, draw_wait_ns_per_day the part " +
-		"agents blocked on — so against a record from before that move compare ns_per_day, " +
-		"not the agents/serving split"
+		"agents blocked on — while at workers=1 serving draws for itself, so compare " +
+		"ns_per_day across rows, not the agents/serving split"
 	if procs == 1 {
 		note += "; HOST HAS 1 CPU: multi-worker modes run time-sliced on one core, " +
 			"so the parallel speedup is not observable here — rerun on a multi-core host"

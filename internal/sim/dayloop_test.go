@@ -50,12 +50,12 @@ func diffEvents(t *testing.T, want, got []eventlog.Event) {
 		}
 	}
 	if len(want) != len(got) {
-		t.Fatalf("event log has %d records, sequential log has %d", len(got), len(want))
+		t.Fatalf("event log has %d records, reference log has %d", len(got), len(want))
 	}
 }
 
 // TestParallelDayLoopMatrix is the acceptance matrix for the whole day
-// loop: for each seed, Workers ∈ {2, 5} must reproduce the sequential
+// loop: for each seed, Workers ∈ {2, 5} must reproduce the one-worker
 // run's dataset digests AND its event log byte for byte — registrations,
 // campaign edits, impressions, detections, every record in the same
 // order. Unlike the serving-only matrix this exercises the agent
@@ -66,18 +66,40 @@ func TestParallelDayLoopMatrix(t *testing.T) {
 		t.Skip("runs a grid of simulations")
 	}
 	for _, seed := range []uint64{11, 23} {
-		seqDigest, seqLog := runDigestAndLog(t, matrixConfig(seed, 1))
+		oneDigest, oneLog := runDigestAndLog(t, matrixConfig(seed, 1))
 		for _, workers := range []int{2, 5} {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
 				gotDigest, gotLog := runDigestAndLog(t, matrixConfig(seed, workers))
-				if !bytes.Equal(seqDigest, gotDigest) {
-					t.Fatalf("workers=%d diverged from sequential day loop:\n%s",
-						workers, testutil.Diff(string(seqDigest), string(gotDigest)))
+				if !bytes.Equal(oneDigest, gotDigest) {
+					t.Fatalf("workers=%d diverged from the one-worker day loop:\n%s",
+						workers, testutil.Diff(string(oneDigest), string(gotDigest)))
 				}
-				diffEvents(t, seqLog, gotLog)
+				diffEvents(t, oneLog, gotLog)
 			})
 		}
 	}
+}
+
+// TestEmptyWorld runs a world with no queries, no advertisers and no
+// arrivals: serving fans out over empty blocks and the agents and
+// detection fan-outs, min(workers, 0) wide, have no block at all. That
+// must run clean and land on one digest at any worker count.
+func TestEmptyWorld(t *testing.T) {
+	empty := func(workers int) sim.Config {
+		cfg := matrixConfig(3, workers)
+		cfg.Days = 5
+		cfg.QueriesPerDay = 0
+		cfg.InitialLegit = 0
+		cfg.RegistrationsPerDay = 0
+		return cfg
+	}
+	oneDigest, oneLog := runDigestAndLog(t, empty(1))
+	gotDigest, gotLog := runDigestAndLog(t, empty(4))
+	if !bytes.Equal(oneDigest, gotDigest) {
+		t.Fatalf("workers=4 diverged from the one-worker run:\n%s",
+			testutil.Diff(string(oneDigest), string(gotDigest)))
+	}
+	diffEvents(t, oneLog, gotLog)
 }
 
 // TestPhaseBoundaryCheckpointResume checkpoints between the agent and
@@ -85,7 +107,7 @@ func TestParallelDayLoopMatrix(t *testing.T) {
 // StepPhase exposes the phase cursor — and proves the snapshot is
 // portable across worker counts: a workers=3 run snapshotted mid-day,
 // restored, and finished at workers=6 lands on the same digest as an
-// uninterrupted sequential run, and so does the donor run it was
+// uninterrupted one-worker run, and so does the donor run it was
 // snapshotted from.
 func TestPhaseBoundaryCheckpointResume(t *testing.T) {
 	if testing.Short() {
@@ -206,11 +228,10 @@ func boundarySnapshots(t *testing.T, cfg sim.Config) [][sha256.Size]byte {
 // TestDrawAheadBoundary stops a workers=3 run between the agents and
 // serving phases of a mid-run day, where the day's queries are drawn but
 // not served, and takes each way out of that boundary the draw-ahead has
-// to survive: serving on the fused one-worker loop (SetWorkers(1)), on a
-// rebuilt engine of another size (SetWorkers(4)), and on a Sim restored
-// from a snapshot, which holds no drawn queries and must redraw the same
-// ones. Each must finish on the sequential run's digest and event log,
-// record for record.
+// to survive: serving on a rebuilt engine of one worker (SetWorkers(1))
+// or of four (SetWorkers(4)), and on a Sim restored from a snapshot,
+// which holds no drawn queries and must redraw the same ones. Each must
+// finish on the one-worker run's digest and event log, record for record.
 func TestDrawAheadBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several partial simulations")
@@ -253,7 +274,7 @@ func TestDrawAheadBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(wantDigest, got) {
-				t.Fatalf("diverged from the sequential run:\n%s", testutil.Diff(string(wantDigest), string(got)))
+				t.Fatalf("diverged from the one-worker run:\n%s", testutil.Diff(string(wantDigest), string(got)))
 			}
 			diffEvents(t, wantLog, sink.Events)
 		})

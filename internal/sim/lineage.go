@@ -141,7 +141,7 @@ func (r *LineageReport) String() string {
 // staging and rename. It reports the path removed ("" if none) and is
 // called by both Load and Save, so a lineage heals on the first touch.
 func (l Lineage) SweepTmp() (string, error) {
-	tmp := l.Path + ".tmp"
+	tmp := l.Path + eventlog.TmpSuffix
 	if _, err := os.Stat(tmp); err != nil {
 		if os.IsNotExist(err) {
 			return "", nil
@@ -163,7 +163,7 @@ func (l Lineage) Save(c *Checkpoint) error {
 }
 
 func (l Lineage) save(buf *bytes.Buffer, c *Checkpoint) error {
-	tmp := l.Path + ".tmp"
+	tmp := l.Path + eventlog.TmpSuffix
 	if err := stageCheckpoint(buf, tmp, c); err != nil {
 		return err
 	}
@@ -176,11 +176,7 @@ func (l Lineage) save(buf *bytes.Buffer, c *Checkpoint) error {
 			return err
 		}
 	}
-	if err := os.Rename(tmp, l.Path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := eventlog.SyncDir(filepath.Dir(l.Path)); err != nil {
+	if err := eventlog.CommitFile(tmp, l.Path, true); err != nil {
 		return err
 	}
 	// Prune generations beyond the retention (a shrunk Retain, or the

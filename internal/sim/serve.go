@@ -1,17 +1,16 @@
 package sim
 
 // The serving engine: the day's query → auction → click → billing loop,
-// runnable either on the simulation goroutine (Workers <= 1) or sharded
-// across a worker pool (Workers > 1) with byte-identical outcomes.
+// sharded across Workers goroutines with byte-identical outcomes at any
+// worker count.
 //
 // The determinism contract (DESIGN.md "Parallel serving") rests on three
-// facts about stepDay: campaign and account state is frozen while
+// facts about a simulated day: campaign and account state is frozen while
 // serving runs (arrivals, agent steps and detection all happen outside
 // the serving phase), the query stream and the click stream are each one
 // sequential RNG, and every order-sensitive accumulation is either a
 // commutative integer count or a float sum applied at the day barrier in
-// global query order. Concretely the sharded path runs five sub-phases
-// per day:
+// global query order. Concretely a day's serving runs five sub-phases:
 //
 //	A. take the day's queries as the agents phase drew them ahead
 //	   (queryDraw in dayloop.go), else draw them now, sequentially — one
@@ -21,8 +20,8 @@ package sim
 //	   the frozen index — through a per-worker, epoch-invalidated page
 //	   cache — and records each query's click-RNG draw count;
 //	C. derive each query's click-RNG substream sequentially from the
-//	   master click stream (stats.SubStreams), advancing the master
-//	   exactly as sequential serving would;
+//	   master click stream (stats.SubStreams), which advances the master
+//	   by the day's total draw count;
 //	D. workers roll clicks for their queries from the private substreams
 //	   and stage outcomes: commutative counters in a
 //	   dataset.ShardAccumulator, clicks as ordered ClickRows, events in
@@ -32,12 +31,9 @@ package sim
 //	   query order: counter merges, then billing + spend + click folds
 //	   row by row, then event flush.
 //
-// Workers <= 1 uses a fused single-pass loop (the pre-sharding engine)
-// over the same page cache, so the sequential path keeps its speed and
-// the parallel path provably matches it byte for byte (see the digest
-// matrix in serve_test.go). It draws each query as it serves it, unless
-// SetWorkers(1) was called after a draw-ahead, in which case it too takes
-// the drawn queries.
+// One worker runs the same five sub-phases over a single block, so the
+// worker count selects a fan-out, never an implementation (see the digest
+// matrix in serve_test.go).
 
 import (
 	"fmt"
@@ -102,15 +98,13 @@ func checkPageKeyWidths(keywords, verticals, countries int) error {
 }
 
 // page is one cached auction outcome: the placements, each placement's
-// click probability, its ad's vertical index, the owning account (the
-// fraud-presence loops read the flag straight off the pointer), and how
-// many click-RNG draws rolling the page consumes (one per probability
-// strictly inside (0,1) — exactly what clicks.Model.SimulateInto would
-// draw).
+// click probability, the owning account (the fraud-presence loops read
+// the flag straight off the pointer), and how many click-RNG draws
+// rolling the page consumes (one per probability strictly inside (0,1) —
+// exactly what clicks.Model.SimulateInto would draw).
 type page struct {
 	placements []auction.Placement
 	cps        []float64
-	vis        []int32
 	accts      []*platform.Account
 	draws      int32
 }
@@ -118,7 +112,7 @@ type page struct {
 // pagePool recycles page structs and their backing slices across epochs:
 // pages live exactly as long as the cache that holds them, so when the
 // cache is invalidated the pool rewinds and the next day's misses reuse
-// the same storage instead of reallocating four slices per page.
+// the same storage instead of reallocating three slices per page.
 type pagePool struct {
 	chunks [][]page
 	used   int
@@ -135,7 +129,6 @@ func (pp *pagePool) get() *page {
 	pg := &pp.chunks[ci][pi]
 	pg.placements = pg.placements[:0]
 	pg.cps = pg.cps[:0]
-	pg.vis = pg.vis[:0]
 	pg.accts = pg.accts[:0]
 	pg.draws = 0
 	return pg
@@ -180,9 +173,8 @@ type shard struct {
 	subs [][]subEntry
 
 	// Scratch reused across queries.
-	eligBuf  []platform.BidRef
-	scr      auction.Scratch
-	clickBuf []int
+	eligBuf []platform.BidRef
+	scr     auction.Scratch
 
 	// Per-day staging, folded at the day barrier.
 	acc    dataset.ShardAccumulator
@@ -194,8 +186,7 @@ type shard struct {
 // serveEngine owns the worker shards and the per-day substream tables;
 // queries is the day's stream, which the Sim owns (queryDraw).
 type serveEngine struct {
-	workers int
-	shards  []*shard
+	shards []*shard
 
 	queries []queries.Query
 	draws   []int32
@@ -203,16 +194,27 @@ type serveEngine struct {
 }
 
 func newServeEngine(workers int) *serveEngine {
-	e := &serveEngine{workers: workers, shards: make([]*shard, workers)}
+	e := &serveEngine{shards: make([]*shard, workers)}
 	for i := range e.shards {
 		e.shards[i] = &shard{}
 	}
 	return e
 }
 
-// bounds returns worker k's contiguous query-index block [lo, hi).
-func (e *serveEngine) bounds(k, n int) (int, int) {
-	return k * n / e.workers, (k + 1) * n / e.workers
+// fanOut splits [0, n) into w contiguous blocks — block order is index
+// order — runs fn(k, lo, hi) for block k = [lo, hi) on a goroutine of its
+// own, and waits for all of them. Serving's phases B and D and the
+// agents phase's planning all fan out through it.
+func fanOut(w, n int, fn func(k, lo, hi int)) {
+	var wg sync.WaitGroup
+	for k := 0; k < w; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(k, k*n/w, (k+1)*n/w)
+		}()
+	}
+	wg.Wait()
 }
 
 // ensureEpoch drops every cached page (and rewinds the page pool and
@@ -266,14 +268,10 @@ func (sh *shard) page(s *Sim, q *queries.Query, live []bool) *page {
 		res := auction.RunInto(s.cfg.Auction, sh.eligBuf, q.Form, &sh.scr)
 		if len(res.Placements) > 0 {
 			pg.placements = append(pg.placements, res.Placements...)
-			// Every eligible ad sits in the query's own (vertical, country)
-			// posting group, so its vertical index is the query's.
-			vi := int32(q.VerticalIdx)
 			for i := range pg.placements {
 				pl := &pg.placements[i]
 				cp := s.model.ClickProbability(*pl)
 				pg.cps = append(pg.cps, cp)
-				pg.vis = append(pg.vis, vi)
 				pg.accts = append(pg.accts, s.p.MustAccount(pl.Ref.Ad.Account))
 				if cp > 0 && cp < 1 {
 					pg.draws++
@@ -287,130 +285,13 @@ func (sh *shard) page(s *Sim, q *queries.Query, live []bool) *page {
 	return pg
 }
 
-// rollClicksInto mirrors clicks.Model.SimulateInto over precomputed
-// click probabilities: same draw pattern, same outcomes, no recompute.
-func rollClicksInto(rng *stats.RNG, cps []float64, buf []int) []int {
-	buf = buf[:0]
-	for i, cp := range cps {
-		if rng.Bool(cp) {
-			buf = append(buf, i)
-		}
-	}
-	return buf
-}
-
 // serveQueries runs the day's query volume through the auction and click
-// model, on one goroutine or the worker pool per the Workers setting.
+// model; see the file comment for the A–E phase structure and why each
+// phase preserves byte identity.
 func (s *Sim) serveQueries(day simclock.Day) {
 	if s.eng == nil {
 		s.eng = newServeEngine(s.resolveWorkers())
 	}
-	if s.eng.workers > 1 {
-		s.serveQueriesSharded(day)
-	} else {
-		s.serveQueriesSequential(day)
-	}
-	s.res.RevenueLost = s.p.Ledger().TotalLost()
-}
-
-// serveQueriesSequential is the fused single-goroutine loop: one pass
-// per query doing the draw, auction (via the page cache), click rolls off
-// the master click stream, and immediate folds. Events are staged in the
-// shard buffer and flushed in one batch at the end of the phase — the
-// order the sink sees is unchanged.
-func (s *Sim) serveQueriesSequential(day simclock.Day) {
-	sh := s.eng.shards[0]
-	sh.ensureEpoch(s.p.Index().Epoch())
-	sink := s.events
-	sh.events = sh.events[:0]
-	live := s.p.LiveSet()
-	drawn := s.takeDrawn()
-	for i := 0; i < s.cfg.QueriesPerDay; i++ {
-		var q queries.Query
-		if drawn != nil {
-			q = drawn[i]
-		} else {
-			q = s.qgen.Next()
-		}
-		pg := sh.page(s, &q, live)
-		if len(pg.placements) == 0 {
-			continue
-		}
-		s.res.Auctions++
-
-		// Ground-truth fraud presence per page: an ad competes with fraud
-		// when another shown ad belongs to a fraudulent account. Never
-		// cached — fraud flags flip without an index mutation.
-		fraudShown := 0
-		for _, a := range pg.accts {
-			if a.Fraud {
-				fraudShown++
-			}
-		}
-
-		sh.clickBuf = rollClicksInto(s.clickRNG, pg.cps, sh.clickBuf)
-		clicked := sh.clickBuf
-		country := string(q.Country)
-		ci := 0
-		for pi := range pg.placements {
-			pl := &pg.placements[pi]
-			acct := pg.accts[pi]
-			isFraud := acct.Fraud
-			fraudComp := fraudShown > 0
-			if isFraud {
-				fraudComp = fraudShown > 1
-			}
-			wasClicked := ci < len(clicked) && clicked[ci] == pi
-			price := 0.0
-			if wasClicked {
-				ci++
-				price = pl.Price
-				s.p.Bill(acct.ID, price)
-				s.res.Clicks++
-				s.res.Spend += price
-				if isFraud {
-					s.res.FraudClicks++
-					s.res.FraudSpend += price
-				}
-			}
-			s.p.CountImpression(acct.ID)
-			s.res.Impressions++
-			s.col.Impression(day, acct.ID, isFraud, int(pg.vis[pi]),
-				q.Country, pl.Position, pl.Ref.Bid.Match, fraudComp, wasClicked, price)
-			if sink != nil {
-				var flags uint8
-				if isFraud {
-					flags |= eventlog.FlagFraud
-				}
-				if fraudComp {
-					flags |= eventlog.FlagFraudComp
-				}
-				if wasClicked {
-					flags |= eventlog.FlagClicked
-				}
-				sh.events = append(sh.events, eventlog.Event{
-					Type:     eventlog.TypeImpression,
-					Day:      int32(day),
-					Account:  int32(acct.ID),
-					Vertical: pg.vis[pi],
-					Country:  country,
-					Position: int32(pl.Position),
-					Match:    uint8(pl.Ref.Bid.Match),
-					Flags:    flags,
-					Amount:   price,
-				})
-			}
-		}
-	}
-	if sink != nil {
-		eventlog.AppendAll(sink, sh.events)
-	}
-}
-
-// serveQueriesSharded is the worker-pool engine; see the package comment
-// for the A–E phase structure and why each phase preserves byte
-// identity.
-func (s *Sim) serveQueriesSharded(day simclock.Day) {
 	e := s.eng
 	n := s.cfg.QueriesPerDay
 
@@ -431,33 +312,17 @@ func (s *Sim) serveQueriesSharded(day simclock.Day) {
 	live := s.p.LiveSet()
 
 	// Phase B: eligibility + auctions against the frozen index.
-	var wg sync.WaitGroup
-	for k := 0; k < e.workers; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			s.shardAuctions(day, k, n, nWin, epoch, live)
-		}(k)
-	}
-	wg.Wait()
+	fanOut(len(e.shards), n, func(k, lo, hi int) { s.shardAuctions(k, lo, hi, nWin, epoch, live) })
 
 	// Phase C: partition the master click stream by per-query draw
-	// count. After this the master has advanced exactly as sequential
-	// serving would have.
+	// count; the master ends the day advanced by their sum.
 	e.states = stats.SubStreams(s.clickRNG, e.draws, e.states[:0])
 
 	// Phase D: click rolls and outcome staging from private substreams.
-	for k := 0; k < e.workers; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			s.shardClicks(day, k, n)
-		}(k)
-	}
-	wg.Wait()
+	fanOut(len(e.shards), n, func(k, lo, hi int) { s.shardClicks(day, k, lo, hi) })
 
 	// Phase E: deterministic fold, shard by shard — global query order.
-	for k := 0; k < e.workers; k++ {
+	for k := range e.shards {
 		sh := e.shards[k]
 		s.res.Auctions += sh.acc.Auctions
 		s.res.Impressions += sh.acc.Impressions
@@ -478,15 +343,15 @@ func (s *Sim) serveQueriesSharded(day simclock.Day) {
 			eventlog.AppendAll(s.events, sh.events)
 		}
 	}
+	s.res.RevenueLost = s.p.Ledger().TotalLost()
 }
 
-// shardAuctions is phase B for one worker: resolve every query in the
-// block through the page cache and record its draw count. All writes are
-// shard-private or to this block's slice of e.draws.
-func (s *Sim) shardAuctions(day simclock.Day, k, n, nWin int, epoch uint64, live []bool) {
+// shardAuctions is phase B for worker k: resolve every query in its
+// block [lo, hi) through the page cache and record its draw count. All
+// writes are shard-private or to this block's slice of e.draws.
+func (s *Sim) shardAuctions(k, lo, hi, nWin int, epoch uint64, live []bool) {
 	e := s.eng
 	sh := e.shards[k]
-	lo, hi := e.bounds(k, n)
 	sh.ensureEpoch(epoch)
 	sh.acc.BeginDay(nWin)
 	sh.clicks = sh.clicks[:0]
@@ -508,13 +373,12 @@ func (s *Sim) shardAuctions(day simclock.Day, k, n, nWin int, epoch uint64, live
 	}
 }
 
-// shardClicks is phase D for one worker: roll clicks for each query from
-// its private substream (bit-identical to the sequential rolls) and
-// stage counter increments, click rows and events.
-func (s *Sim) shardClicks(day simclock.Day, k, n int) {
+// shardClicks is phase D for worker k: roll clicks for each query of its
+// block [lo, hi) from the query's private substream and stage counter
+// increments, click rows and events.
+func (s *Sim) shardClicks(day simclock.Day, k, lo, hi int) {
 	e := s.eng
 	sh := e.shards[k]
-	lo, hi := e.bounds(k, n)
 	logging := s.events != nil
 	var rng stats.RNG
 	for gi := lo; gi < hi; gi++ {
@@ -526,6 +390,9 @@ func (s *Sim) shardClicks(day simclock.Day, k, n int) {
 		q := &e.queries[gi]
 		rng.SetState(e.states[gi])
 		country := string(q.Country)
+		// Every eligible ad sits in the query's own (vertical, country)
+		// posting group, so its vertical index is the query's.
+		vi := int32(q.VerticalIdx)
 		for pi := range pg.placements {
 			pl := &pg.placements[pi]
 			clicked := rng.Bool(pg.cps[pi])
@@ -541,7 +408,7 @@ func (s *Sim) shardClicks(day simclock.Day, k, n int) {
 				price = pl.Price
 				sh.clicks = append(sh.clicks, dataset.ClickRow{
 					Account:   acctID,
-					Vertical:  pg.vis[pi],
+					Vertical:  vi,
 					Match:     pl.Ref.Bid.Match,
 					Country:   q.Country,
 					Fraud:     isFraud,
@@ -564,7 +431,7 @@ func (s *Sim) shardClicks(day simclock.Day, k, n int) {
 					Type:     eventlog.TypeImpression,
 					Day:      int32(day),
 					Account:  int32(acctID),
-					Vertical: pg.vis[pi],
+					Vertical: vi,
 					Country:  country,
 					Position: int32(pl.Position),
 					Match:    uint8(pl.Ref.Bid.Match),

@@ -10,7 +10,7 @@ package sim
 // record, runs the draw-ahead off the clock as a live day does.
 //
 // TestWriteServingBenchJSON is the `make bench-serving` entry point: it
-// measures sequential versus Workers=GOMAXPROCS throughput and writes
+// measures Workers=1 versus Workers=GOMAXPROCS throughput and writes
 // BENCH_serving.json at the repo root. The report records GOMAXPROCS —
 // on a single-CPU host the parallel numbers are necessarily ~1×, and the
 // file says so rather than pretending otherwise.
@@ -114,7 +114,8 @@ type ServingBenchMode struct {
 	NsPerQuery    float64 `json:"ns_per_query"`
 	// QueryDrawNsPerDay is the day's query draw when it happens ahead of
 	// the serving phase and so outside ns_per_query: workers > 1. At
-	// workers=1 it is zero and the draw is part of ns_per_query.
+	// workers=1 there is no draw-ahead: it is zero, and serving's phase A
+	// draws the queries inside ns_per_query.
 	QueryDrawNsPerDay float64 `json:"query_draw_ns_per_day"`
 	// AllocsPerDay counts heap allocations per served day (process-wide
 	// Mallocs delta bracketing the measured loop, so worker-goroutine
@@ -167,25 +168,25 @@ func measureServing(tb testing.TB, state []byte, day simclock.Day, qpd, workers,
 	}
 }
 
-// servingBenchReport measures sequential versus pooled serving over the
-// given warmed state and assembles the report.
+// servingBenchReport measures serving at one worker and at GOMAXPROCS
+// workers over the given warmed state and assembles the report.
 func servingBenchReport(tb testing.TB, state []byte, day simclock.Day, cfgName string, qpd, days int) ServingBenchReport {
 	pooled := runtime.GOMAXPROCS(0)
 	modes := []ServingBenchMode{measureServing(tb, state, day, qpd, 1, days)}
 	if pooled > 1 {
 		modes = append(modes, measureServing(tb, state, day, qpd, pooled, days))
 	} else {
-		// One CPU: the pool cannot beat sequential, but still measure the
-		// sharded engine's overhead at a multi-worker setting.
+		// One CPU: more workers cannot beat one, but still measure what the
+		// fan-out costs at a multi-worker setting.
 		modes = append(modes, measureServing(tb, state, day, qpd, 4, days))
 	}
 	note := "queries/sec for one day of serving, cold page cache per day; " +
-		"sequential (workers=1) vs pooled (workers=GOMAXPROCS); the pooled mode's query draw " +
-		"(phase A) happens ahead of serving, in the agents phase, and is reported apart as " +
-		"query_draw_ns_per_day — against a record from before that move its ns_per_query is " +
-		"lower by the draw, so judge the day loop by BENCH_dayloop.json's ns_per_day"
+		"the same five-sub-phase code at workers=1 and at workers=GOMAXPROCS; at workers > 1 " +
+		"the query draw (phase A) happens ahead of serving, in the agents phase, and is " +
+		"reported apart as query_draw_ns_per_day, at workers=1 serving draws for itself and " +
+		"the draw is inside ns_per_query — so judge the day loop by BENCH_dayloop.json's ns_per_day"
 	if pooled == 1 {
-		note += "; HOST HAS 1 CPU: pooled mode runs 4 workers time-sliced on one core, " +
+		note += "; HOST HAS 1 CPU: the second mode runs 4 workers time-sliced on one core, " +
 			"so the parallel speedup is not observable here — rerun on a multi-core host"
 	}
 	return ServingBenchReport{

@@ -1,11 +1,12 @@
 // Parallel-serving suite: serve.go's contract is that Workers is a pure
 // throughput knob — every seeded outcome (dataset digests, billing,
 // event records, RNG stream positions) is byte-identical across worker
-// counts. These tests prove it two ways: a digest matrix across
-// workers × seeds, and mid-run snapshot byte-equality plus
-// checkpoint/resume across a worker-count change; dayloop_test.go adds
-// the record-for-record event-log comparison. CI runs the matrix under
-// -race, which also makes it the data-race proof for the phase structure.
+// counts. These tests prove it two ways: a digest and event-log matrix
+// across workers × seeds, and mid-run snapshot byte-equality plus
+// checkpoint/resume across a worker-count change. The reference is the
+// Workers = 1 run, which TestGoldenDatasetDigest pins to absolute bytes.
+// CI runs the matrix under -race, which also makes it the data-race proof
+// for the phase structure.
 package sim_test
 
 import (
@@ -32,31 +33,32 @@ func matrixConfig(seed uint64, workers int) sim.Config {
 
 // TestParallelServingDigestMatrix is the acceptance matrix: for each
 // seed, Workers ∈ {2, 4, 7} must produce dataset digests byte-identical
-// to the sequential engine (Workers = 1) — not just totals, but every
-// account aggregate, float spend sum, ledger entry and detection record.
-// Worker counts that do not divide the query volume exercise the uneven
-// shard-boundary arithmetic.
+// to the Workers = 1 run — not just totals, but every account aggregate,
+// float spend sum, ledger entry and detection record — and the same
+// event log, record for record. Worker counts that do not divide the
+// query volume exercise the uneven shard-boundary arithmetic.
 func TestParallelServingDigestMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a grid of simulations")
 	}
 	for _, seed := range []uint64{7, 31} {
-		seq := digestBytes(t, matrixConfig(seed, 1))
+		one, oneLog := runDigestAndLog(t, matrixConfig(seed, 1))
 		for _, workers := range []int{2, 4, 7} {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				got := digestBytes(t, matrixConfig(seed, workers))
-				if !bytes.Equal(seq, got) {
-					t.Fatalf("workers=%d diverged from sequential engine:\n%s",
-						workers, testutil.Diff(string(seq), string(got)))
+				got, gotLog := runDigestAndLog(t, matrixConfig(seed, workers))
+				if !bytes.Equal(one, got) {
+					t.Fatalf("workers=%d diverged from the one-worker run:\n%s",
+						workers, testutil.Diff(string(one), string(got)))
 				}
+				diffEvents(t, oneLog, gotLog)
 			})
 		}
 	}
 }
 
 // TestParallelCheckpointResume proves worker count is orthogonal to the
-// checkpoint trajectory: a parallel run and a sequential run snapshot
-// byte-identically mid-window, and a run resumed from the parallel
+// checkpoint trajectory: a three-worker run and a one-worker run snapshot
+// byte-identically mid-window, and a run resumed from the three-worker
 // snapshot with yet another worker count finishes on the same digest as
 // both uninterrupted runs.
 func TestParallelCheckpointResume(t *testing.T) {
@@ -83,19 +85,19 @@ func TestParallelCheckpointResume(t *testing.T) {
 	}
 
 	par := sim.New(matrixConfig(13, 3))
-	seq := sim.New(matrixConfig(13, 1))
+	one := sim.New(matrixConfig(13, 1))
 	stepTo(par, snapDay)
-	stepTo(seq, snapDay)
+	stepTo(one, snapDay)
 
 	// Workers is the one config field allowed to differ; normalize it and
 	// the remaining state must be byte-identical — platform tables, RNG
 	// stream positions, collector aggregates, everything.
 	par.SetWorkers(0)
-	seq.SetWorkers(0)
-	parBytes, seqBytes := encode(par), encode(seq)
-	if !bytes.Equal(parBytes, seqBytes) {
-		t.Fatalf("mid-run snapshots differ between parallel and sequential runs (%d vs %d bytes)",
-			len(parBytes), len(seqBytes))
+	one.SetWorkers(0)
+	parBytes, oneBytes := encode(par), encode(one)
+	if !bytes.Equal(parBytes, oneBytes) {
+		t.Fatalf("mid-run snapshots differ between the three-worker and one-worker runs (%d vs %d bytes)",
+			len(parBytes), len(oneBytes))
 	}
 
 	finish := func(s *sim.Sim) []byte {
@@ -109,7 +111,7 @@ func TestParallelCheckpointResume(t *testing.T) {
 		return b
 	}
 
-	// Resume from the parallel snapshot with a third worker count.
+	// Resume from the three-worker snapshot with a third worker count.
 	var st sim.State
 	if err := gob.NewDecoder(bytes.NewReader(parBytes)).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -125,8 +127,8 @@ func TestParallelCheckpointResume(t *testing.T) {
 		t.Fatalf("resume with different worker count diverged:\n%s",
 			testutil.Diff(string(want), string(got)))
 	}
-	if got := finish(seq); !bytes.Equal(want, got) {
-		t.Fatalf("sequential continuation diverged from parallel run:\n%s",
+	if got := finish(one); !bytes.Equal(want, got) {
+		t.Fatalf("one-worker continuation diverged from the three-worker run:\n%s",
 			testutil.Diff(string(want), string(got)))
 	}
 }

@@ -36,13 +36,14 @@ type Config struct {
 	// QueriesPerDay is the served search volume.
 	QueriesPerDay int
 
-	// Workers sets how many goroutines the day loop uses — agent campaign
-	// planning, query serving, and the nightly detection scan are all
-	// sharded across the pool; 0 (the default) uses runtime.GOMAXPROCS.
-	// Every phase follows the freeze-then-merge contract (DESIGN.md §7–8)
-	// so that every seeded outcome — dataset digests, billing, event-log
-	// bytes, RNG stream positions — is byte-identical across all Workers
-	// values (see the differential matrices in serve_test.go and
+	// Workers sets how many goroutines the day loop fans out to — agent
+	// campaign planning, query serving, and the nightly detection scan
+	// each split their work into that many contiguous blocks; 0 (the
+	// default) uses runtime.GOMAXPROCS. Every phase has one
+	// freeze-then-merge form (DESIGN.md §7–8) run at any worker count, so
+	// every seeded outcome — dataset digests, billing, event-log bytes,
+	// RNG stream positions — is byte-identical across all Workers values
+	// (see the differential matrices in serve_test.go and
 	// dayloop_test.go); the setting is therefore a pure throughput knob
 	// and, unlike the shape parameters above, may differ across a
 	// checkpoint/resume boundary.
@@ -204,9 +205,9 @@ type Sim struct {
 	// still active, maintained incrementally (register, compromise,
 	// shutdown) so the progress callback does not rescan the population.
 	fraudLive int
-	// plans is the agent phase's reusable per-agent plan buffer
-	// (workers > 1 only); see dayloop.go.
-	plans []agents.StepPlan
+	// plans holds the agents phase's reusable plan buffers, one per
+	// worker; see runAgents in dayloop.go.
+	plans []*agents.StepPlan
 	// draw is the day's query stream and the agents phase's draw-ahead of
 	// it (workers > 1 only); see queryDraw in dayloop.go.
 	draw queryDraw
@@ -321,14 +322,10 @@ func (s *Sim) SetWorkers(n int) {
 
 // resolveWorkers maps Config.Workers onto an effective worker count.
 func (s *Sim) resolveWorkers() int {
-	w := s.cfg.Workers
-	if w <= 0 {
-		w = maxprocs()
+	if s.cfg.Workers > 0 {
+		return s.cfg.Workers
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return runtime.GOMAXPROCS(0)
 }
 
 // Platform exposes the underlying ad network (read access for analyses).
@@ -539,7 +536,3 @@ func (s *Sim) compromiseAccounts(day simclock.Day) {
 		}
 	}
 }
-
-// maxprocs reports the runtime's effective parallelism; split out so the
-// import list stays honest about the one runtime dependency.
-func maxprocs() int { return runtime.GOMAXPROCS(0) }

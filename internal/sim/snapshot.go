@@ -1,7 +1,7 @@
 package sim
 
 // Checkpoint support: State is the complete serializable state of a
-// running simulation at a day boundary. The restore strategy is
+// running simulation at a phase boundary. The restore strategy is
 // "reconstruct, then overwrite": Restore builds the object graph exactly
 // the way New does (same construction order, same named RNG forks, same
 // immutable tables — keyword universes, market weights, Zipf parameters),
@@ -134,10 +134,11 @@ func (s *Sim) Snapshot() *State {
 	return st
 }
 
-// queriesState is the query generator's state as the fused engine would
-// have it at this phase boundary: while a draw-ahead is pending (agents
-// done, serving not yet run) that is the state recorded before the draw,
-// not the generator's own, which is a day further on.
+// queriesState is the query generator's state as a checkpoint records
+// it: the day's draw belongs to the serving phase, so while a draw-ahead
+// is pending (agents done, serving not yet run) that is the state
+// recorded before the draw, not the generator's own, which is a day
+// further on.
 func (s *Sim) queriesState() queries.GeneratorState {
 	if !s.draw.pending {
 		return s.qgen.State()
