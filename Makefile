@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race chaos crash crash-supervise bench-check verify golden bench bench-serving bench-dayloop bench-router bench-all benchdiff bench-pair fuzz-smoke loc
+.PHONY: build vet test race chaos crash crash-supervise bench-check verify golden bench bench-pair fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -20,8 +20,8 @@ race:
 # chaos runs the fault-injection resilience suite under the race
 # detector: seeded latency/error/panic injection against the adserver
 # stack (shed = 429 not timeout, panics never kill the process, drain on
-# shutdown, backoff client convergence), plus the parallel day loop
-# against failing/crashing event sinks (no deadlock, no digest drift).
+# shutdown), the router masking a failing member, plus the parallel day
+# loop against failing/crashing event sinks (no deadlock, no digest drift).
 chaos:
 	$(GO) test -race -run 'Chaos' ./internal/adserver ./internal/faultinject ./internal/router ./internal/sim
 
@@ -66,49 +66,6 @@ golden:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# bench-serving measures the serving loop — Workers=1 vs
-# Workers=GOMAXPROCS, the same code at two fan-outs, at MediumConfig —
-# and records queries/sec and ns/query in BENCH_serving.json. The report
-# includes GOMAXPROCS, so numbers from different hosts are comparable at
-# a glance.
-bench-serving:
-	$(GO) test ./internal/sim -run TestWriteServingBenchJSON \
-		-bench-serving-out $(CURDIR)/BENCH_serving.json -timeout 20m -v
-
-# bench-dayloop measures whole simulated days — arrivals, agents,
-# serving, detection — per worker count at MediumConfig and records the
-# per-phase wall-time split in BENCH_dayloop.json, so the agent and
-# detection scaling is visible separately from serving's.
-bench-dayloop:
-	$(GO) test ./internal/sim -run TestWriteDayloopBenchJSON \
-		-bench-dayloop-out $(CURDIR)/BENCH_dayloop.json -timeout 20m -v
-
-# bench-router measures the routed adserver cluster under the
-# synthetic traffic harness: round-robin vs least-loaded on a scenario
-# with one slow member (p99 collapses when routing reads the in-flight
-# gauge) and round-robin vs keyword-affinity on a tight-capacity
-# cache-locality scenario (shed rate collapses when each keyword is
-# cached once cluster-wide). Appends the record to BENCH_cluster.json.
-bench-router:
-	$(GO) test ./internal/loadgen -run TestWriteRouterBenchJSON \
-		-bench-router-out $(CURDIR)/BENCH_cluster.json -timeout 20m -v
-
-# bench-all re-records both hot-path benchmark reports (serving and the
-# whole day loop) in one go; run it before and after a performance change
-# so the committed BENCH_*.json baselines stay honest.
-bench-all: bench-serving bench-dayloop
-
-# benchdiff re-measures the day loop into a scratch file and compares it
-# against the committed BENCH_dayloop.json with cmd/benchdiff, exiting
-# nonzero on a >10% ns/day regression. CI runs this advisory — a shared
-# runner's numbers indict the runner as often as the code — via the
-# bench-smoke job, which also uploads CPU/heap profiles.
-benchdiff:
-	$(GO) test ./internal/sim -run TestWriteDayloopBenchJSON \
-		-bench-dayloop-out $(CURDIR)/BENCH_dayloop.new.json -timeout 20m
-	$(GO) run ./cmd/benchdiff -old $(CURDIR)/BENCH_dayloop.json \
-		-new $(CURDIR)/BENCH_dayloop.new.json -max-regress 10
 
 # bench-pair runs the repository benchmark (BENCHMARK.json, bench/) on
 # workload W at revision BASE and on the working tree, N pairs, the same

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	adbench -scenario bench/slow_backend.json -out report.json
+//	adbench -scenario cmd/adbench/testdata/scenario_slow_backend.json -out report.json
 //	adbench -scenario spec.json -normalize        # strip wall-time fields
 //	adbench -scenario spec.json -policy affinity  # override the spec's policy
 //

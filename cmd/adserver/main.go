@@ -53,37 +53,20 @@ func main() {
 // stop channel wires OS signals; onReady (optional) observes the bound
 // address once serving begins.
 func run(args []string, stderr io.Writer, stop <-chan os.Signal, onReady func(net.Addr)) error {
-	fs := flag.NewFlagSet("adserver", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	addr := fs.String("addr", ":8406", "listen address")
-	scale := fs.String("scale", "small", "bootstrap simulation scale: small, medium, or full")
-	seed := fs.Uint64("seed", 42, "simulation seed")
-	days := fs.Int("days", 0, "override bootstrap simulation days (0 = scale default)")
-	queries := fs.Int("queries", 0, "override bootstrap queries per day (0 = scale default)")
-	instance := fs.String("instance", "", "instance id stamped on X-Instance and /statz (empty = unset)")
-	maxInflight := fs.Int("max-inflight", 256, "max concurrent /search requests before shedding with 429 (0 = unlimited)")
-	reqTimeout := fs.Duration("request-timeout", 2*time.Second, "per-request deadline for /search (0 = none)")
-	grace := fs.Duration("grace", 10*time.Second, "shutdown drain grace period")
-	evDir := fs.String("eventlog", "", "record served impressions as an event log in this directory (empty = off)")
-	evQueue := fs.Int("eventlog-queue", 4096, "event recording queue depth; events beyond it are dropped, never queued on the request path")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	cfg, err := simConfig(*scale, *seed, *days, *queries)
+	f, cfg, err := parseFlags(args, stderr)
 	if err != nil {
 		return err
 	}
 	opts := adserver.Options{
-		InstanceID:     *instance,
-		MaxInFlight:    *maxInflight,
-		RequestTimeout: *reqTimeout,
+		InstanceID:     f.instance,
+		MaxInFlight:    f.maxInflight,
+		RequestTimeout: f.reqTimeout,
 		RetryAfter:     time.Second,
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", f.addr)
 	if err != nil {
-		return fmt.Errorf("adserver: listen %s: %w", *addr, err)
+		return fmt.Errorf("adserver: listen %s: %w", f.addr, err)
 	}
 	if stop == nil {
 		sig := make(chan os.Signal, 1)
@@ -103,23 +86,23 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal, onReady func(ne
 		IdleTimeout:       60 * time.Second,
 	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- adserver.Serve(hs, ln, gate, *grace, stop, log.Printf) }()
+	go func() { serveErr <- adserver.Serve(hs, ln, gate, f.grace, stop, log.Printf) }()
 
-	fmt.Fprintf(stderr, "listening on %s; bootstrapping advertiser population (%s scale)...\n", ln.Addr(), *scale)
-	srv, err := bootstrap(cfg, *seed, stderr)
+	fmt.Fprintf(stderr, "listening on %s; bootstrapping advertiser population (%s scale)...\n", ln.Addr(), f.scale)
+	srv, err := bootstrap(cfg, f.seed, stderr)
 	if err != nil {
 		hs.Close()
 		<-serveErr
 		return err
 	}
-	if *evDir != "" {
-		dw, err := eventlog.NewDirWriter(*evDir)
+	if f.evDir != "" {
+		dw, err := eventlog.NewDirWriter(f.evDir)
 		if err != nil {
 			hs.Close()
 			<-serveErr
 			return err
 		}
-		async := eventlog.NewAsync(dw, *evQueue)
+		async := eventlog.NewAsync(dw, f.evQueue)
 		srv.RecordEvents(async)
 		defer func() {
 			async.Close()
@@ -127,35 +110,62 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal, onReady func(ne
 				fmt.Fprintf(stderr, "eventlog: %v (%d events dropped)\n", err, dw.Dropped())
 			} else {
 				fmt.Fprintf(stderr, "eventlog: %d events (%d bytes) in %s; %d dropped under pressure\n",
-					dw.Events(), dw.Bytes(), *evDir, async.Dropped())
+					dw.Events(), dw.Bytes(), f.evDir, async.Dropped())
 			}
 		}()
-		fmt.Fprintf(stderr, "recording impression events to %s (queue=%d)\n", *evDir, *evQueue)
+		fmt.Fprintf(stderr, "recording impression events to %s (queue=%d)\n", f.evDir, f.evQueue)
 	}
 	gate.Install(srv.Handler(opts))
 	fmt.Fprintf(stderr, "ready: serving %s on %s (max-inflight=%d request-timeout=%s grace=%s)\n",
-		srv, ln.Addr(), opts.MaxInFlight, opts.RequestTimeout, *grace)
+		srv, ln.Addr(), opts.MaxInFlight, opts.RequestTimeout, f.grace)
 	if onReady != nil {
 		onReady(ln.Addr())
 	}
 	return <-serveErr
 }
 
-// simConfig maps the scale flags onto a bootstrap simulation config.
-func simConfig(scale string, seed uint64, days, queries int) (sim.Config, error) {
-	cfg, err := sim.ScaleConfig(scale)
+// flags is the parsed command line, less what only shapes the bootstrap
+// simulation config.
+type flags struct {
+	addr, scale, instance, evDir string
+	seed                         uint64
+	maxInflight, evQueue         int
+	reqTimeout, grace            time.Duration
+}
+
+// parseFlags parses the command line and maps the scale flags onto the
+// bootstrap simulation config, so a bad flag fails before anything binds.
+func parseFlags(args []string, stderr io.Writer) (flags, sim.Config, error) {
+	var f flags
+	fs := flag.NewFlagSet("adserver", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&f.addr, "addr", ":8406", "listen address")
+	fs.StringVar(&f.scale, "scale", "small", "bootstrap simulation scale: small, medium, or full")
+	fs.Uint64Var(&f.seed, "seed", 42, "simulation seed")
+	days := fs.Int("days", 0, "override bootstrap simulation days (0 = scale default)")
+	queries := fs.Int("queries", 0, "override bootstrap queries per day (0 = scale default)")
+	fs.StringVar(&f.instance, "instance", "", "instance id stamped on X-Instance and /statz (empty = unset)")
+	fs.IntVar(&f.maxInflight, "max-inflight", 256, "max concurrent /search requests before shedding with 429 (0 = unlimited)")
+	fs.DurationVar(&f.reqTimeout, "request-timeout", 2*time.Second, "per-request deadline for /search (0 = none)")
+	fs.DurationVar(&f.grace, "grace", 10*time.Second, "shutdown drain grace period")
+	fs.StringVar(&f.evDir, "eventlog", "", "record served impressions as an event log in this directory (empty = off)")
+	fs.IntVar(&f.evQueue, "eventlog-queue", 4096, "event recording queue depth; events beyond it are dropped, never queued on the request path")
+	if err := fs.Parse(args); err != nil {
+		return f, sim.Config{}, err
+	}
+	cfg, err := sim.ScaleConfig(f.scale)
 	if err != nil {
-		return sim.Config{}, fmt.Errorf("adserver: %w", err)
+		return f, sim.Config{}, fmt.Errorf("adserver: %w", err)
 	}
-	cfg.Seed = seed
-	if days > 0 {
-		cfg.Days = simclock.Day(days)
+	cfg.Seed = f.seed
+	if *days > 0 {
+		cfg.Days = simclock.Day(*days)
 	}
-	if queries > 0 {
-		cfg.QueriesPerDay = queries
+	if *queries > 0 {
+		cfg.QueriesPerDay = *queries
 	}
 	cfg.FullCreatives = true // serve real ad copy
-	return cfg, nil
+	return f, cfg, nil
 }
 
 // bootstrap runs the advertiser-population simulation and freezes the
@@ -166,30 +176,4 @@ func bootstrap(cfg sim.Config, seed uint64, stderr io.Writer) (*adserver.Server,
 	fmt.Fprintf(stderr, "simulated %d accounts, %d live ads in %s\n",
 		res.Platform.NumAccounts(), res.Platform.LiveAds(), res.Elapsed.Round(1e7))
 	return adserver.New(res.Platform, s.Queries(), auction.DefaultConfig(), seed), nil
-}
-
-// setup parses flags and bootstraps the frozen platform, returning the
-// ready-to-serve handler without binding a socket (tests mount it on
-// httptest instead).
-func setup(args []string, stderr io.Writer) (*adserver.Server, string, error) {
-	fs := flag.NewFlagSet("adserver", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	addr := fs.String("addr", ":8406", "listen address")
-	scale := fs.String("scale", "small", "bootstrap simulation scale: small, medium, or full")
-	seed := fs.Uint64("seed", 42, "simulation seed")
-	days := fs.Int("days", 0, "override bootstrap simulation days (0 = scale default)")
-	queries := fs.Int("queries", 0, "override bootstrap queries per day (0 = scale default)")
-	if err := fs.Parse(args); err != nil {
-		return nil, "", err
-	}
-	cfg, err := simConfig(*scale, *seed, *days, *queries)
-	if err != nil {
-		return nil, "", err
-	}
-	fmt.Fprintf(stderr, "bootstrapping advertiser population (%s scale)...\n", *scale)
-	srv, err := bootstrap(cfg, *seed, stderr)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, *addr, nil
 }

@@ -21,15 +21,19 @@ func TestSetupServesSearchAndStats(t *testing.T) {
 		t.Skip("bootstraps a simulation")
 	}
 	var errw strings.Builder
-	srv, addr, err := setup([]string{
+	f, cfg, err := parseFlags([]string{
 		"-addr", ":0", "-scale", "small", "-seed", "7",
 		"-days", "60", "-queries", "500",
 	}, &errw)
 	if err != nil {
-		t.Fatalf("setup: %v (stderr: %s)", err, errw.String())
+		t.Fatalf("parseFlags: %v (stderr: %s)", err, errw.String())
 	}
-	if addr != ":0" {
-		t.Errorf("addr = %q", addr)
+	if f.addr != ":0" {
+		t.Errorf("addr = %q", f.addr)
+	}
+	srv, err := bootstrap(cfg, f.seed, &errw)
+	if err != nil {
+		t.Fatalf("bootstrap: %v (stderr: %s)", err, errw.String())
 	}
 
 	ts := httptest.NewServer(srv)
@@ -91,7 +95,7 @@ func TestSetupServesSearchAndStats(t *testing.T) {
 
 func TestSetupRejectsUnknownScale(t *testing.T) {
 	var errw strings.Builder
-	if _, _, err := setup([]string{"-scale", "galactic"}, &errw); err == nil {
+	if _, _, err := parseFlags([]string{"-scale", "galactic"}, &errw); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
 }

@@ -42,9 +42,12 @@ const minWinShare = 0.9
 // runPairs prints, per end-to-end metric, both sides' medians and
 // quartiles, the change's wins over the pairs and a verdict: GAIN by the
 // claim rule, REGRESSION when the change's median is worse than the
-// parent's by more than the metric's bound, otherwise "within bound".
-// Line i of oldPath pairs with line i of newPath. It returns 1 on any
-// regression or when a larger share of operations failed, 2 on bad input.
+// parent's by more than the metric's bound, otherwise "within bound" —
+// or "unresolved" when the parent's own IQR is wider than that bound, so
+// the runs cannot tell, unless every run of the change beats every run
+// of the parent. Line i of oldPath pairs with line i of newPath. It
+// returns 1 on any regression or when a larger share of operations
+// failed, 2 on bad input.
 func runPairs(specPath, oldPath, newPath string, out, errw io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintf(errw, "benchdiff: %v\n", err)
@@ -84,6 +87,7 @@ func runPairs(specPath, oldPath, newPath string, out, errw io.Writer) int {
 		}
 		ov, nv := make([]float64, n), make([]float64, n)
 		wins, ties := 0, 0
+		bestOld, worstNew := math.Inf(-1), math.Inf(1) // in "greater is better" terms
 		for i := range olds {
 			o, okO := olds[i].Metrics[m.Name]
 			w, okN := news[i].Metrics[m.Name]
@@ -91,6 +95,8 @@ func runPairs(specPath, oldPath, newPath string, out, errw io.Writer) int {
 				return fail(fmt.Errorf("pair %d: metric %s missing", i+1, m.Name))
 			}
 			ov[i], nv[i] = o.Value, w.Value
+			bestOld = math.Max(bestOld, sign*o.Value)
+			worstNew = math.Min(worstNew, sign*w.Value)
 			switch d := sign * (w.Value - o.Value); {
 			case d > 0:
 				wins++
@@ -109,12 +115,18 @@ func runPairs(specPath, oldPath, newPath string, out, errw io.Writer) int {
 		case -gap > m.Bound*omed:
 			verdict = "REGRESSION"
 			code = 1
+		case iqr > m.Bound*math.Abs(omed) && worstNew <= bestOld:
+			verdict = "unresolved"
 		}
 		fmt.Fprintf(out, "%s (%s, %s is better)\n", m.Name, m.Unit, m.Better)
 		fmt.Fprintf(out, "  old median %.4g  quartiles %.4g .. %.4g\n", omed, oq1, oq3)
 		fmt.Fprintf(out, "  new median %.4g  quartiles %.4g .. %.4g\n", nmed, nq1, nq3)
-		fmt.Fprintf(out, "  new wins %d/%d (%d ties), median gap %.4g (%+.1f%% of old) vs old IQR %.4g: %s\n",
-			wins, n, ties, math.Abs(gap), (nmed-omed)/omed*100, iqr, verdict)
+		pct := "n/a"
+		if omed != 0 {
+			pct = fmt.Sprintf("%+.1f%% of old", (nmed-omed)/omed*100)
+		}
+		fmt.Fprintf(out, "  new wins %d/%d (%d ties), median gap %.4g (%s) vs old IQR %.4g: %s\n",
+			wins, n, ties, math.Abs(gap), pct, iqr, verdict)
 	}
 
 	of, oa := failures(olds)

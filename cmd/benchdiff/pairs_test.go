@@ -97,6 +97,46 @@ func TestPairsRegressionBeyondBoundFails(t *testing.T) {
 	}
 }
 
+func TestPairsWideParentSpreadIsUnresolved(t *testing.T) {
+	// Old ops alternate 60/140 (median 100, IQR 80 > 25 % of 100), new sit
+	// at 95: the median moved -5 %, but the parent's own runs spread wider
+	// than the bound, so the runs cannot tell. p50 is steady on both sides.
+	olds, news := ten(0, 8000), ten(0, 8000)
+	for i := range olds {
+		olds[i][0], news[i][0] = 60+80*float64(i%2), 95
+	}
+	code, out, _ := runPairsOn(t, resultLines(0, olds...), resultLines(0, news...))
+	if code != 0 {
+		t.Fatalf("exit %d, want 0\n%s", code, out)
+	}
+	if b := metricBlock(t, out, "ops_per_s"); !strings.Contains(b, "unresolved") {
+		t.Fatalf("ops_per_s with old IQR beyond the bound not unresolved:\n%s", b)
+	}
+	if b := metricBlock(t, out, "op_p50_us"); !strings.Contains(b, "within bound") {
+		t.Fatalf("steady op_p50_us not within bound:\n%s", b)
+	}
+
+	// Every new run above every old run resolves it, wide spread or not.
+	for i := range news {
+		news[i][0] = 150
+	}
+	_, out, _ = runPairsOn(t, resultLines(0, olds...), resultLines(0, news...))
+	if b := metricBlock(t, out, "ops_per_s"); strings.Contains(b, "unresolved") {
+		t.Fatalf("every new run beats every old run, still unresolved:\n%s", b)
+	}
+}
+
+func TestPairsZeroOldMedianPrintsNoPercent(t *testing.T) {
+	olds, news := ten(100, 0), ten(100, 0)
+	code, out, _ := runPairsOn(t, resultLines(0, olds...), resultLines(0, news...))
+	if code != 0 {
+		t.Fatalf("exit %d, want 0\n%s", code, out)
+	}
+	if b := metricBlock(t, out, "op_p50_us"); !strings.Contains(b, "(n/a)") || strings.Contains(b, "NaN") {
+		t.Fatalf("zero old median not guarded:\n%s", b)
+	}
+}
+
 func TestPairsLargerFailedShareFails(t *testing.T) {
 	code, out, _ := runPairsOn(t, resultLines(0, ten(100, 8000)...), resultLines(1, ten(120, 7000)...))
 	if code != 1 || !strings.Contains(out, "failed: old 0 of 1000, new 10 of 1000") {

@@ -3,12 +3,7 @@ package repro
 import (
 	"sync"
 	"testing"
-
-	"repro/internal/stats"
 )
-
-// benchRNG gives the benchmarks a deterministic per-iteration generator.
-func benchRNG(seed uint64) *stats.RNG { return stats.NewRNG(seed) }
 
 // facadeConfig is the tiny configuration shared by the façade's
 // end-to-end test and the quickstart golden (golden_facade_test.go).

@@ -2,7 +2,10 @@ package adserver
 
 import (
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 
@@ -45,6 +48,39 @@ func serverFixture(t testing.TB) (*Server, *queries.Generator) {
 	return New(p, gen, auction.DefaultConfig(), 42), gen
 }
 
+// getJSON issues one plain GET and decodes the 200 body into v.
+func getJSON(u string, v interface{}) error {
+	resp, err := http.Get(u)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: status %d", u, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+func searchURL(base, q string, country market.Country) string {
+	return base + "/search?q=" + url.QueryEscape(q) + "&country=" + string(country)
+}
+
+func search(t testing.TB, base, q string, country market.Country) (out SearchResponse) {
+	t.Helper()
+	if err := getJSON(searchURL(base, q, country), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func fetchStats(t testing.TB, base string) (out Stats) {
+	t.Helper()
+	if err := getJSON(base+"/stats", &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestResolveBareExtendedReordered(t *testing.T) {
 	s, gen := serverFixture(t)
 	u := gen.UniverseFor(verticals.Downloads)
@@ -74,13 +110,9 @@ func TestSearchEndpoint(t *testing.T) {
 	s, gen := serverFixture(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	c := NewClient(ts.URL)
 
 	phrase := gen.UniverseFor(verticals.Downloads).Keywords[0].Phrase
-	resp, err := c.Search(phrase, market.US)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := search(t, ts.URL, phrase, market.US)
 	if resp.Vertical != string(verticals.Downloads) || resp.Form != "bare" {
 		t.Fatalf("resolution: %+v", resp)
 	}
@@ -103,12 +135,8 @@ func TestSearchWrongMarketServesNothing(t *testing.T) {
 	s, gen := serverFixture(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	c := NewClient(ts.URL)
 	phrase := gen.UniverseFor(verticals.Downloads).Keywords[0].Phrase
-	resp, err := c.Search(phrase, market.DE)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := search(t, ts.URL, phrase, market.DE)
 	if len(resp.Ads) != 0 {
 		t.Fatal("ads served into an untargeted market")
 	}
@@ -145,18 +173,10 @@ func TestHealthAndStats(t *testing.T) {
 		t.Fatal("unhealthy")
 	}
 
-	c := NewClient(ts.URL)
 	phrase := gen.UniverseFor(verticals.Downloads).Keywords[0].Phrase
-	if _, err := c.Search(phrase, market.US); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Search("zzz qqq", market.US); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	search(t, ts.URL, phrase, market.US)
+	search(t, ts.URL, "zzz qqq", market.US)
+	st := fetchStats(t, ts.URL)
 	if st.Served != 1 || st.NoMatch != 1 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -171,44 +191,23 @@ func TestConcurrentSearches(t *testing.T) {
 	defer ts.Close()
 	phrase := gen.UniverseFor(verticals.Downloads).Keywords[0].Phrase
 	var wg sync.WaitGroup
-	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := NewClient(ts.URL)
 			for i := 0; i < 20; i++ {
-				if _, err := c.Search(phrase, market.US); err != nil {
-					errs <- err
+				var out SearchResponse
+				if err := getJSON(searchURL(ts.URL, phrase, market.US), &out); err != nil {
+					t.Error(err)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st, _ := NewClient(ts.URL).Stats()
+	st := fetchStats(t, ts.URL)
 	if st.Served != 160 {
 		t.Fatalf("served %d, want 160", st.Served)
-	}
-}
-
-func TestGenerateLoad(t *testing.T) {
-	s, gen := serverFixture(t)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	res := GenerateLoad(NewClient(ts.URL), gen, 60, 4, 7)
-	if res.Requests != 60 {
-		t.Fatalf("requests %d", res.Requests)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("errors %d", res.Errors)
-	}
-	if res.LatencyP50 <= 0 || res.LatencyP95 < res.LatencyP50 {
-		t.Fatalf("latency stats %v / %v", res.LatencyP50, res.LatencyP95)
 	}
 }
 

@@ -4,8 +4,7 @@ package adserver
 // (internal/faultinject) and proves the guarantees the stack exists
 // for — overload sheds fast 429s instead of queueing into timeouts,
 // panics become structured 500s and never kill the process, shutdown
-// drains in-flight requests within the grace period, and the backoff
-// client converges against a 30% injected error rate. Run it alone via
+// drains in-flight requests within the grace period. Run it alone via
 // `make chaos`; `make verify` includes it under -race.
 
 import (
@@ -21,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/market"
 	"repro/internal/verticals"
 )
 
@@ -95,10 +93,7 @@ func TestChaosShedReturns429NotTimeout(t *testing.T) {
 	if ok200 == 0 || shed429 == 0 {
 		t.Fatalf("want a mix of served and shed: 200s=%d 429s=%d", ok200, shed429)
 	}
-	st, err := NewClient(ts.URL).Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := fetchStats(t, ts.URL)
 	if st.Shed != int64(shed429) {
 		t.Errorf("server shed counter %d, observed %d", st.Shed, shed429)
 	}
@@ -125,10 +120,7 @@ func TestChaosPanicsNeverKillProcess(t *testing.T) {
 	if code, _, _ := noRetryGet(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz after panics: %d", code)
 	}
-	st, err := NewClient(ts.URL).Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := fetchStats(t, ts.URL)
 	if st.Panics != n {
 		t.Errorf("panic counter %d, want %d", st.Panics, n)
 	}
@@ -155,10 +147,7 @@ func TestChaosDeadlineReturns504(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("deadline did not cut injected latency short (%s)", elapsed)
 	}
-	st, err := NewClient(ts.URL).Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := fetchStats(t, ts.URL)
 	if st.Timeouts == 0 {
 		t.Error("timeout counter not incremented")
 	}
@@ -215,37 +204,6 @@ func TestChaosShutdownDrainsInFlight(t *testing.T) {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("server still accepting connections after drain")
 	}
-}
-
-func TestChaosRetryingClientConvergesAgainst30PctErrors(t *testing.T) {
-	s, gen := serverFixture(t)
-	inj := faultinject.New(42).Route("/search", faultinject.Faults{ErrorRate: 0.3})
-	ts := httptest.NewServer(s.Handler(Options{MaxInFlight: 16, RequestTimeout: 2 * time.Second, Wrap: inj.Wrap}))
-	defer ts.Close()
-	phrase := gen.UniverseFor(verticals.Downloads).Keywords[0].Phrase
-
-	c := NewClientSeeded(ts.URL, RetryPolicy{
-		MaxAttempts: 6,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    5 * time.Millisecond,
-		JitterFrac:  0.2,
-	}, 7)
-
-	const n = 100
-	for i := 0; i < n; i++ {
-		if _, err := c.Search(phrase, market.US); err != nil {
-			t.Fatalf("request %d failed through retries: %v", i, err)
-		}
-	}
-	st := inj.Stats("/search")
-	if st.InjectedErrors == 0 {
-		t.Fatal("no errors injected — chaos layer not engaged")
-	}
-	if st.Requests <= n {
-		t.Fatalf("server saw %d requests for %d client calls — no retries happened", st.Requests, n)
-	}
-	t.Logf("converged: %d client calls, %d server arrivals, %d injected errors",
-		n, st.Requests, st.InjectedErrors)
 }
 
 func TestChaosSequenceDeterministic(t *testing.T) {

@@ -1,19 +1,17 @@
 package adserver
 
 // Tests for the cluster-facing server surface added for the routed
-// cluster: /statz, instance headers, the per-instance response cache,
-// and the client's per-host Retry-After cooling.
+// cluster: /statz, instance headers, and the per-instance response
+// cache.
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"testing"
 	"time"
 
-	"repro/internal/market"
 	"repro/internal/verticals"
 )
 
@@ -146,55 +144,5 @@ func TestResponseCacheLRU(t *testing.T) {
 	}
 	if c.hits.Load() == 0 || c.misses.Load() == 0 {
 		t.Fatalf("counters: hits=%d misses=%d", c.hits.Load(), c.misses.Load())
-	}
-}
-
-// TestClientHostCooling pins the per-host Retry-After bookkeeping: a
-// cooled host reports remaining time, longer deadlines win, expiry
-// clears, and distinct hosts are independent.
-func TestClientHostCooling(t *testing.T) {
-	c := NewClient("http://a:1")
-	if rem := c.coolingRemaining("http://a:1/search"); rem != 0 {
-		t.Fatalf("fresh client cooling %v", rem)
-	}
-	c.noteCooling("http://a:1/search", 500*time.Millisecond)
-	if rem := c.coolingRemaining("http://a:1/other"); rem <= 0 || rem > 500*time.Millisecond {
-		t.Fatalf("cooling remaining = %v", rem)
-	}
-	// A shorter hint never truncates an existing deadline.
-	c.noteCooling("http://a:1/search", time.Millisecond)
-	if rem := c.coolingRemaining("http://a:1/"); rem < 400*time.Millisecond {
-		t.Fatalf("shorter hint truncated deadline: %v", rem)
-	}
-	// Distinct hosts cool independently.
-	if rem := c.coolingRemaining("http://b:2/search"); rem != 0 {
-		t.Fatalf("unrelated host cooling %v", rem)
-	}
-	// Expired entries clear.
-	c.noteCooling("http://c:3/x", time.Nanosecond)
-	time.Sleep(time.Millisecond)
-	if rem := c.coolingRemaining("http://c:3/x"); rem != 0 {
-		t.Fatalf("expired cooling persists: %v", rem)
-	}
-}
-
-// TestClientCoolingPopulatedBy429: a 429 with Retry-After from the
-// server lands in the client's cooling map for that host. (A client
-// with retry budget left sleeps the hint off before its next attempt,
-// so the deadline is observed here with a single-attempt policy.)
-func TestClientCoolingPopulatedBy429(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusTooManyRequests)
-		fmt.Fprint(w, `{"error":"shed","code":"overloaded"}`)
-	}))
-	defer ts.Close()
-
-	c := NewClientSeeded(ts.URL, RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}, 1)
-	if _, err := c.Search("x", market.US); err == nil {
-		t.Fatal("saturated server did not error a no-retry client")
-	}
-	if rem := c.coolingRemaining(ts.URL + "/search"); rem <= 0 {
-		t.Fatal("429 did not populate the cooling map")
 	}
 }

@@ -282,3 +282,40 @@ func TestAsyncWedgedFlush(t *testing.T) {
 		t.Fatal("CloseWithin reported a clean flush through a wedged Flush")
 	}
 }
+
+// BenchmarkDirWriterSyncPolicy measures append throughput to a real log
+// directory under each durability policy, with segments small enough
+// that rotation (and its fsyncs, where the policy orders them) happens
+// continually.
+func BenchmarkDirWriterSyncPolicy(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		policy SyncPolicy
+	}{
+		{"none", SyncNone},
+		{"rotate", SyncRotate},
+		{"interval", SyncInterval},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			dw, err := NewDirWriter(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			dw.Sync = bc.policy
+			dw.SegmentBytes = 256 << 10
+			dw.SyncBytes = 64 << 10
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dw.Append(bufEvent(i))
+			}
+			b.StopTimer()
+			if err := dw.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if dw.Dropped() != 0 {
+				b.Fatalf("%d events dropped", dw.Dropped())
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+		})
+	}
+}

@@ -9,7 +9,7 @@
 // The adserver mounts an Injector through Options.Wrap in test builds;
 // the chaos suite in internal/adserver uses it to prove the resilience
 // stack's guarantees (shed = 429 not timeout, panics never kill the
-// process, the backoff client converges against injected error rates).
+// process, shutdown drains in-flight requests).
 package faultinject
 
 import (

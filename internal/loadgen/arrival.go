@@ -1,7 +1,7 @@
 // Package loadgen is the seeded synthetic-traffic harness for the
 // routed adserver cluster: pluggable open-loop arrival processes
-// (Poisson, Gamma/Weibull bursts, diurnal sinusoid, flash crowd),
-// traffic classes drawn from the keyword universes, and a runner that
+// (Poisson, flash crowd), traffic classes drawn from the keyword
+// universes, and a runner that
 // fires the schedule at a router and folds per-class results into
 // internal/metrics recorders. Every schedule and every query is a pure
 // function of the scenario seed, so two runs of the same scenario
@@ -20,7 +20,7 @@ import (
 
 // Arrival produces inter-arrival gaps for an open-loop schedule. The
 // elapsed offset of the arrival being scheduled is passed in so
-// time-varying processes (diurnal, flash crowd) can modulate their
+// time-varying processes (flash crowd) can modulate their
 // instantaneous rate; stationary processes ignore it.
 type Arrival interface {
 	// Gap draws the delay between the arrival at elapsed and the next
@@ -54,60 +54,6 @@ func (p Poisson) Gap(rng *stats.RNG, _ time.Duration) time.Duration {
 }
 
 func (p Poisson) String() string { return fmt.Sprintf("poisson(rate=%g)", p.Rate) }
-
-// GammaBurst draws Gamma(Shape, ·) gaps with mean 1/Rate. Shape < 1
-// over-disperses the gaps — clumps of near-simultaneous arrivals
-// separated by long lulls — the burstiness real query logs show at
-// sub-second scale.
-type GammaBurst struct {
-	Rate  float64 // mean arrivals per second, > 0
-	Shape float64 // gamma shape; < 1 = bursty, 1 = Poisson, > 1 = regular
-}
-
-func (g GammaBurst) Gap(rng *stats.RNG, _ time.Duration) time.Duration {
-	return gapFromSeconds(stats.Gamma(rng, g.Shape, 1/(g.Rate*g.Shape)))
-}
-
-func (g GammaBurst) String() string { return fmt.Sprintf("gamma(rate=%g,shape=%g)", g.Rate, g.Shape) }
-
-// WeibullBurst draws Weibull(Shape, ·) gaps with mean 1/Rate: shape < 1
-// gives heavy-tailed lulls (deeper burstiness than Gamma at the same
-// mean), shape > 1 regularizes toward a metronome.
-type WeibullBurst struct {
-	Rate  float64
-	Shape float64
-}
-
-func (w WeibullBurst) Gap(rng *stats.RNG, _ time.Duration) time.Duration {
-	// Scale so the mean gap is 1/Rate: E[Weibull] = scale * Γ(1+1/shape).
-	scale := 1 / (w.Rate * math.Gamma(1+1/w.Shape))
-	return gapFromSeconds(stats.Weibull(rng, w.Shape, scale))
-}
-
-func (w WeibullBurst) String() string {
-	return fmt.Sprintf("weibull(rate=%g,shape=%g)", w.Rate, w.Shape)
-}
-
-// Diurnal modulates a Poisson process with a sinusoid: rate(t) =
-// Base * (1 + Amplitude*sin(2πt/Period)). A compressed Period replays a
-// day's swell in seconds of bench time.
-type Diurnal struct {
-	Base      float64       // mean arrivals per second, > 0
-	Amplitude float64       // 0..1; peak rate = Base*(1+A), trough = Base*(1-A)
-	Period    time.Duration // one full cycle
-}
-
-func (d Diurnal) Gap(rng *stats.RNG, elapsed time.Duration) time.Duration {
-	rate := d.Base * (1 + d.Amplitude*math.Sin(2*math.Pi*elapsed.Seconds()/d.Period.Seconds()))
-	if min := d.Base * 1e-3; rate < min {
-		rate = min // trough floor keeps the schedule advancing
-	}
-	return gapFromSeconds(stats.Exponential(rng, 1/rate))
-}
-
-func (d Diurnal) String() string {
-	return fmt.Sprintf("diurnal(base=%g,amp=%g,period=%s)", d.Base, d.Amplitude, d.Period)
-}
 
 // FlashCrowd is a Poisson baseline that multiplies its rate by Factor
 // inside the [Start, Start+Duration) window — a breaking-news spike

@@ -9,9 +9,6 @@ import (
 func allProcesses() map[string]Arrival {
 	return map[string]Arrival{
 		"poisson": Poisson{Rate: 500},
-		"gamma":   GammaBurst{Rate: 500, Shape: 0.5},
-		"weibull": WeibullBurst{Rate: 500, Shape: 0.7},
-		"diurnal": Diurnal{Base: 500, Amplitude: 0.8, Period: 200 * time.Millisecond},
 		"flash":   FlashCrowd{Base: 300, Factor: 8, Start: 50 * time.Millisecond, Duration: 100 * time.Millisecond},
 	}
 }

@@ -61,14 +61,11 @@ type Scenario struct {
 
 // ArrivalSpec names an arrival process in JSON form.
 type ArrivalSpec struct {
-	Kind      string  `json:"kind"` // poisson | gamma | weibull | diurnal | flash
-	Rate      float64 `json:"rate"`
-	Shape     float64 `json:"shape,omitempty"`     // gamma/weibull
-	Amplitude float64 `json:"amplitude,omitempty"` // diurnal
-	PeriodMS  int     `json:"period_ms,omitempty"` // diurnal
-	Factor    float64 `json:"factor,omitempty"`    // flash
-	StartMS   int     `json:"start_ms,omitempty"`  // flash spike window
-	DurMS     int     `json:"dur_ms,omitempty"`
+	Kind    string  `json:"kind"` // poisson | flash
+	Rate    float64 `json:"rate"`
+	Factor  float64 `json:"factor,omitempty"`   // flash
+	StartMS int     `json:"start_ms,omitempty"` // flash spike window
+	DurMS   int     `json:"dur_ms,omitempty"`
 }
 
 // Process materializes the spec into an Arrival.
@@ -79,22 +76,6 @@ func (a ArrivalSpec) Process() (Arrival, error) {
 	switch a.Kind {
 	case "poisson", "":
 		return Poisson{Rate: a.Rate}, nil
-	case "gamma":
-		if a.Shape <= 0 {
-			return nil, fmt.Errorf("loadgen: gamma arrival needs shape > 0")
-		}
-		return GammaBurst{Rate: a.Rate, Shape: a.Shape}, nil
-	case "weibull":
-		if a.Shape <= 0 {
-			return nil, fmt.Errorf("loadgen: weibull arrival needs shape > 0")
-		}
-		return WeibullBurst{Rate: a.Rate, Shape: a.Shape}, nil
-	case "diurnal":
-		p := time.Duration(a.PeriodMS) * time.Millisecond
-		if p <= 0 {
-			return nil, fmt.Errorf("loadgen: diurnal arrival needs period_ms > 0")
-		}
-		return Diurnal{Base: a.Rate, Amplitude: a.Amplitude, Period: p}, nil
 	case "flash":
 		f := a.Factor
 		if f < 1 {

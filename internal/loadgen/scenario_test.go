@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -149,6 +150,14 @@ func TestScenarioValidate(t *testing.T) {
 		mutate(&spec)
 		if err := spec.Validate(); err == nil {
 			t.Fatalf("case %d: invalid spec accepted", i)
+		}
+	}
+	// Arrival kinds that were removed fail as any unknown kind does.
+	for _, kind := range []string{"gamma", "weibull", "diurnal"} {
+		spec := tinyScenario()
+		spec.Arrival.Kind = kind
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "unknown arrival kind") {
+			t.Fatalf("arrival kind %q: got %v, want an unknown-arrival-kind error", kind, err)
 		}
 	}
 	good := tinyScenario()

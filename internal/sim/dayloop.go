@@ -28,7 +28,6 @@ package sim
 // stream ahead of serving, on one goroutine of its own (queryDraw below).
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -64,8 +63,8 @@ func (p Phase) String() string {
 }
 
 // PhaseTimes accumulates wall time per day-loop phase; attach with
-// SetPhaseTimes to profile where a day's cost goes (see the dayloop
-// benchmark harness). QueryDraw and DrawWait split out the draw-ahead
+// SetPhaseTimes to profile where a day's cost goes (BenchmarkStepDay
+// and bench/ do). QueryDraw and DrawWait split out the draw-ahead
 // inside the agents phase: QueryDraw is time spent on the draw goroutine
 // (concurrent with planning and applying, so not part of any phase's
 // wall), DrawWait the part of Agents spent blocked on it. Both stay zero
@@ -84,38 +83,6 @@ type PhaseTimes struct {
 // accumulator. Timing reads the wall clock only; it never perturbs a
 // seeded run.
 func (s *Sim) SetPhaseTimes(t *PhaseTimes) { s.timing = t }
-
-// PhaseAllocs accumulates heap allocation counts — runtime.MemStats
-// Mallocs deltas — per day-loop phase; attach with SetPhaseAllocs. Each
-// ReadMemStats costs a brief stop-the-world, so the benchmark harness
-// measures allocations in a separate untimed pass rather than polluting
-// the wall-clock numbers (see measureDayloop). The counters are global to
-// the process: concurrent allocation outside the sim is attributed to
-// whatever phase is running, which is fine for the regression pins this
-// feeds (they compare like against like).
-type PhaseAllocs struct {
-	Arrivals  uint64
-	Agents    uint64
-	Serving   uint64
-	Detection uint64
-}
-
-// Total sums the per-phase allocation counts.
-func (a *PhaseAllocs) Total() uint64 {
-	return a.Arrivals + a.Agents + a.Serving + a.Detection
-}
-
-// SetPhaseAllocs attaches (or with nil detaches) a per-phase allocation
-// accumulator. Counting only reads runtime statistics; it never perturbs
-// a seeded run.
-func (s *Sim) SetPhaseAllocs(a *PhaseAllocs) { s.allocs = a }
-
-// mallocs reads the cumulative heap allocation counter.
-func mallocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
 
 // Phase returns the next phase StepPhase will run.
 func (s *Sim) Phase() Phase { return s.phase }
@@ -141,18 +108,11 @@ func (s *Sim) StepPhase() bool {
 	if s.timing != nil {
 		t0 = time.Now()
 	}
-	var m0 uint64
-	if s.allocs != nil {
-		m0 = mallocs()
-	}
 	switch s.phase {
 	case PhaseArrivals:
 		s.arrivalsPhase(day)
 		if s.timing != nil {
 			s.timing.Arrivals += time.Since(t0)
-		}
-		if s.allocs != nil {
-			s.allocs.Arrivals += mallocs() - m0
 		}
 		s.phase = PhaseAgents
 	case PhaseAgents:
@@ -160,26 +120,17 @@ func (s *Sim) StepPhase() bool {
 		if s.timing != nil {
 			s.timing.Agents += time.Since(t0)
 		}
-		if s.allocs != nil {
-			s.allocs.Agents += mallocs() - m0
-		}
 		s.phase = PhaseServing
 	case PhaseServing:
 		s.serveQueries(day)
 		if s.timing != nil {
 			s.timing.Serving += time.Since(t0)
 		}
-		if s.allocs != nil {
-			s.allocs.Serving += mallocs() - m0
-		}
 		s.phase = PhaseDetection
 	case PhaseDetection:
 		s.detectionPhase(day)
 		if s.timing != nil {
 			s.timing.Detection += time.Since(t0)
-		}
-		if s.allocs != nil {
-			s.allocs.Detection += mallocs() - m0
 		}
 		s.phase = PhaseArrivals
 		s.day++

@@ -232,7 +232,6 @@ type Sim struct {
 	seeded  bool
 	started time.Time
 	timing  *PhaseTimes
-	allocs  *PhaseAllocs
 
 	res Result
 

@@ -82,66 +82,9 @@ func (l *LogNormal) Sample() float64 {
 	return math.Exp(l.Mu + l.Sigma*l.rng.NormFloat64())
 }
 
-// Pareto samples a Pareto(xm, alpha) deviate: xm * U^(-1/alpha).
-func Pareto(rng *RNG, xm, alpha float64) float64 {
-	for {
-		u := rng.Float64()
-		if u > 0 {
-			return xm * math.Pow(u, -1/alpha)
-		}
-	}
-}
-
 // Exponential samples an exponential deviate with the given mean.
 func Exponential(rng *RNG, mean float64) float64 {
 	return mean * rng.ExpFloat64()
-}
-
-// Gamma samples a Gamma(shape, scale) deviate via Marsaglia–Tsang
-// squeeze (shape >= 1) with the standard boost for shape < 1. Shapes
-// below 1 give the over-dispersed, bursty inter-arrival gaps the load
-// generator uses for clumped traffic. Panics on non-positive shape.
-func Gamma(rng *RNG, shape, scale float64) float64 {
-	if shape <= 0 {
-		panic("stats: Gamma with non-positive shape")
-	}
-	if shape < 1 {
-		// Gamma(k) = Gamma(k+1) * U^(1/k).
-		for {
-			u := rng.Float64()
-			if u > 0 {
-				return Gamma(rng, shape+1, scale) * math.Pow(u, 1/shape)
-			}
-		}
-	}
-	d := shape - 1.0/3.0
-	c := 1.0 / math.Sqrt(9.0*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1.0 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1.0-0.0331*x*x*x*x {
-			return scale * d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1.0-v+math.Log(v)) {
-			return scale * d * v
-		}
-	}
-}
-
-// Weibull samples a Weibull(shape, scale) deviate by inversion. Shape
-// < 1 yields heavy-tailed gaps (long lulls punctuated by bursts); shape
-// > 1 regularizes toward periodic arrivals. Panics on non-positive
-// parameters.
-func Weibull(rng *RNG, shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("stats: Weibull with non-positive parameters")
-	}
-	return scale * math.Pow(rng.ExpFloat64(), 1/shape)
 }
 
 // Poisson samples a Poisson(lambda) deviate. Knuth's method is used for

@@ -70,15 +70,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	rng := NewRNG(5)
-	for i := 0; i < 10000; i++ {
-		if v := Pareto(rng, 2, 1.5); v < 2 {
-			t.Fatalf("Pareto below xm: %v", v)
-		}
-	}
-}
-
 func TestExponentialMean(t *testing.T) {
 	rng := NewRNG(6)
 	sum := 0.0

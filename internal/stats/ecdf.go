@@ -132,24 +132,3 @@ func (e *ECDF) Values() []float64 {
 	copy(out, e.xs)
 	return out
 }
-
-// KolmogorovDistance returns the Kolmogorov–Smirnov statistic
-// sup_x |F1(x) - F2(x)| between two ECDFs, a convenient scalar for tests
-// asserting that two distributions are (dis)similar.
-func KolmogorovDistance(a, b *ECDF) float64 {
-	if a.N() == 0 || b.N() == 0 {
-		return 0
-	}
-	d := 0.0
-	for _, x := range a.xs {
-		if v := math.Abs(a.At(x) - b.At(x)); v > d {
-			d = v
-		}
-	}
-	for _, x := range b.xs {
-		if v := math.Abs(a.At(x) - b.At(x)); v > d {
-			d = v
-		}
-	}
-	return d
-}

@@ -120,22 +120,6 @@ func TestECDFValuesCopy(t *testing.T) {
 	}
 }
 
-func TestKolmogorovDistance(t *testing.T) {
-	a := NewECDF([]float64{1, 2, 3})
-	if d := KolmogorovDistance(a, a); d != 0 {
-		t.Fatalf("self-distance %v", d)
-	}
-	b := NewECDF([]float64{100, 200, 300})
-	if d := KolmogorovDistance(a, b); d != 1 {
-		t.Fatalf("disjoint distance %v, want 1", d)
-	}
-	c := NewECDF([]float64{1, 2, 300})
-	d := KolmogorovDistance(a, c)
-	if d <= 0 || d >= 1 {
-		t.Fatalf("partial overlap distance %v", d)
-	}
-}
-
 func TestECDFTableRendering(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 3, 4})
 	s := e.Table(0.5, 0.9)

@@ -1,8 +1,8 @@
 // Package stats provides the statistical substrate for the advertiser-fraud
 // simulator and measurement library: a deterministic, forkable random number
 // generator, heavy-tailed distribution samplers, empirical CDFs, quantiles,
-// histograms, weighted sampling without replacement, and the matched-subset
-// selection machinery described in §3.3 of the paper.
+// weighted sampling without replacement, and the matched-subset selection
+// machinery described in §3.3 of the paper.
 //
 // All randomness in the repository flows through RNG so that a simulation is
 // fully reproducible from a single seed. RNG is not safe for concurrent use;
@@ -163,12 +163,4 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -26,23 +26,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Quantile returns the nearest-rank q-quantile of xs without mutating it.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
@@ -122,48 +105,4 @@ func CumulativeShare(xs []float64, props []float64) []Point {
 		next++
 	}
 	return out
-}
-
-// Gini returns the Gini coefficient of xs (0 = perfectly equal, 1 =
-// maximally concentrated). Negative values are not supported.
-func Gini(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	cp := make([]float64, n)
-	copy(cp, xs)
-	sort.Float64s(cp)
-	var cum, weighted float64
-	for i, x := range cp {
-		cum += x
-		weighted += float64(i+1) * x
-	}
-	if cum == 0 {
-		return 0
-	}
-	return (2*weighted)/(float64(n)*cum) - float64(n+1)/float64(n)
-}
-
-// Pearson returns the Pearson correlation coefficient of the paired samples
-// xs and ys, or 0 when undefined. It panics if the lengths differ.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("stats: Pearson length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

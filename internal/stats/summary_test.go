@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-func TestMeanSumVariance(t *testing.T) {
+func TestMeanSum(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if Mean(xs) != 5 {
 		t.Fatalf("mean %v", Mean(xs))
@@ -14,16 +14,10 @@ func TestMeanSumVariance(t *testing.T) {
 	if Sum(xs) != 40 {
 		t.Fatalf("sum %v", Sum(xs))
 	}
-	if Variance(xs) != 4 {
-		t.Fatalf("variance %v", Variance(xs))
-	}
-	if StdDev(xs) != 2 {
-		t.Fatalf("stddev %v", StdDev(xs))
-	}
 }
 
 func TestEmptyStats(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || Median(nil) != 0 || Gini(nil) != 0 {
+	if Mean(nil) != 0 || Median(nil) != 0 {
 		t.Fatal("empty inputs must yield 0")
 	}
 }
@@ -103,38 +97,4 @@ func TestCumulativeShareEmptyTotal(t *testing.T) {
 			t.Fatalf("unexpected share %v", p)
 		}
 	}
-}
-
-func TestGiniKnownValues(t *testing.T) {
-	if g := Gini([]float64{1, 1, 1, 1}); math.Abs(g) > 1e-12 {
-		t.Fatalf("equal distribution gini %v", g)
-	}
-	g := Gini([]float64{0, 0, 0, 100})
-	if g < 0.7 || g > 0.76 { // (n-1)/n = 0.75 for n=4
-		t.Fatalf("concentrated gini %v", g)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if r := Pearson(xs, ys); math.Abs(r-1) > 1e-12 {
-		t.Fatalf("perfect correlation %v", r)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if r := Pearson(xs, neg); math.Abs(r+1) > 1e-12 {
-		t.Fatalf("perfect anticorrelation %v", r)
-	}
-	if r := Pearson([]float64{1, 1}, []float64{2, 3}); r != 0 {
-		t.Fatalf("degenerate correlation %v", r)
-	}
-}
-
-func TestPearsonLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on length mismatch")
-		}
-	}()
-	Pearson([]float64{1}, []float64{1, 2})
 }

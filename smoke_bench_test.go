@@ -1,12 +1,11 @@
 package repro
 
-// Benchmark smoke gate: every benchmark in the suite is executed for
+// Benchmark smoke gate: every benchmark in this package is executed for
 // exactly one iteration inside a regular test, so `go test ./...` proves
 // the benchmark bodies still compile AND run — a broken benchmark
-// otherwise goes unnoticed until someone next profiles. The gate
-// substitutes a tiny dataset for the medium-scale benchmark environment
-// and skips itself whenever real benchmarks were requested, so it never
-// contaminates actual measurements.
+// otherwise goes unnoticed until someone next profiles. The gate shrinks
+// the ablation configuration and skips itself whenever real benchmarks
+// were requested, so it never contaminates actual measurements.
 
 import (
 	"flag"
@@ -15,31 +14,6 @@ import (
 
 // smokeBenchmarks lists every benchmark the gate drives.
 var smokeBenchmarks = map[string]func(*testing.B){
-	"DatasetBuildSmall":            BenchmarkDatasetBuildSmall,
-	"EventLogAppend":               BenchmarkEventLogAppend,
-	"EventLogReplay":               BenchmarkEventLogReplay,
-	"Fig1RegistrationFraudShare":   BenchmarkFig1RegistrationFraudShare,
-	"Table1FraudCountries":         BenchmarkTable1FraudCountries,
-	"Fig2LifetimeCDF":              BenchmarkFig2LifetimeCDF,
-	"Fig3WeeklyActivity":           BenchmarkFig3WeeklyActivity,
-	"Fig4Concentration":            BenchmarkFig4Concentration,
-	"Fig5ImpressionRates":          BenchmarkFig5ImpressionRates,
-	"Fig6RateVsClicks":             BenchmarkFig6RateVsClicks,
-	"Fig7AdsKeywords":              BenchmarkFig7AdsKeywords,
-	"Fig8Verticals":                BenchmarkFig8Verticals,
-	"Table2SampleAds":              BenchmarkTable2SampleAds,
-	"Table3ClickGeo":               BenchmarkTable3ClickGeo,
-	"Table4MatchTypes":             BenchmarkTable4MatchTypes,
-	"Fig9BiddingStyle":             BenchmarkFig9BiddingStyle,
-	"Fig10CompetitionImpressions":  BenchmarkFig10CompetitionImpressions,
-	"Fig11CompetitionSpend":        BenchmarkFig11CompetitionSpend,
-	"Fig12PositionNonfraud":        BenchmarkFig12PositionNonfraud,
-	"Fig13PositionFraud":           BenchmarkFig13PositionFraud,
-	"Fig14CTRNonfraud":             BenchmarkFig14CTRNonfraud,
-	"Fig15CPCNonfraud":             BenchmarkFig15CPCNonfraud,
-	"Fig16CTRFraud":                BenchmarkFig16CTRFraud,
-	"Fig17CPCFraud":                BenchmarkFig17CPCFraud,
-	"SubsetBattery":                BenchmarkSubsetBattery,
 	"AblationKeywordPockets":       BenchmarkAblationKeywordPockets,
 	"AblationPolicyBan":            BenchmarkAblationPolicyBan,
 	"AblationRecidivism":           BenchmarkAblationRecidivism,
@@ -51,9 +25,8 @@ func TestBenchmarkSmoke(t *testing.T) {
 		t.Skip("runs every benchmark once")
 	}
 	if f := flag.Lookup("test.bench"); f != nil && f.Value.String() != "" {
-		// A real benchmark run is in flight: do not pre-seed the shared
-		// benchmark dataset with the tiny smoke environment or clamp the
-		// iteration budget.
+		// A real benchmark run is in flight: do not shrink the ablation
+		// configuration or clamp the iteration budget.
 		t.Skip("-bench requested; smoke gate stands down")
 	}
 
@@ -73,18 +46,6 @@ func TestBenchmarkSmoke(t *testing.T) {
 		}
 	}()
 
-	// Pre-seed the shared benchmark environment with a tiny dataset so
-	// the gate exercises every experiment body without paying for the
-	// medium-scale simulation.
-	benchState.once.Do(func() {
-		cfg := SmallConfig()
-		cfg.Seed = 7
-		cfg.Days = 120
-		cfg.QueriesPerDay = 800
-		cfg.RegistrationsPerDay = 10
-		cfg.InitialLegit = 250
-		benchState.env = NewEnv(Run(cfg), 500, 1)
-	})
 	ablationSmoke = true
 	defer func() { ablationSmoke = false }()
 
