@@ -8,8 +8,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite; `gofmt -l .` walks
+# directories, so unlike the `./...` patterns it descends into bench/.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

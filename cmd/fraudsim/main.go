@@ -11,9 +11,10 @@
 //	         [-resume PATH]
 //	         [-cpuprofile PATH] [-memprofile PATH]
 //
-// -workers parallelizes the whole day loop — agent campaign planning,
-// query serving, and the nightly detection scan — across N goroutines;
-// 0 (the default) uses every available CPU. Results are byte-identical
+// -workers parallelizes query serving across N goroutines and, above
+// one, draws each day's query stream beside the agents phase; 0 (the
+// default) uses every available CPU. Campaign management and the nightly
+// detection sweep run on one goroutine. Results are byte-identical
 // across worker counts, so the flag is a pure throughput knob.
 //
 // With -checkpoint-every N the simulator writes a crash-safe snapshot to
@@ -68,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	days := fs.Int("days", 0, "override simulated days (0 = scale default)")
 	queries := fs.Int("queries", 0, "override queries per day (0 = scale default)")
 	regs := fs.Float64("regs", 0, "override registrations per day (0 = scale default)")
-	workers := fs.Int("workers", 0, "day-loop worker goroutines (0 = all CPUs; any value gives identical results)")
+	workers := fs.Int("workers", 0, "serving worker goroutines (0 = all CPUs; any value gives identical results)")
 	verbose := fs.Bool("v", false, "print progress every 30 simulated days")
 	export := fs.String("export", "", "directory to write the three datasets as JSON lines")
 	evDir := fs.String("eventlog", "", "directory to write the run's append-only event log (inspect with logtool)")
@@ -279,11 +280,11 @@ func printSummary(w io.Writer, res *sim.Result) {
 	fmt.Fprintf(w, "simulated %d days in %s\n", res.Config.Days, res.Elapsed.Round(1e7))
 	fmt.Fprintf(w, "registrations        %10d (fraud: %d, %.1f%%)\n",
 		res.Registrations, res.FraudRegistrations,
-		100*float64(res.FraudRegistrations)/float64(maxI(res.Registrations, 1)))
+		100*float64(res.FraudRegistrations)/float64(max(res.Registrations, 1)))
 	fmt.Fprintf(w, "auctions held        %10d\n", res.Auctions)
 	fmt.Fprintf(w, "impressions served   %10d\n", res.Impressions)
 	fmt.Fprintf(w, "clicks billed        %10d (fraud: %d, %.2f%%)\n",
-		res.Clicks, res.FraudClicks, 100*float64(res.FraudClicks)/float64(maxI64(res.Clicks, 1)))
+		res.Clicks, res.FraudClicks, 100*float64(res.FraudClicks)/float64(max(res.Clicks, 1)))
 	fmt.Fprintf(w, "revenue (bid units)  %10.0f (fraud spend: %.0f)\n", res.Spend, res.FraudSpend)
 	fmt.Fprintf(w, "revenue lost         %10.0f (uncollectable, stolen instruments)\n", res.RevenueLost)
 	fmt.Fprintln(w, "shutdowns by stage:")
@@ -296,18 +297,4 @@ func printSummary(w io.Writer, res *sim.Result) {
 			fmt.Fprintf(w, "  %-15s %8d\n", st, n)
 		}
 	}
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -340,12 +340,12 @@ func TestBadInvocations(t *testing.T) {
 	dir := writeSampleLog(t)
 	var out, errw strings.Builder
 	cases := [][]string{
-		{},                           // no command
-		{"frobnicate", dir},          // unknown command
-		{"stat"},                     // no paths
+		{},                                      // no command
+		{"frobnicate", dir},                     // unknown command
+		{"stat"},                                // no paths
 		{"stat", filepath.Join(dir, "missing")}, // nonexistent path
-		{"stat", t.TempDir()},        // directory without segments
-		{"cat", "-type", "nope", dir}, // unknown type name
+		{"stat", t.TempDir()},                   // directory without segments
+		{"cat", "-type", "nope", dir},           // unknown type name
 	}
 	for _, args := range cases {
 		if err := run(args, &out, &errw); err == nil {

@@ -10,8 +10,7 @@ import (
 )
 
 // Agent binds a sampled Profile to a live platform account and executes
-// its campaign-management behavior day by day: Runtime.PlanStep decides,
-// Runtime.ApplyStep acts (plan.go).
+// its campaign-management behavior day by day (Runtime.Step, step.go).
 type Agent struct {
 	Profile
 	Account platform.AccountID
@@ -35,7 +34,7 @@ type Agent struct {
 }
 
 // ensureURLs builds the per-domain display/destination URL strings once,
-// so the non-FullCreatives apply path stops concatenating two fresh
+// so the non-FullCreatives create path stops concatenating two fresh
 // strings per created ad.
 func (a *Agent) ensureURLs() {
 	if a.dispURLs != nil {
@@ -71,9 +70,12 @@ type Runtime struct {
 	// sink never perturbs a seeded run.
 	Events eventlog.Sink
 
-	// kbScratch stages one ad's keyword bids for the batched platform
-	// insert; ApplyStep always runs on the simulation goroutine, so one
-	// buffer serves every agent.
+	// Per-create scratch — the keyword sample, its match types, and the
+	// bids staged for the batched platform insert — truncated at each use.
+	// Step runs on the simulation goroutine only, so one set serves every
+	// agent and a day's steps allocate nothing but what the platform keeps.
+	kwBuf     []int
+	matchBuf  []platform.MatchType
 	kbScratch []platform.KeywordBid
 }
 
@@ -152,12 +154,4 @@ func (r *Runtime) emit(ev eventlog.Event) {
 	if r.Events != nil {
 		r.Events.Append(ev)
 	}
-}
-
-// vertInfoBid returns the agent's vertical bid level.
-func (r *Runtime) vertInfoBid(a *Agent) float64 {
-	// The verticals package is the source of truth; avoid importing it
-	// here for each ad by caching on first use would be premature — the
-	// lookup is a short scan.
-	return vertBidLevel(a.Vertical)
 }

@@ -1,6 +1,7 @@
 package agents
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/adcopy"
@@ -165,11 +166,12 @@ func spawnActive(t *testing.T, p *platform.Platform, rt *Runtime, prof Profile) 
 	return rt.Spawn(prof, acct.ID, simclock.StampAt(0, 0))
 }
 
-// step runs one agent's day: plan, then apply, as the day loop does.
+// step runs one agent's day and returns the number of ads it created.
 func step(rt *Runtime, a *Agent, day simclock.Day) int {
-	var plan StepPlan
-	rt.PlanStep(a, day, &plan)
-	return rt.ApplyStep(a, day, &plan, 0)
+	acct := rt.p.MustAccount(a.Account)
+	before := acct.AdsCreated
+	rt.Step(a, day)
+	return acct.AdsCreated - before
 }
 
 func TestAgentBuildsPortfolio(t *testing.T) {
@@ -232,6 +234,55 @@ func TestAgentStopsWhenShutdown(t *testing.T) {
 	}
 	if step(rt, a, a.StartDay+4) != 0 {
 		t.Fatal("dead agent still creating ads")
+	}
+}
+
+// TestStepReadsOnlyOwnAccount pins the independence paired counterfactual
+// runs rest on: an agent draws from its own stream and reads its own
+// account, so stepping the same agents in the opposite order changes no
+// account. (FullCreatives stays off: its ad copy is one shared stream.)
+func TestStepReadsOnlyOwnAccount(t *testing.T) {
+	const agentsN, days = 12, 40
+	run := func(reverse bool) *platform.Platform {
+		p, _, rt, f := testWorld(t, 17)
+		var as []*Agent
+		for i := 0; i < agentsN; i++ {
+			prof := f.NewLegit()
+			if i%2 == 1 {
+				prof = f.NewFraud()
+			}
+			prof.ChurnRate, prof.MaintainRate = 0.5, 0.7
+			as = append(as, spawnActive(t, p, rt, prof))
+		}
+		if reverse {
+			slices.Reverse(as)
+		}
+		for day := simclock.Day(0); day < days; day++ {
+			for _, a := range as {
+				rt.Step(a, day)
+			}
+		}
+		return p
+	}
+	fwd, rev := run(false), run(true)
+	for id := platform.AccountID(0); id < agentsN; id++ {
+		x, y := fwd.MustAccount(id), rev.MustAccount(id)
+		if x.AdsCreated == 0 || x.AdsCreated != y.AdsCreated || x.AdsModified != y.AdsModified ||
+			x.KeywordsCreated != y.KeywordsCreated || x.KeywordsModified != y.KeywordsModified ||
+			x.FirstAdAt != y.FirstAdAt || len(x.Ads) != len(y.Ads) {
+			t.Fatalf("account %d: counters differ with step order: %+v vs %+v", id, x, y)
+		}
+		for i, ad := range x.Ads {
+			other := y.Ads[i]
+			if ad.Quality != other.Quality || ad.Created != other.Created || len(ad.Bids) != len(other.Bids) {
+				t.Fatalf("account %d slot %d: ad differs with step order", id, i)
+			}
+			for j, b := range ad.Bids {
+				if *b != *other.Bids[j] {
+					t.Fatalf("account %d slot %d bid %d: %+v vs %+v", id, i, j, *b, *other.Bids[j])
+				}
+			}
+		}
 	}
 }
 

@@ -238,10 +238,7 @@ func (c *Collector) Agg(id platform.AccountID) *AccountAgg {
 // WindowAgg returns the account's aggregate for window index wi, or nil.
 func (c *Collector) WindowAgg(id platform.AccountID, wi int) *WindowAgg {
 	a := c.Agg(id)
-	if a == nil || wi < 0 || wi >= len(a.Windows) || len(a.Windows) == 0 {
-		return nil
-	}
-	if wi >= len(a.Windows) {
+	if a == nil || wi < 0 || wi >= len(a.Windows) {
 		return nil
 	}
 	return a.Windows[wi]
@@ -275,6 +272,7 @@ func (c *Collector) windowAggFor(a *AccountAgg, day simclock.Day) []*WindowAgg {
 //	fraudComp  — another fraud advertiser's ad was on the same page
 //	clicked    — the user clicked
 //	price      — the billed CPC if clicked, else 0
+//
 // The fold is split into two lanes shared with the sharded serving path
 // (see shard.go): an impression lane of pure counter increments, which
 // commute and can therefore be pre-summed per shard and merged at a day

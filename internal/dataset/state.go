@@ -34,12 +34,12 @@ type MonthVerticalEntry struct {
 
 // AccountAggState is the serializable form of one account's aggregates.
 type AccountAggState struct {
-	ID         int32
-	Weeks      []WeekAgg
-	WindowsLen int32
-	Windows    []WindowSlot
-	BidCount   [3]int64
-	BidSum     [3]float64
+	ID                 int32
+	Weeks              []WeekAgg
+	WindowsLen         int32
+	Windows            []WindowSlot
+	BidCount           [3]int64
+	BidSum             [3]float64
 	ClicksByMatch      [3]int64
 	MonthVerticalSpend []MonthVerticalEntry
 }

@@ -18,7 +18,6 @@ package detection
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/eventlog"
@@ -223,11 +222,6 @@ type Pipeline struct {
 	states    []*state
 	monitored int
 
-	// workers is the sweep's scan parallelism (SetWorkers); shards holds
-	// the per-worker outcome buffers, reused across days.
-	workers int
-	shards  [][]sweepOutcome
-
 	// Shutdowns counts enforcement actions by stage (diagnostics).
 	Shutdowns map[dataset.DetectionStage]int
 
@@ -339,8 +333,7 @@ func (d *Pipeline) Enroll(id platform.AccountID, det Detectability, at simclock.
 // flag sends an account to the manual review queue; shutdown follows after
 // the review latency ("many of these mechanisms ... involve a manual
 // review of the advertiser account" §3.2). The latency draw comes from
-// the account's private stream: flag is called from the (possibly
-// concurrent) sweep scan.
+// the account's private stream, like every draw of the sweep scan.
 func (d *Pipeline) flag(s *state, at simclock.Stamp, stage dataset.DetectionStage) {
 	due := simclock.Stamp(float64(at) + stats.Exponential(&s.rng, d.cfg.ReviewLatencyMean))
 	if due < s.flagDue {
@@ -348,35 +341,15 @@ func (d *Pipeline) flag(s *state, at simclock.Stamp, stage dataset.DetectionStag
 	}
 }
 
-// sweepOutcome is one account's staged decision from the scan half of
-// the nightly sweep: either "stop monitoring, no enforcement" (drop) or
-// "enforce at due/stage". Outcomes are merged in ID order.
-type sweepOutcome struct {
-	idx   int32
-	drop  bool
-	due   simclock.Stamp
-	stage dataset.DetectionStage
-}
-
-// SetWorkers sets the sweep's scan parallelism. Because every account
-// scans from its own private RNG stream and enforcement is merged in ID
-// order, the worker count never changes a seeded trajectory — it is a
-// pure throughput knob, like sim.Config.Workers (which drives it). Below
-// one, the sweep scans in one block.
-func (d *Pipeline) SetWorkers(n int) { d.workers = n }
-
-// EndOfDay runs the daily detection sweep: activity detectors over every
-// monitored live account, then enforcement of everything due. It returns
-// the accounts shut down, in ID order (callers use this to model actor
-// reactions such as re-registration).
+// EndOfDay runs the daily detection sweep over every monitored account in
+// ID order: an account that is no longer active stops being monitored;
+// an active one has its activity detectors run and, when something is due,
+// is shut down on the spot. It returns the accounts shut down, in ID order
+// (callers use this to model actor reactions such as re-registration).
 //
-// The sweep is freeze-then-merge: the scan half reads frozen platform
-// state (its own account's counters, the ledger) and draws only from the
-// account's private stream, so it fans out over contiguous ID blocks, one
-// per worker; the enforcement half — shutdowns, collector records,
-// events, counters — runs on the caller's goroutine in ID order. A scan
-// depends only on its own account, never on another account's
-// enforcement, so the worker count never changes the outcome.
+// A scan reads only its own account's record and ledger entry and draws
+// only from the account's private stream, so no account's outcome depends
+// on another's enforcement.
 func (d *Pipeline) EndOfDay(day simclock.Day) []platform.AccountID {
 	// Everything due before the next day begins is enforced tonight; a
 	// due date in the last millisecond of today must not buy the account
@@ -384,46 +357,20 @@ func (d *Pipeline) EndOfDay(day simclock.Day) []platform.AccountID {
 	dayEnd := simclock.StampAt(day+1, 0)
 	banActive := day >= d.cfg.TechSupportBanDay
 	var shut []platform.AccountID
-	n := len(d.states)
-	w := min(max(d.workers, 1), n)
-	for len(d.shards) < w {
-		d.shards = append(d.shards, nil)
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			out := d.shards[k][:0]
-			for i := k * n / w; i < (k+1)*n/w; i++ {
-				s := d.states[i]
-				if s == nil {
-					continue
-				}
-				acct := d.p.MustAccount(s.id)
-				if acct.Status != platform.StatusActive {
-					out = append(out, sweepOutcome{idx: int32(i), drop: true})
-					continue
-				}
-				if due, stage, hit := d.scanAccount(s, acct, dayEnd, banActive); hit {
-					out = append(out, sweepOutcome{idx: int32(i), due: due, stage: stage})
-				}
-			}
-			d.shards[k] = out
-		}(k)
-	}
-	wg.Wait()
-	// Merge: shards cover contiguous ID blocks in order, so walking them
-	// in shard order is ID order.
-	for k := 0; k < w; k++ {
-		for _, o := range d.shards[k] {
-			i := int(o.idx)
-			if !o.drop {
-				shut = d.enforce(d.states[i], o.due, o.stage, shut)
-			}
-			d.states[i] = nil
-			d.monitored--
+	for i, s := range d.states {
+		if s == nil {
+			continue
 		}
+		acct := d.p.MustAccount(s.id)
+		if acct.Status == platform.StatusActive {
+			due, stage, hit := d.scanAccount(s, acct, dayEnd, banActive)
+			if !hit {
+				continue // stays monitored
+			}
+			shut = d.enforce(s, due, stage, shut)
+		}
+		d.states[i] = nil
+		d.monitored--
 	}
 	return shut
 }
@@ -431,9 +378,8 @@ func (d *Pipeline) EndOfDay(day simclock.Day) []platform.AccountID {
 // scanAccount runs the decision half of the sweep for one monitored
 // active account: update activity deltas, schedule/roll every detector
 // from the account's private stream, and report whether enforcement is
-// due tonight. It mutates only s and is safe to run concurrently for
-// distinct accounts — platform reads are confined to the account's own
-// record and the (frozen) ledger.
+// due tonight. It mutates only s; platform reads are confined to the
+// account's own record and its ledger entry.
 func (d *Pipeline) scanAccount(s *state, acct *platform.Account, dayEnd simclock.Stamp, banActive bool) (simclock.Stamp, dataset.DetectionStage, bool) {
 	imprDelta := acct.Impressions - s.lastImpr
 	clickDelta := acct.Clicks - s.lastClicks
@@ -530,7 +476,7 @@ func (d *Pipeline) scanAccount(s *state, acct *platform.Account, dayEnd simclock
 }
 
 // enforce executes one due shutdown: platform action, collector record,
-// event, counters. It runs on the sweep caller's goroutine, in ID order.
+// event, counters.
 func (d *Pipeline) enforce(s *state, due simclock.Stamp, stage dataset.DetectionStage, shut []platform.AccountID) []platform.AccountID {
 	if err := d.p.Shutdown(s.id, due, stage.String()); err == nil {
 		d.col.Detection(dataset.DetectionRecord{Account: s.id, At: due, Stage: stage, Reason: stage.String()})

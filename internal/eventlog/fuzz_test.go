@@ -95,10 +95,10 @@ func FuzzReadLog(f *testing.F) {
 	}
 	valid := buf.Bytes()
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])             // torn final frame
-	f.Add(valid[:len(Magic)])               // header only
-	f.Add([]byte{})                         // empty file
-	f.Add([]byte("EVLOG\x02rest"))          // wrong version byte
+	f.Add(valid[:len(valid)-3])                                                // torn final frame
+	f.Add(valid[:len(Magic)])                                                  // header only
+	f.Add([]byte{})                                                            // empty file
+	f.Add([]byte("EVLOG\x02rest"))                                             // wrong version byte
 	f.Add(append(append([]byte{}, Magic[:]...), 0xff, 0xff, 0xff, 0xff, 0x7f)) // huge frame length
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(valid)/2] ^= 0x10

@@ -134,7 +134,7 @@ func TestCrashLineageCorruptionFallback(t *testing.T) {
 				}
 
 				// Damage the `depth` newest generations.
-				inj := faultinject.New(uint64(depth) * 7919).Ckpt(spec, profile)
+				inj := faultinject.New(uint64(depth)*7919).Ckpt(spec, profile)
 				for g := 0; g < depth; g++ {
 					target := lin.Path
 					if g > 0 {

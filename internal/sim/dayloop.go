@@ -5,20 +5,20 @@ package sim
 //
 //	arrivals  — policy flags, registrations, re-registrations, account
 //	            takeovers (sequential: one arrival RNG stream)
-//	agents    — campaign management: account closes, then one
-//	            plan/apply step per live agent
+//	agents    — campaign management: account closes, then one step per
+//	            live agent, in live-list order
 //	serving   — queries, auctions, clicks, billing (serve.go)
-//	detection — the nightly sweep plus actor re-registration reactions
+//	detection — the nightly sweep, in account-ID order, plus actor
+//	            re-registration reactions
 //
-// The agent and detection phases follow the same freeze-then-merge
-// contract as serving: all cross-account mutation happens on the
-// simulation goroutine at a phase barrier, in canonical order, while the
-// embarrassingly parallel half (per-agent planning from private RNG
-// streams; per-account detector scans from per-account RNG streams) fans
-// out across Workers goroutines. Each phase has this one form, so the
-// worker count is a pure throughput knob for the whole day loop — every
-// seeded byte (digests, checkpoints, event logs) is identical at any
-// Workers value, proven by the differential matrix in dayloop_test.go.
+// Only serving fans out across Workers goroutines (its freeze-then-merge
+// contract is in serve.go); the other three phases run on the simulation
+// goroutine. Every agent and every monitored account still draws from a
+// private RNG stream and reads only its own account, so the canonical
+// orders above fix the shared bytes (index insertion, collector folds,
+// the event log) and nothing else. Every seeded byte (digests,
+// checkpoints, event logs) is identical at any Workers value, proven by
+// the differential matrix in dayloop_test.go.
 //
 // StepPhase exposes the phase boundaries to callers: checkpoints may be
 // taken between any two phases, not just between days, and resumed at a
@@ -66,7 +66,7 @@ func (p Phase) String() string {
 // SetPhaseTimes to profile where a day's cost goes (BenchmarkStepDay
 // and bench/ do). QueryDraw and DrawWait split out the draw-ahead
 // inside the agents phase: QueryDraw is time spent on the draw goroutine
-// (concurrent with planning and applying, so not part of any phase's
+// (concurrent with the agents' steps, so not part of any phase's
 // wall), DrawWait the part of Agents spent blocked on it. Both stay zero
 // at one worker, where serving draws the stream itself.
 type PhaseTimes struct {
@@ -174,15 +174,14 @@ func (s *Sim) arrivalsPhase(day simclock.Day) {
 // queryDraw is the day's query stream, drawn ahead of the serving phase.
 // The stream depends on nothing but the generator's own RNGs, and the
 // agents phase reads only the generator's immutable keyword universes
-// (PlanStep and ApplyStep through Runtime.universe), so with more than
-// one worker agentPhase draws the day's QueriesPerDay queries on a
-// goroutine of its own while plans are made and applied, and joins it
-// before returning: no goroutine outlives a StepPhase call. Serving then
-// takes the drawn queries instead of drawing them. Between the two phases
-// the generator is a day ahead of a run that draws in the serving phase,
-// so Snapshot writes pre, the state recorded before the draw — a restore
-// at that boundary redraws the same queries — and every seeded byte stays
-// identical at any worker count.
+// (Runtime.Step through Runtime.universe), so with more than one worker
+// agentPhase draws the day's QueriesPerDay queries on a goroutine of its
+// own while the agents step, and joins it before returning: no goroutine
+// outlives a StepPhase call. Serving then takes the drawn queries instead
+// of drawing them. Between the two phases the generator is a day ahead of
+// a run that draws in the serving phase, so Snapshot writes pre, the state
+// recorded before the draw — a restore at that boundary redraws the same
+// queries — and every seeded byte stays identical at any worker count.
 type queryDraw struct {
 	qs      []queries.Query        // the day's queries; reused every day
 	pre     queries.GeneratorState // generator state before the draw
@@ -250,15 +249,14 @@ func (s *Sim) takeDrawn() []queries.Query {
 	return s.draw.qs
 }
 
-// agentPhase runs one day of campaign management. A sequential pre-pass
-// compacts dead agents out of the live list and closes accounts whose
-// business has run its course (those draws come from the shared arrival
-// stream, in live order); the surviving agents then plan and apply their
-// campaign steps via runAgents. With more than one worker the day's
-// queries are drawn meanwhile (see queryDraw). The draw is for this day's
-// serving phase, which StepPhase runs next, so none is ever started for a
-// day past the horizon and the generator ends a run where a one-worker
-// run leaves it.
+// agentPhase runs one day of campaign management: it compacts dead agents
+// out of the live list, closes accounts whose business has run its course
+// (those draws come from the shared arrival stream, in live order), then
+// steps the surviving agents in live order. With more than one worker the
+// day's queries are drawn meanwhile (see queryDraw). The draw is for this
+// day's serving phase, which StepPhase runs next, so none is ever started
+// for a day past the horizon and the generator ends a run where a
+// one-worker run leaves it.
 func (s *Sim) agentPhase(day simclock.Day) {
 	if s.resolveWorkers() > 1 {
 		s.startDraw()
@@ -282,28 +280,11 @@ func (s *Sim) agentPhase(day simclock.Day) {
 	s.runAgents(day)
 }
 
-// runAgents steps every live agent once. Planning — all RNG draws,
-// against frozen account state — fans out over contiguous blocks of the
-// live list, and the recorded plans are applied on this goroutine in
-// live order, which fixes the order of platform mutations, collector
-// folds and event bytes. (Plans only read the planning agent's own
-// account, so a plan never depends on another agent's apply.)
+// runAgents steps every live agent once, in live order: the order that
+// fixes index insertion, collector folds and event bytes.
 func (s *Sim) runAgents(day simclock.Day) {
-	n := len(s.live)
-	w := min(s.resolveWorkers(), n)
-	for len(s.plans) < w {
-		s.plans = append(s.plans, new(agents.StepPlan))
-	}
-	fanOut(w, n, func(k, lo, hi int) {
-		s.plans[k].Reset()
-		for _, a := range s.live[lo:hi] {
-			s.runtime.PlanStep(a, day, s.plans[k])
-		}
-	})
-	for k := 0; k < w; k++ {
-		for i, a := range s.live[k*n/w : (k+1)*n/w] {
-			s.runtime.ApplyStep(a, day, s.plans[k], i)
-		}
+	for _, a := range s.live {
+		s.runtime.Step(a, day)
 	}
 }
 
@@ -311,7 +292,6 @@ func (s *Sim) runAgents(day simclock.Day) {
 // re-registration reactions, and maintains the live fraud-account
 // counter the progress callback reports.
 func (s *Sim) detectionPhase(day simclock.Day) {
-	s.pipeline.SetWorkers(s.resolveWorkers())
 	for _, id := range s.pipeline.EndOfDay(day) {
 		if s.p.MustAccount(id).Fraud {
 			s.fraudLive--

@@ -4,7 +4,7 @@ package sim
 // arrivals, agents, serving, detection — against the same warmed
 // MediumConfig world the serving benchmark uses, per worker count, with
 // the per-phase wall-time split reported alongside time/op so the
-// agent/detection scaling is visible separately from serving's.
+// sequential phases' cost is visible separately from serving's scaling.
 
 import (
 	"fmt"
@@ -56,7 +56,7 @@ func TestPhaseTimesConsistency(t *testing.T) {
 	state, _ := warmServingState(t, cfg, 20)
 	for _, workers := range []int{1, 2} {
 		s := restoreServing(t, state, workers)
-		s.Step() // untimed shakedown: plan buffers, shard buffers, page cache
+		s.Step() // untimed shakedown: agent scratch, shard buffers, page cache
 		var pt PhaseTimes
 		s.SetPhaseTimes(&pt)
 		start := time.Now()

@@ -1,13 +1,12 @@
-// Day-loop parallelism suite: dayloop.go extends the Workers contract
-// from serving to the whole day — agent planning and the nightly
-// detection sweep fan out over the same pool — and these tests prove the
-// extended contract the same three ways serve_test.go proves the serving
-// half: a full-run differential matrix (digests AND merged event logs,
-// byte for byte, across workers × seeds), a checkpoint taken at a
-// mid-day phase boundary and resumed at a different worker count, and
-// the phase-cursor state machine itself. CI runs the matrix under -race,
-// which doubles as the data-race proof for the plan/apply and
-// scan/enforce stagings.
+// Day-loop parallelism suite: Workers is a pure throughput knob for the
+// whole day — serving fans out, and above one worker the agents phase
+// runs beside the query draw-ahead — and these tests prove it the same
+// three ways serve_test.go proves the serving half: a full-run
+// differential matrix (digests AND merged event logs, byte for byte,
+// across workers × seeds), a checkpoint taken at a mid-day phase boundary
+// and resumed at a different worker count, and the phase-cursor state
+// machine itself. CI runs the matrix under -race, which doubles as the
+// data-race proof for the draw-ahead beside the agents' steps.
 package sim_test
 
 import (
@@ -58,9 +57,9 @@ func diffEvents(t *testing.T, want, got []eventlog.Event) {
 // loop: for each seed, Workers ∈ {2, 5} must reproduce the one-worker
 // run's dataset digests AND its event log byte for byte — registrations,
 // campaign edits, impressions, detections, every record in the same
-// order. Unlike the serving-only matrix this exercises the agent
-// plan/apply staging and the sharded detection sweep on every simulated
-// day.
+// order. Unlike the serving-only matrix this exercises the agents phase
+// beside the query draw-ahead, and the detection sweep, on every
+// simulated day.
 func TestParallelDayLoopMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a grid of simulations")
@@ -81,9 +80,9 @@ func TestParallelDayLoopMatrix(t *testing.T) {
 }
 
 // TestEmptyWorld runs a world with no queries, no advertisers and no
-// arrivals: serving fans out over empty blocks and the agents and
-// detection fan-outs, min(workers, 0) wide, have no block at all. That
-// must run clean and land on one digest at any worker count.
+// arrivals: serving fans out over empty blocks, and the agents and
+// detection loops have nothing to visit. That must run clean and land
+// on one digest at any worker count.
 func TestEmptyWorld(t *testing.T) {
 	empty := func(workers int) sim.Config {
 		cfg := matrixConfig(3, workers)

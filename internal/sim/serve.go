@@ -203,8 +203,8 @@ func newServeEngine(workers int) *serveEngine {
 
 // fanOut splits [0, n) into w contiguous blocks — block order is index
 // order — runs fn(k, lo, hi) for block k = [lo, hi) on a goroutine of its
-// own, and waits for all of them. Serving's phases B and D and the
-// agents phase's planning all fan out through it.
+// own, and waits for all of them. Serving's phases B and D fan out
+// through it.
 func fanOut(w, n int, fn func(k, lo, hi int)) {
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {

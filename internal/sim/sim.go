@@ -36,12 +36,13 @@ type Config struct {
 	// QueriesPerDay is the served search volume.
 	QueriesPerDay int
 
-	// Workers sets how many goroutines the day loop fans out to — agent
-	// campaign planning, query serving, and the nightly detection scan
-	// each split their work into that many contiguous blocks; 0 (the
-	// default) uses runtime.GOMAXPROCS. Every phase has one
-	// freeze-then-merge form (DESIGN.md §7–8) run at any worker count, so
-	// every seeded outcome — dataset digests, billing, event-log bytes,
+	// Workers sets how many goroutines the serving phase fans out to —
+	// its auction and click halves each split the day's queries into that
+	// many contiguous blocks (DESIGN.md §7) — and, above one, lets the
+	// agents phase draw the day's query stream on a goroutine beside it;
+	// 0 (the default) uses runtime.GOMAXPROCS. Campaign management and
+	// the detection sweep run on the simulation goroutine (DESIGN.md §8).
+	// Every seeded outcome — dataset digests, billing, event-log bytes,
 	// RNG stream positions — is byte-identical across all Workers values
 	// (see the differential matrices in serve_test.go and
 	// dayloop_test.go); the setting is therefore a pure throughput knob
@@ -205,9 +206,6 @@ type Sim struct {
 	// still active, maintained incrementally (register, compromise,
 	// shutdown) so the progress callback does not rescan the population.
 	fraudLive int
-	// plans holds the agents phase's reusable plan buffers, one per
-	// worker; see runAgents in dayloop.go.
-	plans []*agents.StepPlan
 	// draw is the day's query stream and the agents phase's draw-ahead of
 	// it (workers > 1 only); see queryDraw in dayloop.go.
 	draw queryDraw
