@@ -120,8 +120,12 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLineageLoad -fuzztime 5s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzSubStreams -fuzztime 5s
 
-# loc prints the tracked Go line counts, non-test and test, outside the
-# benchmark module — the numbers a PR's "net line delta" is stated in.
+# loc prints the Go line counts, non-test and test, outside the benchmark
+# module — the numbers a PR's "net line delta" is stated in. It counts
+# the files in the working tree: tracked, or untracked and not ignored
+# (a new file counts before it is staged; a deleted one no longer does).
+LOC_FILES = git ls-files -co --exclude-standard -- '*.go' ':!bench' | sort -u | \
+	while read -r f; do if [ -f "$$f" ]; then echo "$$f"; fi; done
 loc:
-	@git ls-files '*.go' ':!bench' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo non-test
-	@git ls-files '*.go' ':!bench' | grep '_test\.go$$' | xargs cat | wc -l | xargs echo test
+	@$(LOC_FILES) | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo non-test
+	@$(LOC_FILES) | grep '_test\.go$$' | xargs cat | wc -l | xargs echo test

@@ -37,7 +37,6 @@ import (
 	"repro/internal/auction"
 	"repro/internal/eventlog"
 	"repro/internal/sim"
-	"repro/internal/simclock"
 )
 
 func main() {
@@ -153,16 +152,9 @@ func parseFlags(args []string, stderr io.Writer) (flags, sim.Config, error) {
 	if err := fs.Parse(args); err != nil {
 		return f, sim.Config{}, err
 	}
-	cfg, err := sim.ScaleConfig(f.scale)
+	cfg, err := sim.Shape{Scale: f.scale, Seed: f.seed, Days: *days, Queries: *queries}.Config()
 	if err != nil {
 		return f, sim.Config{}, fmt.Errorf("adserver: %w", err)
-	}
-	cfg.Seed = f.seed
-	if *days > 0 {
-		cfg.Days = simclock.Day(*days)
-	}
-	if *queries > 0 {
-		cfg.QueriesPerDay = *queries
 	}
 	cfg.FullCreatives = true // serve real ad copy
 	return f, cfg, nil

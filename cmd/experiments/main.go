@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/simclock"
 )
 
 func main() {
@@ -57,19 +56,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	cfg, err := sim.ScaleConfig(*scale)
+	cfg, err := sim.Shape{Scale: *scale, Seed: *seed, Days: *days, Queries: *queries, Regs: *regs}.Config()
 	if err != nil {
 		return fmt.Errorf("experiments: %w", err)
-	}
-	cfg.Seed = *seed
-	if *days > 0 {
-		cfg.Days = simclock.Day(*days)
-	}
-	if *queries > 0 {
-		cfg.QueriesPerDay = *queries
-	}
-	if *regs > 0 {
-		cfg.RegistrationsPerDay = *regs
 	}
 	if *verbose {
 		cfg.Progress = func(s string) { fmt.Fprintln(stderr, s) }

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	fraudsim [-scale small|medium|full] [-seed N] [-days N]
-//	         [-queries N] [-regs F] [-workers N] [-v] [-export DIR]
+//	         [-queries N] [-regs F] [-legit N] [-workers N] [-v] [-export DIR]
 //	         [-eventlog DIR] [-sync none|rotate|interval]
 //	         [-checkpoint PATH] [-checkpoint-every N]
 //	         [-resume PATH]
@@ -21,23 +21,25 @@
 // the -checkpoint file every N simulated days (aligned with an event-log
 // segment rotation when -eventlog is on), keeping the last
 // -checkpoint-retain snapshots as a fallback lineage (PATH, PATH.1,
-// PATH.2, ...). A killed run restarts with -resume PATH: the newest
-// valid checkpoint in the lineage is restored — a checkpoint that went
-// bad on disk is quarantined as PATH.corrupt (evidence, never deleted)
-// and the next-older snapshot is used, costing only re-simulated days —
-// then the event log is recovered and truncated to that checkpoint's
-// segment boundary and the run continues on the exact deterministic
-// trajectory of an uninterrupted run. Run parameters (-scale, -seed,
-// -days, -queries, -regs) come from the checkpoint and cannot be
-// overridden on resume; -workers and -checkpoint-retain CAN be
-// overridden on resume — neither affects the trajectory.
+// PATH.2, ...). Either flag without the other is refused, except that a
+// resumed run checkpoints into its -resume lineage. A killed run
+// restarts with -resume PATH: the newest valid checkpoint in the lineage
+// is restored — a checkpoint that went bad on disk is quarantined as
+// PATH.corrupt (evidence, never deleted) and the next-older snapshot is
+// used, costing only re-simulated days — then the event log is recovered
+// and truncated to that checkpoint's segment boundary and the run
+// continues on the exact deterministic trajectory of an uninterrupted
+// run. The shape flags (-scale through -legit) come from the checkpoint
+// and cannot be overridden on resume; -workers and -checkpoint-retain
+// CAN be — neither affects the trajectory.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (CPU over
-// the whole simulation loop; heap at exit, after a final GC) for
-// `go tool pprof`.
+// the whole run, a resume's restore included; heap at exit, after a
+// final GC) for `go tool pprof`.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -45,12 +47,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/eventlog"
 	"repro/internal/sim"
-	"repro/internal/simclock"
 )
 
 func main() {
@@ -64,11 +64,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("fraudsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	scale := fs.String("scale", "medium", "simulation scale: small, medium, or full")
-	seed := fs.Uint64("seed", 42, "simulation seed")
-	days := fs.Int("days", 0, "override simulated days (0 = scale default)")
-	queries := fs.Int("queries", 0, "override queries per day (0 = scale default)")
-	regs := fs.Float64("regs", 0, "override registrations per day (0 = scale default)")
+	shape := sim.DefaultShape()
+	shape.Bind(fs)
 	workers := fs.Int("workers", 0, "serving worker goroutines (0 = all CPUs; any value gives identical results)")
 	verbose := fs.Bool("v", false, "print progress every 30 simulated days")
 	export := fs.String("export", "", "directory to write the three datasets as JSON lines")
@@ -88,90 +85,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("fraudsim: %w", err)
 	}
-	if *ckptEvery > 0 && *ckptPath == "" && *resume == "" {
+	switch {
+	case *ckptEvery < 0:
+		return fmt.Errorf("fraudsim: -checkpoint-every %d is negative", *ckptEvery)
+	case *ckptEvery > 0 && *ckptPath == "" && *resume == "":
 		return fmt.Errorf("fraudsim: -checkpoint-every needs -checkpoint PATH")
+	case *ckptEvery == 0 && *ckptPath != "":
+		return fmt.Errorf("fraudsim: -checkpoint needs -checkpoint-every N")
 	}
-	if *ckptEvery > 0 && *ckptPath == "" {
-		*ckptPath = *resume // keep checkpointing into the file we resumed from
+	// -workers is not a shape flag: worker count does not affect the
+	// trajectory, so a resumed run may use a different one (e.g. on a
+	// differently-sized machine).
+	if err := sim.RefuseOnResume(fs); err != nil {
+		return fmt.Errorf("fraudsim: %w", err)
 	}
-
-	var (
-		s       *sim.Sim
-		dw      *eventlog.DirWriter
-		logBase uint64 // events already in the log before this process
-	)
-	if *resume != "" {
-		// -workers is deliberately absent from the override rejection:
-		// worker count does not affect the trajectory, so a resumed run
-		// may use a different one (e.g. on a differently-sized machine).
-		var bad []string
-		workersSet := false
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "scale", "seed", "days", "queries", "regs":
-				bad = append(bad, "-"+f.Name)
-			case "workers":
-				workersSet = true
-			}
-		})
-		if len(bad) > 0 {
-			return fmt.Errorf("fraudsim: %s cannot be combined with -resume (run parameters come from the checkpoint)",
-				strings.Join(bad, ", "))
-		}
-		// ResumeRun walks the checkpoint lineage newest→oldest: a file
-		// that fails validation is quarantined as .corrupt and the
-		// next-older snapshot is used. An all-corrupt lineage is a hard
-		// error — the operator named this run explicitly; silently
-		// starting over would discard it.
-		r, err := sim.ResumeRun(sim.Lineage{Path: *resume, Retain: *ckptRetain}, *evDir, stderr)
-		if err != nil {
-			return fmt.Errorf("fraudsim: %w", err)
-		}
-		s, dw, logBase = r.Sim, r.Log, r.LogBase
-		if dw != nil {
-			dw.Sync = policy
-		}
-		if workersSet {
-			s.SetWorkers(*workers)
-		}
-		if *verbose {
-			s.SetProgress(func(line string) { fmt.Fprintln(stderr, line) })
-		}
-		fmt.Fprintf(stdout, "resumed from %s at day %d\n", r.From, s.Day())
-	} else {
-		cfg, err := sim.ScaleConfig(*scale)
-		if err != nil {
-			return fmt.Errorf("fraudsim: %w", err)
-		}
-		cfg.Seed = *seed
-		if *days > 0 {
-			cfg.Days = simclock.Day(*days)
-		}
-		if *queries > 0 {
-			cfg.QueriesPerDay = *queries
-		}
-		if *regs > 0 {
-			cfg.RegistrationsPerDay = *regs
-		}
-		cfg.Workers = *workers
-		if *verbose {
-			cfg.Progress = func(s string) { fmt.Fprintln(stderr, s) }
-		}
-		if *evDir != "" {
-			dw, err = eventlog.NewDirWriter(*evDir)
-			if err != nil {
-				return err
-			}
-			dw.Sync = policy
-			cfg.Events = dw
-		}
-		s = sim.New(cfg)
-	}
-	if dw != nil {
-		// An error return below must not leave the staged segment
-		// behind. The success path checks Close itself; a second Close
-		// is a no-op.
-		defer dw.Close()
+	cfg, err := shape.Config() // a resumed run's comes from its checkpoint
+	if err != nil {
+		return fmt.Errorf("fraudsim: %w", err)
 	}
 
 	if *cpuProfile != "" {
@@ -189,26 +119,46 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	startDay := s.Day()
-	for {
-		if *ckptEvery > 0 && s.Day() > startDay && int(s.Day())%*ckptEvery == 0 {
-			if err := writeCheckpoint(s, dw, sim.Lineage{Path: *ckptPath, Retain: *ckptRetain}, logBase); err != nil {
-				return fmt.Errorf("fraudsim: checkpoint: %w", err)
-			}
-		}
-		if !s.Step() {
-			break
-		}
+	var d *sim.Durable
+	if *resume == "" {
+		d, err = sim.NewDurable(cfg, *evDir)
+	} else {
+		// ResumeRun walks the checkpoint lineage newest→oldest,
+		// quarantining damaged snapshots. An all-corrupt lineage is a
+		// hard error: the operator named this run; starting over would
+		// discard it.
+		d, err = sim.ResumeRun(sim.Lineage{Path: *resume, Retain: *ckptRetain}, *evDir, stderr)
 	}
-	res := s.Finish()
-	printSummary(stdout, res)
+	if err != nil {
+		return fmt.Errorf("fraudsim: %w", err)
+	}
+	if d.From != "" {
+		fmt.Fprintf(stdout, "resumed from %s at day %d\n", d.From, d.Sim.Day())
+	}
+	if d.Log != nil {
+		d.Log.Sync = policy
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "workers" { // else the scale's, or the checkpoint's
+			d.Sim.SetWorkers(*workers)
+		}
+	})
+	if *verbose {
+		d.Sim.SetProgress(func(line string) { fmt.Fprintln(stderr, line) })
+	}
 
-	if dw != nil {
-		if err := dw.Close(); err != nil {
+	// Without -checkpoint, a resumed run checkpoints into its own lineage.
+	res, err := d.RunDays(sim.Lineage{Path: cmp.Or(*ckptPath, *resume), Retain: *ckptRetain}, *ckptEvery, nil)
+	if err != nil {
+		return fmt.Errorf("fraudsim: %w", err)
+	}
+	printSummary(stdout, res)
+	if d.Log != nil {
+		bytes, err := logBytes(*evDir)
+		if err != nil {
 			return fmt.Errorf("fraudsim: event log: %w", err)
 		}
-		fmt.Fprintf(stdout, "event log written to %s (%d events, %d bytes)\n",
-			*evDir, logBase+dw.Events(), dw.Bytes())
+		fmt.Fprintf(stdout, "event log written to %s (%d events, %d bytes)\n", *evDir, d.Events(), bytes)
 	}
 
 	if *export != "" {
@@ -233,6 +183,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// logBytes sums the sealed segments of the closed log in dir: the whole
+// log, earlier processes' share of a resumed run included.
+func logBytes(dir string) (n uint64, err error) {
+	m, err := eventlog.ReadManifest(dir)
+	if m != nil {
+		for _, seg := range m.Segments {
+			n += seg.Bytes
+		}
+	}
+	return n, err
 }
 
 // exportDatasets writes the §3.1 data sources as JSON-lines files.
@@ -260,20 +222,6 @@ func exportDatasets(dir string, res *sim.Result) error {
 		return err
 	}
 	return write("detections.jsonl", res.Collector.ExportDetections)
-}
-
-// writeCheckpoint rotates the event log to a segment boundary and
-// snapshots the simulation against it, as the lineage's newest
-// generation.
-func writeCheckpoint(s *sim.Sim, dw *eventlog.DirWriter, lin sim.Lineage, logBase uint64) error {
-	var pos sim.LogPosition
-	if dw != nil {
-		if err := dw.Rotate(); err != nil {
-			return err
-		}
-		pos = sim.LogPosition{NextSegment: dw.NextSegment(), Events: logBase + dw.Events()}
-	}
-	return s.SaveCheckpointLineage(lin, pos)
 }
 
 func printSummary(w io.Writer, res *sim.Result) {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -77,9 +78,16 @@ func TestRunRejectsUnknownScale(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out, errw strings.Builder
-	if err := run([]string{"-nope"}, &out, &errw); err == nil {
-		t.Fatal("bad flag accepted")
+	ckpt := filepath.Join(t.TempDir(), "ck.frsnap")
+	// -checkpoint without a positive -checkpoint-every would run to the
+	// horizon and never write it.
+	for _, args := range [][]string{{"-nope"}, {"-checkpoint", ckpt}, {"-checkpoint", ckpt, "-checkpoint-every", "-3"}} {
+		if err := run(append(args, "-scale", "small", "-days", "2"), io.Discard, io.Discard); err == nil {
+			t.Errorf("%q accepted", args)
+		}
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("a refused run wrote %s (stat: %v)", ckpt, err)
 	}
 }
 
@@ -129,8 +137,9 @@ func TestResumeRestoreFailureLeavesNoStagedSegment(t *testing.T) {
 // TestRunWorkersAndProfiles covers the serving-parallelism and profiling
 // flags: a multi-worker run must export byte-identical datasets to a
 // one-worker run of the same seed, a checkpoint resumed with a different
-// -workers value must land on the same datasets, and the pprof flags
-// must leave non-empty profile files behind.
+// -workers value must land on the same datasets and report the same
+// whole event log, and the pprof flags must leave non-empty profile
+// files behind.
 func TestRunWorkersAndProfiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several simulations")
@@ -149,12 +158,17 @@ func TestRunWorkersAndProfiles(t *testing.T) {
 		return out
 	}
 
-	seqOut := t.TempDir()
+	// The one-worker run also logs, and checkpoints mid-run at day 20.
+	seqOut, logDir := t.TempDir(), filepath.Join(t.TempDir(), "log")
+	ckpt := filepath.Join(t.TempDir(), "ck.frsnap")
 	var sb strings.Builder
-	if err := run(append(base[:len(base):len(base)], "-workers", "1", "-export", seqOut), &sb, &sb); err != nil {
+	if err := run(append(base[:len(base):len(base)], "-workers", "1", "-export", seqOut, "-eventlog", logDir,
+		"-checkpoint", ckpt, "-checkpoint-every", "20"), &sb, &sb); err != nil {
 		t.Fatalf("one-worker run: %v\n%s", err, sb.String())
 	}
 	want := exportOf(seqOut)
+	logLine := regexp.MustCompile(`event log written .*`)
+	wantLog := logLine.FindString(sb.String())
 
 	parOut := t.TempDir()
 	cpu := filepath.Join(t.TempDir(), "cpu.pprof")
@@ -180,27 +194,16 @@ func TestRunWorkersAndProfiles(t *testing.T) {
 		}
 	}
 
-	// A checkpoint taken mid-run resumes with a different worker count —
-	// the one run parameter that may legally change across a resume.
-	cfg := sim.SmallConfig()
-	cfg.Seed = 7
-	cfg.Days = 40
-	cfg.QueriesPerDay = 400
-	cfg.RegistrationsPerDay = 8
-	s := sim.New(cfg)
-	for int(s.Day()) < 20 {
-		if !s.Step() {
-			t.Fatal("horizon ended early")
-		}
-	}
-	ckpt := filepath.Join(t.TempDir(), "ck.frsnap")
-	if err := s.WriteCheckpointFile(ckpt, sim.LogPosition{}); err != nil {
-		t.Fatal(err)
-	}
+	// The checkpoint resumes with a different worker count — the one run
+	// parameter that may legally change across a resume — and reports the
+	// whole log, not this process's share of it.
 	resOut := t.TempDir()
 	sb.Reset()
-	if err := run([]string{"-resume", ckpt, "-workers", "2", "-export", resOut}, &sb, &sb); err != nil {
+	if err := run([]string{"-resume", ckpt, "-workers", "2", "-export", resOut, "-eventlog", logDir}, &sb, &sb); err != nil {
 		t.Fatalf("resume with -workers: %v\n%s", err, sb.String())
+	}
+	if got := logLine.FindString(sb.String()); wantLog == "" || got != wantLog {
+		t.Errorf("resumed run reports %q, first run %q", got, wantLog)
 	}
 	for name, w := range want {
 		if got := exportOf(resOut)[name]; got != w {
@@ -331,73 +334,69 @@ func TestSupervisedWorkerChild(t *testing.T) {
 // its checkpoints leaves the very log an undisturbed `fraudsim -eventlog
 // -checkpoint-every N -sync rotate` run of the same shape writes: the
 // same manifest (segment names, sizes, CRC32Cs) over the same segment
-// bytes. The supervised worker adds nothing to the log and recovery
-// loses nothing from it.
+// bytes. Both run sim.Durable.RunDays on the Config of one sim.Shape, so
+// one seed suffices: what remains to prove is that the worker adds
+// nothing to the log and recovery loses nothing from it.
 func TestSupervisedLogByteIdenticalToFraudsim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations and worker subprocesses")
 	}
-	for _, seed := range []uint64{42, 43, 44} {
-		refDir := t.TempDir()
-		refLog := filepath.Join(refDir, "log")
-		var sb strings.Builder
-		err := run([]string{"-scale", "small", "-seed", fmt.Sprint(seed), "-days", "12", "-queries", "200", "-regs", "8",
-			"-eventlog", refLog, "-checkpoint", filepath.Join(refDir, "run.frsnap"),
-			"-checkpoint-every", "4", "-sync", "rotate"}, &sb, &sb)
-		if err != nil {
-			t.Fatalf("seed %d: fraudsim reference: %v\n%s", seed, err, sb.String())
-		}
+	refDir := t.TempDir()
+	refLog := filepath.Join(refDir, "log")
+	var sb strings.Builder
+	err := run([]string{"-scale", "small", "-seed", "42", "-days", "12", "-queries", "200", "-regs", "8",
+		"-eventlog", refLog, "-checkpoint", filepath.Join(refDir, "run.frsnap"),
+		"-checkpoint-every", "4", "-sync", "rotate"}, &sb, &sb)
+	if err != nil {
+		t.Fatalf("fraudsim reference: %v\n%s", err, sb.String())
+	}
 
-		dir := t.TempDir()
-		res, err := supervise.Run(supervise.Config{
-			Spec: supervise.WorkerSpec{
-				Dir: dir, Scale: "small", Seed: seed, Days: 12, Queries: 200, Regs: 8,
-				CheckpointEvery: 4, HBInterval: 50 * time.Millisecond, Sync: "rotate",
-			},
-			Spawn: &supervise.ExecSpawner{
-				Command:  os.Args[0],
-				BaseArgs: []string{"-test.run=TestSupervisedWorkerChild$", "--"},
-				Stderr:   io.Discard,
-			},
-			MaxRestarts: 4,
-			BackoffBase: 10 * time.Millisecond,
-			BackoffCap:  100 * time.Millisecond,
-			Seed:        seed,
-			// One self-inflicted SIGKILL within the first incarnation's
-			// first eight messages, one from the supervisor after eight
-			// day reports: before and after the first checkpoint.
-			Faults: "kill@msg=4..8",
-			Kills:  []int{8},
-			Logf:   t.Logf,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: supervised run: %v", seed, err)
-		}
-		if res.Restarts != 2 {
-			t.Errorf("seed %d: restarts = %d, want 2", seed, res.Restarts)
-		}
+	dir := t.TempDir()
+	res, err := supervise.Run(supervise.Config{
+		Spec: supervise.WorkerSpec{
+			Dir:             dir,
+			Shape:           sim.Shape{Scale: "small", Seed: 42, Days: 12, Queries: 200, Regs: 8},
+			CheckpointEvery: 4, HBInterval: 50 * time.Millisecond, Sync: "rotate",
+		},
+		Spawn: &supervise.ExecSpawner{
+			Command:  os.Args[0],
+			BaseArgs: []string{"-test.run=TestSupervisedWorkerChild$", "--"},
+			Stderr:   io.Discard,
+		},
+		MaxRestarts: 4,
+		BackoffBase: 10 * time.Millisecond,
+		BackoffCap:  100 * time.Millisecond,
+		Seed:        42,
+		// One self-inflicted SIGKILL within the first incarnation's
+		// first eight messages, one from the supervisor after eight
+		// day reports: before and after the first checkpoint.
+		Faults: "kill@msg=4..8",
+		Kills:  []int{8},
+		Logf:   t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("supervised run: %v", err)
+	}
+	if res.Restarts != 2 {
+		t.Errorf("restarts = %d, want 2", res.Restarts)
+	}
 
-		gotLog := supervise.LogDir(dir)
-		names := []string{eventlog.ManifestName}
-		segs, err := eventlog.Segments(refLog)
+	segs, err := eventlog.Segments(refLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range append(segs, eventlog.ManifestName) {
+		name := filepath.Base(seg)
+		want, err := os.ReadFile(filepath.Join(refLog, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, seg := range segs {
-			names = append(names, filepath.Base(seg))
+		got, err := os.ReadFile(filepath.Join(supervise.LogDir(dir), name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, name := range names {
-			want, err := os.ReadFile(filepath.Join(refLog, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(filepath.Join(gotLog, name))
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if string(got) != string(want) {
-				t.Errorf("seed %d: %s differs between the killed-and-restarted supervised run and fraudsim", seed, name)
-			}
+		if string(got) != string(want) {
+			t.Errorf("%s differs between the killed-and-restarted supervised run and fraudsim", name)
 		}
 	}
 }

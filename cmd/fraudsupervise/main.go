@@ -4,12 +4,14 @@
 // (internal/supervise): the supervisor spawns the worker, watches its
 // heartbeats and day reports, restarts it from its last checkpoint when
 // it dies or goes silent, and finishes by replaying the log and proving
-// it reproduces the worker's live digest.
+// it reproduces the worker's live digest. The shape flags (-scale
+// through -legit) are fraudsim's own; with -checkpoint-every 0 a worker
+// that dies starts over.
 //
 // Usage:
 //
 //	fraudsupervise -dir DIR [-scale small|medium|full]
-//	               [-seed N] [-days N] [-queries N] [-regs F]
+//	               [-seed N] [-days N] [-queries N] [-regs F] [-legit N]
 //	               [-checkpoint-every N] [-checkpoint-retain K]
 //	               [-sync none|rotate|interval]
 //	               [-hb-interval D] [-hb-timeout D] [-max-restarts N] [-v]
@@ -72,16 +74,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("fraudsupervise", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	dir := fs.String("dir", "", "run working directory (DIR/log + DIR/run.frsnap*; required)")
-	scale := fs.String("scale", "medium", "simulation scale: small, medium, or full")
-	seed := fs.Uint64("seed", 42, "simulation seed")
-	days := fs.Int("days", 0, "override simulated days (0 = scale default)")
-	queries := fs.Int("queries", 0, "override queries per day (0 = scale default)")
-	regs := fs.Float64("regs", 0, "override registrations per day (0 = scale default)")
-	ckptEvery := fs.Int("checkpoint-every", 8, "checkpoint every N simulated days")
-	ckptRetain := fs.Int("checkpoint-retain", sim.DefaultRetain, "checkpoint lineage depth (last K kept)")
-	syncMode := fs.String("sync", "rotate", "event log fsync policy: none, rotate, or interval")
-	hbInterval := fs.Duration("hb-interval", 500*time.Millisecond, "worker heartbeat interval")
+	spec := supervise.DefaultSpec()
+	spec.Bind(fs)
 	hbTimeout := fs.Duration("hb-timeout", 5*time.Second, "silence after which the worker is declared dead")
 	maxRestarts := fs.Int("max-restarts", 3, "restarts allowed before the run fails")
 	verbose := fs.Bool("v", false, "print supervisor narration")
@@ -92,37 +86,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	spec := supervise.WorkerSpec{
-		Dir:             *dir,
-		CheckpointEvery: *ckptEvery,
-		Retain:          *ckptRetain,
-		HBInterval:      *hbInterval,
-		Sync:            *syncMode,
+	if spec.CheckpointEvery < 0 {
+		return fmt.Errorf("fraudsupervise: -checkpoint-every %d is negative", spec.CheckpointEvery)
+	}
+	// The run's shape lives in the checkpoint; flags that would change
+	// the trajectory are refused, exactly like `fraudsim -resume`.
+	if err := sim.RefuseOnResume(fs, "dir"); err != nil {
+		return fmt.Errorf("fraudsupervise: %w", err)
 	}
 	if *resume != "" {
-		// The run's shape lives in the checkpoint; flags that would
-		// change the trajectory are refused, exactly like `fraudsim
-		// -resume`.
-		var bad []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "dir", "scale", "seed", "days", "queries", "regs":
-				bad = append(bad, "-"+f.Name)
-			}
-		})
-		if len(bad) > 0 {
-			return fmt.Errorf("fraudsupervise: %s cannot be combined with -resume (run parameters come from the checkpoint)",
-				strings.Join(bad, ", "))
-		}
 		spec.Dir = *resume
-	} else {
-		if *dir == "" {
-			return fmt.Errorf("fraudsupervise: -dir DIR is required")
-		}
-		if err := os.MkdirAll(*dir, 0o755); err != nil {
-			return err
-		}
-		spec.Scale, spec.Seed, spec.Days, spec.Queries, spec.Regs = *scale, *seed, *days, *queries, *regs
+	} else if spec.Dir == "" {
+		return fmt.Errorf("fraudsupervise: -dir DIR is required")
+	} else if err := os.MkdirAll(spec.Dir, 0o755); err != nil {
+		return err
 	}
 
 	kills, err := parseKillPoints(*killSpecs)
@@ -138,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Spawn:       &supervise.ExecSpawner{Command: exe, BaseArgs: []string{"worker"}, Stderr: stderr},
 		HBTimeout:   *hbTimeout,
 		MaxRestarts: *maxRestarts,
-		Seed:        *seed,
+		Seed:        spec.Shape.Seed,
 		Resume:      *resume != "",
 		Faults:      *faults,
 		Kills:       kills,

@@ -128,9 +128,17 @@ func TestCLIRequiresDir(t *testing.T) {
 
 func TestCLIRejectsResumeWithOverrides(t *testing.T) {
 	var out, errw strings.Builder
-	err := run([]string{"-resume", t.TempDir(), "-seed", "9", "-days", "3"}, &out, &errw)
-	if err == nil || !strings.Contains(err.Error(), "-seed") || !strings.Contains(err.Error(), "-days") {
+	err := run([]string{"-resume", t.TempDir(), "-seed", "9", "-days", "3", "-legit", "5"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "-days, -legit, -seed") {
 		t.Fatalf("resume with shape flags: %v", err)
+	}
+}
+
+func TestCLIRejectsNegativeCheckpointEvery(t *testing.T) {
+	var out, errw strings.Builder
+	err := run([]string{"-dir", t.TempDir(), "-checkpoint-every", "-1"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
+		t.Fatalf("negative -checkpoint-every: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/sim"
-	"repro/internal/simclock"
 )
 
 // Scenario is the machine-readable spec cmd/adbench runs: cluster
@@ -215,9 +215,9 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 	// frozen and read-only, and identical server seeds make instance
 	// responses byte-identical, so routing policy can never change what
 	// a client sees — only how fast it sees it.
-	cfg, err := simScenarioConfig(spec)
+	cfg, err := sim.Shape{Scale: cmp.Or(spec.Scale, "small"), Seed: spec.Seed, Days: spec.Days, Queries: spec.Queries}.Config()
 	if err != nil {
-		return ScenarioReport{}, err
+		return ScenarioReport{}, fmt.Errorf("adbench: %w", err)
 	}
 	logf("adbench: bootstrapping platform (%d days, %d queries/day)", cfg.Days, cfg.QueriesPerDay)
 	boot := sim.New(cfg)
@@ -397,24 +397,4 @@ func mustRequest(path string) *http.Request {
 		panic(err)
 	}
 	return req
-}
-
-// simScenarioConfig maps the scenario's bootstrap knobs onto sim.Config.
-func simScenarioConfig(spec Scenario) (sim.Config, error) {
-	scale := spec.Scale
-	if scale == "" {
-		scale = "small"
-	}
-	cfg, err := sim.ScaleConfig(scale)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("adbench: %w", err)
-	}
-	cfg.Seed = spec.Seed
-	if spec.Days > 0 {
-		cfg.Days = simclock.Day(spec.Days)
-	}
-	if spec.Queries > 0 {
-		cfg.QueriesPerDay = spec.Queries
-	}
-	return cfg, nil
 }

@@ -22,55 +22,44 @@ import (
 	"repro/internal/testutil"
 )
 
-// stepWithLineage mirrors stepWithCheckpoints but saves through a
-// checkpoint Lineage, optionally handing each save to a corruption
-// injector (the corrupt-save-N profiles damage the file the moment it
-// is committed, like bad hardware would).
-func stepWithLineage(t *testing.T, s *sim.Sim, dw *eventlog.DirWriter, lin sim.Lineage, every, stopDay int, inj *faultinject.CkptInjector) *sim.Result {
+// crashAt runs d as RunDays would, handing each save to inj if set, and
+// abandons it at stopDay — no Finish, no log Close — exactly the state a
+// killed process leaves.
+func crashAt(t *testing.T, d *sim.Durable, lin sim.Lineage, every, stopDay int, inj *faultinject.CkptInjector) {
 	t.Helper()
-	for {
-		if every > 0 && int(s.Day()) > 0 && int(s.Day())%every == 0 {
-			if err := dw.Rotate(); err != nil {
-				t.Fatalf("rotate at day %d: %v", s.Day(), err)
+	for day := int(d.Sim.Day()); ; day = int(d.Sim.Day()) {
+		if day > 0 && day%every == 0 {
+			if err := d.Log.Rotate(); err != nil {
+				t.Fatalf("rotate at day %d: %v", day, err)
 			}
-			pos := sim.LogPosition{NextSegment: dw.NextSegment(), Events: dw.Events()}
-			if err := s.SaveCheckpointLineage(lin, pos); err != nil {
-				t.Fatalf("lineage save at day %d: %v", s.Day(), err)
+			pos := sim.LogPosition{NextSegment: d.Log.NextSegment(), Events: d.Events()}
+			if err := d.Sim.SaveCheckpointLineage(lin, pos); err != nil {
+				t.Fatalf("lineage save at day %d: %v", day, err)
 			}
 			if inj != nil {
 				if _, err := inj.OnSave(lin.Path); err != nil {
-					t.Fatalf("corrupt save at day %d: %v", s.Day(), err)
+					t.Fatalf("corrupt save at day %d: %v", day, err)
 				}
 			}
 		}
-		if stopDay >= 0 && int(s.Day()) >= stopDay {
-			return nil // crashed: abandon everything mid-flight
+		if day >= stopDay {
+			return
 		}
-		if !s.Step() {
-			break
-		}
+		d.Sim.Step()
 	}
-	return s.Finish()
 }
 
-// resumeFromLineage is the full recovery path a resumed process runs:
-// repair the log, restore the newest valid checkpoint (quarantining the
-// damaged ones), truncate the log to the restored segment, and
-// re-simulate to the end. The deterministic rerun rewrites the dropped
-// segments byte-identically, which is what makes the digest comparison
-// below meaningful.
-func resumeFromLineage(t *testing.T, dir string, lin sim.Lineage, every int) *sim.Result {
+// resumeDurable is the recovery path a resumed process runs (repair the
+// log, restore the newest valid checkpoint, truncate the log to it);
+// running the result rewrites the dropped segments byte-identically.
+func resumeDurable(t *testing.T, dir string, lin sim.Lineage) *sim.Durable {
 	t.Helper()
 	var notes strings.Builder
-	r, err := sim.ResumeRun(lin, dir, &notes)
+	d, err := sim.ResumeRun(lin, dir, &notes)
 	if err != nil {
 		t.Fatalf("resume: %v (notes: %s)", err, notes.String())
 	}
-	res := stepWithLineage(t, r.Sim, r.Log, lin, every, -1, nil)
-	if err := r.Log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return d
 }
 
 // quarantined lists the lineage's .corrupt evidence files.
@@ -121,17 +110,9 @@ func TestCrashLineageCorruptionFallback(t *testing.T) {
 		for depth := 1; depth <= sim.DefaultRetain; depth++ {
 			spec, profile, depth := spec, profile, depth
 			t.Run(fmt.Sprintf("%s/depth=%d", spec, depth), func(t *testing.T) {
-				cfg := crashConfig(1234)
 				dir := t.TempDir()
 				lin := sim.Lineage{Path: filepath.Join(t.TempDir(), "checkpoint.frsnap")}
-				dw, err := eventlog.NewDirWriter(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Events = dw
-				if res := stepWithLineage(t, sim.New(cfg), dw, lin, every, crashDay, nil); res != nil {
-					t.Fatal("crash run was not abandoned")
-				}
+				crashAt(t, newDurable(t, dir), lin, every, crashDay, nil)
 
 				// Damage the `depth` newest generations.
 				inj := faultinject.New(uint64(depth)*7919).Ckpt(spec, profile)
@@ -162,21 +143,12 @@ func TestCrashLineageCorruptionFallback(t *testing.T) {
 					if err := os.RemoveAll(dir); err != nil {
 						t.Fatal(err)
 					}
-					dw2, err := eventlog.NewDirWriter(dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg2 := crashConfig(1234)
-					cfg2.Events = dw2
-					res := stepWithLineage(t, sim.New(cfg2), dw2, lin, every, -1, nil)
-					if err := dw2.Close(); err != nil {
-						t.Fatal(err)
-					}
+					res := runDurable(t, newDurable(t, dir), lin, every)
 					checkCanonical(t, dir, res, wantFP, wantReplay)
 					return
 				}
 
-				res := resumeFromLineage(t, dir, lin, every)
+				res := runDurable(t, resumeDurable(t, dir, lin), lin, every)
 				if q := quarantined(t, lin); len(q) != depth {
 					t.Errorf("quarantine evidence %v, want %d files", q, depth)
 				}
@@ -208,20 +180,11 @@ func TestCrashLineageCorruptSaveN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := crashConfig(1234)
 			dir := t.TempDir()
 			lin := sim.Lineage{Path: filepath.Join(t.TempDir(), "checkpoint.frsnap")}
-			dw, err := eventlog.NewDirWriter(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Events = dw
-			inj := faultinject.New(42).Ckpt("lineage", profile)
-			if res := stepWithLineage(t, sim.New(cfg), dw, lin, every, crashDay, inj); res != nil {
-				t.Fatal("crash run was not abandoned")
-			}
+			crashAt(t, newDurable(t, dir), lin, every, crashDay, faultinject.New(42).Ckpt("lineage", profile))
 
-			res := resumeFromLineage(t, dir, lin, every)
+			res := runDurable(t, resumeDurable(t, dir, lin), lin, every)
 			wantQuarantine := 0
 			if n == 4 {
 				wantQuarantine = 1 // the newest snapshot was the poisoned one

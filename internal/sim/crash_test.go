@@ -34,32 +34,6 @@ func crashConfig(seed uint64) sim.Config {
 	return cfg
 }
 
-// stepWithCheckpoints advances s day by day, rotating the log and
-// writing a checkpoint every `every` days. With stopDay >= 0 it abandons
-// the run at that day boundary — no Finish, no log Close — exactly the
-// state a killed process leaves. Otherwise it runs to completion.
-func stepWithCheckpoints(t *testing.T, s *sim.Sim, dw *eventlog.DirWriter, ckpt string, every int, stopDay int) *sim.Result {
-	t.Helper()
-	for {
-		if every > 0 && int(s.Day()) > 0 && int(s.Day())%every == 0 {
-			if err := dw.Rotate(); err != nil {
-				t.Fatalf("rotate at day %d: %v", s.Day(), err)
-			}
-			pos := sim.LogPosition{NextSegment: dw.NextSegment(), Events: dw.Events()}
-			if err := s.WriteCheckpointFile(ckpt, pos); err != nil {
-				t.Fatalf("checkpoint at day %d: %v", s.Day(), err)
-			}
-		}
-		if stopDay >= 0 && int(s.Day()) >= stopDay {
-			return nil // crashed: abandon everything mid-flight
-		}
-		if !s.Step() {
-			break
-		}
-	}
-	return s.Finish()
-}
-
 // crashBaseline memoizes the uninterrupted reference run: its result
 // digest and the replay digests of its event log.
 var crashBaseline struct {
@@ -72,16 +46,7 @@ func baselineDigests(t *testing.T) (string, testutil.CollectorDigestSet) {
 	if crashBaseline.fingerprint == "" {
 		cfg := crashConfig(1234)
 		dir := t.TempDir()
-		dw, err := eventlog.NewDirWriter(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Events = dw
-		s := sim.New(cfg)
-		res := stepWithCheckpoints(t, s, dw, "", 0, -1)
-		if err := dw.Close(); err != nil {
-			t.Fatal(err)
-		}
+		res := runDurable(t, newDurable(t, dir), sim.Lineage{}, 0)
 		// Digest equality below is only meaningful if the run does things.
 		if res.Clicks == 0 || res.FraudClicks == 0 || res.Registrations == 0 {
 			t.Fatalf("baseline run is degenerate: %d clicks, %d fraud, %d regs",
@@ -95,6 +60,26 @@ func baselineDigests(t *testing.T) (string, testutil.CollectorDigestSet) {
 		crashBaseline.replay = testutil.CollectorDigests(col)
 	}
 	return crashBaseline.fingerprint, crashBaseline.replay
+}
+
+// newDurable starts a fresh crashConfig(1234) run logging into dir.
+func newDurable(t *testing.T, dir string) *sim.Durable {
+	t.Helper()
+	d, err := sim.NewDurable(crashConfig(1234), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// runDurable runs d to the horizon, checkpointing into lin.
+func runDurable(t *testing.T, d *sim.Durable, lin sim.Lineage, every int) *sim.Result {
+	t.Helper()
+	res, err := d.RunDays(lin, every, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestCrashResumeDigestIdentical is the acceptance sweep: for 21 seeded
@@ -113,17 +98,9 @@ func TestCrashResumeDigestIdentical(t *testing.T) {
 	for crashDay := 5; crashDay <= 25; crashDay++ {
 		crashDay := crashDay
 		t.Run(fmt.Sprintf("killday=%d", crashDay), func(t *testing.T) {
-			cfg := crashConfig(1234)
 			dir := t.TempDir()
-			ckpt := filepath.Join(t.TempDir(), "checkpoint.frsnap")
-			dw, err := eventlog.NewDirWriter(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Events = dw
-			if res := stepWithCheckpoints(t, sim.New(cfg), dw, ckpt, every, crashDay); res != nil {
-				t.Fatal("crash run was not abandoned")
-			}
+			lin := sim.Lineage{Path: filepath.Join(t.TempDir(), "checkpoint.frsnap")}
+			crashAt(t, newDurable(t, dir), lin, every, crashDay, nil)
 
 			// Tear the unsealed tail at a seeded offset, simulating the
 			// final write dying partway to the platter.
@@ -141,43 +118,11 @@ func TestCrashResumeDigestIdentical(t *testing.T) {
 			}
 
 			// Recover + restore + continue: the resume path fraudsim runs.
-			if _, err := eventlog.RecoverDir(dir, true); err != nil {
-				t.Fatalf("recover: %v", err)
-			}
-			c, err := sim.ReadCheckpoint(ckpt)
-			if err != nil {
-				t.Fatalf("read checkpoint: %v", err)
-			}
-			if gotDay := int(c.State.Day); gotDay > crashDay || crashDay-gotDay >= 2*every {
+			d := resumeDurable(t, dir, lin)
+			if gotDay := int(d.Sim.Day()); gotDay > crashDay || crashDay-gotDay >= 2*every {
 				t.Fatalf("checkpoint at day %d is stale for crash at day %d", gotDay, crashDay)
 			}
-			if err := eventlog.TruncateToSegment(dir, c.Log.NextSegment); err != nil {
-				t.Fatal(err)
-			}
-			dw2, err := eventlog.NewDirWriterAt(dir, c.Log.NextSegment)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s2, err := sim.Restore(c.State)
-			if err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-			s2.SetEvents(dw2)
-			res := stepWithCheckpoints(t, s2, dw2, ckpt, every, -1)
-			if err := dw2.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			if got := testutil.DigestResult(res).Fingerprint; got != wantFP {
-				t.Errorf("resumed result digest %s, uninterrupted run has %s", got, wantFP)
-			}
-			col, err := dataset.ReplayDir(dir, cfg.Windows, cfg.SampleWindow)
-			if err != nil {
-				t.Fatalf("replay recovered log: %v", err)
-			}
-			if got := testutil.CollectorDigests(col); got != wantReplay {
-				t.Errorf("replayed log digests diverge:\n got %+v\nwant %+v", got, wantReplay)
-			}
+			checkCanonical(t, dir, runDurable(t, d, lin, every), wantFP, wantReplay)
 		})
 	}
 }

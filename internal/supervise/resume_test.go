@@ -39,7 +39,7 @@ func TestResumeAfterSupervisorDeath(t *testing.T) {
 
 		cfg.Spawn = &pipeSpawner{}
 		cfg.Resume = true
-		cfg.Spec.Seed, cfg.Spec.Days = 999, 3 // ignored: the checkpoint is the shape
+		cfg.Spec.Shape.Seed, cfg.Spec.Shape.Days = 999, 3 // ignored: the checkpoint is the shape
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("killed after %d reports: resume: %v", reports, err)

@@ -160,7 +160,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("supervise: nothing to resume in %s: %w (rerun the job fresh in a new directory)", spec.Dir, err)
 		}
 		simCfg = c.State.Config
-		spec.Scale, spec.Seed, spec.Days, spec.Queries, spec.Regs, spec.Legit = "", 0, 0, 0, 0, 0
+		spec.Shape = sim.Shape{}
 		logf("supervise: resuming from %s (day %d of %d)", lrep.From, c.State.Day, simCfg.Days)
 	} else {
 		if held, _ := filepath.Glob(CheckpointPath(spec.Dir) + "*"); len(held) > 0 {
@@ -168,8 +168,8 @@ func Run(cfg Config) (*Result, error) {
 				spec.Dir, filepath.Base(held[0]))
 		}
 		var err error
-		if simCfg, err = spec.SimConfig(); err != nil {
-			return nil, err
+		if simCfg, err = spec.Shape.Config(); err != nil {
+			return nil, fmt.Errorf("supervise: %w", err)
 		}
 	}
 

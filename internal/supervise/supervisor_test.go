@@ -21,12 +21,7 @@ import (
 func testSpec(dir string, seed uint64) WorkerSpec {
 	return WorkerSpec{
 		Dir:             dir,
-		Scale:           "small",
-		Seed:            seed,
-		Days:            12,
-		Queries:         200,
-		Regs:            8,
-		Legit:           100,
+		Shape:           sim.Shape{Scale: "small", Seed: seed, Days: 12, Queries: 200, Regs: 8, Legit: 100},
 		CheckpointEvery: 4,
 		HBInterval:      50 * time.Millisecond,
 		Sync:            "none",
@@ -34,11 +29,12 @@ func testSpec(dir string, seed uint64) WorkerSpec {
 }
 
 // referenceDigest runs the same shape with no log, no checkpoints and no
-// supervisor — sim.New(cfg).Run() — and fingerprints its collector: the
-// ground truth every supervised path must reproduce.
+// supervisor — sim.New(cfg).Run() of the Config fraudsim's shape flags
+// resolve to — and fingerprints its collector: the ground truth every
+// supervised path must reproduce.
 func referenceDigest(t *testing.T, sp WorkerSpec) string {
 	t.Helper()
-	cfg, err := sp.SimConfig()
+	cfg, err := sp.Shape.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +189,7 @@ func TestSupervisedRunMatrix(t *testing.T) {
 				if res.Digest != want {
 					t.Errorf("supervised digest diverges from sim.New(cfg).Run()")
 				}
-				simCfg, _ := cfg.Spec.SimConfig()
+				simCfg, _ := cfg.Spec.Shape.Config()
 				col, err := dataset.ReplayDir(LogDir(dir), simCfg.Windows, simCfg.SampleWindow)
 				if err != nil {
 					t.Fatal(err)

@@ -3,9 +3,9 @@ package supervise
 // The worker: the durable run `fraudsim -eventlog DIR/log -checkpoint
 // DIR/run.frsnap -checkpoint-every N` performs, narrated over the
 // protocol. It writes one event log and one checkpoint lineage under
-// its working directory, through the same calls in the same order as
-// fraudsim, so the log it leaves is the log fraudsim would have left,
-// byte for byte.
+// its working directory through the day loop fraudsim runs
+// (sim.Durable.RunDays), so the log it leaves is the log fraudsim would
+// have left, byte for byte.
 //
 // Crash tolerance is the §6 recovery path: a restarted worker restores
 // the newest valid checkpoint, heals the torn log tail, rewinds the log
@@ -39,16 +39,11 @@ type WorkerSpec struct {
 	// and the lineage anchored at CheckpointPath(Dir).
 	Dir string
 
-	// Run shape. A spec with an empty Scale carries none: the shape is
-	// the Config of the checkpoint in Dir, and a worker that finds
+	// Shape is the run shape. One with an empty Scale is none: the shape
+	// is the Config of the checkpoint in Dir, and a worker that finds
 	// nothing to restore fails instead of starting over (how a resumed
 	// run's workers are spawned).
-	Scale   string
-	Seed    uint64
-	Days    int     // 0 = scale default
-	Queries int     // 0 = scale default
-	Regs    float64 // 0 = scale default
-	Legit   int     // 0 = scale default
+	Shape sim.Shape
 
 	CheckpointEvery int
 	// Retain is the checkpoint-lineage depth (last K checkpoints kept;
@@ -74,70 +69,46 @@ func (sp WorkerSpec) lineage() sim.Lineage {
 	return sim.Lineage{Path: CheckpointPath(sp.Dir), Retain: sp.Retain}
 }
 
-// SimConfig resolves the spec's run shape into the simulation
-// configuration: the scale preset plus the overrides, exactly as
-// fraudsim's flags of the same names resolve.
-func (sp WorkerSpec) SimConfig() (sim.Config, error) {
-	cfg, err := sim.ScaleConfig(sp.Scale)
-	if err != nil {
-		return cfg, fmt.Errorf("supervise: %w", err)
-	}
-	cfg.Seed = sp.Seed
-	if sp.Days > 0 {
-		cfg.Days = simclock.Day(sp.Days)
-	}
-	if sp.Queries > 0 {
-		cfg.QueriesPerDay = sp.Queries
-	}
-	if sp.Regs > 0 {
-		cfg.RegistrationsPerDay = sp.Regs
-	}
-	if sp.Legit > 0 {
-		cfg.InitialLegit = sp.Legit
-	}
-	return cfg, nil
+// DefaultSpec is the spec of a supervised run given no flags.
+func DefaultSpec() WorkerSpec {
+	return WorkerSpec{Shape: sim.DefaultShape(), CheckpointEvery: 8, Retain: sim.DefaultRetain,
+		HBInterval: 500 * time.Millisecond, Sync: "rotate"}
+}
+
+// Bind defines the spec's flags on fs, defaulting to sp's values: the
+// ones fraudsupervise takes from its user, which leaves out the fault
+// hooks.
+func (sp *WorkerSpec) Bind(fs *flag.FlagSet) {
+	fs.StringVar(&sp.Dir, "dir", sp.Dir, "run working directory (DIR/log + DIR/run.frsnap*; required)")
+	sp.Shape.Bind(fs)
+	fs.IntVar(&sp.CheckpointEvery, "checkpoint-every", sp.CheckpointEvery, "checkpoint every N simulated days (0 = never: a dead worker starts over)")
+	fs.IntVar(&sp.Retain, "checkpoint-retain", sp.Retain, "checkpoint lineage depth (last K kept)")
+	fs.DurationVar(&sp.HBInterval, "hb-interval", sp.HBInterval, "worker heartbeat interval")
+	fs.StringVar(&sp.Sync, "sync", sp.Sync, "event log fsync policy: none, rotate, or interval")
+}
+
+// workerFlags is the worker's flag set: Bind's flags and the fault hooks.
+func (sp *WorkerSpec) workerFlags() *flag.FlagSet {
+	fs := flag.NewFlagSet("supervised-worker", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	sp.Bind(fs)
+	fs.StringVar(&sp.Faults, "faults", sp.Faults, "process fault profile (chaos testing)")
+	fs.Uint64Var(&sp.FaultSeed, "fault-seed", sp.FaultSeed, "fault profile seed")
+	return fs
 }
 
 // Args renders the spec as the canonical worker flag list (the inverse
 // of ParseWorkerArgs).
 func (sp WorkerSpec) Args() []string {
-	args := []string{
-		"-dir", sp.Dir,
-		"-scale", sp.Scale,
-		"-seed", fmt.Sprint(sp.Seed),
-		"-days", fmt.Sprint(sp.Days),
-		"-queries", fmt.Sprint(sp.Queries),
-		"-regs", fmt.Sprint(sp.Regs),
-		"-legit", fmt.Sprint(sp.Legit),
-		"-checkpoint-every", fmt.Sprint(sp.CheckpointEvery),
-		"-checkpoint-retain", fmt.Sprint(sp.Retain),
-		"-hb-interval", sp.HBInterval.String(),
-		"-sync", sp.Sync,
-	}
-	if sp.Faults != "" {
-		args = append(args, "-faults", sp.Faults, "-fault-seed", fmt.Sprint(sp.FaultSeed))
-	}
+	var args []string
+	sp.workerFlags().VisitAll(func(f *flag.Flag) { args = append(args, "-"+f.Name, f.Value.String()) })
 	return args
 }
 
 // ParseWorkerArgs parses a worker flag list back into a spec.
 func ParseWorkerArgs(args []string) (WorkerSpec, error) {
-	sp := WorkerSpec{}
-	fs := flag.NewFlagSet("supervised-worker", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	fs.StringVar(&sp.Dir, "dir", "", "run working directory")
-	fs.StringVar(&sp.Scale, "scale", "medium", "simulation scale (empty = take the run shape from the checkpoint)")
-	fs.Uint64Var(&sp.Seed, "seed", 42, "simulation seed")
-	fs.IntVar(&sp.Days, "days", 0, "override simulated days")
-	fs.IntVar(&sp.Queries, "queries", 0, "override queries per day")
-	fs.Float64Var(&sp.Regs, "regs", 0, "override registrations per day")
-	fs.IntVar(&sp.Legit, "legit", 0, "override initial legitimate advertisers")
-	fs.IntVar(&sp.CheckpointEvery, "checkpoint-every", 8, "checkpoint every N simulated days")
-	fs.IntVar(&sp.Retain, "checkpoint-retain", sim.DefaultRetain, "checkpoint lineage depth (last K kept)")
-	fs.DurationVar(&sp.HBInterval, "hb-interval", 500*time.Millisecond, "heartbeat interval")
-	fs.StringVar(&sp.Sync, "sync", "rotate", "event log fsync policy")
-	fs.StringVar(&sp.Faults, "faults", "", "process fault profile (chaos testing)")
-	fs.Uint64Var(&sp.FaultSeed, "fault-seed", 0, "fault profile seed")
+	sp := DefaultSpec()
+	fs := sp.workerFlags()
 	if err := fs.Parse(args); err != nil {
 		return sp, fmt.Errorf("supervise: worker flags: %w", err)
 	}
@@ -186,17 +157,17 @@ func runWorker(sp WorkerSpec, ctrl io.Reader, out, logw io.Writer, die func()) e
 		}
 	}
 
-	s, dw, logBase, err := openRun(sp, logw)
+	d, err := openRun(sp, logw)
 	if err != nil {
 		return fatal(err)
 	}
-	dw.Sync = policy
+	d.Log.Sync = policy
 
 	// Heartbeats ride a side goroutine; curDay mirrors the loop's
 	// progress for them. A stalled fault silences them too — the whole
 	// process is wedged, as far as the supervisor can tell.
 	var curDay atomic.Int64
-	curDay.Store(int64(s.Day()))
+	curDay.Store(int64(d.Sim.Day()))
 	hbStop := make(chan struct{})
 	var hb sync.WaitGroup
 	hb.Add(1)
@@ -231,9 +202,30 @@ func runWorker(sp WorkerSpec, ctrl io.Reader, out, logw io.Writer, die func()) e
 		close(gone)
 	}()
 
-	if err := runDays(sp, s, dw, logBase, mw, inj, gone, &curDay); err != nil {
-		dw.Close() // seal what we can; the next incarnation's recovery does the rest
-		return fatal(err)
+	if err := mw.send(Msg{T: MsgHello, Day: int(d.Sim.Day()), PID: os.Getpid()}); err != nil {
+		d.Log.Close() // seal what we can; the next incarnation's recovery does the rest
+		return fatal(fmt.Errorf("supervise: hello: %w", err))
+	}
+	_, err = d.RunDays(sp.lineage(), sp.CheckpointEvery, func(day simclock.Day) error {
+		curDay.Store(int64(d.Sim.Day()))
+		if inj != nil {
+			inj.DayEnd(int(day))
+		}
+		if err := mw.send(Msg{T: MsgDay, Day: int(day), Events: d.Events()}); err != nil {
+			return fmt.Errorf("day report: %w", err)
+		}
+		select {
+		case <-gone:
+			return errors.New("supervisor gone")
+		default:
+			return nil
+		}
+	})
+	if err == nil {
+		err = mw.send(Msg{T: MsgDone, Day: int(d.Sim.Day()), Events: d.Events(), Digest: Fingerprint(d.Sim.Collector())})
+	}
+	if err != nil {
+		return fatal(fmt.Errorf("supervise: %w", err))
 	}
 	if inj != nil {
 		time.Sleep(inj.ExitDelay())
@@ -247,84 +239,29 @@ func runWorker(sp WorkerSpec, ctrl io.Reader, out, logw io.Writer, die func()) e
 // only hold an unrecoverable partial run, and start over; determinism
 // makes the fresh run converge on the same trajectory. A spec without a
 // run shape has nothing to start over from and fails instead.
-func openRun(sp WorkerSpec, logw io.Writer) (*sim.Sim, *eventlog.DirWriter, uint64, error) {
-	var cfg sim.Config
-	if sp.Scale != "" {
-		var err error
-		if cfg, err = sp.SimConfig(); err != nil {
-			return nil, nil, 0, err
-		}
-	}
+func openRun(sp WorkerSpec, logw io.Writer) (*sim.Durable, error) {
 	logDir := LogDir(sp.Dir)
-	r, err := sim.ResumeRun(sp.lineage(), logDir, logw)
+	d, err := sim.ResumeRun(sp.lineage(), logDir, logw)
 	switch {
 	case err == nil:
-		fmt.Fprintf(logw, "resumed from %s at day %d\n", r.From, r.Sim.Day())
-		return r.Sim, r.Log, r.LogBase, nil
+		fmt.Fprintf(logw, "resumed from %s at day %d\n", d.From, d.Sim.Day())
+		return d, nil
 	case !errors.Is(err, sim.ErrNoCheckpoint) && !errors.Is(err, sim.ErrLineageCorrupt):
-		return nil, nil, 0, fmt.Errorf("supervise: %w", err)
-	case sp.Scale == "":
-		return nil, nil, 0, fmt.Errorf("supervise: nothing to resume in %s: %w", sp.Dir, err)
+		return nil, fmt.Errorf("supervise: %w", err)
+	case sp.Shape.Scale == "":
+		return nil, fmt.Errorf("supervise: nothing to resume in %s: %w", sp.Dir, err)
 	}
 	if errors.Is(err, sim.ErrLineageCorrupt) {
 		fmt.Fprintf(logw, "%v; starting fresh\n", err)
 	}
-	if err := os.RemoveAll(logDir); err != nil {
-		return nil, nil, 0, err
-	}
-	dw, err := eventlog.NewDirWriter(logDir)
+	cfg, err := sp.Shape.Config()
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, fmt.Errorf("supervise: %w", err)
 	}
-	cfg.Events = dw
-	return sim.New(cfg), dw, 0, nil
-}
-
-// runDays drives the day loop to the horizon and reports the digest.
-func runDays(sp WorkerSpec, s *sim.Sim, dw *eventlog.DirWriter, logBase uint64,
-	mw *msgWriter, inj *faultinject.ProcInjector, gone <-chan struct{}, curDay *atomic.Int64) error {
-
-	startDay := int(s.Day())
-	if err := mw.send(Msg{T: MsgHello, Day: startDay, PID: os.Getpid()}); err != nil {
-		return fmt.Errorf("supervise: hello: %w", err)
+	if err := os.RemoveAll(logDir); err != nil {
+		return nil, err
 	}
-	for more := true; more; {
-		select {
-		case <-gone:
-			return errors.New("supervise: supervisor gone")
-		default:
-		}
-		d := int(s.Day())
-		if sp.CheckpointEvery > 0 && d > startDay && d%sp.CheckpointEvery == 0 {
-			if err := dw.Rotate(); err != nil {
-				return fmt.Errorf("supervise: rotate: %w", err)
-			}
-			pos := sim.LogPosition{NextSegment: dw.NextSegment(), Events: logBase + dw.Events()}
-			if err := s.SaveCheckpointLineage(sp.lineage(), pos); err != nil {
-				return fmt.Errorf("supervise: checkpoint: %w", err)
-			}
-		}
-		more = s.Step()
-		curDay.Store(int64(s.Day()))
-		if inj != nil {
-			inj.DayEnd(d)
-		}
-		if err := mw.send(Msg{T: MsgDay, Day: d, Events: logBase + dw.Events()}); err != nil {
-			return fmt.Errorf("supervise: day report: %w", err)
-		}
-	}
-
-	s.Finish()
-	if err := dw.Close(); err != nil {
-		return fmt.Errorf("supervise: close log: %w", err)
-	}
-	if err := mw.send(Msg{
-		T: MsgDone, Day: int(s.Day()),
-		Events: logBase + dw.Events(), Digest: Fingerprint(s.Collector()),
-	}); err != nil {
-		return fmt.Errorf("supervise: done report: %w", err)
-	}
-	return nil
+	return sim.NewDurable(cfg, logDir)
 }
 
 // killSelf delivers SIGKILL to the current process — the fault
