@@ -20,8 +20,9 @@ import (
 	"sync/atomic"
 )
 
-// responseCache is a bounded LRU keyed by (query, country), storing the
-// rendered JSON body of 200 responses. Safe for concurrent use.
+// responseCache is a bounded LRU keyed by the request's raw query
+// string, storing the rendered JSON body of 200 responses. Safe for
+// concurrent use.
 type responseCache struct {
 	mu     sync.Mutex
 	cap    int
@@ -73,12 +74,6 @@ func (c *responseCache) put(key string, body []byte) {
 	}
 }
 
-// cacheKey builds the lookup key from the request's query parameters.
-func cacheKey(r *http.Request) string {
-	q := r.URL.Query()
-	return q.Get("q") + "\x1f" + q.Get("country")
-}
-
 // captureWriter tees a 200 response body for insertion into the cache.
 type captureWriter struct {
 	http.ResponseWriter
@@ -103,13 +98,16 @@ func (cw *captureWriter) Write(p []byte) (int, error) {
 
 // Cache serves /search hits straight from the response cache and
 // captures misses on their way out. Mounted inside admission control
-// (a hit still occupies a slot, briefly) but outside the
-// fault-injection wrap, so injected backend latency models the auction
-// cost a hit avoids.
+// (a hit still occupies a slot, briefly) but outside the per-request
+// deadline, which only a miss needs, and the fault-injection wrap, so
+// injected backend latency models the auction cost a hit avoids.
 func Cache(c *responseCache) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			key := cacheKey(r)
+			// The raw query string, as an HTTP cache keys on the URI: the
+			// reply is a function of the q and country it decodes to, so
+			// equal keys mean equal replies, and a hit parses nothing.
+			key := r.URL.RawQuery
 			if body, ok := c.get(key); ok {
 				h := w.Header()
 				h.Set("Content-Type", "application/json")

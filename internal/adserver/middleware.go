@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -171,8 +172,8 @@ func InstanceHeaders(instance string, gauge *InFlightGauge) Middleware {
 				h.Set("X-Instance", instance)
 			}
 			if gauge != nil {
-				h.Set("X-Inflight", fmt.Sprintf("%d", gauge.Load()))
-				h.Set("X-Capacity", fmt.Sprintf("%d", gauge.Capacity()))
+				h.Set("X-Inflight", strconv.FormatInt(gauge.Load(), 10))
+				h.Set("X-Capacity", strconv.FormatInt(gauge.Capacity(), 10))
 			}
 			next.ServeHTTP(w, r)
 		})

@@ -199,14 +199,15 @@ func (s *Server) Handler(opts Options) http.Handler {
 	} else if opts.InstanceID != "" {
 		searchMW = append(searchMW, InstanceHeaders(opts.InstanceID, nil))
 	}
-	if opts.RequestTimeout > 0 {
-		searchMW = append(searchMW, Deadline(opts.RequestTimeout))
-	}
 	if opts.CacheSize > 0 {
-		// Inside admission and the deadline, outside the fault-injection
-		// wrap: a cached hit avoids whatever latency/cost the wrap models.
+		// Inside admission, outside the deadline and the fault-injection
+		// wrap: a cached hit avoids whatever latency/cost the wrap models,
+		// and it cannot run late, so it arms no timer either.
 		s.cache = newResponseCache(opts.CacheSize)
 		searchMW = append(searchMW, Cache(s.cache))
+	}
+	if opts.RequestTimeout > 0 {
+		searchMW = append(searchMW, Deadline(opts.RequestTimeout))
 	}
 
 	m := http.NewServeMux()
@@ -349,12 +350,13 @@ func (s *Server) clickRNG(q string, country market.Country) *stats.RNG {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		writeError(w, r, http.StatusBadRequest, "missing_query", "missing q parameter", 0)
 		return
 	}
-	country := market.Country(r.URL.Query().Get("country"))
+	country := market.Country(params.Get("country"))
 	if country == "" {
 		country = market.US
 	}

@@ -33,7 +33,8 @@ func (rt *Router) StartHealth() {
 	go h.run(ctx)
 }
 
-// Close stops the health loop (if running) and waits for it to exit.
+// Close stops the health loop (if running), waits for it to exit, and
+// closes the transport's idle connections to the members.
 func (rt *Router) Close() {
 	rt.mu.Lock()
 	h := rt.health
@@ -43,6 +44,7 @@ func (rt *Router) Close() {
 		h.cancel()
 		<-h.done
 	}
+	rt.client.CloseIdleConnections()
 }
 
 func (h *healthLoop) run(ctx context.Context) {

@@ -5,12 +5,13 @@ import (
 )
 
 // Policy picks which eligible backend serves a request. Pick receives
-// the request's affinity key and a non-empty candidate slice in member
-// order; it must be safe for concurrent use and must return one of the
-// candidates (or nil to refuse, which the router treats as no backend).
+// the hash of the request's affinity key (hashKey of its search phrase,
+// else of its path) and a non-empty candidate slice in member order; it
+// must be safe for concurrent use and must return one of the candidates
+// (or nil to refuse, which the router treats as no backend).
 type Policy interface {
 	Name() string
-	Pick(key string, cands []*Backend) *Backend
+	Pick(key uint64, cands []*Backend) *Backend
 }
 
 // RoundRobin rotates through the candidate set with a shared counter:
@@ -27,7 +28,7 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
 func (p *RoundRobin) Name() string { return "round_robin" }
 
-func (p *RoundRobin) Pick(_ string, cands []*Backend) *Backend {
+func (p *RoundRobin) Pick(_ uint64, cands []*Backend) *Backend {
 	return cands[int((p.n.Add(1)-1)%uint64(len(cands)))]
 }
 
@@ -39,7 +40,7 @@ type LeastLoaded struct{}
 
 func (LeastLoaded) Name() string { return "least_loaded" }
 
-func (LeastLoaded) Pick(_ string, cands []*Backend) *Backend {
+func (LeastLoaded) Pick(_ uint64, cands []*Backend) *Backend {
 	best := cands[0]
 	bestLoad := best.load()
 	for _, b := range cands[1:] {
@@ -60,7 +61,7 @@ type Affinity struct{}
 
 func (Affinity) Name() string { return "affinity" }
 
-func (Affinity) Pick(key string, cands []*Backend) *Backend {
+func (Affinity) Pick(key uint64, cands []*Backend) *Backend {
 	best := cands[0]
 	bestScore := rendezvous(key, best.Name)
 	for _, b := range cands[1:] {
@@ -71,18 +72,31 @@ func (Affinity) Pick(key string, cands []*Backend) *Backend {
 	return best
 }
 
-// rendezvous scores a (key, member) pair with FNV-1a over both.
-func rendezvous(key, member string) uint64 {
-	h := uint64(14695981039346656037)
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashKey is FNV-1a over an affinity key.
+func hashKey(key string) uint64 {
+	h := uint64(fnvOffset)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
-		h *= 1099511628211
+		h *= fnvPrime
 	}
+	return h
+}
+
+// rendezvous scores a (key, member) pair: FNV-1a over the key, a
+// separator and the member name, continued from the key's hash.
+func rendezvous(key uint64, member string) uint64 {
+	h := key
 	h ^= uint64(0x1f) // separator so ("ab","c") != ("a","bc")
-	h *= 1099511628211
+	h *= fnvPrime
 	for i := 0; i < len(member); i++ {
 		h ^= uint64(member[i])
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
 }

@@ -18,9 +18,12 @@ package router
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +60,9 @@ type Backend struct {
 	Name string
 	URL  *url.URL
 	idx  int
+	// xBackend is the X-Backend header value naming this member, built
+	// once and shared read-only by every response it answers.
+	xBackend []string
 
 	inflight  atomic.Int64  // requests this router currently has open to it
 	reported  atomic.Int64  // in-flight count the backend last reported (statz/header)
@@ -121,7 +127,8 @@ type Options struct {
 	// ProbeTimeout bounds each probe request. Default 1s.
 	ProbeTimeout time.Duration
 	// Transport overrides the proxy transport (tests inject
-	// failure-returning transports). Defaults to http.DefaultTransport.
+	// failure-returning transports). Defaults to a transport of the
+	// router's own (see newTransport).
 	Transport http.RoundTripper
 }
 
@@ -151,15 +158,34 @@ func (o Options) withDefaults() Options {
 		o.ProbeTimeout = time.Second
 	}
 	if o.Transport == nil {
-		o.Transport = http.DefaultTransport
+		o.Transport = newTransport()
 	}
 	return o
+}
+
+// idleConnsPerBackend is how many idle keep-alive connections the
+// router keeps to each member: the adserver's default admission bound,
+// so any burst a member admits is served on connections already open.
+const idleConnsPerBackend = 256
+
+// newTransport is the router's own transport. http.DefaultTransport is
+// process-global and keeps two idle connections per host, so with more
+// than two concurrent senders the router would redial a member on most
+// requests. Compression is off: the router relays bodies byte for byte.
+func newTransport() *http.Transport {
+	return &http.Transport{
+		DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		MaxIdleConnsPerHost: idleConnsPerBackend,
+		IdleConnTimeout:     90 * time.Second,
+		DisableCompression:  true,
+	}
 }
 
 // Router is the policy-driven front door. Safe for concurrent use.
 type Router struct {
 	opts   Options
-	client *http.Client
+	client *http.Client // the health loop's probes, over opts.Transport
+	calls  sync.Pool    // *call
 
 	mu       sync.RWMutex
 	backends []*Backend
@@ -214,7 +240,7 @@ func (rt *Router) AddNamedBackend(name, raw string) (*Backend, error) {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	b := &Backend{Name: name, URL: u, idx: len(rt.backends)}
+	b := &Backend{Name: name, URL: u, idx: len(rt.backends), xBackend: []string{name}}
 	b.backoff = backoff.New(rt.opts.Seed, b.idx, rt.opts.BackoffBase, rt.opts.BackoffCap)
 	rt.backends = append(rt.backends, b)
 	return b, nil
@@ -265,19 +291,33 @@ func (rt *Router) setState(name string, s State) bool {
 	return false
 }
 
-// eligible returns the backends a new request may be sent to, excluding
-// the already-tried set.
-func (rt *Router) eligible(now time.Time, tried map[*Backend]bool) []*Backend {
+// eligible appends to dst the backends a new request may be sent to,
+// excluding the already-tried ones.
+func (rt *Router) eligible(dst []*Backend, now time.Time, tried []*Backend) []*Backend {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	out := make([]*Backend, 0, len(rt.backends))
 	for _, b := range rt.backends {
-		if tried[b] || b.State() != Active || b.cooling(now) {
+		if b.State() != Active || b.cooling(now) || slices.Contains(tried, b) {
 			continue
 		}
-		out = append(out, b)
+		dst = append(dst, b)
 	}
-	return out
+	return dst
+}
+
+// call is one client request's routing state, pooled so that a request
+// answered by its first attempt allocates nothing in the router: the
+// members tried so far, the candidate scratch, the first attempt's
+// outbound request and the relay buffer. A retry builds its own outbound
+// request, because the transport may still hold an attempt that failed,
+// and the response of one that was shed may be kept for relay; a call
+// that retried is not pooled again.
+type call struct {
+	tried []*Backend
+	cands []*Backend
+	req   http.Request
+	url   url.URL
+	buf   [4 << 10]byte
 }
 
 // ServeHTTP proxies the request to a policy-picked backend, retrying
@@ -287,28 +327,35 @@ func (rt *Router) eligible(now time.Time, tried map[*Backend]bool) []*Backend {
 // router 503 when nothing was reachable at all).
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.received.Add(1)
-	key := affinityKey(r)
+	c, _ := rt.calls.Get().(*call)
+	if c == nil {
+		c = &call{}
+	}
+	c.tried = c.tried[:0]
+	key := affinityKey(r.URL)
 	attempts := rt.opts.Retries + 1
-	tried := make(map[*Backend]bool, attempts)
+	reuse := true // c.req may go back to the pool with c
 
 	var lastResp *http.Response
 	var lastBackend *Backend
 	for attempt := 0; attempt < attempts; attempt++ {
-		cands := rt.eligible(time.Now(), tried)
-		if len(cands) == 0 {
+		c.cands = rt.eligible(c.cands[:0], time.Now(), c.tried)
+		if len(c.cands) == 0 {
 			break
 		}
-		b := rt.opts.Policy.Pick(key, cands)
+		b := rt.opts.Policy.Pick(key, c.cands)
 		if b == nil {
 			break
 		}
-		tried[b] = true
+		c.tried = append(c.tried, b)
+		out, u := &c.req, &c.url
 		if attempt > 0 {
 			rt.retried.Add(1)
+			out, u, reuse = new(http.Request), new(url.URL), false
 		}
-
-		resp, err := rt.forward(b, r)
+		resp, err := rt.forward(b, outbound(out, u, r, b))
 		if err != nil {
+			reuse = false
 			b.noteError(rt)
 			continue // connection error: try elsewhere
 		}
@@ -330,13 +377,14 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// real answer (including 4xx like missing_query).
 		b.consec.Store(0)
 		b.served.Add(1)
-		if len(tried) > 1 {
+		if len(c.tried) > 1 {
 			rt.masked.Add(1)
 		}
 		if lastResp != nil {
 			discard(lastResp)
 		}
-		rt.writeResponse(w, resp, b)
+		writeResponse(w, resp, b, c.buf[:])
+		rt.release(c, reuse)
 		return
 	}
 
@@ -346,9 +394,11 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if lastResp.StatusCode == http.StatusTooManyRequests {
 			rt.sheds.Add(1)
 		}
-		rt.writeResponse(w, lastResp, lastBackend)
+		writeResponse(w, lastResp, lastBackend, c.buf[:])
+		rt.release(c, reuse)
 		return
 	}
+	rt.release(c, reuse)
 	rt.noBackend.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Retry-After", "1")
@@ -356,38 +406,95 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, `{"error":"no eligible backend","code":"router_no_backend"}`+"\n")
 }
 
+// release returns c to the pool once every response its requests got
+// has been closed; reuse is false when c.req may still be in use.
+func (rt *Router) release(c *call, reuse bool) {
+	if !reuse {
+		return
+	}
+	clear(c.tried)
+	clear(c.cands)
+	c.req, c.url = http.Request{}, url.URL{} // hold nothing of the client's
+	rt.calls.Put(c)
+}
+
+// outbound fills req as r re-addressed to member b, with u as its URL.
+// The copy of *r carries the client's context, so a client that goes
+// away cancels the attempt; the header map is shared, not copied, since
+// the transport only reads it. The body is not forwarded.
+func outbound(req *http.Request, u *url.URL, r *http.Request, b *Backend) *http.Request {
+	*u = *b.URL
+	u.Path, u.RawPath, u.RawQuery = r.URL.Path, r.URL.RawPath, r.URL.RawQuery
+	*req = *r
+	req.URL, req.Host, req.RequestURI = u, "", ""
+	req.Body, req.GetBody, req.ContentLength, req.TransferEncoding = nil, nil, 0, nil
+	req.Close, req.Trailer = false, nil
+	return req
+}
+
 // forward issues one proxy attempt, holding the backend's in-flight
-// gauge for its duration.
-func (rt *Router) forward(b *Backend, r *http.Request) (*http.Response, error) {
-	u := *b.URL
-	u.Path = r.URL.Path
-	u.RawQuery = r.URL.RawQuery
-	out, err := http.NewRequestWithContext(r.Context(), r.Method, u.String(), nil)
-	if err != nil {
-		return nil, err
-	}
-	for k, vs := range r.Header {
-		out.Header[k] = vs
-	}
+// gauge for its duration. It calls the transport directly: a redirect
+// is the backend's answer to relay, not one for the router to follow.
+func (rt *Router) forward(b *Backend, out *http.Request) (*http.Response, error) {
 	b.inflight.Add(1)
-	resp, err := rt.client.Do(out)
+	resp, err := rt.opts.Transport.RoundTrip(out)
 	b.inflight.Add(-1)
 	return resp, err
 }
 
-// writeResponse relays a backend response, stamping which member
-// answered.
-func (rt *Router) writeResponse(w http.ResponseWriter, resp *http.Response, b *Backend) {
+// writeResponse relays a backend response through buf, stamping which
+// member answered, and closes its body.
+func writeResponse(w http.ResponseWriter, resp *http.Response, b *Backend, buf []byte) {
 	defer resp.Body.Close()
 	h := w.Header()
 	for k, vs := range resp.Header {
-		h[k] = vs
+		if relayed(k) {
+			h[k] = vs
+		}
 	}
 	if b != nil {
-		h.Set("X-Backend", b.Name)
+		h["X-Backend"] = b.xBackend
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	relay(w, resp.Body, buf)
+}
+
+// relayed reports whether a backend response header goes on to the
+// client. The hop-by-hop headers (RFC 9110 §7.6.1) describe the
+// router's connection to the member, not the client's; X-Inflight and
+// X-Capacity are the member's admission report, addressed to the router
+// (noteReport). Dropping the last two also keeps an adserver reply's
+// header set within the eight entries a Go map holds before it grows.
+func relayed(k string) bool {
+	switch k {
+	case "Connection", "Keep-Alive", "Proxy-Connection", "Te", "Trailer",
+		"Transfer-Encoding", "Upgrade", "X-Inflight", "X-Capacity":
+		return false
+	}
+	return true
+}
+
+// relay copies body to w through buf and w.Write, never through the
+// io.ReaderFrom that net/http's ResponseWriter implements (and that
+// io.Copy would pick). That ReadFrom sends the headers and the first
+// 512 bytes to the socket at once, then hands the rest to the TCP
+// connection's own ReadFrom, which copies a reader that is neither a
+// file nor a socket through a fresh 32 KiB buffer straight to the
+// socket: a 1 KiB reply would cost two write system calls and a 32 KiB
+// allocation. Through Write it is buffered, and a reply that fits the
+// server's buffer leaves in one write when the handler returns.
+func relay(w io.Writer, body io.Reader, buf []byte) {
+	for {
+		n, err := body.Read(buf)
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil {
+				return
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
 }
 
 // dropOrKeep retains resp as the newest terminal candidate, discarding
@@ -448,13 +555,69 @@ func retryAfter(resp *http.Response) time.Duration {
 	return 0
 }
 
-// affinityKey is the routing key: the search phrase when present (so
-// identical queries pin to the same member's caches), else the path.
-func affinityKey(r *http.Request) string {
-	if q := r.URL.Query().Get("q"); q != "" {
-		return q
+// affinityKey is the routing key's hash (hashKey): the search phrase
+// when present (so identical queries pin to the same member's caches),
+// else the path. The phrase is the first "q" value exactly as
+// r.URL.Query().Get("q") decodes it, read from RawQuery in place instead
+// of through a url.Values built per request.
+func affinityKey(u *url.URL) uint64 {
+	raw := u.RawQuery
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		k, v, _ := strings.Cut(pair, "=")
+		if (k != "q" && k != "%71") || strings.Contains(pair, ";") {
+			continue // another parameter, or a pair url.ParseQuery rejects
+		}
+		h, ok := hashEscaped(v)
+		if !ok {
+			continue // ParseQuery drops a value it cannot unescape
+		}
+		if v == "" {
+			break
+		}
+		return h
 	}
-	return r.URL.Path
+	return hashKey(u.Path)
+}
+
+// hashEscaped is hashKey of url.QueryUnescape(s), decoded as it is
+// hashed; ok is false where QueryUnescape fails.
+func hashEscaped(s string) (h uint64, ok bool) {
+	h = fnvOffset
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch c {
+		case '+':
+			c = ' '
+		case '%':
+			if i+2 >= len(s) {
+				return 0, false
+			}
+			hi, ok1 := unhex(s[i+1])
+			lo, ok2 := unhex(s[i+2])
+			if !ok1 || !ok2 {
+				return 0, false
+			}
+			c = hi<<4 | lo
+			i += 2
+		}
+		h ^= uint64(c)
+		h *= fnvPrime
+	}
+	return h, true
+}
+
+func unhex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
 }
 
 // Stats is a point-in-time snapshot of router and member counters.

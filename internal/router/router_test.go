@@ -3,9 +3,13 @@ package router
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -149,7 +153,7 @@ func TestRetryAfterCoolsBackend(t *testing.T) {
 		t.Fatalf("shed counted as error: %d", b.errors.Load())
 	}
 	// While cooling, the member is ineligible even before being tried.
-	if got := rt.eligible(time.Now(), map[*Backend]bool{}); len(got) != 1 || got[0].Name == b.Name {
+	if got := rt.eligible(nil, time.Now(), nil); len(got) != 1 || got[0].Name == b.Name {
 		t.Fatalf("cooling member still eligible: %v", got)
 	}
 }
@@ -277,6 +281,119 @@ func TestAddRemoveBackend(t *testing.T) {
 	}
 	if len(rt.Backends()) != 1 {
 		t.Fatalf("backends = %d after remove, want 1", len(rt.Backends()))
+	}
+}
+
+// TestRelayEndToEnd drives a real client through the router: the body
+// arrives byte for byte with the member's Content-Length, the member's
+// admission report and hop-by-hop headers stay with the router, and a
+// redirect is relayed rather than followed.
+func TestRelayEndToEnd(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/old" {
+			http.Redirect(w, r, "/search?q=moved", http.StatusFound)
+			return
+		}
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("X-Inflight", "3")
+		h.Set("X-Capacity", "8")
+		h.Set("Keep-Alive", "timeout=5")
+		h.Set("X-Query", r.URL.RawQuery)
+		w.Write(searchBody)
+	}))
+	defer backend.Close()
+	rt, err := New(Options{Seed: 1}, backend.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt)
+	defer front.Close()
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	defer client.CloseIdleConnections()
+
+	// Four clients at once, so pooled call state is shared between
+	// goroutines under -race.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				resp, err := client.Get(front.URL + "/search?q=free+download&country=US")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || string(body) != string(searchBody) || resp.ContentLength != int64(len(searchBody)) {
+					t.Errorf("body differs: %d bytes, ContentLength %d, err %v", len(body), resp.ContentLength, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	resp, err := client.Get(front.URL + "/search?q=free+download&country=US")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Query"); got != "q=free+download&country=US" {
+		t.Fatalf("member saw query %q", got)
+	}
+	for _, k := range []string{"X-Inflight", "X-Capacity", "Keep-Alive"} {
+		if v := resp.Header.Get(k); v != "" {
+			t.Fatalf("%s relayed to the client: %q", k, v)
+		}
+	}
+	if resp.Header.Get("X-Backend") != rt.Backends()[0].Name {
+		t.Fatalf("X-Backend = %q", resp.Header.Get("X-Backend"))
+	}
+	if rt.Backends()[0].Reported() != 3 {
+		t.Fatalf("admission report not read: %d", rt.Backends()[0].Reported())
+	}
+
+	resp, err = client.Get(front.URL + "/old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusFound || resp.Header.Get("Location") != "/search?q=moved" {
+		t.Fatalf("redirect: status %d, Location %q", resp.StatusCode, resp.Header.Get("Location"))
+	}
+}
+
+// TestAffinityKeyMatchesQueryGet holds the in-place scan of RawQuery to
+// what it replaces: hashKey of r.URL.Query().Get("q"), else of the path.
+func TestAffinityKeyMatchesQueryGet(t *testing.T) {
+	want := func(u *url.URL) uint64 {
+		if q := u.Query().Get("q"); q != "" {
+			return hashKey(q)
+		}
+		return hashKey(u.Path)
+	}
+	raws := []string{
+		"", "q", "q=", "q=x", "Q=x", "q=a+b", "q=%41%2b", "q=%4", "q=%zz&q=ok",
+		"a=1;q=2&q=x", "%71=x", "q=&q=x", "q=x=y", "&&q=x&", "country=US&q=free+download",
+		"q=caf%C3%A9", "q=%%41",
+	}
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = "q=&;%+aF1 2"
+	for i := 0; i < 5000; i++ {
+		b := make([]byte, rng.Intn(14))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		raws = append(raws, string(b))
+	}
+	for _, raw := range raws {
+		u := &url.URL{Path: "/search", RawQuery: raw}
+		if got, w := affinityKey(u), want(u); got != w {
+			t.Fatalf("RawQuery %s: affinityKey %x, want %x", strconv.Quote(raw), got, w)
+		}
 	}
 }
 
