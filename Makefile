@@ -116,6 +116,7 @@ fuzz-smoke:
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzReadLog -fuzztime 5s
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzRecoverDir -fuzztime 5s
+	$(GO) test ./internal/platform -run '^$$' -fuzz FuzzDecodeColumns -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzRestoreCheckpoint -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLineageLoad -fuzztime 5s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzSubStreams -fuzztime 5s

@@ -24,14 +24,15 @@ type AgentState struct {
 	RNG       stats.RNGState
 }
 
-// State captures the agent's full state.
-func (a *Agent) State() AgentState {
-	return AgentState{
+// StateInto captures the agent's full state into st, reusing st's
+// Domains array.
+func (a *Agent) StateInto(st *AgentState) {
+	*st = AgentState{
 		Profile:   a.Profile,
 		Account:   a.Account,
 		StartDay:  a.StartDay,
 		StartFrac: a.startFrac,
-		Domains:   append([]string(nil), a.domains...),
+		Domains:   append(st.Domains[:0], a.domains...),
 		RNG:       a.rng.State(),
 	}
 }

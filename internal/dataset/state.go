@@ -12,8 +12,9 @@ package dataset
 //     snapshot is byte-deterministic for a given state.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/market"
 	"repro/internal/simclock"
@@ -71,25 +72,37 @@ type CollectorState struct {
 	FraudClicksByMonth []MonthClicks
 }
 
-// State captures the collector's accumulated aggregates.
-func (c *Collector) State() *CollectorState {
-	st := &CollectorState{
-		NumAccounts:   len(c.accounts),
-		Detections:    c.detections,
-		DetectionAt:   c.detectionAt,
-		ClicksByMatch: c.clicksByMatch,
+// StateInto captures the collector's accumulated aggregates into st,
+// reusing st's slices: a checkpoint writer keeps one CollectorState
+// between saves. The result shares the week series and detection records
+// with the collector.
+func (c *Collector) StateInto(st *CollectorState) {
+	accounts := st.Accounts[:0]
+	*st = CollectorState{
+		NumAccounts:        len(c.accounts),
+		Detections:         c.detections,
+		DetectionAt:        c.detectionAt,
+		ClicksByCountry:    st.ClicksByCountry[:0],
+		ClicksByMatch:      c.clicksByMatch,
+		FraudClicksByMonth: st.FraudClicksByMonth[:0],
 	}
 	for id, a := range c.accounts {
 		if a == nil {
 			continue
 		}
-		as := AccountAggState{
-			ID:            int32(id),
-			Weeks:         a.Weeks,
-			WindowsLen:    int32(len(a.Windows)),
-			BidCount:      a.BidCount,
-			BidSum:        a.BidSum,
-			ClicksByMatch: a.ClicksByMatch,
+		// Reslicing within capacity hands this row the previous save's
+		// Windows and MonthVerticalSpend backing arrays.
+		accounts = slices.Grow(accounts, 1)[:len(accounts)+1]
+		as := &accounts[len(accounts)-1]
+		*as = AccountAggState{
+			ID:                 int32(id),
+			Weeks:              a.Weeks,
+			WindowsLen:         int32(len(a.Windows)),
+			Windows:            as.Windows[:0],
+			BidCount:           a.BidCount,
+			BidSum:             a.BidSum,
+			ClicksByMatch:      a.ClicksByMatch,
+			MonthVerticalSpend: as.MonthVerticalSpend[:0],
 		}
 		for wi, w := range a.Windows {
 			if w != nil {
@@ -99,29 +112,23 @@ func (c *Collector) State() *CollectorState {
 		for k, v := range a.MonthVerticalSpend {
 			as.MonthVerticalSpend = append(as.MonthVerticalSpend, MonthVerticalEntry{k, v})
 		}
-		sort.Slice(as.MonthVerticalSpend, func(i, j int) bool {
-			return as.MonthVerticalSpend[i].Key < as.MonthVerticalSpend[j].Key
-		})
-		st.Accounts = append(st.Accounts, as)
+		slices.SortFunc(as.MonthVerticalSpend, func(a, b MonthVerticalEntry) int { return cmp.Compare(a.Key, b.Key) })
 	}
+	st.Accounts = accounts
 	for ctry, fs := range c.clicksByCountry {
 		st.ClicksByCountry = append(st.ClicksByCountry, CountryClicks{ctry, *fs})
 	}
-	sort.Slice(st.ClicksByCountry, func(i, j int) bool {
-		return st.ClicksByCountry[i].Country < st.ClicksByCountry[j].Country
-	})
+	slices.SortFunc(st.ClicksByCountry, func(a, b CountryClicks) int { return cmp.Compare(a.Country, b.Country) })
 	for m, v := range c.fraudClicksByMonth {
 		st.FraudClicksByMonth = append(st.FraudClicksByMonth, MonthClicks{m, v})
 	}
-	sort.Slice(st.FraudClicksByMonth, func(i, j int) bool {
-		return st.FraudClicksByMonth[i].Month < st.FraudClicksByMonth[j].Month
-	})
-	return st
+	slices.SortFunc(st.FraudClicksByMonth, func(a, b MonthClicks) int { return cmp.Compare(a.Month, b.Month) })
 }
 
-// SetState restores aggregates captured by State onto a collector built by
-// NewCollector with the same window configuration. All indexes are
-// bounds-checked so hostile snapshot bytes yield an error, never a panic.
+// SetState restores aggregates captured by StateInto onto a collector
+// built by NewCollector with the same window configuration. All indexes
+// are bounds-checked so hostile snapshot bytes yield an error, never a
+// panic.
 func (c *Collector) SetState(st *CollectorState) error {
 	if st == nil {
 		return fmt.Errorf("dataset: nil collector state")

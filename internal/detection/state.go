@@ -50,11 +50,14 @@ type PipelineState struct {
 	Shutdowns []StageCount
 }
 
-// State captures the pipeline's accumulated state.
-func (d *Pipeline) State() *PipelineState {
-	st := &PipelineState{
+// StateInto captures the pipeline's accumulated state into st, reusing
+// st's slices: a checkpoint writer keeps one PipelineState between saves.
+func (d *Pipeline) StateInto(st *PipelineState) {
+	*st = PipelineState{
 		RNG:       d.rng.State(),
 		NumStates: len(d.states),
+		States:    st.States[:0],
+		Shutdowns: st.Shutdowns[:0],
 	}
 	for _, s := range d.states {
 		if s == nil {
@@ -81,12 +84,11 @@ func (d *Pipeline) State() *PipelineState {
 			st.Shutdowns = append(st.Shutdowns, StageCount{stage, n})
 		}
 	}
-	return st
 }
 
-// SetState restores a snapshot captured by State onto a pipeline built by
-// New with the same configuration. Indexes are bounds-checked so hostile
-// snapshot bytes yield an error, never a panic.
+// SetState restores a snapshot captured by StateInto onto a pipeline
+// built by New with the same configuration. Indexes are bounds-checked so
+// hostile snapshot bytes yield an error, never a panic.
 func (d *Pipeline) SetState(st *PipelineState) error {
 	if st == nil {
 		return fmt.Errorf("detection: nil pipeline state")

@@ -83,28 +83,32 @@ func (r *Report) String() string {
 }
 
 // scanSegment walks a segment's frames and returns the count of valid
-// frames, the offset just past the last valid one, the file size, and
-// the frame error that stopped the scan (nil for a clean segment).
-func scanSegment(path string) (frames uint64, valid int64, size int64, scanErr error, err error) {
+// frames, the offset just past the last valid one, the file size, the
+// frame error that stopped the scan (nil for a clean segment), and the
+// CRC32C of every byte the scan read. A clean scan reads to EOF, so its
+// CRC is the whole file's, and checking a sealed segment against the
+// manifest needs no second read.
+func scanSegment(path string) (frames uint64, valid int64, size int64, crc uint32, scanErr error, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, 0, 0, nil, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, 0, 0, nil, err
 	}
 	size = fi.Size()
-	r := NewReader(f, Filter{})
+	h := crc32.New(castagnoli)
+	r := NewReader(io.TeeReader(f, h), Filter{})
 	var ev Event
 	for {
 		err := r.Next(&ev)
 		if err == io.EOF {
-			return r.Frames(), r.Offset(), size, nil, nil
+			return r.Frames(), r.Offset(), size, h.Sum32(), nil, nil
 		}
 		if err != nil {
-			return r.Frames(), r.Offset(), size, err, nil
+			return r.Frames(), r.Offset(), size, h.Sum32(), err, nil
 		}
 	}
 }
@@ -196,7 +200,7 @@ func RecoverDir(dir string, apply bool) (*Report, error) {
 	dirty := false // anything that would change bytes on disk
 	manifestStale := manifest == nil && len(found) > 0
 	for i, fs := range found {
-		frames, valid, size, scanErr, err := scanSegment(fs.path)
+		frames, valid, size, crc, scanErr, err := scanSegment(fs.path)
 		if err != nil {
 			return rep, err
 		}
@@ -220,8 +224,6 @@ func RecoverDir(dir string, apply bool) (*Report, error) {
 				if m.Bytes != uint64(size) || m.Events != frames {
 					sr.ManifestMismatch = fmt.Sprintf("manifest says %d bytes / %d events, file has %d / %d",
 						m.Bytes, m.Events, size, frames)
-				} else if crc, err := fileCRC(fs.path, size); err != nil {
-					return rep, err
 				} else if crc != m.CRC32C {
 					sr.ManifestMismatch = fmt.Sprintf("manifest CRC %08x != file CRC %08x", m.CRC32C, crc)
 				}

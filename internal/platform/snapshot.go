@@ -1,7 +1,7 @@
 package platform
 
-// Checkpoint support. A Snapshot is the gob-friendly form of the whole
-// platform, laid out flat so the encoder never walks a pointer graph:
+// Checkpoint support. A Snapshot is the whole platform laid out flat, in
+// the columns a checkpoint stores (FRSNAP version 4, see columns.go):
 //
 //   - Accounts and ads are value copies with their child slices cleared
 //     (an account's Ads, an ad's Bids); AdCount and BidCount say how many
@@ -9,9 +9,7 @@ package platform
 //     order, bids in ad order, both in slice-position order.
 //
 //   - Bids — two orders of magnitude more numerous than accounts — are
-//     stored as one primitive slice per field. gob writes a []int or
-//     []float64 in a single tight loop, where a []*KeywordBid costs a
-//     reflective visit per bid.
+//     stored as one column per field.
 //
 //   - The eligible-bid index holds pointers into the account table and its
 //     posting lists are ordered by descending static score with ties in
@@ -26,15 +24,13 @@ package platform
 //     encoded snapshot is byte-deterministic for a given state.
 //
 // A Snapshot shares no mutable memory with the platform it was taken from.
-//
-// Snapshot is an ordinary gob value, but a checkpoint writes it with
-// Encode, one gob value per field: gob buffers a whole value before
-// writing any of it, so this keeps the encoder's (and the decoder's)
-// buffer at the size of the largest column instead of the whole platform.
+// A checkpoint save never builds one: the platform writes the same bytes
+// straight from its live tables (AppendTables, AppendIndex). Snapshot is
+// the read side — DecodeColumns fills one for FromSnapshot to validate —
+// and the reference the live writer is tested against.
 
 import (
 	"cmp"
-	"encoding/gob"
 	"fmt"
 	"slices"
 
@@ -86,37 +82,6 @@ type Snapshot struct {
 	Index  []IndexEntry
 	RefAd  []int32
 	RefBid []int32
-}
-
-// fields lists every field of the snapshot in wire order.
-func (st *Snapshot) fields() []any {
-	return []any{
-		&st.Accounts, &st.NextAdID, &st.AdsLive,
-		&st.AdCount, &st.Ads,
-		&st.BidCount, &st.BidKeyword, &st.BidCluster, &st.BidMatch, &st.BidMax, &st.BidCreated,
-		&st.Billed, &st.Uncollected, &st.TotalBilled, &st.TotalLost,
-		&st.Index, &st.RefAd, &st.RefBid,
-	}
-}
-
-// Encode writes the snapshot to enc, one gob value per field.
-func (st *Snapshot) Encode(enc *gob.Encoder) error {
-	for _, f := range st.fields() {
-		if err := enc.Encode(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Decode reads what Encode wrote.
-func (st *Snapshot) Decode(dec *gob.Decoder) error {
-	for _, f := range st.fields() {
-		if err := dec.Decode(f); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Snapshot captures the platform's full state.
@@ -178,10 +143,6 @@ func (p *Platform) Snapshot() *Snapshot {
 	slices.SortFunc(vcs, func(a, b vcKey) int {
 		return cmp.Or(cmp.Compare(a.vertical, b.vertical), cmp.Compare(a.country, b.country))
 	})
-	type keyedList struct {
-		key  int64 // kw<<1 | broad
-		list []entry
-	}
 	var lists []keyedList
 	st.Index = make([]IndexEntry, 0, nLists)
 	// Every posting-list slot is a distinct live bid.
@@ -192,12 +153,12 @@ func (p *Platform) Snapshot() *Snapshot {
 		lists = lists[:0]
 		for id, list := range ps.kw {
 			if len(list) > 0 {
-				lists = append(lists, keyedList{int64(id) << 1, list})
+				lists = append(lists, keyedList{key: int64(id) << 1, list: list})
 			}
 		}
 		for id, list := range ps.broad {
 			if len(list) > 0 {
-				lists = append(lists, keyedList{int64(id)<<1 | 1, list})
+				lists = append(lists, keyedList{key: int64(id)<<1 | 1, list: list})
 			}
 		}
 		slices.SortFunc(lists, func(a, b keyedList) int { return cmp.Compare(a.key, b.key) })

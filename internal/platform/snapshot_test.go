@@ -2,7 +2,7 @@ package platform
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,13 +17,21 @@ import (
 // several accounts, ads with batched and single bids of all match types,
 // equal-score ties, a retired ad (slot swap), a shut-down account (ads
 // kept, bids released), a second market, and both ledger maps.
-func snapshotFixture(t *testing.T) *Platform {
+func snapshotFixture(t testing.TB) *Platform {
 	t.Helper()
 	p := New()
 	var ads []*Ad
 	for i := 0; i < 4; i++ {
-		a := newAccount(t, p, i == 3)
-		approve(t, p, a.ID)
+		a := p.Register(RegistrationRequest{
+			At:              simclock.StampAt(0, 0.1),
+			Country:         market.US,
+			Fraud:           i == 3,
+			PrimaryVertical: verticals.Downloads,
+			StolenPayment:   i == 3,
+		})
+		if err := p.Approve(a.ID); err != nil {
+			t.Fatal(err)
+		}
 		for j := 0; j < 3; j++ {
 			target := market.US
 			if j == 2 {
@@ -55,56 +63,155 @@ func snapshotFixture(t *testing.T) *Platform {
 	return p
 }
 
-func encodeSnapshot(t *testing.T, st *Snapshot) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := st.Encode(gob.NewEncoder(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// liveColumns is what a checkpoint save writes: both halves of the live
+// writer, in wire order.
+func liveColumns(p *Platform, sc *ColumnScratch) []byte {
+	return p.AppendIndex(p.AppendTables(nil, sc), sc)
 }
 
-// TestSnapshotFieldsComplete pins fields() — the wire order Encode and
-// Decode share — to the struct: a field added to Snapshot but not to the
-// list would silently not be checkpointed.
+// TestSnapshotFieldsComplete pins the codec to the structs: with every
+// field of a Snapshot, of its accounts and of its ads set, the reference
+// writer and DecodeColumns round-trip it unchanged. A field added to any
+// of them but not to the codec comes back zero.
 func TestSnapshotFieldsComplete(t *testing.T) {
-	st := new(Snapshot)
+	st := snapshotFixture(t).Snapshot()
+	st.Accounts[0] = Account{}
+	fillFields(t, reflect.ValueOf(&st.Accounts[0]).Elem(), "Ads")
+	st.Ads[0] = Ad{}
+	fillFields(t, reflect.ValueOf(&st.Ads[0]).Elem(), "Bids")
 	v := reflect.ValueOf(st).Elem()
-	fields := st.fields()
-	if len(fields) != v.NumField() {
-		t.Fatalf("fields() lists %d of Snapshot's %d fields", len(fields), v.NumField())
-	}
-	seen := map[any]bool{}
 	for i := 0; i < v.NumField(); i++ {
-		seen[v.Field(i).Addr().Interface()] = true
-	}
-	for i, f := range fields {
-		if !seen[f] {
-			t.Fatalf("fields()[%d] (%T) is not the address of a Snapshot field", i, f)
+		if v.Field(i).IsZero() {
+			t.Fatalf("fixture leaves Snapshot.%s zero", v.Type().Field(i).Name)
 		}
-		delete(seen, f)
 	}
-}
-
-// TestSnapshotRoundTripByteEqual: encode → decode → FromSnapshot →
-// Snapshot → encode reproduces the bytes, and the restored platform
-// serves the same posting lists in the same order.
-func TestSnapshotRoundTripByteEqual(t *testing.T) {
-	p := snapshotFixture(t)
-	first := encodeSnapshot(t, p.Snapshot())
-	if again := encodeSnapshot(t, p.Snapshot()); !bytes.Equal(first, again) {
-		t.Fatal("two snapshots of one state encode differently")
-	}
-
-	var decoded Snapshot
-	if err := decoded.Decode(gob.NewDecoder(bytes.NewReader(first))); err != nil {
-		t.Fatal(err)
-	}
-	q, err := FromSnapshot(&decoded)
+	got, err := DecodeColumns(st.AppendColumns(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second := encodeSnapshot(t, q.Snapshot()); !bytes.Equal(first, second) {
+	if !reflect.DeepEqual(got, st) {
+		t.Fatalf("round trip lost a field:\n got %+v\nwant %+v", got.Accounts[0], st.Accounts[0])
+	}
+}
+
+// fillFields sets every field of the struct v, recursively, to a
+// non-zero value, except the named child slice.
+func fillFields(t *testing.T, v reflect.Value, skip string) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if v.Type().Field(i).Name == skip {
+			continue
+		}
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("x" + v.Type().Field(i).Name)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int32, reflect.Int64:
+			f.SetInt(int64(-3 - i))
+		case reflect.Uint8:
+			f.SetUint(uint64(200 + i))
+		case reflect.Float64:
+			f.SetFloat(0.5 + float64(i))
+		case reflect.Struct:
+			fillFields(t, f, "")
+		default:
+			t.Fatalf("fillFields: field %s has kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// TestMinRowSizes: the per-row minimums DecodeColumns bounds its counts
+// by are the encoded sizes of empty rows.
+func TestMinRowSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		got  int
+		want int
+	}{
+		{"account", len(appendAccount(nil, &Account{})), minAccountRow},
+		{"ad", len(appendAd(nil, &Ad{})), minAdRow},
+		{"index", len(appendIndexEntry(nil, IndexEntry{})), minIndexRow},
+		{"ledger", len((&Snapshot{Billed: []LedgerEntry{{}}}).AppendColumns(nil)) - len((&Snapshot{}).AppendColumns(nil)), minLedgerRow},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("empty %s row is %d bytes, min constant says %d", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// TestLiveColumnsMatchReference: the live writer's bytes are the
+// reference writer's, on the fixture and on its restored copy, and again
+// through a scratch that has already been used.
+func TestLiveColumnsMatchReference(t *testing.T) {
+	p := snapshotFixture(t)
+	var sc ColumnScratch
+	want := p.Snapshot().AppendColumns(nil)
+	for i := 0; i < 2; i++ {
+		if got := liveColumns(p, &sc); !bytes.Equal(got, want) {
+			t.Fatalf("write %d: live columns (%d bytes) differ from the reference (%d bytes)", i, len(got), len(want))
+		}
+	}
+	st, err := DecodeColumns(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := FromSnapshot(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := liveColumns(q, &sc); !bytes.Equal(got, want) {
+		t.Fatal("restored platform writes different columns")
+	}
+}
+
+// TestDecodeColumnsRejectsDamage: every strict prefix of a valid
+// encoding, a trailing byte, an out-of-range value and a row count larger
+// than the bytes left are all errors.
+func TestDecodeColumnsRejectsDamage(t *testing.T) {
+	valid := snapshotFixture(t).Snapshot().AppendColumns(nil)
+	for n := range valid {
+		if _, err := DecodeColumns(valid[:n]); err == nil {
+			t.Fatalf("prefix of %d/%d bytes decoded", n, len(valid))
+		}
+	}
+	if _, err := DecodeColumns(append(bytes.Clone(valid), 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("trailing byte: %v", err)
+	}
+	huge := binary.AppendUvarint(nil, 1<<40)
+	if _, err := DecodeColumns(huge); err == nil || !strings.Contains(err.Error(), "rows") {
+		t.Fatalf("huge account count: %v", err)
+	}
+	// An empty snapshot ends in the RefAd and RefBid counts; swap them
+	// for one RefAd row past int32 and an empty RefBid.
+	wide := (&Snapshot{}).AppendColumns(nil)
+	wide = binary.AppendVarint(append(wide[:len(wide)-2], 1), 1<<40)
+	wide = append(wide, 0)
+	if _, err := DecodeColumns(wide); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("int32 overflow: %v", err)
+	}
+}
+
+// TestSnapshotRoundTripByteEqual: encode → DecodeColumns → FromSnapshot
+// → Snapshot → encode reproduces the bytes, and the restored platform
+// serves the same posting lists in the same order.
+func TestSnapshotRoundTripByteEqual(t *testing.T) {
+	p := snapshotFixture(t)
+	first := p.Snapshot().AppendColumns(nil)
+	if again := p.Snapshot().AppendColumns(nil); !bytes.Equal(first, again) {
+		t.Fatal("two snapshots of one state encode differently")
+	}
+
+	decoded, err := DecodeColumns(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := FromSnapshot(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second := q.Snapshot().AppendColumns(nil); !bytes.Equal(first, second) {
 		t.Fatalf("round trip changed the encoding: %d bytes -> %d bytes", len(first), len(second))
 	}
 
@@ -185,4 +292,48 @@ func TestFromSnapshotRejectsInconsistentColumns(t *testing.T) {
 	if _, err := FromSnapshot(nil); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
+}
+
+// FuzzDecodeColumns calls the decoder directly, with no recover guard
+// around it: any panic fails the fuzzer. What decodes must also survive
+// FromSnapshot, and re-encode to a fixed point.
+func FuzzDecodeColumns(f *testing.F) {
+	p := snapshotFixture(f)
+	valid := p.Snapshot().AppendColumns(nil)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:len(valid)-1])
+	f.Add([]byte{})
+	f.Add(binary.AppendUvarint(nil, 1<<40))
+	for _, i := range []int{1, len(valid) / 3, len(valid) - 9} {
+		mut := bytes.Clone(valid)
+		mut[i] ^= 0x40
+		f.Add(mut)
+	}
+	for _, vandalize := range []func(*Snapshot){
+		func(st *Snapshot) { st.BidMax = st.BidMax[1:] },
+		func(st *Snapshot) { st.AdCount[0] += 3 },
+		func(st *Snapshot) { st.RefBid[0] = 1 << 20 },
+		func(st *Snapshot) { st.RefAd[0] = -7 },
+	} {
+		st := p.Snapshot()
+		vandalize(st)
+		f.Add(st.AppendColumns(nil))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := DecodeColumns(data)
+		if err != nil {
+			return
+		}
+		again := st.AppendColumns(nil)
+		st2, err := DecodeColumns(again)
+		if err != nil {
+			t.Fatalf("re-encoded columns do not decode: %v", err)
+		}
+		if !bytes.Equal(st2.AppendColumns(nil), again) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+		FromSnapshot(st)
+	})
 }

@@ -1,25 +1,30 @@
 package sim
 
-// Checkpoint file format. A checkpoint is one CRC-framed gob payload:
+// Checkpoint file format. A checkpoint is one CRC-framed payload:
 //
-//	offset 0: magic "FRSNAP" + one format-version byte (currently 3;
-//	          version 3 stores the platform flat — accounts and ads as
-//	          value rows with per-parent counts, bids and index
-//	          references as one primitive column per field, see
-//	          platform.Snapshot — which an older reader would not
-//	          recognise at all; older files are refused by the version
-//	          check, there is no migration)
+//	offset 0: magic "FRSNAP" + one format-version byte (currently 4;
+//	          version 4 stores the platform in a hand-written column
+//	          codec, see platform/columns.go; older files are refused by
+//	          the version check, there is no migration)
 //	then:     uvarint payload length | payload | crc32c(payload) LE
 //
-// The payload is one gob stream: the Checkpoint value with its platform
-// snapshot detached, then the platform as platform.Snapshot.Encode
-// writes it. Everything outside the platform — collector, pipeline,
-// agents, RNG streams — is a few percent of the bytes and stays ordinary
-// gob structs.
+// The payload is one gob value — the Checkpoint with its platform
+// detached — followed by the platform's columns. Everything outside the
+// platform — collector, pipeline, agents, RNG streams — is a few percent
+// of the bytes and stays ordinary gob structs.
+//
+// A Sim saving itself writes the columns straight from its live platform
+// in two halves (platform.AppendTables and AppendIndex) that read
+// disjoint state. At more than one worker (the draw-ahead's rule) the
+// index half runs on a goroutine of its own while the gob and the tables
+// half run on the caller's, each into its own reused buffer, and the
+// halves are concatenated in wire order; at one worker they run in
+// sequence. The bytes are the same either way, and the same as
+// platform.Snapshot.AppendColumns writes for a saved Checkpoint.
 //
 // The CRC is computed with the Castagnoli polynomial — the same framing
 // discipline as the event log — so a torn or bit-flipped snapshot is
-// detected before gob ever sees it. Writes are atomic: the file is
+// detected before any decoder sees it. Writes are atomic: the file is
 // staged at a temporary name, fsynced, then renamed over the target, so
 // a crash during checkpointing leaves the previous checkpoint intact.
 
@@ -30,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"sync"
 
 	"repro/internal/eventlog"
 	"repro/internal/platform"
@@ -37,7 +43,7 @@ import (
 
 // checkpointMagic identifies a checkpoint file; the trailing byte is the
 // format version.
-var checkpointMagic = []byte{'F', 'R', 'S', 'N', 'A', 'P', 3}
+var checkpointMagic = []byte{'F', 'R', 'S', 'N', 'A', 'P', 4}
 
 var checkpointCRC = crc32.MakeTable(crc32.Castagnoli)
 
@@ -59,68 +65,143 @@ type Checkpoint struct {
 	Log   LogPosition
 }
 
-// frameHead is the space encodeCheckpoint reserves ahead of the payload
-// for the magic and the length, whose width is known only once the
-// payload is encoded.
+// frameHead is the space a frame reserves ahead of the payload for the
+// magic and the length, whose width is known only once the payload is
+// encoded.
 var frameHead = len(checkpointMagic) + binary.MaxVarintLen64
 
-// encodeCheckpoint renders a checkpoint into buf as its on-disk frame —
-// magic, version, uvarint payload length, gob payload, CRC32C — and
-// returns the frame, which aliases buf.
-func encodeCheckpoint(buf *bytes.Buffer, c *Checkpoint) ([]byte, error) {
+// checkpointBufs is a checkpoint encode's memory: the frame, the index
+// half's own buffer, the platform writer's scratch, the state the gob
+// half encodes and the gob encoder itself. A Sim keeps one between saves
+// (a frame is megabytes and a durable run writes one every few days).
+type checkpointBufs struct {
+	frame frameWriter
+	index []byte
+	cols  platform.ColumnScratch
+	state State
+
+	// enc is primed once: its first Encode sends gob's type descriptors,
+	// which types keeps, and every later Encode sends the value alone.
+	// Each frame starts with types, so it is the same self-contained
+	// stream a fresh encoder would write, without a fresh encoder's type
+	// walk and buffer growth every save. (gob describes a type mid-value
+	// only for a non-nil interface, and the one interface in a State,
+	// Config.Events, is always nil there.)
+	enc   *gob.Encoder
+	types []byte
+}
+
+// frameWriter is the io.Writer the gob encoder appends to the frame
+// through; last is where its latest Write began.
+type frameWriter struct {
+	b    []byte
+	last int
+}
+
+func (w *frameWriter) Write(p []byte) (int, error) {
+	w.last = len(w.b)
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
+// begin starts a frame in b: the reserved head, then the gob of c with its
+// platform detached.
+func (b *checkpointBufs) begin(c *Checkpoint) error {
+	if b.enc == nil {
+		b.frame.b = b.frame.b[:0]
+		b.enc = gob.NewEncoder(&b.frame)
+		if err := b.enc.Encode(&Checkpoint{}); err != nil {
+			return err
+		}
+		b.types = bytes.Clone(b.frame.b[:b.frame.last])
+	}
+	b.frame.b = append(append(b.frame.b[:0], make([]byte, frameHead)...), b.types...)
+	st := *c.State
+	st.Platform = nil
+	return b.enc.Encode(&Checkpoint{State: &st, Log: c.Log})
+}
+
+// finish closes the frame begun in b — CRC, then the head right-aligned
+// against the payload — and returns it; it aliases b.
+func (b *checkpointBufs) finish() []byte {
+	buf := b.frame.b
+	n := len(buf) - frameHead
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[frameHead:], checkpointCRC))
+	b.frame.b = buf
+	var lenBuf [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(lenBuf[:], uint64(n))
+	frame := buf[binary.MaxVarintLen64-w:]
+	copy(frame, checkpointMagic)
+	copy(frame[len(checkpointMagic):], lenBuf[:w])
+	return frame
+}
+
+// encodeCheckpoint renders a saved Checkpoint as its on-disk frame, its
+// platform columns by the reference writer.
+func encodeCheckpoint(b *checkpointBufs, c *Checkpoint) ([]byte, error) {
 	if c == nil || c.State == nil || c.State.Platform == nil {
 		return nil, fmt.Errorf("sim: nil checkpoint")
 	}
-	buf.Reset()
-	buf.Write(make([]byte, frameHead))
-	st := *c.State
-	st.Platform = nil
-	enc := gob.NewEncoder(buf)
-	err := enc.Encode(&Checkpoint{State: &st, Log: c.Log})
-	if err == nil {
-		err = c.State.Platform.Encode(enc)
+	if err := b.begin(c); err != nil {
+		return nil, fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
+	b.frame.b = c.State.Platform.AppendColumns(b.frame.b)
+	return b.finish(), nil
+}
+
+// encodeCheckpoint renders the sim's checkpoint at pos as its on-disk
+// frame, the platform columns written from the live platform: the index
+// half on a goroutine beside the gob and the tables half when workers > 1,
+// after them otherwise. The frame aliases s.ckpt.
+func (s *Sim) encodeCheckpoint(pos LogPosition, workers int) ([]byte, error) {
+	b := &s.ckpt
+	var wg sync.WaitGroup
+	if workers > 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.index = s.p.AppendIndex(b.index[:0], &b.cols)
+		}()
+	}
+	s.stateInto(&b.state)
+	err := b.begin(&Checkpoint{State: &b.state, Log: pos})
+	if err == nil {
+		b.frame.b = s.p.AppendTables(b.frame.b, &b.cols)
+	}
+	wg.Wait()
 	if err != nil {
 		return nil, fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
-	n := buf.Len() - frameHead
-	buf.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(buf.Bytes()[frameHead:], checkpointCRC)))
-	// The head goes in right-aligned against the payload; the frame
-	// starts wherever that leaves it.
-	var lenBuf [binary.MaxVarintLen64]byte
-	w := binary.PutUvarint(lenBuf[:], uint64(n))
-	frame := buf.Bytes()[binary.MaxVarintLen64-w:]
-	copy(frame, checkpointMagic)
-	copy(frame[len(checkpointMagic):], lenBuf[:w])
-	return frame, nil
-}
-
-// stageCheckpoint encodes c through buf and writes it, fsynced, to path.
-func stageCheckpoint(buf *bytes.Buffer, path string, c *Checkpoint) error {
-	frame, err := encodeCheckpoint(buf, c)
-	if err != nil {
-		return err
+	if workers > 1 {
+		b.frame.b = append(b.frame.b, b.index...)
+	} else {
+		b.frame.b = s.p.AppendIndex(b.frame.b, &b.cols)
 	}
-	return eventlog.StageFile(path, frame, true)
+	return b.finish(), nil
 }
 
 // WriteCheckpoint atomically writes a checkpoint file.
 func WriteCheckpoint(path string, c *Checkpoint) error {
-	return writeCheckpoint(new(bytes.Buffer), path, c)
+	frame, err := encodeCheckpoint(new(checkpointBufs), c)
+	if err != nil {
+		return err
+	}
+	return writeFrame(path, frame)
 }
 
-func writeCheckpoint(buf *bytes.Buffer, path string, c *Checkpoint) error {
+// writeFrame stages frame, fsynced, beside path and renames it over path.
+func writeFrame(path string, frame []byte) error {
 	tmp := path + eventlog.TmpSuffix
-	if err := stageCheckpoint(buf, tmp, c); err != nil {
+	if err := eventlog.StageFile(tmp, frame, true); err != nil {
 		return err
 	}
 	return eventlog.CommitFile(tmp, path, true)
 }
 
 // ReadCheckpoint reads and validates a checkpoint file: magic, version,
-// declared length, and CRC are all checked before gob decoding, and the
-// decode itself is guarded so hostile bytes yield an error, never a
-// panic.
+// declared length, and CRC are all checked before anything is decoded,
+// and the decode itself is guarded so hostile bytes yield an error, never
+// a panic.
 func ReadCheckpoint(path string) (c *Checkpoint, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -162,15 +243,16 @@ func DecodeCheckpoint(data []byte) (c *Checkpoint, err error) {
 		}
 	}()
 	c = &Checkpoint{}
-	dec := gob.NewDecoder(bytes.NewReader(payload))
-	if err := dec.Decode(c); err != nil {
+	rd := bytes.NewReader(payload)
+	if err := gob.NewDecoder(rd).Decode(c); err != nil {
 		return nil, fmt.Errorf("sim: decode checkpoint: %w", err)
 	}
 	if c.State == nil {
 		return nil, fmt.Errorf("sim: checkpoint has no state")
 	}
-	c.State.Platform = new(platform.Snapshot)
-	if err := c.State.Platform.Decode(dec); err != nil {
+	// The gob decoder reads a bytes.Reader message by message, never
+	// ahead, so what it left is the platform's columns.
+	if c.State.Platform, err = platform.DecodeColumns(payload[len(payload)-rd.Len():]); err != nil {
 		return nil, fmt.Errorf("sim: decode checkpoint platform: %w", err)
 	}
 	if c.Log.NextSegment < 0 {
@@ -179,10 +261,14 @@ func DecodeCheckpoint(data []byte) (c *Checkpoint, err error) {
 	return c, nil
 }
 
-// WriteCheckpointFile snapshots the sim and writes it with the given log
+// WriteCheckpointFile writes the sim's checkpoint with the given log
 // position in one call.
 func (s *Sim) WriteCheckpointFile(path string, pos LogPosition) error {
-	return writeCheckpoint(&s.frame, path, &Checkpoint{State: s.Snapshot(), Log: pos})
+	frame, err := s.encodeCheckpoint(pos, s.resolveWorkers())
+	if err != nil {
+		return err
+	}
+	return writeFrame(path, frame)
 }
 
 // CheckpointInfo is what InspectCheckpoint can say about a checkpoint
@@ -193,7 +279,7 @@ type CheckpointInfo struct {
 	Bytes   int64
 	Version int // format version byte from the header (-1 if not a checkpoint at all)
 
-	// Valid is true when magic, version, length, CRC, and gob decode all
+	// Valid is true when magic, version, length, CRC, and decode all
 	// passed; the fields below it are meaningful only then. Err holds
 	// the validation failure otherwise.
 	Valid bool

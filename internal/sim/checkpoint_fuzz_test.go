@@ -1,7 +1,7 @@
 package sim_test
 
 // FuzzRestoreCheckpoint feeds hostile bytes through the full resume path:
-// DecodeCheckpoint (framing, CRC, guarded gob decode) and, when that
+// DecodeCheckpoint (framing, CRC, guarded decode) and, when that
 // accepts, Restore. Neither may ever panic — a corrupt checkpoint must
 // come back as an error, and a checkpoint that restores must land on the
 // day it recorded.
@@ -47,6 +47,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	f.Add([]byte("FRSNAP\x01"))
 	f.Add([]byte("FRSNAP\x02junk"))
 	f.Add([]byte("FRSNAP\x03junk"))
+	f.Add([]byte("FRSNAP\x04junk"))
 	for _, i := range []int{7, len(valid) / 3, len(valid) - 5} {
 		mut := bytes.Clone(valid)
 		mut[i] ^= 0x40
@@ -65,9 +66,12 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	if hostile, err := os.ReadFile(path); err == nil {
 		f.Add(hostile)
 	}
-	// Likewise for the platform's flat layout: column lengths and counts
-	// that disagree with each other.
+	// Likewise for the platform's columns: lengths and counts that
+	// disagree with each other, and bytes the column decoder refuses.
 	for _, hostile := range hostilePlatformFrames(f, valid) {
+		f.Add(hostile)
+	}
+	for _, hostile := range reframeColumns(f, valid) {
 		f.Add(hostile)
 	}
 

@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +46,26 @@ func hostilePlatformFrames(t testing.TB, valid []byte) map[string][]byte {
 			t.Fatal(err)
 		}
 		out[name] = frame
+	}
+	return out
+}
+
+// reframeColumns re-frames a valid checkpoint after editing its payload,
+// whose tail is the platform's columns, with a fresh length and CRC: the
+// frames pass the framing checks and reach the column decoder.
+func reframeColumns(t testing.TB, valid []byte) map[string][]byte {
+	t.Helper()
+	n, w := binary.Uvarint(valid[7:])
+	payload := valid[7+w : 7+w+int(n)]
+	out := map[string][]byte{}
+	for name, edit := range map[string]func([]byte) []byte{
+		"trailing column byte": func(p []byte) []byte { return append(p, 0) },
+		"short last column":    func(p []byte) []byte { return p[:len(p)-1] },
+	} {
+		p := edit(bytes.Clone(payload))
+		frame := binary.AppendUvarint(bytes.Clone(valid[:7]), uint64(len(p)))
+		frame = append(frame, p...)
+		out[name] = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
 	}
 	return out
 }
@@ -110,11 +132,23 @@ func TestRestoreRejectsInconsistentPlatform(t *testing.T) {
 	}
 }
 
-// TestCheckpointRefusesOlderVersions: the flat layout replaced version 2
-// outright; older files are refused by the version check, not misread.
+// TestDecodeCheckpointRejectsBadColumns: damage inside the platform's
+// columns of a CRC-valid frame is a decode error, never a panic.
+func TestDecodeCheckpointRejectsBadColumns(t *testing.T) {
+	_, valid := midRunCheckpoint(t)
+	for name, frame := range reframeColumns(t, valid) {
+		if _, err := sim.DecodeCheckpoint(frame); err == nil || !strings.Contains(err.Error(), "platform: columns") {
+			t.Fatalf("%s: DecodeCheckpoint = %v, want a column decode error", name, err)
+		}
+	}
+}
+
+// TestCheckpointRefusesOlderVersions: each layout replaced the one before
+// outright (version 4's column codec replaced version 3's gob columns);
+// older files are refused by the version check, not misread.
 func TestCheckpointRefusesOlderVersions(t *testing.T) {
 	_, valid := midRunCheckpoint(t)
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		old := bytes.Clone(valid)
 		old[6] = v
 		if _, err := sim.DecodeCheckpoint(old); err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {

@@ -26,7 +26,6 @@ package sim
 // crash_lineage_test.go).
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -159,12 +158,17 @@ func (l Lineage) SweepTmp() (string, error) {
 // checkpoint intact (each shift step is a single atomic rename), so the
 // worst a crash can cost is the checkpoint being staged.
 func (l Lineage) Save(c *Checkpoint) error {
-	return l.save(new(bytes.Buffer), c)
+	frame, err := encodeCheckpoint(new(checkpointBufs), c)
+	if err != nil {
+		return err
+	}
+	return l.save(frame)
 }
 
-func (l Lineage) save(buf *bytes.Buffer, c *Checkpoint) error {
+// save is Save of an encoded frame.
+func (l Lineage) save(frame []byte) error {
 	tmp := l.Path + eventlog.TmpSuffix
-	if err := stageCheckpoint(buf, tmp, c); err != nil {
+	if err := eventlog.StageFile(tmp, frame, true); err != nil {
 		return err
 	}
 	// Shift oldest-first so no generation is ever overwritten by a
@@ -242,9 +246,12 @@ func (l Lineage) Load() (*Checkpoint, *LineageReport, error) {
 	return nil, rep, fmt.Errorf("%w (%d quarantined; newest: %v)", ErrLineageCorrupt, len(rep.Quarantined), firstErr)
 }
 
-// SaveCheckpointLineage snapshots the sim and saves it as the lineage's
-// newest checkpoint — the retained-chain counterpart of
-// WriteCheckpointFile.
+// SaveCheckpointLineage saves the sim's checkpoint as the lineage's
+// newest — the retained-chain counterpart of WriteCheckpointFile.
 func (s *Sim) SaveCheckpointLineage(l Lineage, pos LogPosition) error {
-	return l.save(&s.frame, &Checkpoint{State: s.Snapshot(), Log: pos})
+	frame, err := s.encodeCheckpoint(pos, s.resolveWorkers())
+	if err != nil {
+		return err
+	}
+	return l.save(frame)
 }

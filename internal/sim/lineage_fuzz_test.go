@@ -50,10 +50,14 @@ func FuzzLineageLoad(f *testing.F) {
 	f.Add([]byte{}, []byte{}, []byte{}, true)
 	f.Add([]byte("FRSNAP\x02junk"), flipped, torn, false)
 	f.Add([]byte("FRSNAP\x03junk"), flipped, torn, false)
+	f.Add([]byte("FRSNAP\x04junk"), flipped, torn, false)
 	// Frames that validate but hold a self-inconsistent platform: Load
 	// accepts them (it checks framing, not meaning); they are here so the
 	// fuzzer mutates from both sides of that line.
 	for _, hostile := range hostilePlatformFrames(f, valid) {
+		f.Add(hostile, valid, torn, false)
+	}
+	for _, hostile := range reframeColumns(f, valid) {
 		f.Add(hostile, valid, torn, false)
 	}
 

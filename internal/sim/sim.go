@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"time"
@@ -39,7 +38,8 @@ type Config struct {
 	// Workers sets how many goroutines the serving phase fans out to —
 	// its auction and click halves each split the day's queries into that
 	// many contiguous blocks (DESIGN.md §7) — and, above one, lets the
-	// agents phase draw the day's query stream on a goroutine beside it;
+	// agents phase draw the day's query stream on a goroutine beside it
+	// and the checkpoint encode write its two platform halves at once;
 	// 0 (the default) uses runtime.GOMAXPROCS. Campaign management and
 	// the detection sweep run on the simulation goroutine (DESIGN.md §8).
 	// Every seeded outcome — dataset digests, billing, event-log bytes,
@@ -233,9 +233,8 @@ type Sim struct {
 
 	res Result
 
-	// frame is the checkpoint frame buffer, kept between saves: a frame
-	// is megabytes and a durable run writes one every few days.
-	frame bytes.Buffer
+	// ckpt is the checkpoint encoder's memory, kept between saves.
+	ckpt checkpointBufs
 }
 
 // New wires up a simulation from the configuration.

@@ -18,9 +18,9 @@ package sim
 // gob skips it). Callers reattach both via SetProgress and SetEvents.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/agents"
 	"repro/internal/dataset"
@@ -89,10 +89,30 @@ type State struct {
 // never mid-phase) and the returned State shares memory with the live
 // sim: encode it before stepping further.
 func (s *Sim) Snapshot() *State {
+	st := new(State)
+	s.stateInto(st)
+	st.Platform = s.p.Snapshot()
+	return st
+}
+
+// stateInto writes Snapshot's state but the platform into st, reusing
+// st's slices: a checkpoint save keeps one State between saves and writes
+// the platform straight from the live tables instead.
+func (s *Sim) stateInto(st *State) {
 	cfg := s.cfg
 	cfg.Progress = nil
 	cfg.Events = nil
-	st := &State{
+	collector, pipeline := st.Collector, st.Pipeline
+	if collector == nil {
+		collector, pipeline = new(dataset.CollectorState), new(detection.PipelineState)
+	}
+	s.col.StateInto(collector)
+	s.pipeline.StateInto(pipeline)
+	live := slices.Grow(st.Live[:0], len(s.live))[:len(s.live)]
+	for i, a := range s.live {
+		a.StateInto(&live[i])
+	}
+	*st = State{
 		Config: cfg,
 		Day:    s.day,
 		Phase:  s.phase,
@@ -109,29 +129,26 @@ func (s *Sim) Snapshot() *State {
 			FraudSpend:         s.res.FraudSpend,
 			RevenueLost:        s.res.RevenueLost,
 		},
-		RootRNG:   s.rng.State(),
-		ArrRNG:    s.arrRNG.State(),
-		ClickRNG:  s.clickRNG.State(),
-		Platform:  s.p.Snapshot(),
-		Collector: s.col.State(),
-		Pipeline:  s.pipeline.State(),
-		Queries:   s.queriesState(),
-		Factory:   s.factory.State(),
-		Runtime:   s.runtime.State(),
-	}
-	st.Live = make([]agents.AgentState, len(s.live))
-	for i, a := range s.live {
-		st.Live[i] = a.State()
+		RootRNG:       s.rng.State(),
+		ArrRNG:        s.arrRNG.State(),
+		ClickRNG:      s.clickRNG.State(),
+		Collector:     collector,
+		Pipeline:      pipeline,
+		Queries:       s.queriesState(),
+		Factory:       s.factory.State(),
+		Runtime:       s.runtime.State(),
+		Live:          live,
+		FraudProfiles: st.FraudProfiles[:0],
+		PendingReregs: st.PendingReregs[:0],
 	}
 	for id, prof := range s.fraudProfiles {
 		st.FraudProfiles = append(st.FraudProfiles, FraudProfileEntry{id, prof})
 	}
-	sort.Slice(st.FraudProfiles, func(i, j int) bool { return st.FraudProfiles[i].ID < st.FraudProfiles[j].ID })
+	slices.SortFunc(st.FraudProfiles, func(a, b FraudProfileEntry) int { return cmp.Compare(a.ID, b.ID) })
 	for day, profs := range s.pendingReregs {
 		st.PendingReregs = append(st.PendingReregs, PendingRereg{day, profs})
 	}
-	sort.Slice(st.PendingReregs, func(i, j int) bool { return st.PendingReregs[i].Day < st.PendingReregs[j].Day })
-	return st
+	slices.SortFunc(st.PendingReregs, func(a, b PendingRereg) int { return cmp.Compare(a.Day, b.Day) })
 }
 
 // queriesState is the query generator's state as a checkpoint records
