@@ -105,7 +105,8 @@ bench-pair:
 	$(GO) run ./cmd/benchdiff -pairs "$$dir/old.jsonl" "$$dir/new.jsonl"
 
 # fuzz-smoke runs each fuzz target briefly — enough to exercise the
-# corpus plus a short exploration burst.
+# corpus plus a short exploration burst. TestFuzzSmokeCoversEveryFuzzTarget
+# (root package) fails when this list and the module's fuzz targets differ.
 fuzz-smoke:
 	$(GO) test ./internal/adcopy -run '^$$' -fuzz FuzzCanonicalToken -fuzztime 5s
 	$(GO) test ./internal/adcopy -run '^$$' -fuzz FuzzTokenize -fuzztime 5s

@@ -7,17 +7,10 @@ import (
 	"repro/internal/stats"
 )
 
-// Domain kinds. Fraudulent advertisers mostly use domains "unique to that
-// account", with the shared exceptions being URL shorteners and affiliate
-// program domains (§5.2.4).
-const (
-	DomainUnique    = "unique"
-	DomainShortener = "shortener"
-	DomainAffiliate = "affiliate"
-)
-
 // Shared third-party domains that serve both fraudulent and non-fraudulent
-// traffic and therefore cannot be blacklisted outright.
+// traffic and therefore cannot be blacklisted outright. Fraudulent
+// advertisers mostly use domains "unique to that account", with URL
+// shorteners and affiliate program domains the shared exceptions (§5.2.4).
 var (
 	Shorteners = []string{"bit.ly", "tinyurl.com", "goo.gl", "ow.ly"}
 	Affiliates = []string{"maxbounty.com", "clickbank.net", "cj.com", "shareasale.com"}
@@ -104,21 +97,4 @@ func (g *DomainGenerator) Shortener() string {
 // Affiliate returns one of the shared affiliate-program domains.
 func (g *DomainGenerator) Affiliate() string {
 	return Affiliates[g.rng.Intn(len(Affiliates))]
-}
-
-// IsShared reports whether d is a shared third-party domain (shortener or
-// affiliate) that also serves non-fraudulent traffic and so must not be
-// blacklisted.
-func IsShared(d string) bool {
-	for _, s := range Shorteners {
-		if d == s {
-			return true
-		}
-	}
-	for _, a := range Affiliates {
-		if d == a {
-			return true
-		}
-	}
-	return false
 }

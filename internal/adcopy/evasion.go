@@ -26,8 +26,8 @@ var lookalikes = map[rune][]rune{
 	'n': {'ñ'},
 }
 
-// canonicalLookalike is the inverse mapping used by detectors. Exported via
-// FoldLookalikes so the detection package and tests share one table.
+// canonicalLookalike is the inverse of lookalikes: the fold that
+// FuzzFoldLookalikes checks LookalikeTransform against, via FoldLookalikes.
 var canonicalLookalike = map[rune]rune{}
 
 func init() {
@@ -123,11 +123,4 @@ func DigitsOf(s string) []byte {
 		}
 	}
 	return out
-}
-
-// ContainsPhoneDigits reports whether s contains a run of >= 10 digits
-// after stripping all non-digit characters — the canonical form a
-// robust phone detector keys on, immune to the separator games above.
-func ContainsPhoneDigits(s string) bool {
-	return len(DigitsOf(s)) >= 10
 }

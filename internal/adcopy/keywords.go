@@ -119,28 +119,16 @@ func CanonicalToken(tok string) string {
 	}
 }
 
-// SampleKeywords draws n distinct keyword IDs from the universe with
+// KeywordSampler draws distinct keyword IDs from the universe with
 // popularity bias (lower-ranked keywords more likely), modeling advertisers
 // preferring head terms. With tight budgets fraudulent advertisers bid on
-// very few keywords (Figure 7b), so n is often tiny.
+// very few keywords (Figure 7b), so draws are often tiny.
 //
-// A positive span restricts sampling to the popularity band
-// [lo, lo+span): the "keyword pocket" of an affiliate program. Fraudulent
-// advertisers working the same programs converge on the same pockets —
-// popular enough to carry traffic, but offset from the absolute head terms
-// the big legitimate advertisers saturate. That convergence is what drives
-// the extreme fraud-vs-fraud competition of Figures 10–11. Legitimate
-// advertisers pass (0, 0) to sample the whole universe.
-func (u *Universe) SampleKeywords(rng *stats.RNG, n int, skew float64, lo, span int) []int {
-	return u.NewKeywordSampler(rng, skew, lo, span).SampleInto(nil, n)
-}
-
-// KeywordSampler is the reusable form of SampleKeywords for callers that
-// draw repeatedly with fixed (skew, pocket) parameters, such as an agent
-// creating ads every day: the Zipf rejection sampler's precomputation
-// (several exp/log calls plus a heap object) is paid once at construction
-// instead of per draw. Construction consumes no randomness, so swapping
-// SampleKeywords for a cached sampler never perturbs a seeded run.
+// A sampler is built once per (skew, pocket) and reused, such as by an
+// agent creating ads every day: the Zipf rejection sampler's
+// precomputation (several exp/log calls plus a heap object) is paid once
+// at construction instead of per draw. Construction consumes no
+// randomness, so caching a sampler never perturbs a seeded run.
 type KeywordSampler struct {
 	lo    int
 	width int
@@ -148,8 +136,14 @@ type KeywordSampler struct {
 }
 
 // NewKeywordSampler prepares a sampler over the universe's popularity
-// band [lo, lo+span) (the whole universe when span == 0), with the same
-// parameter normalization as SampleKeywords.
+// band [lo, lo+span) (the whole universe when span == 0).
+//
+// The band is the "keyword pocket" of an affiliate program. Fraudulent
+// advertisers working the same programs converge on the same pockets —
+// popular enough to carry traffic, but offset from the absolute head terms
+// the big legitimate advertisers saturate. That convergence is what drives
+// the extreme fraud-vs-fraud competition of Figures 10–11. Legitimate
+// advertisers pass (0, 0) to sample the whole universe.
 func (u *Universe) NewKeywordSampler(rng *stats.RNG, skew float64, lo, span int) *KeywordSampler {
 	limit := len(u.Keywords)
 	if lo < 0 || lo >= limit {
@@ -170,10 +164,8 @@ func (u *Universe) NewKeywordSampler(rng *stats.RNG, skew float64, lo, span int)
 
 // SampleInto appends n distinct keyword IDs to out (pass a truncated
 // scratch buffer; prior contents count as already chosen) and returns the
-// extended slice. The draw sequence is identical to SampleKeywords:
-// rejection of duplicates consumes the same RNG stream, only the
-// duplicate bookkeeping differs (a linear scan over the tiny result
-// instead of a map).
+// extended slice. Rejection of duplicates consumes the RNG stream; the
+// duplicate bookkeeping is a linear scan over the tiny result.
 func (s *KeywordSampler) SampleInto(out []int, n int) []int {
 	if s.width == 0 {
 		return out

@@ -197,8 +197,10 @@ func TestChaosShutdownDrainsInFlight(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return within the grace period")
 	}
-	if gate.Ready() {
-		t.Error("gate still ready after drain")
+	rec := httptest.NewRecorder()
+	gate.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("/readyz after drain = %d, want 503", rec.Code)
 	}
 	// New connections are refused after shutdown.
 	if _, err := http.Get(base + "/healthz"); err == nil {

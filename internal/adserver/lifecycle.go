@@ -38,9 +38,6 @@ func (g *Gate) Install(h http.Handler) { g.inner.Store(&h) }
 // load balancers stop routing here while in-flight requests finish.
 func (g *Gate) StartDraining() { g.draining.Store(true) }
 
-// Ready reports whether the gate would answer /readyz with 200.
-func (g *Gate) Ready() bool { return g.inner.Load() != nil && !g.draining.Load() }
-
 // ServeHTTP implements http.Handler.
 func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {

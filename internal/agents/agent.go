@@ -128,9 +128,6 @@ func (r *Runtime) Spawn(prof Profile, acct platform.AccountID, created simclock.
 	return a
 }
 
-// Domains returns the agent's landing domains.
-func (a *Agent) Domains() []string { return a.domains }
-
 // Hijack converts a live agent to attacker control: the account keeps its
 // identity, payment standing and history, but from `day` it runs the
 // attacker's campaigns ("attackers ... compromise the accounts of

@@ -333,8 +333,8 @@ func TestSpawnDomains(t *testing.T) {
 	prof := f.NewFraud()
 	prof.NumDomains = 4
 	a := spawnActive(t, p, rt, prof)
-	if len(a.Domains()) != 4 {
-		t.Fatalf("domains %d, want 4", len(a.Domains()))
+	if len(a.domains) != 4 {
+		t.Fatalf("domains %d, want 4", len(a.domains))
 	}
 }
 

@@ -164,10 +164,6 @@ func NewFactory(rng *stats.RNG) *Factory {
 // newly-arriving fraud agents (the Figure 8 intervention).
 func (f *Factory) SetTechSupportBanned(banned bool) { f.techSupportBanned = banned }
 
-// TechSupportBanned reports the current policy state as seen by arriving
-// fraudsters.
-func (f *Factory) TechSupportBanned() bool { return f.techSupportBanned }
-
 // clamp bounds v to [lo, hi].
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {

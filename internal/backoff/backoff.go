@@ -60,9 +60,6 @@ func (b *Backoff) Next() time.Duration {
 	return d
 }
 
-// Attempts returns how many delays have been handed out.
-func (b *Backoff) Attempts() int { return b.attempt }
-
 // Reset rewinds the doubling (after the peer has proven healthy for a
 // while) without reseeding the jitter stream.
 func (b *Backoff) Reset() { b.attempt = 0 }

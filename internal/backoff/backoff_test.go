@@ -83,8 +83,8 @@ func TestBackoffCapRespected(t *testing.T) {
 			t.Fatalf("attempt %d: delay %v escapes (0, %v]", i, d, cap)
 		}
 	}
-	if b.Attempts() != 80 {
-		t.Errorf("Attempts() = %d, want 80", b.Attempts())
+	if b.attempt != 80 {
+		t.Errorf("attempt = %d, want 80", b.attempt)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestBackoffResetRewindsDoublingNotJitter(t *testing.T) {
 		b.Next()
 	}
 	b.Reset()
-	if b.Attempts() != 0 {
-		t.Fatalf("Attempts() after Reset = %d, want 0", b.Attempts())
+	if b.attempt != 0 {
+		t.Fatalf("attempt after Reset = %d, want 0", b.attempt)
 	}
 	// Post-reset delay is drawn against the base mean again.
 	if d := b.Next(); d < base/2 || d > base+base/2 {

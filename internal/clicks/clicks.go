@@ -63,18 +63,12 @@ func (m *Model) ClickProbability(p auction.Placement) float64 {
 	return cp
 }
 
-// Simulate rolls clicks for every placement on a page and returns the
-// indices (into placements) that were clicked. Users click independently
-// per position here; at realistic CTRs the difference from a strict
-// cascade model is negligible, and independence keeps the model
+// SimulateInto rolls clicks for every placement on a page: the indices
+// (into placements) that were clicked are appended to buf[:0] (typically
+// a reused scratch) and the extended slice is returned. Users click
+// independently per position here; at realistic CTRs the difference from
+// a strict cascade model is negligible, and independence keeps the model
 // embarrassingly parallel across queries.
-func (m *Model) Simulate(rng *stats.RNG, placements []auction.Placement) []int {
-	return m.SimulateInto(rng, placements, nil)
-}
-
-// SimulateInto is the allocation-free variant: clicked indices are
-// appended to buf (typically a reused scratch) and the extended slice is
-// returned.
 func (m *Model) SimulateInto(rng *stats.RNG, placements []auction.Placement, buf []int) []int {
 	buf = buf[:0]
 	for i, p := range placements {

@@ -83,7 +83,7 @@ func TestSimulateFrequency(t *testing.T) {
 	hits := 0
 	const n = 200000
 	for i := 0; i < n; i++ {
-		if len(m.Simulate(rng, pl)) == 1 {
+		if len(m.SimulateInto(rng, pl, nil)) == 1 {
 			hits++
 		}
 	}
@@ -119,7 +119,7 @@ func TestSimulateIntoReusesBuffer(t *testing.T) {
 
 func TestSimulateEmptyPage(t *testing.T) {
 	m := DefaultModel()
-	if got := m.Simulate(stats.NewRNG(3), nil); len(got) != 0 {
+	if got := m.SimulateInto(stats.NewRNG(3), nil, nil); len(got) != 0 {
 		t.Fatal("clicks on empty page")
 	}
 }

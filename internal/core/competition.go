@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/platform"
-	"repro/internal/stats"
 	"repro/internal/verticals"
 )
 
@@ -39,26 +38,6 @@ func (s *Study) PositionDistributions(sub Subset, wi int) (organic, influenced [
 		}
 	}
 	return organic, influenced
-}
-
-// PositionCDF converts a position histogram to CDF points over positions
-// 1..len(hist).
-func PositionCDF(hist []int64) []stats.Point {
-	var total int64
-	for _, n := range hist {
-		total += n
-	}
-	out := make([]stats.Point, 0, len(hist))
-	var run int64
-	for i, n := range hist {
-		run += n
-		y := 0.0
-		if total > 0 {
-			y = float64(run) / float64(total)
-		}
-		out = append(out, stats.Point{X: float64(i + 1), Y: y})
-	}
-	return out
 }
 
 // TopPositionShare returns the fraction of a histogram's impressions at

@@ -56,17 +56,6 @@ func (s *Study) DetectedAt(id platform.AccountID) (simclock.Stamp, bool) {
 	return s.C.DetectedAt(id)
 }
 
-// WasApproved reports whether the account ever became active (rejected
-// accounts never served and are excluded from behavioral populations).
-func (s *Study) WasApproved(id platform.AccountID) bool {
-	switch s.P.MustAccount(id).Status {
-	case platform.StatusActive, platform.StatusShutdown, platform.StatusClosed:
-		return true
-	default:
-		return false
-	}
-}
-
 // ActiveSpan returns the account's active period [from, to): approval
 // (approximated by creation) until termination — enforcement shutdown or
 // voluntary closure — or the horizon. ok is false for accounts that never

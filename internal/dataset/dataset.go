@@ -199,16 +199,6 @@ func NewCollector(windows []simclock.NamedWindow, sampleWindow simclock.Window) 
 // Windows returns the tracked named windows in order.
 func (c *Collector) Windows() []simclock.NamedWindow { return c.windows }
 
-// WindowIndex returns the index of the named window, or -1.
-func (c *Collector) WindowIndex(name string) int {
-	for i, w := range c.windows {
-		if w.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // agg returns the aggregate record for an account, growing the table as
 // account IDs are issued densely by the platform.
 func (c *Collector) agg(id platform.AccountID) *AccountAgg {
@@ -419,6 +409,3 @@ func (c *Collector) ClicksByCountry() map[market.Country]*FraudSplit { return c.
 
 // ClicksByMatch returns the sample-window click counters per match type.
 func (c *Collector) ClicksByMatch() [3]FraudSplit { return c.clicksByMatch }
-
-// SampleWindow returns the window the global counters cover.
-func (c *Collector) SampleWindow() simclock.Window { return c.sampleWindow }

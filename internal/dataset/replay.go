@@ -1,8 +1,6 @@
 package dataset
 
 import (
-	"io"
-
 	"repro/internal/eventlog"
 	"repro/internal/market"
 	"repro/internal/platform"
@@ -33,9 +31,6 @@ type Replayer struct {
 
 // NewReplayer wraps a collector.
 func NewReplayer(col *Collector) *Replayer { return &Replayer{col: col} }
-
-// Collector returns the collector being rebuilt.
-func (r *Replayer) Collector() *Collector { return r.col }
 
 // Append folds one event. Unknown or non-aggregate event types are
 // counted in Skipped, never an error: logs from newer writers replay
@@ -70,24 +65,6 @@ func (r *Replayer) Append(ev eventlog.Event) {
 		})
 	default:
 		r.Skipped++
-	}
-}
-
-// ReplayLog streams one segment and folds every event into a fresh
-// Collector configured with the given windows.
-func ReplayLog(src io.Reader, windows []simclock.NamedWindow, sampleWindow simclock.Window) (*Collector, error) {
-	rep := NewReplayer(NewCollector(windows, sampleWindow))
-	rd := eventlog.NewReader(src, eventlog.Filter{})
-	var ev eventlog.Event
-	for {
-		err := rd.Next(&ev)
-		if err == io.EOF {
-			return rep.col, nil
-		}
-		if err != nil {
-			return rep.col, err
-		}
-		rep.Append(ev)
 	}
 }
 

@@ -2,6 +2,7 @@ package dataset_test
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -44,9 +45,19 @@ func TestReplayReproducesCollectorDigests(t *testing.T) {
 	}
 	want := testutil.CollectorDigests(res.Collector)
 
-	col, err := dataset.ReplayLog(bytes.NewReader(buf.Bytes()), cfg.Windows, cfg.SampleWindow)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
+	col := dataset.NewCollector(cfg.Windows, cfg.SampleWindow)
+	rep := dataset.NewReplayer(col)
+	rd := eventlog.NewReader(bytes.NewReader(buf.Bytes()), eventlog.Filter{})
+	for {
+		var ev eventlog.Event
+		err := rd.Next(&ev)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		rep.Append(ev)
 	}
 	got := testutil.CollectorDigests(col)
 	if got != want {
@@ -106,11 +117,12 @@ func TestReplayerOrderInsensitiveAcrossAccounts(t *testing.T) {
 	sim.New(cfg).Run()
 
 	replay := func(events []eventlog.Event) testutil.CollectorDigestSet {
-		rep := dataset.NewReplayer(dataset.NewCollector(cfg.Windows, cfg.SampleWindow))
+		col := dataset.NewCollector(cfg.Windows, cfg.SampleWindow)
+		rep := dataset.NewReplayer(col)
 		for _, ev := range events {
 			rep.Append(ev)
 		}
-		set := testutil.CollectorDigests(rep.Collector())
+		set := testutil.CollectorDigests(col)
 		set.Detections = testutil.DatasetDigest{}
 		return set
 	}

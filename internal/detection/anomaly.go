@@ -90,27 +90,6 @@ func (s *AnomalyScorer) Score(f Features) float64 {
 	return 1 / (1 + math.Exp(-z))
 }
 
-// Ranked pairs an account with its anomaly score.
-type Ranked struct {
-	Account platform.AccountID
-	Score   float64
-}
-
-// Rank scores a population and returns it in descending score order.
-func (s *AnomalyScorer) Rank(features map[platform.AccountID]Features) []Ranked {
-	out := make([]Ranked, 0, len(features))
-	for id, f := range features {
-		out = append(out, Ranked{Account: id, Score: s.Score(f)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Account < out[j].Account
-	})
-	return out
-}
-
 // AUC computes the area under the ROC curve for scores against binary
 // labels — the scalar the ext1 experiment reports for "all fraud" vs
 // "successful fraud only". Ties are handled by midrank.

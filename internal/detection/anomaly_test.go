@@ -48,25 +48,6 @@ func TestExtractFeatures(t *testing.T) {
 	}
 }
 
-func TestRankOrderingDeterministic(t *testing.T) {
-	s := DefaultAnomalyScorer()
-	feats := map[platform.AccountID]Features{
-		1: {Rate: 100, BroadShare: 0.9, AgeDays: 1},
-		2: {Rate: 1, ExactShare: 0.9, AdsCreated: 50, Keywords: 500, AgeDays: 500},
-		3: {Rate: 100, BroadShare: 0.9, AgeDays: 1}, // tie with 1
-	}
-	r := s.Rank(feats)
-	if len(r) != 3 {
-		t.Fatalf("ranked %d", len(r))
-	}
-	if r[0].Account != 1 || r[1].Account != 3 {
-		t.Fatalf("tie-break wrong: %+v", r)
-	}
-	if r[2].Account != 2 {
-		t.Fatal("legit-looking account not last")
-	}
-}
-
 func TestAUC(t *testing.T) {
 	// Perfect separation.
 	if got := AUC([]float64{0.9, 0.8, 0.2, 0.1}, []bool{true, true, false, false}); got != 1 {

@@ -234,9 +234,7 @@ func TestAsyncIdleFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !a.CloseWithin(5 * time.Second) {
-		t.Fatal("CloseWithin timed out on a healthy sink")
-	}
+	a.Close()
 	if err := dw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +254,7 @@ func (w *wedgedFlush) Flush() error {
 }
 
 // TestAsyncWedgedFlush: a destination stuck inside Flush costs emitters
-// nothing but drops, and bounded shutdown stays bounded.
+// nothing but drops.
 func TestAsyncWedgedFlush(t *testing.T) {
 	dst := &wedgedFlush{entered: make(chan struct{}), wedge: make(chan struct{})}
 	a := NewAsync(dst, 4)
@@ -277,9 +275,6 @@ func TestAsyncWedgedFlush(t *testing.T) {
 	}
 	if got := a.Dropped(); got != 96 {
 		t.Fatalf("dropped %d events, want 96 (100 offered to a queue of 4)", got)
-	}
-	if a.CloseWithin(50 * time.Millisecond) {
-		t.Fatal("CloseWithin reported a clean flush through a wedged Flush")
 	}
 }
 

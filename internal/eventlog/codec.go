@@ -56,8 +56,6 @@ type encoder struct {
 
 func newEncoder() *encoder { return &encoder{intern: make(map[string]uint64)} }
 
-func (e *encoder) reset() { e.intern = make(map[string]uint64) }
-
 func (e *encoder) appendString(dst []byte, s string) ([]byte, error) {
 	if id, ok := e.intern[s]; ok {
 		return binary.AppendUvarint(dst, id), nil
@@ -130,8 +128,6 @@ func (e *encoder) appendEvent(dst []byte, ev *Event) ([]byte, error) {
 type decoder struct {
 	intern []string
 }
-
-func (d *decoder) reset() { d.intern = d.intern[:0] }
 
 // cursor walks a payload with bounds-checked reads.
 type cursor struct{ b []byte }

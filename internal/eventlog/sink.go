@@ -1,9 +1,6 @@
 package eventlog
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Sink consumes emitted events. Implementations absorb their own
 // failures (see Writer's sticky-error contract): emitters on the hot
@@ -40,16 +37,6 @@ func AppendAll(s Sink, evs []Event) {
 type flusher interface {
 	Flush() error
 }
-
-// NopSink discards every event. It is the default sink wired through
-// the simulator: a nil-checked no-op that keeps the non-logging path at
-// its previous cost.
-type NopSink struct{}
-
-func (NopSink) Append(Event) {}
-
-// AppendBatch discards the batch.
-func (NopSink) AppendBatch([]Event) {}
 
 // SliceSink collects events in memory, for tests and small replays.
 type SliceSink struct {
@@ -168,36 +155,14 @@ func (a *Async) Dropped() uint64 {
 }
 
 // Close stops the drain goroutine after flushing buffered events.
-// Appends racing with Close are dropped, never a panic.
+// Appends racing with Close are dropped, never a panic, and Close may be
+// called more than once.
 func (a *Async) Close() {
-	a.signalClose()
-	<-a.done
-}
-
-// CloseWithin is Close with a deadline: if the destination sink has
-// wedged mid-Append, it gives up after d and returns false instead of
-// hanging shutdown forever. The drain goroutine is abandoned, not
-// killed — it exits on its own if the destination ever unwedges. A true
-// return means every buffered event was flushed.
-func (a *Async) CloseWithin(d time.Duration) bool {
-	a.signalClose()
-	select {
-	case <-a.done:
-		return true
-	case <-time.After(d):
-		return false
-	}
-}
-
-// signalClose flips the closed flag and fires the quit signal exactly
-// once; safe under concurrent Close/CloseWithin calls.
-func (a *Async) signalClose() {
 	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return
+	if !a.closed {
+		a.closed = true
+		close(a.quit)
 	}
-	a.closed = true
 	a.mu.Unlock()
-	close(a.quit)
+	<-a.done
 }

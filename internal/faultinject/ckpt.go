@@ -195,33 +195,3 @@ func ParseCkptFaults(spec string) (CkptFaults, error) {
 	}
 	return f, nil
 }
-
-// FormatCkptFaults renders a profile back into ParseCkptFaults syntax
-// (round-trip stable for parseable profiles).
-func FormatCkptFaults(f CkptFaults) string {
-	var parts []string
-	switch f.Mode {
-	case CkptBitFlip:
-		if f.Offset >= 0 {
-			parts = append(parts, fmt.Sprintf("%s@%d", CkptBitFlip, f.Offset))
-		} else {
-			parts = append(parts, CkptBitFlip)
-		}
-	case CkptTruncate:
-		if f.Length >= 1 {
-			parts = append(parts, fmt.Sprintf("%s=%d", CkptTruncate, f.Length))
-		} else {
-			parts = append(parts, CkptTruncate)
-		}
-	case CkptZeroFill:
-		if f.Offset >= 0 && f.Length >= 1 {
-			parts = append(parts, fmt.Sprintf("%s@%d:%d", CkptZeroFill, f.Offset, f.Length))
-		} else {
-			parts = append(parts, CkptZeroFill)
-		}
-	}
-	if f.CorruptSaveN > 0 {
-		parts = append(parts, fmt.Sprintf("save=%d", f.CorruptSaveN))
-	}
-	return strings.Join(parts, ",")
-}

@@ -151,13 +151,6 @@ func (p *ProcInjector) Stalled() bool {
 // ExitDelay returns how long the process must linger before exiting.
 func (p *ProcInjector) ExitDelay() time.Duration { return p.cfg.DelayExit }
 
-// KillPoint returns the seeded control-message kill index (0 = no kill
-// configured) — exposed so tests can assert determinism.
-func (p *ProcInjector) KillPoint() int { return p.killAt }
-
-// DroppedHeartbeats returns how many heartbeats the profile swallowed.
-func (p *ProcInjector) DroppedHeartbeats() uint64 { return p.dropped }
-
 // ParseProcFaults parses the compact spec the fraudsupervise CLI and chaos
 // tests use to hand a profile to a worker process. Comma-separated
 // clauses:
@@ -229,34 +222,4 @@ func ParseProcFaults(spec string) (ProcFaults, error) {
 		}
 	}
 	return f, nil
-}
-
-// FormatProcFaults renders a profile back into ParseProcFaults syntax
-// (round-trip stable), for passing across a process boundary on a flag.
-func FormatProcFaults(f ProcFaults) string {
-	var parts []string
-	if f.KillAtControlMax > 0 {
-		lo := f.KillAtControlMin
-		if lo < 1 {
-			lo = 1
-		}
-		if lo == f.KillAtControlMax {
-			parts = append(parts, fmt.Sprintf("kill@msg=%d", f.KillAtControlMax))
-		} else {
-			parts = append(parts, fmt.Sprintf("kill@msg=%d..%d", lo, f.KillAtControlMax))
-		}
-	}
-	if f.DropHeartbeatRate > 0 {
-		parts = append(parts, fmt.Sprintf("drop-hb=%g", f.DropHeartbeatRate))
-	}
-	if f.DropHeartbeatsAfter > 0 {
-		parts = append(parts, fmt.Sprintf("mute-hb@%d", f.DropHeartbeatsAfter))
-	}
-	if f.StallAtDay >= 0 {
-		parts = append(parts, fmt.Sprintf("stall@day=%d:%s", f.StallAtDay, f.StallFor))
-	}
-	if f.DelayExit > 0 {
-		parts = append(parts, fmt.Sprintf("delay-exit=%s", f.DelayExit))
-	}
-	return strings.Join(parts, ",")
 }

@@ -5,9 +5,8 @@ import (
 	"time"
 )
 
-// TestProcFaultsParseFormatRoundTrip pins the spec syntax both ways:
-// every clause parses to the documented field and formats back to a
-// string that re-parses to the same profile.
+// TestProcFaultsParseFormatRoundTrip pins the spec syntax: every clause
+// parses to the documented field.
 func TestProcFaultsParseFormatRoundTrip(t *testing.T) {
 	cases := []struct {
 		spec string
@@ -38,16 +37,6 @@ func TestProcFaultsParseFormatRoundTrip(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("ParseProcFaults(%q) = %+v, want %+v", c.spec, got, c.want)
-			continue
-		}
-		// Round trip: format and re-parse must reproduce the profile.
-		back, err := ParseProcFaults(FormatProcFaults(got))
-		if err != nil {
-			t.Errorf("re-parse FormatProcFaults(%q): %v", c.spec, err)
-			continue
-		}
-		if back != got {
-			t.Errorf("round trip of %q: %+v != %+v", c.spec, back, got)
 		}
 	}
 }
@@ -85,10 +74,10 @@ func TestProcKillPointSeededDeterminism(t *testing.T) {
 	}
 	a := New(123).Proc("shard-1", f)
 	b := New(123).Proc("shard-1", f)
-	if a.KillPoint() != b.KillPoint() {
-		t.Errorf("same (seed, name) drew different kill points: %d vs %d", a.KillPoint(), b.KillPoint())
+	if a.killAt != b.killAt {
+		t.Errorf("same (seed, name) drew different kill points: %d vs %d", a.killAt, b.killAt)
 	}
-	if k := a.KillPoint(); k < 5 || k > 50 {
+	if k := a.killAt; k < 5 || k > 50 {
 		t.Errorf("kill point %d outside configured range [5, 50]", k)
 	}
 
@@ -96,7 +85,7 @@ func TestProcKillPointSeededDeterminism(t *testing.T) {
 	// check a spread rather than one pair to dodge collisions.
 	distinct := map[int]bool{}
 	for _, name := range []string{"shard-0", "shard-1", "shard-2", "shard-3", "shard-4"} {
-		distinct[New(123).Proc(name, f).KillPoint()] = true
+		distinct[New(123).Proc(name, f).killAt] = true
 	}
 	if len(distinct) < 2 {
 		t.Error("five process names all drew the same kill point; the draw ignores the name")
@@ -104,7 +93,7 @@ func TestProcKillPointSeededDeterminism(t *testing.T) {
 
 	// Min == Max pins the exact message, no randomness involved.
 	pin, _ := ParseProcFaults("kill@msg=7")
-	if k := New(999).Proc("x", pin).KillPoint(); k != 7 {
+	if k := New(999).Proc("x", pin).killAt; k != 7 {
 		t.Errorf("pinned kill point = %d, want 7", k)
 	}
 
@@ -127,8 +116,8 @@ func TestProcKillPointSeededDeterminism(t *testing.T) {
 			t.Fatal("kill fired with no kill clause configured")
 		}
 	}
-	if none.KillPoint() != 0 {
-		t.Errorf("no-kill profile reports kill point %d, want 0", none.KillPoint())
+	if none.killAt != 0 {
+		t.Errorf("no-kill profile reports kill point %d, want 0", none.killAt)
 	}
 }
 
@@ -179,8 +168,8 @@ func TestProcDropHeartbeatDeterminism(t *testing.T) {
 			t.Errorf("heartbeat %d: dropped=%v, want %v", i, dropped, want)
 		}
 	}
-	if p.DroppedHeartbeats() != 7 {
-		t.Errorf("DroppedHeartbeats() = %d, want 7", p.DroppedHeartbeats())
+	if p.dropped != 7 {
+		t.Errorf("dropped = %d, want 7", p.dropped)
 	}
 }
 

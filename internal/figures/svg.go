@@ -1,7 +1,7 @@
 // Package figures renders the reproduction's figures as standalone SVG
 // documents using only the standard library: multi-series CDF plots with
-// optional log-x axes (the shape of most of the paper's figures), time
-// series, and stacked bar charts (Figure 8's vertical spend). The
+// optional log-x axes (the shape of most of the paper's figures) and time
+// series (such as Figure 8's vertical spend). The
 // experiment harness writes one SVG per figure when asked
 // (`experiments -svg DIR`).
 package figures
@@ -265,41 +265,5 @@ func LinePlot(title, xLabel, yLabel string, series []Series) string {
 		d.polyline(s, palette[i%len(palette)], tx, ty)
 	}
 	d.legend(series)
-	return d.finish()
-}
-
-// Bar is one labeled value in a bar chart.
-type Bar struct {
-	Label string
-	Value float64
-}
-
-// BarChart renders vertical bars (used for categorical spend summaries).
-func BarChart(title, yLabel string, bars []Bar) string {
-	d := newDoc(title)
-	x0, x1 := float64(marginLeft), float64(chartWidth-40)
-	y0, y1 := float64(chartHeight-marginBottom), float64(marginTop)
-	yhi := 0.0
-	for _, b := range bars {
-		if b.Value > yhi {
-			yhi = b.Value
-		}
-	}
-	if yhi <= 0 {
-		yhi = 1
-	}
-	d.axes("", yLabel, map[float64]string{}, linTicks(0, yhi, 5))
-	if len(bars) > 0 {
-		step := (x1 - x0) / float64(len(bars))
-		bw := step * 0.7
-		for i, b := range bars {
-			h := b.Value / yhi * (y0 - y1)
-			x := x0 + float64(i)*step + (step-bw)/2
-			fmt.Fprintf(&d.b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"/>`+"\n",
-				x, y0-h, bw, h, palette[i%len(palette)])
-			fmt.Fprintf(&d.b, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="10" text-anchor="middle">%s</text>`+"\n",
-				x+bw/2, y0+14, escape(truncate(b.Label, 10)))
-		}
-	}
 	return d.finish()
 }

@@ -86,27 +86,10 @@ func TestLinePlot(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	svg := BarChart("Verticals", "spend", []Bar{
-		{Label: "techsupport", Value: 10},
-		{Label: "downloads", Value: 4},
-		{Label: "a-very-long-vertical-name", Value: 1},
-	})
-	wellFormed(t, svg)
-	if !strings.Contains(svg, "rect") || !strings.Contains(svg, "techsupp") {
-		t.Fatal("bars missing")
-	}
-}
-
-func TestBarChartEmptyAndZero(t *testing.T) {
-	wellFormed(t, BarChart("none", "y", nil))
-	wellFormed(t, BarChart("zero", "y", []Bar{{Label: "z", Value: 0}}))
-}
-
 func TestEscape(t *testing.T) {
-	svg := BarChart(`<&"title">`, "y", []Bar{{Label: "<b>", Value: 1}})
+	svg := LinePlot(`<&"title">`, "x", "y", []Series{{Name: "<b>", X: []float64{0, 1}, Y: []float64{1, 2}}})
 	wellFormed(t, svg)
-	if strings.Contains(svg, "<&") {
-		t.Fatal("title not escaped")
+	if strings.Contains(svg, "<&") || strings.Contains(svg, "<b>") {
+		t.Fatal("title or series name not escaped")
 	}
 }

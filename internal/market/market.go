@@ -109,15 +109,6 @@ func Get(c Country) Info {
 	return all[len(all)-1]
 }
 
-// Countries returns the country codes in table order.
-func Countries() []Country {
-	out := make([]Country, len(all))
-	for i, m := range all {
-		out[i] = m.Country
-	}
-	return out
-}
-
 // Sampler draws countries from a fixed weighting. Construct with one of
 // the New*Sampler helpers; safe for single-goroutine use.
 type Sampler struct {

@@ -75,15 +75,6 @@ func (h *LatencyHistogram) Observe(d time.Duration) {
 	h.total++
 }
 
-// Count returns the number of observations.
-func (h *LatencyHistogram) Count() uint64 { return h.total }
-
-// Max returns the largest observed value (0 when empty).
-func (h *LatencyHistogram) Max() time.Duration { return time.Duration(h.max) }
-
-// Min returns the smallest observed value (0 when empty).
-func (h *LatencyHistogram) Min() time.Duration { return time.Duration(h.min) }
-
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) as the
 // midpoint of the bucket holding the rank-q observation, clamped to the
 // observed [min, max]. Returns 0 when empty. The estimate is within

@@ -67,7 +67,7 @@ func TestQuantileVsExactSort(t *testing.T) {
 
 func TestQuantileEdgeCases(t *testing.T) {
 	var h LatencyHistogram
-	if h.Quantile(0.5) != 0 || h.Count() != 0 {
+	if h.Quantile(0.5) != 0 || h.total != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	h.Observe(42)
@@ -77,8 +77,8 @@ func TestQuantileEdgeCases(t *testing.T) {
 		}
 	}
 	h.Observe(-5) // clamps to zero
-	if h.Min() != 0 || h.Max() != 42 {
-		t.Fatalf("min/max after clamp: %d/%d", h.Min(), h.Max())
+	if h.min != 0 || h.max != 42 {
+		t.Fatalf("min/max after clamp: %d/%d", h.min, h.max)
 	}
 }
 
@@ -98,9 +98,9 @@ func TestMergeEquivalence(t *testing.T) {
 	for i := range parts {
 		merged.Merge(&parts[i])
 	}
-	if merged.Count() != whole.Count() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
+	if merged.total != whole.total || merged.min != whole.min || merged.max != whole.max {
 		t.Fatalf("merge mismatch: count %d/%d min %d/%d max %d/%d",
-			merged.Count(), whole.Count(), merged.Min(), whole.Min(), merged.Max(), whole.Max())
+			merged.total, whole.total, merged.min, whole.min, merged.max, whole.max)
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
 		if merged.Quantile(q) != whole.Quantile(q) {

@@ -236,13 +236,6 @@ func TestLifetimeMeasures(t *testing.T) {
 	if lt := a.LifetimeFromCreation(now); lt != 2.4 {
 		t.Fatalf("lifetime from creation %v, want 2.4", lt)
 	}
-	if lt := a.LifetimeFromFirstAd(now); lt != 1.0 {
-		t.Fatalf("lifetime from first ad %v, want 1.0", lt)
-	}
-	b := newAccount(t, p, true)
-	if lt := b.LifetimeFromFirstAd(now); lt != -1 {
-		t.Fatalf("no-ad lifetime %v, want -1", lt)
-	}
 }
 
 func TestAccountLookupErrors(t *testing.T) {

@@ -38,7 +38,6 @@ const (
 	// MatchBroad matches the keywords or any similar keywords, in any
 	// order, regardless of other words in the query.
 	MatchBroad
-	numMatchTypes
 )
 
 // MatchTypes lists the match types in canonical order.
@@ -165,19 +164,6 @@ func (a *Account) LifetimeFromCreation(now simclock.Stamp) float64 {
 	return end.DaysSince(a.Created)
 }
 
-// LifetimeFromFirstAd returns the lifetime measured from first ad creation,
-// or -1 if the account never posted an ad.
-func (a *Account) LifetimeFromFirstAd(now simclock.Stamp) float64 {
-	if a.FirstAdAt == NoStamp {
-		return -1
-	}
-	end := now
-	if a.Status == StatusShutdown {
-		end = a.ShutdownAt
-	}
-	return end.DaysSince(a.FirstAdAt)
-}
-
 // Ad is a single advertisement with its creative and keyword bids.
 type Ad struct {
 	ID       AdID
@@ -211,8 +197,3 @@ type KeywordBid struct {
 	MaxBid  float64
 	Created simclock.Stamp
 }
-
-// DefaultMaxBidUSD converts normalized bid units to nominal USD for
-// human-readable reports. The paper's Figure 15/17 CPC axes are themselves
-// normalized, so nothing in the reproduction depends on this constant.
-const DefaultMaxBidUSD = 5.0

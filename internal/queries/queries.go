@@ -151,16 +151,3 @@ func (g *Generator) Next() Query {
 		Country:     market.All()[ci].Country,
 	}
 }
-
-// NextInVertical draws a query restricted to one vertical (used by
-// focused tests and the auction walk-through example).
-func (g *Generator) NextInVertical(vi int) Query {
-	q := g.Next()
-	q.VerticalIdx = vi
-	q.Vertical = g.verts[vi].Name
-	u := g.universes[vi]
-	kw := int(g.zipfs[vi].Uint64())
-	q.KeywordID = kw
-	q.Cluster = u.Keywords[kw].Cluster
-	return q
-}

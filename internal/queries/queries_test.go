@@ -83,8 +83,9 @@ func TestKeywordPopularityZipfian(t *testing.T) {
 	vi := verticals.Index(verticals.Downloads)
 	counts := make([]int, g.Universe(vi).Size())
 	for i := 0; i < 100000; i++ {
-		q := g.NextInVertical(vi)
-		counts[q.KeywordID]++
+		if q := g.Next(); q.VerticalIdx == vi {
+			counts[q.KeywordID]++
+		}
 	}
 	head, tail := 0, 0
 	for i, c := range counts {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/simclock"
 	"repro/internal/stats"
 )
 
@@ -47,9 +46,6 @@ func NewEnv(res *sim.Result, subsetSize int, seed uint64) *Env {
 // Primary returns the Y1Q2 battery (index 0), the window most analyses
 // use.
 func (e *Env) Primary() *core.Subsets { return e.Battery[0] }
-
-// PrimaryWindow returns the primary measurement window.
-func (e *Env) PrimaryWindow() simclock.NamedWindow { return e.Res.Collector.Windows()[0] }
 
 // Output is one experiment's result.
 type Output struct {

@@ -64,14 +64,5 @@ func SparkSeries(label string, values []float64) string {
 	return fmt.Sprintf("%-24s [%.4g .. %.4g] %s", label, lo, hi, b.String())
 }
 
-// PointRows renders (x, y) series rows.
-func PointRows(label string, pts []stats.Point) []string {
-	out := []string{label}
-	for _, p := range pts {
-		out = append(out, fmt.Sprintf("    x=%-12.5g y=%.5g", p.X, p.Y))
-	}
-	return out
-}
-
 // Pct formats a fraction as a percentage.
 func Pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }

@@ -82,12 +82,6 @@ type Backend struct {
 // State returns the backend's membership state.
 func (b *Backend) State() State { return State(b.state.Load()) }
 
-// InFlight returns the router-local open-request gauge.
-func (b *Backend) InFlight() int64 { return b.inflight.Load() }
-
-// Reported returns the in-flight count the backend last self-reported.
-func (b *Backend) Reported() int64 { return b.reported.Load() }
-
 // load is the least-loaded signal: the larger of the router-local gauge
 // and the backend's self-reported in-flight count (the local gauge
 // misses traffic from other routers; the report lags ours).
@@ -246,20 +240,6 @@ func (rt *Router) AddNamedBackend(name, raw string) (*Backend, error) {
 	return b, nil
 }
 
-// RemoveBackend takes a member out of the set entirely. Returns false
-// for unknown names.
-func (rt *Router) RemoveBackend(name string) bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for i, b := range rt.backends {
-		if b.Name == name {
-			rt.backends = append(rt.backends[:i], rt.backends[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Backends snapshots the current member list.
 func (rt *Router) Backends() []*Backend {
 	rt.mu.RLock()
@@ -271,20 +251,12 @@ func (rt *Router) Backends() []*Backend {
 
 // Drain flips a member to draining: in-flight requests finish, nothing
 // new is routed to it. Returns false for unknown names.
-func (rt *Router) Drain(name string) bool { return rt.setState(name, Draining) }
-
-// Resume returns a draining member to active rotation.
-func (rt *Router) Resume(name string) bool { return rt.setState(name, Active) }
-
-func (rt *Router) setState(name string, s State) bool {
+func (rt *Router) Drain(name string) bool {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	for _, b := range rt.backends {
 		if b.Name == name {
-			b.state.Store(int32(s))
-			if s == Active {
-				b.consec.Store(0)
-			}
+			b.state.Store(int32(Draining))
 			return true
 		}
 	}

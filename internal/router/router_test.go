@@ -176,8 +176,7 @@ func TestShedForwardedWhenSaturated(t *testing.T) {
 	}
 }
 
-// TestDrainStopsNewTraffic: a draining member receives nothing new and
-// Resume puts it back.
+// TestDrainStopsNewTraffic: a draining member receives nothing new.
 func TestDrainStopsNewTraffic(t *testing.T) {
 	a := okBackend(t, "a")
 	b := okBackend(t, "b")
@@ -200,15 +199,6 @@ func TestDrainStopsNewTraffic(t *testing.T) {
 	}
 	if drained.served.Load() != 0 {
 		t.Fatal("draining member served")
-	}
-	if !rt.Resume(drained.Name) {
-		t.Fatal("Resume returned false")
-	}
-	for i := 0; i < 2; i++ {
-		doGet(t, rt, "/search?q=x")
-	}
-	if drained.served.Load() == 0 {
-		t.Fatal("resumed member never served again")
 	}
 }
 
@@ -247,12 +237,12 @@ func TestNoteReportReadsAdmissionHeaders(t *testing.T) {
 	}
 	doGet(t, rt, "/search?q=x")
 	b := rt.Backends()[0]
-	if b.Reported() != 7 || b.capacity.Load() != 64 {
-		t.Fatalf("reported=%d capacity=%d, want 7/64", b.Reported(), b.capacity.Load())
+	if b.reported.Load() != 7 || b.capacity.Load() != 64 {
+		t.Fatalf("reported=%d capacity=%d, want 7/64", b.reported.Load(), b.capacity.Load())
 	}
 }
 
-// TestAddRemoveBackend covers member-list management.
+// TestAddRemoveBackend covers adding members: bad URLs are refused.
 func TestAddRemoveBackend(t *testing.T) {
 	a := okBackend(t, "a")
 	rt, err := New(Options{Seed: 1}, a.URL)
@@ -270,17 +260,8 @@ func TestAddRemoveBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rt.Backends()) != 2 {
-		t.Fatalf("backends = %d, want 2", len(rt.Backends()))
-	}
-	if !rt.RemoveBackend(nb.Name) {
-		t.Fatal("RemoveBackend returned false")
-	}
-	if rt.RemoveBackend("ghost:1") {
-		t.Fatal("removed unknown member")
-	}
-	if len(rt.Backends()) != 1 {
-		t.Fatalf("backends = %d after remove, want 1", len(rt.Backends()))
+	if bs := rt.Backends(); len(bs) != 2 || bs[1] != nb {
+		t.Fatalf("backends = %v, want the original plus %s", bs, nb.Name)
 	}
 }
 
@@ -352,8 +333,8 @@ func TestRelayEndToEnd(t *testing.T) {
 	if resp.Header.Get("X-Backend") != rt.Backends()[0].Name {
 		t.Fatalf("X-Backend = %q", resp.Header.Get("X-Backend"))
 	}
-	if rt.Backends()[0].Reported() != 3 {
-		t.Fatalf("admission report not read: %d", rt.Backends()[0].Reported())
+	if r := rt.Backends()[0].reported.Load(); r != 3 {
+		t.Fatalf("admission report not read: %d", r)
 	}
 
 	resp, err = client.Get(front.URL + "/old")

@@ -55,24 +55,6 @@ type Window struct {
 // Contains reports whether d falls within the window.
 func (w Window) Contains(d Day) bool { return d >= w.Start && d < w.End }
 
-// Days returns the window length in days.
-func (w Window) Days() int { return int(w.End - w.Start) }
-
-// Overlap returns the overlap (in days) between w and [start, end).
-func (w Window) Overlap(start, end Day) int {
-	lo, hi := w.Start, w.End
-	if start > lo {
-		lo = start
-	}
-	if end < hi {
-		hi = end
-	}
-	if hi <= lo {
-		return 0
-	}
-	return int(hi - lo)
-}
-
 // String renders the window using month labels.
 func (w Window) String() string {
 	return fmt.Sprintf("[%s, %s)", w.Start.Label(), w.End.Label())
@@ -95,8 +77,6 @@ var (
 	// Year1 and Year2 cover the two full study years.
 	Year1 = Window{Start: 0, End: DaysPerYear}
 	Year2 = Window{Start: DaysPerYear, End: 2 * DaysPerYear}
-	// Full covers the entire simulated horizon.
-	Full = Window{Start: 0, End: Horizon}
 )
 
 // Periods returns the five named windows of Figure 4 in chronological
@@ -130,6 +110,3 @@ func (s Stamp) Day() Day { return Day(s) }
 
 // DaysSince returns the (fractional) number of days elapsed since t.
 func (s Stamp) DaysSince(t Stamp) float64 { return float64(s - t) }
-
-// Hours returns the stamp's offset within its day, in hours.
-func (s Stamp) Hours() float64 { return (float64(s) - float64(int(s))) * 24 }

@@ -1,9 +1,6 @@
 package simclock
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestDayCalendar(t *testing.T) {
 	cases := []struct {
@@ -45,46 +42,6 @@ func TestWindowContains(t *testing.T) {
 	if w.Contains(9) || !w.Contains(10) || !w.Contains(19) || w.Contains(20) {
 		t.Fatal("half-open semantics violated")
 	}
-	if w.Days() != 10 {
-		t.Fatalf("Days() = %d", w.Days())
-	}
-}
-
-func TestWindowOverlap(t *testing.T) {
-	w := Window{Start: 10, End: 20}
-	cases := []struct {
-		s, e Day
-		want int
-	}{
-		{0, 5, 0}, {0, 10, 0}, {0, 15, 5}, {12, 18, 6}, {15, 30, 5}, {20, 30, 0}, {0, 30, 10},
-	}
-	for _, c := range cases {
-		if got := w.Overlap(c.s, c.e); got != c.want {
-			t.Fatalf("Overlap(%d,%d) = %d, want %d", c.s, c.e, got, c.want)
-		}
-	}
-}
-
-func TestOverlapProperty(t *testing.T) {
-	f := func(a16, b16, c16, d16 int16) bool {
-		a, b, c, d := int(a16), int(b16), int(c16), int(d16)
-		w := Window{Start: Day(a), End: Day(b)}
-		o := w.Overlap(Day(c), Day(d))
-		if o < 0 {
-			return false
-		}
-		// Overlap can never exceed either interval's length.
-		if b > a && o > b-a {
-			return false
-		}
-		if d > c && o > d-c {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestNamedPeriodsOrderedAndDisjointFromEpoch(t *testing.T) {
@@ -108,7 +65,7 @@ func TestNamedPeriodsOrderedAndDisjointFromEpoch(t *testing.T) {
 }
 
 func TestY2Q1IsTechsupportQuarter(t *testing.T) {
-	if Y2Q1.Start != DaysPerYear || Y2Q1.Days() != DaysPerQuarter {
+	if Y2Q1.Start != DaysPerYear || Y2Q1.End-Y2Q1.Start != DaysPerQuarter {
 		t.Fatalf("Y2Q1 = %v", Y2Q1)
 	}
 }
@@ -117,9 +74,6 @@ func TestStamp(t *testing.T) {
 	s := StampAt(5, 0.5)
 	if s.Day() != 5 {
 		t.Fatalf("Day() = %d", s.Day())
-	}
-	if h := s.Hours(); h != 12 {
-		t.Fatalf("Hours() = %v", h)
 	}
 	t0 := StampAt(3, 0.25)
 	if d := s.DaysSince(t0); d != 2.25 {

@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // ECDF is an empirical cumulative distribution function over float64
@@ -85,18 +83,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 // Median returns the 0.5-quantile.
 func (e *ECDF) Median() float64 { return e.Quantile(0.5) }
 
-// Mean returns the sample mean, or 0 for an empty ECDF.
-func (e *ECDF) Mean() float64 {
-	if len(e.xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range e.xs {
-		s += x
-	}
-	return s / float64(len(e.xs))
-}
-
 // Points samples the ECDF at n evenly spaced cumulative probabilities and
 // returns (x, p) pairs suitable for plotting a CDF curve.
 func (e *ECDF) Points(n int) []Point {
@@ -114,16 +100,6 @@ func (e *ECDF) Points(n int) []Point {
 // Point is an (x, y) pair in a rendered series.
 type Point struct {
 	X, Y float64
-}
-
-// Table formats selected quantiles of the ECDF as an aligned text block,
-// one row per requested quantile.
-func (e *ECDF) Table(quantiles ...float64) string {
-	var b strings.Builder
-	for _, q := range quantiles {
-		fmt.Fprintf(&b, "p%02.0f %12.4g\n", q*100, e.Quantile(q))
-	}
-	return b.String()
 }
 
 // Values returns a copy of the sorted sample set.

@@ -174,17 +174,6 @@ func init() {
 // All returns every vertical. The returned slice must not be modified.
 func All() []Info { return all }
 
-// Dubious returns only the dubious (fraud-targeted) verticals.
-func Dubious() []Info {
-	out := make([]Info, 0, len(dubious))
-	for _, v := range all {
-		if v.Dubious {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Get returns the Info for a vertical name; ok reports whether it exists.
 func Get(name Vertical) (Info, bool) {
 	for _, v := range all {
