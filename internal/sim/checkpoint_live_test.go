@@ -1,53 +1,11 @@
 package sim
 
 import (
-	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 )
-
-// TestLiveCheckpointMatchesReference steps small runs to their horizon
-// one phase at a time and, at every boundary, encodes the checkpoint
-// the way a save does — the platform written straight from the live
-// tables, its two halves in sequence at one worker and on two goroutines
-// at two and four — and the way WriteCheckpoint does for a Snapshot, by
-// the reference writer. All four frames must be the same bytes. The runs
-// use two workers, so every agents→serving boundary has a draw-ahead
-// pending.
-func TestLiveCheckpointMatchesReference(t *testing.T) {
-	for _, seed := range []uint64{17, 29, 43} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := SmallConfig()
-			cfg.Seed = seed
-			cfg.Days = 6
-			cfg.QueriesPerDay = 300
-			cfg.InitialLegit = 100
-			cfg.Workers = 2
-			s := New(cfg)
-			pos := LogPosition{NextSegment: 2, Events: 40}
-			for more := true; more; {
-				more = s.StepPhase()
-				want, err := encodeCheckpoint(new(checkpointBufs), &Checkpoint{State: s.Snapshot(), Log: pos})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{1, 2, 4} {
-					got, err := s.encodeCheckpoint(pos, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("day %d phase %s, %d workers: live frame (%d bytes) differs from the reference (%d bytes)",
-							s.Day(), s.Phase(), workers, len(got), len(want))
-					}
-				}
-			}
-		})
-	}
-}
 
 // TestCheckpointSaveAllocs pins the save path's garbage: one warm
 // SaveCheckpointLineage on a world of the durable benchmark's shape

@@ -95,6 +95,7 @@ func checkCanonical(t *testing.T, dir string, res *sim.Result, wantFP string, wa
 // lineage reports ErrLineageCorrupt and a from-scratch run — the
 // operator's last resort — still reaches the same digest.
 func TestCrashLineageCorruptionFallback(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs many partial simulations")
 	}
@@ -110,6 +111,7 @@ func TestCrashLineageCorruptionFallback(t *testing.T) {
 		for depth := 1; depth <= sim.DefaultRetain; depth++ {
 			spec, profile, depth := spec, profile, depth
 			t.Run(fmt.Sprintf("%s/depth=%d", spec, depth), func(t *testing.T) {
+				t.Parallel()
 				dir := t.TempDir()
 				lin := sim.Lineage{Path: filepath.Join(t.TempDir(), "checkpoint.frsnap")}
 				crashAt(t, newDurable(t, dir), lin, every, crashDay, nil)
@@ -165,6 +167,7 @@ func TestCrashLineageCorruptionFallback(t *testing.T) {
 // crash time (forcing fallback) or already buried (restoring clean),
 // the digest must stay canonical.
 func TestCrashLineageCorruptSaveN(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs partial simulations")
 	}
@@ -175,6 +178,7 @@ func TestCrashLineageCorruptSaveN(t *testing.T) {
 	for _, n := range []int{2, 4} { // save 2 ends up buried at ck.2; save 4 is the newest
 		n := n
 		t.Run(fmt.Sprintf("save=%d", n), func(t *testing.T) {
+			t.Parallel()
 			spec := fmt.Sprintf("bitflip,save=%d", n)
 			profile, err := faultinject.ParseCkptFaults(spec)
 			if err != nil {

@@ -9,17 +9,16 @@ package sim_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/eventlog"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/testutil"
 )
 
 // crashConfig is deliberately small: the sweep below simulates a couple
@@ -32,34 +31,6 @@ func crashConfig(seed uint64) sim.Config {
 	cfg.RegistrationsPerDay = 10
 	cfg.InitialLegit = 150
 	return cfg
-}
-
-// crashBaseline memoizes the uninterrupted reference run: its result
-// digest and the replay digests of its event log.
-var crashBaseline struct {
-	fingerprint string
-	replay      testutil.CollectorDigestSet
-}
-
-func baselineDigests(t *testing.T) (string, testutil.CollectorDigestSet) {
-	t.Helper()
-	if crashBaseline.fingerprint == "" {
-		cfg := crashConfig(1234)
-		dir := t.TempDir()
-		res := runDurable(t, newDurable(t, dir), sim.Lineage{}, 0)
-		// Digest equality below is only meaningful if the run does things.
-		if res.Clicks == 0 || res.FraudClicks == 0 || res.Registrations == 0 {
-			t.Fatalf("baseline run is degenerate: %d clicks, %d fraud, %d regs",
-				res.Clicks, res.FraudClicks, res.Registrations)
-		}
-		crashBaseline.fingerprint = testutil.DigestResult(res).Fingerprint
-		col, err := dataset.ReplayDir(dir, cfg.Windows, cfg.SampleWindow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		crashBaseline.replay = testutil.CollectorDigests(col)
-	}
-	return crashBaseline.fingerprint, crashBaseline.replay
 }
 
 // newDurable starts a fresh crashConfig(1234) run logging into dir.
@@ -89,6 +60,7 @@ func runDurable(t *testing.T, d *sim.Durable, lin sim.Lineage, every int) *sim.R
 // Both the final result digest and the replayed-log digests must equal
 // the uninterrupted run's, every time.
 func TestCrashResumeDigestIdentical(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs many partial simulations")
 	}
@@ -98,6 +70,7 @@ func TestCrashResumeDigestIdentical(t *testing.T) {
 	for crashDay := 5; crashDay <= 25; crashDay++ {
 		crashDay := crashDay
 		t.Run(fmt.Sprintf("killday=%d", crashDay), func(t *testing.T) {
+			t.Parallel()
 			dir := t.TempDir()
 			lin := sim.Lineage{Path: filepath.Join(t.TempDir(), "checkpoint.frsnap")}
 			crashAt(t, newDurable(t, dir), lin, every, crashDay, nil)
@@ -127,52 +100,43 @@ func TestCrashResumeDigestIdentical(t *testing.T) {
 	}
 }
 
-// TestCrashCheckpointRoundTrip proves Snapshot/Restore is lossless
-// mid-run: snapshot at a day boundary, serialize, restore, and both
-// copies must finish with identical digests. Snapshot encoding is also
-// byte-deterministic, so checkpoint files diff cleanly.
+// TestCrashCheckpointRoundTrip takes the gob(Snapshot) path through a
+// mid-run save: at day 4 of a one-worker sweep run, two encodings of the
+// snapshot are the same bytes and hash to the recorded snapshot, and a
+// Sim restored from them finishes at two workers on the recording's
+// events and digest. The donor's own continuation is
+// TestSameSeedByteIdentical's run.
 func TestCrashCheckpointRoundTrip(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
-	cfg := crashConfig(77)
-	s := sim.New(cfg)
-	for int(s.Day()) < 10 {
-		if !s.Step() {
-			t.Fatal("horizon ended before snapshot day")
-		}
+	rec := sweepWorlds[29].record(t)
+	s := rec.start(1)
+	for s.Day() < 4 {
+		s.Step()
 	}
-	encode := func() []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(s.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	enc, err := snapshotGob(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	enc1, enc2 := encode(), encode()
-	if !bytes.Equal(enc1, enc2) {
-		t.Fatal("snapshot encoding is not byte-deterministic")
+	if again, err := snapshotGob(s); err != nil || !bytes.Equal(enc, again) {
+		t.Fatalf("snapshot encoding is not byte-deterministic (%v)", err)
 	}
-
+	mid := at(4, sim.PhaseArrivals)
+	if sha256.Sum256(enc) != rec.bounds[mid].snap {
+		t.Fatalf("%s: the snapshot before %s differs from the recording's", rec.name, phaseName(mid))
+	}
 	var st sim.State
-	if err := gob.NewDecoder(bytes.NewReader(enc1)).Decode(&st); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(enc)).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := sim.Restore(&st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Day() != s.Day() {
-		t.Fatalf("restored day %d, want %d", restored.Day(), s.Day())
-	}
-	finish := func(x *sim.Sim) string {
-		for x.Step() {
-		}
-		return testutil.DigestResult(x.Finish()).Fingerprint
-	}
-	if a, b := finish(s), finish(restored); a != b {
-		t.Fatalf("restored run diverged: %s vs %s", b, a)
-	}
+	restored.SetWorkers(2)
+	follow(t, rec, restored, mid, nil)
 }
 
 // TestCrashCheckpointFileRoundTrip covers the file layer: atomic write,

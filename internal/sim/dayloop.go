@@ -17,8 +17,8 @@ package sim
 // private RNG stream and reads only its own account, so the canonical
 // orders above fix the shared bytes (index insertion, collector folds,
 // the event log) and nothing else. Every seeded byte (digests,
-// checkpoints, event logs) is identical at any Workers value, proven by
-// the differential matrix in dayloop_test.go.
+// checkpoints, event logs) is identical at any Workers value, proven
+// against the recorded one-worker runs in record_test.go.
 //
 // StepPhase exposes the phase boundaries to callers: checkpoints may be
 // taken between any two phases, not just between days, and resumed at a

@@ -39,7 +39,7 @@ func TestChaosFaultyEventSinkDayLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two simulations")
 	}
-	want := digestBytes(t, chaosConfig(4))
+	want := digestOf(t, sim.New(chaosConfig(4)).Run())
 
 	inj := faultinject.New(11)
 	w := eventlog.NewWriter(inj.Writer("dayloop", io.Discard, faultinject.WriteFaults{ErrorRate: 1}))
@@ -79,7 +79,7 @@ func TestChaosTornEventSinkDayLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two simulations")
 	}
-	want := digestBytes(t, chaosConfig(3))
+	want := digestOf(t, sim.New(chaosConfig(3)).Run())
 
 	inj := faultinject.New(29)
 	w := eventlog.NewWriter(inj.Writer("dayloop", io.Discard, faultinject.WriteFaults{KillAfterWrites: 500}))

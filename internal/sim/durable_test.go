@@ -19,6 +19,7 @@ import (
 // the failed run leaves no staged segment; and the pair finishes on the
 // uninterrupted run's digests.
 func TestDurableRunDays(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}

@@ -1,8 +1,10 @@
 package sim_test
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/platform"
@@ -24,19 +26,10 @@ func goldenConfig() sim.Config {
 	return cfg
 }
 
-// goldenRun memoizes the golden-config simulation for every test in this
-// file (sync.Once keeps it safe if tests ever run in parallel).
-var goldenRun struct {
-	once sync.Once
-	res  *sim.Result
-}
-
+// goldenResult is the golden world's recorded result (record_test.go).
 func goldenResult(t *testing.T) *sim.Result {
 	t.Helper()
-	goldenRun.once.Do(func() {
-		goldenRun.res = sim.New(goldenConfig()).Run()
-	})
-	return goldenRun.res
+	return goldenWorld.record(t).res
 }
 
 // TestGoldenDatasetDigest pins the full dataset fingerprint: accounts,
@@ -44,6 +37,7 @@ func goldenResult(t *testing.T) *sim.Result {
 // billing ledger, and detection records. Any behavioral drift in the
 // engine or its substrates shows up here as a hash mismatch.
 func TestGoldenDatasetDigest(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
@@ -55,6 +49,7 @@ func TestGoldenDatasetDigest(t *testing.T) {
 // from the hashes, so a drifting digest immediately shows which totals
 // moved (or that none did, pointing at a record-level change).
 func TestGoldenHeadlineCounters(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
@@ -64,70 +59,115 @@ func TestGoldenHeadlineCounters(t *testing.T) {
 
 // TestGoldenCompanionInvariants is the companion invariant suite for the
 // two goldens above (every golden test must have one): conservation laws
-// that hold for ANY valid run, not just the pinned one. If a regenerated
-// golden ever violates these, the new behavior is wrong no matter what
-// the fixtures say.
+// that hold for ANY valid run, not just the pinned one. They are checked
+// here on every recorded world and on the crash sweeps' baseline, and
+// follow checks them on every variant run. If a regenerated golden ever
+// violates these, the new behavior is wrong no matter what the fixtures
+// say.
 func TestGoldenCompanionInvariants(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
-		t.Skip("runs a simulation")
+		t.Skip("records every world")
 	}
-	res := goldenResult(t)
-	p := res.Platform
+	for _, w := range allWorlds {
+		t.Run(w.name, func(t *testing.T) {
+			t.Parallel()
+			if err := w.record(t).laws; err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	t.Run("crash-baseline", func(t *testing.T) {
+		t.Parallel()
+		baselineDigests(t)
+		if err := crashBaseline.laws; err != nil {
+			t.Error(err)
+		}
+	})
+}
 
-	// Clicks never exceed impressions, globally and per account.
+// companionLaws checks the conservation laws on one finished run and
+// returns every violation.
+func companionLaws(res *sim.Result) error {
+	return errors.Join(clickLaw(res), spendLaw(res), detectionLaw(res), weeklyLaw(res))
+}
+
+// violations collects one law's failures.
+type violations []error
+
+func (v *violations) add(format string, args ...any) { *v = append(*v, fmt.Errorf(format, args...)) }
+
+// clickLaw: clicks never exceed impressions, globally and per account.
+func clickLaw(res *sim.Result) error {
+	var v violations
 	if res.Clicks > res.Impressions {
-		t.Errorf("clicks (%d) exceed impressions (%d)", res.Clicks, res.Impressions)
+		v.add("clicks (%d) exceed impressions (%d)", res.Clicks, res.Impressions)
 	}
 	if res.FraudClicks > res.Clicks {
-		t.Errorf("fraud clicks (%d) exceed clicks (%d)", res.FraudClicks, res.Clicks)
+		v.add("fraud clicks (%d) exceed clicks (%d)", res.FraudClicks, res.Clicks)
 	}
+	for _, a := range res.Platform.Accounts() {
+		if a.Clicks > a.Impressions {
+			v.add("account %d: clicks (%d) exceed impressions (%d)", a.ID, a.Clicks, a.Impressions)
+		}
+	}
+	return errors.Join(v...)
+}
 
-	// Billed spend equals ledger totals equals summed account spend.
+// spendLaw: billed spend equals the ledger's totals, per account and in
+// all, and the result's; so do clicks and impressions; revenue lost is
+// the result's and no more than was billed.
+func spendLaw(res *sim.Result) error {
+	var v violations
+	l := res.Platform.Ledger()
 	var acctSpend float64
 	var acctClicks, acctImpr int64
-	for _, a := range p.Accounts() {
-		if a.Clicks > a.Impressions {
-			t.Errorf("account %d: clicks (%d) exceed impressions (%d)", a.ID, a.Clicks, a.Impressions)
-		}
-		if ledgerBilled := p.Ledger().Billed(a.ID); !approxEqual(ledgerBilled, a.Spend) {
-			t.Errorf("account %d: ledger billed %v != account spend %v", a.ID, ledgerBilled, a.Spend)
+	for _, a := range res.Platform.Accounts() {
+		if billed := l.Billed(a.ID); !approxEqual(billed, a.Spend) {
+			v.add("account %d: ledger billed %v != account spend %v", a.ID, billed, a.Spend)
 		}
 		acctSpend += a.Spend
 		acctClicks += a.Clicks
 		acctImpr += a.Impressions
 	}
-	if !approxEqual(acctSpend, p.Ledger().TotalBilled()) || !approxEqual(acctSpend, res.Spend) {
-		t.Errorf("spend not conserved: accounts=%v ledger=%v result=%v",
-			acctSpend, p.Ledger().TotalBilled(), res.Spend)
+	if !approxEqual(acctSpend, l.TotalBilled()) || !approxEqual(acctSpend, res.Spend) {
+		v.add("spend not conserved: accounts=%v ledger=%v result=%v", acctSpend, l.TotalBilled(), res.Spend)
 	}
 	if acctClicks != res.Clicks || acctImpr != res.Impressions {
-		t.Errorf("click/impression totals not conserved: accounts=%d/%d result=%d/%d",
+		v.add("click/impression totals not conserved: accounts=%d/%d result=%d/%d",
 			acctClicks, acctImpr, res.Clicks, res.Impressions)
 	}
-	if lost := p.Ledger().TotalLost(); lost > p.Ledger().TotalBilled() || lost != res.RevenueLost {
-		t.Errorf("revenue lost inconsistent: lost=%v billed=%v result=%v",
-			lost, p.Ledger().TotalBilled(), res.RevenueLost)
+	if lost := l.TotalLost(); lost > l.TotalBilled() || lost != res.RevenueLost {
+		v.add("revenue lost inconsistent: lost=%v billed=%v result=%v", lost, l.TotalBilled(), res.RevenueLost)
 	}
+	return errors.Join(v...)
+}
 
-	// Every detection record references an account the platform actually
-	// terminated, stamped no earlier than the account's creation.
+// detectionLaw: every detection record references an account the
+// platform terminated, stamped no earlier than the account's creation.
+func detectionLaw(res *sim.Result) error {
+	var v violations
 	for _, rec := range res.Collector.Detections() {
-		a, err := p.Account(rec.Account)
+		a, err := res.Platform.Account(rec.Account)
 		if err != nil {
-			t.Fatalf("detection record references unknown account %d", rec.Account)
+			v.add("detection record references unknown account %d", rec.Account)
+			continue
 		}
 		if a.Status != platform.StatusShutdown && a.Status != platform.StatusRejected {
-			t.Errorf("detection record for account %d in state %s", a.ID, a.Status)
+			v.add("detection record for account %d in state %s", a.ID, a.Status)
 		}
 		if rec.At < a.Created {
-			t.Errorf("account %d detected (%v) before creation (%v)", a.ID, rec.At, a.Created)
+			v.add("account %d detected (%v) before creation (%v)", a.ID, rec.At, a.Created)
 		}
 	}
+	return errors.Join(v...)
+}
 
-	// Weekly activity aggregates reproduce the platform totals.
+// weeklyLaw: the weekly activity aggregates reproduce the result's totals.
+func weeklyLaw(res *sim.Result) error {
 	var wkImpr, wkClicks int64
 	var wkSpend float64
-	for _, a := range p.Accounts() {
+	for _, a := range res.Platform.Accounts() {
 		agg := res.Collector.Agg(a.ID)
 		if agg == nil {
 			continue
@@ -139,19 +179,13 @@ func TestGoldenCompanionInvariants(t *testing.T) {
 		}
 	}
 	if wkImpr != res.Impressions || wkClicks != res.Clicks || !approxEqual(wkSpend, res.Spend) {
-		t.Errorf("weekly aggregates (%d/%d/%v) != result totals (%d/%d/%v)",
+		return fmt.Errorf("weekly aggregates (%d/%d/%v) != result totals (%d/%d/%v)",
 			wkImpr, wkClicks, wkSpend, res.Impressions, res.Clicks, res.Spend)
 	}
+	return nil
 }
 
+// approxEqual compares two sums to a relative tolerance of 1e-6.
 func approxEqual(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	s := a + b
-	if s < 0 {
-		s = -s
-	}
-	return d <= 1e-6*(1+s)
+	return math.Abs(a-b) <= 1e-6*(1+math.Abs(a+b))
 }

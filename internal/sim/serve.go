@@ -32,8 +32,8 @@ package sim
 //	   row by row, then event flush.
 //
 // One worker runs the same five sub-phases over a single block, so the
-// worker count selects a fan-out, never an implementation (see the digest
-// matrix in serve_test.go).
+// worker count selects a fan-out, never an implementation (see the workers
+// matrix in record_test.go).
 
 import (
 	"fmt"

@@ -44,10 +44,9 @@ type Config struct {
 	// the detection sweep run on the simulation goroutine (DESIGN.md §8).
 	// Every seeded outcome — dataset digests, billing, event-log bytes,
 	// RNG stream positions — is byte-identical across all Workers values
-	// (see the differential matrices in serve_test.go and
-	// dayloop_test.go); the setting is therefore a pure throughput knob
-	// and, unlike the shape parameters above, may differ across a
-	// checkpoint/resume boundary.
+	// (see the differential checks in record_test.go); the setting is
+	// therefore a pure throughput knob and, unlike the shape parameters
+	// above, may differ across a checkpoint/resume boundary.
 	Workers int
 
 	// RegistrationsPerDay is the mean daily account-arrival count.

@@ -1,81 +1,24 @@
-package sim
+package sim_test
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/platform"
+	"repro/internal/sim"
 	"repro/internal/simclock"
 	"repro/internal/stats"
 )
 
-// tinyConfig is a fast configuration for integration tests: ~30s of work
-// compressed to a couple of seconds.
-func tinyConfig(seed uint64) Config {
-	cfg := SmallConfig()
-	cfg.Seed = seed
-	cfg.Days = 120
-	cfg.QueriesPerDay = 800
-	cfg.RegistrationsPerDay = 10
-	cfg.InitialLegit = 250
-	return cfg
-}
-
-// tinyRun memoizes one tiny simulation across tests in this package. The
-// sync.Once (rather than a lazy nil check) keeps the cache safe under
-// `go test -race` if any test here ever opts into t.Parallel().
-var tinyRun struct {
-	once sync.Once
-	res  *Result
-}
-
-func tinyResult(t *testing.T) *Result {
-	t.Helper()
-	tinyRun.once.Do(func() {
-		tinyRun.res = New(tinyConfig(7)).Run()
-	})
-	return tinyRun.res
-}
-
-func TestDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two extra sims")
-	}
-	cfg := tinyConfig(99)
-	cfg.Days = 60
-	a := New(cfg).Run()
-	b := New(cfg).Run()
-	if a.Registrations != b.Registrations || a.Clicks != b.Clicks ||
-		a.Impressions != b.Impressions || a.Spend != b.Spend ||
-		a.FraudClicks != b.FraudClicks {
-		t.Fatalf("same seed diverged:\n%+v\n%+v", summary(a), summary(b))
-	}
-	// And a different seed must diverge.
-	cfg.Seed = 100
-	c := New(cfg).Run()
-	if c.Clicks == a.Clicks && c.Impressions == a.Impressions && c.Spend == a.Spend {
-		t.Fatal("different seeds produced identical runs")
-	}
-}
-
-func summary(r *Result) map[string]int64 {
-	return map[string]int64{
-		"regs": int64(r.Registrations), "clicks": r.Clicks, "impr": r.Impressions,
-	}
-}
-
 func TestBasicVolume(t *testing.T) {
-	res := tinyResult(t)
+	t.Parallel()
+	res := goldenResult(t)
 	if res.Registrations == 0 || res.Auctions == 0 || res.Clicks == 0 {
 		t.Fatalf("empty economy: %+v", res)
 	}
 	if res.FraudClicks == 0 {
 		t.Fatal("no fraud clicks at all")
-	}
-	if res.Impressions < res.Clicks {
-		t.Fatal("more clicks than impressions")
 	}
 	frac := float64(res.FraudRegistrations) / float64(res.Registrations)
 	if frac < 0.25 || frac > 0.60 {
@@ -83,67 +26,28 @@ func TestBasicVolume(t *testing.T) {
 	}
 }
 
+// TestLedgerConsistency, TestCollectorAgreesWithPlatform and
+// TestDetectionTimesAfterCreation hold the golden world to one companion
+// law each, so a failure names the law.
 func TestLedgerConsistency(t *testing.T) {
-	res := tinyResult(t)
-	l := res.Platform.Ledger()
-	// Platform-wide billed totals must equal the sum of account spends
-	// and the result counter.
-	var acctSpend float64
-	var acctClicks, acctImpr int64
-	for _, a := range res.Platform.Accounts() {
-		acctSpend += a.Spend
-		acctClicks += a.Clicks
-		acctImpr += a.Impressions
-	}
-	if !close(acctSpend, l.TotalBilled()) || !close(acctSpend, res.Spend) {
-		t.Fatalf("spend mismatch: accounts=%v ledger=%v result=%v", acctSpend, l.TotalBilled(), res.Spend)
-	}
-	if acctClicks != res.Clicks {
-		t.Fatalf("click mismatch: accounts=%d result=%d", acctClicks, res.Clicks)
-	}
-	if acctImpr != res.Impressions {
-		t.Fatalf("impression mismatch: accounts=%d result=%d", acctImpr, res.Impressions)
-	}
-	if l.TotalLost() > l.TotalBilled() {
-		t.Fatal("lost more than billed")
-	}
-	if l.TotalLost() != res.RevenueLost {
-		t.Fatal("revenue-lost counter mismatch")
+	t.Parallel()
+	if err := spendLaw(goldenResult(t)); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestCollectorAgreesWithPlatform(t *testing.T) {
-	res := tinyResult(t)
-	// Weekly aggregates summed over all accounts must reproduce the
-	// platform totals.
-	var impr, clicks int64
-	var spend float64
-	for _, a := range res.Platform.Accounts() {
-		agg := res.Collector.Agg(a.ID)
-		if agg == nil {
-			continue
-		}
-		for _, w := range agg.Weeks {
-			impr += w.Impressions
-			clicks += w.Clicks
-			spend += w.Spend
-		}
-	}
-	if impr != res.Impressions || clicks != res.Clicks || !close(spend, res.Spend) {
-		t.Fatalf("collector totals (%d/%d/%v) != result (%d/%d/%v)",
-			impr, clicks, spend, res.Impressions, res.Clicks, res.Spend)
+	t.Parallel()
+	if err := weeklyLaw(goldenResult(t)); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// TestDetectionRecordsMatchAccountStates is detectionLaw's converse:
+// every shutdown or rejected account has a detection record.
 func TestDetectionRecordsMatchAccountStates(t *testing.T) {
-	res := tinyResult(t)
-	for _, rec := range res.Collector.Detections() {
-		a := res.Platform.MustAccount(rec.Account)
-		if a.Status != platform.StatusShutdown && a.Status != platform.StatusRejected {
-			t.Fatalf("detection record for %s account %d", a.Status, a.ID)
-		}
-	}
-	// Every shutdown/rejected account must have a detection record.
+	t.Parallel()
+	res := goldenResult(t)
 	for _, a := range res.Platform.Accounts() {
 		if a.Status == platform.StatusShutdown || a.Status == platform.StatusRejected {
 			if _, ok := res.Collector.DetectedAt(a.ID); !ok {
@@ -154,18 +58,15 @@ func TestDetectionRecordsMatchAccountStates(t *testing.T) {
 }
 
 func TestDetectionTimesAfterCreation(t *testing.T) {
-	res := tinyResult(t)
-	for _, a := range res.Platform.Accounts() {
-		if at, ok := res.Collector.DetectedAt(a.ID); ok {
-			if at < a.Created {
-				t.Fatalf("account %d detected (%v) before creation (%v)", a.ID, at, a.Created)
-			}
-		}
+	t.Parallel()
+	if err := detectionLaw(goldenResult(t)); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestFraudLabelsMostlyCorrect(t *testing.T) {
-	res := tinyResult(t)
+	t.Parallel()
+	res := goldenResult(t)
 	study := core.NewStudy(res.Platform, res.Collector, res.Config.Days)
 	var truePos, falsePos, labelled int
 	for _, a := range res.Platform.Accounts() {
@@ -189,7 +90,8 @@ func TestFraudLabelsMostlyCorrect(t *testing.T) {
 }
 
 func TestFraudLifetimesShort(t *testing.T) {
-	res := tinyResult(t)
+	t.Parallel()
+	res := goldenResult(t)
 	study := core.NewStudy(res.Platform, res.Collector, res.Config.Days)
 	lts := study.Lifetimes(simclock.Window{Start: 0, End: 90}, false)
 	if len(lts) < 50 {
@@ -202,7 +104,8 @@ func TestFraudLifetimesShort(t *testing.T) {
 }
 
 func TestImpressionRatesFraudHigher(t *testing.T) {
-	res := tinyResult(t)
+	t.Parallel()
+	res := goldenResult(t)
 	study := core.NewStudy(res.Platform, res.Collector, res.Config.Days)
 	win := res.Collector.Windows()[0]
 	subs := study.BuildSubsets(win, 0, 500, stats.NewRNG(5))
@@ -221,7 +124,8 @@ func TestImpressionRatesFraudHigher(t *testing.T) {
 }
 
 func TestRejectedAccountsNeverServe(t *testing.T) {
-	res := tinyResult(t)
+	t.Parallel()
+	res := goldenResult(t)
 	for _, a := range res.Platform.Accounts() {
 		if a.Status == platform.StatusRejected && (a.Impressions > 0 || len(a.Ads) > 0) {
 			t.Fatalf("rejected account %d served %d impressions", a.ID, a.Impressions)
@@ -230,7 +134,8 @@ func TestRejectedAccountsNeverServe(t *testing.T) {
 }
 
 func TestShutdownStopsActivity(t *testing.T) {
-	res := tinyResult(t)
+	t.Parallel()
+	res := goldenResult(t)
 	// No account's weekly activity may extend past its shutdown week.
 	for _, a := range res.Platform.Accounts() {
 		if a.Status != platform.StatusShutdown {
@@ -253,18 +158,21 @@ func TestProgressCallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extra sim")
 	}
-	cfg := tinyConfig(3)
+	t.Parallel()
+	cfg := goldenConfig()
+	cfg.Seed = 3
 	cfg.Days = 61
 	called := 0
 	cfg.Progress = func(string) { called++ }
-	New(cfg).Run()
+	sim.New(cfg).Run()
 	if called != 2 {
 		t.Fatalf("progress called %d times, want 2", called)
 	}
 }
 
 func TestShutdownsByStagePopulated(t *testing.T) {
-	res := tinyResult(t)
+	t.Parallel()
+	res := goldenResult(t)
 	total := 0
 	for _, n := range res.ShutdownsByStage {
 		total += n
@@ -277,23 +185,9 @@ func TestShutdownsByStagePopulated(t *testing.T) {
 	}
 }
 
-func close(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= 1e-6*(1+abs(a)+abs(b))
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 func TestLegitClosureKeepsEcosystemBounded(t *testing.T) {
-	res := tinyResult(t)
+	t.Parallel()
+	res := goldenResult(t)
 	closed := 0
 	for _, a := range res.Platform.Accounts() {
 		if a.Status == platform.StatusClosed {
@@ -315,9 +209,11 @@ func TestCompromisesHappenAndGetCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extra sim")
 	}
-	cfg := tinyConfig(13)
+	t.Parallel()
+	cfg := goldenConfig()
+	cfg.Seed = 13
 	cfg.CompromisesPerDay = 0.5
-	res := New(cfg).Run()
+	res := sim.New(cfg).Run()
 	if res.Compromises == 0 {
 		t.Fatal("no compromises at 0.5/day over 120 days")
 	}

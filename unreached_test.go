@@ -35,16 +35,16 @@ var unreachedAllowlist = map[string]string{
 	"platform.appendInts":             oracle + "helper of the reference column writer",
 	"platform.appendFloats":           oracle + "helper of the reference column writer",
 	"platform.ledgerEntries":          oracle + "helper of the reference column writer",
-	"sim.Sim.Snapshot":                oracle + "reference checkpoint writer (TestLiveCheckpointMatchesReference)",
-	"sim.encodeCheckpoint":            oracle + "reference checkpoint writer (TestLiveCheckpointMatchesReference)",
+	"sim.Sim.Snapshot":                oracle + "reference checkpoint writer (the recorder's frames in internal/sim/record_test.go)",
+	"sim.encodeCheckpoint":            oracle + "reference checkpoint writer (the recorder's frames in internal/sim/record_test.go)",
 
 	"sim.WriteCheckpoint":            testSupport + "writes checkpoint fixtures for the sim, fraudsim and logtool tests",
 	"sim.Lineage.Save":               testSupport + "saves reference-encoded checkpoints into a lineage for the lineage tests",
 	"sim.Sim.SetPhaseTimes":          testSupport + "BenchmarkStepDay reads the per-phase times through it",
 	"queries.Generator.UniverseFor":  testSupport + "the adserver and queries tests look up keyword universes by vertical",
-	"eventlog.SliceSink":             testSupport + "in-memory sink for the eventlog, sim and dataset tests",
-	"eventlog.SliceSink.Append":      testSupport + "in-memory sink for the eventlog, sim and dataset tests",
-	"eventlog.SliceSink.AppendBatch": testSupport + "in-memory sink for the eventlog, sim and dataset tests",
+	"eventlog.SliceSink":             testSupport + "in-memory sink for the eventlog and dataset tests",
+	"eventlog.SliceSink.Append":      testSupport + "in-memory sink for the eventlog and dataset tests",
+	"eventlog.SliceSink.AppendBatch": testSupport + "in-memory sink for the eventlog and dataset tests",
 
 	"testutil.Golden":       testSupport + "golden-file helper",
 	"testutil.GoldenString": testSupport + "golden-file helper",
@@ -194,17 +194,7 @@ func main() {
 // recipe to the fuzz targets in the module: adding or deleting a
 // `func Fuzz*` without updating the recipe fails here.
 func TestFuzzSmokeCoversEveryFuzzTarget(t *testing.T) {
-	mk, err := os.ReadFile("Makefile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, recipe, ok := strings.Cut(string(mk), "\nfuzz-smoke:\n")
-	if !ok {
-		t.Fatal("Makefile has no fuzz-smoke target")
-	}
-	if end := strings.Index(recipe, "\n\n"); end >= 0 {
-		recipe = recipe[:end]
-	}
+	recipe := makeRecipe(t, "fuzz-smoke")
 	target := regexp.MustCompile(`test (\S+) .*-fuzz (\w+)`)
 	inMake := map[string]bool{}
 	for _, m := range target.FindAllStringSubmatch(recipe, -1) {
@@ -213,7 +203,7 @@ func TestFuzzSmokeCoversEveryFuzzTarget(t *testing.T) {
 
 	inCode := map[string]bool{}
 	fset := token.NewFileSet()
-	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -253,4 +243,73 @@ func TestFuzzSmokeCoversEveryFuzzTarget(t *testing.T) {
 	if len(inCode) == 0 {
 		t.Error("found no fuzz targets")
 	}
+}
+
+// TestMakeCrashAndChaosSelectTheSimSweeps pins the Makefile's crash and
+// chaos recipes to the internal/sim tests they exist to run: the
+// kill-point sweep and the lineage sweeps under `make crash`, the two
+// day-loop event-sink tests under `make chaos`. Each must still be
+// declared in internal/sim and selected by its recipe's -run pattern,
+// so a rename cannot silently empty a `make verify` step.
+func TestMakeCrashAndChaosSelectTheSimSweeps(t *testing.T) {
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	paths, err := filepath.Glob(filepath.Join("internal", "sim", "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+				declared[fn.Name.Name] = true
+			}
+		}
+	}
+	runFlag := regexp.MustCompile(`-run '([^']*)'`)
+	for target, tests := range map[string][]string{
+		"crash": {"TestCrashResumeDigestIdentical", "TestCrashLineageCorruptionFallback", "TestCrashLineageCorruptSaveN"},
+		"chaos": {"TestChaosFaultyEventSinkDayLoop", "TestChaosTornEventSinkDayLoop"},
+	} {
+		recipe := makeRecipe(t, target)
+		m := runFlag.FindStringSubmatch(recipe)
+		if m == nil || !strings.Contains(recipe+" ", " ./internal/sim ") {
+			t.Errorf("make %s no longer runs internal/sim with a -run pattern: %q", target, recipe)
+			continue
+		}
+		// go test matches a top-level test against the pattern's first
+		// slash-separated element.
+		run, err := regexp.Compile(strings.Split(m[1], "/")[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range tests {
+			if !declared[name] {
+				t.Errorf("internal/sim declares no %s, which make %s exists to run", name, target)
+			} else if !run.MatchString(name) {
+				t.Errorf("make %s runs -run %q, which does not select %s", target, m[1], name)
+			}
+		}
+	}
+}
+
+// makeRecipe returns the Makefile recipe of target, up to the blank line
+// that ends it.
+func makeRecipe(t *testing.T, target string) string {
+	t.Helper()
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recipe, ok := strings.Cut(string(mk), "\n"+target+":\n")
+	if !ok {
+		t.Fatalf("Makefile has no %s target", target)
+	}
+	if end := strings.Index(recipe, "\n\n"); end >= 0 {
+		recipe = recipe[:end]
+	}
+	return recipe
 }
