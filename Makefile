@@ -21,10 +21,11 @@ race:
 	$(GO) test -race ./...
 
 # chaos runs the fault-injection resilience suite under the race
-# detector: seeded latency/error/panic injection against the adserver
-# stack (shed = 429 not timeout, panics never kill the process, drain on
-# shutdown), the router masking a failing member, plus the parallel day
-# loop against failing/crashing event sinks (no deadlock, no digest drift).
+# detector: one seeded HTTP fault profile (latency, outage window,
+# panics, drops, errors) against the adserver stack (shed = 429 not
+# timeout, panics never kill the process, drain on shutdown) and against
+# a cluster member the router must mask, plus the parallel day loop
+# against failing/crashing event sinks (no deadlock, no digest drift).
 chaos:
 	$(GO) test -race -run 'Chaos' ./internal/adserver ./internal/faultinject ./internal/router ./internal/sim
 

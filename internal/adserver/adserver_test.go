@@ -86,22 +86,22 @@ func TestResolveBareExtendedReordered(t *testing.T) {
 	u := gen.UniverseFor(verticals.Downloads)
 	phrase := u.Keywords[0].Phrase // "free download"
 
-	ref, form, ok := s.Resolve(phrase)
-	if !ok || form != platform.FormBare || ref.vertical != verticals.Downloads || ref.keywordID != 0 {
-		t.Fatalf("bare resolve: %+v %v %v", ref, form, ok)
+	q, ok := s.Resolve(phrase)
+	if !ok || q.Form != platform.FormBare || q.Vertical != verticals.Downloads || q.KeywordID != 0 {
+		t.Fatalf("bare resolve: %+v %v", q, ok)
 	}
-	_, form, ok = s.Resolve("best " + phrase + " now")
-	if !ok || form != platform.FormExtended {
-		t.Fatalf("extended resolve: form %v ok %v", form, ok)
+	q, ok = s.Resolve("best " + phrase + " now")
+	if !ok || q.Form != platform.FormExtended {
+		t.Fatalf("extended resolve: form %v ok %v", q.Form, ok)
 	}
-	_, form, ok = s.Resolve("download totally free")
-	if !ok || form != platform.FormReordered {
-		t.Fatalf("reordered resolve: form %v ok %v", form, ok)
+	q, ok = s.Resolve("download totally free")
+	if !ok || q.Form != platform.FormReordered {
+		t.Fatalf("reordered resolve: form %v ok %v", q.Form, ok)
 	}
-	if _, _, ok = s.Resolve("zzz qqq xxx"); ok {
+	if _, ok = s.Resolve("zzz qqq xxx"); ok {
 		t.Fatal("garbage resolved")
 	}
-	if _, _, ok = s.Resolve(""); ok {
+	if _, ok = s.Resolve(""); ok {
 		t.Fatal("empty query resolved")
 	}
 }

@@ -43,12 +43,12 @@ func noRetryGet(t *testing.T, url string) (int, ErrorBody, time.Duration) {
 
 func TestChaosShedReturns429NotTimeout(t *testing.T) {
 	s, gen := serverFixture(t)
-	inj := faultinject.New(1).Route("/search", faultinject.Faults{Latency: 600 * time.Millisecond})
+	wrap := faultinject.New(1).HTTP("/search", faultinject.Faults{Latency: 600 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler(Options{
 		MaxInFlight:    2,
 		RequestTimeout: 5 * time.Second,
 		RetryAfter:     time.Second,
-		Wrap:           inj.Wrap,
+		Wrap:           wrap,
 	}))
 	defer ts.Close()
 	phrase := gen.UniverseFor(verticals.Downloads).Keywords[0].Phrase
@@ -101,8 +101,9 @@ func TestChaosShedReturns429NotTimeout(t *testing.T) {
 
 func TestChaosPanicsNeverKillProcess(t *testing.T) {
 	s, gen := serverFixture(t)
-	inj := faultinject.New(1).Route("/search", faultinject.Faults{PanicRate: 1})
-	ts := httptest.NewServer(s.Handler(Options{MaxInFlight: 8, RequestTimeout: 2 * time.Second, Wrap: inj.Wrap}))
+	inj := faultinject.New(1)
+	wrap := inj.HTTP("/search", faultinject.Faults{PanicRate: 1})
+	ts := httptest.NewServer(s.Handler(Options{MaxInFlight: 8, RequestTimeout: 2 * time.Second, Wrap: wrap}))
 	defer ts.Close()
 	phrase := gen.UniverseFor(verticals.Downloads).Keywords[0].Phrase
 
@@ -131,8 +132,8 @@ func TestChaosPanicsNeverKillProcess(t *testing.T) {
 
 func TestChaosDeadlineReturns504(t *testing.T) {
 	s, gen := serverFixture(t)
-	inj := faultinject.New(1).Route("/search", faultinject.Faults{Latency: 10 * time.Second})
-	ts := httptest.NewServer(s.Handler(Options{MaxInFlight: 8, RequestTimeout: 50 * time.Millisecond, Wrap: inj.Wrap}))
+	wrap := faultinject.New(1).HTTP("/search", faultinject.Faults{Latency: 10 * time.Second})
+	ts := httptest.NewServer(s.Handler(Options{MaxInFlight: 8, RequestTimeout: 50 * time.Millisecond, Wrap: wrap}))
 	defer ts.Close()
 	phrase := gen.UniverseFor(verticals.Downloads).Keywords[0].Phrase
 
@@ -155,9 +156,9 @@ func TestChaosDeadlineReturns504(t *testing.T) {
 
 func TestChaosShutdownDrainsInFlight(t *testing.T) {
 	s, gen := serverFixture(t)
-	inj := faultinject.New(1).Route("/search", faultinject.Faults{Latency: 400 * time.Millisecond})
+	wrap := faultinject.New(1).HTTP("/search", faultinject.Faults{Latency: 400 * time.Millisecond})
 	gate := NewGate()
-	gate.Install(s.Handler(Options{MaxInFlight: 8, RequestTimeout: 5 * time.Second, Wrap: inj.Wrap}))
+	gate.Install(s.Handler(Options{MaxInFlight: 8, RequestTimeout: 5 * time.Second, Wrap: wrap}))
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -210,12 +211,12 @@ func TestChaosShutdownDrainsInFlight(t *testing.T) {
 
 func TestChaosSequenceDeterministic(t *testing.T) {
 	// The same seeds must reproduce the exact status-code sequence:
-	// fault decisions are a pure function of (seed, route, arrival
+	// fault decisions are a pure function of (seed, name, arrival
 	// index), and sequential arrival fixes the index order.
 	run := func() []int {
 		s, gen := serverFixture(t)
-		inj := faultinject.New(1234).Route("/search", faultinject.Faults{ErrorRate: 0.4})
-		ts := httptest.NewServer(s.Handler(Options{MaxInFlight: 4, RequestTimeout: 2 * time.Second, Wrap: inj.Wrap}))
+		wrap := faultinject.New(1234).HTTP("/search", faultinject.Faults{ErrorRate: 0.4})
+		ts := httptest.NewServer(s.Handler(Options{MaxInFlight: 4, RequestTimeout: 2 * time.Second, Wrap: wrap}))
 		defer ts.Close()
 		phrase := gen.UniverseFor(verticals.Downloads).Keywords[0].Phrase
 		codes := make([]int, 60)

@@ -102,8 +102,9 @@ func TestCacheHitBodyIdentical(t *testing.T) {
 	}
 }
 
-// TestInstanceHeaders: every /search response carries the identity and
-// admission headers the router feeds its least-loaded policy from.
+// TestInstanceHeaders: every /search response names the instance that
+// answered it, and carries no load report: the router reads admission
+// occupancy from /statz alone.
 func TestInstanceHeaders(t *testing.T) {
 	s, gen := serverFixture(t)
 	h := clusterHandler(t, s)
@@ -112,11 +113,12 @@ func TestInstanceHeaders(t *testing.T) {
 	if rec.Header().Get("X-Instance") != "i7" {
 		t.Fatalf("X-Instance = %q", rec.Header().Get("X-Instance"))
 	}
-	if rec.Header().Get("X-Capacity") != "8" {
-		t.Fatalf("X-Capacity = %q", rec.Header().Get("X-Capacity"))
-	}
-	if rec.Header().Get("X-Inflight") == "" {
-		t.Fatal("X-Inflight missing")
+	for k := range rec.Header() {
+		switch k {
+		case "Content-Type", "X-Request-Id", "X-Instance", "X-Cache":
+		default:
+			t.Fatalf("unexpected /search header %s", k)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package adserver
 // Fuzz target for the query-resolution path: Resolve sits directly on
 // untrusted input (the q parameter of /search), so it must never panic,
 // must be deterministic, and must only ever return well-formed keyword
-// references. Seed corpus lives under testdata/fuzz/FuzzResolve/;
+// queries. Seed corpus lives under testdata/fuzz/FuzzResolve/;
 // `make fuzz-smoke` runs a short exploration burst.
 
 import (
@@ -30,34 +30,33 @@ func FuzzResolve(f *testing.F) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	f.Fuzz(func(t *testing.T, q string) {
-		ref, form, ok := s.Resolve(q)
-		ref2, form2, ok2 := s2.Resolve(q)
-		if ok != ok2 || form != form2 || ref != ref2 {
-			t.Fatalf("resolution not deterministic for %q: (%+v,%v,%v) vs (%+v,%v,%v)",
-				q, ref, form, ok, ref2, form2, ok2)
+	f.Fuzz(func(t *testing.T, text string) {
+		q, ok := s.Resolve(text)
+		q2, ok2 := s2.Resolve(text)
+		if ok != ok2 || q != q2 {
+			t.Fatalf("resolution not deterministic for %q: (%+v,%v) vs (%+v,%v)", text, q, ok, q2, ok2)
 		}
 		if !ok {
 			return
 		}
-		switch form {
+		switch q.Form {
 		case platform.FormBare, platform.FormExtended, platform.FormReordered:
 		default:
-			t.Fatalf("resolved %q to invalid form %v", q, form)
+			t.Fatalf("resolved %q to invalid form %v", text, q.Form)
 		}
-		u := gen.Universe(ref.verticalIdx)
-		if ref.keywordID < 0 || ref.keywordID >= u.Size() {
-			t.Fatalf("resolved %q to out-of-range keyword %d (universe %d)", q, ref.keywordID, u.Size())
+		u := gen.Universe(q.VerticalIdx)
+		if q.KeywordID < 0 || q.KeywordID >= u.Size() {
+			t.Fatalf("resolved %q to out-of-range keyword %d (universe %d)", text, q.KeywordID, u.Size())
 		}
-		if u.Vertical != ref.vertical {
-			t.Fatalf("resolved %q to mismatched vertical %q (universe %q)", q, ref.vertical, u.Vertical)
+		if u.Vertical != q.Vertical || u.Keywords[q.KeywordID].Cluster != q.Cluster {
+			t.Fatalf("resolved %q to mismatched vertical %q / cluster %d (universe %q)", text, q.Vertical, q.Cluster, u.Vertical)
 		}
 
 		// A canceled context must abort cleanly (ok=false or the exact
 		// same answer), never panic. Exact-match hits return before the
 		// scan, so both outcomes are legal.
-		if _, _, cok, err := s.resolve(canceled, q); cok && err != nil {
-			t.Fatalf("canceled resolve returned both ok and error for %q", q)
+		if _, cok, err := s.resolve(canceled, text); cok && err != nil {
+			t.Fatalf("canceled resolve returned both ok and error for %q", text)
 		}
 	})
 }

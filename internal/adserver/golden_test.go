@@ -10,11 +10,17 @@ package adserver
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"net/url"
 	"testing"
 	"time"
 
+	"repro/internal/auction"
+	"repro/internal/clicks"
+	"repro/internal/market"
+	"repro/internal/platform"
+	"repro/internal/sim"
 	"repro/internal/testutil"
 )
 
@@ -87,4 +93,57 @@ func TestGoldenResponsesOrderInsensitive(t *testing.T) {
 		t.Fatalf("identical request produced different body after interleaved traffic:\n%s",
 			testutil.Diff(first, again))
 	}
+}
+
+// TestServingModelMatchesInlineRoll pins the adserver's click model to
+// the 0.1·quality·relevance roll it replaced, over every page of the
+// world behind cmd/adbench's golden report (scenario_tiny.json's shape
+// and seed): for every keyword × market × query form, servingModel's
+// ClickProbability equals 0.1*q*r bit for bit, and the served pages
+// roll at least one click (bare phrases are served until one does).
+// golden_responses.json pins no click at all, so this and the adbench
+// golden are what hold the roll still.
+func TestServingModelMatchesInlineRoll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstraps a world")
+	}
+	const seed = 90210
+	cfg, err := sim.Shape{Scale: "small", Seed: seed, Days: 6, Queries: 150}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := sim.New(cfg)
+	s := New(boot.Run().Platform, boot.Queries(), auction.DefaultConfig(), seed)
+	h := s.Handler(Options{})
+
+	var (
+		pg         clicks.Page
+		scr        clicks.Scratch
+		placements int
+	)
+	for _, q := range s.kws {
+		for _, m := range market.All() {
+			q.Country = m.Country
+			for _, q.Form = range []platform.QueryForm{platform.FormBare, platform.FormExtended, platform.FormReordered} {
+				s.pages.Build(&pg, &scr, s.p.Index().Sublists(q.Vertical, q.Country), &q, s.live)
+				for i, pl := range pg.Placements {
+					want := 0.1 * pl.Ref.Ad.Quality * pl.Relevance
+					if math.Float64bits(pg.CPs[i]) != math.Float64bits(want) {
+						t.Fatalf("%s/%s/%v position %d: ClickProbability %v, inline roll %v",
+							q.Vertical, q.Country, q.Form, pl.Position, pg.CPs[i], want)
+					}
+				}
+				placements += len(pg.Placements)
+				if q.Form == platform.FormBare && len(pg.Placements) > 0 && s.clicks.Load() == 0 {
+					phrase := s.gen.Universe(q.VerticalIdx).Keywords[q.KeywordID].Phrase
+					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET",
+						"/search?q="+url.QueryEscape(phrase)+"&country="+string(q.Country), nil))
+				}
+			}
+		}
+	}
+	if placements == 0 || s.clicks.Load() == 0 {
+		t.Fatalf("%d placements compared, %d clicks served: the check proves nothing", placements, s.clicks.Load())
+	}
+	t.Logf("%d placements compared; the first click came on served page %d", placements, s.served.Load())
 }

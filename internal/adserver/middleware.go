@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -100,10 +99,10 @@ func Deadline(d time.Duration) Middleware {
 	}
 }
 
-// InFlightGauge exposes the admission gate's live occupancy so the
-// cluster router's least-loaded policy reads real signal instead of
-// guessing: Load is the number of requests currently inside the gate,
-// Capacity the gate's bound. The zero value reads 0/0 (no gate).
+// InFlightGauge exposes the admission gate's live occupancy on /statz,
+// which the cluster router polls for its least-loaded policy: Load is
+// the number of requests currently inside the gate, Capacity the gate's
+// bound. The zero value reads 0/0 (no gate).
 type InFlightGauge struct {
 	cur atomic.Int64
 	cap int64
@@ -130,8 +129,7 @@ func (g *InFlightGauge) Capacity() int64 {
 // 429 + Retry-After instead of queueing unboundedly behind a slow
 // backend. retryAfter is the hint sent to clients (rounded up to whole
 // seconds for the header); onShed (optional) observes each rejection;
-// gauge (optional) tracks live occupancy for /statz and the X-Inflight
-// header.
+// gauge (optional) tracks live occupancy for /statz.
 func Admission(maxInFlight int, retryAfter time.Duration, onShed func(), gauge *InFlightGauge) Middleware {
 	slots := make(chan struct{}, maxInFlight)
 	if gauge != nil {
@@ -158,23 +156,13 @@ func Admission(maxInFlight int, retryAfter time.Duration, onShed func(), gauge *
 	}
 }
 
-// InstanceHeaders stamps every response with the serving instance's
-// identity and admission occupancy (X-Instance, X-Inflight, X-Capacity)
-// so a fronting router can attribute responses and feed its
-// least-loaded policy from live traffic without extra probe round
-// trips. Mounted outermost on /search: shed responses carry the
-// headers too.
-func InstanceHeaders(instance string, gauge *InFlightGauge) Middleware {
+// InstanceHeader stamps every response with the serving instance's
+// identity (X-Instance), so a client behind a router can attribute the
+// answer. Mounted outermost on /search: shed responses carry it too.
+func InstanceHeader(instance string) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			h := w.Header()
-			if instance != "" {
-				h.Set("X-Instance", instance)
-			}
-			if gauge != nil {
-				h.Set("X-Inflight", strconv.FormatInt(gauge.Load(), 10))
-				h.Set("X-Capacity", strconv.FormatInt(gauge.Capacity(), 10))
-			}
+			w.Header().Set("X-Instance", instance)
 			next.ServeHTTP(w, r)
 		})
 	}

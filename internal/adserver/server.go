@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/adcopy"
 	"repro/internal/auction"
+	"repro/internal/clicks"
 	"repro/internal/eventlog"
 	"repro/internal/market"
 	"repro/internal/platform"
@@ -40,34 +41,35 @@ import (
 	"repro/internal/verticals"
 )
 
-// kwRef locates one keyword in one vertical's universe.
-type kwRef struct {
-	verticalIdx int
-	vertical    verticals.Vertical
-	keywordID   int
-	cluster     int
-}
+// servingModel is the adserver's click model: every position is
+// examined, and an ad of quality q shown at relevance r is clicked with
+// probability 0.1·q·r. Moving to clicks.DefaultModel is a behavioural
+// change that regenerates the goldens.
+var servingModel = clicks.Model{MainlineBias: []float64{1}, SidebarBias: []float64{1}, BaseCTR: 0.1}
 
-// searchScratch is one request's reusable eligibility and auction storage.
+// searchScratch is one request's page and its build scratch.
 type searchScratch struct {
-	eligible []platform.BidRef
-	auction  auction.Scratch
+	page clicks.Page
+	scr  clicks.Scratch
 }
 
 // Server is the HTTP ad front end.
 type Server struct {
-	p    *platform.Platform
-	cfg  auction.Config
-	gen  *queries.Generator
-	mux  *http.ServeMux
-	seed uint64
-	live []bool    // p.LiveSet(), stamped once: the snapshot is frozen
-	scr  sync.Pool // *searchScratch
+	p     *platform.Platform
+	pages clicks.PageBuilder
+	gen   *queries.Generator
+	mux   *http.ServeMux
+	seed  uint64
+	live  []bool    // p.LiveSet(), stamped once: the snapshot is frozen
+	scr   sync.Pool // *searchScratch
 
-	// exact maps a canonical keyword phrase to its reference; tokens is
-	// an inverted token index for fuzzy resolution.
-	exact  map[string]kwRef
-	tokens map[string][]kwRef
+	// kws holds one query per keyword of every universe, form and
+	// country unset; exact maps a canonical keyword phrase to its index
+	// in kws, and tokens is an inverted token index into it for fuzzy
+	// resolution.
+	kws    []queries.Query
+	exact  map[string]int32
+	tokens map[string][]int32
 
 	// events, when non-nil, receives one impression record per served
 	// placement (see RecordEvents). Never on the error path: recording is
@@ -75,8 +77,7 @@ type Server struct {
 	events eventlog.Sink
 
 	// instance/inflight/cache are set by Handler from its Options; they
-	// feed /statz and the X-Instance / X-Inflight response headers the
-	// cluster router consumes.
+	// feed /statz, which the cluster router polls.
 	instance string
 	inflight *InFlightGauge
 	cache    *responseCache
@@ -94,19 +95,20 @@ type Server struct {
 func New(p *platform.Platform, gen *queries.Generator, cfg auction.Config, seed uint64) *Server {
 	s := &Server{
 		p:      p,
-		cfg:    cfg,
+		pages:  clicks.PageBuilder{Model: &servingModel, Auction: cfg, Platform: p},
 		gen:    gen,
 		seed:   seed,
 		live:   p.LiveSet(),
-		exact:  make(map[string]kwRef),
-		tokens: make(map[string][]kwRef),
+		exact:  make(map[string]int32),
+		tokens: make(map[string][]int32),
 	}
 	s.scr.New = func() interface{} { return &searchScratch{} }
 
 	for vi := range verticals.All() {
 		u := gen.Universe(vi)
 		for _, kw := range u.Keywords {
-			ref := kwRef{verticalIdx: vi, vertical: u.Vertical, keywordID: kw.ID, cluster: kw.Cluster}
+			ref := int32(len(s.kws))
+			s.kws = append(s.kws, queries.Query{VerticalIdx: vi, Vertical: u.Vertical, KeywordID: kw.ID, Cluster: kw.Cluster})
 			key := strings.Join(kw.Tokens, " ")
 			if _, dup := s.exact[key]; !dup {
 				s.exact[key] = ref
@@ -164,12 +166,12 @@ type Options struct {
 	// (seed, query, country); cached hits skip event recording (see
 	// cache.go). 0 disables.
 	CacheSize int
-	// Wrap, when non-nil, wraps each route's handler — the mount point
-	// for the fault-injection chaos layer in test builds. It is applied
-	// inside admission control and the deadline, so injected latency
-	// holds an in-flight slot and consumes the request budget, and
-	// injected panics unwind through the recovery middleware.
-	Wrap func(route string, h http.Handler) http.Handler
+	// Wrap, when non-nil, wraps the /search handler — the mount point
+	// for the fault-injection chaos layer (faultinject.Injector.HTTP).
+	// It is applied inside admission control and the deadline, so
+	// injected latency holds an in-flight slot and consumes the request
+	// budget, and injected panics unwind through the recovery middleware.
+	Wrap Middleware
 }
 
 // DefaultOptions is the production stack configuration.
@@ -181,10 +183,6 @@ func DefaultOptions() Options {
 // routes. Health and readiness probes bypass admission control and
 // deadlines so they stay accurate under overload.
 func (s *Server) Handler(opts Options) http.Handler {
-	wrap := opts.Wrap
-	if wrap == nil {
-		wrap = func(_ string, h http.Handler) http.Handler { return h }
-	}
 	retryAfter := opts.RetryAfter
 	if retryAfter <= 0 {
 		retryAfter = time.Second
@@ -192,12 +190,12 @@ func (s *Server) Handler(opts Options) http.Handler {
 
 	s.instance = opts.InstanceID
 	var searchMW []Middleware
+	if opts.InstanceID != "" {
+		searchMW = append(searchMW, InstanceHeader(opts.InstanceID))
+	}
 	if opts.MaxInFlight > 0 {
 		s.inflight = &InFlightGauge{}
-		searchMW = append(searchMW, InstanceHeaders(opts.InstanceID, s.inflight))
 		searchMW = append(searchMW, Admission(opts.MaxInFlight, retryAfter, func() { s.shed.Add(1) }, s.inflight))
-	} else if opts.InstanceID != "" {
-		searchMW = append(searchMW, InstanceHeaders(opts.InstanceID, nil))
 	}
 	if opts.CacheSize > 0 {
 		// Inside admission, outside the deadline and the fault-injection
@@ -209,10 +207,13 @@ func (s *Server) Handler(opts Options) http.Handler {
 	if opts.RequestTimeout > 0 {
 		searchMW = append(searchMW, Deadline(opts.RequestTimeout))
 	}
+	if opts.Wrap != nil {
+		searchMW = append(searchMW, opts.Wrap)
+	}
 
 	m := http.NewServeMux()
-	m.Handle("/search", Chain(wrap("/search", http.HandlerFunc(s.handleSearch)), searchMW...))
-	m.Handle("/stats", wrap("/stats", http.HandlerFunc(s.handleStats)))
+	m.Handle("/search", Chain(http.HandlerFunc(s.handleSearch), searchMW...))
+	m.HandleFunc("/stats", s.handleStats)
 	m.HandleFunc("/healthz", s.handleHealth)
 	m.HandleFunc("/readyz", s.handleReady)
 	m.HandleFunc("/statz", s.handleStatz)
@@ -220,11 +221,12 @@ func (s *Server) Handler(opts Options) http.Handler {
 	return Chain(m, RequestID(), Recover(func(interface{}) { s.panics.Add(1) }))
 }
 
-// Resolve maps free query text to a keyword reference and the query form
+// Resolve maps free query text to a query on one keyword with its form
 // (bare / extended / reordered), mirroring the matcher's normalization.
-func (s *Server) Resolve(q string) (kwRef, platform.QueryForm, bool) {
-	ref, form, ok, _ := s.resolve(context.Background(), q)
-	return ref, form, ok
+// The country is left unset: it comes with the request, not the text.
+func (s *Server) Resolve(text string) (queries.Query, bool) {
+	q, ok, _ := s.resolve(context.Background(), text)
+	return q, ok
 }
 
 // resolveCheckEvery bounds how many candidate comparisons run between
@@ -233,28 +235,31 @@ const resolveCheckEvery = 256
 
 // resolve is Resolve with a context: long fuzzy scans check the request
 // deadline every resolveCheckEvery candidates and abort with ctx.Err().
-func (s *Server) resolve(ctx context.Context, q string) (kwRef, platform.QueryForm, bool, error) {
-	toks := adcopy.Tokenize(q)
+func (s *Server) resolve(ctx context.Context, text string) (queries.Query, bool, error) {
+	toks := adcopy.Tokenize(text)
 	if len(toks) == 0 {
-		return kwRef{}, 0, false, nil
+		return queries.Query{}, false, nil
 	}
 	key := strings.Join(toks, " ")
 	if ref, ok := s.exact[key]; ok {
-		return ref, platform.FormBare, true, nil
+		q := s.kws[ref]
+		q.Form = platform.FormBare
+		return q, true, nil
 	}
 	// Extended: some keyword's token sequence appears in order within the
 	// query. Try candidates sharing the rarest token.
-	best, bestLen := kwRef{}, 0
+	best, bestLen := int32(0), 0
 	form := platform.FormReordered
 	scanned := 0
 	for _, t := range toks {
 		for _, ref := range s.tokens[t] {
 			if scanned++; scanned%resolveCheckEvery == 0 {
 				if err := ctx.Err(); err != nil {
-					return kwRef{}, 0, false, err
+					return queries.Query{}, false, err
 				}
 			}
-			ktoks := s.gen.Universe(ref.verticalIdx).Keywords[ref.keywordID].Tokens
+			kq := &s.kws[ref]
+			ktoks := s.gen.Universe(kq.VerticalIdx).Keywords[kq.KeywordID].Tokens
 			if len(ktoks) <= bestLen {
 				continue
 			}
@@ -265,10 +270,12 @@ func (s *Server) resolve(ctx context.Context, q string) (kwRef, platform.QueryFo
 			}
 		}
 	}
-	if bestLen > 0 {
-		return best, form, true, nil
+	if bestLen == 0 {
+		return queries.Query{}, false, nil
 	}
-	return kwRef{}, 0, false, nil
+	q := s.kws[best]
+	q.Form = form
+	return q, true, nil
 }
 
 // containsInOrder reports whether needle appears as a contiguous
@@ -351,8 +358,8 @@ func (s *Server) clickRNG(q string, country market.Country) *stats.RNG {
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	params := r.URL.Query()
-	q := params.Get("q")
-	if q == "" {
+	text := params.Get("q")
+	if text == "" {
 		writeError(w, r, http.StatusBadRequest, "missing_query", "missing q parameter", 0)
 		return
 	}
@@ -360,40 +367,42 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if country == "" {
 		country = market.US
 	}
-	ref, form, ok, err := s.resolve(ctx, q)
+	q, ok, err := s.resolve(ctx, text)
 	if err != nil {
 		s.writeTimeout(w, r, "resolve")
 		return
 	}
 	if !ok {
 		s.noMatch.Add(1)
-		writeJSON(w, SearchResponse{Query: q, Country: string(country)})
+		writeJSON(w, SearchResponse{Query: text, Country: string(country)})
 		return
 	}
 	if ctx.Err() != nil {
 		s.writeTimeout(w, r, "admission")
 		return
 	}
+	// CountryIdx keys the sim's page cache only; the builder never reads
+	// it, and a request's country need not be one the sim samples.
+	q.Country = country
 	scr := s.scr.Get().(*searchScratch)
-	scr.eligible = s.p.Index().Sublists(ref.vertical, country).
-		EligibleAppendLive(scr.eligible[:0], ref.keywordID, ref.cluster, form, s.live)
-	res := auction.RunInto(s.cfg, scr.eligible, form, &scr.auction)
+	pg := &scr.page
+	s.pages.Build(pg, &scr.scr, s.p.Index().Sublists(q.Vertical, country), &q, s.live)
 	if ctx.Err() != nil {
 		s.scr.Put(scr)
 		s.writeTimeout(w, r, "auction")
 		return
 	}
 
-	rng := s.clickRNG(q, country)
+	rng := s.clickRNG(text, country)
 	resp := SearchResponse{
-		Query:    q,
-		Vertical: string(ref.vertical),
-		Keyword:  s.gen.Universe(ref.verticalIdx).Keywords[ref.keywordID].Phrase,
-		Form:     form.String(),
+		Query:    text,
+		Vertical: string(q.Vertical),
+		Keyword:  s.gen.Universe(q.VerticalIdx).Keywords[q.KeywordID].Phrase,
+		Form:     q.Form.String(),
 		Country:  string(country),
 	}
-	for _, pl := range res.Placements {
-		clicked := rng.Bool(0.1 * pl.Ref.Ad.Quality * pl.Relevance)
+	for i, pl := range pg.Placements {
+		clicked := rng.Bool(pg.CPs[i])
 		if clicked {
 			s.clicks.Add(1)
 		}
@@ -413,7 +422,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			s.events.Append(eventlog.Event{
 				Type:     eventlog.TypeImpression,
 				Account:  int32(pl.Ref.Ad.Account),
-				Vertical: int32(ref.verticalIdx),
+				Vertical: int32(q.VerticalIdx),
 				Country:  string(country),
 				Position: int32(pl.Position),
 				Match:    uint8(pl.Ref.Bid.Match),

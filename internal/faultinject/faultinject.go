@@ -1,15 +1,15 @@
 // Package faultinject is a seeded, deterministic chaos layer for HTTP
-// serving paths. An Injector wraps route handlers and, per request,
-// rolls injected latency, errors, and panics from a stream that is a
-// pure function of (injector seed, route, arrival index) — the i-th
-// request to a route always meets the same fate for a given seed, so a
-// sequential chaos test is exactly reproducible and a concurrent one
-// sees a fixed multiset of fates regardless of goroutine interleaving.
-//
-// The adserver mounts an Injector through Options.Wrap in test builds;
-// the chaos suite in internal/adserver uses it to prove the resilience
-// stack's guarantees (shed = 429 not timeout, panics never kill the
-// process, shutdown drains in-flight requests).
+// serving paths, event-log writers, checkpoints and supervised worker
+// processes. On the HTTP side one fault profile, Faults, is mounted by
+// name: on an adserver's /search (adserver Options.Wrap) for the
+// adserver chaos suite, and on each cluster member for the router chaos
+// suite and loadgen scenarios. Per request it rolls injected latency, an
+// outage window, panics, dropped connections and error replies from a
+// stream that is a pure function of (injector seed, name, arrival
+// index) — the i-th request under a name always meets the same fate for
+// a given seed, so a sequential chaos test is exactly reproducible and
+// a concurrent one sees a fixed multiset of fates regardless of
+// goroutine interleaving.
 package faultinject
 
 import (
@@ -26,9 +26,10 @@ import (
 	"repro/internal/stats"
 )
 
-// Faults configures what the injector may do to one route's requests.
-// Rolls are drawn in a fixed order — latency jitter, then panic, then
-// error — so adding a later fault class never perturbs earlier ones.
+// Faults configures how one named HTTP handler misbehaves. Rolls are
+// drawn in a fixed order — latency jitter, outage window, panic, drop,
+// error — and a class draws only when it is configured, so adding a
+// later fault class never perturbs earlier ones.
 type Faults struct {
 	// Latency is added to every request before the handler runs; the
 	// sleep respects the request context, so a deadline can cut it
@@ -36,61 +37,64 @@ type Faults struct {
 	Latency time.Duration
 	// LatencyJitter adds a uniform [0, J) draw on top of Latency.
 	LatencyJitter time.Duration
+	// FailFrom/FailUntil define a deterministic outage window by arrival
+	// index (1-based, inclusive/exclusive): requests n with
+	// FailFrom <= n < FailUntil all fail — with ErrorStatus, or by
+	// connection drop when DropOutage is set. The window is the router's
+	// ejection trigger: enough consecutive failures eject the member,
+	// and once arrivals pass FailUntil, re-admission probes find it
+	// healthy again. Zero FailFrom disables the window.
+	FailFrom, FailUntil uint64
+	// DropOutage makes the outage window sever connections instead of
+	// writing ErrorStatus.
+	DropOutage bool
 	// PanicRate is the probability the wrapped handler panics instead
 	// of running.
 	PanicRate float64
+	// DropRate is the probability a request's connection is severed
+	// without a response (aborts via http.ErrAbortHandler), which a
+	// router observes as a transport error.
+	DropRate float64
 	// ErrorRate is the probability the injector replies with ErrorStatus
 	// instead of running the handler.
 	ErrorRate float64
-	// ErrorStatus defaults to 500.
+	// ErrorStatus defaults to 503 — the shape of a member whose own
+	// dependency is down, and the status the router retries elsewhere.
 	ErrorStatus int
 }
 
-// routeState carries one route's config plus its arrival counter and
+// httpState carries one name's profile plus its arrival counter and
 // fate tallies.
-type routeState struct {
+type httpState struct {
 	cfg     Faults
 	arrived atomic.Uint64
 	errors  atomic.Uint64
 	panics  atomic.Uint64
+	drops   atomic.Uint64
 	delayed atomic.Uint64
 }
 
 // Injector derives per-request fault decisions from a fixed seed.
-// Configure routes before serving; Wrap and the returned handlers are
-// safe for concurrent use.
+// Profiles, writers and the middleware it returns are safe for
+// concurrent use.
 type Injector struct {
 	seed uint64
 
 	mu       sync.Mutex
-	routes   map[string]*routeState
+	handlers map[string]*httpState
 	writers  map[string]*writerState
-	backends map[string]*backendState
 }
 
 // New returns an injector whose every decision derives from seed.
 func New(seed uint64) *Injector {
 	return &Injector{
 		seed:     seed,
-		routes:   make(map[string]*routeState),
+		handlers: make(map[string]*httpState),
 		writers:  make(map[string]*writerState),
-		backends: make(map[string]*backendState),
 	}
 }
 
-// Route sets the fault profile for a route and returns the injector for
-// chaining. Routes without a profile pass through untouched.
-func (in *Injector) Route(route string, f Faults) *Injector {
-	if f.ErrorStatus == 0 {
-		f.ErrorStatus = http.StatusInternalServerError
-	}
-	in.mu.Lock()
-	in.routes[route] = &routeState{cfg: f}
-	in.mu.Unlock()
-	return in
-}
-
-// fnv64 hashes a route name into the decision stream seed.
+// fnv64 hashes a name into the decision stream seed.
 func fnv64(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
@@ -100,44 +104,92 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// Wrap returns h wrapped with the route's fault profile, or h unchanged
-// when the route has none. Its signature matches adserver
-// Options.Wrap.
-func (in *Injector) Wrap(route string, h http.Handler) http.Handler {
+// HTTP returns a middleware applying the fault profile f under name;
+// its type matches adserver.Middleware. Registering the same name again
+// resets its counters.
+func (in *Injector) HTTP(name string, f Faults) func(http.Handler) http.Handler {
+	if f.ErrorStatus == 0 {
+		f.ErrorStatus = http.StatusServiceUnavailable
+	}
+	st := &httpState{cfg: f}
 	in.mu.Lock()
-	st := in.routes[route]
+	in.handlers[name] = st
+	in.mu.Unlock()
+	nameHash := fnv64(name)
+	return func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			n := st.arrived.Add(1)
+			// splitmix-style spread of the arrival index keeps consecutive
+			// requests' streams uncorrelated.
+			rng := stats.NewRNG(in.seed ^ nameHash ^ (n * 0x9e3779b97f4a7c15))
+
+			f := &st.cfg
+			if d := f.Latency + jitter(f.LatencyJitter, rng); d > 0 {
+				st.delayed.Add(1)
+				sleepCtx(r.Context(), d)
+			}
+			if f.FailFrom > 0 && n >= f.FailFrom && n < f.FailUntil {
+				if f.DropOutage {
+					st.drops.Add(1)
+					panic(http.ErrAbortHandler)
+				}
+				st.errors.Add(1)
+				writeInjected(w, f.ErrorStatus, name, n)
+				return
+			}
+			if f.PanicRate > 0 && rng.Float64() < f.PanicRate {
+				st.panics.Add(1)
+				panic(fmt.Sprintf("faultinject: injected panic (name=%s n=%d seed=%d)", name, n, in.seed))
+			}
+			if f.DropRate > 0 && rng.Float64() < f.DropRate {
+				st.drops.Add(1)
+				panic(http.ErrAbortHandler)
+			}
+			if f.ErrorRate > 0 && rng.Float64() < f.ErrorRate {
+				st.errors.Add(1)
+				writeInjected(w, f.ErrorStatus, name, n)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+}
+
+// writeInjected emits the injected error reply.
+func writeInjected(w http.ResponseWriter, status int, name string, n uint64) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(map[string]string{
+		"error": fmt.Sprintf("injected fault (name=%s n=%d)", name, n),
+		"code":  "fault_injected",
+	})
+}
+
+// Stats reports one name's arrival and fate counters.
+type Stats struct {
+	Requests       uint64
+	Delayed        uint64
+	InjectedErrors uint64
+	InjectedPanics uint64
+	DroppedConns   uint64
+}
+
+// Stats returns the counters for a name (zero-valued for unknown
+// names).
+func (in *Injector) Stats(name string) Stats {
+	in.mu.Lock()
+	st := in.handlers[name]
 	in.mu.Unlock()
 	if st == nil {
-		return h
+		return Stats{}
 	}
-	routeHash := fnv64(route)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := st.arrived.Add(1)
-		// splitmix-style spread of the arrival index keeps consecutive
-		// requests' streams uncorrelated.
-		rng := stats.NewRNG(in.seed ^ routeHash ^ (n * 0x9e3779b97f4a7c15))
-
-		f := st.cfg
-		if d := f.Latency + jitter(f.LatencyJitter, rng); d > 0 {
-			st.delayed.Add(1)
-			sleepCtx(r.Context(), d)
-		}
-		if f.PanicRate > 0 && rng.Float64() < f.PanicRate {
-			st.panics.Add(1)
-			panic(fmt.Sprintf("faultinject: injected panic (route=%s n=%d seed=%d)", route, n, in.seed))
-		}
-		if f.ErrorRate > 0 && rng.Float64() < f.ErrorRate {
-			st.errors.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(f.ErrorStatus)
-			_ = json.NewEncoder(w).Encode(map[string]string{
-				"error": "injected fault",
-				"code":  "fault_injected",
-			})
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
+	return Stats{
+		Requests:       st.arrived.Load(),
+		Delayed:        st.delayed.Load(),
+		InjectedErrors: st.errors.Load(),
+		InjectedPanics: st.panics.Load(),
+		DroppedConns:   st.drops.Load(),
+	}
 }
 
 // jitter draws a uniform [0, j) duration; zero j draws nothing (and
@@ -193,7 +245,7 @@ type writerState struct {
 	failed atomic.Uint64
 }
 
-// Writer wraps w with a seeded write-failure profile. Like Wrap, the
+// Writer wraps w with a seeded write-failure profile. Like HTTP, the
 // i-th Write's fate is a pure function of (injector seed, name, i), so
 // a failing-sink chaos test is exactly reproducible. The returned
 // writer is safe for concurrent use iff w is.
@@ -254,29 +306,4 @@ func (in *Injector) WriterStats(name string) WriterStats {
 		return WriterStats{}
 	}
 	return WriterStats{Writes: st.writes.Load(), Failed: st.failed.Load()}
-}
-
-// RouteStats reports one route's arrival and fate counters.
-type RouteStats struct {
-	Requests       uint64
-	InjectedErrors uint64
-	InjectedPanics uint64
-	Delayed        uint64
-}
-
-// Stats returns the counters for a route (zero-valued for unknown
-// routes).
-func (in *Injector) Stats(route string) RouteStats {
-	in.mu.Lock()
-	st := in.routes[route]
-	in.mu.Unlock()
-	if st == nil {
-		return RouteStats{}
-	}
-	return RouteStats{
-		Requests:       st.arrived.Load(),
-		InjectedErrors: st.errors.Load(),
-		InjectedPanics: st.panics.Load(),
-		Delayed:        st.delayed.Load(),
-	}
 }

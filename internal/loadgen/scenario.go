@@ -91,7 +91,8 @@ func (a ArrivalSpec) Process() (Arrival, error) {
 	return nil, fmt.Errorf("loadgen: unknown arrival kind %q", a.Kind)
 }
 
-// FaultSpec applies a faultinject.BackendFaults profile to one instance.
+// FaultSpec applies a faultinject.Faults profile to one instance's
+// /search.
 type FaultSpec struct {
 	Backend    int     `json:"backend"` // instance index
 	LatencyMS  int     `json:"latency_ms,omitempty"`
@@ -266,7 +267,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 			CacheSize:      spec.CacheSize,
 		}
 		if f, ok := faultsByBackend[i]; ok {
-			mw := inj.Backend(name, faultinject.BackendFaults{
+			opts.Wrap = inj.HTTP(name, faultinject.Faults{
 				Latency:       time.Duration(f.LatencyMS) * time.Millisecond,
 				LatencyJitter: time.Duration(f.JitterMS) * time.Millisecond,
 				ErrorRate:     f.ErrorRate,
@@ -276,12 +277,6 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 				FailUntil:     f.FailUntil,
 				DropOutage:    f.DropOutage,
 			})
-			opts.Wrap = func(route string, h http.Handler) http.Handler {
-				if route == "/search" {
-					return mw(h)
-				}
-				return h
-			}
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -359,7 +354,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 	for i, in := range instances {
 		out.Backends = append(out.Backends, statzOf(in.srv))
 		if _, ok := faultsByBackend[i]; ok {
-			bs := inj.BackendStats(in.name)
+			bs := inj.Stats(in.name)
 			out.Injected = append(out.Injected, InjectedBackends{
 				Backend: i, Errors: bs.InjectedErrors, Drops: bs.DroppedConns, Delayed: bs.Delayed,
 			})

@@ -35,8 +35,7 @@ func newStubTransport(body []byte) *stubTransport {
 	st := &stubTransport{header: http.Header{
 		"Content-Type":   {"application/json"},
 		"Content-Length": {strconv.Itoa(len(body))},
-		"X-Inflight":     {"0"},
-		"X-Capacity":     {"256"},
+		"X-Instance":     {"i0"},
 	}}
 	st.body.r.Reset(body)
 	return st

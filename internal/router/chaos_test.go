@@ -44,7 +44,7 @@ func fakeAdserver(t *testing.T, mw func(http.Handler) http.Handler) *httptest.Se
 func TestChaosRouterMasksBackendOutage(t *testing.T) {
 	inj := faultinject.New(99)
 	// Member 0 fails its first 12 /search arrivals with 503s.
-	mw := inj.Backend("i0", faultinject.BackendFaults{FailFrom: 1, FailUntil: 13})
+	mw := inj.HTTP("i0", faultinject.Faults{FailFrom: 1, FailUntil: 13})
 	bad := fakeAdserver(t, mw)
 	good := fakeAdserver(t, nil)
 
@@ -85,10 +85,10 @@ func TestChaosRouterMasksBackendOutage(t *testing.T) {
 	// layer's own arrival counter tells us when the window is spent:
 	// arrival 13 is the first one past FailUntil, and it succeeds.
 	deadline := time.Now().Add(10 * time.Second)
-	for inj.BackendStats("i0").Requests < 13 {
+	for inj.Stats("i0").Requests < 13 {
 		if time.Now().After(deadline) {
 			t.Fatalf("outage never drained (arrivals=%d, state=%v, ejections=%d, readmits=%d)",
-				inj.BackendStats("i0").Requests, faulty.State(),
+				inj.Stats("i0").Requests, faulty.State(),
 				faulty.ejections.Load(), faulty.readmits.Load())
 		}
 		resp := doGet(t, rt, "/search?q=x")
@@ -139,7 +139,7 @@ func TestChaosRouterMasksBackendOutage(t *testing.T) {
 // instead of clean 503s.
 func TestChaosRouterMasksConnectionDrops(t *testing.T) {
 	inj := faultinject.New(7)
-	mw := inj.Backend("i0", faultinject.BackendFaults{FailFrom: 1, FailUntil: 9, DropOutage: true})
+	mw := inj.HTTP("i0", faultinject.Faults{FailFrom: 1, FailUntil: 9, DropOutage: true})
 	bad := fakeAdserver(t, mw)
 	good := fakeAdserver(t, nil)
 
@@ -168,7 +168,7 @@ func TestChaosRouterMasksConnectionDrops(t *testing.T) {
 	if faulty.ejections.Load() == 0 {
 		t.Fatal("dropping member was never ejected")
 	}
-	if got := inj.BackendStats("i0").DroppedConns; got == 0 {
+	if got := inj.Stats("i0").DroppedConns; got == 0 {
 		t.Fatalf("fault layer recorded no drops (got %d)", got)
 	}
 }

@@ -98,10 +98,9 @@ func (h *healthLoop) probeReady(ctx context.Context, b *Backend) {
 	b.nextProbe.Store(time.Now().Add(b.backoff.Next()).UnixNano())
 }
 
-// statzBody mirrors the adserver /statz reply fields the router reads.
+// statzBody mirrors the adserver /statz reply field the router reads.
 type statzBody struct {
 	InFlight int64 `json:"inflight"`
-	Capacity int64 `json:"capacity"`
 }
 
 // refreshStatz pulls an active member's admission gauge. Probe failures
@@ -115,7 +114,6 @@ func (h *healthLoop) refreshStatz(ctx context.Context, b *Backend) {
 		return
 	}
 	b.reported.Store(body.InFlight)
-	b.capacity.Store(body.Capacity)
 }
 
 // get issues one probe GET, decoding JSON into out when non-nil.

@@ -65,8 +65,7 @@ type Backend struct {
 	xBackend []string
 
 	inflight  atomic.Int64  // requests this router currently has open to it
-	reported  atomic.Int64  // in-flight count the backend last reported (statz/header)
-	capacity  atomic.Int64  // admission capacity the backend last reported
+	reported  atomic.Int64  // in-flight count the backend's /statz last reported
 	served    atomic.Uint64 // successful proxied responses
 	errors    atomic.Uint64 // transport errors + 5xx from this backend
 	consec    atomic.Int64  // consecutive errors; reset on any success
@@ -83,8 +82,8 @@ type Backend struct {
 func (b *Backend) State() State { return State(b.state.Load()) }
 
 // load is the least-loaded signal: the larger of the router-local gauge
-// and the backend's self-reported in-flight count (the local gauge
-// misses traffic from other routers; the report lags ours).
+// and the in-flight count the backend's /statz last reported (the local
+// gauge misses traffic from other routers; the poll lags ours).
 func (b *Backend) load() int64 {
 	l, r := b.inflight.Load(), b.reported.Load()
 	if r > l {
@@ -331,7 +330,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			b.noteError(rt)
 			continue // connection error: try elsewhere
 		}
-		rt.noteReport(b, resp)
 		switch {
 		case resp.StatusCode == http.StatusTooManyRequests:
 			// Admission shed: honor Retry-After for this backend only.
@@ -433,14 +431,11 @@ func writeResponse(w http.ResponseWriter, resp *http.Response, b *Backend, buf [
 
 // relayed reports whether a backend response header goes on to the
 // client. The hop-by-hop headers (RFC 9110 §7.6.1) describe the
-// router's connection to the member, not the client's; X-Inflight and
-// X-Capacity are the member's admission report, addressed to the router
-// (noteReport). Dropping the last two also keeps an adserver reply's
-// header set within the eight entries a Go map holds before it grows.
+// router's connection to the member, not the client's.
 func relayed(k string) bool {
 	switch k {
 	case "Connection", "Keep-Alive", "Proxy-Connection", "Te", "Trailer",
-		"Transfer-Encoding", "Upgrade", "X-Inflight", "X-Capacity":
+		"Transfer-Encoding", "Upgrade":
 		return false
 	}
 	return true
@@ -481,22 +476,6 @@ func (rt *Router) dropOrKeep(last **http.Response, resp *http.Response) {
 func discard(resp *http.Response) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-}
-
-// noteReport refreshes the backend's self-reported admission signal
-// from response headers (the adserver stamps X-Inflight/X-Capacity on
-// served responses).
-func (rt *Router) noteReport(b *Backend, resp *http.Response) {
-	if v := resp.Header.Get("X-Inflight"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			b.reported.Store(n)
-		}
-	}
-	if v := resp.Header.Get("X-Capacity"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			b.capacity.Store(n)
-		}
-	}
 }
 
 // noteError bumps the backend's error counters and ejects it once the

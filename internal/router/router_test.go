@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -227,18 +228,24 @@ func TestNoEligibleBackend503(t *testing.T) {
 	}
 }
 
-// TestNoteReportReadsAdmissionHeaders: served responses refresh the
-// member's self-reported load signal.
-func TestNoteReportReadsAdmissionHeaders(t *testing.T) {
-	a := statusBackend(t, http.StatusOK, map[string]string{"X-Inflight": "7", "X-Capacity": "64"})
-	rt, err := New(Options{Seed: 1}, a.URL)
+// TestStatzPollReadsAdmissionGauge: one health tick refreshes an active
+// member's reported load from its /statz, the only load report the
+// router reads; a failed poll counts toward ejection.
+func TestStatzPollReadsAdmissionGauge(t *testing.T) {
+	a := okBackend(t, `{"instance":"i0","inflight":7,"capacity":64}`)
+	dead := deadAddr(t)
+	rt, err := New(Options{Seed: 1}, a.URL, dead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doGet(t, rt, "/search?q=x")
-	b := rt.Backends()[0]
-	if b.reported.Load() != 7 || b.capacity.Load() != 64 {
-		t.Fatalf("reported=%d capacity=%d, want 7/64", b.reported.Load(), b.capacity.Load())
+	defer rt.Close()
+	(&healthLoop{rt: rt}).tick(context.Background())
+	bs := rt.Backends()
+	if r := bs[0].reported.Load(); r != 7 {
+		t.Fatalf("reported = %d, want 7", r)
+	}
+	if c := bs[1].consec.Load(); c != 1 {
+		t.Fatalf("failed poll: consecutive errors = %d, want 1", c)
 	}
 }
 
@@ -266,9 +273,9 @@ func TestAddRemoveBackend(t *testing.T) {
 }
 
 // TestRelayEndToEnd drives a real client through the router: the body
-// arrives byte for byte with the member's Content-Length, the member's
-// admission report and hop-by-hop headers stay with the router, and a
-// redirect is relayed rather than followed.
+// arrives byte for byte with the member's Content-Length, hop-by-hop
+// headers stay with the router, and a redirect is relayed rather than
+// followed.
 func TestRelayEndToEnd(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/old" {
@@ -277,8 +284,6 @@ func TestRelayEndToEnd(t *testing.T) {
 		}
 		h := w.Header()
 		h.Set("Content-Type", "application/json")
-		h.Set("X-Inflight", "3")
-		h.Set("X-Capacity", "8")
 		h.Set("Keep-Alive", "timeout=5")
 		h.Set("X-Query", r.URL.RawQuery)
 		w.Write(searchBody)
@@ -325,16 +330,11 @@ func TestRelayEndToEnd(t *testing.T) {
 	if got := resp.Header.Get("X-Query"); got != "q=free+download&country=US" {
 		t.Fatalf("member saw query %q", got)
 	}
-	for _, k := range []string{"X-Inflight", "X-Capacity", "Keep-Alive"} {
-		if v := resp.Header.Get(k); v != "" {
-			t.Fatalf("%s relayed to the client: %q", k, v)
-		}
+	if v := resp.Header.Get("Keep-Alive"); v != "" {
+		t.Fatalf("Keep-Alive relayed to the client: %q", v)
 	}
 	if resp.Header.Get("X-Backend") != rt.Backends()[0].Name {
 		t.Fatalf("X-Backend = %q", resp.Header.Get("X-Backend"))
-	}
-	if r := rt.Backends()[0].reported.Load(); r != 3 {
-		t.Fatalf("admission report not read: %d", r)
 	}
 
 	resp, err = client.Get(front.URL + "/old")

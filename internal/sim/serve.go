@@ -16,9 +16,10 @@ package sim
 //	   (queryDraw in dayloop.go), else draw them now, sequentially — one
 //	   RNG stream either way;
 //	B. shard the query indices into contiguous blocks, one per worker;
-//	   each worker resolves eligibility + auction for its block against
-//	   the frozen index — through a per-worker, epoch-invalidated page
-//	   cache — and records each query's click-RNG draw count;
+//	   each worker builds its block's pages (clicks.PageBuilder:
+//	   eligibility, auction, click probabilities) against the frozen
+//	   index — through a per-worker, epoch-invalidated page cache — and
+//	   records each query's click-RNG draw count;
 //	C. derive each query's click-RNG substream sequentially from the
 //	   master click stream (stats.SubStreams), which advances the master
 //	   by the day's total draw count;
@@ -39,7 +40,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/auction"
+	"repro/internal/clicks"
 	"repro/internal/dataset"
 	"repro/internal/eventlog"
 	"repro/internal/market"
@@ -97,41 +98,27 @@ func checkPageKeyWidths(keywords, verticals, countries int) error {
 	return nil
 }
 
-// page is one cached auction outcome: the placements, each placement's
-// click probability, the owning account (the fraud-presence loops read
-// the flag straight off the pointer), and how many click-RNG draws
-// rolling the page consumes (one per probability strictly inside (0,1) —
-// exactly what clicks.Model.SimulateInto would draw).
-type page struct {
-	placements []auction.Placement
-	cps        []float64
-	accts      []*platform.Account
-	draws      int32
-}
-
-// pagePool recycles page structs and their backing slices across epochs:
-// pages live exactly as long as the cache that holds them, so when the
-// cache is invalidated the pool rewinds and the next day's misses reuse
-// the same storage instead of reallocating three slices per page.
+// pagePool recycles clicks.Page structs and their backing slices across
+// epochs: pages live exactly as long as the cache that holds them, so
+// when the cache is invalidated the pool rewinds and the next day's
+// misses reuse the same storage instead of reallocating three slices
+// per page.
 type pagePool struct {
-	chunks [][]page
+	chunks [][]clicks.Page
 	used   int
 }
 
 const pageChunk = 512
 
-func (pp *pagePool) get() *page {
+// get hands out the next page slot; clicks.PageBuilder.Build overwrites
+// whatever it held.
+func (pp *pagePool) get() *clicks.Page {
 	ci, pi := pp.used/pageChunk, pp.used%pageChunk
 	if ci == len(pp.chunks) {
-		pp.chunks = append(pp.chunks, make([]page, pageChunk))
+		pp.chunks = append(pp.chunks, make([]clicks.Page, pageChunk))
 	}
 	pp.used++
-	pg := &pp.chunks[ci][pi]
-	pg.placements = pg.placements[:0]
-	pg.cps = pg.cps[:0]
-	pg.accts = pg.accts[:0]
-	pg.draws = 0
-	return pg
+	return &pp.chunks[ci][pi]
 }
 
 // reset rewinds the pool; only safe when every page handed out is dead
@@ -147,7 +134,7 @@ const maxPageEntries = 1 << 15
 // count, which is never cached: compromises flip account fraud flags
 // without touching the index, so fraud presence is recomputed live.
 type servePage struct {
-	pg         *page
+	pg         *clicks.Page
 	fraudShown int32
 }
 
@@ -161,7 +148,7 @@ type subEntry struct {
 // shard is one worker's private serving state.
 type shard struct {
 	// Page cache, valid for one index epoch.
-	cache    map[pageKey]*page
+	cache    map[pageKey]*clicks.Page
 	epoch    uint64
 	hasEpoch bool
 	pool     pagePool
@@ -172,9 +159,8 @@ type shard struct {
 	// by vertical index; inner lists hold a handful of countries.
 	subs [][]subEntry
 
-	// Scratch reused across queries.
-	eligBuf []platform.BidRef
-	scr     auction.Scratch
+	// Eligibility and auction scratch reused across queries.
+	scr clicks.Scratch
 
 	// Per-day staging, folded at the day barrier.
 	acc    dataset.ShardAccumulator
@@ -183,10 +169,12 @@ type shard struct {
 	pages  []servePage
 }
 
-// serveEngine owns the worker shards and the per-day substream tables;
-// queries is the day's stream, which the Sim owns (queryDraw).
+// serveEngine owns the worker shards, the page builder they share and
+// the per-day substream tables; queries is the day's stream, which the
+// Sim owns (queryDraw).
 type serveEngine struct {
 	shards []*shard
+	pages  clicks.PageBuilder
 
 	queries []queries.Query
 	draws   []int32
@@ -222,7 +210,7 @@ func fanOut(w, n int, fn func(k, lo, hi int)) {
 // or on first use.
 func (sh *shard) ensureEpoch(epoch uint64) {
 	if sh.cache == nil {
-		sh.cache = make(map[pageKey]*page, 1024)
+		sh.cache = make(map[pageKey]*clicks.Page, 1024)
 	}
 	if sh.subs == nil {
 		sh.subs = make([][]subEntry, len(verticals.All()))
@@ -252,33 +240,18 @@ func (sh *shard) sublists(s *Sim, q *queries.Query) platform.Sublists {
 	return sl
 }
 
-// page resolves a query's eligibility and auction through the cache.
-// Hot Zipf-head queries repeat heavily within a day while the index is
-// frozen, so the hit path skips both the posting-list walk and the
+// page resolves a query's page through the cache, building misses with
+// the engine's page builder. Hot Zipf-head queries repeat heavily within a day while the index
+// is frozen, so the hit path skips both the posting-list walk and the
 // auction. Empty outcomes are cached too. live is the day's stamped
 // account-liveness bitmap (platform.LiveSet).
-func (sh *shard) page(s *Sim, q *queries.Query, live []bool) *page {
+func (sh *shard) page(s *Sim, q *queries.Query, live []bool) *clicks.Page {
 	key := makePageKey(q)
 	if pg, ok := sh.cache[key]; ok {
 		return pg
 	}
 	pg := sh.pool.get()
-	sh.eligBuf = sh.sublists(s, q).EligibleAppendLive(sh.eligBuf[:0], q.KeywordID, q.Cluster, q.Form, live)
-	if len(sh.eligBuf) > 0 {
-		res := auction.RunInto(s.cfg.Auction, sh.eligBuf, q.Form, &sh.scr)
-		if len(res.Placements) > 0 {
-			pg.placements = append(pg.placements, res.Placements...)
-			for i := range pg.placements {
-				pl := &pg.placements[i]
-				cp := s.model.ClickProbability(*pl)
-				pg.cps = append(pg.cps, cp)
-				pg.accts = append(pg.accts, s.p.MustAccount(pl.Ref.Ad.Account))
-				if cp > 0 && cp < 1 {
-					pg.draws++
-				}
-			}
-		}
-	}
+	s.eng.pages.Build(pg, &sh.scr, sh.sublists(s, q), q, live)
 	if len(sh.cache) < maxPageEntries {
 		sh.cache[key] = pg
 	}
@@ -312,6 +285,7 @@ func (s *Sim) serveQueries(day simclock.Day) {
 	live := s.p.LiveSet()
 
 	// Phase B: eligibility + auctions against the frozen index.
+	e.pages = clicks.PageBuilder{Model: s.model, Auction: s.cfg.Auction, Platform: s.p}
 	fanOut(len(e.shards), n, func(k, lo, hi int) { s.shardAuctions(k, lo, hi, nWin, epoch, live) })
 
 	// Phase C: partition the master click stream by per-query draw
@@ -360,15 +334,15 @@ func (s *Sim) shardAuctions(k, lo, hi, nWin int, epoch uint64, live []bool) {
 	for gi := lo; gi < hi; gi++ {
 		pg := sh.page(s, &e.queries[gi], live)
 		sp := servePage{pg: pg}
-		if len(pg.placements) > 0 {
+		if len(pg.Placements) > 0 {
 			sh.acc.Auctions++
-			for _, a := range pg.accts {
+			for _, a := range pg.Accts {
 				if a.Fraud {
 					sp.fraudShown++
 				}
 			}
 		}
-		e.draws[gi] = pg.draws
+		e.draws[gi] = pg.Draws
 		sh.pages = append(sh.pages, sp)
 	}
 }
@@ -384,7 +358,7 @@ func (s *Sim) shardClicks(day simclock.Day, k, lo, hi int) {
 	for gi := lo; gi < hi; gi++ {
 		sp := &sh.pages[gi-lo]
 		pg := sp.pg
-		if len(pg.placements) == 0 {
+		if len(pg.Placements) == 0 {
 			continue
 		}
 		q := &e.queries[gi]
@@ -393,11 +367,11 @@ func (s *Sim) shardClicks(day simclock.Day, k, lo, hi int) {
 		// Every eligible ad sits in the query's own (vertical, country)
 		// posting group, so its vertical index is the query's.
 		vi := int32(q.VerticalIdx)
-		for pi := range pg.placements {
-			pl := &pg.placements[pi]
-			clicked := rng.Bool(pg.cps[pi])
+		for pi := range pg.Placements {
+			pl := &pg.Placements[pi]
+			clicked := rng.Bool(pg.CPs[pi])
 			acctID := pl.Ref.Ad.Account
-			isFraud := pg.accts[pi].Fraud
+			isFraud := pg.Accts[pi].Fraud
 			fraudComp := sp.fraudShown > 0
 			if isFraud {
 				fraudComp = sp.fraudShown > 1

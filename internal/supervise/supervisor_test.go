@@ -119,9 +119,12 @@ func (ps *pipeSpawner) spawnFaults() []string {
 // superviseConfig is the fast supervision shape shared by these tests.
 func superviseConfig(dir string, seed uint64, ps Spawner, t *testing.T) Config {
 	return Config{
-		Spec:            testSpec(dir, seed),
-		Spawn:           ps,
-		HBTimeout:       400 * time.Millisecond,
+		Spec:  testSpec(dir, seed),
+		Spawn: ps,
+		// A mute worker is silent for a whole day, and a loaded 2-vCPU
+		// host under -race has taken over 400 ms for one. The matrix's
+		// stalled scenario scales its stall with this timeout.
+		HBTimeout:       time.Second,
 		MaxRestarts:     3,
 		BackoffBase:     10 * time.Millisecond,
 		BackoffCap:      50 * time.Millisecond,
@@ -150,7 +153,9 @@ func TestSupervisedRunMatrix(t *testing.T) {
 		{"kill@msg", func(cfg *Config, _ *pipeSpawner) { cfg.Faults = "kill@msg=3..11" }, 1},
 		// Wedged past the heartbeat timeout: declared dead, killed,
 		// restarted without the profile.
-		{"stalled", func(cfg *Config, _ *pipeSpawner) { cfg.Faults = "stall@day=5:1s" }, 1},
+		{"stalled", func(cfg *Config, _ *pipeSpawner) {
+			cfg.Faults = fmt.Sprintf("stall@day=5:%s", 5*cfg.HBTimeout/2)
+		}, 1},
 		// Mute but making progress: day reports are proof of life, so a
 		// worker whose heartbeats stop is not restarted.
 		{"mute-after-2", func(cfg *Config, _ *pipeSpawner) { cfg.Faults = "mute-hb@2" }, 0},

@@ -74,11 +74,6 @@ var unreachedAllowlist = map[string]string{
 	"faultinject.ErrInjectedCrash":     testSupport + "writer injector",
 	"faultinject.WriterStats":          testSupport + "writer injector",
 	"faultinject.Injector.WriterStats": testSupport + "writer injector",
-	// The route injector (adserver and router chaos tests).
-	"faultinject.Injector.Route": testSupport + "route injector",
-	"faultinject.Injector.Wrap":  testSupport + "route injector",
-	"faultinject.RouteStats":     testSupport + "route injector",
-	"faultinject.Injector.Stats": testSupport + "route injector",
 
 	"eventlog.Writer.Dropped": faultState + "events a failed writer discarded, asserted by the sim and adserver chaos tests",
 }
