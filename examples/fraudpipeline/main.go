@@ -24,7 +24,7 @@ import (
 func runPipeline(cfg detection.Config, seed uint64) (*stats.ECDF, int) {
 	p := platform.New()
 	col := dataset.NewCollector(nil, simclock.Window{})
-	pipe := detection.New(cfg, stats.NewRNG(seed), p, col, 120)
+	pipe := detection.New(cfg, stats.NewRNG(seed), p, dataset.NewReplayer(col), 120)
 	rng := stats.NewRNG(seed ^ 0xfeed)
 
 	type actor struct {

@@ -507,7 +507,8 @@ type Statz struct {
 	CacheMiss int64  `json:"cacheMisses"`
 }
 
-func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
+// Statz reads the instance's counters in-process: what /statz writes.
+func (s *Server) Statz() Statz {
 	z := Statz{
 		Instance: s.instance,
 		InFlight: s.inflight.Load(),
@@ -519,7 +520,11 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 		z.CacheHits = s.cache.hits.Load()
 		z.CacheMiss = s.cache.misses.Load()
 	}
-	writeJSON(w, z)
+	return z
+}
+
+func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, s.Statz())
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {

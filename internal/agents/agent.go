@@ -2,7 +2,6 @@ package agents
 
 import (
 	"repro/internal/adcopy"
-	"repro/internal/dataset"
 	"repro/internal/eventlog"
 	"repro/internal/platform"
 	"repro/internal/simclock"
@@ -48,11 +47,11 @@ func (a *Agent) ensureURLs() {
 	}
 }
 
-// Runtime executes agent behavior against a platform and records campaign
-// actions into the collector. One Runtime serves all agents.
+// Runtime executes agent behavior against a platform and emits one event
+// per campaign action. One Runtime serves all agents.
 type Runtime struct {
 	p        *platform.Platform
-	col      *dataset.Collector
+	events   eventlog.Sink
 	universe func(verticalIdx int) *adcopy.Universe
 	copygen  *adcopy.Generator
 	domgen   *adcopy.DomainGenerator
@@ -64,12 +63,6 @@ type Runtime struct {
 	// memory at millions of ads.
 	FullCreatives bool
 
-	// Events, when non-nil, receives one record per campaign action
-	// (ad/bid creations and modifications) alongside the collector's
-	// aggregate counters. Emission consumes no randomness, so attaching a
-	// sink never perturbs a seeded run.
-	Events eventlog.Sink
-
 	// Per-create scratch — the keyword sample, its match types, and the
 	// bids staged for the batched platform insert — truncated at each use.
 	// Step runs on the simulation goroutine only, so one set serves every
@@ -79,12 +72,15 @@ type Runtime struct {
 	kbScratch []platform.KeywordBid
 }
 
-// NewRuntime constructs the agent runtime. universe resolves a vertical
-// index to its keyword universe (typically queries.Generator.Universe).
-func NewRuntime(p *platform.Platform, col *dataset.Collector, universe func(int) *adcopy.Universe, rng *stats.RNG) *Runtime {
+// NewRuntime constructs the agent runtime. events receives one record per
+// campaign action (ad/bid creations and modifications); in a simulation
+// it is the dataset.Replayer that folds them into the collector.
+// Emission consumes no randomness. universe resolves a vertical index to
+// its keyword universe (typically queries.Generator.Universe).
+func NewRuntime(p *platform.Platform, events eventlog.Sink, universe func(int) *adcopy.Universe, rng *stats.RNG) *Runtime {
 	return &Runtime{
 		p:        p,
-		col:      col,
+		events:   events,
 		universe: universe,
 		copygen:  adcopy.NewGenerator(rng.ForkNamed("adcopy")),
 		domgen:   adcopy.NewDomainGenerator(rng.ForkNamed("domains")),
@@ -144,11 +140,4 @@ func (r *Runtime) Hijack(a *Agent, takeover Profile, day simclock.Day) {
 	a.kwSampler = nil
 	a.dispURLs = nil
 	a.destURLs = nil
-}
-
-// emit forwards a campaign event to the sink, if one is attached.
-func (r *Runtime) emit(ev eventlog.Event) {
-	if r.Events != nil {
-		r.Events.Append(ev)
-	}
 }

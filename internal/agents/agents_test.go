@@ -150,7 +150,7 @@ func testWorld(t *testing.T, seed uint64) (*platform.Platform, *dataset.Collecto
 		return u
 	}
 	rng := stats.NewRNG(seed)
-	rt := NewRuntime(p, col, uni, rng.ForkNamed("rt"))
+	rt := NewRuntime(p, dataset.NewReplayer(col), uni, rng.ForkNamed("rt"))
 	return p, col, rt, NewFactory(rng.ForkNamed("factory"))
 }
 

@@ -7,15 +7,14 @@ package agents
 // account plus immutable tables (keyword universes, market data), so what
 // one agent does never depends on the order agents are stepped in. The
 // order still fixes every shared byte — index insertion, the runtime's
-// ad-copy stream (FullCreatives only), collector folds and the event log —
-// so the day loop steps agents in live-list order.
+// ad-copy stream (FullCreatives only), and the event stream the
+// collector folds — so the day loop steps agents in live-list order.
 
 import (
 	"fmt"
 	"slices"
 
 	"repro/internal/adcopy"
-	"repro/internal/dataset"
 	"repro/internal/eventlog"
 	"repro/internal/market"
 	"repro/internal/platform"
@@ -55,15 +54,13 @@ func (r *Runtime) Step(a *Agent, day simclock.Day) {
 		for i := 0; i < mods; i++ {
 			ad := acct.Ads[a.rng.Intn(len(acct.Ads))]
 			r.p.ModifyAd(ad, ad.Creative)
-			r.col.Campaign(day, a.Account, dataset.ActionAdModify, 1)
-			r.emit(eventlog.Event{Type: eventlog.TypeAdModified, Day: int32(day), Account: int32(a.Account)})
+			r.events.Append(eventlog.Event{Type: eventlog.TypeAdModified, Day: int32(day), Account: int32(a.Account)})
 			if len(ad.Bids) == 0 {
 				continue
 			}
 			bid := ad.Bids[a.rng.Intn(len(ad.Bids))]
 			r.p.ModifyBid(ad, bid, bid.MaxBid*a.rng.Range(0.85, 1.2))
-			r.col.Campaign(day, a.Account, dataset.ActionKwModify, 1)
-			r.emit(eventlog.Event{Type: eventlog.TypeBidModified, Day: int32(day), Account: int32(a.Account)})
+			r.events.Append(eventlog.Event{Type: eventlog.TypeBidModified, Day: int32(day), Account: int32(a.Account)})
 		}
 	}
 }
@@ -162,20 +159,17 @@ func (r *Runtime) createAd(a *Agent, acct *platform.Account, day simclock.Day) {
 		// draw's meaning.
 		panic(fmt.Sprintf("agents: ad create rejected: %v", err))
 	}
-	r.col.Campaign(day, a.Account, dataset.ActionAdCreate, 1)
 	// Events carry the loop day, not at.Day(): the first-day clamp can
 	// push a stamp across a day boundary, and the collector's campaign
 	// counters are keyed by the loop day.
-	r.emit(eventlog.Event{Type: eventlog.TypeAdCreated, Day: int32(day), Account: int32(a.Account), Vertical: int32(a.VerticalIdx)})
-	kept := r.p.AddBidsBatch(ad, bids, at)
-	r.col.Campaign(day, a.Account, dataset.ActionKwCreate, kept)
+	r.events.Append(eventlog.Event{Type: eventlog.TypeAdCreated, Day: int32(day), Account: int32(a.Account), Vertical: int32(a.VerticalIdx)})
+	r.p.AddBidsBatch(ad, bids, at)
 	for i := range bids {
 		// AddBidsBatch skips non-positive amounts; record what it kept.
 		b := &bids[i]
 		if b.MaxBid <= 0 {
 			continue
 		}
-		r.col.BidCreated(a.Account, b.Match, b.MaxBid/def)
-		r.emit(eventlog.Event{Type: eventlog.TypeBidPlaced, Day: int32(day), Account: int32(a.Account), Match: uint8(b.Match), Amount: b.MaxBid / def})
+		r.events.Append(eventlog.Event{Type: eventlog.TypeBidPlaced, Day: int32(day), Account: int32(a.Account), Match: uint8(b.Match), Amount: b.MaxBid / def})
 	}
 }

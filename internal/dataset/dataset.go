@@ -234,21 +234,21 @@ func (c *Collector) WindowAgg(id platform.AccountID, wi int) *WindowAgg {
 	return a.Windows[wi]
 }
 
-func (c *Collector) windowAggFor(a *AccountAgg, day simclock.Day) []*WindowAgg {
-	var out []*WindowAgg
-	for i, w := range c.windows {
-		if !w.Window.Contains(day) {
-			continue
-		}
-		for len(a.Windows) < len(c.windows) {
-			a.Windows = append(a.Windows, nil)
-		}
-		if a.Windows[i] == nil {
-			a.Windows[i] = &WindowAgg{}
-		}
-		out = append(out, a.Windows[i])
+// activeWindow returns the account's aggregate for named window i,
+// created on first touch, or nil when day falls outside that window.
+// Folds call it for each window index in turn, so a fold allocates
+// nothing once the account's windows exist.
+func (c *Collector) activeWindow(a *AccountAgg, i int, day simclock.Day) *WindowAgg {
+	if !c.windows[i].Window.Contains(day) {
+		return nil
 	}
-	return out
+	for len(a.Windows) < len(c.windows) {
+		a.Windows = append(a.Windows, nil)
+	}
+	if a.Windows[i] == nil {
+		a.Windows[i] = &WindowAgg{}
+	}
+	return a.Windows[i]
 }
 
 // Impression folds one served placement into the account's aggregates.
@@ -276,7 +276,11 @@ func (c *Collector) Impression(day simclock.Day, acct platform.AccountID, fraud 
 
 	a := c.agg(acct)
 	a.week(int32(day.Week())).Impressions++
-	for _, w := range c.windowAggFor(a, day) {
+	for i := range c.windows {
+		w := c.activeWindow(a, i, day)
+		if w == nil {
+			continue
+		}
 		w.Impressions++
 		pos := posBucket(position)
 		if fraudComp {
@@ -314,7 +318,11 @@ func (c *Collector) clickFold(a *AccountAgg, day simclock.Day, fraud bool,
 	wk.Clicks++
 	wk.Spend += price
 
-	for _, w := range c.windowAggFor(a, day) {
+	for i := range c.windows {
+		w := c.activeWindow(a, i, day)
+		if w == nil {
+			continue
+		}
 		w.Clicks++
 		w.Spend += price
 		if fraudComp {
@@ -358,19 +366,24 @@ const (
 	ActionKwModify
 )
 
-// Campaign folds a campaign-management action into the per-window counts.
-func (c *Collector) Campaign(day simclock.Day, acct platform.AccountID, kind CampaignAction, n int) {
+// Campaign folds one campaign-management action into the per-window
+// counts.
+func (c *Collector) Campaign(day simclock.Day, acct platform.AccountID, kind CampaignAction) {
 	a := c.agg(acct)
-	for _, w := range c.windowAggFor(a, day) {
+	for i := range c.windows {
+		w := c.activeWindow(a, i, day)
+		if w == nil {
+			continue
+		}
 		switch kind {
 		case ActionAdCreate:
-			w.AdsCreated += int32(n)
+			w.AdsCreated++
 		case ActionAdModify:
-			w.AdsModified += int32(n)
+			w.AdsModified++
 		case ActionKwCreate:
-			w.KwCreated += int32(n)
+			w.KwCreated++
 		case ActionKwModify:
-			w.KwModified += int32(n)
+			w.KwModified++
 		}
 	}
 }

@@ -118,14 +118,44 @@ func TestPackUnpackMonthVertical(t *testing.T) {
 
 func TestCampaignActions(t *testing.T) {
 	c := testCollector()
-	c.Campaign(12, 3, ActionAdCreate, 2)
-	c.Campaign(12, 3, ActionKwCreate, 10)
-	c.Campaign(12, 3, ActionAdModify, 1)
-	c.Campaign(12, 3, ActionKwModify, 4)
-	c.Campaign(5, 3, ActionAdCreate, 7) // outside every window
+	for _, act := range []struct {
+		kind CampaignAction
+		n    int
+	}{{ActionAdCreate, 2}, {ActionKwCreate, 10}, {ActionAdModify, 1}, {ActionKwModify, 4}} {
+		for i := 0; i < act.n; i++ {
+			c.Campaign(12, 3, act.kind)
+		}
+	}
+	c.Campaign(5, 3, ActionAdCreate) // outside every window
 	w0 := c.WindowAgg(3, 0)
 	if w0.AdsCreated != 2 || w0.KwCreated != 10 || w0.AdsModified != 1 || w0.KwModified != 4 {
 		t.Fatalf("campaign counters %+v", w0)
+	}
+}
+
+// TestFoldsAllocationFree: once an account's window aggregates exist, a
+// campaign action, a click and a detection on a window day allocate
+// nothing. The live run folds one campaign action per placed bid, so an
+// allocation here would be paid per bid.
+func TestFoldsAllocationFree(t *testing.T) {
+	c := testCollector()
+	const day = 16 // inside both windows
+	c.Impression(day, 1, true, 0, market.US, 1, platform.MatchExact, true, true, 1.0)
+	c.Detection(DetectionRecord{Account: 1, At: simclock.StampAt(day, 0.5), Stage: StagePolicy})
+	row := ClickRow{Account: 1, Match: platform.MatchExact, Country: market.US, Fraud: true, FraudComp: true, Price: 0.5}
+	// Pre-size the record list: its amortized growth is the record
+	// itself, not fold overhead.
+	c.detections = make([]DetectionRecord, 0, 1024)
+	for name, fold := range map[string]func(){
+		"Campaign":   func() { c.Campaign(day, 1, ActionKwCreate) },
+		"ApplyClick": func() { c.ApplyClick(day, row) },
+		"Detection": func() {
+			c.Detection(DetectionRecord{Account: 1, At: simclock.StampAt(day, 0.5), Stage: StagePolicy})
+		},
+	} {
+		if n := testing.AllocsPerRun(100, fold); n != 0 {
+			t.Errorf("%s on a window day: %v allocs/op, want 0", name, n)
+		}
 	}
 }
 

@@ -7,22 +7,28 @@ import (
 	"repro/internal/simclock"
 )
 
-// Replayer rebuilds a Collector's aggregates from an event log. Each
-// event maps onto exactly the Collector mutation the simulator performed
-// when it emitted the event, so replaying a run's log reproduces the
-// in-memory Collector digest-for-digest (pinned by the round-trip test
-// in this package).
+// Replayer folds an event stream into a Collector. It is the one writer
+// of the campaign, bid and detection folds: the simulator attaches a
+// Replayer as the event sink of its agents runtime, detection pipeline
+// and platform, so a live run and a replay of its log fold the same
+// events through the same code. Impressions are the one fold a live run
+// makes elsewhere (the sharded serving fold, dataset.ShardAccumulator);
+// on replay they fold here, and the round-trip test in this package pins
+// that both produce the same digests.
 //
-// Replayer itself is order-insensitive across accounts: every fold it
-// performs is a per-account sum or histogram increment, so logs merged
-// from shards in any per-account-preserving interleaving produce the
-// same aggregates. Only the detection *record list* retains stream
-// order.
+// Every fold is a per-account sum or histogram increment, so the
+// aggregates do not depend on how events of different accounts
+// interleave, only on each account's own order. Only the detection
+// *record list* retains stream order.
 //
-// Replayer implements eventlog.Sink, so it can terminate any sink chain
-// — including replaying directly while a simulation runs.
+// Replayer implements eventlog.Sink. Forward, when non-nil, receives
+// every event after it is folded, so a Replayer can sit in front of an
+// event log.
 type Replayer struct {
 	col *Collector
+
+	// Forward, when non-nil, receives each event after its fold.
+	Forward eventlog.Sink
 
 	// Skipped counts events with no Collector fold (account records live
 	// in the platform table, not the collector).
@@ -32,9 +38,9 @@ type Replayer struct {
 // NewReplayer wraps a collector.
 func NewReplayer(col *Collector) *Replayer { return &Replayer{col: col} }
 
-// Append folds one event. Unknown or non-aggregate event types are
-// counted in Skipped, never an error: logs from newer writers replay
-// what this consumer understands.
+// Append folds one event, then forwards it. Unknown or non-aggregate
+// event types are counted in Skipped, never an error: logs from newer
+// writers replay what this consumer understands.
 func (r *Replayer) Append(ev eventlog.Event) {
 	day := simclock.Day(ev.Day)
 	acct := platform.AccountID(ev.Account)
@@ -46,16 +52,16 @@ func (r *Replayer) Append(ev eventlog.Event) {
 			ev.Flags&eventlog.FlagFraudComp != 0,
 			ev.Flags&eventlog.FlagClicked != 0, ev.Amount)
 	case eventlog.TypeAdCreated:
-		r.col.Campaign(day, acct, ActionAdCreate, 1)
+		r.col.Campaign(day, acct, ActionAdCreate)
 	case eventlog.TypeAdModified:
-		r.col.Campaign(day, acct, ActionAdModify, 1)
+		r.col.Campaign(day, acct, ActionAdModify)
 	case eventlog.TypeBidPlaced:
 		// A placed bid is both a keyword-creation campaign action and a
-		// bid-book entry, exactly as the agent runtime records it.
-		r.col.Campaign(day, acct, ActionKwCreate, 1)
+		// bid-book entry.
+		r.col.Campaign(day, acct, ActionKwCreate)
 		r.col.BidCreated(acct, platform.MatchType(ev.Match), ev.Amount)
 	case eventlog.TypeBidModified:
-		r.col.Campaign(day, acct, ActionKwModify, 1)
+		r.col.Campaign(day, acct, ActionKwModify)
 	case eventlog.TypeDetection:
 		r.col.Detection(DetectionRecord{
 			Account: acct,
@@ -65,6 +71,9 @@ func (r *Replayer) Append(ev eventlog.Event) {
 		})
 	default:
 		r.Skipped++
+	}
+	if r.Forward != nil {
+		r.Forward.Append(ev)
 	}
 }
 

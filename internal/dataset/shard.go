@@ -149,17 +149,22 @@ func (c *Collector) ActiveWindowCount(day simclock.Day) int {
 // merges in shard order to keep the procedure canonical.
 func (c *Collector) MergeShard(day simclock.Day, sa *ShardAccumulator) {
 	week := int32(day.Week())
+	if n := c.ActiveWindowCount(day); len(sa.touched) > 0 && n != sa.nWin {
+		panic(fmt.Sprintf("dataset: shard accumulated %d windows for day %d, collector has %d active",
+			sa.nWin, day, n))
+	}
 	for _, id := range sa.touched {
 		p := sa.parts[id]
 		a := c.agg(id)
 		a.week(week).Impressions += p.impr
-		wins := c.windowAggFor(a, day)
-		if len(wins) != len(p.wins) {
-			panic(fmt.Sprintf("dataset: shard accumulated %d windows for day %d, collector has %d active",
-				len(p.wins), day, len(wins)))
-		}
-		for i, w := range wins {
-			pw := &p.wins[i]
+		j := 0 // active-window ordinal
+		for i := range c.windows {
+			w := c.activeWindow(a, i, day)
+			if w == nil {
+				continue
+			}
+			pw := &p.wins[j]
+			j++
 			w.Impressions += pw.Impr
 			w.InflImpressions += pw.Infl
 			for k := range pw.PosOrganic {

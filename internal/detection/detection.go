@@ -212,7 +212,7 @@ type Pipeline struct {
 	cfg     Config
 	rng     *stats.RNG
 	p       *platform.Platform
-	col     *dataset.Collector
+	events  eventlog.Sink
 	horizon simclock.Day
 
 	// states is indexed by AccountID (dense, platform-issued); entries are
@@ -224,20 +224,18 @@ type Pipeline struct {
 
 	// Shutdowns counts enforcement actions by stage (diagnostics).
 	Shutdowns map[dataset.DetectionStage]int
-
-	// Events, when non-nil, receives one record per enforcement action
-	// (the paper's fraud-detection records) alongside the collector's.
-	Events eventlog.Sink
 }
 
-// New constructs a pipeline. horizon is the total simulated span, used to
-// scale detection improvement over time.
-func New(cfg Config, rng *stats.RNG, p *platform.Platform, col *dataset.Collector, horizon simclock.Day) *Pipeline {
+// New constructs a pipeline. events receives one record per enforcement
+// action (the paper's fraud-detection records); in a simulation it is
+// the dataset.Replayer that folds them into the collector. horizon is the
+// total simulated span, used to scale detection improvement over time.
+func New(cfg Config, rng *stats.RNG, p *platform.Platform, events eventlog.Sink, horizon simclock.Day) *Pipeline {
 	return &Pipeline{
 		cfg:       cfg,
 		rng:       rng.ForkNamed("detection"),
 		p:         p,
-		col:       col,
+		events:    events,
 		horizon:   horizon,
 		Shutdowns: make(map[dataset.DetectionStage]int),
 	}
@@ -288,7 +286,6 @@ func (d *Pipeline) Screen(id platform.AccountID, det Detectability, at simclock.
 	}
 	when := simclock.Stamp(float64(at) + d.rng.Range(0.01, 0.6))
 	if err := d.p.Reject(id, when, "screening"); err == nil {
-		d.col.Detection(dataset.DetectionRecord{Account: id, At: when, Stage: dataset.StageScreening, Reason: "registration screening"})
 		d.emit(id, when, dataset.StageScreening, "registration screening")
 		d.Shutdowns[dataset.StageScreening]++
 	}
@@ -475,11 +472,10 @@ func (d *Pipeline) scanAccount(s *state, acct *platform.Account, dayEnd simclock
 	return due, stage, due <= dayEnd
 }
 
-// enforce executes one due shutdown: platform action, collector record,
-// event, counters.
+// enforce executes one due shutdown: platform action, detection event,
+// counters.
 func (d *Pipeline) enforce(s *state, due simclock.Stamp, stage dataset.DetectionStage, shut []platform.AccountID) []platform.AccountID {
 	if err := d.p.Shutdown(s.id, due, stage.String()); err == nil {
-		d.col.Detection(dataset.DetectionRecord{Account: s.id, At: due, Stage: stage, Reason: stage.String()})
 		d.emit(s.id, due, stage, stage.String())
 		d.Shutdowns[stage]++
 		shut = append(shut, s.id)
@@ -487,12 +483,9 @@ func (d *Pipeline) enforce(s *state, due simclock.Stamp, stage dataset.Detection
 	return shut
 }
 
-// emit mirrors a collector detection record into the event sink.
+// emit records one enforcement action as a detection event.
 func (d *Pipeline) emit(id platform.AccountID, at simclock.Stamp, stage dataset.DetectionStage, reason string) {
-	if d.Events == nil {
-		return
-	}
-	d.Events.Append(eventlog.Event{
+	d.events.Append(eventlog.Event{
 		Type:    eventlog.TypeDetection,
 		Day:     int32(at.Day()),
 		Account: int32(id),

@@ -17,7 +17,7 @@ func world(t *testing.T, cfg Config, seed uint64, horizon simclock.Day) (*platfo
 	t.Helper()
 	p := platform.New()
 	col := dataset.NewCollector(nil, simclock.Window{})
-	return p, col, New(cfg, stats.NewRNG(seed), p, col, horizon)
+	return p, col, New(cfg, stats.NewRNG(seed), p, dataset.NewReplayer(col), horizon)
 }
 
 func fraudDet(v verticals.Vertical) Detectability {

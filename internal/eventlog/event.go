@@ -4,12 +4,16 @@
 // stream with a compact binary encoding, a segmented append-only writer,
 // and a streaming reader with time-window and event-type filtering.
 //
-// The in-memory dataset.Collector folds impressions into aggregates
-// online, which bounds analysis to what was anticipated before the run.
-// An event log removes that bound: the simulator (and the live adserver)
-// emit every record through a Sink, and any analysis — including a
-// byte-for-byte rebuild of the Collector's aggregates, see
-// dataset.Replayer — can be re-run later from the log alone.
+// The in-memory dataset.Collector folds records into aggregates online,
+// which bounds analysis to what was anticipated before the run. An event
+// log lifts that bound: the simulator (and the live adserver) emit every
+// record through a Sink, and a consumer reads them back later. Inside a
+// simulation the records meet the Collector on the same path: the
+// agents, detection and platform emit into a dataset.Replayer, which
+// folds campaign, bid and detection records and forwards every record
+// to the run's log; impressions fold in the serving engine's shards and
+// go to the log directly. Replaying the log through a Replayer therefore
+// rebuilds the Collector's aggregates byte for byte.
 //
 // Determinism: the simulation emits events from its single-goroutine
 // loop, interning assigns string IDs in first-seen order, and no

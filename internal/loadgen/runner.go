@@ -20,24 +20,10 @@ type RunOpts struct {
 	// interleaved across. More workers = less open-loop drift when
 	// requests outlive their inter-arrival gap. Default 4.
 	Workers int
-	// Timeout bounds each request. Default 5s.
-	Timeout time.Duration
-	// Transport overrides the HTTP transport (shared across workers).
-	Transport http.RoundTripper
 }
 
-func (o RunOpts) withDefaults() RunOpts {
-	if o.Workers < 1 {
-		o.Workers = 4
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 5 * time.Second
-	}
-	if o.Transport == nil {
-		o.Transport = &http.Transport{MaxIdleConnsPerHost: 64}
-	}
-	return o
-}
+// requestTimeout bounds each request the runner sends.
+const requestTimeout = 5 * time.Second
 
 // Run fires the materialized request stream at baseURL open-loop: each
 // request goes out at its scheduled offset whether or not earlier ones
@@ -48,8 +34,10 @@ func (o RunOpts) withDefaults() RunOpts {
 // so every 429 and error in the report is one the cluster actually
 // emitted past the router's own masking.
 func Run(ctx context.Context, baseURL string, classes []Class, reqs []Request, opts RunOpts) metrics.RunReport {
-	opts = opts.withDefaults()
-	client := &http.Client{Transport: opts.Transport, Timeout: opts.Timeout}
+	if opts.Workers < 1 {
+		opts.Workers = 4
+	}
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}, Timeout: requestTimeout}
 
 	// Interleave the schedule across workers; each worker owns a full
 	// recorder set so the hot loop is lock-free.

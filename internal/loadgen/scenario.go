@@ -28,31 +28,22 @@ type Scenario struct {
 	Instances int    `json:"instances"`
 	Policy    string `json:"policy"` // round_robin | least_loaded | affinity
 
-	// Bootstrap simulation shape (the platform every instance serves).
-	Scale   string `json:"scale,omitempty"`   // small | medium | full (default small)
-	Days    int    `json:"days,omitempty"`    // override bootstrap days (0 = scale default)
-	Queries int    `json:"queries,omitempty"` // override bootstrap queries/day
+	// Bootstrap simulation shape (the platform every instance serves):
+	// the small scale, with these overrides.
+	Days    int `json:"days,omitempty"`    // override bootstrap days (0 = scale default)
+	Queries int `json:"queries,omitempty"` // override bootstrap queries/day
 
 	// Load shape.
-	Arrival     ArrivalSpec `json:"arrival"`
-	HorizonMS   int         `json:"horizon_ms"`             // schedule horizon
-	MaxRequests int         `json:"max_requests,omitempty"` // schedule length cap (0 = horizon only)
-	Classes     []Class     `json:"classes"`
-	Workers     int         `json:"workers,omitempty"`    // sender goroutines (default 4)
-	TimeoutMS   int         `json:"timeout_ms,omitempty"` // per-request client timeout (default 5000)
+	Arrival   ArrivalSpec `json:"arrival"`
+	HorizonMS int         `json:"horizon_ms"` // schedule horizon
+	Classes   []Class     `json:"classes"`
+	Workers   int         `json:"workers,omitempty"` // sender goroutines (default 4)
 
-	// Per-instance serving stack.
-	MaxInflight      int `json:"max_inflight,omitempty"`       // admission bound (default 64)
-	RequestTimeoutMS int `json:"request_timeout_ms,omitempty"` // per-request deadline (default 2000)
-	RetryAfterMS     int `json:"retry_after_ms,omitempty"`     // shed Retry-After hint (default 1000)
-	CacheSize        int `json:"cache,omitempty"`              // response cache entries (0 = off)
-
-	// Router knobs (zero = router defaults).
-	Retries         int `json:"retries,omitempty"`
-	EjectAfter      int `json:"eject_after,omitempty"`
-	ProbeIntervalMS int `json:"probe_interval_ms,omitempty"`
-	BackoffBaseMS   int `json:"backoff_base_ms,omitempty"`
-	BackoffCapMS    int `json:"backoff_cap_ms,omitempty"`
+	// Per-instance serving stack; the request deadline and the shed
+	// Retry-After hint are fixed (instanceRequestTimeout, instanceRetryAfter),
+	// and the router runs with its defaults.
+	MaxInflight int `json:"max_inflight,omitempty"` // admission bound (default 64)
+	CacheSize   int `json:"cache,omitempty"`        // response cache entries (0 = off)
 
 	// Chaos.
 	Faults []FaultSpec `json:"faults,omitempty"`
@@ -92,17 +83,13 @@ func (a ArrivalSpec) Process() (Arrival, error) {
 }
 
 // FaultSpec applies a faultinject.Faults profile to one instance's
-// /search.
+// /search: a fixed added latency, and an outage window of arrivals
+// fail_from <= n < fail_until (1-based) answered with an error status.
 type FaultSpec struct {
-	Backend    int     `json:"backend"` // instance index
-	LatencyMS  int     `json:"latency_ms,omitempty"`
-	JitterMS   int     `json:"jitter_ms,omitempty"`
-	ErrorRate  float64 `json:"error_rate,omitempty"`
-	DropRate   float64 `json:"drop_rate,omitempty"`
-	Status     int     `json:"status,omitempty"`
-	FailFrom   uint64  `json:"fail_from,omitempty"`
-	FailUntil  uint64  `json:"fail_until,omitempty"`
-	DropOutage bool    `json:"drop_outage,omitempty"`
+	Backend   int    `json:"backend"` // instance index
+	LatencyMS int    `json:"latency_ms,omitempty"`
+	FailFrom  uint64 `json:"fail_from,omitempty"`
+	FailUntil uint64 `json:"fail_until,omitempty"`
 }
 
 // DrainSpec drains one instance mid-run.
@@ -111,14 +98,19 @@ type DrainSpec struct {
 	AfterMS int `json:"after_ms"`
 }
 
-// LoadScenario reads and validates a scenario spec file.
+// LoadScenario reads and validates a scenario spec file. A field the
+// spec does not define is an error, so a misspelled or retired knob
+// fails instead of running with its default.
 func LoadScenario(path string) (Scenario, error) {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return Scenario{}, err
 	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
 	var s Scenario
-	if err := json.Unmarshal(b, &s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return Scenario{}, fmt.Errorf("loadgen: scenario %s: %w", path, err)
 	}
 	if err := s.Validate(); err != nil {
@@ -199,6 +191,12 @@ func (r ScenarioReport) Normalize() ScenarioReport {
 	return out
 }
 
+// Every instance's per-request deadline and shed Retry-After hint.
+const (
+	instanceRequestTimeout = 2 * time.Second
+	instanceRetryAfter     = time.Second
+)
+
 // RunScenario boots the cluster (N adserver instances over one shared
 // frozen platform, each with its own serving stack and optional fault
 // profile, behind a policy-driven router), fires the scenario's
@@ -216,7 +214,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 	// frozen and read-only, and identical server seeds make instance
 	// responses byte-identical, so routing policy can never change what
 	// a client sees — only how fast it sees it.
-	cfg, err := sim.Shape{Scale: cmp.Or(spec.Scale, "small"), Seed: spec.Seed, Days: spec.Days, Queries: spec.Queries}.Config()
+	cfg, err := sim.Shape{Scale: "small", Seed: spec.Seed, Days: spec.Days, Queries: spec.Queries}.Config()
 	if err != nil {
 		return ScenarioReport{}, fmt.Errorf("adbench: %w", err)
 	}
@@ -244,38 +242,22 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 			in.hs.Close()
 		}
 	}
-	maxInflight := spec.MaxInflight
-	if maxInflight == 0 {
-		maxInflight = 64
-	}
-	reqTimeout := time.Duration(spec.RequestTimeoutMS) * time.Millisecond
-	if reqTimeout == 0 {
-		reqTimeout = 2 * time.Second
-	}
-	retryAfter := time.Duration(spec.RetryAfterMS) * time.Millisecond
-	if retryAfter == 0 {
-		retryAfter = time.Second
-	}
+	maxInflight := cmp.Or(spec.MaxInflight, 64)
 	for i := 0; i < spec.Instances; i++ {
 		name := fmt.Sprintf("i%d", i)
 		srv := adserver.New(res.Platform, boot.Queries(), auction.DefaultConfig(), spec.Seed)
 		opts := adserver.Options{
 			MaxInFlight:    maxInflight,
-			RequestTimeout: reqTimeout,
-			RetryAfter:     retryAfter,
+			RequestTimeout: instanceRequestTimeout,
+			RetryAfter:     instanceRetryAfter,
 			InstanceID:     name,
 			CacheSize:      spec.CacheSize,
 		}
 		if f, ok := faultsByBackend[i]; ok {
 			opts.Wrap = inj.HTTP(name, faultinject.Faults{
-				Latency:       time.Duration(f.LatencyMS) * time.Millisecond,
-				LatencyJitter: time.Duration(f.JitterMS) * time.Millisecond,
-				ErrorRate:     f.ErrorRate,
-				DropRate:      f.DropRate,
-				ErrorStatus:   f.Status,
-				FailFrom:      f.FailFrom,
-				FailUntil:     f.FailUntil,
-				DropOutage:    f.DropOutage,
+				Latency:   time.Duration(f.LatencyMS) * time.Millisecond,
+				FailFrom:  f.FailFrom,
+				FailUntil: f.FailUntil,
 			})
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -293,15 +275,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 	// instance names (not ephemeral host:port), so the affinity policy's
 	// keyspace mapping is identical across runs of the same spec.
 	pol, _ := router.PolicyByName(spec.Policy)
-	rt, err := router.New(router.Options{
-		Policy:        pol,
-		Retries:       spec.Retries,
-		EjectAfter:    spec.EjectAfter,
-		Seed:          spec.Seed,
-		BackoffBase:   time.Duration(spec.BackoffBaseMS) * time.Millisecond,
-		BackoffCap:    time.Duration(spec.BackoffCapMS) * time.Millisecond,
-		ProbeInterval: time.Duration(spec.ProbeIntervalMS) * time.Millisecond,
-	})
+	rt, err := router.New(router.Options{Policy: pol, Seed: spec.Seed})
 	if err != nil {
 		return ScenarioReport{}, err
 	}
@@ -323,7 +297,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 	// Materialize the deterministic request stream.
 	proc, _ := spec.Arrival.Process()
 	horizon := time.Duration(spec.HorizonMS) * time.Millisecond
-	sched := Schedule(proc, spec.Seed^0xa5a5a5a5a5a5a5a5, horizon, spec.MaxRequests)
+	sched := Schedule(proc, spec.Seed^0xa5a5a5a5a5a5a5a5, horizon, 0)
 	reqs := BuildRequests(boot.Queries(), spec.Classes, sched, spec.Seed^0x5a5a5a5a5a5a5a5a)
 	logf("adbench: %d arrivals over %s via %s, policy=%s", len(reqs), horizon, proc, pol.Name())
 
@@ -336,10 +310,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 		defer timer.Stop()
 	}
 
-	rep := Run(context.Background(), "http://"+rln.Addr().String(), spec.Classes, reqs, RunOpts{
-		Workers: spec.Workers,
-		Timeout: time.Duration(spec.TimeoutMS) * time.Millisecond,
-	})
+	rep := Run(context.Background(), "http://"+rln.Addr().String(), spec.Classes, reqs, RunOpts{Workers: spec.Workers})
 
 	out := ScenarioReport{
 		Scenario:  spec.Name,
@@ -352,7 +323,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 		Router:    rt.Stats(),
 	}
 	for i, in := range instances {
-		out.Backends = append(out.Backends, statzOf(in.srv))
+		out.Backends = append(out.Backends, in.srv.Statz())
 		if _, ok := faultsByBackend[i]; ok {
 			bs := inj.Stats(in.name)
 			out.Injected = append(out.Injected, InjectedBackends{
@@ -361,35 +332,4 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 		}
 	}
 	return out, nil
-}
-
-// statzOf reads an instance's statz snapshot in-process (no HTTP round
-// trip, and no perturbation of its request counters).
-func statzOf(srv *adserver.Server) adserver.Statz {
-	rec := newStatzRecorder()
-	srv.ServeHTTP(rec, mustRequest("/statz"))
-	var z adserver.Statz
-	_ = json.Unmarshal(rec.body, &z)
-	return z
-}
-
-type statzRecorder struct {
-	h    http.Header
-	body []byte
-}
-
-func newStatzRecorder() *statzRecorder       { return &statzRecorder{h: make(http.Header)} }
-func (r *statzRecorder) Header() http.Header { return r.h }
-func (r *statzRecorder) WriteHeader(int)     {}
-func (r *statzRecorder) Write(p []byte) (int, error) {
-	r.body = append(r.body, p...)
-	return len(p), nil
-}
-
-func mustRequest(path string) *http.Request {
-	req, err := http.NewRequest(http.MethodGet, path, nil)
-	if err != nil {
-		panic(err)
-	}
-	return req
 }

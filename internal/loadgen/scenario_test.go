@@ -132,6 +132,14 @@ func TestLoadScenarioFile(t *testing.T) {
 	if _, err := LoadScenario(badPath); err == nil {
 		t.Fatal("invalid policy accepted")
 	}
+	// A field the spec does not define (here a retired router knob) is
+	// refused rather than silently run with defaults.
+	unknown := bytes.Replace(b, []byte(`"name":`), []byte(`"retries":2,"name":`), 1)
+	unknownPath := filepath.Join(t.TempDir(), "unknown.json")
+	os.WriteFile(unknownPath, unknown, 0o644)
+	if _, err := LoadScenario(unknownPath); err == nil || !strings.Contains(err.Error(), "retries") {
+		t.Fatalf("spec with an unknown field: got %v, want an unknown-field error", err)
+	}
 }
 
 // TestScenarioValidate screens the spec edge cases cmd/adbench relies on.

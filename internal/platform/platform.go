@@ -277,10 +277,10 @@ func (p *Platform) AddBid(ad *Ad, bid KeywordBid, at simclock.Stamp) error {
 // inactive ad accepts nothing) but one exact-size backing allocation for
 // the whole batch instead of one heap object per bid. The backing array's
 // lifetime matches the ad's, so retiring the ad releases the whole batch
-// at once. Returns the number of bids accepted.
-func (p *Platform) AddBidsBatch(ad *Ad, bids []KeywordBid, at simclock.Stamp) int {
+// at once.
+func (p *Platform) AddBidsBatch(ad *Ad, bids []KeywordBid, at simclock.Stamp) {
 	if !ad.Active {
-		return 0
+		return
 	}
 	n := 0
 	for i := range bids {
@@ -289,7 +289,7 @@ func (p *Platform) AddBidsBatch(ad *Ad, bids []KeywordBid, at simclock.Stamp) in
 		}
 	}
 	if n == 0 {
-		return 0
+		return
 	}
 	arr := make([]KeywordBid, 0, n)
 	if free := cap(ad.Bids) - len(ad.Bids); free < n {
@@ -309,7 +309,6 @@ func (p *Platform) AddBidsBatch(ad *Ad, bids []KeywordBid, at simclock.Stamp) in
 		acct.KeywordsCreated++
 		p.index.AddBid(ad, b)
 	}
-	return n
 }
 
 // ModifyAd records a creative modification (counted for Figure 7c) and

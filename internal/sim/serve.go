@@ -30,7 +30,9 @@ package sim
 //	E. at the day barrier, the simulation goroutine folds every shard in
 //	   shard order — which, because blocks are contiguous, is global
 //	   query order: counter merges, then billing + spend + click folds
-//	   row by row, then event flush.
+//	   row by row, then the event flush straight to Config.Events (the
+//	   shards already folded these impressions, so they bypass the
+//	   dataset.Replayer that folds every other record).
 //
 // One worker runs the same five sub-phases over a single block, so the
 // worker count selects a fan-out, never an implementation (see the workers
@@ -313,8 +315,8 @@ func (s *Sim) serveQueries(day simclock.Day) {
 			}
 			s.col.ApplyClick(day, *row)
 		}
-		if s.events != nil {
-			eventlog.AppendAll(s.events, sh.events)
+		if s.cfg.Events != nil {
+			eventlog.AppendAll(s.cfg.Events, sh.events)
 		}
 	}
 	s.res.RevenueLost = s.p.Ledger().TotalLost()
@@ -353,7 +355,7 @@ func (s *Sim) shardAuctions(k, lo, hi, nWin int, epoch uint64, live []bool) {
 func (s *Sim) shardClicks(day simclock.Day, k, lo, hi int) {
 	e := s.eng
 	sh := e.shards[k]
-	logging := s.events != nil
+	logging := s.cfg.Events != nil
 	var rng stats.RNG
 	for gi := lo; gi < hi; gi++ {
 		sp := &sh.pages[gi-lo]

@@ -191,6 +191,7 @@ type Sim struct {
 	rng      *stats.RNG
 	p        *platform.Platform
 	col      *dataset.Collector
+	rec      *dataset.Replayer // the record path; see newWired
 	qgen     *queries.Generator
 	factory  *agents.Factory
 	runtime  *agents.Runtime
@@ -218,8 +219,6 @@ type Sim struct {
 	// eng is the serving engine (worker shards, page caches, per-day
 	// staging); built lazily so SetWorkers can apply after Restore.
 	eng *serveEngine
-
-	events eventlog.Sink
 
 	// day is the next day to simulate, phase the next phase of that day,
 	// and seeded records whether the initial population warmup has run.
@@ -257,9 +256,14 @@ func newWired(cfg Config, p *platform.Platform, col *dataset.Collector) *Sim {
 	qgen := queries.NewGenerator(root.ForkNamed("queries"))
 	factory := agents.NewFactory(root.ForkNamed("factory"))
 	factory.SetPocketsDisabled(cfg.DisableKeywordPockets)
-	runtime := agents.NewRuntime(p, col, qgen.Universe, root.ForkNamed("runtime"))
+	// One Replayer folds every non-impression record into the collector,
+	// live exactly as on a log replay, and forwards it to the user's sink
+	// (SetEvents). Impressions fold in the serving engine's shards.
+	rec := dataset.NewReplayer(col)
+	p.SetEvents(rec)
+	runtime := agents.NewRuntime(p, rec, qgen.Universe, root.ForkNamed("runtime"))
 	runtime.FullCreatives = cfg.FullCreatives
-	pipeline := detection.New(cfg.Detection, root.ForkNamed("pipeline"), p, col, cfg.Days)
+	pipeline := detection.New(cfg.Detection, root.ForkNamed("pipeline"), p, rec, cfg.Days)
 	maxKeywords := 0
 	for i := range verticals.All() {
 		maxKeywords = max(maxKeywords, qgen.Universe(i).Size())
@@ -272,6 +276,7 @@ func newWired(cfg Config, p *platform.Platform, col *dataset.Collector) *Sim {
 		rng:           root,
 		p:             p,
 		col:           col,
+		rec:           rec,
 		qgen:          qgen,
 		factory:       factory,
 		runtime:       runtime,
@@ -285,16 +290,14 @@ func newWired(cfg Config, p *platform.Platform, col *dataset.Collector) *Sim {
 	}
 }
 
-// SetEvents attaches (or, with nil, detaches) the event sink on the sim
-// and every emitting component. Restore uses it to reattach a sink that
-// could not travel through the snapshot.
+// SetEvents attaches (or, with nil, detaches) the event sink: the
+// record path's forward sink and the serving engine's impression sink.
+// Restore uses it to reattach a sink that could not travel through the
+// snapshot.
 func (s *Sim) SetEvents(sink eventlog.Sink) {
-	s.events = sink
 	s.cfg.Events = sink
 	s.res.Config.Events = sink
-	s.p.SetEvents(sink)
-	s.runtime.Events = sink
-	s.pipeline.Events = sink
+	s.rec.Forward = sink
 }
 
 // SetProgress attaches a progress callback (Restore cannot carry one
@@ -389,8 +392,8 @@ func (s *Sim) register(prof agents.Profile, at simclock.Stamp) {
 		Generation:      prof.Generation,
 	})
 	det := detectability(prof)
-	if s.events != nil && prof.Generation > 0 {
-		s.events.Append(eventlog.Event{
+	if prof.Generation > 0 {
+		s.rec.Append(eventlog.Event{
 			Type:    eventlog.TypeReregistration,
 			Day:     int32(at.Day()),
 			Account: int32(acct.ID),
