@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race chaos crash crash-supervise bench-check verify golden bench bench-pair fuzz-smoke loc
+.PHONY: build vet test race chaos crash crash-supervise bench-check policy-wins verify golden bench bench-pair fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,14 @@ crash-supervise:
 # `./...` patterns above never reach it.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# policy-wins runs the adbench scenarios whose routing-policy wins
+# depend on the adserver stack's fixed order: least_loaded reads the
+# admission gauge through /statz, and on cache_affinity the fault wrap
+# sits inside the response cache. About 70 s, and it wants a quiet
+# machine, so it is not part of verify; CI runs it as a job of its own.
+policy-wins:
+	ADBENCH_POLICY_WINS=1 $(GO) test -count=1 -run TestRouterPolicyWins ./cmd/adbench
 
 # verify is the full pre-merge gate: static checks, build, the whole
 # suite (goldens, determinism, invariants, smoke tests, chaos) under the
@@ -115,6 +123,7 @@ fuzz-smoke:
 	$(GO) test ./internal/adcopy -run '^$$' -fuzz FuzzObfuscatePhone -fuzztime 5s
 	$(GO) test ./internal/queries -run '^$$' -fuzz FuzzGeneratorSeed -fuzztime 5s
 	$(GO) test ./internal/adserver -run '^$$' -fuzz FuzzResolve -fuzztime 5s
+	$(GO) test ./internal/adserver -run '^$$' -fuzz FuzzSearchStack -fuzztime 5s
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzReadLog -fuzztime 5s
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzRecoverDir -fuzztime 5s

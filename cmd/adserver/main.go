@@ -11,8 +11,8 @@
 // Usage:
 //
 //	adserver [-addr :8406] [-scale small|medium|full] [-seed N] [-days N]
-//	         [-max-inflight N] [-request-timeout D] [-grace D]
-//	         [-eventlog DIR] [-eventlog-queue N]
+//	         [-queries N] [-instance ID] [-max-inflight N]
+//	         [-request-timeout D] [-grace D] [-eventlog DIR] [-eventlog-queue N]
 //
 // Then:
 //
@@ -60,7 +60,6 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal, onReady func(ne
 		InstanceID:     f.instance,
 		MaxInFlight:    f.maxInflight,
 		RequestTimeout: f.reqTimeout,
-		RetryAfter:     time.Second,
 	}
 
 	ln, err := net.Listen("tcp", f.addr)
@@ -151,6 +150,11 @@ func parseFlags(args []string, stderr io.Writer) (flags, sim.Config, error) {
 	fs.IntVar(&f.evQueue, "eventlog-queue", 4096, "event recording queue depth; events beyond it are dropped, never queued on the request path")
 	if err := fs.Parse(args); err != nil {
 		return f, sim.Config{}, err
+	}
+	// Zero turns a knob off; a negative value would silently do the
+	// same, so it is refused.
+	if f.maxInflight < 0 || f.reqTimeout < 0 || f.grace < 0 || f.evQueue < 0 {
+		return f, sim.Config{}, fmt.Errorf("adserver: -max-inflight, -request-timeout, -grace and -eventlog-queue must be >= 0")
 	}
 	cfg, err := sim.Shape{Scale: f.scale, Seed: f.seed, Days: *days, Queries: *queries}.Config()
 	if err != nil {

@@ -100,6 +100,22 @@ func TestSetupRejectsUnknownScale(t *testing.T) {
 	}
 }
 
+// TestSetupRejectsNegativeSizes: a negative size would silently turn
+// its feature off, as zero does on purpose.
+func TestSetupRejectsNegativeSizes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-max-inflight", "-5"},
+		{"-request-timeout", "-1s"},
+		{"-grace", "-1s"},
+		{"-eventlog-queue", "-1"},
+	} {
+		var errw strings.Builder
+		if _, _, err := parseFlags(args, &errw); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
 func TestRunRejectsUnknownScaleBeforeListening(t *testing.T) {
 	if err := run([]string{"-scale", "galactic"}, io.Discard, nil, nil); err == nil {
 		t.Fatal("unknown scale accepted")

@@ -95,32 +95,3 @@ func (cw *captureWriter) Write(p []byte) (int, error) {
 	}
 	return cw.ResponseWriter.Write(p)
 }
-
-// Cache serves /search hits straight from the response cache and
-// captures misses on their way out. Mounted inside admission control
-// (a hit still occupies a slot, briefly) but outside the per-request
-// deadline, which only a miss needs, and the fault-injection wrap, so
-// injected backend latency models the auction cost a hit avoids.
-func Cache(c *responseCache) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			// The raw query string, as an HTTP cache keys on the URI: the
-			// reply is a function of the q and country it decodes to, so
-			// equal keys mean equal replies, and a hit parses nothing.
-			key := r.URL.RawQuery
-			if body, ok := c.get(key); ok {
-				h := w.Header()
-				h.Set("Content-Type", "application/json")
-				h.Set("X-Cache", "hit")
-				w.Write(body)
-				return
-			}
-			cw := &captureWriter{ResponseWriter: w}
-			w.Header().Set("X-Cache", "miss")
-			next.ServeHTTP(cw, r)
-			if cw.status == http.StatusOK && len(cw.buf) > 0 {
-				c.put(key, cw.buf)
-			}
-		})
-	}
-}

@@ -47,7 +47,6 @@ func TestChaosShedReturns429NotTimeout(t *testing.T) {
 	ts := httptest.NewServer(s.Handler(Options{
 		MaxInFlight:    2,
 		RequestTimeout: 5 * time.Second,
-		RetryAfter:     time.Second,
 		Wrap:           wrap,
 	}))
 	defer ts.Close()

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"testing"
-	"time"
 
 	"repro/internal/verticals"
 )
@@ -19,7 +18,6 @@ func clusterHandler(t *testing.T, s *Server) http.Handler {
 	t.Helper()
 	return s.Handler(Options{
 		MaxInFlight: 8,
-		RetryAfter:  time.Second,
 		InstanceID:  "i7",
 		CacheSize:   2,
 	})

@@ -63,8 +63,8 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		(*h).ServeHTTP(w, r)
 		return
 	}
-	writeError(w, r, http.StatusServiceUnavailable, "starting",
-		"server is bootstrapping, not yet serving", time.Second)
+	writeError(w, http.StatusServiceUnavailable, "starting",
+		"server is bootstrapping, not yet serving", retryAfterSeconds)
 }
 
 // Serve runs hs on ln until a value arrives on stop, then drains

@@ -11,11 +11,11 @@
 // responses regardless of request order or concurrency — the property
 // the golden response snapshot pins.
 //
-// Handler composes the production resilience stack around the raw
-// routes: request-ID tagging, panic recovery, admission control with
-// load shedding, and per-request deadlines (see middleware.go), with an
-// optional fault-injection hook for chaos testing (see
-// internal/faultinject). Gate and Serve (lifecycle.go) cover the
+// Handler wraps the raw routes in the production serving stack:
+// request-ID tagging, panic recovery, admission control with load
+// shedding, the response cache and per-request deadlines (see
+// stack.go), with an optional fault-injection hook for chaos testing
+// (see internal/faultinject). Gate and Serve (lifecycle.go) cover the
 // process lifecycle: health/readiness during bootstrap and draining
 // shutdown.
 package adserver
@@ -76,10 +76,12 @@ type Server struct {
 	// strictly best-effort and must not influence a response.
 	events eventlog.Sink
 
-	// instance/inflight/cache are set by Handler from its Options; they
-	// feed /statz, which the cluster router polls.
+	// instance, capacity and cache are set by Handler from its Options;
+	// with inflight, the admission gate's live occupancy, they feed
+	// /statz, which the cluster router polls.
 	instance string
-	inflight *InFlightGauge
+	capacity int64
+	inflight atomic.Int64
 	cache    *responseCache
 
 	served   atomic.Int64
@@ -148,15 +150,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // serving routes.
 type Options struct {
 	// MaxInFlight bounds concurrently-running /search requests;
-	// requests beyond the bound are shed with 429 + Retry-After.
+	// requests beyond the bound are shed with 429 + Retry-After: 1.
 	// <= 0 disables admission control.
 	MaxInFlight int
 	// RequestTimeout is the per-request deadline for /search; the
 	// handler returns a structured 504 once exceeded. <= 0 disables it.
 	RequestTimeout time.Duration
-	// RetryAfter is the backoff hint on shed responses (rounded up to
-	// whole seconds for the header). Defaults to 1s when zero.
-	RetryAfter time.Duration
 	// InstanceID, when non-empty, is stamped on every /search response
 	// as X-Instance and reported by /statz, so a fronting router can
 	// attribute traffic per member. Cluster harnesses assign "i0","i1",…
@@ -168,57 +167,35 @@ type Options struct {
 	CacheSize int
 	// Wrap, when non-nil, wraps the /search handler — the mount point
 	// for the fault-injection chaos layer (faultinject.Injector.HTTP).
-	// It is applied inside admission control and the deadline, so
+	// It runs inside admission control, the cache and the deadline, so
 	// injected latency holds an in-flight slot and consumes the request
-	// budget, and injected panics unwind through the recovery middleware.
-	Wrap Middleware
+	// budget, a cache hit skips it, and injected panics unwind through
+	// the stack's recovery.
+	Wrap func(http.Handler) http.Handler
 }
 
 // DefaultOptions is the production stack configuration.
 func DefaultOptions() Options {
-	return Options{MaxInFlight: 256, RequestTimeout: 2 * time.Second, RetryAfter: time.Second}
+	return Options{MaxInFlight: 256, RequestTimeout: 2 * time.Second}
 }
 
-// Handler composes the resilience middleware stack around the serving
-// routes. Health and readiness probes bypass admission control and
+// Handler returns the serving stack (stack.go) over the routes New
+// registers. Health and readiness probes bypass admission control and
 // deadlines so they stay accurate under overload.
 func (s *Server) Handler(opts Options) http.Handler {
-	retryAfter := opts.RetryAfter
-	if retryAfter <= 0 {
-		retryAfter = time.Second
-	}
-
+	h := &stack{s: s, timeout: opts.RequestTimeout, search: http.HandlerFunc(s.handleSearch)}
 	s.instance = opts.InstanceID
-	var searchMW []Middleware
-	if opts.InstanceID != "" {
-		searchMW = append(searchMW, InstanceHeader(opts.InstanceID))
-	}
 	if opts.MaxInFlight > 0 {
-		s.inflight = &InFlightGauge{}
-		searchMW = append(searchMW, Admission(opts.MaxInFlight, retryAfter, func() { s.shed.Add(1) }, s.inflight))
+		h.slots = make(chan struct{}, opts.MaxInFlight)
+		s.capacity = int64(opts.MaxInFlight)
 	}
 	if opts.CacheSize > 0 {
-		// Inside admission, outside the deadline and the fault-injection
-		// wrap: a cached hit avoids whatever latency/cost the wrap models,
-		// and it cannot run late, so it arms no timer either.
 		s.cache = newResponseCache(opts.CacheSize)
-		searchMW = append(searchMW, Cache(s.cache))
-	}
-	if opts.RequestTimeout > 0 {
-		searchMW = append(searchMW, Deadline(opts.RequestTimeout))
 	}
 	if opts.Wrap != nil {
-		searchMW = append(searchMW, opts.Wrap)
+		h.search = opts.Wrap(h.search)
 	}
-
-	m := http.NewServeMux()
-	m.Handle("/search", Chain(http.HandlerFunc(s.handleSearch), searchMW...))
-	m.HandleFunc("/stats", s.handleStats)
-	m.HandleFunc("/healthz", s.handleHealth)
-	m.HandleFunc("/readyz", s.handleReady)
-	m.HandleFunc("/statz", s.handleStatz)
-
-	return Chain(m, RequestID(), Recover(func(interface{}) { s.panics.Add(1) }))
+	return h
 }
 
 // Resolve maps free query text to a query on one keyword with its form
@@ -360,7 +337,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	params := r.URL.Query()
 	text := params.Get("q")
 	if text == "" {
-		writeError(w, r, http.StatusBadRequest, "missing_query", "missing q parameter", 0)
+		writeError(w, http.StatusBadRequest, "missing_query", "missing q parameter", 0)
 		return
 	}
 	country := market.Country(params.Get("country"))
@@ -369,7 +346,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	q, ok, err := s.resolve(ctx, text)
 	if err != nil {
-		s.writeTimeout(w, r, "resolve")
+		s.writeTimeout(w, "resolve")
 		return
 	}
 	if !ok {
@@ -378,7 +355,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ctx.Err() != nil {
-		s.writeTimeout(w, r, "admission")
+		s.writeTimeout(w, "admission")
 		return
 	}
 	// CountryIdx keys the sim's page cache only; the builder never reads
@@ -389,7 +366,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.pages.Build(pg, &scr.scr, s.p.Index().Sublists(q.Vertical, country), &q, s.live)
 	if ctx.Err() != nil {
 		s.scr.Put(scr)
-		s.writeTimeout(w, r, "auction")
+		s.writeTimeout(w, "auction")
 		return
 	}
 
@@ -448,9 +425,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeTimeout records and reports an exhausted per-request deadline.
-func (s *Server) writeTimeout(w http.ResponseWriter, r *http.Request, stage string) {
+func (s *Server) writeTimeout(w http.ResponseWriter, stage string) {
 	s.timeouts.Add(1)
-	writeError(w, r, http.StatusGatewayTimeout, "deadline_exceeded",
+	writeError(w, http.StatusGatewayTimeout, "deadline_exceeded",
 		fmt.Sprintf("request deadline exceeded during %s", stage), 0)
 }
 
@@ -512,7 +489,7 @@ func (s *Server) Statz() Statz {
 	z := Statz{
 		Instance: s.instance,
 		InFlight: s.inflight.Load(),
-		Capacity: s.inflight.Capacity(),
+		Capacity: s.capacity,
 		Served:   s.served.Load(),
 		Shed:     s.shed.Load(),
 	}

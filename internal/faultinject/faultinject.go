@@ -104,8 +104,8 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// HTTP returns a middleware applying the fault profile f under name;
-// its type matches adserver.Middleware. Registering the same name again
+// HTTP returns a handler wrapper applying the fault profile f under
+// name; it fits adserver Options.Wrap. Registering the same name again
 // resets its counters.
 func (in *Injector) HTTP(name string, f Faults) func(http.Handler) http.Handler {
 	if f.ErrorStatus == 0 {

@@ -39,9 +39,8 @@ type Scenario struct {
 	Classes   []Class     `json:"classes"`
 	Workers   int         `json:"workers,omitempty"` // sender goroutines (default 4)
 
-	// Per-instance serving stack; the request deadline and the shed
-	// Retry-After hint are fixed (instanceRequestTimeout, instanceRetryAfter),
-	// and the router runs with its defaults.
+	// Per-instance serving stack; the request deadline is fixed
+	// (instanceRequestTimeout), and the router runs with its defaults.
 	MaxInflight int `json:"max_inflight,omitempty"` // admission bound (default 64)
 	CacheSize   int `json:"cache,omitempty"`        // response cache entries (0 = off)
 
@@ -136,13 +135,31 @@ func (s *Scenario) Validate() error {
 	if err := ValidateClasses(s.Classes); err != nil {
 		return err
 	}
+	// Zero picks a default or turns a feature off; a negative size would
+	// silently do the same, so it is refused.
+	if s.Workers < 0 || s.MaxInflight < 0 || s.CacheSize < 0 {
+		return fmt.Errorf("workers, max_inflight and cache must be >= 0")
+	}
 	for _, f := range s.Faults {
 		if f.Backend < 0 || f.Backend >= s.Instances {
 			return fmt.Errorf("fault backend %d out of range (instances=%d)", f.Backend, s.Instances)
 		}
+		if f.LatencyMS < 0 {
+			return fmt.Errorf("fault latency_ms must be >= 0")
+		}
+		// A window is absent (both zero) or 1 <= fail_from < fail_until;
+		// any other pair injects no outage.
+		if (f.FailFrom != 0 || f.FailUntil != 0) && (f.FailFrom == 0 || f.FailFrom >= f.FailUntil) {
+			return fmt.Errorf("fault window [%d, %d) injects no outage", f.FailFrom, f.FailUntil)
+		}
 	}
-	if s.Drain != nil && (s.Drain.Backend < 0 || s.Drain.Backend >= s.Instances) {
-		return fmt.Errorf("drain backend %d out of range", s.Drain.Backend)
+	if s.Drain != nil {
+		if s.Drain.Backend < 0 || s.Drain.Backend >= s.Instances {
+			return fmt.Errorf("drain backend %d out of range", s.Drain.Backend)
+		}
+		if s.Drain.AfterMS < 0 {
+			return fmt.Errorf("drain after_ms must be >= 0")
+		}
 	}
 	return nil
 }
@@ -191,11 +208,8 @@ func (r ScenarioReport) Normalize() ScenarioReport {
 	return out
 }
 
-// Every instance's per-request deadline and shed Retry-After hint.
-const (
-	instanceRequestTimeout = 2 * time.Second
-	instanceRetryAfter     = time.Second
-)
+// instanceRequestTimeout is every instance's per-request deadline.
+const instanceRequestTimeout = 2 * time.Second
 
 // RunScenario boots the cluster (N adserver instances over one shared
 // frozen platform, each with its own serving stack and optional fault
@@ -249,7 +263,6 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 		opts := adserver.Options{
 			MaxInFlight:    maxInflight,
 			RequestTimeout: instanceRequestTimeout,
-			RetryAfter:     instanceRetryAfter,
 			InstanceID:     name,
 			CacheSize:      spec.CacheSize,
 		}

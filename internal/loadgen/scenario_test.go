@@ -152,6 +152,15 @@ func TestScenarioValidate(t *testing.T) {
 		func(s *Scenario) { s.Classes = nil },
 		func(s *Scenario) { s.Faults = []FaultSpec{{Backend: 9}} },
 		func(s *Scenario) { s.Drain = &DrainSpec{Backend: -1} },
+		// Negative sizes and an inverted outage window would otherwise
+		// silently turn their feature off.
+		func(s *Scenario) { s.MaxInflight = -5 },
+		func(s *Scenario) { s.CacheSize = -1 },
+		func(s *Scenario) { s.Workers = -1 },
+		func(s *Scenario) { s.Faults = []FaultSpec{{Backend: 0, LatencyMS: -1}} },
+		func(s *Scenario) { s.Faults = []FaultSpec{{Backend: 0, FailFrom: 6, FailUntil: 1}} },
+		func(s *Scenario) { s.Faults = []FaultSpec{{Backend: 0, FailFrom: 0, FailUntil: 6}} },
+		func(s *Scenario) { s.Drain = &DrainSpec{Backend: 0, AfterMS: -1} },
 	}
 	for i, mutate := range cases {
 		spec := tinyScenario()
