@@ -114,23 +114,16 @@ bench-pair:
 	$(GO) run ./cmd/benchdiff -pairs "$$dir/old.jsonl" "$$dir/new.jsonl"
 
 # fuzz-smoke runs each fuzz target briefly — enough to exercise the
-# corpus plus a short exploration burst. TestFuzzSmokeCoversEveryFuzzTarget
-# (root package) fails when this list and the module's fuzz targets differ.
+# corpus plus a short exploration burst. The targets are the top-level
+# `func Fuzz...` declarations in the module's _test.go files (bench/,
+# testdata and dot directories skipped), one `go test -fuzz` each.
 fuzz-smoke:
-	$(GO) test ./internal/adcopy -run '^$$' -fuzz FuzzCanonicalToken -fuzztime 5s
-	$(GO) test ./internal/adcopy -run '^$$' -fuzz FuzzTokenize -fuzztime 5s
-	$(GO) test ./internal/adcopy -run '^$$' -fuzz FuzzFoldLookalikes -fuzztime 5s
-	$(GO) test ./internal/adcopy -run '^$$' -fuzz FuzzObfuscatePhone -fuzztime 5s
-	$(GO) test ./internal/queries -run '^$$' -fuzz FuzzGeneratorSeed -fuzztime 5s
-	$(GO) test ./internal/adserver -run '^$$' -fuzz FuzzResolve -fuzztime 5s
-	$(GO) test ./internal/adserver -run '^$$' -fuzz FuzzSearchStack -fuzztime 5s
-	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s
-	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzReadLog -fuzztime 5s
-	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzRecoverDir -fuzztime 5s
-	$(GO) test ./internal/platform -run '^$$' -fuzz FuzzDecodeColumns -fuzztime 5s
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzRestoreCheckpoint -fuzztime 5s
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLineageLoad -fuzztime 5s
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzSubStreams -fuzztime 5s
+	@set -e; grep -Ho '^func Fuzz[A-Za-z0-9_]*' $$(find . \( -name bench -o -name testdata -o -name '.?*' \) -prune \
+		-o -name '*_test.go' -print | sort) | while IFS=: read -r file fn; do \
+		dir=$$(dirname "$$file"); name=$${fn#func }; \
+		echo "$(GO) test $$dir -run '^$$' -fuzz '^$$name\$$' -fuzztime 5s"; \
+		$(GO) test "$$dir" -run '^$$' -fuzz "^$$name\$$" -fuzztime 5s; \
+	done
 
 # loc prints the Go line counts, non-test and test, outside the benchmark
 # module — the numbers a PR's "net line delta" is stated in. It counts

@@ -60,10 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
-	if *verbose {
-		cfg.Progress = func(s string) { fmt.Fprintln(stderr, s) }
-	}
-
 	// Validate experiment IDs before the simulation runs: a typo must
 	// fail in milliseconds, not after minutes of simulated traffic.
 	wanted, err := parseRunIDs(*runIDs)
@@ -72,7 +68,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintf(stderr, "simulating %d days at %d queries/day...\n", cfg.Days, cfg.QueriesPerDay)
-	res := sim.New(cfg).Run()
+	s := sim.New(cfg)
+	if *verbose {
+		s.SetProgress(func(line string) { fmt.Fprintln(stderr, line) })
+	}
+	res := s.Run()
 	fmt.Fprintf(stderr, "done in %s; building subsets...\n", res.Elapsed.Round(1e7))
 	env := report.NewEnv(res, *subset, *seed^0x5eed)
 	var outputs []*report.Output

@@ -31,7 +31,9 @@
 // continues on the exact deterministic trajectory of an uninterrupted
 // run. The shape flags (-scale through -legit) come from the checkpoint
 // and cannot be overridden on resume; -workers and -checkpoint-retain
-// CAN be — neither affects the trajectory.
+// CAN be — neither affects the trajectory. A checkpoint does not store
+// the worker count (its bytes are the same at any), so a resume without
+// -workers uses every available CPU, on the same bytes.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (CPU over
 // the whole run, a resume's restore included; heap at exit, after a
@@ -138,11 +140,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if d.Log != nil {
 		d.Log.Sync = policy
 	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" { // else the scale's, or the checkpoint's
-			d.Sim.SetWorkers(*workers)
-		}
-	})
+	d.Sim.SetWorkers(*workers)
 	if *verbose {
 		d.Sim.SetProgress(func(line string) { fmt.Fprintln(stderr, line) })
 	}

@@ -136,10 +136,11 @@ func TestResumeRestoreFailureLeavesNoStagedSegment(t *testing.T) {
 
 // TestRunWorkersAndProfiles covers the serving-parallelism and profiling
 // flags: a multi-worker run must export byte-identical datasets to a
-// one-worker run of the same seed, a checkpoint resumed with a different
-// -workers value must land on the same datasets and report the same
-// whole event log, and the pprof flags must leave non-empty profile
-// files behind.
+// one-worker run of the same seed and write a byte-identical checkpoint
+// (a checkpoint does not store the worker count), a checkpoint resumed
+// with a different -workers value must land on the same datasets and
+// report the same whole event log, and the pprof flags must leave
+// non-empty profile files behind.
 func TestRunWorkersAndProfiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several simulations")
@@ -170,12 +171,14 @@ func TestRunWorkersAndProfiles(t *testing.T) {
 	logLine := regexp.MustCompile(`event log written .*`)
 	wantLog := logLine.FindString(sb.String())
 
-	parOut := t.TempDir()
+	parOut, parLog := t.TempDir(), filepath.Join(t.TempDir(), "log")
+	parCkpt := filepath.Join(t.TempDir(), "ck.frsnap")
 	cpu := filepath.Join(t.TempDir(), "cpu.pprof")
 	mem := filepath.Join(t.TempDir(), "mem.pprof")
 	sb.Reset()
 	if err := run(append(base[:len(base):len(base)],
-		"-workers", "3", "-export", parOut,
+		"-workers", "3", "-export", parOut, "-eventlog", parLog,
+		"-checkpoint", parCkpt, "-checkpoint-every", "20",
 		"-cpuprofile", cpu, "-memprofile", mem), &sb, &sb); err != nil {
 		t.Fatalf("parallel run: %v\n%s", err, sb.String())
 	}
@@ -183,6 +186,17 @@ func TestRunWorkersAndProfiles(t *testing.T) {
 		if got := exportOf(parOut)[name]; got != w {
 			t.Errorf("%s differs between -workers 1 and -workers 3 runs", name)
 		}
+	}
+	seqFrame, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parFrame, err := os.ReadFile(parCkpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(seqFrame) != string(parFrame) {
+		t.Errorf("the -workers 1 and -workers 3 checkpoints differ (%d and %d bytes)", len(seqFrame), len(parFrame))
 	}
 	for _, p := range []string{cpu, mem} {
 		fi, err := os.Stat(p)

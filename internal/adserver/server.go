@@ -318,18 +318,8 @@ type SearchResponse struct {
 // requests always roll identical clicks, making responses
 // order-insensitive and golden-pinnable under arbitrary concurrency.
 func (s *Server) clickRNG(q string, country market.Country) *stats.RNG {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for i := 0; i < len(q); i++ {
-		h ^= uint64(q[i])
-		h *= 1099511628211
-	}
-	h ^= uint64(0xff)
-	h *= 1099511628211
-	for i := 0; i < len(country); i++ {
-		h ^= uint64(country[i])
-		h *= 1099511628211
-	}
-	return stats.NewRNG(s.seed ^ h)
+	h := stats.FNV1a(stats.FNV1a(stats.FNVOffset, q), "\xff")
+	return stats.NewRNG(s.seed ^ stats.FNV1a(h, string(country)))
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {

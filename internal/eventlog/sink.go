@@ -11,8 +11,7 @@ type Sink interface {
 
 // BatchSink is the optional bulk extension of Sink: sinks that can take
 // a whole day's staged events in one call implement it to amortize
-// per-event dispatch (and, for Async, one lock acquisition per batch
-// instead of per event). Use AppendAll to deliver through it.
+// per-event dispatch. Use AppendAll to deliver through it.
 type BatchSink interface {
 	AppendBatch([]Event)
 }
@@ -123,25 +122,6 @@ func (a *Async) Append(ev Event) {
 	case a.ch <- ev:
 	default:
 		a.dropped++
-	}
-	a.mu.Unlock()
-}
-
-// AppendBatch enqueues the batch under one lock acquisition, with the
-// same per-event drop-not-block semantics as Append.
-func (a *Async) AppendBatch(evs []Event) {
-	a.mu.Lock()
-	if a.closed {
-		a.dropped += uint64(len(evs))
-		a.mu.Unlock()
-		return
-	}
-	for i := range evs {
-		select {
-		case a.ch <- evs[i]:
-		default:
-			a.dropped++
-		}
 	}
 	a.mu.Unlock()
 }

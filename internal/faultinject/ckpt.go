@@ -61,7 +61,7 @@ type CkptInjector struct {
 // Damage sites are a pure function of (injector seed, name, save
 // index), mirroring Route, Writer, and Proc.
 func (in *Injector) Ckpt(name string, f CkptFaults) *CkptInjector {
-	return &CkptInjector{cfg: f, seed: in.seed, name: fnv64(name)}
+	return &CkptInjector{cfg: f, seed: in.seed, name: stats.FNV1a(stats.FNVOffset, name)}
 }
 
 // OnSave counts one checkpoint save and, when the profile's armed save

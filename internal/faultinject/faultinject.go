@@ -27,26 +27,26 @@ import (
 )
 
 // Faults configures how one named HTTP handler misbehaves. Rolls are
-// drawn in a fixed order — latency jitter, outage window, panic, drop,
-// error — and a class draws only when it is configured, so adding a
-// later fault class never perturbs earlier ones.
+// drawn in a fixed order — panic, drop, error — and a class draws only
+// when it is configured, so adding a later fault class never perturbs
+// earlier ones. An injected error reply, from the outage window or
+// ErrorRate, is a 503: the shape of a member whose own dependency is
+// down, and the status the router retries elsewhere.
 type Faults struct {
 	// Latency is added to every request before the handler runs; the
 	// sleep respects the request context, so a deadline can cut it
 	// short (the request then times out downstream, as in production).
 	Latency time.Duration
-	// LatencyJitter adds a uniform [0, J) draw on top of Latency.
-	LatencyJitter time.Duration
 	// FailFrom/FailUntil define a deterministic outage window by arrival
 	// index (1-based, inclusive/exclusive): requests n with
-	// FailFrom <= n < FailUntil all fail — with ErrorStatus, or by
+	// FailFrom <= n < FailUntil all fail — with a 503, or by
 	// connection drop when DropOutage is set. The window is the router's
 	// ejection trigger: enough consecutive failures eject the member,
 	// and once arrivals pass FailUntil, re-admission probes find it
 	// healthy again. Zero FailFrom disables the window.
 	FailFrom, FailUntil uint64
 	// DropOutage makes the outage window sever connections instead of
-	// writing ErrorStatus.
+	// replying 503.
 	DropOutage bool
 	// PanicRate is the probability the wrapped handler panics instead
 	// of running.
@@ -55,12 +55,9 @@ type Faults struct {
 	// without a response (aborts via http.ErrAbortHandler), which a
 	// router observes as a transport error.
 	DropRate float64
-	// ErrorRate is the probability the injector replies with ErrorStatus
-	// instead of running the handler.
+	// ErrorRate is the probability the injector replies 503 instead of
+	// running the handler.
 	ErrorRate float64
-	// ErrorStatus defaults to 503 — the shape of a member whose own
-	// dependency is down, and the status the router retries elsewhere.
-	ErrorStatus int
 }
 
 // httpState carries one name's profile plus its arrival counter and
@@ -94,28 +91,15 @@ func New(seed uint64) *Injector {
 	}
 }
 
-// fnv64 hashes a name into the decision stream seed.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // HTTP returns a handler wrapper applying the fault profile f under
 // name; it fits adserver Options.Wrap. Registering the same name again
 // resets its counters.
 func (in *Injector) HTTP(name string, f Faults) func(http.Handler) http.Handler {
-	if f.ErrorStatus == 0 {
-		f.ErrorStatus = http.StatusServiceUnavailable
-	}
 	st := &httpState{cfg: f}
 	in.mu.Lock()
 	in.handlers[name] = st
 	in.mu.Unlock()
-	nameHash := fnv64(name)
+	nameHash := stats.FNV1a(stats.FNVOffset, name)
 	return func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			n := st.arrived.Add(1)
@@ -124,9 +108,9 @@ func (in *Injector) HTTP(name string, f Faults) func(http.Handler) http.Handler 
 			rng := stats.NewRNG(in.seed ^ nameHash ^ (n * 0x9e3779b97f4a7c15))
 
 			f := &st.cfg
-			if d := f.Latency + jitter(f.LatencyJitter, rng); d > 0 {
+			if f.Latency > 0 {
 				st.delayed.Add(1)
-				sleepCtx(r.Context(), d)
+				sleepCtx(r.Context(), f.Latency)
 			}
 			if f.FailFrom > 0 && n >= f.FailFrom && n < f.FailUntil {
 				if f.DropOutage {
@@ -134,7 +118,7 @@ func (in *Injector) HTTP(name string, f Faults) func(http.Handler) http.Handler 
 					panic(http.ErrAbortHandler)
 				}
 				st.errors.Add(1)
-				writeInjected(w, f.ErrorStatus, name, n)
+				writeInjected(w, name, n)
 				return
 			}
 			if f.PanicRate > 0 && rng.Float64() < f.PanicRate {
@@ -147,7 +131,7 @@ func (in *Injector) HTTP(name string, f Faults) func(http.Handler) http.Handler 
 			}
 			if f.ErrorRate > 0 && rng.Float64() < f.ErrorRate {
 				st.errors.Add(1)
-				writeInjected(w, f.ErrorStatus, name, n)
+				writeInjected(w, name, n)
 				return
 			}
 			h.ServeHTTP(w, r)
@@ -156,9 +140,9 @@ func (in *Injector) HTTP(name string, f Faults) func(http.Handler) http.Handler 
 }
 
 // writeInjected emits the injected error reply.
-func writeInjected(w http.ResponseWriter, status int, name string, n uint64) {
+func writeInjected(w http.ResponseWriter, name string, n uint64) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	w.WriteHeader(http.StatusServiceUnavailable)
 	_ = json.NewEncoder(w).Encode(map[string]string{
 		"error": fmt.Sprintf("injected fault (name=%s n=%d)", name, n),
 		"code":  "fault_injected",
@@ -192,15 +176,6 @@ func (in *Injector) Stats(name string) Stats {
 	}
 }
 
-// jitter draws a uniform [0, j) duration; zero j draws nothing (and
-// consumes no randomness, keeping later rolls stable).
-func jitter(j time.Duration, rng *stats.RNG) time.Duration {
-	if j <= 0 {
-		return 0
-	}
-	return time.Duration(rng.Float64() * float64(j))
-}
-
 // sleepCtx sleeps d or until ctx ends, whichever comes first.
 func sleepCtx(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
@@ -211,7 +186,7 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// ErrInjectedWrite is the default failure WriteFaults injects.
+// ErrInjectedWrite is the failure WriteFaults.ErrorRate injects.
 var ErrInjectedWrite = errors.New("faultinject: injected write failure")
 
 // ErrInjectedCrash marks the point where a crash profile killed the
@@ -223,11 +198,9 @@ var ErrInjectedCrash = errors.New("faultinject: injected crash")
 // io.Writer — the fault class event-recording sinks meet in production
 // (full disks, torn pipes, unreachable log shippers).
 type WriteFaults struct {
-	// ErrorRate is the probability a Write call fails outright.
-	ErrorRate float64
-	// Err is the error returned on injected failures; defaults to
+	// ErrorRate is the probability a Write call fails outright, with
 	// ErrInjectedWrite.
-	Err error
+	ErrorRate float64
 	// KillAfterWrites, when > 0, simulates the process dying mid-write:
 	// the first KillAfterWrites calls pass through untouched, call
 	// KillAfterWrites+1 persists only a seeded strict prefix of its
@@ -250,14 +223,11 @@ type writerState struct {
 // a failing-sink chaos test is exactly reproducible. The returned
 // writer is safe for concurrent use iff w is.
 func (in *Injector) Writer(name string, w io.Writer, f WriteFaults) io.Writer {
-	if f.Err == nil {
-		f.Err = ErrInjectedWrite
-	}
 	st := &writerState{cfg: f}
 	in.mu.Lock()
 	in.writers[name] = st
 	in.mu.Unlock()
-	return &faultyWriter{in: in, st: st, nameHash: fnv64(name), w: w}
+	return &faultyWriter{in: in, st: st, nameHash: stats.FNV1a(stats.FNVOffset, name), w: w}
 }
 
 type faultyWriter struct {
@@ -284,7 +254,7 @@ func (fw *faultyWriter) Write(p []byte) (int, error) {
 		rng := stats.NewRNG(fw.in.seed ^ fw.nameHash ^ (n * 0x9e3779b97f4a7c15))
 		if rng.Float64() < f.ErrorRate {
 			fw.st.failed.Add(1)
-			return 0, f.Err
+			return 0, ErrInjectedWrite
 		}
 	}
 	return fw.w.Write(p)

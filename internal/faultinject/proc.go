@@ -71,7 +71,7 @@ func (in *Injector) Proc(name string, f ProcFaults) *ProcInjector {
 	p := &ProcInjector{
 		cfg:     f,
 		seed:    in.seed,
-		name:    fnv64(name),
+		name:    stats.FNV1a(stats.FNVOffset, name),
 		stalled: make(chan struct{}),
 		sleep:   time.Sleep,
 	}

@@ -167,7 +167,7 @@ func runFig3(env *Env) *Output {
 		}
 	}
 	totalIn, totalOut := 0.0, 0.0
-	for _, w := range weeks[:maxInt(1, len(weeks)-13)] {
+	for _, w := range weeks[:max(1, len(weeks)-13)] {
 		totalIn += w.InSpend
 		totalOut += w.OutSpend
 	}
@@ -175,13 +175,6 @@ func runFig3(env *Env) *Output {
 		o.Metric("outwindow_over_inwindow_spend", totalOut/totalIn)
 	}
 	return o
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func runFig4(env *Env) *Output {

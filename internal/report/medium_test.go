@@ -15,9 +15,9 @@ func TestMediumDump(t *testing.T) {
 	if os.Getenv("MEDIUM_DUMP") == "" {
 		t.Skip("set MEDIUM_DUMP=1 to run")
 	}
-	cfg := sim.MediumConfig()
-	cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	res := sim.New(cfg).Run()
+	s := sim.New(sim.MediumConfig())
+	s.SetProgress(func(line string) { fmt.Fprintln(os.Stderr, line) })
+	res := s.Run()
 	f, err := os.Create("/tmp/medium_report.txt")
 	if err != nil {
 		t.Fatal(err)

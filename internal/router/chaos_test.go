@@ -51,7 +51,6 @@ func TestChaosRouterMasksBackendOutage(t *testing.T) {
 	rt, err := New(Options{
 		Seed:          42,
 		EjectAfter:    3,
-		Retries:       2,
 		ProbeInterval: 10 * time.Millisecond,
 		BackoffBase:   5 * time.Millisecond,
 		BackoffCap:    40 * time.Millisecond,
@@ -146,7 +145,6 @@ func TestChaosRouterMasksConnectionDrops(t *testing.T) {
 	rt, err := New(Options{
 		Seed:          43,
 		EjectAfter:    2,
-		Retries:       2,
 		ProbeInterval: 10 * time.Millisecond,
 		BackoffBase:   5 * time.Millisecond,
 		BackoffCap:    40 * time.Millisecond,

@@ -119,7 +119,7 @@ func (h *healthLoop) refreshStatz(ctx context.Context, b *Backend) {
 // get issues one probe GET, decoding JSON into out when non-nil.
 // Returns true on a 200.
 func (h *healthLoop) get(ctx context.Context, b *Backend, path string, out interface{}) bool {
-	ctx, cancel := context.WithTimeout(ctx, h.rt.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL.String()+path, nil)
 	if err != nil {

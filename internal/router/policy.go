@@ -2,10 +2,12 @@ package router
 
 import (
 	"sync/atomic"
+
+	"repro/internal/stats"
 )
 
 // Policy picks which eligible backend serves a request. Pick receives
-// the hash of the request's affinity key (hashKey of its search phrase,
+// the hash of the request's affinity key (FNV-1a of its search phrase,
 // else of its path) and a non-empty candidate slice in member order; it
 // must be safe for concurrent use and must return one of the candidates
 // (or nil to refuse, which the router treats as no backend).
@@ -61,44 +63,18 @@ type Affinity struct{}
 
 func (Affinity) Name() string { return "affinity" }
 
+// Pick scores each (key, member) pair by FNV-1a over the key, a
+// separator and the member name, continued from the key's hash.
 func (Affinity) Pick(key uint64, cands []*Backend) *Backend {
+	key = stats.FNV1a(key, "\x1f") // separator so ("ab","c") != ("a","bc")
 	best := cands[0]
-	bestScore := rendezvous(key, best.Name)
+	bestScore := stats.FNV1a(key, best.Name)
 	for _, b := range cands[1:] {
-		if s := rendezvous(key, b.Name); s > bestScore || (s == bestScore && b.idx < best.idx) {
+		if s := stats.FNV1a(key, b.Name); s > bestScore || (s == bestScore && b.idx < best.idx) {
 			best, bestScore = b, s
 		}
 	}
 	return best
-}
-
-// FNV-1a 64-bit parameters.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// hashKey is FNV-1a over an affinity key.
-func hashKey(key string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-// rendezvous scores a (key, member) pair: FNV-1a over the key, a
-// separator and the member name, continued from the key's hash.
-func rendezvous(key uint64, member string) uint64 {
-	h := key
-	h ^= uint64(0x1f) // separator so ("ab","c") != ("a","bc")
-	h *= fnvPrime
-	for i := 0; i < len(member); i++ {
-		h ^= uint64(member[i])
-		h *= fnvPrime
-	}
-	return h
 }
 
 // PolicyByName maps scenario-spec names to policies.

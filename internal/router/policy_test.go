@@ -3,6 +3,8 @@ package router
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // mkBackends builds a member list without a router (policies only see
@@ -23,13 +25,13 @@ func TestRoundRobinRotationPin(t *testing.T) {
 	cands := mkBackends(3)
 	want := []int{0, 1, 2, 0, 1, 2, 0}
 	for i, w := range want {
-		if got := p.Pick(hashKey("k"), cands); got != cands[w] {
+		if got := p.Pick(stats.FNV1a(stats.FNVOffset, "k"), cands); got != cands[w] {
 			t.Fatalf("pick %d: got %s, want %s", i, got.Name, cands[w].Name)
 		}
 	}
 	// A shrunken candidate set keeps cycling without panic.
 	for i := 0; i < 4; i++ {
-		if got := p.Pick(hashKey("k"), cands[:2]); got != cands[0] && got != cands[1] {
+		if got := p.Pick(stats.FNV1a(stats.FNVOffset, "k"), cands[:2]); got != cands[0] && got != cands[1] {
 			t.Fatalf("pick over shrunk set returned ineligible %s", got.Name)
 		}
 	}
@@ -42,20 +44,20 @@ func TestLeastLoadedTieBreak(t *testing.T) {
 	p := LeastLoaded{}
 	cands := mkBackends(3)
 	for i := 0; i < 5; i++ {
-		if got := p.Pick(hashKey("k"), cands); got != cands[0] {
+		if got := p.Pick(stats.FNV1a(stats.FNVOffset, "k"), cands); got != cands[0] {
 			t.Fatalf("all-zero load must pick index 0, got %s", got.Name)
 		}
 	}
 	cands[0].inflight.Store(2)
 	cands[1].inflight.Store(1)
 	cands[2].inflight.Store(1)
-	if got := p.Pick(hashKey("k"), cands); got != cands[1] {
+	if got := p.Pick(stats.FNV1a(stats.FNVOffset, "k"), cands); got != cands[1] {
 		t.Fatalf("tie at load 1 must pick lower index, got %s", got.Name)
 	}
 	// Self-reported load counts even when the local gauge is idle: the
 	// backend may be serving traffic from elsewhere.
 	cands[1].reported.Store(5)
-	if got := p.Pick(hashKey("k"), cands); got != cands[2] {
+	if got := p.Pick(stats.FNV1a(stats.FNVOffset, "k"), cands); got != cands[2] {
 		t.Fatalf("reported load must steer away, got %s", got.Name)
 	}
 	if cands[1].load() != 5 {
@@ -76,8 +78,8 @@ func TestAffinityStableUnderChurn(t *testing.T) {
 
 	home := make(map[string]*Backend, len(keys))
 	for _, k := range keys {
-		home[k] = p.Pick(hashKey(k), cands)
-		if p.Pick(hashKey(k), cands) != home[k] {
+		home[k] = p.Pick(stats.FNV1a(stats.FNVOffset, k), cands)
+		if p.Pick(stats.FNV1a(stats.FNVOffset, k), cands) != home[k] {
 			t.Fatalf("key %q not stable across calls", k)
 		}
 	}
@@ -95,7 +97,7 @@ func TestAffinityStableUnderChurn(t *testing.T) {
 	removed := cands[2]
 	survivors := append(append([]*Backend{}, cands[:2]...), cands[3:]...)
 	for _, k := range keys {
-		got := p.Pick(hashKey(k), survivors)
+		got := p.Pick(stats.FNV1a(stats.FNVOffset, k), survivors)
 		if home[k] != removed {
 			if got != home[k] {
 				t.Fatalf("key %q moved from %s to %s though its home survived", k, home[k].Name, got.Name)

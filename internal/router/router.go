@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/stats"
 )
 
 // State is a backend's membership state.
@@ -97,13 +98,17 @@ func (b *Backend) cooling(now time.Time) bool {
 	return b.coolUntil.Load() > now.UnixNano()
 }
 
+// retries bounds the additional attempts on a different backend after
+// a connection error or 5xx, and probeTimeout each health probe.
+const (
+	retries      = 2
+	probeTimeout = time.Second
+)
+
 // Options configures a Router.
 type Options struct {
 	// Policy picks a backend per request. Defaults to RoundRobin.
 	Policy Policy
-	// Retries bounds additional attempts on a different backend after a
-	// connection error or 5xx. Defaults to 2; negative disables.
-	Retries int
 	// EjectAfter is the consecutive-error threshold that ejects a
 	// backend. Defaults to 3; <= 0 disables ejection.
 	EjectAfter int
@@ -117,8 +122,6 @@ type Options struct {
 	// probe get one readyz each tick, and active members get a statz
 	// refresh so least-loaded reads real signal. Default 250ms.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each probe request. Default 1s.
-	ProbeTimeout time.Duration
 	// Transport overrides the proxy transport (tests inject
 	// failure-returning transports). Defaults to a transport of the
 	// router's own (see newTransport).
@@ -128,12 +131,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Policy == nil {
 		o.Policy = NewRoundRobin()
-	}
-	if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
 	}
 	if o.EjectAfter == 0 {
 		o.EjectAfter = 3
@@ -146,9 +143,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 250 * time.Millisecond
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
 	}
 	if o.Transport == nil {
 		o.Transport = newTransport()
@@ -304,7 +298,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	c.tried = c.tried[:0]
 	key := affinityKey(r.URL)
-	attempts := rt.opts.Retries + 1
+	attempts := retries + 1
 	reuse := true // c.req may go back to the pool with c
 
 	var lastResp *http.Response
@@ -506,7 +500,7 @@ func retryAfter(resp *http.Response) time.Duration {
 	return 0
 }
 
-// affinityKey is the routing key's hash (hashKey): the search phrase
+// affinityKey is the routing key's hash (FNV-1a): the search phrase
 // when present (so identical queries pin to the same member's caches),
 // else the path. The phrase is the first "q" value exactly as
 // r.URL.Query().Get("q") decodes it, read from RawQuery in place instead
@@ -529,13 +523,13 @@ func affinityKey(u *url.URL) uint64 {
 		}
 		return h
 	}
-	return hashKey(u.Path)
+	return stats.FNV1a(stats.FNVOffset, u.Path)
 }
 
-// hashEscaped is hashKey of url.QueryUnescape(s), decoded as it is
-// hashed; ok is false where QueryUnescape fails.
+// hashEscaped is the FNV-1a hash of url.QueryUnescape(s), decoded as it
+// is hashed; ok is false where QueryUnescape fails.
 func hashEscaped(s string) (h uint64, ok bool) {
-	h = fnvOffset
+	h = stats.FNVOffset
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch c {
@@ -554,7 +548,7 @@ func hashEscaped(s string) (h uint64, ok bool) {
 			i += 2
 		}
 		h ^= uint64(c)
-		h *= fnvPrime
+		h *= stats.FNVPrime
 	}
 	return h, true
 }

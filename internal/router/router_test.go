@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // okBackend serves 200 with a recognizable body on every route.
@@ -352,9 +354,9 @@ func TestRelayEndToEnd(t *testing.T) {
 func TestAffinityKeyMatchesQueryGet(t *testing.T) {
 	want := func(u *url.URL) uint64 {
 		if q := u.Query().Get("q"); q != "" {
-			return hashKey(q)
+			return stats.FNV1a(stats.FNVOffset, q)
 		}
-		return hashKey(u.Path)
+		return stats.FNV1a(stats.FNVOffset, u.Path)
 	}
 	raws := []string{
 		"", "q", "q=", "q=x", "Q=x", "q=a+b", "q=%41%2b", "q=%4", "q=%zz&q=ok",

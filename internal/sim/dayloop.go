@@ -11,13 +11,13 @@ package sim
 //	detection — the nightly sweep, in account-ID order, plus actor
 //	            re-registration reactions
 //
-// Only serving fans out across Workers goroutines (its freeze-then-merge
+// Only serving fans out across SetWorkers goroutines (its freeze-then-merge
 // contract is in serve.go); the other three phases run on the simulation
 // goroutine. Every agent and every monitored account still draws from a
 // private RNG stream and reads only its own account, so the canonical
 // orders above fix the shared bytes (index insertion, collector folds,
 // the event log) and nothing else. Every seeded byte (digests,
-// checkpoints, event logs) is identical at any Workers value, proven
+// checkpoints, event logs) is identical at any worker count, proven
 // against the recorded one-worker runs in record_test.go.
 //
 // StepPhase exposes the phase boundaries to callers: checkpoints may be

@@ -20,13 +20,19 @@ import (
 // chaosConfig is deliberately smaller than matrixConfig: the chaos suite
 // cares about fault handling at every phase barrier, not window-lane
 // coverage.
-func chaosConfig(workers int) sim.Config {
+func chaosConfig() sim.Config {
 	cfg := goldenConfig()
 	cfg.Seed = 5
 	cfg.Days = 60
 	cfg.QueriesPerDay = 400
-	cfg.Workers = workers
 	return cfg
+}
+
+// runAt runs cfg to the horizon at the given worker count.
+func runAt(cfg sim.Config, workers int) *sim.Result {
+	s := sim.New(cfg)
+	s.SetWorkers(workers)
+	return s.Run()
 }
 
 // TestChaosFaultyEventSinkDayLoop runs the parallel day loop against an
@@ -39,13 +45,13 @@ func TestChaosFaultyEventSinkDayLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two simulations")
 	}
-	want := digestOf(t, sim.New(chaosConfig(4)).Run())
+	want := digestOf(t, runAt(chaosConfig(), 4))
 
 	inj := faultinject.New(11)
 	w := eventlog.NewWriter(inj.Writer("dayloop", io.Discard, faultinject.WriteFaults{ErrorRate: 1}))
-	cfg := chaosConfig(4)
+	cfg := chaosConfig()
 	cfg.Events = w
-	got, err := testutil.MarshalStable(testutil.DigestResult(sim.New(cfg).Run()))
+	got, err := testutil.MarshalStable(testutil.DigestResult(runAt(cfg, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +85,13 @@ func TestChaosTornEventSinkDayLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two simulations")
 	}
-	want := digestOf(t, sim.New(chaosConfig(3)).Run())
+	want := digestOf(t, runAt(chaosConfig(), 3))
 
 	inj := faultinject.New(29)
 	w := eventlog.NewWriter(inj.Writer("dayloop", io.Discard, faultinject.WriteFaults{KillAfterWrites: 500}))
-	cfg := chaosConfig(3)
+	cfg := chaosConfig()
 	cfg.Events = w
-	got, err := testutil.MarshalStable(testutil.DigestResult(sim.New(cfg).Run()))
+	got, err := testutil.MarshalStable(testutil.DigestResult(runAt(cfg, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}

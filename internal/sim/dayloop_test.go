@@ -14,11 +14,12 @@ import (
 // detection → arrivals edge, and StepPhase refuses to run past the
 // horizon.
 func TestStepPhaseSequencing(t *testing.T) {
-	cfg := matrixConfig(7, 2)
+	cfg := matrixConfig(7)
 	cfg.Days = 3
 	cfg.QueriesPerDay = 100
 	cfg.InitialLegit = 30
 	s := sim.New(cfg)
+	s.SetWorkers(2)
 
 	order := []sim.Phase{sim.PhaseArrivals, sim.PhaseAgents, sim.PhaseServing, sim.PhaseDetection}
 	for day := 0; day < int(cfg.Days); day++ {

@@ -18,8 +18,8 @@ import (
 // allocations once the query buffer and the state's storage exist.
 func TestDrawAheadAllocFree(t *testing.T) {
 	cfg := SmallConfig()
-	cfg.Workers = 2
 	s := New(cfg)
+	s.SetWorkers(2)
 	day := func() {
 		s.startDraw()
 		s.joinDraw()

@@ -8,21 +8,16 @@ package sim
 var framePos = LogPosition{NextSegment: 2, Events: 40}
 
 // ReferenceFrame is the checkpoint frame of s by the reference writer:
-// a Snapshot, its platform columns written from the snapshot. Workers,
-// the one config field allowed to differ between runs, is zeroed.
+// a Snapshot, its platform columns written from the snapshot.
 func ReferenceFrame(s *Sim) ([]byte, error) {
-	st := s.Snapshot()
-	st.Config.Workers = 0
-	return encodeCheckpoint(new(checkpointBufs), &Checkpoint{State: st, Log: framePos})
+	return encodeCheckpoint(new(checkpointBufs), &Checkpoint{State: s.Snapshot(), Log: framePos})
 }
 
 // LiveFrame is the checkpoint frame of s as a save writes it, the
 // platform's two halves in sequence at one worker and on two goroutines
-// above one, with Workers zeroed as in ReferenceFrame. The frame aliases
-// the sim's checkpoint buffers: use it before the next save.
+// above one. The frame aliases the sim's checkpoint buffers: use it
+// before the next save.
 func LiveFrame(s *Sim, workers int) ([]byte, error) {
-	defer func(n int) { s.cfg.Workers = n }(s.cfg.Workers)
-	s.cfg.Workers = 0
 	return s.encodeCheckpoint(framePos, workers)
 }
 

@@ -1,5 +1,5 @@
 // The recorder: every determinism claim in this package says that this
-// run's bytes equal the Workers = 1 reference run's, so each (seed,
+// run's bytes equal the one-worker reference run's, so each (seed,
 // shape) world's reference is simulated once per test binary and
 // recorded: the canonical digest, the hash of each phase's events, the
 // hash of gob(Snapshot) and of the reference FRSNAP frame at every
@@ -36,19 +36,18 @@ import (
 
 // matrixConfig spans the Y1Q2 window start (day 90) so the sharded
 // window folds and position histograms see real coverage.
-func matrixConfig(seed uint64, workers int) sim.Config {
+func matrixConfig(seed uint64) sim.Config {
 	cfg := goldenConfig()
 	cfg.Seed = seed
 	cfg.Days = 110
 	cfg.QueriesPerDay = 600
-	cfg.Workers = workers
 	return cfg
 }
 
 // sweepConfig is small enough to hash and encode after every phase under
 // the race detector.
 func sweepConfig(seed uint64) sim.Config {
-	cfg := matrixConfig(seed, 0)
+	cfg := matrixConfig(seed)
 	cfg.Days = 8
 	cfg.QueriesPerDay = 300
 	cfg.InitialLegit = 100
@@ -59,7 +58,7 @@ func sweepConfig(seed uint64) sim.Config {
 // fans out over empty blocks, and the agents and detection loops have
 // nothing to visit.
 func emptyConfig() sim.Config {
-	cfg := matrixConfig(3, 0)
+	cfg := matrixConfig(3)
 	cfg.Days = 5
 	cfg.QueriesPerDay = 0
 	cfg.InitialLegit = 0
@@ -87,7 +86,7 @@ var (
 // world is one entry of the recorder's table.
 type world struct {
 	name   string
-	cfg    sim.Config // the shape; each run sets Workers
+	cfg    sim.Config // the shape; each run sets its worker count
 	every  bool       // hash the snapshot and the reference frame at every boundary
 	keep   []int      // boundaries whose reference frames are kept whole
 	result bool       // keep the Result, for tests that read more than its digest
@@ -107,7 +106,7 @@ var (
 
 func init() {
 	for _, seed := range []uint64{7, 11, 23, 31} {
-		matrixWorlds[seed] = &world{name: fmt.Sprintf("seed=%d", seed), cfg: matrixConfig(seed, 0),
+		matrixWorlds[seed] = &world{name: fmt.Sprintf("seed=%d", seed), cfg: matrixConfig(seed),
 			keep: []int{y1q2Day, y1q2Serving}}
 		allWorlds = append(allWorlds, matrixWorlds[seed])
 	}
@@ -127,7 +126,7 @@ func worlds(m map[uint64]*world, seeds ...uint64) []*world {
 	return ws
 }
 
-// recording is what a world's Workers = 1 reference run left behind.
+// recording is what a world's one-worker reference run left behind.
 type recording struct {
 	name   string
 	cfg    sim.Config
@@ -150,7 +149,7 @@ type phase struct {
 // every-boundary world and at the keep boundaries of any world (frame
 // only).
 type bound struct {
-	snap  [sha256.Size]byte // gob(Snapshot), Workers zeroed
+	snap  [sha256.Size]byte // gob(Snapshot)
 	frame [sha256.Size]byte // sim.ReferenceFrame
 }
 
@@ -169,10 +168,10 @@ func (w *world) run() (*recording, error) {
 		return nil, fmt.Errorf("eventlog.Event has %d fields; phaseLog.Append hashes 13", n)
 	}
 	cfg := w.cfg
-	cfg.Workers = 1
 	log := newPhaseLog()
 	cfg.Events = log
 	s := sim.New(cfg)
+	s.SetWorkers(1)
 	rec := &recording{name: w.name, cfg: w.cfg, bounds: []bound{{}}, frames: map[int][]byte{}}
 	for more := true; more; {
 		more = s.StepPhase()
@@ -209,12 +208,10 @@ func (w *world) run() (*recording, error) {
 	return rec, err
 }
 
-// snapshotGob is gob(Snapshot) with Workers zeroed.
+// snapshotGob is gob(Snapshot).
 func snapshotGob(s *sim.Sim) ([]byte, error) {
-	st := s.Snapshot()
-	st.Config.Workers = 0
 	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(st)
+	err := gob.NewEncoder(&buf).Encode(s.Snapshot())
 	return buf.Bytes(), err
 }
 
@@ -257,9 +254,9 @@ func (l *phaseLog) cut() (n int, sum [sha256.Size]byte) {
 
 // start is a fresh run of rec's world at workers.
 func (rec *recording) start(workers int) *sim.Sim {
-	cfg := rec.cfg
-	cfg.Workers = workers
-	return sim.New(cfg)
+	s := sim.New(rec.cfg)
+	s.SetWorkers(workers)
+	return s
 }
 
 // restore is a run restored from rec's frame at boundary k, at workers.
@@ -601,7 +598,7 @@ func TestFraudLiveCounterMatchesScan(t *testing.T) {
 }
 
 // checkRun runs rec's world through Sim.Run, the whole-run entry point
-// rather than the phase stepping the recorder drives, with Workers = 0
+// rather than the phase stepping the recorder drives, with SetWorkers(0)
 // (GOMAXPROCS workers) and no event sink, and holds it to the digest the
 // sink-attached one-worker recording produced.
 func checkRun(t *testing.T, rec *recording) {
@@ -660,9 +657,10 @@ func TestSameSeedByteIdenticalEventLog(t *testing.T) {
 		var buf bytes.Buffer
 		w := eventlog.NewWriter(&buf)
 		cfg := rec.cfg
-		cfg.Workers = 1
 		cfg.Events = w
-		res := sim.New(cfg).Run()
+		s := sim.New(cfg)
+		s.SetWorkers(1)
+		res := s.Run()
 		if err := w.Err(); err != nil {
 			t.Fatalf("event writer failed: %v", err)
 		}

@@ -1,7 +1,7 @@
 package sim
 
 // The serving engine: the day's query → auction → click → billing loop,
-// sharded across Workers goroutines with byte-identical outcomes at any
+// sharded across SetWorkers goroutines with byte-identical outcomes at any
 // worker count.
 //
 // The determinism contract (DESIGN.md "Parallel serving") rests on three

@@ -35,20 +35,6 @@ type Config struct {
 	// QueriesPerDay is the served search volume.
 	QueriesPerDay int
 
-	// Workers sets how many goroutines the serving phase fans out to —
-	// its auction and click halves each split the day's queries into that
-	// many contiguous blocks (DESIGN.md §7) — and, above one, lets the
-	// agents phase draw the day's query stream on a goroutine beside it
-	// and the checkpoint encode write its two platform halves at once;
-	// 0 (the default) uses runtime.GOMAXPROCS. Campaign management and
-	// the detection sweep run on the simulation goroutine (DESIGN.md §8).
-	// Every seeded outcome — dataset digests, billing, event-log bytes,
-	// RNG stream positions — is byte-identical across all Workers values
-	// (see the differential checks in record_test.go); the setting is
-	// therefore a pure throughput knob and, unlike the shape parameters
-	// above, may differ across a checkpoint/resume boundary.
-	Workers int
-
 	// RegistrationsPerDay is the mean daily account-arrival count.
 	RegistrationsPerDay float64
 
@@ -94,15 +80,14 @@ type Config struct {
 	Windows      []simclock.NamedWindow
 	SampleWindow simclock.Window
 
-	// Progress, when non-nil, receives a line every 30 simulated days.
-	Progress func(string)
-
 	// Events, when non-nil, receives every record the run produces —
 	// registrations, campaign actions, impressions, detections — as an
 	// append-only event stream (see internal/eventlog). Emission happens
 	// from the single simulation goroutine and consumes no randomness, so
 	// attaching a sink changes neither behavior nor seeded outcomes; nil
-	// keeps the non-logging fast path.
+	// keeps the non-logging fast path. New passes it to SetEvents, the
+	// only other way in; it stays a field because the benchmark program
+	// builds its durable run's Sim with it. A checkpoint never stores it.
 	Events eventlog.Sink
 }
 
@@ -171,18 +156,10 @@ type Result struct {
 	Platform  *platform.Platform
 	Collector *dataset.Collector
 
-	Registrations      int
-	FraudRegistrations int
-	Compromises        int
-	Auctions           int64
-	Impressions        int64
-	Clicks             int64
-	FraudClicks        int64
-	Spend              float64
-	FraudSpend         float64
-	RevenueLost        float64
-	ShutdownsByStage   map[dataset.DetectionStage]int
-	Elapsed            time.Duration
+	Counters // the run totals a checkpoint stores
+
+	ShutdownsByStage map[dataset.DetectionStage]int
+	Elapsed          time.Duration
 }
 
 // Sim is a running simulation.
@@ -219,6 +196,12 @@ type Sim struct {
 	// eng is the serving engine (worker shards, page caches, per-day
 	// staging); built lazily so SetWorkers can apply after Restore.
 	eng *serveEngine
+
+	// workers and progress are how this process runs, not what it
+	// simulates, so a checkpoint stores neither; see SetWorkers and
+	// SetProgress.
+	workers  int
+	progress func(string)
 
 	// day is the next day to simulate, phase the next phase of that day,
 	// and seeded records whether the initial population warmup has run.
@@ -300,28 +283,32 @@ func (s *Sim) SetEvents(sink eventlog.Sink) {
 	s.rec.Forward = sink
 }
 
-// SetProgress attaches a progress callback (Restore cannot carry one
-// through the snapshot).
-func (s *Sim) SetProgress(fn func(string)) {
-	s.cfg.Progress = fn
-	s.res.Config.Progress = fn
-}
+// SetProgress attaches a callback that receives a line every 30
+// simulated days; nil (the default) detaches it.
+func (s *Sim) SetProgress(fn func(string)) { s.progress = fn }
 
-// SetWorkers overrides the serving worker count (see Config.Workers) on
-// a constructed or restored Sim. Because outcomes are byte-identical
-// across worker counts, changing it mid-run — e.g. resuming a
-// checkpointed run on a different machine — does not perturb the
-// trajectory.
+// SetWorkers sets how many goroutines the serving phase fans out to —
+// its auction and click halves each split the day's queries into that
+// many contiguous blocks (DESIGN.md §7) — and, above one, lets the agents
+// phase draw the day's query stream on a goroutine beside it and the
+// checkpoint encode write its two platform halves at once; 0 (the
+// default) uses runtime.GOMAXPROCS. Campaign management and the
+// detection sweep run on the simulation goroutine (DESIGN.md §8). Every
+// seeded outcome — dataset digests, billing, event-log and checkpoint
+// bytes, RNG stream positions — is byte-identical across all worker
+// counts (see the differential checks in record_test.go), so the count
+// is a pure throughput knob that a checkpoint does not store: a
+// constructed or restored Sim may take any, e.g. a resume on a
+// differently sized machine.
 func (s *Sim) SetWorkers(n int) {
-	s.cfg.Workers = n
-	s.res.Config.Workers = n
+	s.workers = n
 	s.eng = nil // rebuilt with the new shard count on the next served day
 }
 
-// resolveWorkers maps Config.Workers onto an effective worker count.
+// resolveWorkers maps the SetWorkers count onto an effective one.
 func (s *Sim) resolveWorkers() int {
-	if s.cfg.Workers > 0 {
-		return s.cfg.Workers
+	if s.workers > 0 {
+		return s.workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -484,10 +471,10 @@ func (s *Sim) Step() bool {
 // lives here, ahead of the fmt.Sprintf, so the common no-callback run
 // never pays the string build and its interface-boxing allocations.
 func (s *Sim) emitProgress(day simclock.Day) {
-	if s.cfg.Progress == nil || int(day)%30 != 29 {
+	if s.progress == nil || int(day)%30 != 29 {
 		return
 	}
-	s.cfg.Progress(fmt.Sprintf("day %d/%d (%s): accounts=%d monitored=%d liveAds=%d clicks=%d fraudClicks=%d fraudAlive=%d",
+	s.progress(fmt.Sprintf("day %d/%d (%s): accounts=%d monitored=%d liveAds=%d clicks=%d fraudClicks=%d fraudAlive=%d",
 		day+1, s.cfg.Days, day.Label(), s.p.NumAccounts(), s.pipeline.Monitored(), s.p.LiveAds(), s.res.Clicks, s.res.FraudClicks, s.fraudLive))
 }
 

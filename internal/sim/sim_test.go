@@ -163,8 +163,9 @@ func TestProgressCallback(t *testing.T) {
 	cfg.Seed = 3
 	cfg.Days = 61
 	called := 0
-	cfg.Progress = func(string) { called++ }
-	sim.New(cfg).Run()
+	s := sim.New(cfg)
+	s.SetProgress(func(string) { called++ })
+	s.Run()
 	if called != 2 {
 		t.Fatalf("progress called %d times, want 2", called)
 	}

@@ -13,9 +13,10 @@ package sim
 // trajectory as the original: the crash-chaos suite in this package
 // proves digest-identity against uninterrupted runs.
 //
-// Two Config fields cannot travel through a snapshot: Progress (a func,
-// which gob ignores) and Events (an interface, nil'd before encoding so
-// gob skips it). Callers reattach both via SetProgress and SetEvents.
+// One Config field cannot travel through a snapshot: Events (an
+// interface, nil'd before encoding so gob skips it). Callers reattach it
+// with SetEvents, and set the worker count and progress callback, which
+// are not Config, with SetWorkers and SetProgress.
 
 import (
 	"cmp"
@@ -31,7 +32,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Counters are the Result's accumulated run totals.
+// Counters are a run's accumulated totals: the Result embeds them and
+// a checkpoint stores them.
 type Counters struct {
 	Registrations      int
 	FraudRegistrations int
@@ -100,7 +102,6 @@ func (s *Sim) Snapshot() *State {
 // the platform straight from the live tables instead.
 func (s *Sim) stateInto(st *State) {
 	cfg := s.cfg
-	cfg.Progress = nil
 	cfg.Events = nil
 	collector, pipeline := st.Collector, st.Pipeline
 	if collector == nil {
@@ -113,22 +114,11 @@ func (s *Sim) stateInto(st *State) {
 		a.StateInto(&live[i])
 	}
 	*st = State{
-		Config: cfg,
-		Day:    s.day,
-		Phase:  s.phase,
-		Seeded: s.seeded,
-		Counters: Counters{
-			Registrations:      s.res.Registrations,
-			FraudRegistrations: s.res.FraudRegistrations,
-			Compromises:        s.res.Compromises,
-			Auctions:           s.res.Auctions,
-			Impressions:        s.res.Impressions,
-			Clicks:             s.res.Clicks,
-			FraudClicks:        s.res.FraudClicks,
-			Spend:              s.res.Spend,
-			FraudSpend:         s.res.FraudSpend,
-			RevenueLost:        s.res.RevenueLost,
-		},
+		Config:        cfg,
+		Day:           s.day,
+		Phase:         s.phase,
+		Seeded:        s.seeded,
+		Counters:      s.res.Counters,
 		RootRNG:       s.rng.State(),
 		ArrRNG:        s.arrRNG.State(),
 		ClickRNG:      s.clickRNG.State(),
@@ -167,8 +157,9 @@ func (s *Sim) queriesState() queries.GeneratorState {
 
 // Restore rebuilds a Sim from a snapshot. Every cross-reference is
 // validated so hostile snapshot bytes yield an error, never a panic.
-// Progress and Events are not restored; reattach them with SetProgress
-// and SetEvents before Run.
+// The event sink is not restored, and the worker count and progress
+// callback are not stored; set them with SetEvents, SetWorkers and
+// SetProgress before Run.
 func Restore(st *State) (*Sim, error) {
 	if st == nil {
 		return nil, fmt.Errorf("sim: nil state")
@@ -221,17 +212,7 @@ func Restore(st *State) (*Sim, error) {
 		s.pendingReregs[e.Day] = e.Profiles
 	}
 
-	s.res.Registrations = st.Counters.Registrations
-	s.res.FraudRegistrations = st.Counters.FraudRegistrations
-	s.res.Compromises = st.Counters.Compromises
-	s.res.Auctions = st.Counters.Auctions
-	s.res.Impressions = st.Counters.Impressions
-	s.res.Clicks = st.Counters.Clicks
-	s.res.FraudClicks = st.Counters.FraudClicks
-	s.res.Spend = st.Counters.Spend
-	s.res.FraudSpend = st.Counters.FraudSpend
-	s.res.RevenueLost = st.Counters.RevenueLost
-
+	s.res.Counters = st.Counters
 	s.day = st.Day
 	s.phase = st.Phase
 	s.seeded = st.Seeded

@@ -59,12 +59,24 @@ func (r *RNG) Fork() *RNG {
 // parent state and a label, so that adding a new named consumer does not
 // perturb the streams of existing ones.
 func (r *RNG) ForkNamed(name string) *RNG {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
+	return NewRNG(r.peek() ^ FNV1a(FNVOffset, name))
+}
+
+// FNV-1a 64-bit parameters: a hash starts at FNVOffset and folds each
+// byte b as h = (h ^ b) * FNVPrime.
+const (
+	FNVOffset uint64 = 14695981039346656037
+	FNVPrime  uint64 = 1099511628211
+)
+
+// FNV1a folds the bytes of s into the FNV-1a hash h: FNV1a(FNVOffset, s)
+// is the hash of s, and FNV1a(FNV1a(FNVOffset, a), b) that of a+b.
+func FNV1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= FNVPrime
 	}
-	return NewRNG(r.peek() ^ h)
+	return h
 }
 
 // peek mixes the current state without advancing it.

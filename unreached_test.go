@@ -185,61 +185,6 @@ func main() {
 	}
 }
 
-// TestFuzzSmokeCoversEveryFuzzTarget pins the Makefile's fuzz-smoke
-// recipe to the fuzz targets in the module: adding or deleting a
-// `func Fuzz*` without updating the recipe fails here.
-func TestFuzzSmokeCoversEveryFuzzTarget(t *testing.T) {
-	recipe := makeRecipe(t, "fuzz-smoke")
-	target := regexp.MustCompile(`test (\S+) .*-fuzz (\w+)`)
-	inMake := map[string]bool{}
-	for _, m := range target.FindAllStringSubmatch(recipe, -1) {
-		inMake[strings.TrimPrefix(m[1], "./")+" "+m[2]] = true
-	}
-
-	inCode := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || d.Name() == "bench" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
-				inCode[filepath.ToSlash(filepath.Dir(path))+" "+fn.Name.Name] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for target := range inCode {
-		if !inMake[target] {
-			t.Errorf("fuzz target %s is missing from the Makefile's fuzz-smoke recipe", target)
-		}
-	}
-	for target := range inMake {
-		if !inCode[target] {
-			t.Errorf("fuzz-smoke runs %s, which the module does not declare", target)
-		}
-	}
-	if len(inCode) == 0 {
-		t.Error("found no fuzz targets")
-	}
-}
-
 // TestMakeCrashAndChaosSelectTheSimSweeps pins the Makefile's crash and
 // chaos recipes to the internal/sim tests they exist to run: the
 // kill-point sweep and the lineage sweeps under `make crash`, the two
