@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race chaos crash crash-supervise bench-check policy-wins verify golden bench bench-pair fuzz-smoke loc
+.PHONY: build vet test tier1 race chaos crash crash-supervise bench-check policy-wins verify golden bench bench-pair fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,18 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# tier1 runs the tier-1 gate uncached, `go build ./... && go test
+# -count=1 ./...`, and prints its exit status and total wall time, then
+# the package lines slowest first (and the full output if it failed).
+tier1:
+	@out=$$(mktemp); start=$$(date +%s); \
+	$(GO) build ./... && $(GO) test -count=1 ./... > "$$out" 2>&1; status=$$?; \
+	echo "tier-1: exit $$status, $$(( $$(date +%s) - start )) s wall"; \
+	if [ $$status -ne 0 ]; then grep -v '^ok ' "$$out"; fi; \
+	awk '($$1 == "ok" || $$1 == "FAIL") && $$3 ~ /s$$/ { t = $$3; sub(/s$$/, "", t); print t "\t" $$0 }' "$$out" | \
+		sort -rn | cut -f2-; \
+	rm -f "$$out"; exit $$status
 
 race:
 	$(GO) test -race ./...

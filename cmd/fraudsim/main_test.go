@@ -370,7 +370,7 @@ func TestSupervisedLogByteIdenticalToFraudsim(t *testing.T) {
 		Spec: supervise.WorkerSpec{
 			Dir:             dir,
 			Shape:           sim.Shape{Scale: "small", Seed: 42, Days: 12, Queries: 200, Regs: 8},
-			CheckpointEvery: 4, HBInterval: 50 * time.Millisecond, Sync: "rotate",
+			CheckpointEvery: 4, Sync: "rotate",
 		},
 		Spawn: &supervise.ExecSpawner{
 			Command:  os.Args[0],
@@ -378,8 +378,6 @@ func TestSupervisedLogByteIdenticalToFraudsim(t *testing.T) {
 			Stderr:   io.Discard,
 		},
 		MaxRestarts: 4,
-		BackoffBase: 10 * time.Millisecond,
-		BackoffCap:  100 * time.Millisecond,
 		Seed:        42,
 		// One self-inflicted SIGKILL within the first incarnation's
 		// first eight messages, one from the supervisor after eight

@@ -24,7 +24,7 @@ import (
 
 // resumeFlags are the non-shape flags a resume repeats so the resumed
 // worker checkpoints on the same cadence as the killed one.
-var resumeFlags = []string{"-checkpoint-every", "3", "-sync", "none", "-hb-interval", "50ms"}
+var resumeFlags = []string{"-checkpoint-every", "3", "-sync", "none"}
 
 // startSupervisor launches the real CLI as a subprocess in its own
 // process group.

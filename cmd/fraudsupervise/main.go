@@ -14,12 +14,11 @@
 //	               [-seed N] [-days N] [-queries N] [-regs F] [-legit N]
 //	               [-checkpoint-every N] [-checkpoint-retain K]
 //	               [-sync none|rotate|interval]
-//	               [-hb-interval D] [-hb-timeout D] [-max-restarts N] [-v]
+//	               [-hb-timeout D] [-max-restarts N] [-v]
 //	               [-faults SPEC] [-kill N[,N...]]
 //
 //	fraudsupervise -resume DIR [-checkpoint-every N] [-checkpoint-retain K]
-//	               [-sync MODE] [-hb-interval D] [-hb-timeout D]
-//	               [-max-restarts N] [-v]
+//	               [-sync MODE] [-hb-timeout D] [-max-restarts N] [-v]
 //
 //	fraudsupervise worker <worker flags>   (internal; spawned by the supervisor)
 //
@@ -76,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	spec := supervise.DefaultSpec()
 	spec.Bind(fs)
-	hbTimeout := fs.Duration("hb-timeout", 5*time.Second, "silence after which the worker is declared dead")
+	hbTimeout := fs.Duration("hb-timeout", 5*time.Second, "silence after which the worker is declared dead (it heartbeats every tenth of this)")
 	maxRestarts := fs.Int("max-restarts", 3, "restarts allowed before the run fails")
 	verbose := fs.Bool("v", false, "print supervisor narration")
 	faults := fs.String("faults", "", "fault profile of the worker's first incarnation (chaos testing)")

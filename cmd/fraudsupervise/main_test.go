@@ -38,7 +38,6 @@ func shapeFlags(seed string) []string {
 		"-scale", "small", "-seed", seed,
 		"-days", "14", "-queries", "200", "-regs", "6",
 		"-checkpoint-every", "3", "-sync", "none",
-		"-hb-interval", "50ms",
 	}
 }
 

@@ -3,17 +3,17 @@ package faultinject
 // Process-level fault profiles for the supervised-run chaos suite
 // (internal/supervise): where Faults and WriteFaults perturb one request
 // or one write, ProcFaults perturbs a whole worker process — heartbeats
-// silently dropped, a worker stalling mid-run, an exit that lingers, or
-// the process SIGKILLing itself at a seeded control-message index. The
-// supervised worker consults a ProcInjector at each protocol step, so
-// the same seeded-injection discipline the serving chaos tests use
-// extends to supervisor/worker tests without hand-rolled mocks.
+// that stop, a worker wedged mid-run, or the process SIGKILLing itself
+// at a seeded control-message index. The supervised worker consults a
+// ProcInjector at each protocol step, so the same seeded-injection
+// discipline the serving chaos tests use extends to supervisor/worker
+// tests without hand-rolled mocks.
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -21,24 +21,15 @@ import (
 // ProcFaults configures one worker process's fault profile. The zero
 // value injects nothing.
 type ProcFaults struct {
-	// DropHeartbeatRate is the probability any individual heartbeat is
-	// silently swallowed (a lossy control channel; the worker itself is
-	// healthy).
-	DropHeartbeatRate float64
 	// DropHeartbeatsAfter, when > 0, suppresses every heartbeat after the
 	// Nth — the classic "alive but mute" failure the supervisor must
 	// distinguish from a late-but-alive worker.
 	DropHeartbeatsAfter int
 	// StallAtDay, when >= 0, wedges the worker at the end of that
-	// simulated day for StallFor: day progress and heartbeats both stop,
-	// exactly like a process stuck in a syscall. StallAtDay < 0 disables.
+	// simulated day until its supervisor is gone: day progress and
+	// heartbeats both stop, exactly like a process stuck in a syscall.
+	// StallAtDay < 0 disables.
 	StallAtDay int
-	// StallFor bounds the stall; zero with StallAtDay >= 0 means 30s
-	// (longer than any sane heartbeat timeout).
-	StallFor time.Duration
-	// DelayExit keeps the process alive that long after its work is done
-	// (a slow-draining exit path).
-	DelayExit time.Duration
 	// KillAtControlMin/Max, when Max > 0, pick a seeded uniform control-
 	// message index in [Min, Max] and SIGKILL the process just before it
 	// sends that message. Min defaults to 1. Min == Max pins the exact
@@ -53,28 +44,18 @@ type ProcFaults struct {
 // paths; each is safe for use from a single goroutine per method.
 type ProcInjector struct {
 	cfg    ProcFaults
-	seed   uint64
-	name   uint64
 	killAt int
 
 	heartbeats uint64
-	dropped    uint64
 	msgs       uint64
-	stalled    chan struct{} // closed while (and after) a stall is in effect
-	sleep      func(time.Duration)
+	stalled    atomic.Bool // set once the stall has begun
 }
 
 // Proc derives a process fault injector from the profile. Decisions are
 // a pure function of (injector seed, name, counter), mirroring Route and
 // Writer.
 func (in *Injector) Proc(name string, f ProcFaults) *ProcInjector {
-	p := &ProcInjector{
-		cfg:     f,
-		seed:    in.seed,
-		name:    stats.FNV1a(stats.FNVOffset, name),
-		stalled: make(chan struct{}),
-		sleep:   time.Sleep,
-	}
+	p := &ProcInjector{cfg: f}
 	if f.KillAtControlMax > 0 {
 		lo := f.KillAtControlMin
 		if lo < 1 {
@@ -84,30 +65,17 @@ func (in *Injector) Proc(name string, f ProcFaults) *ProcInjector {
 		if hi < lo {
 			hi = lo
 		}
-		rng := stats.NewRNG(in.seed ^ p.name ^ 0x70726f63) // "proc"
+		rng := stats.NewRNG(in.seed ^ stats.FNV1a(stats.FNVOffset, name) ^ 0x70726f63) // "proc"
 		p.killAt = lo + rng.Intn(hi-lo+1)
 	}
 	return p
 }
 
-// DropHeartbeat rolls the fate of the next heartbeat: true means the
-// worker must swallow it. The i-th heartbeat's fate is a pure function
-// of (seed, name, i).
+// DropHeartbeat reports whether the worker must swallow its next
+// heartbeat: every one after the first DropHeartbeatsAfter.
 func (p *ProcInjector) DropHeartbeat() bool {
-	n := p.heartbeats
 	p.heartbeats++
-	if p.cfg.DropHeartbeatsAfter > 0 && n >= uint64(p.cfg.DropHeartbeatsAfter) {
-		p.dropped++
-		return true
-	}
-	if p.cfg.DropHeartbeatRate > 0 {
-		rng := stats.NewRNG(p.seed ^ p.name ^ 0x6862 ^ ((n + 1) * 0x9e3779b97f4a7c15)) // "hb"
-		if rng.Float64() < p.cfg.DropHeartbeatRate {
-			p.dropped++
-			return true
-		}
-	}
-	return false
+	return p.cfg.DropHeartbeatsAfter > 0 && p.heartbeats > uint64(p.cfg.DropHeartbeatsAfter)
 }
 
 // ControlMessage counts one outbound control message and reports whether
@@ -118,38 +86,17 @@ func (p *ProcInjector) ControlMessage() bool {
 	return p.killAt > 0 && p.msgs == uint64(p.killAt)
 }
 
-// DayEnd stalls the calling goroutine per the profile when day is the
-// configured stall day. Stalled() reports true for the duration (and
-// ever after), so the worker's heartbeat loop can go mute alongside —
-// modeling a whole wedged process, not just a slow day loop.
-func (p *ProcInjector) DayEnd(day int) {
-	if p.cfg.StallAtDay < 0 || day != p.cfg.StallAtDay {
-		return
-	}
-	d := p.cfg.StallFor
-	if d <= 0 {
-		d = 30 * time.Second
-	}
-	select {
-	case <-p.stalled:
-	default:
-		close(p.stalled)
-	}
-	p.sleep(d)
+// DayEnd reports whether the worker wedges at the end of day: true on
+// the configured stall day, and the caller then waits until its
+// supervisor is gone. Stalled() reports true from then on, so the
+// worker's heartbeat loop goes mute alongside — modeling a whole
+// wedged process, not just a slow day loop.
+func (p *ProcInjector) DayEnd(day int) bool {
+	return p.cfg.StallAtDay >= 0 && day == p.cfg.StallAtDay && p.stalled.CompareAndSwap(false, true)
 }
 
 // Stalled reports whether the stall fault has triggered.
-func (p *ProcInjector) Stalled() bool {
-	select {
-	case <-p.stalled:
-		return true
-	default:
-		return false
-	}
-}
-
-// ExitDelay returns how long the process must linger before exiting.
-func (p *ProcInjector) ExitDelay() time.Duration { return p.cfg.DelayExit }
+func (p *ProcInjector) Stalled() bool { return p.stalled.Load() }
 
 // ParseProcFaults parses the compact spec the fraudsupervise CLI and chaos
 // tests use to hand a profile to a worker process. Comma-separated
@@ -157,10 +104,8 @@ func (p *ProcInjector) ExitDelay() time.Duration { return p.cfg.DelayExit }
 //
 //	kill@msg=N        SIGKILL self before the Nth control message
 //	kill@msg=A..B     seeded uniform kill index in [A, B]
-//	drop-hb=RATE      drop each heartbeat with probability RATE
 //	mute-hb@N         drop every heartbeat after the Nth
-//	stall@day=D:DUR   wedge for DUR at the end of day D (e.g. 12:2s)
-//	delay-exit=DUR    linger DUR after finishing
+//	stall@day=D       wedge at the end of day D until the supervisor acts
 //
 // The empty string parses to the zero (inject-nothing) profile.
 func ParseProcFaults(spec string) (ProcFaults, error) {
@@ -191,32 +136,12 @@ func ParseProcFaults(spec string) (ProcFaults, error) {
 				}
 			}
 			f.KillAtControlMin, f.KillAtControlMax = a, b
-		case ok && key == "drop-hb":
-			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || r < 0 || r > 1 {
-				return f, fmt.Errorf("faultinject: bad drop-hb clause %q", clause)
-			}
-			f.DropHeartbeatRate = r
 		case ok && key == "stall@day":
-			day, dur, found := strings.Cut(val, ":")
-			if !found {
-				return f, fmt.Errorf("faultinject: bad stall@day clause %q (want D:DUR)", clause)
-			}
-			d, err := strconv.Atoi(day)
+			d, err := strconv.Atoi(val)
 			if err != nil || d < 0 {
 				return f, fmt.Errorf("faultinject: bad stall@day clause %q", clause)
 			}
-			dd, err := time.ParseDuration(dur)
-			if err != nil || dd <= 0 {
-				return f, fmt.Errorf("faultinject: bad stall@day clause %q", clause)
-			}
-			f.StallAtDay, f.StallFor = d, dd
-		case ok && key == "delay-exit":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return f, fmt.Errorf("faultinject: bad delay-exit clause %q", clause)
-			}
-			f.DelayExit = d
+			f.StallAtDay = d
 		default:
 			return f, fmt.Errorf("faultinject: unknown fault clause %q", clause)
 		}

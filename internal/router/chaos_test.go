@@ -50,7 +50,6 @@ func TestChaosRouterMasksBackendOutage(t *testing.T) {
 
 	rt, err := New(Options{
 		Seed:          42,
-		EjectAfter:    3,
 		ProbeInterval: 10 * time.Millisecond,
 		BackoffBase:   5 * time.Millisecond,
 		BackoffCap:    40 * time.Millisecond,
@@ -144,7 +143,6 @@ func TestChaosRouterMasksConnectionDrops(t *testing.T) {
 
 	rt, err := New(Options{
 		Seed:          43,
-		EjectAfter:    2,
 		ProbeInterval: 10 * time.Millisecond,
 		BackoffBase:   5 * time.Millisecond,
 		BackoffCap:    40 * time.Millisecond,

@@ -99,19 +99,18 @@ func (b *Backend) cooling(now time.Time) bool {
 }
 
 // retries bounds the additional attempts on a different backend after
-// a connection error or 5xx, and probeTimeout each health probe.
+// a connection error or 5xx, probeTimeout each health probe, and
+// ejectAfter consecutive errors eject a backend.
 const (
 	retries      = 2
 	probeTimeout = time.Second
+	ejectAfter   = 3
 )
 
 // Options configures a Router.
 type Options struct {
 	// Policy picks a backend per request. Defaults to RoundRobin.
 	Policy Policy
-	// EjectAfter is the consecutive-error threshold that ejects a
-	// backend. Defaults to 3; <= 0 disables ejection.
-	EjectAfter int
 	// Seed drives every re-admission backoff schedule; same seed, same
 	// recovery timing.
 	Seed uint64
@@ -131,9 +130,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Policy == nil {
 		o.Policy = NewRoundRobin()
-	}
-	if o.EjectAfter == 0 {
-		o.EjectAfter = 3
 	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 50 * time.Millisecond
@@ -477,7 +473,7 @@ func discard(resp *http.Response) {
 func (b *Backend) noteError(rt *Router) {
 	b.errors.Add(1)
 	c := b.consec.Add(1)
-	if rt.opts.EjectAfter > 0 && c >= int64(rt.opts.EjectAfter) &&
+	if c >= ejectAfter &&
 		b.state.CompareAndSwap(int32(Active), int32(Ejected)) {
 		b.ejections.Add(1)
 		b.nextProbe.Store(time.Now().Add(b.backoff.Next()).UnixNano())

@@ -103,23 +103,30 @@ func TestRetryMasks5xx(t *testing.T) {
 	}
 }
 
-// TestEjectAfterConsecutiveErrors pins the ejection threshold and that
-// an ejected member stops receiving traffic.
+// TestEjectAfterConsecutiveErrors pins the ejection threshold, three
+// consecutive errors, and that an ejected member stops receiving
+// traffic.
 func TestEjectAfterConsecutiveErrors(t *testing.T) {
 	bad := statusBackend(t, http.StatusBadGateway, nil)
 	ok := okBackend(t, "good")
-	rt, err := New(Options{Seed: 7, EjectAfter: 2}, bad.URL, ok.URL)
+	rt, err := New(Options{Seed: 7}, bad.URL, ok.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	b := rt.Backends()[0]
+	for i := 0; b.errors.Load() < 3; i++ {
+		if i == 20 {
+			t.Fatalf("bad backend saw %d errors in 20 requests", b.errors.Load())
+		}
+		if b.errors.Load() == 2 && b.State() != Active {
+			t.Fatalf("bad backend state = %v after 2 errors, want active", b.State())
+		}
 		if resp := doGet(t, rt, "/search?q=x"); resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
 	}
-	b := rt.Backends()[0]
 	if b.State() != Ejected {
-		t.Fatalf("bad backend state = %v, want ejected", b.State())
+		t.Fatalf("bad backend state = %v after 3 errors, want ejected", b.State())
 	}
 	if b.ejections.Load() != 1 {
 		t.Fatalf("ejections = %d, want 1", b.ejections.Load())

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"testing"
-	"time"
 )
 
 // TestWorkerChild is the re-exec target for the subprocess crash
@@ -56,17 +55,11 @@ func TestCrashRecoverySubprocess(t *testing.T) {
 				BaseArgs: []string{"-test.run=TestWorkerChild$", "--"},
 				Stderr:   io.Discard,
 			},
-			// Subprocess startup (re-exec + sim init) is slower than the
-			// in-process doubles; give heartbeats headroom.
-			HBTimeout:       5 * time.Second,
-			MaxRestarts:     4,
-			BackoffBase:     10 * time.Millisecond,
-			BackoffCap:      100 * time.Millisecond,
-			Seed:            seed,
-			Faults:          "kill@msg=4..8",
-			Kills:           []int{8},
-			ProgressTimeout: 2 * time.Minute,
-			Logf:            t.Logf,
+			MaxRestarts: 4,
+			Seed:        seed,
+			Faults:      "kill@msg=4..8",
+			Kills:       []int{8},
+			Logf:        t.Logf,
 		}
 		res, err := Run(cfg)
 		if err != nil {

@@ -17,7 +17,7 @@ import (
 // been committed.
 func interruptRun(t *testing.T, dir string, seed uint64, reports int) Config {
 	t.Helper()
-	cfg := superviseConfig(dir, seed, &pipeSpawner{}, t)
+	cfg := superviseConfig(dir, seed, t)
 	cfg.Kills = []int{reports}
 	cfg.MaxRestarts = -1 // negative: the first death is final
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "giving up") {
@@ -37,7 +37,7 @@ func TestResumeAfterSupervisorDeath(t *testing.T) {
 		cfg := interruptRun(t, dir, 5, reports)
 		want := referenceDigest(t, cfg.Spec)
 
-		cfg.Spawn = &pipeSpawner{}
+		cfg.Spawn = pipes(cfg)
 		cfg.Resume = true
 		cfg.Spec.Shape.Seed, cfg.Spec.Shape.Days = 999, 3 // ignored: the checkpoint is the shape
 		res, err := Run(cfg)
@@ -58,7 +58,7 @@ func TestResumeAfterSupervisorDeath(t *testing.T) {
 // lands on the same digest and the same log.
 func TestResumeFinishedRun(t *testing.T) {
 	dir := t.TempDir()
-	cfg := superviseConfig(dir, 9, &pipeSpawner{}, t)
+	cfg := superviseConfig(dir, 9, t)
 	first, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestResumeFinishedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg.Spawn = &pipeSpawner{}
+	cfg.Spawn = pipes(cfg)
 	cfg.Resume = true
 	again, err := Run(cfg)
 	if err != nil {
@@ -86,7 +86,7 @@ func TestResumeFinishedRun(t *testing.T) {
 // fresh run must not clobber one.
 func TestResumeRefusals(t *testing.T) {
 	t.Run("empty-dir", func(t *testing.T) {
-		cfg := superviseConfig(t.TempDir(), 9, &pipeSpawner{}, t)
+		cfg := superviseConfig(t.TempDir(), 9, t)
 		cfg.Resume = true
 		_, err := Run(cfg)
 		if !errors.Is(err, sim.ErrNoCheckpoint) || !strings.Contains(err.Error(), "rerun the job fresh") {
@@ -96,7 +96,7 @@ func TestResumeRefusals(t *testing.T) {
 	t.Run("died-before-first-checkpoint", func(t *testing.T) {
 		dir := t.TempDir()
 		cfg := interruptRun(t, dir, 9, 2)
-		cfg.Spawn = &pipeSpawner{}
+		cfg.Spawn = pipes(cfg)
 		cfg.Resume = true
 		_, err := Run(cfg)
 		if !errors.Is(err, sim.ErrNoCheckpoint) || !strings.Contains(err.Error(), "rerun the job fresh") {
@@ -107,7 +107,7 @@ func TestResumeRefusals(t *testing.T) {
 		dir := t.TempDir()
 		cfg := interruptRun(t, dir, 9, 10)
 		corruptLineage(t, dir)
-		cfg.Spawn = &pipeSpawner{}
+		cfg.Spawn = pipes(cfg)
 		cfg.Resume = true
 		_, err := Run(cfg)
 		if !errors.Is(err, sim.ErrLineageCorrupt) || !strings.Contains(err.Error(), "rerun the job fresh") {
@@ -117,7 +117,7 @@ func TestResumeRefusals(t *testing.T) {
 	t.Run("fresh-run-over-checkpoint", func(t *testing.T) {
 		dir := t.TempDir()
 		cfg := interruptRun(t, dir, 9, 6)
-		cfg.Spawn = &pipeSpawner{}
+		cfg.Spawn = pipes(cfg)
 		_, err := Run(cfg)
 		if err == nil || !strings.Contains(err.Error(), "already holds a checkpoint") {
 			t.Errorf("fresh run over a checkpoint: %v", err)
@@ -147,11 +147,12 @@ func corruptLineage(t *testing.T, dir string) {
 func TestResumedWorkerCannotStartFresh(t *testing.T) {
 	dir := t.TempDir()
 	cfg := interruptRun(t, dir, 5, 6)
-	ps := &pipeSpawner{beforeSpawn: func(n int) {
+	ps := pipes(cfg)
+	ps.beforeSpawn = func(n int) {
 		if n == 2 {
 			corruptLineage(t, dir)
 		}
-	}}
+	}
 	cfg.Spawn = ps
 	cfg.Resume = true
 	cfg.Kills = []int{1}
@@ -166,7 +167,7 @@ func TestResumedWorkerCannotStartFresh(t *testing.T) {
 // a digest its (valid, finished) log does not reproduce fails the run.
 func TestReplayMismatchFailsRun(t *testing.T) {
 	dir := t.TempDir()
-	cfg := superviseConfig(dir, 9, &pipeSpawner{}, t)
+	cfg := superviseConfig(dir, 9, t)
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}

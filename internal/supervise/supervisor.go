@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/backoff"
@@ -53,15 +54,12 @@ type Config struct {
 	Spawn Spawner
 
 	// HBTimeout is how long the worker may stay silent before the
-	// supervisor declares it dead (default 5s).
+	// supervisor declares it dead (default 5s). The worker heartbeats
+	// every HBTimeout/10.
 	HBTimeout time.Duration
 	// MaxRestarts bounds restarts (default 3); exceeding it fails the
 	// run.
 	MaxRestarts int
-	// BackoffBase/BackoffCap shape the seeded restart backoff
-	// (defaults 100ms / 2s).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Seed seeds restart-backoff jitter and, with Faults, the fault
 	// profile.
 	Seed uint64
@@ -81,13 +79,20 @@ type Config struct {
 	// hit the post-restart incarnation too.
 	Kills []int
 
-	// ProgressTimeout fails the run if no new day is reported for this
-	// long (default 2m) — the wedge detector of last resort.
-	ProgressTimeout time.Duration
-
 	// Logf, when non-nil, receives supervisor narration.
 	Logf func(format string, args ...any)
+
+	clock clock // nil: wall time
 }
+
+// The restart backoff (seeded, doubling from backoffBase up to
+// backoffCap) and the progress watchdog: a run that reports no new day
+// for progressTimeout fails — the wedge detector of last resort.
+const (
+	backoffBase     = 100 * time.Millisecond
+	backoffCap      = 2 * time.Second
+	progressTimeout = 2 * time.Minute
+)
 
 // Result is a completed supervised run.
 type Result struct {
@@ -98,7 +103,7 @@ type Result struct {
 	Events uint64
 	// Restarts counts worker restarts.
 	Restarts int
-	// Elapsed is wall time from first spawn through replay verification.
+	// Elapsed is the time from first spawn through replay verification.
 	Elapsed time.Duration
 }
 
@@ -132,14 +137,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.MaxRestarts == 0 {
 		cfg.MaxRestarts = 3
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 100 * time.Millisecond
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = 2 * time.Second
-	}
-	if cfg.ProgressTimeout <= 0 {
-		cfg.ProgressTimeout = 2 * time.Minute
+	clk := cfg.clock
+	if clk == nil {
+		clk = wallClock{}
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -150,6 +150,7 @@ func Run(cfg Config) (*Result, error) {
 	// resumed one. Only the replay windows are needed here; the worker
 	// restores (or builds) the simulation itself.
 	spec := cfg.Spec
+	spec.hbInterval = cfg.HBTimeout / 10
 	var simCfg sim.Config
 	if cfg.Resume {
 		c, lrep, err := spec.lineage().Load()
@@ -173,14 +174,13 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	start := time.Now()
+	start := clk.now()
 	// Unbuffered: the output reader hands over one message at a time, so
 	// a worker on a synchronous pipe is never more than a report ahead of
 	// what the loop has acted on (kill points land where they are aimed).
 	// emit also selects on quit, so nobody blocks after Run returned.
 	events := make(chan event)
 	quit := make(chan struct{})
-	defer close(quit)
 	emit := func(e event) {
 		select {
 		case events <- e:
@@ -191,8 +191,9 @@ func Run(cfg Config) (*Result, error) {
 	var (
 		gen          int
 		proc         Proc
+		readers      sync.WaitGroup
 		mon          = newHBMonitor(cfg.HBTimeout)
-		back         = backoff.New(cfg.Seed, 0, cfg.BackoffBase, cfg.BackoffCap)
+		back         = backoff.New(cfg.Seed, 0, backoffBase, backoffCap)
 		completed    = -1 // highest day reported done
 		lastProgress = start
 		restarts     int
@@ -202,6 +203,15 @@ func Run(cfg Config) (*Result, error) {
 		digest       string
 		logged       uint64
 	)
+	// Every return path kills the live incarnation and joins every
+	// output reader, so none narrates after Run has returned.
+	defer func() {
+		if proc != nil {
+			proc.Kill()
+		}
+		close(quit)
+		readers.Wait()
+	}()
 	spawn := func(faults string) error {
 		gen++
 		sp := spec
@@ -215,7 +225,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		proc = p
 		g := gen
+		readers.Add(1)
 		go func() {
+			defer readers.Done()
 			rerr := readMsgs(p.Output(), func(m Msg) { emit(event{kind: evMsg, gen: g, msg: m}) })
 			if !errors.Is(rerr, io.EOF) {
 				logf("supervise: worker output: %v", rerr)
@@ -225,13 +237,6 @@ func Run(cfg Config) (*Result, error) {
 		logf("supervise: worker spawned (gen %d, pid %d, faults %q)", g, p.PID(), faults)
 		return nil
 	}
-	fail := func(err error) (*Result, error) {
-		if proc != nil {
-			proc.Kill()
-		}
-		return nil, err
-	}
-
 	if err := spawn(cfg.Faults); err != nil {
 		return nil, err
 	}
@@ -243,12 +248,12 @@ func Run(cfg Config) (*Result, error) {
 	if tickEvery > time.Second {
 		tickEvery = time.Second
 	}
-	ticker := time.NewTicker(tickEvery)
-	defer ticker.Stop()
+	ticks, stopTicks := clk.ticker(tickEvery)
+	defer stopTicks()
 	go func() {
 		for {
 			select {
-			case <-ticker.C:
+			case <-ticks:
 				emit(event{kind: evTick})
 			case <-quit:
 				return
@@ -260,15 +265,14 @@ func Run(cfg Config) (*Result, error) {
 		e := <-events
 		switch e.kind {
 		case evTick:
-			now := time.Now()
+			now := clk.now()
 			if proc != nil && mon.Expired(now) {
 				logf("supervise: worker silent for %s; killing", mon.Silence(now))
 				mon.Disarm()
 				proc.Kill()
 			}
-			if now.Sub(lastProgress) > cfg.ProgressTimeout {
-				return fail(fmt.Errorf("supervise: no progress for %s (stuck at day %d)",
-					cfg.ProgressTimeout, completed))
+			if now.Sub(lastProgress) > progressTimeout {
+				return nil, fmt.Errorf("supervise: no progress for %s (stuck at day %d)", progressTimeout, completed)
 			}
 
 		case evExit:
@@ -286,7 +290,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			delay := back.Next()
 			logf("supervise: worker died (exit: %v); restart %d/%d in %s", e.err, restarts, cfg.MaxRestarts, delay)
-			time.AfterFunc(delay, func() { emit(event{kind: evRespawn}) })
+			clk.afterFunc(delay, func() { emit(event{kind: evRespawn}) })
 
 		case evRespawn:
 			// Restarts never re-arm the fault profile: the injected crash
@@ -299,7 +303,7 @@ func Run(cfg Config) (*Result, error) {
 			if e.gen != gen {
 				continue
 			}
-			mon.Observe(time.Now())
+			mon.Observe(clk.now())
 			switch e.msg.T {
 			case MsgHello:
 				logf("supervise: worker hello (pid %d, starting day %d)", e.msg.PID, e.msg.Day)
@@ -308,7 +312,7 @@ func Run(cfg Config) (*Result, error) {
 			case MsgDay:
 				if e.msg.Day > completed {
 					completed = e.msg.Day
-					lastProgress = time.Now()
+					lastProgress = clk.now()
 				}
 				dayReports++
 				if len(kills) > 0 && dayReports >= kills[0] {
@@ -324,7 +328,7 @@ func Run(cfg Config) (*Result, error) {
 				mon.Disarm()
 				logf("supervise: worker done (%d events)", logged)
 			case MsgFatal:
-				return fail(fmt.Errorf("supervise: worker fatal: %s", e.msg.Err))
+				return nil, fmt.Errorf("supervise: worker fatal: %s", e.msg.Err)
 			}
 		}
 	}
@@ -343,7 +347,7 @@ func Run(cfg Config) (*Result, error) {
 		Digest:   digest,
 		Events:   logged,
 		Restarts: restarts,
-		Elapsed:  time.Since(start),
+		Elapsed:  clk.now().Sub(start),
 	}, nil
 }
 

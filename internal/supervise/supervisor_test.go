@@ -1,13 +1,16 @@
 package supervise
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +26,6 @@ func testSpec(dir string, seed uint64) WorkerSpec {
 		Dir:             dir,
 		Shape:           sim.Shape{Scale: "small", Seed: seed, Days: 12, Queries: 200, Regs: 8, Legit: 100},
 		CheckpointEvery: 4,
-		HBInterval:      50 * time.Millisecond,
 		Sync:            "none",
 	}
 }
@@ -31,15 +33,22 @@ func testSpec(dir string, seed uint64) WorkerSpec {
 // referenceDigest runs the same shape with no log, no checkpoints and no
 // supervisor — sim.New(cfg).Run() of the Config fraudsim's shape flags
 // resolve to — and fingerprints its collector: the ground truth every
-// supervised path must reproduce.
+// supervised path must reproduce. Each shape runs once per test binary.
 func referenceDigest(t *testing.T, sp WorkerSpec) string {
 	t.Helper()
+	if d, ok := references.Load(sp.Shape); ok {
+		return d.(string)
+	}
 	cfg, err := sp.Shape.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Fingerprint(sim.New(cfg).Run().Collector)
+	d := Fingerprint(sim.New(cfg).Run().Collector)
+	references.Store(sp.Shape, d)
+	return d
 }
+
+var references sync.Map // sim.Shape -> referenceDigest
 
 // pipeProc runs the worker on a goroutine behind io.Pipe pairs — the
 // real protocol and the real recovery path, no subprocesses. Kill
@@ -51,6 +60,7 @@ type pipeProc struct {
 	ctrlR *io.PipeReader
 	ctrlW *io.PipeWriter
 	outR  *io.PipeReader
+	out   io.Reader // outR, stepping the clock by dayStep per day report
 	pid   int
 
 	killOnce sync.Once
@@ -59,7 +69,7 @@ type pipeProc struct {
 
 var errKilled = errors.New("signal: killed")
 
-func (p *pipeProc) Output() io.Reader { return p.outR }
+func (p *pipeProc) Output() io.Reader { return p.out }
 func (p *pipeProc) PID() int          { return p.pid }
 func (p *pipeProc) Wait() error       { return <-p.done }
 func (p *pipeProc) Kill() {
@@ -69,40 +79,77 @@ func (p *pipeProc) Kill() {
 	})
 }
 
-// pipeSpawner is the in-process Spawner. Fault profiles flow through to
-// the worker exactly as they would over a real command line; a kill@msg
-// profile severs the pipes and ends the calling goroutine where a real
-// worker would SIGKILL itself.
+// dayStep is how much virtual time one simulated day takes. Heartbeats
+// go every 500ms at the default 5s timeout, so a worker that only
+// reports days is five of them from being declared silent.
+const dayStep = time.Second
+
+// dayClock advances clk by dayStep for each day report read through it.
+// A pipe read returns at most one write, and the worker writes each
+// report in one.
+type dayClock struct {
+	r   io.Reader
+	clk *fakeClock
+}
+
+func (d dayClock) Read(b []byte) (int, error) {
+	n, err := d.r.Read(b)
+	for range bytes.Count(b[:n], []byte(`"t":"day"`)) {
+		d.clk.advance(dayStep)
+	}
+	return n, err
+}
+
+// pipeSpawner is the in-process Spawner, its workers on the
+// supervisor's fake clock. Fault profiles flow through to the worker
+// exactly as they would over a real command line; a kill@msg profile
+// severs the pipes and ends the calling goroutine where a real worker
+// would SIGKILL itself.
 type pipeSpawner struct {
+	clk *fakeClock
 	// beforeSpawn, when set, runs ahead of the n-th spawn (1 = the
 	// initial one) — the window between a death and its restart, where
 	// tests damage what the dead incarnation left behind.
 	beforeSpawn func(n int)
 
-	mu     sync.Mutex
-	faults []string // fault profile of each spawn, in order
+	mu       sync.Mutex
+	faults   []string // fault profile of each spawn, in order
+	newest   []int    // day of the newest verifying checkpoint at each spawn
+	live     int      // workers spawned and not yet exited
+	overlaps int      // spawns while a worker was live
 }
 
 func (ps *pipeSpawner) Spawn(sp WorkerSpec) (Proc, error) {
 	ps.mu.Lock()
-	ps.faults = append(ps.faults, sp.Faults)
-	n := len(ps.faults)
+	n := len(ps.faults) + 1
 	ps.mu.Unlock()
 	if ps.beforeSpawn != nil {
 		ps.beforeSpawn(n)
 	}
+	newest := newestCheckpointDay(sp.Dir)
+	ps.mu.Lock()
+	ps.faults = append(ps.faults, sp.Faults)
+	ps.newest = append(ps.newest, newest)
+	if ps.live > 0 {
+		ps.overlaps++
+	}
+	ps.live++
+	ps.mu.Unlock()
 
 	ctrlR, ctrlW := io.Pipe()
 	outR, outW := io.Pipe()
-	p := &pipeProc{ctrlR: ctrlR, ctrlW: ctrlW, outR: outR, pid: n, done: make(chan error, 1)}
+	p := &pipeProc{ctrlR: ctrlR, ctrlW: ctrlW, outR: outR, out: dayClock{outR, ps.clk}, pid: n, done: make(chan error, 1)}
 	go func() {
 		err := errKilled // what Wait reports if the worker kills itself
 		defer func() {
 			outW.Close()
 			ctrlW.Close()
+			ps.mu.Lock()
+			ps.live--
+			ps.mu.Unlock()
 			p.done <- err
 		}()
-		err = runWorker(sp, ctrlR, outW, io.Discard, func() {
+		err = runWorker(sp, ctrlR, outW, io.Discard, ps.clk, func() {
 			p.Kill()
 			runtime.Goexit()
 		})
@@ -110,35 +157,82 @@ func (ps *pipeSpawner) Spawn(sp WorkerSpec) (Proc, error) {
 	return p, nil
 }
 
-func (ps *pipeSpawner) spawnFaults() []string {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return append([]string(nil), ps.faults...)
+// newestCheckpointDay is the day of the newest checkpoint generation in
+// dir that verifies (0 when none does): the day a worker spawned now
+// must start from.
+func newestCheckpointDay(dir string) int {
+	for i := range 2 * sim.DefaultRetain {
+		path := CheckpointPath(dir)
+		if i > 0 {
+			path = fmt.Sprintf("%s.%d", path, i)
+		}
+		if c, err := sim.ReadCheckpoint(path); err == nil {
+			return int(c.State.Day)
+		}
+	}
+	return 0
 }
 
-// superviseConfig is the fast supervision shape shared by these tests.
-func superviseConfig(dir string, seed uint64, ps Spawner, t *testing.T) Config {
+// superviseConfig is the supervision shape shared by these tests: the
+// defaults, in-process workers, virtual time.
+func superviseConfig(dir string, seed uint64, t *testing.T) Config {
+	clk := newFakeClock()
 	return Config{
-		Spec:  testSpec(dir, seed),
-		Spawn: ps,
-		// A mute worker is silent for a whole day, and a loaded 2-vCPU
-		// host under -race has taken over 400 ms for one. The matrix's
-		// stalled scenario scales its stall with this timeout.
-		HBTimeout:       time.Second,
-		MaxRestarts:     3,
-		BackoffBase:     10 * time.Millisecond,
-		BackoffCap:      50 * time.Millisecond,
-		Seed:            seed,
-		ProgressTimeout: 30 * time.Second,
-		Logf:            t.Logf,
+		Spec:        testSpec(dir, seed),
+		Spawn:       &pipeSpawner{clk: clk},
+		MaxRestarts: 3,
+		Seed:        seed,
+		Logf:        t.Logf,
+		clock:       clk,
 	}
+}
+
+// pipes is a fresh in-process spawner on cfg's clock.
+func pipes(cfg Config) *pipeSpawner { return &pipeSpawner{clk: cfg.clock.(*fakeClock)} }
+
+// decisions is a supervised run's decision trace, read from the
+// supervisor's narration: each spawn with its fault profile, the day
+// each incarnation starts from, each kill with its reason, and each
+// respawn delay.
+type decisions struct {
+	t      *testing.T
+	mu     sync.Mutex
+	steps  []string
+	gen    int         // the newest spawn; the supervisor hears only its hello
+	starts map[int]int // spawn number -> start day
+}
+
+func (d *decisions) logf(format string, args ...any) {
+	d.t.Logf(format, args...)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var step string
+	switch {
+	case strings.HasPrefix(format, "supervise: worker spawned"):
+		d.gen = args[0].(int)
+		step = fmt.Sprintf("spawn %d faults=%q", d.gen, args[2])
+	case strings.HasPrefix(format, "supervise: worker hello"):
+		d.starts[d.gen] = args[1].(int)
+		step = fmt.Sprintf("start %d at day %d", d.gen, args[1])
+	case strings.HasPrefix(format, "supervise: worker silent"):
+		step = "kill: silent"
+	case strings.HasPrefix(format, "supervise: kill point"):
+		step = fmt.Sprintf("kill: after %d day reports", args[0])
+	case strings.HasPrefix(format, "supervise: worker died"):
+		step = fmt.Sprintf("respawn in %s", args[3])
+	default:
+		return
+	}
+	d.steps = append(d.steps, step)
 }
 
 // TestSupervisedRunMatrix is the equivalence matrix: for each seed, a
 // supervised run — undisturbed or put through one of the failure modes
 // the supervisor exists for — must finish on the digest of
-// sim.New(cfg).Run(), its log must replay to that digest, and the number
-// of restarts must be exactly what the scenario provokes.
+// sim.New(cfg).Run(), its log must replay to that digest, the number of
+// restarts must be exactly what the scenario provokes, and its
+// decisions must keep checkDecisions' invariants. The runs are in
+// virtual time, so a stall costs no wall time.
 func TestSupervisedRunMatrix(t *testing.T) {
 	scenarios := []struct {
 		name     string
@@ -151,11 +245,10 @@ func TestSupervisedRunMatrix(t *testing.T) {
 		// checkpoint (a resumed restart).
 		{"supervisor-kill", func(cfg *Config, _ *pipeSpawner) { cfg.Kills = []int{3, 9} }, 2},
 		{"kill@msg", func(cfg *Config, _ *pipeSpawner) { cfg.Faults = "kill@msg=3..11" }, 1},
-		// Wedged past the heartbeat timeout: declared dead, killed,
-		// restarted without the profile.
-		{"stalled", func(cfg *Config, _ *pipeSpawner) {
-			cfg.Faults = fmt.Sprintf("stall@day=5:%s", 5*cfg.HBTimeout/2)
-		}, 1},
+		// Wedged at the end of day 5 until the supervisor acts: declared
+		// silent past the heartbeat timeout, killed, restarted without
+		// the profile.
+		{"stalled", func(cfg *Config, _ *pipeSpawner) { cfg.Faults = "stall@day=5" }, 1},
 		// Mute but making progress: day reports are proof of life, so a
 		// worker whose heartbeats stop is not restarted.
 		{"mute-after-2", func(cfg *Config, _ *pipeSpawner) { cfg.Faults = "mute-hb@2" }, 0},
@@ -181,42 +274,99 @@ func TestSupervisedRunMatrix(t *testing.T) {
 	for _, seed := range []uint64{5, 6, 9} {
 		want := referenceDigest(t, testSpec("", seed))
 		for _, sc := range scenarios {
-			seed, sc := seed, sc
 			t.Run(fmt.Sprintf("seed%d/%s", seed, sc.name), func(t *testing.T) {
-				dir := t.TempDir()
-				ps := &pipeSpawner{}
-				cfg := superviseConfig(dir, seed, ps, t)
-				sc.arm(&cfg, ps)
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
+				// The stalled scenario runs twice side by side, so it
+				// runs before the others, which share the CPUs.
+				if sc.name != "stalled" {
+					t.Parallel()
 				}
-				if res.Digest != want {
-					t.Errorf("supervised digest diverges from sim.New(cfg).Run()")
-				}
-				simCfg, _ := cfg.Spec.Shape.Config()
-				col, err := dataset.ReplayDir(LogDir(dir), simCfg.Windows, simCfg.SampleWindow)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if Fingerprint(col) != want {
-					t.Errorf("replayed log diverges from sim.New(cfg).Run()")
-				}
-				if res.Restarts != sc.restarts {
-					t.Errorf("restarts = %d, want %d", res.Restarts, sc.restarts)
-				}
-				// Restarts must come up without the original fault profile.
-				for i, f := range ps.spawnFaults() {
-					if i == 0 && f != cfg.Faults || i > 0 && f != "" {
-						t.Errorf("spawn %d carried fault profile %q", i+1, f)
+				// run may run beside itself, so it reports with Errorf.
+				run := func() []string {
+					dir := t.TempDir()
+					cfg := superviseConfig(dir, seed, t)
+					ps := cfg.Spawn.(*pipeSpawner)
+					sc.arm(&cfg, ps)
+					trace := &decisions{t: t, starts: map[int]int{}}
+					cfg.Logf = trace.logf
+					res, err := Run(cfg)
+					if err != nil {
+						t.Error(err)
+						return nil
 					}
-				}
-				if sc.name == "corrupt-newest-checkpoint" {
-					if _, err := os.Stat(CheckpointPath(dir) + sim.CorruptSuffix); err != nil {
-						t.Errorf("damaged checkpoint was not quarantined: %v", err)
+					if res.Digest != want {
+						t.Errorf("supervised digest diverges from sim.New(cfg).Run()")
 					}
+					simCfg, _ := cfg.Spec.Shape.Config()
+					col, err := dataset.ReplayDir(LogDir(dir), simCfg.Windows, simCfg.SampleWindow)
+					if err != nil {
+						t.Error(err)
+					} else if Fingerprint(col) != want {
+						t.Errorf("replayed log diverges from sim.New(cfg).Run()")
+					}
+					if res.Restarts != sc.restarts {
+						t.Errorf("restarts = %d, want %d", res.Restarts, sc.restarts)
+					}
+					checkDecisions(t, cfg, ps, trace, res)
+					if sc.name == "corrupt-newest-checkpoint" {
+						if _, err := os.Stat(CheckpointPath(dir) + sim.CorruptSuffix); err != nil {
+							t.Errorf("damaged checkpoint was not quarantined: %v", err)
+						}
+					}
+					return trace.steps
+				}
+				if sc.name != "stalled" {
+					t.Logf("decisions: %q", run())
+					return
+				}
+				// In virtual time a stall's decisions are a function of
+				// (seed, fault profile): a second run, beside the first,
+				// makes the same ones.
+				var again []string
+				ran := make(chan struct{})
+				go func() {
+					defer close(ran)
+					again = run()
+				}()
+				steps := run()
+				<-ran
+				t.Logf("decisions: %q", steps)
+				if !slices.Equal(again, steps) {
+					t.Errorf("two stalled runs decided differently:\n  %q\n  %q", steps, again)
 				}
 			})
+		}
+	}
+}
+
+// checkDecisions holds a finished run's decision trace to the
+// invariants every scenario shares: the restart budget is kept, no
+// worker is spawned while another is alive, only the first spawn
+// carries the fault profile, and every incarnation starts from the
+// newest checkpoint that verifies.
+func checkDecisions(t *testing.T, cfg Config, ps *pipeSpawner, d *decisions, res *Result) {
+	t.Helper()
+	respawns := 0
+	for _, s := range d.steps {
+		if strings.HasPrefix(s, "respawn in") {
+			respawns++
+		}
+	}
+	if respawns != res.Restarts || respawns > cfg.MaxRestarts {
+		t.Errorf("%d respawns for %d restarts (budget %d)", respawns, res.Restarts, cfg.MaxRestarts)
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.overlaps != 0 {
+		t.Errorf("%d spawns while a worker was alive", ps.overlaps)
+	}
+	for i, f := range ps.faults {
+		if i == 0 && f != cfg.Faults || i > 0 && f != "" {
+			t.Errorf("spawn %d carried fault profile %q", i+1, f)
+		}
+	}
+	for n, day := range d.starts {
+		if want := ps.newest[n-1]; day != want {
+			t.Errorf("spawn %d started at day %d, not at the newest verifying checkpoint's day %d", n, day, want)
 		}
 	}
 }
@@ -264,9 +414,8 @@ func TestMaxRestartsExceeded(t *testing.T) {
 		Spec:        testSpec(t.TempDir(), 3),
 		Spawn:       ss,
 		MaxRestarts: 2,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  5 * time.Millisecond,
 		Logf:        t.Logf,
+		clock:       newFakeClock(),
 	}
 	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "worker died 3 times (last exit: exit status 137); giving up") {
@@ -299,7 +448,8 @@ func TestWorkerFatalFailsFast(t *testing.T) {
 }
 
 // chattyProc heartbeats forever and never reports a day: alive by the
-// heartbeat monitor's lights, wedged by the progress watchdog's.
+// heartbeat monitor's lights, wedged by the progress watchdog's. Virtual
+// time passes while it is wedged, until it is killed.
 type chattyProc struct {
 	outR *io.PipeReader
 	stop chan struct{}
@@ -307,21 +457,22 @@ type chattyProc struct {
 	done chan error
 }
 
-func newChattyProc() *chattyProc {
+func newChattyProc(clk *fakeClock) *chattyProc {
 	outR, outW := io.Pipe()
 	p := &chattyProc{outR: outR, stop: make(chan struct{}), done: make(chan error, 1)}
+	ticks, stopTicks := clk.ticker(500 * time.Millisecond)
+	go clk.wait(p.stop)
 	go func() {
+		defer stopTicks()
 		mw := newMsgWriter(outW)
 		mw.send(Msg{T: MsgHello})
-		t := time.NewTicker(10 * time.Millisecond)
-		defer t.Stop()
 		for {
 			select {
 			case <-p.stop:
 				outW.Close()
 				p.done <- errKilled
 				return
-			case <-t.C:
+			case <-ticks:
 				mw.send(Msg{T: MsgHB})
 			}
 		}
@@ -340,22 +491,22 @@ func (p *chattyProc) Kill() {
 }
 
 // TestProgressTimeout: heartbeats without days are not progress; after
-// ProgressTimeout the run fails and the wedged worker is killed.
+// two minutes the run fails and the wedged worker is killed.
 func TestProgressTimeout(t *testing.T) {
+	clk := newFakeClock()
 	var proc *chattyProc
 	ss := &scriptSpawner{next: func(int) Proc {
-		proc = newChattyProc()
+		proc = newChattyProc(clk)
 		return proc
 	}}
 	cfg := Config{
-		Spec:            testSpec(t.TempDir(), 3),
-		Spawn:           ss,
-		HBTimeout:       200 * time.Millisecond,
-		ProgressTimeout: 300 * time.Millisecond,
-		Logf:            t.Logf,
+		Spec:  testSpec(t.TempDir(), 3),
+		Spawn: ss,
+		Logf:  t.Logf,
+		clock: clk,
 	}
 	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "no progress for 300ms (stuck at day -1)") {
+	if err == nil || !strings.Contains(err.Error(), "no progress for 2m0s (stuck at day -1)") {
 		t.Fatalf("want a no-progress error, got %v", err)
 	}
 	select {
@@ -366,4 +517,49 @@ func TestProgressTimeout(t *testing.T) {
 	if ss.spawns != 1 {
 		t.Errorf("wedged worker was respawned %d times", ss.spawns-1)
 	}
+}
+
+// lateErrProc reports a fatal error, and once killed, after a few
+// milliseconds, fails its next output read: the pipe a kill tears down.
+type lateErrProc struct {
+	killed chan struct{}
+	once   sync.Once
+	sent   bool
+}
+
+func (p *lateErrProc) Read(b []byte) (int, error) {
+	if !p.sent {
+		p.sent = true
+		return copy(b, `{"t":"fatal","err":"wedged"}`+"\n"), nil
+	}
+	<-p.killed
+	time.Sleep(5 * time.Millisecond)
+	return 0, errors.New("read |0: file already closed")
+}
+
+func (p *lateErrProc) Output() io.Reader { return p }
+func (p *lateErrProc) Kill()             { p.once.Do(func() { close(p.killed) }) }
+func (p *lateErrProc) Wait() error       { return errKilled }
+func (p *lateErrProc) PID() int          { return -1 }
+
+// TestRunJoinsOutputReader: Run kills the worker on a fail path and
+// returns only once that worker's output reader is done, so nothing
+// narrates after Run has returned.
+func TestRunJoinsOutputReader(t *testing.T) {
+	var returned atomic.Bool
+	cfg := Config{
+		Spec:  testSpec(t.TempDir(), 3),
+		Spawn: &scriptSpawner{next: func(int) Proc { return &lateErrProc{killed: make(chan struct{})} }},
+		Logf: func(format string, args ...any) {
+			if returned.Load() {
+				t.Errorf("Logf after Run returned: %s", fmt.Sprintf(format, args...))
+			}
+		},
+	}
+	_, err := Run(cfg)
+	returned.Store(true)
+	if err == nil || !strings.Contains(err.Error(), "worker fatal: wedged") {
+		t.Fatalf("want a fatal error, got %v", err)
+	}
+	time.Sleep(50 * time.Millisecond) // room for a reader Run did not join to narrate
 }

@@ -49,14 +49,17 @@ type WorkerSpec struct {
 	// Retain is the checkpoint-lineage depth (last K checkpoints kept;
 	// <= 0 means sim.DefaultRetain). It does not affect the trajectory,
 	// only how much corruption a restart survives.
-	Retain     int
-	HBInterval time.Duration
-	Sync       string // event log fsync policy: none, rotate, interval
+	Retain int
+	Sync   string // event log fsync policy: none, rotate, interval
 
 	// Faults is a faultinject.ParseProcFaults spec ("" = none) seeded by
 	// FaultSeed — chaos harness hooks, never set in normal operation.
 	Faults    string
 	FaultSeed uint64
+
+	// hbInterval is the heartbeat interval, Config.HBTimeout/10: set by
+	// Run, carried to the worker as -hb-interval.
+	hbInterval time.Duration
 }
 
 // LogDir returns the event-log directory of the run in dir.
@@ -72,7 +75,7 @@ func (sp WorkerSpec) lineage() sim.Lineage {
 // DefaultSpec is the spec of a supervised run given no flags.
 func DefaultSpec() WorkerSpec {
 	return WorkerSpec{Shape: sim.DefaultShape(), CheckpointEvery: 8, Retain: sim.DefaultRetain,
-		HBInterval: 500 * time.Millisecond, Sync: "rotate"}
+		Sync: "rotate", hbInterval: 500 * time.Millisecond}
 }
 
 // Bind defines the spec's flags on fs, defaulting to sp's values: the
@@ -83,15 +86,16 @@ func (sp *WorkerSpec) Bind(fs *flag.FlagSet) {
 	sp.Shape.Bind(fs)
 	fs.IntVar(&sp.CheckpointEvery, "checkpoint-every", sp.CheckpointEvery, "checkpoint every N simulated days (0 = never: a dead worker starts over)")
 	fs.IntVar(&sp.Retain, "checkpoint-retain", sp.Retain, "checkpoint lineage depth (last K kept)")
-	fs.DurationVar(&sp.HBInterval, "hb-interval", sp.HBInterval, "worker heartbeat interval")
 	fs.StringVar(&sp.Sync, "sync", sp.Sync, "event log fsync policy: none, rotate, or interval")
 }
 
-// workerFlags is the worker's flag set: Bind's flags and the fault hooks.
+// workerFlags is the worker's flag set: Bind's flags, the heartbeat
+// interval and the fault hooks.
 func (sp *WorkerSpec) workerFlags() *flag.FlagSet {
 	fs := flag.NewFlagSet("supervised-worker", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	sp.Bind(fs)
+	fs.DurationVar(&sp.hbInterval, "hb-interval", sp.hbInterval, "worker heartbeat interval")
 	fs.StringVar(&sp.Faults, "faults", sp.Faults, "process fault profile (chaos testing)")
 	fs.Uint64Var(&sp.FaultSeed, "fault-seed", sp.FaultSeed, "fault profile seed")
 	return fs
@@ -127,13 +131,13 @@ func ParseWorkerArgs(args []string) (WorkerSpec, error) {
 // nothing is read from it but its EOF — out the report stream (stdout),
 // logw a human log (stderr).
 func RunWorker(sp WorkerSpec, ctrl io.Reader, out, logw io.Writer) error {
-	return runWorker(sp, ctrl, out, logw, killSelf)
+	return runWorker(sp, ctrl, out, logw, wallClock{}, killSelf)
 }
 
-// runWorker is RunWorker with the fault injector's kill made a
-// parameter, so in-process tests can die without taking the test binary
-// with them.
-func runWorker(sp WorkerSpec, ctrl io.Reader, out, logw io.Writer, die func()) error {
+// runWorker is RunWorker with its clock and the fault injector's kill
+// made parameters, so in-process tests run in virtual time and can die
+// without taking the test binary with them.
+func runWorker(sp WorkerSpec, ctrl io.Reader, out, logw io.Writer, clk clock, die func()) error {
 	mw := newMsgWriter(out)
 	fatal := func(err error) error {
 		mw.send(Msg{T: MsgFatal, Err: err.Error()})
@@ -164,8 +168,8 @@ func runWorker(sp WorkerSpec, ctrl io.Reader, out, logw io.Writer, die func()) e
 	d.Log.Sync = policy
 
 	// Heartbeats ride a side goroutine; curDay mirrors the loop's
-	// progress for them. A stalled fault silences them too — the whole
-	// process is wedged, as far as the supervisor can tell.
+	// progress for them. A stall silences them too — the whole process
+	// is wedged, as far as the supervisor can tell.
 	var curDay atomic.Int64
 	curDay.Store(int64(d.Sim.Day()))
 	hbStop := make(chan struct{})
@@ -173,13 +177,13 @@ func runWorker(sp WorkerSpec, ctrl io.Reader, out, logw io.Writer, die func()) e
 	hb.Add(1)
 	go func() {
 		defer hb.Done()
-		t := time.NewTicker(sp.HBInterval)
-		defer t.Stop()
+		ticks, stop := clk.ticker(sp.hbInterval)
+		defer stop()
 		for {
 			select {
 			case <-hbStop:
 				return
-			case <-t.C:
+			case <-ticks:
 				if inj != nil && (inj.Stalled() || inj.DropHeartbeat()) {
 					continue
 				}
@@ -195,7 +199,8 @@ func runWorker(sp WorkerSpec, ctrl io.Reader, out, logw io.Writer, die func()) e
 	// gone closes when the supervisor's end of stdin does: the
 	// supervisor died (or killed this incarnation), and the worker's
 	// cue to stop rather than simulate for nobody. The reader ends with
-	// the pipe, which the spawner closes once the worker is reaped.
+	// the pipe, which the spawner closes once the worker is reaped. A
+	// stalled worker waits for exactly this, as a wedged process would.
 	gone := make(chan struct{})
 	go func() {
 		io.Copy(io.Discard, ctrl)
@@ -208,8 +213,8 @@ func runWorker(sp WorkerSpec, ctrl io.Reader, out, logw io.Writer, die func()) e
 	}
 	_, err = d.RunDays(sp.lineage(), sp.CheckpointEvery, func(day simclock.Day) error {
 		curDay.Store(int64(d.Sim.Day()))
-		if inj != nil {
-			inj.DayEnd(int(day))
+		if inj != nil && inj.DayEnd(int(day)) {
+			clk.wait(gone)
 		}
 		if err := mw.send(Msg{T: MsgDay, Day: int(day), Events: d.Events()}); err != nil {
 			return fmt.Errorf("day report: %w", err)
@@ -226,9 +231,6 @@ func runWorker(sp WorkerSpec, ctrl io.Reader, out, logw io.Writer, die func()) e
 	}
 	if err != nil {
 		return fatal(fmt.Errorf("supervise: %w", err))
-	}
-	if inj != nil {
-		time.Sleep(inj.ExitDelay())
 	}
 	return nil
 }
