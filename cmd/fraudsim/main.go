@@ -13,7 +13,9 @@
 //
 // -workers parallelizes query serving across N goroutines and, above
 // one, draws each day's query stream beside the agents phase; 0 (the
-// default) uses every available CPU. Campaign management and the nightly
+// default) uses every available CPU. A negative -workers,
+// -checkpoint-retain or shape size is refused rather than read as its
+// default. Campaign management and the nightly
 // detection sweep run on one goroutine. Results are byte-identical
 // across worker counts, so the flag is a pure throughput knob.
 //
@@ -87,7 +89,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("fraudsim: %w", err)
 	}
+	// Zero means a default for -workers and -checkpoint-retain; a
+	// negative value would silently mean the same, so it is refused.
 	switch {
+	case *workers < 0:
+		return fmt.Errorf("fraudsim: -workers %d is negative", *workers)
+	case *ckptRetain < 0:
+		return fmt.Errorf("fraudsim: -checkpoint-retain %d is negative", *ckptRetain)
 	case *ckptEvery < 0:
 		return fmt.Errorf("fraudsim: -checkpoint-every %d is negative", *ckptEvery)
 	case *ckptEvery > 0 && *ckptPath == "" && *resume == "":
@@ -232,7 +240,7 @@ func printSummary(w io.Writer, res *sim.Result) {
 	fmt.Fprintf(w, "clicks billed        %10d (fraud: %d, %.2f%%)\n",
 		res.Clicks, res.FraudClicks, 100*float64(res.FraudClicks)/float64(max(res.Clicks, 1)))
 	fmt.Fprintf(w, "revenue (bid units)  %10.0f (fraud spend: %.0f)\n", res.Spend, res.FraudSpend)
-	fmt.Fprintf(w, "revenue lost         %10.0f (uncollectable, stolen instruments)\n", res.RevenueLost)
+	fmt.Fprintf(w, "revenue lost         %10.0f (uncollectable, stolen instruments)\n", res.Platform.Ledger().TotalLost())
 	fmt.Fprintln(w, "shutdowns by stage:")
 	for _, st := range []dataset.DetectionStage{
 		dataset.StageScreening, dataset.StagePayment, dataset.StageRateAnomaly,

@@ -91,6 +91,25 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsSizesItWouldReplace: a negative size or a NaN rate would
+// silently mean its default (all CPUs, the default lineage depth, the
+// scale's size), so each is refused before anything is simulated.
+func TestRunRejectsSizesItWouldReplace(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workers", "-1"}, {"-checkpoint-retain", "-2"},
+		{"-days", "-5"}, {"-queries", "-1"}, {"-regs", "-0.5"}, {"-regs", "NaN"}, {"-legit", "-10"},
+	} {
+		var out strings.Builder
+		err := run(append([]string{"-scale", "small"}, args...), &out, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%q: %v, want a refusal naming %s", args, err, args[0])
+		}
+		if out.Len() > 0 {
+			t.Errorf("%q: a refused run printed %q", args, out.String())
+		}
+	}
+}
+
 func TestRunRejectsResumeWithOverrides(t *testing.T) {
 	var out, errw strings.Builder
 	err := run([]string{"-resume", "nope.frsnap", "-seed", "9"}, &out, &errw)

@@ -85,8 +85,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if spec.CheckpointEvery < 0 {
+	// Sizes the supervisor would replace with a default or crash on are
+	// refused before anything is spawned.
+	switch {
+	case spec.CheckpointEvery < 0:
 		return fmt.Errorf("fraudsupervise: -checkpoint-every %d is negative", spec.CheckpointEvery)
+	case spec.Retain < 0:
+		return fmt.Errorf("fraudsupervise: -checkpoint-retain %d is negative", spec.Retain)
+	case *maxRestarts < 0:
+		return fmt.Errorf("fraudsupervise: -max-restarts %d is negative", *maxRestarts)
+	case *hbTimeout/10 <= 0:
+		return fmt.Errorf("fraudsupervise: -hb-timeout %v is too short (the worker heartbeats every tenth of it)", *hbTimeout)
 	}
 	// The run's shape lives in the checkpoint; flags that would change
 	// the trajectory are refused, exactly like `fraudsim -resume`.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -138,6 +139,28 @@ func TestCLIRejectsNegativeCheckpointEvery(t *testing.T) {
 	err := run([]string{"-dir", t.TempDir(), "-checkpoint-every", "-1"}, &out, &errw)
 	if err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
 		t.Fatalf("negative -checkpoint-every: %v", err)
+	}
+}
+
+// TestCLIRejectsSizesItWouldReplace: a heartbeat timeout whose tenth is
+// zero would make every worker panic on its ticker, and a negative size
+// would silently mean a default (or no restarts); each is refused before
+// a worker is spawned.
+func TestCLIRejectsSizesItWouldReplace(t *testing.T) {
+	for _, args := range [][]string{
+		{"-hb-timeout", "5ns"}, {"-hb-timeout", "0s"}, {"-hb-timeout", "-1s"},
+		{"-max-restarts", "-1"}, {"-checkpoint-retain", "-1"},
+		{"-days", "-1"}, {"-regs", "NaN"},
+	} {
+		dir := t.TempDir()
+		var out strings.Builder
+		err := run(append([]string{"-dir", dir, "-scale", "small"}, args...), &out, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%q: %v, want a refusal naming %s", args, err, args[0])
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) > 0 || out.Len() > 0 {
+			t.Errorf("%q: a refused run spawned a worker (dir holds %d entries, printed %q)", args, len(entries), out.String())
+		}
 	}
 }
 

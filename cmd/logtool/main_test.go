@@ -23,12 +23,14 @@ func writeSampleLog(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw.SegmentBytes = 128 // force rotation
 	dw.Append(eventlog.Event{
 		Type: eventlog.TypeAccountCreated, Day: -3, Account: 1, At: -2.7,
 		Country: "US", Vertical: 2, Flags: eventlog.FlagFraud,
 	})
 	for i := 0; i < 30; i++ {
+		if i%10 == 0 {
+			dw.Rotate() // several segments
+		}
 		ev := eventlog.Event{
 			Type: eventlog.TypeImpression, Day: int32(i % 10), Account: 1,
 			Country: "US", Vertical: 2, Position: int32(i%3 + 1),
@@ -218,8 +220,10 @@ func TestRepairTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw.SegmentBytes = 128
 	for i := 0; i < 40; i++ {
+		if i%8 == 0 {
+			dw.Rotate()
+		}
 		dw.Append(eventlog.Event{Type: eventlog.TypeImpression, Day: int32(i), Account: 7, Country: "US"})
 	}
 	if err := dw.Flush(); err != nil {

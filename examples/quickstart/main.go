@@ -54,6 +54,6 @@ func run(w io.Writer, cfg sim.Config) error {
 		spend*100, clicks*100)
 
 	fmt.Fprintf(w, "\nrevenue lost to uncollectable (stolen-instrument) spend: %.0f bid-units\n",
-		res.RevenueLost)
+		res.Platform.Ledger().TotalLost())
 	return nil
 }

@@ -8,6 +8,7 @@ package adcopy
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/stats"
 	"repro/internal/verticals"
@@ -81,6 +82,19 @@ func BuildUniverse(v verticals.Info) *Universe {
 	}
 	return u
 }
+
+// Universes returns every vertical's keyword universe in verticals.All()
+// order. A universe is a pure function of the compiled-in verticals table
+// and is never mutated, so the table is built once per process and every
+// caller shares it.
+var Universes = sync.OnceValue(func() []*Universe {
+	all := verticals.All()
+	us := make([]*Universe, len(all))
+	for i, v := range all {
+		us[i] = BuildUniverse(v)
+	}
+	return us
+})
 
 // Size returns the number of keywords in the universe.
 func (u *Universe) Size() int { return len(u.Keywords) }

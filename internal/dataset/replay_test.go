@@ -76,10 +76,15 @@ func TestReplayDirEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw.SegmentBytes = 1 << 18 // force several rotations in a short run
 	cfg := replayConfig()
 	cfg.Events = dw
-	res := sim.New(cfg).Run()
+	s := sim.New(cfg)
+	for s.Step() {
+		if s.Day()%20 == 0 {
+			dw.Rotate() // several segments in a short run
+		}
+	}
+	res := s.Finish()
 	if err := dw.Close(); err != nil {
 		t.Fatalf("dir writer: %v", err)
 	}

@@ -458,7 +458,7 @@ func (d *Pipeline) scanAccount(s *state, acct *platform.Account, dayEnd simclock
 	}
 
 	// Payment network signals: chargebacks on stolen instruments.
-	if s.paymentDue == noDue && d.p.Ledger().ChargebackExposure(s.id) > d.cfg.PaymentExposure {
+	if s.paymentDue == noDue && acct.Uncollected() > d.cfg.PaymentExposure {
 		s.paymentDue = simclock.Stamp(float64(dayEnd) + stats.Exponential(&s.rng, d.cfg.PaymentLatencyMean)*d.improvement(dayEnd))
 	}
 

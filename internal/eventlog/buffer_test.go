@@ -41,8 +41,8 @@ func TestDirWriterFlushFaultAccounting(t *testing.T) {
 					t.Fatal(err)
 				}
 				dw.Sync = policy
-				dw.SegmentBytes = 100 << 10
-				dw.SyncBytes = 48 << 10
+				dw.segmentBytes = 100 << 10
+				dw.syncBytes = 48 << 10
 				// One fault profile across all segment files: its write
 				// counter keeps running through rotations.
 				var file *os.File
@@ -297,8 +297,8 @@ func BenchmarkDirWriterSyncPolicy(b *testing.B) {
 				b.Fatal(err)
 			}
 			dw.Sync = bc.policy
-			dw.SegmentBytes = 256 << 10
-			dw.SyncBytes = 64 << 10
+			dw.segmentBytes = 256 << 10
+			dw.syncBytes = 64 << 10
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dw.Append(bufEvent(i))

@@ -272,7 +272,7 @@ func TestDirWriterRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw.SegmentBytes = 256 // force frequent rotation
+	dw.segmentBytes = 256 // force frequent rotation
 	var want []Event
 	for i := 0; i < 200; i++ {
 		ev := Event{Type: TypeImpression, Day: int32(i / 50), Account: int32(i % 7), Vertical: 2, Country: "US", Position: int32(i%8) + 1}

@@ -15,7 +15,7 @@ func buildLog(t *testing.T, dir string, n int) *DirWriter {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw.SegmentBytes = 128
+	dw.segmentBytes = 128
 	for i := 0; i < n; i++ {
 		dw.Append(Event{Type: TypeImpression, Day: int32(i), Account: int32(i % 5), Country: "US", Position: 1})
 	}
@@ -299,7 +299,7 @@ func TestTruncateToSegmentAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw2.SegmentBytes = 128
+	dw2.segmentBytes = 128
 	for i := 0; i < 10; i++ {
 		dw2.Append(Event{Type: TypeAdModified, Day: 99, Account: 1})
 	}
@@ -322,9 +322,9 @@ func TestSyncPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dw.SegmentBytes = 256
+		dw.segmentBytes = 256
 		dw.Sync = policy
-		dw.SyncBytes = 64
+		dw.syncBytes = 64
 		for i := 0; i < 100; i++ {
 			dw.Append(Event{Type: TypeImpression, Day: int32(i), Account: 1, Country: "US", Position: 1})
 		}

@@ -130,7 +130,7 @@ const (
 	// or Close). The default: the hot path stays write-only and a crash
 	// can lose at most the active segment's tail.
 	SyncRotate
-	// SyncInterval fsyncs like SyncRotate plus every SyncBytes of the
+	// SyncInterval fsyncs like SyncRotate plus every DefaultSyncBytes of the
 	// active segment, bounding tail loss at the cost of periodic fsyncs.
 	SyncInterval
 )
@@ -164,7 +164,7 @@ const BufferBytes = 64 << 10
 const SegmentPattern = "events-%05d.evlog"
 
 // DirWriter writes a segmented log into a directory, rotating to a new
-// segment file once the current one passes SegmentBytes. It implements
+// segment file once the current one passes DefaultSegmentBytes. It implements
 // Sink with the same sticky-error contract as Writer.
 //
 // Durability: the active segment is written under a .tmp name and
@@ -174,12 +174,14 @@ const SegmentPattern = "events-%05d.evlog"
 // leaves at most one torn .tmp tail for RecoverDir to repair. Appended
 // frames reach the file one buffer at a time (see BufferBytes).
 type DirWriter struct {
-	dir          string
-	SegmentBytes uint64
+	dir string
+	// segmentBytes is the rotation threshold and syncBytes the
+	// SyncInterval stride: DefaultSegmentBytes and DefaultSyncBytes, set
+	// smaller only by this package's tests.
+	segmentBytes uint64
 	// Sync is the fsync policy; NewDirWriter defaults it to SyncRotate.
-	Sync SyncPolicy
-	// SyncBytes is the SyncInterval stride (default DefaultSyncBytes).
-	SyncBytes uint64
+	Sync      SyncPolicy
+	syncBytes uint64
 
 	seg      *Writer
 	file     *os.File
@@ -276,9 +278,9 @@ func NewDirWriterAt(dir string, nextSegment int) (*DirWriter, error) {
 	}
 	d := &DirWriter{
 		dir:          dir,
-		SegmentBytes: DefaultSegmentBytes,
+		segmentBytes: DefaultSegmentBytes,
 		Sync:         SyncRotate,
-		SyncBytes:    DefaultSyncBytes,
+		syncBytes:    DefaultSyncBytes,
 		segIdx:       nextSegment,
 		buf:          make([]byte, 0, BufferBytes),
 	}
@@ -305,7 +307,7 @@ func (d *DirWriter) Append(ev Event) {
 		d.dropped++
 		return
 	}
-	if d.seg != nil && d.seg.Bytes() >= d.SegmentBytes {
+	if d.seg != nil && d.seg.Bytes() >= d.segmentBytes {
 		if err := d.seal(); err != nil {
 			d.fail(err)
 			return
@@ -330,7 +332,7 @@ func (d *DirWriter) Append(ev Event) {
 		return
 	}
 	d.events++
-	if d.Sync == SyncInterval && d.seg.Bytes()-d.lastSync >= d.syncBytes() {
+	if d.Sync == SyncInterval && d.seg.Bytes()-d.lastSync >= d.syncBytes {
 		err := d.flush()
 		if err == nil {
 			err = d.file.Sync()
@@ -348,13 +350,6 @@ func (d *DirWriter) AppendBatch(evs []Event) {
 	for i := range evs {
 		d.Append(evs[i])
 	}
-}
-
-func (d *DirWriter) syncBytes() uint64 {
-	if d.SyncBytes == 0 {
-		return DefaultSyncBytes
-	}
-	return d.SyncBytes
 }
 
 func (d *DirWriter) segmentPath(idx int) string {

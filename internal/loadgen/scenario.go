@@ -137,8 +137,8 @@ func (s *Scenario) Validate() error {
 	}
 	// Zero picks a default or turns a feature off; a negative size would
 	// silently do the same, so it is refused.
-	if s.Workers < 0 || s.MaxInflight < 0 || s.CacheSize < 0 {
-		return fmt.Errorf("workers, max_inflight and cache must be >= 0")
+	if s.Workers < 0 || s.MaxInflight < 0 || s.CacheSize < 0 || s.Days < 0 || s.Queries < 0 {
+		return fmt.Errorf("workers, max_inflight, cache, days and queries must be >= 0")
 	}
 	for _, f := range s.Faults {
 		if f.Backend < 0 || f.Backend >= s.Instances {

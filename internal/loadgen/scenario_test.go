@@ -157,6 +157,8 @@ func TestScenarioValidate(t *testing.T) {
 		func(s *Scenario) { s.MaxInflight = -5 },
 		func(s *Scenario) { s.CacheSize = -1 },
 		func(s *Scenario) { s.Workers = -1 },
+		func(s *Scenario) { s.Days = -1 },
+		func(s *Scenario) { s.Queries = -600 },
 		func(s *Scenario) { s.Faults = []FaultSpec{{Backend: 0, LatencyMS: -1}} },
 		func(s *Scenario) { s.Faults = []FaultSpec{{Backend: 0, FailFrom: 6, FailUntil: 1}} },
 		func(s *Scenario) { s.Faults = []FaultSpec{{Backend: 0, FailFrom: 0, FailUntil: 6}} },

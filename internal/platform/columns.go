@@ -1,6 +1,6 @@
 package platform
 
-// The checkpoint column codec (FRSNAP version 4). The platform is written
+// The checkpoint column codec (FRSNAP version 5). The platform is written
 // as the fields of Snapshot in declaration order, each slice as a column:
 // a uvarint row count, then the rows. Integers are zigzag varints (counts
 // and lengths plain uvarints), floats 8 little-endian bytes, strings a
@@ -30,13 +30,18 @@ import (
 	"repro/internal/verticals"
 )
 
+// ColumnsVersion is the checkpoint format version (the FRSNAP header's
+// version byte) whose platform columns this codec writes and reads.
+// Version 5 dropped the live-ad count and the ledger's per-account maps,
+// which FromSnapshot recounts or the accounts already hold.
+const ColumnsVersion = 5
+
 // The smallest encoded row of each row column: every string empty, every
 // varint one byte. DecodeColumns bounds a column's row count by the bytes
 // left over these before it allocates.
 const (
 	minAccountRow = 48
 	minAdRow      = 27
-	minLedgerRow  = 9
 	minIndexRow   = 5
 )
 
@@ -111,9 +116,8 @@ func appendIndexEntry(b []byte, e IndexEntry) []byte {
 // both halves of a write running at once. The zero value is ready.
 type ColumnScratch struct {
 	// AppendTables: the bid columns after the first, filled in the same
-	// walk as it, and the ledger's account keys.
+	// walk as it.
 	bidCounts, clusters, matches, maxes, created []byte
-	ledger                                       []AccountID
 
 	// AppendIndex: the (vertical, country) groups, every non-empty
 	// posting list in wire order, and the RefBid column.
@@ -131,8 +135,9 @@ type keyedList struct {
 }
 
 // AppendTables appends the first half of the platform's columns — the
-// accounts, ads, bid and ledger columns, from Accounts through TotalLost —
-// straight from the live tables. It reads nothing AppendIndex writes.
+// accounts, ads and bid columns and the ledger's two totals, from
+// Accounts through TotalLost — straight from the live tables. It reads
+// nothing AppendIndex writes.
 func (p *Platform) AppendTables(dst []byte, sc *ColumnScratch) []byte {
 	dst = appendCount(dst, len(p.accounts))
 	nAds := 0
@@ -141,7 +146,6 @@ func (p *Platform) AppendTables(dst []byte, sc *ColumnScratch) []byte {
 		nAds += len(a.Ads)
 	}
 	dst = binary.AppendVarint(dst, int64(p.nextAdID))
-	dst = binary.AppendVarint(dst, int64(p.adsLive))
 	dst = appendCount(dst, len(p.accounts))
 	for _, a := range p.accounts {
 		dst = binary.AppendVarint(dst, int64(len(a.Ads)))
@@ -179,25 +183,8 @@ func (p *Platform) AppendTables(dst []byte, sc *ColumnScratch) []byte {
 		dst = append(appendCount(dst, nBids), col...)
 	}
 
-	dst = appendLedgerMap(dst, p.ledger.billed, sc)
-	dst = appendLedgerMap(dst, p.ledger.uncollected, sc)
 	dst = appendF64(dst, p.ledger.totalBilled)
 	return appendF64(dst, p.ledger.totalLost)
-}
-
-// appendLedgerMap writes one ledger map as an account-ordered entry column.
-func appendLedgerMap(dst []byte, m map[AccountID]float64, sc *ColumnScratch) []byte {
-	sc.ledger = sc.ledger[:0]
-	for id := range m {
-		sc.ledger = append(sc.ledger, id)
-	}
-	slices.Sort(sc.ledger)
-	dst = appendCount(dst, len(sc.ledger))
-	for _, id := range sc.ledger {
-		dst = binary.AppendVarint(dst, int64(id))
-		dst = appendF64(dst, m[id])
-	}
-	return dst
 }
 
 // AppendIndex appends the second half of the platform's columns — Index,
@@ -263,7 +250,6 @@ func (st *Snapshot) AppendColumns(dst []byte) []byte {
 		dst = appendAccount(dst, &st.Accounts[i])
 	}
 	dst = binary.AppendVarint(dst, int64(st.NextAdID))
-	dst = binary.AppendVarint(dst, int64(st.AdsLive))
 	dst = appendInts(dst, st.AdCount)
 	dst = appendCount(dst, len(st.Ads))
 	for i := range st.Ads {
@@ -275,13 +261,6 @@ func (st *Snapshot) AppendColumns(dst []byte) []byte {
 	dst = append(appendCount(dst, len(st.BidMatch)), st.BidMatch...)
 	dst = appendFloats(dst, st.BidMax)
 	dst = appendFloats(dst, st.BidCreated)
-	for _, entries := range [][]LedgerEntry{st.Billed, st.Uncollected} {
-		dst = appendCount(dst, len(entries))
-		for _, e := range entries {
-			dst = binary.AppendVarint(dst, int64(e.Account))
-			dst = appendF64(dst, e.Amount)
-		}
-	}
 	dst = appendF64(dst, st.TotalBilled)
 	dst = appendF64(dst, st.TotalLost)
 	dst = appendCount(dst, len(st.Index))
@@ -319,7 +298,6 @@ func DecodeColumns(data []byte) (*Snapshot, error) {
 		r.account(&st.Accounts[i])
 	}
 	st.NextAdID = AdID(r.int32())
-	st.AdsLive = int(r.varint())
 	st.AdCount = readInts[int32](r)
 	st.Ads = make([]Ad, r.count(minAdRow))
 	for i := range st.Ads {
@@ -331,8 +309,6 @@ func DecodeColumns(data []byte) (*Snapshot, error) {
 	st.BidMatch = bytes.Clone(r.next(r.count(1)))
 	st.BidMax = readFloats(r)
 	st.BidCreated = readFloats(r)
-	st.Billed = r.ledger()
-	st.Uncollected = r.ledger()
 	st.TotalBilled = r.f64()
 	st.TotalLost = r.f64()
 	st.Index = make([]IndexEntry, r.count(minIndexRow))
@@ -546,12 +522,4 @@ func (r *colReader) ad(ad *Ad) {
 	ad.Created = simclock.Stamp(r.f64())
 	ad.Active = r.bool()
 	ad.Quality = r.f64()
-}
-
-func (r *colReader) ledger() []LedgerEntry {
-	col := make([]LedgerEntry, r.count(minLedgerRow))
-	for i := range col {
-		col[i] = LedgerEntry{AccountID(r.int32()), r.f64()}
-	}
-	return col
 }

@@ -1,54 +1,32 @@
 package platform
 
-// Ledger is the billing subsystem. Every click charge is recorded against
-// the paying account; charges on stolen payment instruments accumulate as
-// prospective chargebacks — "fraudulent ads often are not billable (if,
-// for instance, the advertiser is using a stolen payment instrument), and,
-// instead, search engines lose legitimate revenue" (§1). The ledger is
-// what makes the paper's "over ten million USD losses to Microsoft"
-// quantifiable in the simulation.
+// Ledger is the billing subsystem's running totals. Every click charge is
+// billed; charges on stolen payment instruments are lost — "fraudulent
+// ads often are not billable (if, for instance, the advertiser is using a
+// stolen payment instrument), and, instead, search engines lose
+// legitimate revenue" (§1). The ledger is what makes the paper's "over
+// ten million USD losses to Microsoft" quantifiable in the simulation.
+// Per-account amounts are not kept here: an account's billed amount is
+// its Spend and its uncollectable amount is Account.Uncollected.
 type Ledger struct {
-	billed      map[AccountID]float64
-	uncollected map[AccountID]float64
 	totalBilled float64
 	totalLost   float64
 }
 
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{
-		billed:      make(map[AccountID]float64),
-		uncollected: make(map[AccountID]float64),
-	}
-}
-
 // Charge records a click charge. Charges against stolen instruments are
-// tracked as uncollected revenue (they will never clear).
-func (l *Ledger) Charge(acct AccountID, amount float64, stolenInstrument bool) {
-	l.billed[acct] += amount
+// uncollected revenue (they will never clear).
+func (l *Ledger) Charge(amount float64, stolenInstrument bool) {
 	l.totalBilled += amount
 	if stolenInstrument {
-		l.uncollected[acct] += amount
 		l.totalLost += amount
 	}
 }
 
-// Billed returns the total amount billed to an account.
-func (l *Ledger) Billed(acct AccountID) float64 { return l.billed[acct] }
-
-// Uncollected returns the account's charges that will never be collected.
-func (l *Ledger) Uncollected(acct AccountID) float64 { return l.uncollected[acct] }
-
-// TotalBilled returns the platform-wide billed amount.
+// TotalBilled returns the platform-wide billed amount, summed in charge
+// order.
 func (l *Ledger) TotalBilled() float64 { return l.totalBilled }
 
 // TotalLost returns the platform-wide uncollectable amount (the network's
-// direct revenue loss to payment-instrument fraud).
+// direct revenue loss to payment-instrument fraud), summed in charge
+// order.
 func (l *Ledger) TotalLost() float64 { return l.totalLost }
-
-// ChargebackExposure reports whether an account has accumulated enough
-// uncollected spend to plausibly trigger payment-network signals; the
-// detection package uses this as the input to its payment-fraud detector.
-func (l *Ledger) ChargebackExposure(acct AccountID) float64 {
-	return l.uncollected[acct]
-}

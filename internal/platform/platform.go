@@ -19,7 +19,7 @@ type Platform struct {
 	nextAdID AdID
 	adsLive  int
 	index    *Index
-	ledger   *Ledger
+	ledger   Ledger
 	events   eventlog.Sink
 
 	// Dense account-liveness stamp for the serving hot path; see LiveSet.
@@ -30,10 +30,7 @@ type Platform struct {
 
 // New returns an empty platform.
 func New() *Platform {
-	return &Platform{
-		index:  NewIndex(),
-		ledger: NewLedger(),
-	}
+	return &Platform{index: NewIndex()}
 }
 
 // SetEvents attaches an event sink; account-level records (the paper's
@@ -189,7 +186,7 @@ func (p *Platform) NumAccounts() int { return len(p.accounts) }
 func (p *Platform) LiveAds() int { return p.adsLive }
 
 // Ledger returns the billing ledger.
-func (p *Platform) Ledger() *Ledger { return p.ledger }
+func (p *Platform) Ledger() *Ledger { return &p.ledger }
 
 // Index returns the eligible-bid index (read-only use by the auction).
 func (p *Platform) Index() *Index { return p.index }
@@ -368,7 +365,7 @@ func (p *Platform) Bill(acct AccountID, price float64) {
 	a := p.MustAccount(acct)
 	a.Clicks++
 	a.Spend += price
-	p.ledger.Charge(acct, price, a.StolenPayment)
+	p.ledger.Charge(price, a.StolenPayment)
 }
 
 // CountImpressions adds n to the account's impression counter: serving

@@ -1,7 +1,7 @@
 package platform
 
 // Checkpoint support. A Snapshot is the whole platform laid out flat, in
-// the columns a checkpoint stores (FRSNAP version 4, see columns.go):
+// the columns a checkpoint stores (FRSNAP version 5, see columns.go):
 //
 //   - Accounts and ads are value copies with their child slices cleared
 //     (an account's Ads, an ad's Bids); AdCount and BidCount say how many
@@ -20,8 +20,11 @@ package platform
 //     position) references in list order — again as two columns, with a
 //     per-list count — and restored by direct append.
 //
-//   - The ledger's maps are flattened to account-sorted entry lists so the
-//     encoded snapshot is byte-deterministic for a given state.
+//   - Nothing the tables determine is stored: the live-ad count is
+//     recounted from the ads' Active flags, and an account's billed and
+//     uncollected amounts are its Spend (Account.Uncollected). The
+//     ledger's two totals are stored because they are sums in charge
+//     order, which no walk of the accounts reproduces bit for bit.
 //
 // A Snapshot shares no mutable memory with the platform it was taken from.
 // A checkpoint save never builds one: the platform writes the same bytes
@@ -39,12 +42,6 @@ import (
 	"repro/internal/verticals"
 )
 
-// LedgerEntry is one account's balance in a flattened ledger map.
-type LedgerEntry struct {
-	Account AccountID
-	Amount  float64
-}
-
 // IndexEntry is one posting list's key and its number of rows in the
 // RefAd/RefBid columns.
 type IndexEntry struct {
@@ -59,7 +56,6 @@ type IndexEntry struct {
 type Snapshot struct {
 	Accounts []Account // Ads cleared; see AdCount
 	NextAdID AdID
-	AdsLive  int
 
 	AdCount []int32 // per account: its rows in Ads
 	Ads     []Ad    // Bids cleared; see BidCount
@@ -72,8 +68,6 @@ type Snapshot struct {
 	BidMax     []float64
 	BidCreated []float64
 
-	Billed      []LedgerEntry
-	Uncollected []LedgerEntry
 	TotalBilled float64
 	TotalLost   float64
 
@@ -89,10 +83,7 @@ func (p *Platform) Snapshot() *Snapshot {
 	st := &Snapshot{
 		Accounts:    make([]Account, len(p.accounts)),
 		NextAdID:    p.nextAdID,
-		AdsLive:     p.adsLive,
 		AdCount:     make([]int32, len(p.accounts)),
-		Billed:      ledgerEntries(p.ledger.billed),
-		Uncollected: ledgerEntries(p.ledger.uncollected),
 		TotalBilled: p.ledger.totalBilled,
 		TotalLost:   p.ledger.totalLost,
 	}
@@ -178,15 +169,6 @@ func (p *Platform) Snapshot() *Snapshot {
 	return st
 }
 
-func ledgerEntries(m map[AccountID]float64) []LedgerEntry {
-	out := make([]LedgerEntry, 0, len(m))
-	for id, v := range m {
-		out = append(out, LedgerEntry{id, v})
-	}
-	slices.SortFunc(out, func(a, b LedgerEntry) int { return cmp.Compare(a.Account, b.Account) })
-	return out
-}
-
 // sumCounts adds up a count column, rejecting negative entries.
 func sumCounts(what string, counts []int32) (int, error) {
 	n := 0
@@ -229,7 +211,6 @@ func FromSnapshot(st *Snapshot) (*Platform, error) {
 
 	p := New()
 	p.nextAdID = st.NextAdID
-	p.adsLive = st.AdsLive
 	p.accounts = make([]*Account, len(st.Accounts))
 	adByID := make(map[AdID]*Ad, len(st.Ads))
 	nextAd, nextBid := 0, 0
@@ -270,6 +251,9 @@ func FromSnapshot(st *Snapshot) (*Platform, error) {
 				}
 			}
 			nextAd++
+			if ad.Active {
+				p.adsLive++
+			}
 			a.Ads[j] = ad
 			adByID[ad.ID] = ad
 		}
@@ -318,12 +302,6 @@ func FromSnapshot(st *Snapshot) (*Platform, error) {
 		}
 	}
 
-	for _, e := range st.Billed {
-		p.ledger.billed[e.Account] = e.Amount
-	}
-	for _, e := range st.Uncollected {
-		p.ledger.uncollected[e.Account] = e.Amount
-	}
 	p.ledger.totalBilled = st.TotalBilled
 	p.ledger.totalLost = st.TotalLost
 	return p, nil

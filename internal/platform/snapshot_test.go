@@ -2,7 +2,9 @@ package platform
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +18,7 @@ import (
 // snapshotFixture is a platform that exercises every snapshot column:
 // several accounts, ads with batched and single bids of all match types,
 // equal-score ties, a retired ad (slot swap), a shut-down account (ads
-// kept, bids released), a second market, and both ledger maps.
+// kept, bids released), a second market, and both ledger totals.
 func snapshotFixture(t testing.TB) *Platform {
 	t.Helper()
 	p := New()
@@ -133,7 +135,6 @@ func TestMinRowSizes(t *testing.T) {
 		{"account", len(appendAccount(nil, &Account{})), minAccountRow},
 		{"ad", len(appendAd(nil, &Ad{})), minAdRow},
 		{"index", len(appendIndexEntry(nil, IndexEntry{})), minIndexRow},
-		{"ledger", len((&Snapshot{Billed: []LedgerEntry{{}}}).AppendColumns(nil)) - len((&Snapshot{}).AppendColumns(nil)), minLedgerRow},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("empty %s row is %d bytes, min constant says %d", tc.name, tc.got, tc.want)
@@ -163,6 +164,25 @@ func TestLiveColumnsMatchReference(t *testing.T) {
 	}
 	if got := liveColumns(q, &sc); !bytes.Equal(got, want) {
 		t.Fatal("restored platform writes different columns")
+	}
+}
+
+// layoutPins is the SHA-256 of the reference writer's bytes for
+// snapshotFixture under each format version. An entry is never edited:
+// a layout change bumps ColumnsVersion and adds one.
+var layoutPins = map[int]string{
+	4: "1d05cdc917fb69f27eebfc01fc1ee787ee68652f89d487fc2c4f8a1a37a227d0",
+	5: "d11cd06486fe33d9ef9edbc642cb75176325f91f712004eeb4fdbaea547152cb",
+}
+
+// TestColumnLayoutPinned: the column layout cannot change without the
+// checkpoint version byte, or an older binary would misread the new
+// files instead of refusing them.
+func TestColumnLayoutPinned(t *testing.T) {
+	sum := sha256.Sum256(snapshotFixture(t).Snapshot().AppendColumns(nil))
+	if got := hex.EncodeToString(sum[:]); got != layoutPins[ColumnsVersion] {
+		t.Fatalf("version %d fixture columns hash to %s, pinned %q: a layout change needs a new ColumnsVersion and pin (a fixture change, a new pin)",
+			ColumnsVersion, got, layoutPins[ColumnsVersion])
 	}
 }
 

@@ -141,7 +141,7 @@ type Account struct {
 	// the dataset logs).
 	Impressions int64
 	Clicks      int64
-	Spend       float64
+	Spend       float64 // everything billed to the account
 
 	// AdsCreated / AdsModified / KeywordsCreated / KeywordsModified count
 	// campaign-management actions for Figure 7.
@@ -153,6 +153,16 @@ type Account struct {
 
 // Alive reports whether the account can serve ads.
 func (a *Account) Alive() bool { return a.Status == StatusActive }
+
+// Uncollected returns the account's charges that will never be collected:
+// all of its Spend if it pays with a stolen instrument, else none. It is
+// the payment detector's chargeback exposure.
+func (a *Account) Uncollected() float64 {
+	if a.StolenPayment {
+		return a.Spend
+	}
+	return 0
+}
 
 // LifetimeFromCreation returns the account's lifetime in fractional days
 // from registration until shutdown, or until `now` if still alive.

@@ -32,9 +32,9 @@ type Query struct {
 	Country     market.Country
 }
 
-// Generator produces queries. It owns one keyword universe per vertical
-// (shared with agents through Universe) and per-vertical Zipf samplers for
-// keyword popularity.
+// Generator produces queries. It draws from the shared keyword universe
+// of each vertical (handed to agents through Universe) with per-vertical
+// Zipf samplers for keyword popularity.
 type Generator struct {
 	rng       *stats.RNG
 	countries *market.Sampler
@@ -49,31 +49,31 @@ type Generator struct {
 // smaller share carrying extra context words and a tail reordered/mixed.
 var FormMix = [3]float64{0.60, 0.27, 0.13} // bare, extended, reordered
 
-// NewGenerator constructs a query generator. The keyword universes are
-// built deterministically (no randomness), so agents constructed with the
-// same verticals package observe identical keyword IDs.
+// NewGenerator constructs a query generator over the process's shared
+// keyword universes (adcopy.Universes), so every generator, and every
+// agent drawing keywords through one, observes identical keyword IDs.
 func NewGenerator(rng *stats.RNG) *Generator {
 	g := &Generator{
 		rng:       rng,
 		countries: market.NewTrafficSampler(rng.ForkNamed("query-countries")),
 		verts:     verticals.All(),
+		universes: adcopy.Universes(),
 	}
 	g.vertW = make([]float64, len(g.verts))
-	g.universes = make([]*adcopy.Universe, len(g.verts))
 	g.zipfs = make([]*stats.Zipf, len(g.verts))
 	zrng := rng.ForkNamed("query-zipf")
 	for i, v := range g.verts {
 		g.vertW[i] = v.QueryShare
-		g.universes[i] = adcopy.BuildUniverse(v)
 		g.zipfs[i] = stats.NewZipf(zrng.ForkNamed(string(v.Name)), 1.45, 2.0, uint64(g.universes[i].Size()))
 	}
 	return g
 }
 
 // GeneratorState is the serializable state of a Generator: every RNG
-// stream position it owns. The keyword universes, vertical weights and
-// Zipf shape parameters are pure functions of the verticals table and are
-// rebuilt by NewGenerator.
+// stream position it owns. The vertical weights and Zipf shape parameters
+// are pure functions of the verticals table and are rebuilt by
+// NewGenerator; the keyword universes are too, and are shared, built once
+// per process.
 type GeneratorState struct {
 	RNG       stats.RNGState
 	Countries stats.RNGState

@@ -109,3 +109,18 @@ func TestUniverseFor(t *testing.T) {
 		t.Fatal("unknown vertical returned a universe")
 	}
 }
+
+// TestGeneratorsShareUniverses: the keyword universes are built once per
+// process, so a second generator — a restored sim's, an adserver's —
+// reuses the first one's instead of rebuilding ~10 MB of keywords.
+func TestGeneratorsShareUniverses(t *testing.T) {
+	a, b := NewGenerator(stats.NewRNG(1)), NewGenerator(stats.NewRNG(2))
+	for i := range verticals.All() {
+		if a.Universe(i) != b.Universe(i) {
+			t.Fatalf("vertical %d: two generators hold different universes", i)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { NewGenerator(stats.NewRNG(3)) }); n > 200 {
+		t.Fatalf("NewGenerator allocates %.0f times, want at most 200", n)
+	}
+}

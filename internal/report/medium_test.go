@@ -25,7 +25,7 @@ func TestMediumDump(t *testing.T) {
 	defer f.Close()
 	fmt.Fprintf(f, "regs=%d fraudRegs=%d auctions=%d impr=%d clicks=%d fraudClicks=%d spend=%.0f fraudSpend=%.0f lost=%.0f elapsed=%s\nstages=%v\n\n",
 		res.Registrations, res.FraudRegistrations, res.Auctions, res.Impressions, res.Clicks, res.FraudClicks,
-		res.Spend, res.FraudSpend, res.RevenueLost, res.Elapsed, res.ShutdownsByStage)
+		res.Spend, res.FraudSpend, res.Platform.Ledger().TotalLost(), res.Elapsed, res.ShutdownsByStage)
 	env := NewEnv(res, 3000, 99)
 	for _, e := range All() {
 		fmt.Fprintln(f, e.Run(env).String())

@@ -2,10 +2,11 @@ package sim
 
 // Checkpoint file format. A checkpoint is one CRC-framed payload:
 //
-//	offset 0: magic "FRSNAP" + one format-version byte (currently 4;
-//	          version 4 stores the platform in a hand-written column
-//	          codec, see platform/columns.go; older files are refused by
-//	          the version check, there is no migration)
+//	offset 0: magic "FRSNAP" + one format-version byte (currently 5,
+//	          platform.ColumnsVersion: the platform in a hand-written
+//	          column codec, see platform/columns.go, which since version
+//	          5 stores nothing the platform can recount; older files are
+//	          refused by the version check, there is no migration)
 //	then:     uvarint payload length | payload | crc32c(payload) LE
 //
 // The payload is one gob value — the Checkpoint with its platform
@@ -42,8 +43,8 @@ import (
 )
 
 // checkpointMagic identifies a checkpoint file; the trailing byte is the
-// format version.
-var checkpointMagic = []byte{'F', 'R', 'S', 'N', 'A', 'P', 4}
+// format version, the platform column codec's.
+var checkpointMagic = []byte{'F', 'R', 'S', 'N', 'A', 'P', platform.ColumnsVersion}
 
 var checkpointCRC = crc32.MakeTable(crc32.Castagnoli)
 

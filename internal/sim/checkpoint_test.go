@@ -144,11 +144,12 @@ func TestDecodeCheckpointRejectsBadColumns(t *testing.T) {
 }
 
 // TestCheckpointRefusesOlderVersions: each layout replaced the one before
-// outright (version 4's column codec replaced version 3's gob columns);
+// outright (version 4's column codec replaced version 3's gob columns,
+// version 5 dropped the columns the platform can recount);
 // older files are refused by the version check, not misread.
 func TestCheckpointRefusesOlderVersions(t *testing.T) {
 	_, valid := midRunCheckpoint(t)
-	for _, v := range []byte{1, 2, 3} {
+	for _, v := range []byte{1, 2, 3, 4} {
 		old := bytes.Clone(valid)
 		old[6] = v
 		if _, err := sim.DecodeCheckpoint(old); err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {

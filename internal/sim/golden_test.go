@@ -89,7 +89,7 @@ func TestGoldenCompanionInvariants(t *testing.T) {
 // companionLaws checks the conservation laws on one finished run and
 // returns every violation.
 func companionLaws(res *sim.Result) error {
-	return errors.Join(clickLaw(res), spendLaw(res), detectionLaw(res), weeklyLaw(res))
+	return errors.Join(clickLaw(res), spendLaw(res), liveAdsLaw(res), detectionLaw(res), weeklyLaw(res))
 }
 
 // violations collects one law's failures.
@@ -114,19 +114,17 @@ func clickLaw(res *sim.Result) error {
 	return errors.Join(v...)
 }
 
-// spendLaw: billed spend equals the ledger's totals, per account and in
-// all, and the result's; so do clicks and impressions; revenue lost is
-// the result's and no more than was billed.
+// spendLaw: the ledger's totals are the accounts' sums — billed is all
+// spend, lost is the spend on stolen instruments — and the result's
+// spend; so are clicks and impressions; lost is no more than billed.
 func spendLaw(res *sim.Result) error {
 	var v violations
 	l := res.Platform.Ledger()
-	var acctSpend float64
+	var acctSpend, acctLost float64
 	var acctClicks, acctImpr int64
 	for _, a := range res.Platform.Accounts() {
-		if billed := l.Billed(a.ID); !approxEqual(billed, a.Spend) {
-			v.add("account %d: ledger billed %v != account spend %v", a.ID, billed, a.Spend)
-		}
 		acctSpend += a.Spend
+		acctLost += a.Uncollected()
 		acctClicks += a.Clicks
 		acctImpr += a.Impressions
 	}
@@ -137,10 +135,26 @@ func spendLaw(res *sim.Result) error {
 		v.add("click/impression totals not conserved: accounts=%d/%d result=%d/%d",
 			acctClicks, acctImpr, res.Clicks, res.Impressions)
 	}
-	if lost := l.TotalLost(); lost > l.TotalBilled() || lost != res.RevenueLost {
-		v.add("revenue lost inconsistent: lost=%v billed=%v result=%v", lost, l.TotalBilled(), res.RevenueLost)
+	if lost := l.TotalLost(); lost > l.TotalBilled() || !approxEqual(lost, acctLost) {
+		v.add("revenue lost inconsistent: ledger=%v stolen-instrument spend=%v billed=%v", lost, acctLost, l.TotalBilled())
 	}
 	return errors.Join(v...)
+}
+
+// liveAdsLaw: the platform's live-ad count is its number of active ads.
+func liveAdsLaw(res *sim.Result) error {
+	active := 0
+	for _, a := range res.Platform.Accounts() {
+		for _, ad := range a.Ads {
+			if ad.Active {
+				active++
+			}
+		}
+	}
+	if live := res.Platform.LiveAds(); live != active {
+		return fmt.Errorf("live ads (%d) != active ads (%d)", live, active)
+	}
+	return nil
 }
 
 // detectionLaw: every detection record references an account the

@@ -626,7 +626,7 @@ func TestDeterminism(t *testing.T) {
 // TestSameSeedByteIdentical: a second fresh one-worker run of a sweep
 // world emits the recorded events phase by phase and lands on the
 // recorded digest bytes — every account, weekly and window aggregate,
-// ledger entry and detection record, not just totals. It is the donor
+// billing row and detection record, not just totals. It is the donor
 // continuation of TestCrashCheckpointRoundTrip's day-4 save.
 func TestSameSeedByteIdentical(t *testing.T) {
 	t.Parallel()

@@ -319,7 +319,6 @@ func (s *Sim) serveQueries(day simclock.Day) {
 			eventlog.AppendAll(s.cfg.Events, sh.events)
 		}
 	}
-	s.res.RevenueLost = s.p.Ledger().TotalLost()
 }
 
 // shardAuctions is phase B for worker k: resolve every query in its

@@ -3,6 +3,7 @@ package sim
 import (
 	"flag"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -34,10 +35,24 @@ func (sh *Shape) Bind(fs *flag.FlagSet) {
 }
 
 // Config resolves the shape: the scale preset with the overrides applied.
+// A zero override means the scale default, so a negative one (or a
+// registration rate that is not a finite number) would silently mean the
+// same: it is refused.
 func (sh Shape) Config() (Config, error) {
 	cfg, err := ScaleConfig(sh.Scale)
 	if err != nil {
 		return cfg, err
+	}
+	for _, o := range []struct {
+		flag string
+		v    int
+	}{{"days", sh.Days}, {"queries", sh.Queries}, {"legit", sh.Legit}} {
+		if o.v < 0 {
+			return cfg, fmt.Errorf("sim: -%s %d is negative (0 means the scale default)", o.flag, o.v)
+		}
+	}
+	if !(sh.Regs >= 0) || math.IsInf(sh.Regs, 1) {
+		return cfg, fmt.Errorf("sim: -regs %v is not a finite non-negative rate (0 means the scale default)", sh.Regs)
 	}
 	cfg.Seed = sh.Seed
 	if sh.Days > 0 {

@@ -44,7 +44,6 @@ type Counters struct {
 	FraudClicks        int64
 	Spend              float64
 	FraudSpend         float64
-	RevenueLost        float64
 }
 
 // FraudProfileEntry is one remembered fraud profile, keyed by account.

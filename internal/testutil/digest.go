@@ -188,17 +188,16 @@ func DigestResult(res *sim.Result) Digest {
 
 	colSet := CollectorDigests(res.Collector)
 
-	// Billing: the ledger per account plus platform totals.
+	// Billing: each billed account's charges and uncollected part, then
+	// the ledger's totals.
 	billing := newDigestWriter()
-	ledger := p.Ledger()
-	for id := 0; id < p.NumAccounts(); id++ {
-		aid := platform.AccountID(id)
-		billed, uncollected := ledger.Billed(aid), ledger.Uncollected(aid)
-		if billed == 0 && uncollected == 0 {
+	for _, a := range p.Accounts() {
+		if a.Spend == 0 {
 			continue
 		}
-		billing.record("%d|%s|%s", id, canonFloat(billed), canonFloat(uncollected))
+		billing.record("%d|%s|%s", a.ID, canonFloat(a.Spend), canonFloat(a.Uncollected()))
 	}
+	ledger := p.Ledger()
 	billing.record("totals|%s|%s", canonFloat(ledger.TotalBilled()), canonFloat(ledger.TotalLost()))
 
 	d := Digest{
@@ -230,7 +229,7 @@ func CountersOf(res *sim.Result) Counters {
 		FraudClicks:        res.FraudClicks,
 		Spend:              canonFloat(res.Spend),
 		FraudSpend:         canonFloat(res.FraudSpend),
-		RevenueLost:        canonFloat(res.RevenueLost),
+		RevenueLost:        canonFloat(res.Platform.Ledger().TotalLost()),
 		ShutdownsByStage:   stages,
 	}
 }

@@ -34,7 +34,6 @@ var unreachedAllowlist = map[string]string{
 	"platform.Snapshot.AppendColumns": oracle + "reference column writer (TestLiveColumnsMatchReference)",
 	"platform.appendInts":             oracle + "helper of the reference column writer",
 	"platform.appendFloats":           oracle + "helper of the reference column writer",
-	"platform.ledgerEntries":          oracle + "helper of the reference column writer",
 	"sim.Sim.Snapshot":                oracle + "reference checkpoint writer (the recorder's frames in internal/sim/record_test.go)",
 	"sim.encodeCheckpoint":            oracle + "reference checkpoint writer (the recorder's frames in internal/sim/record_test.go)",
 
