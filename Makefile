@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test tier1 race chaos crash crash-supervise bench-check policy-wins verify golden bench bench-pair fuzz-smoke loc
+.PHONY: build vet test tier1 race oneproc chaos crash crash-supervise bench-check policy-wins verify golden bench bench-pair fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,12 @@ tier1:
 
 race:
 	$(GO) test -race ./...
+
+# oneproc runs the log readers' tests on a single P. ScanFiles decodes
+# on a goroutine of its own beside fn's; on one P the two take turns, and
+# this shows the pipeline needs no second one.
+oneproc:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/eventlog ./internal/dataset ./cmd/logtool
 
 # chaos runs the fault-injection resilience suite under the race
 # detector: one seeded HTTP fault profile (latency, outage window,
@@ -76,10 +82,10 @@ policy-wins:
 
 # verify is the full pre-merge gate: static checks, build, the whole
 # suite (goldens, determinism, invariants, smoke tests, chaos) under the
-# race detector, the crash-safety sweeps (single-process and supervised),
-# a short corpus-plus-exploration pass over every fuzz target, and the
-# benchmark module's own checks.
-verify: vet build race chaos crash crash-supervise fuzz-smoke bench-check
+# race detector, the log readers on one P, the crash-safety sweeps
+# (single-process and supervised), a short corpus-plus-exploration pass
+# over every fuzz target, and the benchmark module's own checks.
+verify: vet build race oneproc chaos crash crash-supervise fuzz-smoke bench-check
 
 # golden regenerates every golden fixture (sim digests, per-experiment
 # report outputs, the façade quickstart). Only the packages that define

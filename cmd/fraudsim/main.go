@@ -13,9 +13,9 @@
 //
 // -workers parallelizes query serving across N goroutines and, above
 // one, draws each day's query stream beside the agents phase; 0 (the
-// default) uses every available CPU. A negative -workers,
-// -checkpoint-retain or shape size is refused rather than read as its
-// default. Campaign management and the nightly
+// default) uses every available CPU. A negative -workers or shape size
+// is refused rather than read as its default, and so is a
+// -checkpoint-retain below one. Campaign management and the nightly
 // detection sweep run on one goroutine. Results are byte-identical
 // across worker counts, so the flag is a pure throughput knob.
 //
@@ -89,13 +89,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("fraudsim: %w", err)
 	}
-	// Zero means a default for -workers and -checkpoint-retain; a
-	// negative value would silently mean the same, so it is refused.
+	// Zero means a default for -workers; a negative value would silently
+	// mean the same, so it is refused. A lineage keeps at least the
+	// checkpoint just written, so -checkpoint-retain must be positive.
 	switch {
 	case *workers < 0:
 		return fmt.Errorf("fraudsim: -workers %d is negative", *workers)
-	case *ckptRetain < 0:
-		return fmt.Errorf("fraudsim: -checkpoint-retain %d is negative", *ckptRetain)
+	case *ckptRetain <= 0:
+		return fmt.Errorf("fraudsim: -checkpoint-retain %d is not positive", *ckptRetain)
 	case *ckptEvery < 0:
 		return fmt.Errorf("fraudsim: -checkpoint-every %d is negative", *ckptEvery)
 	case *ckptEvery > 0 && *ckptPath == "" && *resume == "":

@@ -93,10 +93,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 // TestRunRejectsSizesItWouldReplace: a negative size or a NaN rate would
 // silently mean its default (all CPUs, the default lineage depth, the
-// scale's size), so each is refused before anything is simulated.
+// scale's size), and a lineage of zero checkpoints cannot exist, so each
+// is refused before anything is simulated.
 func TestRunRejectsSizesItWouldReplace(t *testing.T) {
 	for _, args := range [][]string{
-		{"-workers", "-1"}, {"-checkpoint-retain", "-2"},
+		{"-workers", "-1"}, {"-checkpoint-retain", "-2"}, {"-checkpoint-retain", "0"},
 		{"-days", "-5"}, {"-queries", "-1"}, {"-regs", "-0.5"}, {"-regs", "NaN"}, {"-legit", "-10"},
 	} {
 		var out strings.Builder

@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	spec := supervise.DefaultSpec()
 	spec.Bind(fs)
 	hbTimeout := fs.Duration("hb-timeout", 5*time.Second, "silence after which the worker is declared dead (it heartbeats every tenth of this)")
-	maxRestarts := fs.Int("max-restarts", 3, "restarts allowed before the run fails")
+	maxRestarts := fs.Int("max-restarts", supervise.DefaultMaxRestarts, "restarts allowed before the run fails (0 = the first death is final)")
 	verbose := fs.Bool("v", false, "print supervisor narration")
 	faults := fs.String("faults", "", "fault profile of the worker's first incarnation (chaos testing)")
 	killSpecs := fs.String("kill", "", "supervisor kill points, NREPORTS[,NREPORTS...] (chaos testing)")
@@ -90,8 +90,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	switch {
 	case spec.CheckpointEvery < 0:
 		return fmt.Errorf("fraudsupervise: -checkpoint-every %d is negative", spec.CheckpointEvery)
-	case spec.Retain < 0:
-		return fmt.Errorf("fraudsupervise: -checkpoint-retain %d is negative", spec.Retain)
+	case spec.Retain <= 0:
+		return fmt.Errorf("fraudsupervise: -checkpoint-retain %d is not positive", spec.Retain)
 	case *maxRestarts < 0:
 		return fmt.Errorf("fraudsupervise: -max-restarts %d is negative", *maxRestarts)
 	case *hbTimeout/10 <= 0:

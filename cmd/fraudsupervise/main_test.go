@@ -119,6 +119,21 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCLIZeroRestartsMeansNone: -max-restarts 0 is a budget of no
+// restarts, not the default, so a worker the supervisor kills after its
+// fourth day report ends the run there.
+func TestCLIZeroRestartsMeansNone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a worker subprocess")
+	}
+	t.Setenv("FRAUDSUPERVISE_CLI", "1")
+	var out, errw strings.Builder
+	err := run(append(shapeFlags("42"), "-dir", t.TempDir(), "-max-restarts", "0", "-kill", "4"), &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "worker died 1 times") {
+		t.Fatalf("-max-restarts 0 -kill 4: %v, want the run to fail at the kill\nstdout: %s", err, out.String())
+	}
+}
+
 func TestCLIRequiresDir(t *testing.T) {
 	var out, errw strings.Builder
 	if err := run([]string{"-seed", "2"}, &out, &errw); err == nil || !strings.Contains(err.Error(), "-dir") {
@@ -149,7 +164,7 @@ func TestCLIRejectsNegativeCheckpointEvery(t *testing.T) {
 func TestCLIRejectsSizesItWouldReplace(t *testing.T) {
 	for _, args := range [][]string{
 		{"-hb-timeout", "5ns"}, {"-hb-timeout", "0s"}, {"-hb-timeout", "-1s"},
-		{"-max-restarts", "-1"}, {"-checkpoint-retain", "-1"},
+		{"-max-restarts", "-1"}, {"-checkpoint-retain", "-1"}, {"-checkpoint-retain", "0"},
 		{"-days", "-1"}, {"-regs", "NaN"},
 	} {
 		dir := t.TempDir()

@@ -150,3 +150,29 @@ func TestReplayerOrderInsensitiveAcrossAccounts(t *testing.T) {
 		t.Fatalf("replay is order-sensitive across accounts:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// BenchmarkReplayDir replays the log of the bench `recover` workload's
+// shape at seed 42 (603 919 events, two segments). Run it at -cpu 1,2:
+// ScanFiles decodes on a goroutine of its own, so the second P is what
+// lets the decode of one batch overlap the fold of the last.
+func BenchmarkReplayDir(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	cfg.Seed, cfg.Days, cfg.QueriesPerDay, cfg.InitialLegit, cfg.RegistrationsPerDay = 42, 40, 1500, 400, 12
+	dir := filepath.Join(b.TempDir(), "log")
+	dw, err := eventlog.NewDirWriter(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Events = dw
+	sim.New(cfg).Run()
+	if err := dw.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dataset.ReplayDir(dir, cfg.Windows, cfg.SampleWindow); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(dw.Events())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}

@@ -142,6 +142,17 @@ func (c *cursor) u8() (byte, error) {
 }
 
 func (c *cursor) uvarint() (uint64, error) {
+	// Most fields are small: one or two bytes, no loop.
+	if len(c.b) > 0 && c.b[0] < 0x80 {
+		v := uint64(c.b[0])
+		c.b = c.b[1:]
+		return v, nil
+	}
+	if len(c.b) > 1 && c.b[1] < 0x80 {
+		v := uint64(c.b[0]&0x7f) | uint64(c.b[1])<<7
+		c.b = c.b[2:]
+		return v, nil
+	}
 	v, n := binary.Uvarint(c.b)
 	if n <= 0 {
 		return 0, ErrBadEvent
@@ -152,6 +163,11 @@ func (c *cursor) uvarint() (uint64, error) {
 
 // zig32 decodes a zigzag varint that must fit in an int32.
 func (c *cursor) zig32() (int32, error) {
+	if len(c.b) > 0 && c.b[0] < 0x80 {
+		u := c.b[0]
+		c.b = c.b[1:]
+		return int32(u>>1) ^ -int32(u&1), nil
+	}
 	u, err := c.uvarint()
 	if err != nil {
 		return 0, err

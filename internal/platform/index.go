@@ -141,7 +141,9 @@ func (x *Index) BumpEpoch() { x.epoch++ }
 // findEntry locates a bid's slot in a posting list. The fast path binary
 // searches by the entry's current score s and scans the equal-score run;
 // because in-place bid modifications leave neighbors out of order, a
-// misdirected search falls back to a full scan. Returns -1 if absent.
+// misdirected search falls back to scanning outward from the probe, where
+// a slightly displaced entry lies. A bid occurs once per list, so the
+// search order cannot change the slot found. Returns -1 if absent.
 func findEntry(list []entry, bid *KeywordBid, s float64) int {
 	lo, hi := 0, len(list)
 	for lo < hi {
@@ -152,14 +154,18 @@ func findEntry(list []entry, bid *KeywordBid, s float64) int {
 			hi = mid
 		}
 	}
-	for i := lo; i < len(list) && list[i].score == s; i++ {
-		if list[i].bid == bid {
-			return i
+	r := lo
+	for ; r < len(list) && list[r].score == s; r++ {
+		if list[r].bid == bid {
+			return r
 		}
 	}
-	for i := range list {
-		if list[i].bid == bid {
-			return i
+	for l := lo - 1; l >= 0 || r < len(list); l, r = l-1, r+1 {
+		if l >= 0 && list[l].bid == bid {
+			return l
+		}
+		if r < len(list) && list[r].bid == bid {
+			return r
 		}
 	}
 	return -1
@@ -182,8 +188,8 @@ func (x *Index) UpdateBid(ad *Ad, bid *KeywordBid, newMax float64) {
 }
 
 // RemoveAd drops all of an ad's bids from the index. Each bid is located
-// by score-guided binary search (with a full-scan fallback for entries
-// displaced by in-place modifications) and removed with a single tail
+// by score-guided binary search (with an outward-scan fallback for
+// entries displaced by in-place modifications) and removed with a single tail
 // copy, instead of rewriting every touched list.
 func (x *Index) RemoveAd(ad *Ad) {
 	x.epoch++

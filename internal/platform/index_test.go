@@ -1,6 +1,9 @@
 package platform
 
 import (
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -261,5 +264,36 @@ func TestIndexEpoch(t *testing.T) {
 	p.PauseAd(ad)
 	if x.Epoch() <= e1 {
 		t.Fatal("PauseAd (RemoveAd) did not advance the epoch")
+	}
+}
+
+// TestFindEntryMatchesFullScan: on posting lists left out of order by
+// in-place bid edits (UpdateBid rewrites a slot's score without moving
+// it), the outward search from the binary-search probe finds the slot a
+// scan of the whole list finds, and -1 for a bid the list does not hold.
+func TestFindEntryMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 0))
+	for trial := 0; trial < 300; trial++ {
+		// Insert with AddBid's rule, from a few score levels so that
+		// equal-score runs occur.
+		var list []entry
+		for n := 1 + rng.IntN(120); len(list) < n; {
+			s := float64(1+rng.IntN(8)) * 0.25
+			i := sort.Search(len(list), func(i int) bool { return list[i].score < s })
+			list = slices.Insert(list, i, entry{bid: &KeywordBid{}, score: s})
+		}
+		// Edit about a fifth of the slots by up to ±20 %.
+		for range len(list) / 5 {
+			e := &list[rng.IntN(len(list))]
+			e.score *= 0.8 + 0.4*rng.Float64()
+		}
+		for i, e := range list {
+			if got := findEntry(list, e.bid, e.score); got != i {
+				t.Fatalf("trial %d: findEntry of slot %d of %d = %d", trial, i, len(list), got)
+			}
+		}
+		if got := findEntry(list, &KeywordBid{}, list[0].score); got != -1 {
+			t.Fatalf("trial %d: findEntry of an absent bid = %d", trial, got)
+		}
 	}
 }

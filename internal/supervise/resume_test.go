@@ -19,7 +19,7 @@ func interruptRun(t *testing.T, dir string, seed uint64, reports int) Config {
 	t.Helper()
 	cfg := superviseConfig(dir, seed, t)
 	cfg.Kills = []int{reports}
-	cfg.MaxRestarts = -1 // negative: the first death is final
+	cfg.MaxRestarts = 0 // the first death is final
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "giving up") {
 		t.Fatalf("interrupted run: %v", err)
 	}

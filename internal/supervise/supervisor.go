@@ -57,8 +57,9 @@ type Config struct {
 	// supervisor declares it dead (default 5s). The worker heartbeats
 	// every HBTimeout/10.
 	HBTimeout time.Duration
-	// MaxRestarts bounds restarts (default 3); exceeding it fails the
-	// run.
+	// MaxRestarts bounds restarts; exceeding it fails the run. Zero
+	// means the first death is final, and a negative value is refused.
+	// DefaultMaxRestarts is the CLI's default.
 	MaxRestarts int
 	// Seed seeds restart-backoff jitter and, with Faults, the fault
 	// profile.
@@ -93,6 +94,9 @@ const (
 	backoffCap      = 2 * time.Second
 	progressTimeout = 2 * time.Minute
 )
+
+// DefaultMaxRestarts is fraudsupervise's -max-restarts default.
+const DefaultMaxRestarts = 3
 
 // Result is a completed supervised run.
 type Result struct {
@@ -134,8 +138,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.HBTimeout <= 0 {
 		cfg.HBTimeout = 5 * time.Second
 	}
-	if cfg.MaxRestarts == 0 {
-		cfg.MaxRestarts = 3
+	if cfg.MaxRestarts < 0 {
+		return nil, fmt.Errorf("supervise: MaxRestarts %d is negative", cfg.MaxRestarts)
 	}
 	clk := cfg.clock
 	if clk == nil {

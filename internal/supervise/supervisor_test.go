@@ -426,6 +426,24 @@ func TestMaxRestartsExceeded(t *testing.T) {
 	}
 }
 
+// TestZeroRestartBudget: MaxRestarts 0 is no restarts at all, and a
+// negative budget is refused before anything is spawned.
+func TestZeroRestartBudget(t *testing.T) {
+	for _, budget := range []int{0, -1} {
+		ss := &scriptSpawner{next: func(int) Proc {
+			return newDeadProc("", errors.New("exit status 137"))
+		}}
+		_, err := Run(Config{Spec: testSpec(t.TempDir(), 3), Spawn: ss, MaxRestarts: budget, clock: newFakeClock()})
+		want, spawns := "worker died 1 times", 1
+		if budget < 0 {
+			want, spawns = "MaxRestarts -1 is negative", 0
+		}
+		if err == nil || !strings.Contains(err.Error(), want) || ss.spawns != spawns {
+			t.Errorf("MaxRestarts %d: %v after %d spawns, want %q after %d", budget, err, ss.spawns, want, spawns)
+		}
+	}
+}
+
 // TestWorkerFatalFailsFast: a deterministic worker error (fatal
 // message) fails the run without burning the restart budget.
 func TestWorkerFatalFailsFast(t *testing.T) {
