@@ -75,17 +75,23 @@ bench-check:
 # policy-wins runs the adbench scenarios whose routing-policy wins
 # depend on the adserver stack's fixed order: least_loaded reads the
 # admission gauge through /statz, and on cache_affinity the fault wrap
-# sits inside the response cache. About 70 s, and it wants a quiet
-# machine, so it is not part of verify; CI runs it as a job of its own.
+# sits inside the response cache. Each run is a whole cluster inside a
+# testing/synctest bubble over net.Pipe, so its 2.5 s and 26 s horizons
+# pass in virtual time: a few seconds of wall time, whatever the load on
+# the machine. The test file builds only under GOEXPERIMENT=synctest
+# (Go 1.24), so it is vetted here too. The first build under the
+# experiment recompiles the standard library.
 policy-wins:
-	ADBENCH_POLICY_WINS=1 $(GO) test -count=1 -run TestRouterPolicyWins ./cmd/adbench
+	GOEXPERIMENT=synctest $(GO) vet ./internal/loadgen
+	GOEXPERIMENT=synctest $(GO) test -count=1 -run TestRouterPolicyWins ./internal/loadgen
 
 # verify is the full pre-merge gate: static checks, build, the whole
 # suite (goldens, determinism, invariants, smoke tests, chaos) under the
 # race detector, the log readers on one P, the crash-safety sweeps
-# (single-process and supervised), a short corpus-plus-exploration pass
-# over every fuzz target, and the benchmark module's own checks.
-verify: vet build race oneproc chaos crash crash-supervise fuzz-smoke bench-check
+# (single-process and supervised), the routing-policy wins, a short
+# corpus-plus-exploration pass over every fuzz target, and the benchmark
+# module's own checks.
+verify: vet build race oneproc chaos crash crash-supervise policy-wins fuzz-smoke bench-check
 
 # golden regenerates every golden fixture (sim digests, per-experiment
 # report outputs, the façade quickstart). Only the packages that define

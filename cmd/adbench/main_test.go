@@ -97,3 +97,22 @@ func TestRunErrors(t *testing.T) {
 		t.Fatal("bogus policy override accepted")
 	}
 }
+
+// TestCommittedScenariosValidate: every scenario file in testdata parses
+// and passes validation, so a spec field renamed or an arrival kind
+// removed cannot strand a committed file. internal/loadgen's
+// TestRouterPolicyWins runs two of them.
+func TestCommittedScenariosValidate(t *testing.T) {
+	paths, err := filepath.Glob("testdata/scenario_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no scenario files found")
+	}
+	for _, p := range paths {
+		if _, err := loadgen.LoadScenario(p); err != nil {
+			t.Error(err)
+		}
+	}
+}

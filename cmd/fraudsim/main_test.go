@@ -397,6 +397,7 @@ func TestSupervisedLogByteIdenticalToFraudsim(t *testing.T) {
 			BaseArgs: []string{"-test.run=TestSupervisedWorkerChild$", "--"},
 			Stderr:   io.Discard,
 		},
+		HBTimeout:   supervise.DefaultHBTimeout,
 		MaxRestarts: 4,
 		Seed:        42,
 		// One self-inflicted SIGKILL within the first incarnation's

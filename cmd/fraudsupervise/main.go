@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	spec := supervise.DefaultSpec()
 	spec.Bind(fs)
-	hbTimeout := fs.Duration("hb-timeout", 5*time.Second, "silence after which the worker is declared dead (it heartbeats every tenth of this)")
+	hbTimeout := fs.Duration("hb-timeout", supervise.DefaultHBTimeout, "silence after which the worker is declared dead (it heartbeats every tenth of this)")
 	maxRestarts := fs.Int("max-restarts", supervise.DefaultMaxRestarts, "restarts allowed before the run fails (0 = the first death is final)")
 	verbose := fs.Bool("v", false, "print supervisor narration")
 	faults := fs.String("faults", "", "fault profile of the worker's first incarnation (chaos testing)")

@@ -26,14 +26,8 @@ type Backoff struct {
 	attempt int
 }
 
-// New builds a schedule seeded by (seed, stream).
+// New builds a schedule seeded by (seed, stream); 0 < base <= cap.
 func New(seed uint64, stream int, base, cap time.Duration) *Backoff {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if cap < base {
-		cap = base
-	}
 	return &Backoff{
 		Base: base,
 		Cap:  cap,
@@ -52,9 +46,6 @@ func (b *Backoff) Next() time.Duration {
 	b.attempt++
 	d := time.Duration(float64(mean) * (0.5 + b.rng.Float64()))
 	if d > b.Cap {
-		d = b.Cap
-	}
-	if d < 0 {
 		d = b.Cap
 	}
 	return d

@@ -107,15 +107,3 @@ func TestBackoffResetRewindsDoublingNotJitter(t *testing.T) {
 			d, base/2, base+base/2)
 	}
 }
-
-// TestBackoffDefaults: non-positive base and an inverted cap fall back
-// to usable values instead of a zero-delay hot loop.
-func TestBackoffDefaults(t *testing.T) {
-	b := New(1, 0, 0, 0)
-	if b.Base <= 0 || b.Cap < b.Base {
-		t.Fatalf("zero-config backoff resolved to base %v cap %v", b.Base, b.Cap)
-	}
-	if d := b.Next(); d <= 0 {
-		t.Errorf("zero-config backoff handed out a %v delay", d)
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"sync"
@@ -20,6 +21,8 @@ type RunOpts struct {
 	// interleaved across. More workers = less open-loop drift when
 	// requests outlive their inter-arrival gap. Default 4.
 	Workers int
+
+	dial func(ctx context.Context, network, addr string) (net.Conn, error) // nil: the default dialer
 }
 
 // requestTimeout bounds each request the runner sends.
@@ -37,7 +40,8 @@ func Run(ctx context.Context, baseURL string, classes []Class, reqs []Request, o
 	if opts.Workers < 1 {
 		opts.Workers = 4
 	}
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}, Timeout: requestTimeout}
+	client := &http.Client{Transport: &http.Transport{DialContext: opts.dial, MaxIdleConnsPerHost: 64}, Timeout: requestTimeout}
+	defer client.CloseIdleConnections()
 
 	// Interleave the schedule across workers; each worker owns a full
 	// recorder set so the hot loop is lock-free.

@@ -211,12 +211,26 @@ func (r ScenarioReport) Normalize() ScenarioReport {
 // instanceRequestTimeout is every instance's per-request deadline.
 const instanceRequestTimeout = 2 * time.Second
 
+// network is what a scenario's cluster talks over: listen opens each
+// server's listener, dial is the senders' and proxy the router's
+// transport (nil: their defaults).
+type network struct {
+	listen func() (net.Listener, error)
+	dial   func(ctx context.Context, network, addr string) (net.Conn, error)
+	proxy  http.RoundTripper
+}
+
 // RunScenario boots the cluster (N adserver instances over one shared
 // frozen platform, each with its own serving stack and optional fault
 // profile, behind a policy-driven router), fires the scenario's
 // schedule at the router, and reports. logf (optional) receives
 // progress lines.
 func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (ScenarioReport, error) {
+	return runScenario(spec, logf, network{listen: func() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }})
+}
+
+// runScenario is RunScenario over the network nw.
+func runScenario(spec Scenario, logf func(format string, args ...interface{}), nw network) (ScenarioReport, error) {
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
@@ -243,7 +257,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 		faultsByBackend[f.Backend] = f
 	}
 
-	// Spawn instances on loopback listeners.
+	// Spawn instances, each on a listener of its own.
 	type instance struct {
 		name string
 		hs   *http.Server
@@ -273,7 +287,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 				FailUntil: f.FailUntil,
 			})
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := nw.listen()
 		if err != nil {
 			shutdown()
 			return ScenarioReport{}, fmt.Errorf("adbench: listen instance %d: %w", i, err)
@@ -288,7 +302,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 	// instance names (not ephemeral host:port), so the affinity policy's
 	// keyspace mapping is identical across runs of the same spec.
 	pol, _ := router.PolicyByName(spec.Policy)
-	rt, err := router.New(router.Options{Policy: pol, Seed: spec.Seed})
+	rt, err := router.New(router.Options{Policy: pol, Seed: spec.Seed, Transport: nw.proxy})
 	if err != nil {
 		return ScenarioReport{}, err
 	}
@@ -299,7 +313,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 	}
 	rt.StartHealth()
 	defer rt.Close()
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	rln, err := nw.listen()
 	if err != nil {
 		return ScenarioReport{}, fmt.Errorf("adbench: listen router: %w", err)
 	}
@@ -323,7 +337,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 		defer timer.Stop()
 	}
 
-	rep := Run(context.Background(), "http://"+rln.Addr().String(), spec.Classes, reqs, RunOpts{Workers: spec.Workers})
+	rep := Run(context.Background(), "http://"+rln.Addr().String(), spec.Classes, reqs, RunOpts{Workers: spec.Workers, dial: nw.dial})
 
 	out := ScenarioReport{
 		Scenario:  spec.Name,

@@ -1,14 +1,35 @@
 package router
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
 )
+
+// virtualTime puts rt on a clock that starts at 2000-01-01 and moves
+// only when the returned advance is called. advance moves it by d and
+// then runs one health tick, as the health loop would at that time, so
+// a test decides exactly when every probe may happen.
+func virtualTime(rt *Router) (advance func(d time.Duration)) {
+	var clock atomic.Int64
+	clock.Store(time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
+	rt.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	h := &healthLoop{rt: rt}
+	return func(d time.Duration) {
+		clock.Add(int64(d))
+		h.tick(context.Background())
+	}
+}
+
+// maxRounds bounds the request-and-tick rounds a chaos test waits for
+// recovery: 25 s of virtual time, over ten times the backoff cap.
+const maxRounds = 100
 
 // fakeAdserver mimics the adserver surface the router depends on:
 // /search answers 200, /readyz and /statz always serve (probe routes
@@ -40,7 +61,9 @@ func fakeAdserver(t *testing.T, mw func(http.Handler) http.Handler) *httptest.Se
 // window of requests, every client request still answers 200 (the
 // router retries elsewhere), the faulty member is ejected by the
 // consecutive-error threshold, and once the outage window passes the
-// seeded-backoff health loop re-admits it and it serves again.
+// seeded-backoff health loop re-admits it and it serves again. Time is
+// virtual: each round of phases 2 and 3 sends one request and then
+// moves the clock one probe interval.
 func TestChaosRouterMasksBackendOutage(t *testing.T) {
 	inj := faultinject.New(99)
 	// Member 0 fails its first 12 /search arrivals with 503s.
@@ -48,17 +71,12 @@ func TestChaosRouterMasksBackendOutage(t *testing.T) {
 	bad := fakeAdserver(t, mw)
 	good := fakeAdserver(t, nil)
 
-	rt, err := New(Options{
-		Seed:          42,
-		ProbeInterval: 10 * time.Millisecond,
-		BackoffBase:   5 * time.Millisecond,
-		BackoffCap:    40 * time.Millisecond,
-	}, bad.URL, good.URL)
+	rt, err := New(Options{Seed: 42}, bad.URL, good.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.StartHealth()
 	defer rt.Close()
+	advance := virtualTime(rt)
 
 	faulty := rt.Backends()[0]
 
@@ -82,9 +100,8 @@ func TestChaosRouterMasksBackendOutage(t *testing.T) {
 	// client request must still come back 200 throughout. The fault
 	// layer's own arrival counter tells us when the window is spent:
 	// arrival 13 is the first one past FailUntil, and it succeeds.
-	deadline := time.Now().Add(10 * time.Second)
-	for inj.Stats("i0").Requests < 13 {
-		if time.Now().After(deadline) {
+	for round := 0; inj.Stats("i0").Requests < 13; round++ {
+		if round == maxRounds {
 			t.Fatalf("outage never drained (arrivals=%d, state=%v, ejections=%d, readmits=%d)",
 				inj.Stats("i0").Requests, faulty.State(),
 				faulty.ejections.Load(), faulty.readmits.Load())
@@ -94,7 +111,7 @@ func TestChaosRouterMasksBackendOutage(t *testing.T) {
 			t.Fatalf("mid-recovery request leaked status %d", resp.StatusCode)
 		}
 		resp.Body.Close()
-		time.Sleep(2 * time.Millisecond) // let the health loop re-admit between batches
+		advance(probeInterval)
 	}
 	if faulty.readmits.Load() == 0 {
 		t.Fatal("member recovered without a readmit count")
@@ -104,11 +121,11 @@ func TestChaosRouterMasksBackendOutage(t *testing.T) {
 	}
 
 	// Phase 3: the member settles active and serves real traffic again.
-	for faulty.State() != Active {
-		if time.Now().After(deadline) {
+	for round := 0; faulty.State() != Active; round++ {
+		if round == maxRounds {
 			t.Fatalf("member never settled active (state=%v)", faulty.State())
 		}
-		time.Sleep(5 * time.Millisecond)
+		advance(probeInterval)
 	}
 	servedBefore := faulty.served.Load()
 	for i := 0; i < 20 && faulty.served.Load() == servedBefore; i++ {
@@ -134,24 +151,20 @@ func TestChaosRouterMasksBackendOutage(t *testing.T) {
 // TestChaosRouterMasksConnectionDrops runs the same masking property
 // against severed connections (the fault layer panics with
 // http.ErrAbortHandler, which the client sees as a transport error)
-// instead of clean 503s.
+// instead of clean 503s, with a health tick one virtual probe interval
+// after each request.
 func TestChaosRouterMasksConnectionDrops(t *testing.T) {
 	inj := faultinject.New(7)
 	mw := inj.HTTP("i0", faultinject.Faults{FailFrom: 1, FailUntil: 9, DropOutage: true})
 	bad := fakeAdserver(t, mw)
 	good := fakeAdserver(t, nil)
 
-	rt, err := New(Options{
-		Seed:          43,
-		ProbeInterval: 10 * time.Millisecond,
-		BackoffBase:   5 * time.Millisecond,
-		BackoffCap:    40 * time.Millisecond,
-	}, bad.URL, good.URL)
+	rt, err := New(Options{Seed: 43}, bad.URL, good.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.StartHealth()
 	defer rt.Close()
+	advance := virtualTime(rt)
 
 	for i := 0; i < 20; i++ {
 		resp := doGet(t, rt, "/search?q=x")
@@ -159,6 +172,7 @@ func TestChaosRouterMasksConnectionDrops(t *testing.T) {
 			t.Fatalf("request %d leaked status %d", i, resp.StatusCode)
 		}
 		resp.Body.Close()
+		advance(probeInterval)
 	}
 	faulty := rt.Backends()[0]
 	if faulty.ejections.Load() == 0 {

@@ -49,7 +49,7 @@ func (rt *Router) Close() {
 
 func (h *healthLoop) run(ctx context.Context) {
 	defer close(h.done)
-	t := time.NewTicker(h.rt.opts.ProbeInterval)
+	t := time.NewTicker(probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -65,7 +65,7 @@ func (h *healthLoop) run(ctx context.Context) {
 // concurrently (a wedged backend must not delay the others) but the
 // tick waits for them, so at most one probe per member is in flight.
 func (h *healthLoop) tick(ctx context.Context) {
-	now := time.Now()
+	now := h.rt.now()
 	var wg sync.WaitGroup
 	for _, b := range h.rt.Backends() {
 		b := b
@@ -95,7 +95,7 @@ func (h *healthLoop) probeReady(ctx context.Context, b *Backend) {
 		b.state.CompareAndSwap(int32(Ejected), int32(Active))
 		return
 	}
-	b.nextProbe.Store(time.Now().Add(b.backoff.Next()).UnixNano())
+	b.nextProbe.Store(h.rt.now().Add(b.backoff.Next()).UnixNano())
 }
 
 // statzBody mirrors the adserver /statz reply field the router reads.

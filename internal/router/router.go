@@ -13,6 +13,9 @@
 // and router-generated 503s (no eligible backend). Single-backend
 // latency/error/crash injection is masked by retrying elsewhere — the
 // property the chaos suite pins.
+//
+// Its timings are constants, and every cooldown and probe stamp reads
+// one clock, which the chaos suite replaces with a virtual one.
 package router
 
 import (
@@ -100,11 +103,16 @@ func (b *Backend) cooling(now time.Time) bool {
 
 // retries bounds the additional attempts on a different backend after
 // a connection error or 5xx, probeTimeout each health probe, and
-// ejectAfter consecutive errors eject a backend.
+// ejectAfter consecutive errors eject a backend; backoffBase and
+// backoffCap bound the seeded re-admission backoff, and probeInterval is
+// the health loop's tick (see healthLoop).
 const (
-	retries      = 2
-	probeTimeout = time.Second
-	ejectAfter   = 3
+	retries       = 2
+	probeTimeout  = time.Second
+	ejectAfter    = 3
+	backoffBase   = 50 * time.Millisecond
+	backoffCap    = 2 * time.Second
+	probeInterval = 250 * time.Millisecond
 )
 
 // Options configures a Router.
@@ -114,36 +122,10 @@ type Options struct {
 	// Seed drives every re-admission backoff schedule; same seed, same
 	// recovery timing.
 	Seed uint64
-	// BackoffBase/BackoffCap bound the seeded re-admission backoff.
-	// Default 50ms / 2s.
-	BackoffBase, BackoffCap time.Duration
-	// ProbeInterval is the health-loop tick: ejected members due for a
-	// probe get one readyz each tick, and active members get a statz
-	// refresh so least-loaded reads real signal. Default 250ms.
-	ProbeInterval time.Duration
 	// Transport overrides the proxy transport (tests inject
 	// failure-returning transports). Defaults to a transport of the
 	// router's own (see newTransport).
 	Transport http.RoundTripper
-}
-
-func (o Options) withDefaults() Options {
-	if o.Policy == nil {
-		o.Policy = NewRoundRobin()
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffCap <= 0 {
-		o.BackoffCap = 2 * time.Second
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 250 * time.Millisecond
-	}
-	if o.Transport == nil {
-		o.Transport = newTransport()
-	}
-	return o
 }
 
 // idleConnsPerBackend is how many idle keep-alive connections the
@@ -167,8 +149,9 @@ func newTransport() *http.Transport {
 // Router is the policy-driven front door. Safe for concurrent use.
 type Router struct {
 	opts   Options
-	client *http.Client // the health loop's probes, over opts.Transport
-	calls  sync.Pool    // *call
+	client *http.Client     // the health loop's probes, over opts.Transport
+	calls  sync.Pool        // *call
+	now    func() time.Time // every cooldown and probe stamp; tests set a virtual clock
 
 	mu       sync.RWMutex
 	backends []*Backend
@@ -186,30 +169,31 @@ type Router struct {
 // Backends are indexed in the order given; policies use the index for
 // deterministic tie-breaks.
 func New(opts Options, backends ...string) (*Router, error) {
-	opts = opts.withDefaults()
+	if opts.Policy == nil {
+		opts.Policy = NewRoundRobin()
+	}
+	if opts.Transport == nil {
+		opts.Transport = newTransport()
+	}
 	rt := &Router{
 		opts:   opts,
 		client: &http.Client{Transport: opts.Transport},
+		now:    time.Now,
 	}
 	for _, raw := range backends {
-		if _, err := rt.AddBackend(raw); err != nil {
+		if _, err := rt.AddNamedBackend("", raw); err != nil {
 			return nil, err
 		}
 	}
 	return rt, nil
 }
 
-// AddBackend registers a new member (active immediately), named by the
-// URL's host.
-func (rt *Router) AddBackend(raw string) (*Backend, error) {
-	return rt.AddNamedBackend("", raw)
-}
-
-// AddNamedBackend registers a member under a stable name of the
-// caller's choosing (empty falls back to the URL host). The name is the
-// member's routing identity: the affinity policy hashes it, so giving
-// instances stable names keeps the keyspace mapping reproducible across
-// runs even when listeners land on ephemeral ports.
+// AddNamedBackend registers a member, active immediately, under a
+// stable name of the caller's choosing (empty falls back to the URL
+// host). The name is the member's routing identity: the affinity policy
+// hashes it, so giving instances stable names keeps the keyspace
+// mapping reproducible across runs even when listeners land on
+// ephemeral ports.
 func (rt *Router) AddNamedBackend(name, raw string) (*Backend, error) {
 	u, err := url.Parse(raw)
 	if err != nil {
@@ -224,7 +208,7 @@ func (rt *Router) AddNamedBackend(name, raw string) (*Backend, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	b := &Backend{Name: name, URL: u, idx: len(rt.backends), xBackend: []string{name}}
-	b.backoff = backoff.New(rt.opts.Seed, b.idx, rt.opts.BackoffBase, rt.opts.BackoffCap)
+	b.backoff = backoff.New(rt.opts.Seed, b.idx, backoffBase, backoffCap)
 	rt.backends = append(rt.backends, b)
 	return b, nil
 }
@@ -300,7 +284,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var lastResp *http.Response
 	var lastBackend *Backend
 	for attempt := 0; attempt < attempts; attempt++ {
-		c.cands = rt.eligible(c.cands[:0], time.Now(), c.tried)
+		c.cands = rt.eligible(c.cands[:0], rt.now(), c.tried)
 		if len(c.cands) == 0 {
 			break
 		}
@@ -323,7 +307,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case resp.StatusCode == http.StatusTooManyRequests:
 			// Admission shed: honor Retry-After for this backend only.
-			b.cool(retryAfter(resp))
+			b.coolUntil.Store(rt.now().Add(retryAfter(resp)).UnixNano())
 			rt.dropOrKeep(&lastResp, resp)
 			lastBackend = b
 			continue
@@ -476,24 +460,17 @@ func (b *Backend) noteError(rt *Router) {
 	if c >= ejectAfter &&
 		b.state.CompareAndSwap(int32(Active), int32(Ejected)) {
 		b.ejections.Add(1)
-		b.nextProbe.Store(time.Now().Add(b.backoff.Next()).UnixNano())
+		b.nextProbe.Store(rt.now().Add(b.backoff.Next()).UnixNano())
 	}
 }
 
-// cool blocks new sends to the backend for d (from a 429 Retry-After).
-func (b *Backend) cool(d time.Duration) {
-	if d <= 0 {
-		d = time.Second
-	}
-	b.coolUntil.Store(time.Now().Add(d).UnixNano())
-}
-
-// retryAfter parses a whole-seconds Retry-After header.
+// retryAfter is how long a 429 cools its member: its whole-seconds
+// Retry-After, or one second when it carries none.
 func retryAfter(resp *http.Response) time.Duration {
 	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 		return time.Duration(secs) * time.Second
 	}
-	return 0
+	return time.Second
 }
 
 // affinityKey is the routing key's hash (FNV-1a): the search phrase

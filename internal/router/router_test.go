@@ -11,9 +11,11 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/stats"
 )
 
@@ -168,6 +170,79 @@ func TestRetryAfterCoolsBackend(t *testing.T) {
 	}
 }
 
+// TestCoolingEndsAtRetryAfter: on the router's clock a 429 cools its
+// member for exactly the Retry-After it carried, and for one second when
+// it carried none; the member is eligible again at that instant.
+func TestCoolingEndsAtRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		hdr  map[string]string
+		want time.Duration
+	}{
+		{map[string]string{"Retry-After": "3"}, 3 * time.Second},
+		{nil, time.Second},
+	} {
+		shed := statusBackend(t, http.StatusTooManyRequests, tc.hdr)
+		rt, err := New(Options{Seed: 1}, shed.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		virtualTime(rt)
+		t0 := rt.now()
+		if resp := doGet(t, rt, "/search?q=x"); resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("Retry-After %v: status %d, want the 429 forwarded", tc.hdr, resp.StatusCode)
+		}
+		b := rt.Backends()[0]
+		if !b.cooling(t0.Add(tc.want-1)) || len(rt.eligible(nil, t0.Add(tc.want-1), nil)) != 0 {
+			t.Errorf("Retry-After %v: cooling ended before %v", tc.hdr, tc.want)
+		}
+		if b.cooling(t0.Add(tc.want)) || len(rt.eligible(nil, t0.Add(tc.want), nil)) != 1 {
+			t.Errorf("Retry-After %v: still cooling at %v", tc.hdr, tc.want)
+		}
+	}
+}
+
+// TestReadmitProbesFollowSeededBackoff pins Options.Seed's promise,
+// "same seed, same recovery timing": an ejected member's /readyz probes
+// land exactly at the instants backoff.New(seed, idx, backoffBase,
+// backoffCap) schedules, each failed probe drawing the next delay, and
+// the first probe that passes re-admits it.
+func TestReadmitProbesFollowSeededBackoff(t *testing.T) {
+	const seed, failing = 11, 4
+	var probes atomic.Int64
+	s := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" && probes.Add(1) > failing {
+			return
+		}
+		w.WriteHeader(http.StatusBadGateway)
+	}))
+	t.Cleanup(s.Close)
+	rt, err := New(Options{Seed: seed}, s.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	advance := virtualTime(rt)
+	b := rt.Backends()[0]
+	for b.State() != Ejected {
+		doGet(t, rt, "/search?q=x")
+	}
+	want := backoff.New(seed, b.idx, backoffBase, backoffCap)
+	for i := 1; i <= failing+1; i++ {
+		d := want.Next()
+		advance(d - 1)
+		if got := probes.Load(); got != int64(i-1) {
+			t.Fatalf("probe %d sent before it was due, %v after the last (%d probes)", i, d, got)
+		}
+		advance(1)
+		if got := probes.Load(); got != int64(i) {
+			t.Fatalf("probe %d not sent when due, %v after the last (%d probes)", i, d, got)
+		}
+	}
+	if b.State() != Active || b.readmits.Load() != 1 {
+		t.Fatalf("state %v, readmits %d after a passing probe; want active, 1", b.State(), b.readmits.Load())
+	}
+}
+
 // TestShedForwardedWhenSaturated: when every member sheds, the client
 // sees the 429 (shed accounting, not an invented error).
 func TestShedForwardedWhenSaturated(t *testing.T) {
@@ -265,14 +340,14 @@ func TestAddRemoveBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.AddBackend("not a url ::"); err == nil {
+	if _, err := rt.AddNamedBackend("", "not a url ::"); err == nil {
 		t.Fatal("bad URL accepted")
 	}
-	if _, err := rt.AddBackend("nohost"); err == nil {
+	if _, err := rt.AddNamedBackend("", "nohost"); err == nil {
 		t.Fatal("schemeless URL accepted")
 	}
 	b := okBackend(t, "b")
-	nb, err := rt.AddBackend(b.URL)
+	nb, err := rt.AddNamedBackend("", b.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,16 +218,25 @@ type Sim struct {
 	ckpt checkpointBufs
 }
 
-// New wires up a simulation from the configuration.
+// New wires up a simulation from the configuration; it panics on a
+// horizon Restore would refuse.
 func New(cfg Config) *Sim {
-	if cfg.Days <= 0 {
-		cfg.Days = simclock.Horizon
+	if err := checkHorizon(cfg); err != nil {
+		panic(err)
 	}
 	s := newWired(cfg, platform.New(), dataset.NewCollector(cfg.Windows, cfg.SampleWindow))
 	if cfg.Events != nil {
 		s.SetEvents(cfg.Events)
 	}
 	return s
+}
+
+// checkHorizon refuses a Config that simulates no day.
+func checkHorizon(cfg Config) error {
+	if cfg.Days <= 0 {
+		return fmt.Errorf("sim: config has non-positive horizon %d", cfg.Days)
+	}
+	return nil
 }
 
 // newWired builds the object graph around an existing platform and

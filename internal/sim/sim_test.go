@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -235,5 +236,27 @@ func TestCompromisesHappenAndGetCaught(t *testing.T) {
 	}
 	if caught == 0 {
 		t.Fatal("no compromised account was ever detected")
+	}
+}
+
+// TestNewRefusesNonPositiveHorizon: New takes the horizon it is given.
+// One that simulates no day panics with the error Restore returns for
+// the same Config, instead of becoming the standard horizon.
+func TestNewRefusesNonPositiveHorizon(t *testing.T) {
+	for _, days := range []simclock.Day{0, -1} {
+		cfg := sim.SmallConfig()
+		cfg.Days = days
+		_, err := sim.Restore(&sim.State{Config: cfg})
+		if err == nil {
+			t.Fatalf("Days %d: Restore accepted the horizon", days)
+		}
+		func() {
+			defer func() {
+				if got := recover(); got == nil || fmt.Sprint(got) != err.Error() {
+					t.Errorf("Days %d: New panicked with %v, want %q", days, got, err)
+				}
+			}()
+			sim.New(cfg)
+		}()
 	}
 }

@@ -164,8 +164,8 @@ func Restore(st *State) (*Sim, error) {
 		return nil, fmt.Errorf("sim: nil state")
 	}
 	cfg := st.Config
-	if cfg.Days <= 0 {
-		return nil, fmt.Errorf("sim: snapshot config has non-positive horizon %d", cfg.Days)
+	if err := checkHorizon(cfg); err != nil {
+		return nil, err
 	}
 	if st.Day < 0 || st.Day > cfg.Days {
 		return nil, fmt.Errorf("sim: snapshot day %d outside horizon %d", st.Day, cfg.Days)

@@ -55,6 +55,7 @@ func TestCrashRecoverySubprocess(t *testing.T) {
 				BaseArgs: []string{"-test.run=TestWorkerChild$", "--"},
 				Stderr:   io.Discard,
 			},
+			HBTimeout:   DefaultHBTimeout,
 			MaxRestarts: 4,
 			Seed:        seed,
 			Faults:      "kill@msg=4..8",

@@ -54,8 +54,8 @@ type Config struct {
 	Spawn Spawner
 
 	// HBTimeout is how long the worker may stay silent before the
-	// supervisor declares it dead (default 5s). The worker heartbeats
-	// every HBTimeout/10.
+	// supervisor declares it dead; the worker heartbeats every
+	// HBTimeout/10, which must be positive. See DefaultHBTimeout.
 	HBTimeout time.Duration
 	// MaxRestarts bounds restarts; exceeding it fails the run. Zero
 	// means the first death is final, and a negative value is refused.
@@ -95,8 +95,12 @@ const (
 	progressTimeout = 2 * time.Minute
 )
 
-// DefaultMaxRestarts is fraudsupervise's -max-restarts default.
-const DefaultMaxRestarts = 3
+// DefaultMaxRestarts and DefaultHBTimeout are fraudsupervise's
+// -max-restarts and -hb-timeout defaults.
+const (
+	DefaultMaxRestarts = 3
+	DefaultHBTimeout   = 5 * time.Second
+)
 
 // Result is a completed supervised run.
 type Result struct {
@@ -135,8 +139,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Spawn == nil {
 		return nil, errors.New("supervise: no spawner")
 	}
-	if cfg.HBTimeout <= 0 {
-		cfg.HBTimeout = 5 * time.Second
+	if cfg.HBTimeout/10 <= 0 {
+		return nil, fmt.Errorf("supervise: HBTimeout %v is too short (the worker heartbeats every tenth of it)", cfg.HBTimeout)
 	}
 	if cfg.MaxRestarts < 0 {
 		return nil, fmt.Errorf("supervise: MaxRestarts %d is negative", cfg.MaxRestarts)

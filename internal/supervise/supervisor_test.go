@@ -180,6 +180,7 @@ func superviseConfig(dir string, seed uint64, t *testing.T) Config {
 	return Config{
 		Spec:        testSpec(dir, seed),
 		Spawn:       &pipeSpawner{clk: clk},
+		HBTimeout:   DefaultHBTimeout,
 		MaxRestarts: 3,
 		Seed:        seed,
 		Logf:        t.Logf,
@@ -413,6 +414,7 @@ func TestMaxRestartsExceeded(t *testing.T) {
 	cfg := Config{
 		Spec:        testSpec(t.TempDir(), 3),
 		Spawn:       ss,
+		HBTimeout:   DefaultHBTimeout,
 		MaxRestarts: 2,
 		Logf:        t.Logf,
 		clock:       newFakeClock(),
@@ -433,13 +435,26 @@ func TestZeroRestartBudget(t *testing.T) {
 		ss := &scriptSpawner{next: func(int) Proc {
 			return newDeadProc("", errors.New("exit status 137"))
 		}}
-		_, err := Run(Config{Spec: testSpec(t.TempDir(), 3), Spawn: ss, MaxRestarts: budget, clock: newFakeClock()})
+		_, err := Run(Config{Spec: testSpec(t.TempDir(), 3), Spawn: ss, HBTimeout: DefaultHBTimeout, MaxRestarts: budget, clock: newFakeClock()})
 		want, spawns := "worker died 1 times", 1
 		if budget < 0 {
 			want, spawns = "MaxRestarts -1 is negative", 0
 		}
 		if err == nil || !strings.Contains(err.Error(), want) || ss.spawns != spawns {
 			t.Errorf("MaxRestarts %d: %v after %d spawns, want %q after %d", budget, err, ss.spawns, want, spawns)
+		}
+	}
+}
+
+// TestHBTimeoutRefused: Run takes the heartbeat timeout it is given.
+// One whose tenth is not a positive interval (zero included) is refused
+// before anything is spawned, not replaced by a default.
+func TestHBTimeoutRefused(t *testing.T) {
+	for _, hb := range []time.Duration{0, 9, -time.Second} {
+		ss := &scriptSpawner{next: func(int) Proc { return newDeadProc("", errors.New("exit status 137")) }}
+		_, err := Run(Config{Spec: testSpec(t.TempDir(), 3), Spawn: ss, HBTimeout: hb, clock: newFakeClock()})
+		if err == nil || !strings.Contains(err.Error(), "is too short") || ss.spawns != 0 {
+			t.Errorf("HBTimeout %v: %v after %d spawns, want refused before any", hb, err, ss.spawns)
 		}
 	}
 }
@@ -453,6 +468,7 @@ func TestWorkerFatalFailsFast(t *testing.T) {
 	cfg := Config{
 		Spec:        testSpec(t.TempDir(), 3),
 		Spawn:       ss,
+		HBTimeout:   DefaultHBTimeout,
 		MaxRestarts: 5,
 		Logf:        t.Logf,
 	}
@@ -518,10 +534,11 @@ func TestProgressTimeout(t *testing.T) {
 		return proc
 	}}
 	cfg := Config{
-		Spec:  testSpec(t.TempDir(), 3),
-		Spawn: ss,
-		Logf:  t.Logf,
-		clock: clk,
+		Spec:      testSpec(t.TempDir(), 3),
+		Spawn:     ss,
+		HBTimeout: DefaultHBTimeout,
+		Logf:      t.Logf,
+		clock:     clk,
 	}
 	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "no progress for 2m0s (stuck at day -1)") {
@@ -566,8 +583,9 @@ func (p *lateErrProc) PID() int          { return -1 }
 func TestRunJoinsOutputReader(t *testing.T) {
 	var returned atomic.Bool
 	cfg := Config{
-		Spec:  testSpec(t.TempDir(), 3),
-		Spawn: &scriptSpawner{next: func(int) Proc { return &lateErrProc{killed: make(chan struct{})} }},
+		Spec:      testSpec(t.TempDir(), 3),
+		Spawn:     &scriptSpawner{next: func(int) Proc { return &lateErrProc{killed: make(chan struct{})} }},
+		HBTimeout: DefaultHBTimeout,
 		Logf: func(format string, args ...any) {
 			if returned.Load() {
 				t.Errorf("Logf after Run returned: %s", fmt.Sprintf(format, args...))

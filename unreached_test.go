@@ -252,3 +252,29 @@ func makeRecipe(t *testing.T, target string) string {
 	}
 	return recipe
 }
+
+// TestMakePolicyWinsSelectsItsTest pins `make policy-wins` to the test
+// it exists to run. That file builds only under the synctest
+// experiment, so no plain `go test` compiles it, and a renamed test or
+// a dropped GOEXPERIMENT would otherwise leave the step passing with
+// no tests run.
+func TestMakePolicyWinsSelectsItsTest(t *testing.T) {
+	recipe := makeRecipe(t, "policy-wins")
+	if !strings.Contains(recipe, "GOEXPERIMENT=synctest $(GO) test") || !strings.Contains(recipe, "-run TestRouterPolicyWins ./internal/loadgen") {
+		t.Errorf("make policy-wins no longer runs TestRouterPolicyWins in internal/loadgen under GOEXPERIMENT=synctest: %q", recipe)
+	}
+	src, err := os.ReadFile(filepath.Join("internal", "loadgen", "policy_wins_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(src), "//go:build goexperiment.synctest\n") || !strings.Contains(string(src), "\nfunc TestRouterPolicyWins(t *testing.T) {") {
+		t.Error("internal/loadgen/policy_wins_test.go no longer declares TestRouterPolicyWins under the synctest build tag")
+	}
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`\nverify:[^\n]* policy-wins[ \n]`).Match(mk) {
+		t.Error("make verify no longer runs policy-wins")
+	}
+}
