@@ -67,6 +67,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *seed != 0 {
 		spec.Seed = *seed
 	}
+	if *instances < 0 {
+		return fmt.Errorf("-instances must be >= 0, got %d", *instances)
+	}
 	if *instances > 0 {
 		spec.Instances = *instances
 	}

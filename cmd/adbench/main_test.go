@@ -96,6 +96,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-scenario", tinySpec, "-policy", "bogus"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("bogus policy override accepted")
 	}
+	// A negative count is refused, not read as "use the spec's count".
+	if err := run([]string{"-scenario", tinySpec, "-quiet", "-instances", "-1"}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "-instances") {
+		t.Fatalf("-instances -1: got %v, want a refusal", err)
+	}
 }
 
 // TestCommittedScenariosValidate: every scenario file in testdata parses

@@ -1,9 +1,10 @@
 // Package loadgen is the seeded synthetic-traffic harness for the
-// routed adserver cluster: pluggable open-loop arrival processes
-// (Poisson, flash crowd), traffic classes drawn from the keyword
-// universes, and a runner that
-// fires the schedule at a router and folds per-class results into
-// internal/metrics recorders. Every schedule and every query is a pure
+// routed adserver cluster: open-loop arrival processes (Poisson, flash
+// crowd), traffic classes drawn from the keyword universes, and a runner
+// that starts each request on a goroutine of its own when it is due, so
+// no answer, however late, delays a later arrival, and folds the
+// outcomes into one internal/metrics recorder per class once all have
+// answered. Every schedule and every query is a pure
 // function of the scenario seed, so two runs of the same scenario
 // produce identical request streams — the property the byte-identical
 // report golden pins.
@@ -96,10 +97,12 @@ func Schedule(proc Arrival, seed uint64, horizon time.Duration, maxN int) []time
 	return out
 }
 
-// SplitSchedule partitions a schedule round-robin across n workers,
-// preserving order within each worker. Interleaving by arrival index
-// (not contiguous blocks) keeps every worker active across the whole
-// horizon, so open-loop pacing holds even with few workers.
+// SplitSchedule partitions a schedule round-robin across n senders,
+// preserving order within each. Interleaving by arrival index (not
+// contiguous blocks) keeps every sender busy across the whole horizon,
+// but a sender that waits for each answer before its next slot is
+// closed-loop: a slow answer delays its later slots, so a caller should
+// time each request from when it was due, not from when it went out.
 func SplitSchedule(sched []time.Duration, n int) [][]time.Duration {
 	if n < 1 {
 		n = 1

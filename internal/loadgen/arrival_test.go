@@ -97,7 +97,7 @@ func TestScheduleRates(t *testing.T) {
 	}
 }
 
-// TestSplitSchedule pins the worker interleave: round-robin, order
+// TestSplitSchedule pins the sender interleave: round-robin, order
 // preserved within each shard, nothing lost.
 func TestSplitSchedule(t *testing.T) {
 	sched := Schedule(Poisson{Rate: 500}, 3, time.Second, 0)

@@ -36,19 +36,23 @@ package loadgen
 //     the global working set does not fit any single member's cache, but
 //     an affinity partition of it (one third of the phrases, ~200 pairs)
 //     does. Round-robin therefore thrashes its LRUs forever — every
-//     member needs every pair — and its steady-state miss rate stays
-//     well above affinity's no matter how long the warmup runs. A calm
-//     20s warmup reaches that steady state without tripping admission;
-//     the 8x flash crowd (440/s for 6s) then offers ~37 erlangs of miss
-//     work per member under round-robin against the 40-slot admission
-//     gate — deep inside the Erlang-B knee, so the gate trips early in
-//     the spike, and each 429 cools that member for the whole-seconds
-//     Retry-After, diverting its keyspace as ~100%-miss traffic onto
-//     survivors already at the knee: the cascade is the amplifier that
-//     turns the first trip into sustained shedding. The affinity
-//     cluster's hottest member carries ~17 erlangs, a ~23-slot margin
-//     that absorbs the Poisson fluctuation (Erlang-B ~1e-6). Shedding is
-//     the policy signal.
+//     member needs every pair — and misses more than affinity (1 000
+//     against 704 at seed 77). A calm 20s warmup at 55/s trips no
+//     admission gate; the 8x flash crowd (440/s for 6s) then fills a
+//     member's 40 admission slots with 1s misses. One 429 makes the
+//     router cool that member for a whole second, and the cascade that
+//     follows is the same under both policies: the cooled member's share
+//     of the traffic falls onto the other two, mostly as misses, and both
+//     trip within 0.2s. All three then cool at once for about 0.8s, and
+//     the router answers every arrival in that window with its own
+//     no_backend 503. Under affinity this happens once, when the hottest
+//     member (i2) trips 1.3s into the spike: one 429 per member, and 357
+//     of 3 706 arrivals shed (9.6%), 356 of them no_backend 503s.
+//     Round-robin, whose caches keep missing, collapses three times in
+//     the spike (at 20.9s, 22.8s and 24.4s): three 429s per member, and
+//     1 048 shed (28.3%), 1 045 of them no_backend 503s. Shedding is the
+//     policy signal, and nearly all of it is the router's own cooling,
+//     not the members' admission gates.
 
 import (
 	"context"
@@ -80,9 +84,25 @@ func TestRouterPolicyWins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s/%s: %s wall, %s virtual; p99 %v, shed %.4f, err %.4f, cache misses %d",
+		var member429s []int64
+		for _, b := range rep.Backends {
+			member429s = append(member429s, b.Shed)
+		}
+		t.Logf("%s/%s: %s wall, %s virtual; p99 %v, shed %.4f, err %.4f, cache misses %d; %d sent, member 429s %v, router no_backend %d",
 			spec.Name, policy, time.Since(wall).Round(time.Millisecond), time.Duration(rep.Load.WallNS),
-			time.Duration(rep.Load.Total.Latency.P99NS), rep.Load.Total.ShedRate, rep.Load.Total.ErrRate, misses(rep))
+			time.Duration(rep.Load.Total.Latency.P99NS), rep.Load.Total.ShedRate, rep.Load.Total.ErrRate, misses(rep),
+			rep.Load.Total.Sent, member429s, rep.Router.NoBackend)
+		// Open-loop sending: the last request goes out at its slot, so
+		// the run ends one slowest answer after the horizon, not after
+		// a queue of answers each sender waited out in turn.
+		slowest := 0
+		for _, f := range spec.Faults {
+			slowest = max(slowest, f.LatencyMS)
+		}
+		if limit := time.Duration(spec.HorizonMS+slowest)*time.Millisecond + time.Second; time.Duration(rep.Load.WallNS) > limit {
+			t.Errorf("%s/%s: ran %s of virtual time, over horizon + slowest injected latency + 1s = %s",
+				spec.Name, policy, time.Duration(rep.Load.WallNS), limit)
+		}
 		return rep
 	}
 	unserved := func(r ScenarioReport) float64 { return r.Load.Total.ShedRate + r.Load.Total.ErrRate }

@@ -15,131 +15,119 @@ import (
 	"repro/internal/metrics"
 )
 
-// RunOpts configures the open-loop runner.
-type RunOpts struct {
-	// Workers is the number of sender goroutines the schedule is
-	// interleaved across. More workers = less open-loop drift when
-	// requests outlive their inter-arrival gap. Default 4.
-	Workers int
-
-	dial func(ctx context.Context, network, addr string) (net.Conn, error) // nil: the default dialer
-}
-
 // requestTimeout bounds each request the runner sends.
 const requestTimeout = 5 * time.Second
 
-// Run fires the materialized request stream at baseURL open-loop: each
-// request goes out at its scheduled offset whether or not earlier ones
-// have answered (late answers never slow the arrival process — the
-// property that makes overload visible as shedding rather than as a
-// silently throttled generator). Results fold into one recorder set
-// per worker, merged into the final report; the runner never retries,
-// so every 429 and error in the report is one the cluster actually
-// emitted past the router's own masking.
-func Run(ctx context.Context, baseURL string, classes []Class, reqs []Request, opts RunOpts) metrics.RunReport {
-	if opts.Workers < 1 {
-		opts.Workers = 4
-	}
-	client := &http.Client{Transport: &http.Transport{DialContext: opts.dial, MaxIdleConnsPerHost: 64}, Timeout: requestTimeout}
+// run fires the materialized request stream at baseURL open-loop: one
+// loop waits until each request is due and starts it on a goroutine of
+// its own, so a late answer never delays a later arrival (overload shows
+// as shedding, not as a silently throttled generator). The client's
+// timeout ends every request, so at most about rate × requestTimeout
+// goroutines are live at once. Each request's outcome lands in its own
+// slot; after every request has answered, the slots fold in schedule
+// order into one recorder per class. The runner never retries, so every
+// 429 and error in the report is one the cluster actually emitted past
+// the router's own masking. dial is the client's dialer (nil: the
+// default).
+func run(baseURL string, classes []Class, reqs []Request, dial func(ctx context.Context, network, addr string) (net.Conn, error)) metrics.RunReport {
+	client := &http.Client{Transport: &http.Transport{DialContext: dial, MaxIdleConnsPerHost: 64}, Timeout: requestTimeout}
 	defer client.CloseIdleConnections()
 
-	// Interleave the schedule across workers; each worker owns a full
-	// recorder set so the hot loop is lock-free.
-	shards := make([][]Request, opts.Workers)
-	for i, rq := range reqs {
-		shards[i%opts.Workers] = append(shards[i%opts.Workers], rq)
-	}
-	recs := make([][]*metrics.ClassRecorder, opts.Workers)
-	for w := range recs {
-		recs[w] = make([]*metrics.ClassRecorder, len(classes))
-		for i, c := range classes {
-			recs[w][i] = &metrics.ClassRecorder{Class: c.Name}
-		}
-	}
-
+	outs := make([]outcome, len(reqs))
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
+	for i, rq := range reqs {
+		if wait := rq.Offset - time.Since(start); wait > 0 {
+			time.Sleep(wait)
+		}
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			runWorker(ctx, client, baseURL, shards[w], recs[w], start)
-		}(w)
+			outs[i] = sendOne(client, baseURL, rq)
+		}()
 	}
 	wg.Wait()
-	return metrics.BuildReport(recs, time.Since(start))
+	wall := time.Since(start)
+
+	recs := make([]*metrics.ClassRecorder, len(classes))
+	for i, c := range classes {
+		recs[i] = &metrics.ClassRecorder{Class: c.Name}
+	}
+	for i, o := range outs {
+		o.record(recs[reqs[i].Class])
+	}
+	return metrics.BuildReport(recs, wall)
 }
 
-// runWorker sends one worker's slice of the schedule in order.
-func runWorker(ctx context.Context, client *http.Client, baseURL string, reqs []Request, recs []*metrics.ClassRecorder, start time.Time) {
-	for _, rq := range reqs {
-		if ctx.Err() != nil {
-			return
-		}
-		// Open-loop pacing: sleep until the scheduled offset. A late
-		// schedule (previous request overran the gap) fires immediately.
-		if wait := rq.Offset - time.Since(start); wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return
-			case <-t.C:
-			}
-		}
-		sendOne(ctx, client, baseURL, rq, recs[rq.Class])
-	}
+// status is how the cluster answered one request.
+type status uint8
+
+const (
+	statusFailed status = iota // transport error, undecodable 200, or any other status
+	statusOK                   // 200 with a decoded ad block
+	statusShed                 // 429, or a 503 carrying Retry-After
+)
+
+// outcome is one request's result, held until the fold.
+type outcome struct {
+	status  status
+	latency time.Duration
+	ads     int // placements served
+	clicks  int // clicked placements
 }
 
-// sendOne issues one request and accounts the outcome.
-func sendOne(ctx context.Context, client *http.Client, baseURL string, rq Request, rec *metrics.ClassRecorder) {
-	u := fmt.Sprintf("%s/search?q=%s&country=%s", baseURL, url.QueryEscape(rq.Query), rq.Country)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		rec.Sent++
-		rec.Errors++
-		return
-	}
+// record folds o into its class's recorder.
+func (o outcome) record(rec *metrics.ClassRecorder) {
 	rec.Sent++
-	t0 := time.Now()
-	resp, err := client.Do(req)
-	lat := time.Since(t0)
-	if err != nil {
+	rec.Latency.Observe(o.latency)
+	switch o.status {
+	case statusOK:
+		rec.OK++
+		if o.ads == 0 {
+			rec.NoMatch++
+		}
+		rec.Ads += uint64(o.ads)
+		rec.Clicks += uint64(o.clicks)
+	case statusShed:
+		rec.Shed++
+	default:
 		rec.Errors++
-		rec.Latency.Observe(lat)
-		return
+	}
+}
+
+// sendOne issues one request and classifies its answer.
+func sendOne(client *http.Client, baseURL string, rq Request) outcome {
+	u := fmt.Sprintf("%s/search?q=%s&country=%s", baseURL, url.QueryEscape(rq.Query), rq.Country)
+	t0 := time.Now()
+	resp, err := client.Get(u)
+	o := outcome{status: statusFailed, latency: time.Since(t0)}
+	if err != nil {
+		return o
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	rec.Latency.Observe(lat)
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		var sr adserver.SearchResponse
 		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-			rec.Errors++
-			return
+			return o
 		}
-		rec.OK++
-		if len(sr.Ads) == 0 {
-			rec.NoMatch++
-		}
-		rec.Ads += uint64(len(sr.Ads))
+		o.status, o.ads = statusOK, len(sr.Ads)
 		for _, ad := range sr.Ads {
 			if ad.Clicked {
-				rec.Clicks++
+				o.clicks++
 			}
 		}
 	case resp.StatusCode == http.StatusTooManyRequests:
-		rec.Shed++
+		o.status = statusShed
 	case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
 		// Capacity backpressure, not failure: a 503 carrying Retry-After
 		// is the router saying every member is saturated or cooling
 		// (router_no_backend). Injected backend 503s carry no hint and
 		// still count as errors.
-		rec.Shed++
-	default:
-		rec.Errors++
+		o.status = statusShed
 	}
+	return o
 }

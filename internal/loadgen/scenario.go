@@ -19,9 +19,8 @@ import (
 )
 
 // Scenario is the machine-readable spec cmd/adbench runs: cluster
-// shape, routing policy, arrival process, traffic classes, fault
-// profiles, and an optional mid-run drain. All durations are
-// milliseconds so specs stay plain JSON.
+// shape, routing policy, arrival process, traffic classes and fault
+// profiles. All durations are milliseconds so specs stay plain JSON.
 type Scenario struct {
 	Name      string `json:"name"`
 	Seed      uint64 `json:"seed"`
@@ -37,7 +36,6 @@ type Scenario struct {
 	Arrival   ArrivalSpec `json:"arrival"`
 	HorizonMS int         `json:"horizon_ms"` // schedule horizon
 	Classes   []Class     `json:"classes"`
-	Workers   int         `json:"workers,omitempty"` // sender goroutines (default 4)
 
 	// Per-instance serving stack; the request deadline is fixed
 	// (instanceRequestTimeout), and the router runs with its defaults.
@@ -46,34 +44,40 @@ type Scenario struct {
 
 	// Chaos.
 	Faults []FaultSpec `json:"faults,omitempty"`
-	Drain  *DrainSpec  `json:"drain,omitempty"`
 }
 
 // ArrivalSpec names an arrival process in JSON form.
 type ArrivalSpec struct {
 	Kind    string  `json:"kind"` // poisson | flash
 	Rate    float64 `json:"rate"`
-	Factor  float64 `json:"factor,omitempty"`   // flash
-	StartMS int     `json:"start_ms,omitempty"` // flash spike window
+	Factor  float64 `json:"factor,omitempty"`   // flash only
+	StartMS int     `json:"start_ms,omitempty"` // flash only: the spike window
 	DurMS   int     `json:"dur_ms,omitempty"`
 }
 
-// Process materializes the spec into an Arrival.
+// Process materializes the spec into an Arrival. A field its kind does
+// not use is refused, as is a flash window that injects no spike; the
+// window's end against the horizon is Scenario.Validate's to check.
 func (a ArrivalSpec) Process() (Arrival, error) {
 	if a.Rate <= 0 {
 		return nil, fmt.Errorf("loadgen: arrival rate must be > 0")
 	}
 	switch a.Kind {
 	case "poisson", "":
+		if a.Factor != 0 || a.StartMS != 0 || a.DurMS != 0 {
+			return nil, fmt.Errorf("loadgen: poisson arrival takes no factor, start_ms or dur_ms")
+		}
 		return Poisson{Rate: a.Rate}, nil
 	case "flash":
-		f := a.Factor
-		if f < 1 {
+		if a.Factor < 1 {
 			return nil, fmt.Errorf("loadgen: flash arrival needs factor >= 1")
+		}
+		if a.StartMS < 0 || a.DurMS <= 0 {
+			return nil, fmt.Errorf("loadgen: flash arrival needs start_ms >= 0 and dur_ms > 0")
 		}
 		return FlashCrowd{
 			Base:     a.Rate,
-			Factor:   f,
+			Factor:   a.Factor,
 			Start:    time.Duration(a.StartMS) * time.Millisecond,
 			Duration: time.Duration(a.DurMS) * time.Millisecond,
 		}, nil
@@ -89,12 +93,6 @@ type FaultSpec struct {
 	LatencyMS int    `json:"latency_ms,omitempty"`
 	FailFrom  uint64 `json:"fail_from,omitempty"`
 	FailUntil uint64 `json:"fail_until,omitempty"`
-}
-
-// DrainSpec drains one instance mid-run.
-type DrainSpec struct {
-	Backend int `json:"backend"`
-	AfterMS int `json:"after_ms"`
 }
 
 // LoadScenario reads and validates a scenario spec file. A field the
@@ -132,13 +130,16 @@ func (s *Scenario) Validate() error {
 	if s.HorizonMS <= 0 {
 		return fmt.Errorf("horizon_ms must be > 0")
 	}
+	if s.Arrival.Kind == "flash" && s.Arrival.StartMS >= s.HorizonMS {
+		return fmt.Errorf("flash start_ms %d is past horizon_ms %d: no spike", s.Arrival.StartMS, s.HorizonMS)
+	}
 	if err := ValidateClasses(s.Classes); err != nil {
 		return err
 	}
 	// Zero picks a default or turns a feature off; a negative size would
 	// silently do the same, so it is refused.
-	if s.Workers < 0 || s.MaxInflight < 0 || s.CacheSize < 0 || s.Days < 0 || s.Queries < 0 {
-		return fmt.Errorf("workers, max_inflight, cache, days and queries must be >= 0")
+	if s.MaxInflight < 0 || s.CacheSize < 0 || s.Days < 0 || s.Queries < 0 {
+		return fmt.Errorf("max_inflight, cache, days and queries must be >= 0")
 	}
 	for _, f := range s.Faults {
 		if f.Backend < 0 || f.Backend >= s.Instances {
@@ -151,14 +152,6 @@ func (s *Scenario) Validate() error {
 		// any other pair injects no outage.
 		if (f.FailFrom != 0 || f.FailUntil != 0) && (f.FailFrom == 0 || f.FailFrom >= f.FailUntil) {
 			return fmt.Errorf("fault window [%d, %d) injects no outage", f.FailFrom, f.FailUntil)
-		}
-	}
-	if s.Drain != nil {
-		if s.Drain.Backend < 0 || s.Drain.Backend >= s.Instances {
-			return fmt.Errorf("drain backend %d out of range", s.Drain.Backend)
-		}
-		if s.Drain.AfterMS < 0 {
-			return fmt.Errorf("drain after_ms must be >= 0")
 		}
 	}
 	return nil
@@ -328,16 +321,7 @@ func runScenario(spec Scenario, logf func(format string, args ...interface{}), n
 	reqs := BuildRequests(boot.Queries(), spec.Classes, sched, spec.Seed^0x5a5a5a5a5a5a5a5a)
 	logf("adbench: %d arrivals over %s via %s, policy=%s", len(reqs), horizon, proc, pol.Name())
 
-	if spec.Drain != nil {
-		d := *spec.Drain
-		timer := time.AfterFunc(time.Duration(d.AfterMS)*time.Millisecond, func() {
-			logf("adbench: draining %s", instances[d.Backend].name)
-			rt.Drain(instances[d.Backend].name)
-		})
-		defer timer.Stop()
-	}
-
-	rep := Run(context.Background(), "http://"+rln.Addr().String(), spec.Classes, reqs, RunOpts{Workers: spec.Workers, dial: nw.dial})
+	rep := run("http://"+rln.Addr().String(), spec.Classes, reqs, nw.dial)
 
 	out := ScenarioReport{
 		Scenario:  spec.Name,

@@ -28,7 +28,6 @@ func tinyScenario() Scenario {
 			{Name: "tail", Weight: 0.3, Kind: "tail"},
 			{Name: "junk", Weight: 0.1, Kind: "nomatch"},
 		},
-		Workers:     4,
 		MaxInflight: 256,
 	}
 }
@@ -144,6 +143,9 @@ func TestLoadScenarioFile(t *testing.T) {
 
 // TestScenarioValidate screens the spec edge cases cmd/adbench relies on.
 func TestScenarioValidate(t *testing.T) {
+	flash := func(startMS, durMS int) ArrivalSpec {
+		return ArrivalSpec{Kind: "flash", Rate: 400, Factor: 4, StartMS: startMS, DurMS: durMS}
+	}
 	cases := []func(*Scenario){
 		func(s *Scenario) { s.Instances = 0 },
 		func(s *Scenario) { s.Policy = "nope" },
@@ -151,18 +153,24 @@ func TestScenarioValidate(t *testing.T) {
 		func(s *Scenario) { s.HorizonMS = 0 },
 		func(s *Scenario) { s.Classes = nil },
 		func(s *Scenario) { s.Faults = []FaultSpec{{Backend: 9}} },
-		func(s *Scenario) { s.Drain = &DrainSpec{Backend: -1} },
 		// Negative sizes and an inverted outage window would otherwise
 		// silently turn their feature off.
 		func(s *Scenario) { s.MaxInflight = -5 },
 		func(s *Scenario) { s.CacheSize = -1 },
-		func(s *Scenario) { s.Workers = -1 },
 		func(s *Scenario) { s.Days = -1 },
 		func(s *Scenario) { s.Queries = -600 },
 		func(s *Scenario) { s.Faults = []FaultSpec{{Backend: 0, LatencyMS: -1}} },
 		func(s *Scenario) { s.Faults = []FaultSpec{{Backend: 0, FailFrom: 6, FailUntil: 1}} },
 		func(s *Scenario) { s.Faults = []FaultSpec{{Backend: 0, FailFrom: 0, FailUntil: 6}} },
-		func(s *Scenario) { s.Drain = &DrainSpec{Backend: 0, AfterMS: -1} },
+		// A flash arrival whose window injects no spike, and window
+		// fields on a poisson arrival, which ignores them.
+		func(s *Scenario) { s.Arrival = flash(50, 0) },
+		func(s *Scenario) { s.Arrival = flash(50, -10) },
+		func(s *Scenario) { s.Arrival = flash(-1, 100) },
+		func(s *Scenario) { s.Arrival = flash(250, 100) }, // the horizon
+		func(s *Scenario) { s.Arrival.Factor = 4 },
+		func(s *Scenario) { s.Arrival.StartMS = 50 },
+		func(s *Scenario) { s.Arrival.DurMS = 100 },
 	}
 	for i, mutate := range cases {
 		spec := tinyScenario()
@@ -182,5 +190,9 @@ func TestScenarioValidate(t *testing.T) {
 	good := tinyScenario()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+	good.Arrival = flash(0, 100)
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid flash spec rejected: %v", err)
 	}
 }

@@ -1,8 +1,9 @@
 // Package metrics is the streaming measurement layer for the serving
 // cluster: HDR-style log-bucketed latency histograms with cheap
-// quantiles and lossless merge, and per-traffic-class counters that
-// roll up into a machine-readable report (p50/p90/p99/p999, shed rate,
-// error rate, per-class fairness). Everything here is plain counters —
+// quantiles and lossless merge, and per-traffic-class counters (one
+// recorder per class for a whole run) that roll up into a
+// machine-readable report (p50/p90/p99/p999, shed rate, error rate,
+// per-class fairness). Everything here is plain counters —
 // no wall-clock reads, no goroutines — so a report built from a seeded
 // run is byte-identical across runs once its duration fields are
 // normalized.

@@ -1,13 +1,14 @@
 package metrics
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
-// ClassRecorder accumulates one traffic class's results inside one
-// load-generation worker. Not safe for concurrent use (single-writer;
-// merge across workers with Merge).
+// ClassRecorder accumulates one traffic class's results over a run. Not
+// safe for concurrent use: the load generator folds each request's
+// outcome into it after every request has answered.
 type ClassRecorder struct {
 	Class   string
 	Sent    uint64 // requests issued
@@ -21,7 +22,7 @@ type ClassRecorder struct {
 	Latency LatencyHistogram
 }
 
-// Merge folds other (same class, another worker) into r.
+// Merge folds other into r.
 func (r *ClassRecorder) Merge(other *ClassRecorder) {
 	r.Sent += other.Sent
 	r.OK += other.OK
@@ -80,28 +81,16 @@ type RunReport struct {
 	OfferedQS float64       `json:"offered_qps"` // scheduled arrivals / wall time
 }
 
-// BuildReport merges per-worker recorders (outer slice: workers; inner:
-// classes, same order everywhere) into a RunReport. wall is the run's
-// wall time (zero when normalizing for goldens).
-func BuildReport(workers [][]*ClassRecorder, wall time.Duration) RunReport {
-	if len(workers) == 0 {
-		return RunReport{}
-	}
-	merged := make([]*ClassRecorder, len(workers[0]))
-	for i, r := range workers[0] {
-		c := *r // copy so BuildReport never mutates its inputs
-		merged[i] = &c
-	}
-	for _, w := range workers[1:] {
-		for i, r := range w {
-			merged[i].Merge(r)
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Class < merged[j].Class })
+// BuildReport reduces one recorder per class into a RunReport, the
+// classes sorted by name. wall is the run's wall time (zero when
+// normalizing for goldens). It never mutates its inputs.
+func BuildReport(recs []*ClassRecorder, wall time.Duration) RunReport {
+	sorted := slices.Clone(recs)
+	slices.SortFunc(sorted, func(a, b *ClassRecorder) int { return strings.Compare(a.Class, b.Class) })
 
 	var rep RunReport
 	total := &ClassRecorder{Class: "total"}
-	for _, m := range merged {
+	for _, m := range sorted {
 		rep.Classes = append(rep.Classes, m.Report())
 		total.Merge(m)
 	}

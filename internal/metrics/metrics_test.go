@@ -14,10 +14,9 @@ func rec(class string, sent, ok, shed, errs uint64, lat time.Duration) *ClassRec
 	return r
 }
 
-func TestBuildReportMergesWorkers(t *testing.T) {
-	w1 := []*ClassRecorder{rec("head", 10, 10, 0, 0, time.Millisecond), rec("tail", 5, 4, 1, 0, 2*time.Millisecond)}
-	w2 := []*ClassRecorder{rec("head", 10, 9, 0, 1, time.Millisecond), rec("tail", 5, 5, 0, 0, 2*time.Millisecond)}
-	rep := BuildReport([][]*ClassRecorder{w1, w2}, time.Second)
+func TestBuildReportRollsUpClasses(t *testing.T) {
+	recs := []*ClassRecorder{rec("tail", 10, 9, 1, 0, 2*time.Millisecond), rec("head", 20, 19, 0, 1, time.Millisecond)}
+	rep := BuildReport(recs, time.Second)
 
 	if len(rep.Classes) != 2 {
 		t.Fatalf("want 2 classes, got %d", len(rep.Classes))
@@ -26,11 +25,11 @@ func TestBuildReportMergesWorkers(t *testing.T) {
 	if rep.Classes[0].Class != "head" || rep.Classes[1].Class != "tail" {
 		t.Fatalf("classes not sorted: %s, %s", rep.Classes[0].Class, rep.Classes[1].Class)
 	}
-	if rep.Classes[0].Sent != 20 || rep.Classes[0].OK != 19 {
-		t.Fatalf("head merge wrong: %+v", rep.Classes[0])
+	if rep.Classes[0].Sent != 20 || rep.Classes[0].OK != 19 || rep.Classes[0].Latency.Count != 19 {
+		t.Fatalf("head report wrong: %+v", rep.Classes[0])
 	}
-	if rep.Total.Sent != 30 || rep.Total.OK != 28 || rep.Total.Shed != 1 || rep.Total.Errors != 1 {
-		t.Fatalf("total merge wrong: %+v", rep.Total)
+	if rep.Total.Sent != 30 || rep.Total.OK != 28 || rep.Total.Shed != 1 || rep.Total.Errors != 1 || rep.Total.Latency.Count != 28 {
+		t.Fatalf("total rollup wrong: %+v", rep.Total)
 	}
 	if rep.OfferedQS != 30 {
 		t.Fatalf("offered qps: %g", rep.OfferedQS)
@@ -40,9 +39,10 @@ func TestBuildReportMergesWorkers(t *testing.T) {
 	if diff := rep.Fairness - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("fairness = %g, want %g", rep.Fairness, want)
 	}
-	// BuildReport must not mutate its inputs (workers are reused across rounds).
-	if w1[0].Sent != 10 {
-		t.Fatalf("BuildReport mutated input recorder: %+v", w1[0])
+	// BuildReport must not mutate its inputs: neither the recorders nor
+	// the order of the slice.
+	if recs[0].Class != "tail" || recs[0].Sent != 10 || recs[1].Sent != 20 {
+		t.Fatalf("BuildReport mutated its input: %+v, %+v", recs[0], recs[1])
 	}
 }
 
@@ -59,8 +59,8 @@ func TestReportRates(t *testing.T) {
 
 func TestRunReportNormalizeIsByteStable(t *testing.T) {
 	build := func(lat time.Duration, wall time.Duration) []byte {
-		w := []*ClassRecorder{rec("a", 7, 7, 0, 0, lat), rec("b", 3, 3, 0, 0, lat*3)}
-		rep := BuildReport([][]*ClassRecorder{w}, wall).Normalize()
+		recs := []*ClassRecorder{rec("a", 7, 7, 0, 0, lat), rec("b", 3, 3, 0, 0, lat*3)}
+		rep := BuildReport(recs, wall).Normalize()
 		b, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -81,12 +81,12 @@ func TestFairnessEdgeCases(t *testing.T) {
 		t.Fatalf("no classes: %g", f)
 	}
 	// A fully starved class drives fairness to 0.
-	rep := BuildReport([][]*ClassRecorder{{rec("a", 10, 10, 0, 0, 1), rec("b", 10, 0, 10, 0, 1)}}, time.Second)
+	rep := BuildReport([]*ClassRecorder{rec("a", 10, 10, 0, 0, 1), rec("b", 10, 0, 10, 0, 1)}, time.Second)
 	if rep.Fairness != 0 {
 		t.Fatalf("starved class should zero fairness, got %g", rep.Fairness)
 	}
 	// Classes that sent nothing are excluded.
-	rep = BuildReport([][]*ClassRecorder{{rec("a", 10, 10, 0, 0, 1), rec("idle", 0, 0, 0, 0, 1)}}, time.Second)
+	rep = BuildReport([]*ClassRecorder{rec("a", 10, 10, 0, 0, 1), rec("idle", 0, 0, 0, 0, 1)}, time.Second)
 	if rep.Fairness != 1 {
 		t.Fatalf("idle class must not affect fairness, got %g", rep.Fairness)
 	}

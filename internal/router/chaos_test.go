@@ -182,30 +182,3 @@ func TestChaosRouterMasksConnectionDrops(t *testing.T) {
 		t.Fatalf("fault layer recorded no drops (got %d)", got)
 	}
 }
-
-// TestChaosDrainUnderLoad: draining a member mid-traffic leaks nothing
-// to clients and the drained member stops appearing in answers.
-func TestChaosDrainUnderLoad(t *testing.T) {
-	a := fakeAdserver(t, nil)
-	b := fakeAdserver(t, nil)
-	rt, err := New(Options{Seed: 5}, a.URL, b.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drained := rt.Backends()[0]
-	for i := 0; i < 20; i++ {
-		if i == 8 {
-			if !rt.Drain(drained.Name) {
-				t.Fatal("Drain failed")
-			}
-		}
-		resp := doGet(t, rt, "/search?q=x")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d during drain", i, resp.StatusCode)
-		}
-		if i > 8 && resp.Header.Get("X-Backend") == drained.Name {
-			t.Fatalf("request %d routed to draining member", i)
-		}
-		resp.Body.Close()
-	}
-}

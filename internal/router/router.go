@@ -43,8 +43,6 @@ const (
 	Active State = iota
 	// Ejected backends are out of rotation until a readyz probe passes.
 	Ejected
-	// Draining backends finish in-flight work but receive nothing new.
-	Draining
 )
 
 func (s State) String() string {
@@ -53,8 +51,6 @@ func (s State) String() string {
 		return "active"
 	case Ejected:
 		return "ejected"
-	case Draining:
-		return "draining"
 	}
 	return fmt.Sprintf("state(%d)", int32(s))
 }
@@ -220,20 +216,6 @@ func (rt *Router) Backends() []*Backend {
 	out := make([]*Backend, len(rt.backends))
 	copy(out, rt.backends)
 	return out
-}
-
-// Drain flips a member to draining: in-flight requests finish, nothing
-// new is routed to it. Returns false for unknown names.
-func (rt *Router) Drain(name string) bool {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	for _, b := range rt.backends {
-		if b.Name == name {
-			b.state.Store(int32(Draining))
-			return true
-		}
-	}
-	return false
 }
 
 // eligible appends to dst the backends a new request may be sent to,

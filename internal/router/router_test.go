@@ -261,41 +261,19 @@ func TestShedForwardedWhenSaturated(t *testing.T) {
 	}
 }
 
-// TestDrainStopsNewTraffic: a draining member receives nothing new.
-func TestDrainStopsNewTraffic(t *testing.T) {
-	a := okBackend(t, "a")
-	b := okBackend(t, "b")
-	rt, err := New(Options{Seed: 1}, a.URL, b.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drained := rt.Backends()[0]
-	if !rt.Drain(drained.Name) {
-		t.Fatal("Drain returned false for known member")
-	}
-	for i := 0; i < 4; i++ {
-		resp := doGet(t, rt, "/search?q=x")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d during drain", resp.StatusCode)
-		}
-		if got := resp.Header.Get("X-Backend"); got == drained.Name {
-			t.Fatal("draining member received new traffic")
-		}
-	}
-	if drained.served.Load() != 0 {
-		t.Fatal("draining member served")
-	}
-}
-
 // TestNoEligibleBackend503: with every member out, the router answers
-// its own 503 with a machine-readable code and Retry-After.
+// its own 503 with a machine-readable code and Retry-After. The sole
+// member answered 429 and is cooling, on a clock that does not move.
 func TestNoEligibleBackend503(t *testing.T) {
-	a := okBackend(t, "a")
+	a := statusBackend(t, http.StatusTooManyRequests, map[string]string{"Retry-After": "1"})
 	rt, err := New(Options{Seed: 1}, a.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Drain(rt.Backends()[0].Name)
+	virtualTime(rt)
+	if resp := doGet(t, rt, "/search?q=x"); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("first request: status = %d, want the member's 429", resp.StatusCode)
+	}
 	resp := doGet(t, rt, "/search?q=x")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", resp.StatusCode)
