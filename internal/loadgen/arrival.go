@@ -2,9 +2,9 @@
 // routed adserver cluster: open-loop arrival processes (Poisson, flash
 // crowd), traffic classes drawn from the keyword universes, and a runner
 // that starts each request on a goroutine of its own when it is due, so
-// no answer, however late, delays a later arrival, and folds the
-// outcomes into one internal/metrics recorder per class once all have
-// answered. Every schedule and every query is a pure
+// no answer, however late, delays a later arrival, and reports each
+// class's counters and exact latency quantiles once all have answered.
+// Every schedule and every query is a pure
 // function of the scenario seed, so two runs of the same scenario
 // produce identical request streams — the property the byte-identical
 // report golden pins.

@@ -36,23 +36,21 @@ package loadgen
 //     the global working set does not fit any single member's cache, but
 //     an affinity partition of it (one third of the phrases, ~200 pairs)
 //     does. Round-robin therefore thrashes its LRUs forever — every
-//     member needs every pair — and misses more than affinity (1 000
-//     against 704 at seed 77). A calm 20s warmup at 55/s trips no
-//     admission gate; the 8x flash crowd (440/s for 6s) then fills a
-//     member's 40 admission slots with 1s misses. One 429 makes the
-//     router cool that member for a whole second, and the cascade that
-//     follows is the same under both policies: the cooled member's share
-//     of the traffic falls onto the other two, mostly as misses, and both
-//     trip within 0.2s. All three then cool at once for about 0.8s, and
-//     the router answers every arrival in that window with its own
-//     no_backend 503. Under affinity this happens once, when the hottest
-//     member (i2) trips 1.3s into the spike: one 429 per member, and 357
-//     of 3 706 arrivals shed (9.6%), 356 of them no_backend 503s.
-//     Round-robin, whose caches keep missing, collapses three times in
-//     the spike (at 20.9s, 22.8s and 24.4s): three 429s per member, and
-//     1 048 shed (28.3%), 1 045 of them no_backend 503s. Shedding is the
-//     policy signal, and nearly all of it is the router's own cooling,
-//     not the members' admission gates.
+//     member needs every pair — and misses more than affinity (1 236
+//     against 681 at seed 77). A calm 20s warmup at 55/s trips no
+//     admission gate; the 8x flash crowd (440/s for 6s) then fills
+//     members' 40 admission slots with 1s misses. A member's gate is the
+//     cluster's only capacity signal: its 429 sends the request on to
+//     another member, and the member that shed stays in rotation, since
+//     a slot frees as soon as any of its requests ends. Round-robin
+//     fills all three gates: 546 member 429s
+//     (154/197/195), 288 requests answered by another member after one
+//     or two of them, and 75 of 3 706 arrivals (2.0%) shed, each the
+//     429 of the last of three members tried. Under affinity only the
+//     hottest member (i2) overflows: its 10 429s are all answered by
+//     i0 or i1 on the retry, and nothing is shed. No member is ejected
+//     under either policy, so the router never answers no_backend
+//     itself: every shed is a member's admission gate.
 
 import (
 	"context"
@@ -88,10 +86,15 @@ func TestRouterPolicyWins(t *testing.T) {
 		for _, b := range rep.Backends {
 			member429s = append(member429s, b.Shed)
 		}
-		t.Logf("%s/%s: %s wall, %s virtual; p99 %v, shed %.4f, err %.4f, cache misses %d; %d sent, member 429s %v, router no_backend %d",
+		t.Logf("%s/%s: %s wall, %s virtual; p99 %v, shed %.4f, err %.4f, cache misses %d; %d sent, member 429s %v, router masked %d, sheds %d, no_backend %d",
 			spec.Name, policy, time.Since(wall).Round(time.Millisecond), time.Duration(rep.Load.WallNS),
 			time.Duration(rep.Load.Total.Latency.P99NS), rep.Load.Total.ShedRate, rep.Load.Total.ErrRate, misses(rep),
-			rep.Load.Total.Sent, member429s, rep.Router.NoBackend)
+			rep.Load.Total.Sent, member429s, rep.Router.Masked, rep.Router.Sheds, rep.Router.NoBackend)
+		// No member is ejected in these scenarios, so the router has no
+		// reason to answer for itself.
+		if rep.Router.NoBackend != 0 {
+			t.Errorf("%s/%s: router answered %d no_backend 503s with no member ejected", spec.Name, policy, rep.Router.NoBackend)
+		}
 		// Open-loop sending: the last request goes out at its slot, so
 		// the run ends one slowest answer after the horizon, not after
 		// a queue of answers each sender waited out in turn.

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/adserver"
-	"repro/internal/metrics"
 )
 
 // requestTimeout bounds each request the runner sends.
@@ -24,12 +23,12 @@ const requestTimeout = 5 * time.Second
 // as shedding, not as a silently throttled generator). The client's
 // timeout ends every request, so at most about rate × requestTimeout
 // goroutines are live at once. Each request's outcome lands in its own
-// slot; after every request has answered, the slots fold in schedule
-// order into one recorder per class. The runner never retries, so every
-// 429 and error in the report is one the cluster actually emitted past
-// the router's own masking. dial is the client's dialer (nil: the
-// default).
-func run(baseURL string, classes []Class, reqs []Request, dial func(ctx context.Context, network, addr string) (net.Conn, error)) metrics.RunReport {
+// slot; after every request has answered, the slots are grouped by
+// class and reported with exact latency quantiles. The runner never
+// retries, so every 429 and error in the report is one the cluster
+// actually emitted past the router's own masking. dial is the client's
+// dialer (nil: the default).
+func run(baseURL string, classes []Class, reqs []Request, dial func(ctx context.Context, network, addr string) (net.Conn, error)) RunReport {
 	client := &http.Client{Transport: &http.Transport{DialContext: dial, MaxIdleConnsPerHost: 64}, Timeout: requestTimeout}
 	defer client.CloseIdleConnections()
 
@@ -49,14 +48,11 @@ func run(baseURL string, classes []Class, reqs []Request, dial func(ctx context.
 	wg.Wait()
 	wall := time.Since(start)
 
-	recs := make([]*metrics.ClassRecorder, len(classes))
-	for i, c := range classes {
-		recs[i] = &metrics.ClassRecorder{Class: c.Name}
-	}
+	byClass := make([][]outcome, len(classes))
 	for i, o := range outs {
-		o.record(recs[reqs[i].Class])
+		byClass[reqs[i].Class] = append(byClass[reqs[i].Class], o)
 	}
-	return metrics.BuildReport(recs, wall)
+	return buildReport(classes, byClass, wall)
 }
 
 // status is how the cluster answered one request.
@@ -65,34 +61,15 @@ type status uint8
 const (
 	statusFailed status = iota // transport error, undecodable 200, or any other status
 	statusOK                   // 200 with a decoded ad block
-	statusShed                 // 429, or a 503 carrying Retry-After
+	statusShed                 // 429: every member tried was at admission capacity
 )
 
-// outcome is one request's result, held until the fold.
+// outcome is one request's result, held until the report.
 type outcome struct {
 	status  status
 	latency time.Duration
 	ads     int // placements served
 	clicks  int // clicked placements
-}
-
-// record folds o into its class's recorder.
-func (o outcome) record(rec *metrics.ClassRecorder) {
-	rec.Sent++
-	rec.Latency.Observe(o.latency)
-	switch o.status {
-	case statusOK:
-		rec.OK++
-		if o.ads == 0 {
-			rec.NoMatch++
-		}
-		rec.Ads += uint64(o.ads)
-		rec.Clicks += uint64(o.clicks)
-	case statusShed:
-		rec.Shed++
-	default:
-		rec.Errors++
-	}
 }
 
 // sendOne issues one request and classifies its answer.
@@ -121,12 +98,6 @@ func sendOne(client *http.Client, baseURL string, rq Request) outcome {
 			}
 		}
 	case resp.StatusCode == http.StatusTooManyRequests:
-		o.status = statusShed
-	case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
-		// Capacity backpressure, not failure: a 503 carrying Retry-After
-		// is the router saying every member is saturated or cooling
-		// (router_no_backend). Injected backend 503s carry no hint and
-		// still count as errors.
 		o.status = statusShed
 	}
 	return o

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/adserver"
 	"repro/internal/auction"
 	"repro/internal/faultinject"
-	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/sim"
 )
@@ -39,7 +37,7 @@ type Scenario struct {
 
 	// Per-instance serving stack; the request deadline is fixed
 	// (instanceRequestTimeout), and the router runs with its defaults.
-	MaxInflight int `json:"max_inflight,omitempty"` // admission bound (default 64)
+	MaxInflight int `json:"max_inflight,omitempty"` // admission bound (0 = none)
 	CacheSize   int `json:"cache,omitempty"`        // response cache entries (0 = off)
 
 	// Chaos.
@@ -136,8 +134,8 @@ func (s *Scenario) Validate() error {
 	if err := ValidateClasses(s.Classes); err != nil {
 		return err
 	}
-	// Zero picks a default or turns a feature off; a negative size would
-	// silently do the same, so it is refused.
+	// Zero turns a bound or a feature off, or picks the scale's own
+	// size; a negative size would silently do the same, so it is refused.
 	if s.MaxInflight < 0 || s.CacheSize < 0 || s.Days < 0 || s.Queries < 0 {
 		return fmt.Errorf("max_inflight, cache, days and queries must be >= 0")
 	}
@@ -165,7 +163,7 @@ type ScenarioReport struct {
 	Policy    string             `json:"policy"`
 	Arrival   string             `json:"arrival"`
 	Scheduled int                `json:"scheduled"` // materialized arrivals
-	Load      metrics.RunReport  `json:"load"`
+	Load      RunReport          `json:"load"`
 	Router    router.Stats       `json:"router"`
 	Backends  []adserver.Statz   `json:"backends"`
 	Injected  []InjectedBackends `json:"injected,omitempty"`
@@ -263,12 +261,11 @@ func runScenario(spec Scenario, logf func(format string, args ...interface{}), n
 			in.hs.Close()
 		}
 	}
-	maxInflight := cmp.Or(spec.MaxInflight, 64)
 	for i := 0; i < spec.Instances; i++ {
 		name := fmt.Sprintf("i%d", i)
 		srv := adserver.New(res.Platform, boot.Queries(), auction.DefaultConfig(), spec.Seed)
 		opts := adserver.Options{
-			MaxInFlight:    maxInflight,
+			MaxInFlight:    spec.MaxInflight,
 			RequestTimeout: instanceRequestTimeout,
 			InstanceID:     name,
 			CacheSize:      spec.CacheSize,

@@ -105,6 +105,27 @@ func TestScenarioFaultsAccounted(t *testing.T) {
 	}
 }
 
+// TestZeroMaxInflightMeansNoBound: max_inflight 0 runs every instance
+// with no admission bound, as adserver -max-inflight 0 does, rather
+// than with a bound the spec never asked for.
+func TestZeroMaxInflightMeansNoBound(t *testing.T) {
+	spec := tinyScenario()
+	spec.MaxInflight = 0
+	spec.HorizonMS = 50
+	rep, err := RunScenario(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Backends) != spec.Instances {
+		t.Fatalf("%d backends reported, want %d", len(rep.Backends), spec.Instances)
+	}
+	for _, b := range rep.Backends {
+		if b.Capacity != 0 {
+			t.Errorf("backend %s: capacity %d, want 0 (no admission bound)", b.Instance, b.Capacity)
+		}
+	}
+}
+
 // TestLoadScenarioFile round-trips a spec through disk and validation.
 func TestLoadScenarioFile(t *testing.T) {
 	spec := tinyScenario()

@@ -4,17 +4,19 @@
 // hashing so a query's cache locality survives member churn),
 // health-aware member management (eject on consecutive proxy errors or
 // failed /readyz probes, seeded-backoff re-admission on the
-// internal/backoff schedule), bounded retry of connection errors and 5xx to a
-// different backend, and per-backend admission awareness (a 429's
-// Retry-After cools that backend instead of hammering it).
+// internal/backoff schedule), and bounded retry of connection errors,
+// 5xx and 429s on a different backend. A member's admission gate is the
+// cluster's only capacity signal: a 429 sends the request to another
+// member and leaves the one that shed in rotation, since its gate frees
+// a slot as soon as any of its requests ends.
 //
-// The router's client-visible failure surface is exactly its shed
-// accounting: forwarded 429s (the cluster was at admission capacity)
-// and router-generated 503s (no eligible backend). Single-backend
+// The router's client-visible failure surface is forwarded 429s (every
+// member tried was at admission capacity) and router-generated 503s (no
+// eligible backend: every member is ejected, an outage). Single-backend
 // latency/error/crash injection is masked by retrying elsewhere — the
 // property the chaos suite pins.
 //
-// Its timings are constants, and every cooldown and probe stamp reads
+// Its timings are constants, and every ejection and probe stamp reads
 // one clock, which the chaos suite replaces with a virtual one.
 package router
 
@@ -25,7 +27,6 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,7 +71,6 @@ type Backend struct {
 	errors    atomic.Uint64 // transport errors + 5xx from this backend
 	consec    atomic.Int64  // consecutive errors; reset on any success
 	state     atomic.Int32
-	coolUntil atomic.Int64 // unix nanos; > now means a 429 told us to back off
 	ejections atomic.Uint64
 	readmits  atomic.Uint64
 
@@ -92,13 +92,8 @@ func (b *Backend) load() int64 {
 	return l
 }
 
-// cooling reports whether a Retry-After hint still blocks new sends.
-func (b *Backend) cooling(now time.Time) bool {
-	return b.coolUntil.Load() > now.UnixNano()
-}
-
 // retries bounds the additional attempts on a different backend after
-// a connection error or 5xx, probeTimeout each health probe, and
+// a connection error, 5xx or 429, probeTimeout each health probe, and
 // ejectAfter consecutive errors eject a backend; backoffBase and
 // backoffCap bound the seeded re-admission backoff, and probeInterval is
 // the health loop's tick (see healthLoop).
@@ -147,7 +142,7 @@ type Router struct {
 	opts   Options
 	client *http.Client     // the health loop's probes, over opts.Transport
 	calls  sync.Pool        // *call
-	now    func() time.Time // every cooldown and probe stamp; tests set a virtual clock
+	now    func() time.Time // every ejection and probe stamp; tests set a virtual clock
 
 	mu       sync.RWMutex
 	backends []*Backend
@@ -220,11 +215,11 @@ func (rt *Router) Backends() []*Backend {
 
 // eligible appends to dst the backends a new request may be sent to,
 // excluding the already-tried ones.
-func (rt *Router) eligible(dst []*Backend, now time.Time, tried []*Backend) []*Backend {
+func (rt *Router) eligible(dst, tried []*Backend) []*Backend {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	for _, b := range rt.backends {
-		if b.State() != Active || b.cooling(now) || slices.Contains(tried, b) {
+		if b.State() != Active || slices.Contains(tried, b) {
 			continue
 		}
 		dst = append(dst, b)
@@ -248,10 +243,10 @@ type call struct {
 }
 
 // ServeHTTP proxies the request to a policy-picked backend, retrying
-// connection errors and 5xx on a different member within the retry
-// budget. 429s cool the backend and move on; when every member is
-// tried, cooling, or out, the client sees the terminal status (or a
-// router 503 when nothing was reachable at all).
+// connection errors, 5xx and 429s on a different member within the
+// retry budget. When every member is tried or out, the client sees the
+// last member's answer (or a router 503 when no member was eligible at
+// all).
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.received.Add(1)
 	c, _ := rt.calls.Get().(*call)
@@ -266,7 +261,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var lastResp *http.Response
 	var lastBackend *Backend
 	for attempt := 0; attempt < attempts; attempt++ {
-		c.cands = rt.eligible(c.cands[:0], rt.now(), c.tried)
+		c.cands = rt.eligible(c.cands[:0], c.tried)
 		if len(c.cands) == 0 {
 			break
 		}
@@ -288,8 +283,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		switch {
 		case resp.StatusCode == http.StatusTooManyRequests:
-			// Admission shed: honor Retry-After for this backend only.
-			b.coolUntil.Store(rt.now().Add(retryAfter(resp)).UnixNano())
+			// Admission shed: not an error, and the member stays in
+			// rotation; try another.
 			rt.dropOrKeep(&lastResp, resp)
 			lastBackend = b
 			continue
@@ -444,15 +439,6 @@ func (b *Backend) noteError(rt *Router) {
 		b.ejections.Add(1)
 		b.nextProbe.Store(rt.now().Add(b.backoff.Next()).UnixNano())
 	}
-}
-
-// retryAfter is how long a 429 cools its member: its whole-seconds
-// Retry-After, or one second when it carries none.
-func retryAfter(resp *http.Response) time.Duration {
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-		return time.Duration(secs) * time.Second
-	}
-	return time.Second
 }
 
 // affinityKey is the routing key's hash (FNV-1a): the search phrase

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/backoff"
 	"repro/internal/stats"
@@ -143,61 +142,47 @@ func TestEjectAfterConsecutiveErrors(t *testing.T) {
 	}
 }
 
-// TestRetryAfterCoolsBackend: a 429 takes the member out of rotation
-// for its Retry-After window without counting as an error.
-func TestRetryAfterCoolsBackend(t *testing.T) {
-	shed := statusBackend(t, http.StatusTooManyRequests, map[string]string{"Retry-After": "1"})
+// TestShedMemberStaysEligible: a 429 is masked by another member, is
+// not counted as an error, and leaves the member that shed in rotation,
+// so it receives the next request round-robin picks it for.
+func TestShedMemberStaysEligible(t *testing.T) {
+	var calls atomic.Int64
+	shedOnce := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		fmt.Fprint(w, "recovered")
+	}))
+	t.Cleanup(shedOnce.Close)
 	ok := okBackend(t, "good")
-	rt, err := New(Options{Seed: 1}, shed.URL, ok.URL)
+	rt, err := New(Options{Seed: 1}, shedOnce.URL, ok.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Round-robin sends the first request to the shedding member; the
 	// retry lands on the healthy one.
 	if resp := doGet(t, rt, "/search?q=x"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 after cooling retry", resp.StatusCode)
+		t.Fatalf("status = %d, want 200 after the retry", resp.StatusCode)
 	}
 	b := rt.Backends()[0]
-	if !b.cooling(time.Now()) {
-		t.Fatal("429 did not cool the backend")
-	}
 	if b.errors.Load() != 0 {
 		t.Fatalf("shed counted as error: %d", b.errors.Load())
 	}
-	// While cooling, the member is ineligible even before being tried.
-	if got := rt.eligible(nil, time.Now(), nil); len(got) != 1 || got[0].Name == b.Name {
-		t.Fatalf("cooling member still eligible: %v", got)
+	if s := rt.Stats(); s.Masked != 1 || s.Sheds != 0 {
+		t.Fatalf("masked=%d sheds=%d, want 1/0", s.Masked, s.Sheds)
 	}
-}
-
-// TestCoolingEndsAtRetryAfter: on the router's clock a 429 cools its
-// member for exactly the Retry-After it carried, and for one second when
-// it carried none; the member is eligible again at that instant.
-func TestCoolingEndsAtRetryAfter(t *testing.T) {
-	for _, tc := range []struct {
-		hdr  map[string]string
-		want time.Duration
-	}{
-		{map[string]string{"Retry-After": "3"}, 3 * time.Second},
-		{nil, time.Second},
-	} {
-		shed := statusBackend(t, http.StatusTooManyRequests, tc.hdr)
-		rt, err := New(Options{Seed: 1}, shed.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		virtualTime(rt)
-		t0 := rt.now()
-		if resp := doGet(t, rt, "/search?q=x"); resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("Retry-After %v: status %d, want the 429 forwarded", tc.hdr, resp.StatusCode)
-		}
-		b := rt.Backends()[0]
-		if !b.cooling(t0.Add(tc.want-1)) || len(rt.eligible(nil, t0.Add(tc.want-1), nil)) != 0 {
-			t.Errorf("Retry-After %v: cooling ended before %v", tc.hdr, tc.want)
-		}
-		if b.cooling(t0.Add(tc.want)) || len(rt.eligible(nil, t0.Add(tc.want), nil)) != 1 {
-			t.Errorf("Retry-After %v: still cooling at %v", tc.hdr, tc.want)
-		}
+	if got := rt.eligible(nil, nil); len(got) != 2 {
+		t.Fatalf("after a masked 429, eligible = %d members, want 2", len(got))
+	}
+	// Round-robin's next pick is the member that shed, and it answers.
+	resp := doGet(t, rt, "/search?q=x")
+	if got := resp.Header.Get("X-Backend"); resp.StatusCode != http.StatusOK || got != b.Name {
+		t.Fatalf("second request: status %d from %q, want 200 from %q", resp.StatusCode, got, b.Name)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("member that shed saw %d requests, want 2", calls.Load())
 	}
 }
 
@@ -263,16 +248,22 @@ func TestShedForwardedWhenSaturated(t *testing.T) {
 
 // TestNoEligibleBackend503: with every member out, the router answers
 // its own 503 with a machine-readable code and Retry-After. The sole
-// member answered 429 and is cooling, on a clock that does not move.
+// member is ejected after ejectAfter 5xx answers, on a virtual clock
+// that does not reach its first re-admission probe.
 func TestNoEligibleBackend503(t *testing.T) {
-	a := statusBackend(t, http.StatusTooManyRequests, map[string]string{"Retry-After": "1"})
+	a := statusBackend(t, http.StatusInternalServerError, nil)
 	rt, err := New(Options{Seed: 1}, a.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	virtualTime(rt)
-	if resp := doGet(t, rt, "/search?q=x"); resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("first request: status = %d, want the member's 429", resp.StatusCode)
+	for i := 0; i < ejectAfter; i++ {
+		if resp := doGet(t, rt, "/search?q=x"); resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("request %d: status = %d, want the member's 500", i, resp.StatusCode)
+		}
+	}
+	if st := rt.Backends()[0].State(); st != Ejected {
+		t.Fatalf("member state %v after %d 5xx answers, want ejected", st, ejectAfter)
 	}
 	resp := doGet(t, rt, "/search?q=x")
 	if resp.StatusCode != http.StatusServiceUnavailable {
