@@ -38,6 +38,10 @@ race:
 oneproc:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/eventlog ./internal/dataset ./cmd/logtool
 
+# chaos, crash and crash-supervise are named subsets of `make race`,
+# for running one suite on its own: `verify` runs each of their tests
+# once, in its race step, and not again here.
+#
 # chaos runs the fault-injection resilience suite under the race
 # detector: one seeded HTTP fault profile (latency, outage window,
 # panics, drops, errors) against the adserver stack (shed = 429 not
@@ -86,12 +90,12 @@ policy-wins:
 	GOEXPERIMENT=synctest $(GO) test -count=1 -run TestRouterPolicyWins ./internal/loadgen
 
 # verify is the full pre-merge gate: static checks, build, the whole
-# suite (goldens, determinism, invariants, smoke tests, chaos) under the
-# race detector, the log readers on one P, the crash-safety sweeps
-# (single-process and supervised), the routing-policy wins, a short
+# suite (goldens, determinism, invariants, smoke tests, chaos, the
+# crash-safety sweeps single-process and supervised) once under the race
+# detector, the log readers on one P, the routing-policy wins, a short
 # corpus-plus-exploration pass over every fuzz target, and the benchmark
 # module's own checks.
-verify: vet build race oneproc chaos crash crash-supervise policy-wins fuzz-smoke bench-check
+verify: vet build race oneproc policy-wins fuzz-smoke bench-check
 
 # golden regenerates every golden fixture (sim digests, per-experiment
 # report outputs, the façade quickstart). Only the packages that define

@@ -147,7 +147,7 @@ func parseFlags(args []string, stderr io.Writer) (flags, sim.Config, error) {
 	fs.DurationVar(&f.reqTimeout, "request-timeout", 2*time.Second, "per-request deadline for /search (0 = none)")
 	fs.DurationVar(&f.grace, "grace", 10*time.Second, "shutdown drain grace period")
 	fs.StringVar(&f.evDir, "eventlog", "", "record served impressions as an event log in this directory (empty = off)")
-	fs.IntVar(&f.evQueue, "eventlog-queue", 4096, "event recording queue depth; events beyond it are dropped, never queued on the request path")
+	fs.IntVar(&f.evQueue, "eventlog-queue", 4096, "event recording queue depth; events beyond it are dropped, never queued on the request path (0 = no queue: an event is recorded only while the writer waits for one)")
 	if err := fs.Parse(args); err != nil {
 		return f, sim.Config{}, err
 	}

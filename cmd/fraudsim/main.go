@@ -11,13 +11,14 @@
 //	         [-resume PATH]
 //	         [-cpuprofile PATH] [-memprofile PATH]
 //
-// -workers parallelizes query serving across N goroutines and, above
-// one, draws each day's query stream beside the agents phase; 0 (the
-// default) uses every available CPU. A negative -workers or shape size
-// is refused rather than read as its default, and so is a
-// -checkpoint-retain below one. Campaign management and the nightly
-// detection sweep run on one goroutine. Results are byte-identical
-// across worker counts, so the flag is a pure throughput knob.
+// -workers parallelizes query serving across N goroutines and selects
+// nothing else; 0 (the default) uses every available CPU. A negative
+// -workers or shape size is refused rather than read as its default, and
+// so is a -checkpoint-retain below one. Campaign management and the
+// nightly detection sweep run on one goroutine, with each day's query
+// stream drawn beside the agents phase at any worker count. Results are
+// byte-identical across worker counts, so the flag is a pure throughput
+// knob.
 //
 // With -checkpoint-every N the simulator writes a crash-safe snapshot to
 // the -checkpoint file every N simulated days (aligned with an event-log

@@ -219,8 +219,7 @@ type Pipeline struct {
 	// nil for unmonitored accounts. A slice keeps the daily sweep order
 	// deterministic — map iteration order would desynchronize enforcement
 	// order across runs with the same seed.
-	states    []*state
-	monitored int
+	states []*state
 
 	// Shutdowns counts enforcement actions by stage (diagnostics).
 	Shutdowns map[dataset.DetectionStage]int
@@ -321,9 +320,6 @@ func (d *Pipeline) Enroll(id platform.AccountID, det Detectability, at simclock.
 	for int(id) >= len(d.states) {
 		d.states = append(d.states, nil)
 	}
-	if d.states[id] == nil {
-		d.monitored++
-	}
 	d.states[id] = s
 }
 
@@ -367,7 +363,6 @@ func (d *Pipeline) EndOfDay(day simclock.Day) []platform.AccountID {
 			shut = d.enforce(s, due, stage, shut)
 		}
 		d.states[i] = nil
-		d.monitored--
 	}
 	return shut
 }
@@ -495,5 +490,14 @@ func (d *Pipeline) emit(id platform.AccountID, at simclock.Stamp, stage dataset.
 	})
 }
 
-// Monitored returns the number of accounts currently under monitoring.
-func (d *Pipeline) Monitored() int { return d.monitored }
+// Monitored returns the number of accounts currently under monitoring,
+// counted on each call (the progress line is its only reader).
+func (d *Pipeline) Monitored() int {
+	n := 0
+	for _, s := range d.states {
+		if s != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -98,7 +98,6 @@ func (d *Pipeline) SetState(st *PipelineState) error {
 	}
 	d.rng.SetState(st.RNG)
 	d.states = make([]*state, st.NumStates)
-	d.monitored = 0
 	for _, as := range st.States {
 		if int(as.ID) < 0 || int(as.ID) >= st.NumStates {
 			return fmt.Errorf("detection: pipeline state account %d out of range [0, %d)", as.ID, st.NumStates)
@@ -122,7 +121,6 @@ func (d *Pipeline) SetState(st *PipelineState) error {
 		}
 		st.rng.SetState(as.RNG)
 		d.states[as.ID] = st
-		d.monitored++
 	}
 	d.Shutdowns = make(map[dataset.DetectionStage]int, len(st.Shutdowns))
 	for _, sc := range st.Shutdowns {

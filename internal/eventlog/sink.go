@@ -62,11 +62,10 @@ type Async struct {
 }
 
 // NewAsync starts a drain goroutine feeding dst from a buffer of the
-// given size.
+// given size. A size of 0 is an unbuffered hand-off: an event is recorded
+// only while the drain goroutine is waiting for one. A negative size
+// panics.
 func NewAsync(dst Sink, buffer int) *Async {
-	if buffer < 1 {
-		buffer = 1
-	}
 	a := &Async{
 		ch:   make(chan Event, buffer),
 		quit: make(chan struct{}),

@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,38 @@ type gateSink struct {
 func (g *gateSink) Append(Event) {
 	<-g.tokens
 	g.delivered.Add(1)
+}
+
+// TestAsyncZeroBufferHandsOff: a size of 0 queues nothing. Once the drain
+// goroutine has taken an event and is blocked delivering it, the next
+// Append is dropped rather than held for it.
+func TestAsyncZeroBufferHandsOff(t *testing.T) {
+	gate := &gateSink{tokens: make(chan struct{})}
+	a := NewAsync(gate, 0)
+	ev := Event{Type: TypeAdModified}
+	// An unbuffered hand-off lands only while the drain waits in its
+	// select, so retry until one does.
+	for {
+		d := a.Dropped()
+		a.Append(ev)
+		if a.Dropped() == d {
+			break
+		}
+		runtime.Gosched()
+	}
+	for len(a.ch) > 0 { // the drain has the event and blocks in the sink
+		runtime.Gosched()
+	}
+	d := a.Dropped()
+	a.Append(ev)
+	if got := a.Dropped(); got != d+1 {
+		t.Fatalf("Append while the drain is busy: dropped %d -> %d, want one more (nothing queued)", d, got)
+	}
+	close(gate.tokens)
+	a.Close()
+	if got := gate.delivered.Load(); got != 1 {
+		t.Fatalf("delivered %d events, want the 1 handed off", got)
+	}
 }
 
 // TestAsyncExactDropAccounting floods a throttled sink from many

@@ -64,8 +64,8 @@ type Index struct {
 
 	// epoch counts mutations that can change what a lookup returns:
 	// posting-list edits (AddBid/RemoveAd) and in-place bid-amount
-	// changes (Platform.ModifyBid calls BumpEpoch, since the index holds
-	// pointers and never sees the write). Serving-side caches key their
+	// changes (UpdateBid, which Platform.ModifyBid calls ahead of its
+	// write through the held pointer). Serving-side caches key their
 	// validity on it — see internal/sim's per-day eligibility cache.
 	// Account-liveness and fraud-flag flips are intentionally NOT counted:
 	// every liveness transition of an account with indexed bids removes
@@ -133,11 +133,6 @@ func (x *Index) AddBid(ad *Ad, bid *KeywordBid) {
 // results across repeated hot queries.
 func (x *Index) Epoch() uint64 { return x.epoch }
 
-// BumpEpoch invalidates epoch-keyed caches after a mutation the index
-// cannot observe itself (an in-place write through a held pointer, e.g.
-// a max-bid modification).
-func (x *Index) BumpEpoch() { x.epoch++ }
-
 // findEntry locates a bid's slot in a posting list. The fast path binary
 // searches by the entry's current score s and scans the equal-score run;
 // because in-place bid modifications leave neighbors out of order, a
@@ -174,8 +169,10 @@ func findEntry(list []entry, bid *KeywordBid, s float64) int {
 // UpdateBid re-syncs a bid's cached posting-list score ahead of an
 // in-place amount change. Call with the OLD amount still in bid.MaxBid
 // (the old score is the lookup key); the caller writes the new amount
-// after. Bids that are not indexed (paused ads) are ignored.
+// after. Bids that are not indexed (paused ads) keep no entry to
+// re-sync, but the epoch advances either way, as for every amount change.
 func (x *Index) UpdateBid(ad *Ad, bid *KeywordBid, newMax float64) {
+	x.epoch++
 	ps := x.byVC[vcKey{ad.Vertical, ad.Target}]
 	if ps == nil {
 		return

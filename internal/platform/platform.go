@@ -323,9 +323,6 @@ func (p *Platform) ModifyBid(ad *Ad, bid *KeywordBid, newMax float64) {
 		// still in place (it is the lookup key), then write the new one.
 		p.index.UpdateBid(ad, bid, newMax)
 		bid.MaxBid = newMax
-		// The index holds the bid by pointer and never observes this
-		// write; invalidate epoch-keyed eligibility caches explicitly.
-		p.index.BumpEpoch()
 	}
 	p.MustAccount(ad.Account).KeywordsModified++
 }

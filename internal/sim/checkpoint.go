@@ -16,12 +16,10 @@ package sim
 //
 // A Sim saving itself writes the columns straight from its live platform
 // in two halves (platform.AppendTables and AppendIndex) that read
-// disjoint state. At more than one worker (the draw-ahead's rule) the
-// index half runs on a goroutine of its own while the gob and the tables
-// half run on the caller's, each into its own reused buffer, and the
-// halves are concatenated in wire order; at one worker they run in
-// sequence. The bytes are the same either way, and the same as
-// platform.Snapshot.AppendColumns writes for a saved Checkpoint.
+// disjoint state. The index half runs on a goroutine of its own while the
+// gob and the tables half run on the caller's, each into its own reused
+// buffer, and the halves are concatenated in wire order. The bytes are the
+// same as platform.Snapshot.AppendColumns writes for a saved Checkpoint.
 //
 // The CRC is computed with the Castagnoli polynomial — the same framing
 // discipline as the event log — so a torn or bit-flipped snapshot is
@@ -152,18 +150,16 @@ func encodeCheckpoint(b *checkpointBufs, c *Checkpoint) ([]byte, error) {
 
 // encodeCheckpoint renders the sim's checkpoint at pos as its on-disk
 // frame, the platform columns written from the live platform: the index
-// half on a goroutine beside the gob and the tables half when workers > 1,
-// after them otherwise. The frame aliases s.ckpt.
-func (s *Sim) encodeCheckpoint(pos LogPosition, workers int) ([]byte, error) {
+// half on a goroutine beside the gob and the tables half. The frame
+// aliases s.ckpt.
+func (s *Sim) encodeCheckpoint(pos LogPosition) ([]byte, error) {
 	b := &s.ckpt
 	var wg sync.WaitGroup
-	if workers > 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b.index = s.p.AppendIndex(b.index[:0], &b.cols)
-		}()
-	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		b.index = s.p.AppendIndex(b.index[:0], &b.cols)
+	}()
 	s.stateInto(&b.state)
 	err := b.begin(&Checkpoint{State: &b.state, Log: pos})
 	if err == nil {
@@ -173,11 +169,7 @@ func (s *Sim) encodeCheckpoint(pos LogPosition, workers int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
-	if workers > 1 {
-		b.frame.b = append(b.frame.b, b.index...)
-	} else {
-		b.frame.b = s.p.AppendIndex(b.frame.b, &b.cols)
-	}
+	b.frame.b = append(b.frame.b, b.index...)
 	return b.finish(), nil
 }
 
@@ -265,7 +257,7 @@ func DecodeCheckpoint(data []byte) (c *Checkpoint, err error) {
 // WriteCheckpointFile writes the sim's checkpoint with the given log
 // position in one call.
 func (s *Sim) WriteCheckpointFile(path string, pos LogPosition) error {
-	frame, err := s.encodeCheckpoint(pos, s.resolveWorkers())
+	frame, err := s.encodeCheckpoint(pos)
 	if err != nil {
 		return err
 	}

@@ -24,8 +24,8 @@ package sim
 // taken between any two phases, not just between days, and resumed at a
 // different worker count.
 //
-// With more than one worker the agents phase also draws the day's query
-// stream ahead of serving, on one goroutine of its own (queryDraw below).
+// The agents phase also draws the day's query stream ahead of serving, on
+// one goroutine of its own (queryDraw below), at every worker count.
 
 import (
 	"sync"
@@ -67,8 +67,7 @@ func (p Phase) String() string {
 // and bench/ do). QueryDraw and DrawWait split out the draw-ahead
 // inside the agents phase: QueryDraw is time spent on the draw goroutine
 // (concurrent with the agents' steps, so not part of any phase's
-// wall), DrawWait the part of Agents spent blocked on it. Both stay zero
-// at one worker, where serving draws the stream itself.
+// wall), DrawWait the part of Agents spent blocked on it.
 type PhaseTimes struct {
 	Arrivals  time.Duration
 	Agents    time.Duration
@@ -174,14 +173,14 @@ func (s *Sim) arrivalsPhase(day simclock.Day) {
 // queryDraw is the day's query stream, drawn ahead of the serving phase.
 // The stream depends on nothing but the generator's own RNGs, and the
 // agents phase reads only the generator's immutable keyword universes
-// (Runtime.Step through Runtime.universe), so with more than one worker
-// agentPhase draws the day's QueriesPerDay queries on a goroutine of its
-// own while the agents step, and joins it before returning: no goroutine
-// outlives a StepPhase call. Serving then takes the drawn queries instead
-// of drawing them. Between the two phases the generator is a day ahead of
-// a run that draws in the serving phase, so Snapshot writes pre, the state
-// recorded before the draw — a restore at that boundary redraws the same
-// queries — and every seeded byte stays identical at any worker count.
+// (Runtime.Step through Runtime.universe), so agentPhase draws the day's
+// QueriesPerDay queries on a goroutine of its own while the agents step,
+// and joins it before returning: no goroutine outlives a StepPhase call.
+// Serving then takes the drawn queries instead of drawing them. Between
+// the two phases the generator is a day ahead of the day cursor, so
+// Snapshot writes pre, the state recorded before the draw: a restore at
+// that boundary redraws the same queries in its serving phase, and every
+// seeded byte stays identical however a run is stopped and resumed.
 type queryDraw struct {
 	qs      []queries.Query        // the day's queries; reused every day
 	pre     queries.GeneratorState // generator state before the draw
@@ -238,9 +237,9 @@ func (s *Sim) joinDraw() {
 	}
 }
 
-// takeDrawn hands serving the queries a draw-ahead left pending, or nil
-// when none ran: at one worker, or on a Sim restored at the serving
-// boundary.
+// takeDrawn hands serving the queries the draw-ahead left pending, or nil
+// on a Sim restored at the serving boundary, whose snapshot holds no
+// drawn queries.
 func (s *Sim) takeDrawn() []queries.Query {
 	if !s.draw.pending {
 		return nil
@@ -252,16 +251,14 @@ func (s *Sim) takeDrawn() []queries.Query {
 // agentPhase runs one day of campaign management: it compacts dead agents
 // out of the live list, closes accounts whose business has run its course
 // (those draws come from the shared arrival stream, in live order), then
-// steps the surviving agents in live order. With more than one worker the
-// day's queries are drawn meanwhile (see queryDraw). The draw is for this
-// day's serving phase, which StepPhase runs next, so none is ever started
-// for a day past the horizon and the generator ends a run where a
-// one-worker run leaves it.
+// steps the surviving agents in live order. The day's queries are drawn
+// meanwhile (see queryDraw). The draw is for this day's serving phase,
+// which StepPhase runs next, so none is ever started for a day past the
+// horizon and the generator ends a run where its last serving phase
+// leaves it.
 func (s *Sim) agentPhase(day simclock.Day) {
-	if s.resolveWorkers() > 1 {
-		s.startDraw()
-		defer s.joinDraw()
-	}
+	s.startDraw()
+	defer s.joinDraw()
 	liveOut := s.live[:0]
 	for _, a := range s.live {
 		acct := s.p.MustAccount(a.Account)
@@ -289,13 +286,9 @@ func (s *Sim) runAgents(day simclock.Day) {
 }
 
 // detectionPhase runs the nightly sweep and the caught actors'
-// re-registration reactions, and maintains the live fraud-account
-// counter the progress callback reports.
+// re-registration reactions.
 func (s *Sim) detectionPhase(day simclock.Day) {
 	for _, id := range s.pipeline.EndOfDay(day) {
-		if s.p.MustAccount(id).Fraud {
-			s.fraudLive--
-		}
 		s.maybeReregister(id, day)
 	}
 }

@@ -19,7 +19,6 @@ import (
 func TestDrawAheadAllocFree(t *testing.T) {
 	cfg := SmallConfig()
 	s := New(cfg)
-	s.SetWorkers(2)
 	day := func() {
 		s.startDraw()
 		s.joinDraw()

@@ -249,7 +249,7 @@ func (l Lineage) Load() (*Checkpoint, *LineageReport, error) {
 // SaveCheckpointLineage saves the sim's checkpoint as the lineage's
 // newest — the retained-chain counterpart of WriteCheckpointFile.
 func (s *Sim) SaveCheckpointLineage(l Lineage, pos LogPosition) error {
-	frame, err := s.encodeCheckpoint(pos, s.resolveWorkers())
+	frame, err := s.encodeCheckpoint(pos)
 	if err != nil {
 		return err
 	}

@@ -13,8 +13,8 @@ package sim
 // global query order. Concretely a day's serving runs five sub-phases:
 //
 //	A. take the day's queries as the agents phase drew them ahead
-//	   (queryDraw in dayloop.go), else draw them now, sequentially — one
-//	   RNG stream either way;
+//	   (queryDraw in dayloop.go), or, on a Sim restored at this phase's
+//	   boundary, draw them now — one sequential RNG stream either way;
 //	B. shard the query indices into contiguous blocks, one per worker;
 //	   each worker builds its block's pages (clicks.PageBuilder:
 //	   eligibility, auction, click probabilities) against the frozen
@@ -270,8 +270,8 @@ func (s *Sim) serveQueries(day simclock.Day) {
 	e := s.eng
 	n := s.cfg.QueriesPerDay
 
-	// Phase A: the query stream is one sequential RNG, drawn up front —
-	// by the agents phase when it ran at more than one worker, else here.
+	// Phase A: the query stream is one sequential RNG, drawn up front by
+	// the agents phase — here only on a Sim restored at this boundary.
 	if e.queries = s.takeDrawn(); e.queries == nil {
 		e.queries = s.drawQueries()
 	}

@@ -179,12 +179,8 @@ type Sim struct {
 	clickRNG *stats.RNG
 
 	live []*agents.Agent
-	// fraudLive counts live-list agents whose accounts are fraudulent and
-	// still active, maintained incrementally (register, compromise,
-	// shutdown) so the progress callback does not rescan the population.
-	fraudLive int
 	// draw is the day's query stream and the agents phase's draw-ahead of
-	// it (workers > 1 only); see queryDraw in dayloop.go.
+	// it; see queryDraw in dayloop.go.
 	draw queryDraw
 
 	// fraudProfiles remembers each fraud account's profile so shutdowns
@@ -298,10 +294,10 @@ func (s *Sim) SetProgress(fn func(string)) { s.progress = fn }
 
 // SetWorkers sets how many goroutines the serving phase fans out to —
 // its auction and click halves each split the day's queries into that
-// many contiguous blocks (DESIGN.md §7) — and, above one, lets the agents
-// phase draw the day's query stream on a goroutine beside it and the
-// checkpoint encode write its two platform halves at once; 0 (the
-// default) uses runtime.GOMAXPROCS. Campaign management and the
+// many contiguous blocks (DESIGN.md §7); 0 (the default) uses
+// runtime.GOMAXPROCS. It selects nothing else: the agents phase's query
+// draw-ahead and the checkpoint encode's two platform halves run on a
+// goroutine of their own at every count. Campaign management and the
 // detection sweep run on the simulation goroutine (DESIGN.md §8). Every
 // seeded outcome — dataset digests, billing, event-log and checkpoint
 // bytes, RNG stream positions — is byte-identical across all worker
@@ -332,13 +328,13 @@ func (s *Sim) Collector() *dataset.Collector { return s.col }
 // from. Its keyword universes are immutable and safe to read at any time
 // (the adserver and the load harness resolve keywords through them). Its
 // stream positions — State, or anything Next would return — are meaningful
-// only between days: with more than one worker the agents phase draws the
-// day's queries ahead of serving, so at the agents→serving boundary the
-// generator is a day ahead of the day cursor (Snapshot corrects for that;
-// this accessor does not). No draw is started for a day StepPhase will not
-// serve, so after the last day the generator stands exactly where a
-// one-worker run leaves it. Drawing from it mid-run perturbs the
-// trajectory like any other use of a seeded stream.
+// only between days: the agents phase draws the day's queries ahead of
+// serving, so at the agents→serving boundary the generator is a day ahead
+// of the day cursor (Snapshot corrects for that; this accessor does not).
+// No draw is started for a day StepPhase will not serve, so after the last
+// day the generator stands where the last serving phase left it. Drawing
+// from it mid-run perturbs the trajectory like any other use of a seeded
+// stream.
 func (s *Sim) Queries() *queries.Generator { return s.qgen }
 
 // fraudShare returns the fraudulent fraction of arrivals on a day.
@@ -408,9 +404,6 @@ func (s *Sim) register(prof agents.Profile, at simclock.Stamp) {
 	}
 	s.pipeline.Enroll(acct.ID, det, at)
 	s.live = append(s.live, s.runtime.Spawn(prof, acct.ID, at))
-	if prof.Fraud {
-		s.fraudLive++
-	}
 }
 
 // maybeReregister rolls the recidivism dice for a just-terminated fraud
@@ -477,14 +470,21 @@ func (s *Sim) Step() bool {
 }
 
 // emitProgress reports the every-30-days progress line. The nil guard
-// lives here, ahead of the fmt.Sprintf, so the common no-callback run
-// never pays the string build and its interface-boxing allocations.
+// lives here, ahead of the counts and the fmt.Sprintf, so the common
+// no-callback run never pays for them. fraudAlive counts the live-list
+// agents whose account is fraudulent and still active.
 func (s *Sim) emitProgress(day simclock.Day) {
 	if s.progress == nil || int(day)%30 != 29 {
 		return
 	}
+	fraudAlive := 0
+	for _, a := range s.live {
+		if acct := s.p.MustAccount(a.Account); acct.Fraud && acct.Alive() {
+			fraudAlive++
+		}
+	}
 	s.progress(fmt.Sprintf("day %d/%d (%s): accounts=%d monitored=%d liveAds=%d clicks=%d fraudClicks=%d fraudAlive=%d",
-		day+1, s.cfg.Days, day.Label(), s.p.NumAccounts(), s.pipeline.Monitored(), s.p.LiveAds(), s.res.Clicks, s.res.FraudClicks, s.fraudLive))
+		day+1, s.cfg.Days, day.Label(), s.p.NumAccounts(), s.pipeline.Monitored(), s.p.LiveAds(), s.res.Clicks, s.res.FraudClicks, fraudAlive))
 }
 
 // Finish seals the result after the last Step. Elapsed covers only this
@@ -525,7 +525,6 @@ func (s *Sim) compromiseAccounts(day simclock.Day) {
 			det.Blend = 0.5 // sudden behavior change is itself a signal
 			s.pipeline.Enroll(acct.ID, det, simclock.StampAt(day, s.arrRNG.Float64()))
 			s.res.Compromises++
-			s.fraudLive++
 			break
 		}
 	}

@@ -200,9 +200,6 @@ func Restore(st *State) (*Sim, error) {
 			return nil, fmt.Errorf("sim: snapshot agent %d references unknown account %d", i, as.Account)
 		}
 		s.live[i] = agents.RestoreAgent(as)
-		if acct := p.MustAccount(as.Account); acct.Fraud && acct.Alive() {
-			s.fraudLive++
-		}
 	}
 	for _, e := range st.FraudProfiles {
 		s.fraudProfiles[e.ID] = e.Profile

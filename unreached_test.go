@@ -189,7 +189,7 @@ func main() {
 // kill-point sweep and the lineage sweeps under `make crash`, the two
 // day-loop event-sink tests under `make chaos`. Each must still be
 // declared in internal/sim and selected by its recipe's -run pattern,
-// so a rename cannot silently empty a `make verify` step.
+// so a rename cannot silently empty a named subset.
 func TestMakeCrashAndChaosSelectTheSimSweeps(t *testing.T) {
 	declared := map[string]bool{}
 	fset := token.NewFileSet()
