@@ -11,12 +11,13 @@
 //	         [-resume PATH]
 //	         [-cpuprofile PATH] [-memprofile PATH]
 //
-// -workers parallelizes query serving across N goroutines and selects
-// nothing else; 0 (the default) uses every available CPU. A negative
-// -workers or shape size is refused rather than read as its default, and
-// so is a -checkpoint-retain below one. Campaign management and the
-// nightly detection sweep run on one goroutine, with each day's query
-// stream drawn beside the agents phase at any worker count. Results are
+// -workers parallelizes query serving and the apply of the agents'
+// posting-list edits across N goroutines and selects nothing else; 0
+// (the default) uses every available CPU. A negative -workers or shape
+// size is refused rather than read as its default, and so is a
+// -checkpoint-retain below one. The agents' decisions and the nightly
+// detection sweep run on one goroutine, with each day's query stream
+// drawn beside the agents phase at any worker count. Results are
 // byte-identical across worker counts, so the flag is a pure throughput
 // knob.
 //
@@ -71,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	shape := sim.DefaultShape()
 	shape.Bind(fs)
-	workers := fs.Int("workers", 0, "serving worker goroutines (0 = all CPUs; any value gives identical results)")
+	workers := fs.Int("workers", 0, "worker goroutines for serving and for applying the agents' index edits (0 = all CPUs; any value gives identical results)")
 	verbose := fs.Bool("v", false, "print progress every 30 simulated days")
 	export := fs.String("export", "", "directory to write the three datasets as JSON lines")
 	evDir := fs.String("eventlog", "", "directory to write the run's append-only event log (inspect with logtool)")

@@ -194,6 +194,7 @@ func (p *Platform) AppendTables(dst []byte, sc *ColumnScratch) []byte {
 // compares no strings. Lists emptied by ad removal keep their map slot for
 // capacity reuse but are skipped. It reads nothing AppendTables writes.
 func (p *Platform) AppendIndex(dst []byte, sc *ColumnScratch) []byte {
+	p.index.flushed("AppendIndex")
 	sc.groups = sc.groups[:0]
 	for vc := range p.index.byVC {
 		sc.groups = append(sc.groups, vc)

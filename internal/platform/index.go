@@ -1,6 +1,11 @@
 package platform
 
 import (
+	"cmp"
+	"slices"
+	"sync"
+	"time"
+
 	"repro/internal/market"
 	"repro/internal/verticals"
 )
@@ -45,6 +50,11 @@ type entry struct {
 type postings struct {
 	kw    map[int32][]entry
 	broad map[int32][]entry
+
+	// staged counts the group's edits in the staging log, and worker is
+	// the share of a flush that applies them (see Index.Flush).
+	staged int
+	worker int
 }
 
 // Index is the serving-side bid index: for each (vertical, market,
@@ -72,7 +82,28 @@ type Index struct {
 	// those bids (Shutdown/Close/RetireAd pause the ads), and fraud flags
 	// are never part of a lookup result.
 	epoch uint64
+
+	// The staging window, BeginStage to Flush: edits go to log in call
+	// order instead of to the lists. touched holds the groups with edits
+	// in the log, logCap the length at which the log applies itself
+	// (stageLogCap outside tests), applying the window's wall time spent
+	// in applyLog so far, load and shares a flush's per-share edit counts
+	// and prebuilt goroutine bodies.
+	staging  bool
+	workers  int
+	applying time.Duration
+	log      []edit
+	logCap   int
+	touched  []*postings
+	load     []int
+	shares   []func()
+	wg       sync.WaitGroup
 }
+
+// stageLogCap bounds the staging log: a window that stages more edits
+// applies them in batches of this many, which is safe because nothing
+// reads a posting list inside a window. 8 192 edits are 384 KiB.
+const stageLogCap = 8192
 
 // MaxPerList bounds how many live candidates a single posting list
 // contributes to one auction. Head keywords in large verticals accumulate
@@ -81,7 +112,19 @@ const MaxPerList = 48
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	return &Index{byVC: make(map[vcKey]*postings)}
+	return &Index{byVC: make(map[vcKey]*postings), logCap: stageLogCap}
+}
+
+// group resolves an ad's (vertical, market) posting-list group, creating
+// it when create is set; without create a missing group is nil.
+func (x *Index) group(ad *Ad, create bool) *postings {
+	k := vcKey{ad.Vertical, ad.Target}
+	ps := x.byVC[k]
+	if ps == nil && create {
+		ps = &postings{kw: make(map[int32][]entry), broad: make(map[int32][]entry)}
+		x.byVC[k] = ps
+	}
+	return ps
 }
 
 // listFor resolves the posting list map and key for a bid: broad bids live
@@ -93,37 +136,98 @@ func (ps *postings) listFor(bid *KeywordBid) (map[int32][]entry, int32) {
 	return ps.kw, int32(bid.KeywordID)
 }
 
+// editKind is what one posting-list edit does.
+type editKind uint8
+
+const (
+	editAdd editKind = iota
+	editUpdate
+	editRemove
+)
+
+// edit is one posting-list edit of one bid in group ps. It carries every
+// value the edit reads that a caller may change afterwards, captured at
+// call time: score is the new entry's MaxBid × Quality for an add and the
+// lookup score for an update or a removal, to an update's new score.
+// Shutdown, Close and RetireAd release ad.Bids right after PauseAd, and
+// ModifyBid rewrites MaxBid right after UpdateBid, so neither may be read
+// when a staged edit applies. What it does read then — the bid's match
+// type, keyword and cluster, the ad's account — never changes.
+type edit struct {
+	ps    *postings
+	ad    *Ad
+	bid   *KeywordBid
+	score float64
+	to    float64
+	kind  editKind
+}
+
+// apply performs the edit on its group's lists.
+func (e *edit) apply() {
+	m, id := e.ps.listFor(e.bid)
+	list := m[id]
+	switch e.kind {
+	case editAdd:
+		// Binary search for the insertion point (first element with a
+		// lower score).
+		lo, hi := 0, len(list)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if list[mid].score >= e.score {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		list = append(list, entry{})
+		copy(list[lo+1:], list[lo:])
+		list[lo] = entry{ad: e.ad, bid: e.bid, score: e.score, acct: e.ad.Account, match: e.bid.Match}
+		m[id] = list
+	case editUpdate:
+		if i := findEntry(list, e.bid, e.score); i >= 0 {
+			list[i].score = e.to
+		}
+	case editRemove:
+		i := findEntry(list, e.bid, e.score)
+		if i < 0 {
+			return
+		}
+		copy(list[i:], list[i+1:])
+		list[len(list)-1] = entry{} // release the pointers for GC
+		m[id] = list[:len(list)-1]
+	}
+}
+
+// do applies an edit, or inside a staging window appends it to the log.
+func (x *Index) do(e edit) {
+	if !x.staging {
+		e.apply()
+		return
+	}
+	if e.ps.staged == 0 {
+		x.touched = append(x.touched, e.ps)
+	}
+	e.ps.staged++
+	x.log = append(x.log, e)
+	if len(x.log) >= x.logCap {
+		x.applyLog()
+	}
+}
+
 // AddBid registers a bid in its posting list, preserving descending
 // static-score order via binary insertion. Probes compare the cached
 // current scores, which equal MaxBid × Quality at all times (UpdateBid
 // maintains the invariant), so insertion positions are identical to
 // recomputing the score per probe.
 func (x *Index) AddBid(ad *Ad, bid *KeywordBid) {
+	x.addBid(x.group(ad, true), ad, bid)
+}
+
+// addBid is AddBid into an already resolved group, for callers that add
+// several bids of one ad.
+func (x *Index) addBid(ps *postings, ad *Ad, bid *KeywordBid) {
 	x.epoch++
-	k := vcKey{ad.Vertical, ad.Target}
-	ps := x.byVC[k]
-	if ps == nil {
-		ps = &postings{kw: make(map[int32][]entry), broad: make(map[int32][]entry)}
-		x.byVC[k] = ps
-	}
-	m, id := ps.listFor(bid)
-	list := m[id]
-	s := bid.MaxBid * ad.Quality
-	// Binary search for the insertion point (first element with a lower
-	// score).
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if list[mid].score >= s {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	list = append(list, entry{})
-	copy(list[lo+1:], list[lo:])
-	list[lo] = entry{ad: ad, bid: bid, score: s, acct: ad.Account, match: bid.Match}
-	m[id] = list
+	x.do(edit{ps: ps, ad: ad, bid: bid, score: bid.MaxBid * ad.Quality, kind: editAdd})
 }
 
 // Epoch returns the index's mutation counter. Two lookups bracketed by
@@ -173,14 +277,8 @@ func findEntry(list []entry, bid *KeywordBid, s float64) int {
 // re-sync, but the epoch advances either way, as for every amount change.
 func (x *Index) UpdateBid(ad *Ad, bid *KeywordBid, newMax float64) {
 	x.epoch++
-	ps := x.byVC[vcKey{ad.Vertical, ad.Target}]
-	if ps == nil {
-		return
-	}
-	m, id := ps.listFor(bid)
-	list := m[id]
-	if i := findEntry(list, bid, bid.MaxBid*ad.Quality); i >= 0 {
-		list[i].score = newMax * ad.Quality
+	if ps := x.group(ad, false); ps != nil {
+		x.do(edit{ps: ps, bid: bid, score: bid.MaxBid * ad.Quality, to: newMax * ad.Quality, kind: editUpdate})
 	}
 }
 
@@ -190,20 +288,98 @@ func (x *Index) UpdateBid(ad *Ad, bid *KeywordBid, newMax float64) {
 // copy, instead of rewriting every touched list.
 func (x *Index) RemoveAd(ad *Ad) {
 	x.epoch++
-	ps := x.byVC[vcKey{ad.Vertical, ad.Target}]
+	ps := x.group(ad, false)
 	if ps == nil {
 		return
 	}
 	for _, bid := range ad.Bids {
-		m, id := ps.listFor(bid)
-		list := m[id]
-		i := findEntry(list, bid, bid.MaxBid*ad.Quality)
-		if i < 0 {
-			continue
+		x.do(edit{ps: ps, bid: bid, score: bid.MaxBid * ad.Quality, kind: editRemove})
+	}
+}
+
+// BeginStage opens a staging window: until Flush, AddBid, UpdateBid and
+// RemoveAd advance the epoch and record their edit, with the values it
+// reads captured, instead of editing the lists. Flush then applies each
+// (vertical, market) group's edits in call order on one goroutine and
+// spreads the groups over workers goroutines. An edit touches only its
+// own group's lists, so every list sees exactly the edit sequence direct
+// calls would have made, and holds the same bytes. Reading the lists
+// inside a window (Sublists, Len, AppendIndex, Snapshot) panics.
+func (x *Index) BeginStage(workers int) {
+	if x.staging {
+		panic("platform: BeginStage inside a staging window; call Index.Flush first")
+	}
+	x.staging = true
+	x.workers = max(workers, 1)
+	x.applying = 0
+}
+
+// Flush applies the staged edits and closes the window. It returns the
+// wall time the window spent applying edits: this call's and that of
+// every batch a full log applied before it.
+func (x *Index) Flush() time.Duration {
+	x.applyLog()
+	x.staging = false
+	return x.applying
+}
+
+// applyLog applies the log over min(workers, groups) goroutines, the
+// calling one included: a longest-first greedy split of the groups by
+// edit count gives each group to one share, and every share walks the
+// log in order, applying its own groups' edits.
+func (x *Index) applyLog() {
+	t0 := time.Now()
+	n := max(1, min(x.workers, len(x.touched)))
+	slices.SortStableFunc(x.touched, func(a, b *postings) int { return cmp.Compare(b.staged, a.staged) })
+	x.load = append(x.load[:0], make([]int, n)...)
+	for _, ps := range x.touched {
+		w := 0
+		for i := 1; i < n; i++ {
+			if x.load[i] < x.load[w] {
+				w = i
+			}
 		}
-		copy(list[i:], list[i+1:])
-		list[len(list)-1] = entry{} // release the pointers for GC
-		m[id] = list[:len(list)-1]
+		ps.worker = w
+		x.load[w] += ps.staged
+	}
+	for len(x.shares) < n {
+		w := len(x.shares)
+		x.shares = append(x.shares, func() {
+			defer x.wg.Done()
+			x.applyShare(w)
+		})
+	}
+	x.wg.Add(n - 1)
+	for _, share := range x.shares[1:n] {
+		go share()
+	}
+	x.applyShare(0)
+	x.wg.Wait()
+	for _, ps := range x.touched {
+		ps.staged = 0
+	}
+	clear(x.touched)
+	x.touched = x.touched[:0]
+	clear(x.log) // release the pointers for GC
+	x.log = x.log[:0]
+	x.applying += time.Since(t0)
+}
+
+// applyShare applies, in log order, the edits of the groups assigned to
+// share w.
+func (x *Index) applyShare(w int) {
+	for i := range x.log {
+		if e := &x.log[i]; e.ps.worker == w {
+			e.apply()
+		}
+	}
+}
+
+// flushed panics, naming the missing Flush, if a posting-list read comes
+// inside a staging window.
+func (x *Index) flushed(reader string) {
+	if x.staging {
+		panic("platform: " + reader + " read the posting lists inside a staging window; call Index.Flush first")
 	}
 }
 
@@ -265,6 +441,7 @@ type Sublists struct {
 
 // Sublists resolves the posting-list group for a (vertical, market) pair.
 func (x *Index) Sublists(v verticals.Vertical, c market.Country) Sublists {
+	x.flushed("Sublists")
 	return Sublists{ps: x.byVC[vcKey{v, c}]}
 }
 
@@ -323,6 +500,7 @@ func (s Sublists) EligibleAppendLive(dst []BidRef, kw, cl int, form QueryForm, l
 
 // Len returns the total number of indexed bids (for tests and stats).
 func (x *Index) Len() int {
+	x.flushed("Len")
 	n := 0
 	for _, ps := range x.byVC {
 		for _, l := range ps.kw {

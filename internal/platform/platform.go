@@ -13,7 +13,9 @@ import (
 // Platform is the in-memory ad network. It owns the account and ad tables,
 // the eligible-bid index, and the billing ledger. Platform is not safe for
 // concurrent mutation; the simulation engine serializes writes and fans
-// out read-only auction evaluation.
+// out read-only auction evaluation. The one parallel write is internal:
+// an index staging window (Index.BeginStage) applies its edits per
+// posting-list group on several goroutines.
 type Platform struct {
 	accounts []*Account
 	nextAdID AdID
@@ -295,6 +297,7 @@ func (p *Platform) AddBidsBatch(ad *Ad, bids []KeywordBid, at simclock.Stamp) {
 		ad.Bids = grown
 	}
 	acct := p.MustAccount(ad.Account)
+	ps := p.index.group(ad, true) // every bid of an ad shares its group
 	for i := range bids {
 		if bids[i].MaxBid <= 0 {
 			continue
@@ -304,7 +307,7 @@ func (p *Platform) AddBidsBatch(ad *Ad, bids []KeywordBid, at simclock.Stamp) {
 		b.Created = at
 		ad.Bids = append(ad.Bids, b)
 		acct.KeywordsCreated++
-		p.index.AddBid(ad, b)
+		p.index.addBid(ps, ad, b)
 	}
 }
 

@@ -80,6 +80,7 @@ type Snapshot struct {
 
 // Snapshot captures the platform's full state.
 func (p *Platform) Snapshot() *Snapshot {
+	p.index.flushed("Snapshot")
 	st := &Snapshot{
 		Accounts:    make([]Account, len(p.accounts)),
 		NextAdID:    p.nextAdID,

@@ -11,9 +11,11 @@ package sim
 //	detection — the nightly sweep, in account-ID order, plus actor
 //	            re-registration reactions
 //
-// Only serving fans out across SetWorkers goroutines (its freeze-then-merge
+// Serving fans out across SetWorkers goroutines (its freeze-then-merge
 // contract is in serve.go); the other three phases run on the simulation
-// goroutine. Every agent and every monitored account still draws from a
+// goroutine, and the agents phase's posting-list edits are staged and
+// applied per (vertical, country) group over the same count (flushIndex
+// below). Every agent and every monitored account still draws from a
 // private RNG stream and reads only its own account, so the canonical
 // orders above fix the shared bytes (index insertion, collector folds,
 // the event log) and nothing else. Every seeded byte (digests,
@@ -67,15 +69,18 @@ func (p Phase) String() string {
 // and bench/ do). QueryDraw and DrawWait split out the draw-ahead
 // inside the agents phase: QueryDraw is time spent on the draw goroutine
 // (concurrent with the agents' steps, so not part of any phase's
-// wall), DrawWait the part of Agents spent blocked on it.
+// wall), DrawWait the part of Agents spent blocked on it. IndexApply is
+// the part of Agents spent applying the phase's staged posting-list
+// edits: the closing Flush and every batch a full log applied before it.
 type PhaseTimes struct {
 	Arrivals  time.Duration
 	Agents    time.Duration
 	Serving   time.Duration
 	Detection time.Duration
 
-	QueryDraw time.Duration
-	DrawWait  time.Duration
+	QueryDraw  time.Duration
+	DrawWait   time.Duration
+	IndexApply time.Duration
 }
 
 // SetPhaseTimes attaches (or with nil detaches) a per-phase timing
@@ -255,10 +260,12 @@ func (s *Sim) takeDrawn() []queries.Query {
 // meanwhile (see queryDraw). The draw is for this day's serving phase,
 // which StepPhase runs next, so none is ever started for a day past the
 // horizon and the generator ends a run where its last serving phase
-// leaves it.
+// leaves it. The phase's posting-list edits are staged and applied
+// before it returns (see flushIndex).
 func (s *Sim) agentPhase(day simclock.Day) {
 	s.startDraw()
 	defer s.joinDraw()
+	s.p.Index().BeginStage(s.resolveWorkers())
 	liveOut := s.live[:0]
 	for _, a := range s.live {
 		acct := s.p.MustAccount(a.Account)
@@ -275,6 +282,21 @@ func (s *Sim) agentPhase(day simclock.Day) {
 	}
 	s.live = liveOut
 	s.runAgents(day)
+	s.flushIndex()
+}
+
+// flushIndex applies the agents phase's staged posting-list edits, each
+// (vertical, country) group's in call order on one goroutine, the groups
+// spread over the SetWorkers count (Index.BeginStage). Nothing reads a
+// posting list while agents step — the index guards that — and the
+// flush ends before the phase does, so no serving pass, checkpoint or
+// LiveSet ever sees staged state and every list holds the bytes direct
+// edits would have left.
+func (s *Sim) flushIndex() {
+	applying := s.p.Index().Flush()
+	if s.timing != nil {
+		s.timing.IndexApply += applying
+	}
 }
 
 // runAgents steps every live agent once, in live order: the order that

@@ -43,7 +43,8 @@ func BenchmarkStepDay(b *testing.B) {
 
 // TestPhaseTimesConsistency pins what readers of PhaseTimes rely on: the
 // four phases account for the day without exceeding it, and the
-// draw-ahead ran inside the agents phase at every worker count.
+// draw-ahead and the staged index flush ran inside the agents phase at
+// every worker count.
 func TestPhaseTimesConsistency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a small simulation")
@@ -68,6 +69,9 @@ func TestPhaseTimesConsistency(t *testing.T) {
 		}
 		if pt.QueryDraw <= 0 || pt.DrawWait > pt.Agents {
 			t.Fatalf("workers=%d: no draw-ahead, or one not inside the agents phase: %+v", workers, pt)
+		}
+		if pt.IndexApply <= 0 || pt.IndexApply > pt.Agents {
+			t.Fatalf("workers=%d: no index flush, or one not inside the agents phase: %+v", workers, pt)
 		}
 	}
 }

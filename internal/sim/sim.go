@@ -292,19 +292,22 @@ func (s *Sim) SetEvents(sink eventlog.Sink) {
 // simulated days; nil (the default) detaches it.
 func (s *Sim) SetProgress(fn func(string)) { s.progress = fn }
 
-// SetWorkers sets how many goroutines the serving phase fans out to —
-// its auction and click halves each split the day's queries into that
-// many contiguous blocks (DESIGN.md §7); 0 (the default) uses
-// runtime.GOMAXPROCS. It selects nothing else: the agents phase's query
-// draw-ahead and the checkpoint encode's two platform halves run on a
-// goroutine of their own at every count. Campaign management and the
-// detection sweep run on the simulation goroutine (DESIGN.md §8). Every
-// seeded outcome — dataset digests, billing, event-log and checkpoint
-// bytes, RNG stream positions — is byte-identical across all worker
-// counts (see the differential checks in record_test.go), so the count
-// is a pure throughput knob that a checkpoint does not store: a
-// constructed or restored Sim may take any, e.g. a resume on a
-// differently sized machine.
+// SetWorkers sets the day loop's fan-out; 0 (the default) uses
+// runtime.GOMAXPROCS. The serving phase's auction and click halves each
+// split the day's queries into that many contiguous blocks (DESIGN.md
+// §7), and the agents phase's staged posting-list edits are applied in
+// that many shares, each (vertical, country) group in one of them
+// (DESIGN.md §8 "Staged index edits"). It selects no code: one worker
+// runs each over a single block or share, and the query draw-ahead and
+// the checkpoint encode's two platform halves run on a goroutine of
+// their own at every count. The agents' decisions and the detection
+// sweep run on the simulation goroutine (DESIGN.md §8). Every seeded
+// outcome — dataset digests, billing, event-log and checkpoint bytes,
+// RNG stream positions — is byte-identical across all worker counts
+// (see the differential checks in record_test.go), so the count is a
+// pure throughput knob that a checkpoint does not store: a constructed
+// or restored Sim may take any, e.g. a resume on a differently sized
+// machine.
 func (s *Sim) SetWorkers(n int) {
 	s.workers = n
 	s.eng = nil // rebuilt with the new shard count on the next served day
@@ -433,9 +436,13 @@ func (s *Sim) seedInitialPopulation() {
 		at := simclock.Stamp(-s.arrRNG.Range(5, 360))
 		s.register(prof, at)
 	}
+	// One staging window for the whole warmup: the bounded log applies
+	// itself whenever it fills.
+	s.p.Index().BeginStage(s.resolveWorkers())
 	for day := simclock.Day(-40); day < 0; day++ {
 		s.runAgents(day)
 	}
+	s.p.Index().Flush()
 }
 
 // Run executes the simulation to the horizon and returns the result. On a
