@@ -390,7 +390,7 @@ func TestSupervisedLogByteIdenticalToFraudsim(t *testing.T) {
 		Spec: supervise.WorkerSpec{
 			Dir:             dir,
 			Shape:           sim.Shape{Scale: "small", Seed: 42, Days: 12, Queries: 200, Regs: 8},
-			CheckpointEvery: 4, Sync: "rotate",
+			CheckpointEvery: 4, Retain: sim.DefaultRetain, Sync: "rotate",
 		},
 		Spawn: &supervise.ExecSpawner{
 			Command:  os.Args[0],

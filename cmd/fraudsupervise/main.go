@@ -87,11 +87,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	// Sizes the supervisor would replace with a default or crash on are
 	// refused before anything is spawned.
+	if err := spec.Check(); err != nil {
+		return fmt.Errorf("fraudsupervise: %w", err)
+	}
 	switch {
-	case spec.CheckpointEvery < 0:
-		return fmt.Errorf("fraudsupervise: -checkpoint-every %d is negative", spec.CheckpointEvery)
-	case spec.Retain <= 0:
-		return fmt.Errorf("fraudsupervise: -checkpoint-retain %d is not positive", spec.Retain)
 	case *maxRestarts < 0:
 		return fmt.Errorf("fraudsupervise: -max-restarts %d is negative", *maxRestarts)
 	case *hbTimeout/10 <= 0:

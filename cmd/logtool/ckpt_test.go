@@ -99,3 +99,26 @@ func TestCkptRequiresFiles(t *testing.T) {
 		t.Fatal("ckpt on a missing file succeeded")
 	}
 }
+
+// TestCkptReportsUnreadableAndGoesOn: a missing path between two valid
+// files gets a line of its own and counts as bad, and the file after it
+// is still reported.
+func TestCkptReportsUnreadableAndGoesOn(t *testing.T) {
+	good, _ := writeCkpt(t)
+	missing := filepath.Join(t.TempDir(), "run.frsnap.7")
+	var out, errw strings.Builder
+	err := run([]string{"ckpt", good, missing, good}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "1 of 3 checkpoint files") {
+		t.Fatalf("ckpt over a missing middle path: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("want one line per path, got %d:\n%s", len(lines), out.String())
+	}
+	if !strings.HasPrefix(lines[1], missing+": UNREADABLE") {
+		t.Errorf("the missing path should be reported unreadable:\n%s", lines[1])
+	}
+	if !strings.HasPrefix(lines[2], good+": ok (version") {
+		t.Errorf("the file after the missing one should still be reported ok:\n%s", lines[2])
+	}
+}

@@ -22,8 +22,8 @@
 //	        rewrite the manifest (-dry-run reports without touching it)
 //	ckpt    inspect checkpoint files — a lineage like run.frsnap
 //	        run.frsnap.1 run.frsnap.2, or a quarantined
-//	        *.corrupt — printing version, day, phase cursor, log
-//	        position, and CRC state per file; exit 1 if any is invalid
+//	        *.corrupt — printing version, day, log position, and CRC
+//	        state per file; exit 1 if any is invalid or unreadable
 package main
 
 import (
@@ -361,8 +361,9 @@ func runRepair(args []string, stdout, stderr io.Writer) error {
 // runCkpt triages FRSNAP checkpoint files: the disaster-recovery
 // runbook's first move when a resume refuses a lineage is to see which
 // generations are intact without gob-decoding anything by hand. Every
-// file is reported even after one is found bad; any invalid file makes
-// the command exit nonzero.
+// path is reported on a line of its own, even after one is found bad or
+// cannot be read; any invalid or unreadable file makes the command exit
+// nonzero.
 func runCkpt(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("logtool ckpt", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -377,7 +378,9 @@ func runCkpt(args []string, stdout, stderr io.Writer) error {
 	for _, p := range paths {
 		info, err := sim.InspectCheckpoint(p)
 		if err != nil {
-			return fmt.Errorf("logtool: %w", err)
+			bad++
+			fmt.Fprintf(stdout, "%s: UNREADABLE: %v\n", p, err)
+			continue
 		}
 		if !info.Valid {
 			bad++
@@ -388,12 +391,12 @@ func runCkpt(args []string, stdout, stderr io.Writer) error {
 			}
 			continue
 		}
-		fmt.Fprintf(stdout, "%s: ok (version %d, %d bytes)  day %d/%d  phase %s  log segment %d, %d events  seed %d\n",
-			p, info.Version, info.Bytes, info.Day, info.Days, info.Phase,
+		fmt.Fprintf(stdout, "%s: ok (version %d, %d bytes)  day %d/%d  log segment %d, %d events  seed %d\n",
+			p, info.Version, info.Bytes, info.Day, info.Days,
 			info.Log.NextSegment, info.Log.Events, info.Seed)
 	}
 	if bad > 0 {
-		return fmt.Errorf("logtool: %d of %d checkpoint files invalid", bad, len(paths))
+		return fmt.Errorf("logtool: %d of %d checkpoint files invalid or unreadable", bad, len(paths))
 	}
 	return nil
 }

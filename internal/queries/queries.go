@@ -9,7 +9,6 @@ package queries
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/adcopy"
 	"repro/internal/market"
@@ -82,21 +81,15 @@ type GeneratorState struct {
 
 // State captures the generator's RNG stream positions.
 func (g *Generator) State() GeneratorState {
-	var st GeneratorState
-	g.StateInto(&st)
-	return st
-}
-
-// StateInto is State written over st, reusing its Zipfs storage: a caller
-// that records the state every simulated day allocates only the first
-// time.
-func (g *Generator) StateInto(st *GeneratorState) {
-	st.RNG = g.rng.State()
-	st.Countries = g.countries.RNG().State()
-	st.Zipfs = slices.Grow(st.Zipfs[:0], len(g.zipfs))
-	for _, z := range g.zipfs {
-		st.Zipfs = append(st.Zipfs, z.RNG().State())
+	st := GeneratorState{
+		RNG:       g.rng.State(),
+		Countries: g.countries.RNG().State(),
+		Zipfs:     make([]stats.RNGState, len(g.zipfs)),
 	}
+	for i, z := range g.zipfs {
+		st.Zipfs[i] = z.RNG().State()
+	}
+	return st
 }
 
 // SetState restores stream positions captured by State onto a generator

@@ -141,6 +141,9 @@ func encodeCheckpoint(b *checkpointBufs, c *Checkpoint) ([]byte, error) {
 	if c == nil || c.State == nil || c.State.Platform == nil {
 		return nil, fmt.Errorf("sim: nil checkpoint")
 	}
+	if err := dayBoundary(c.State.Phase); err != nil {
+		return nil, err
+	}
 	if err := b.begin(c); err != nil {
 		return nil, fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
@@ -150,9 +153,12 @@ func encodeCheckpoint(b *checkpointBufs, c *Checkpoint) ([]byte, error) {
 
 // encodeCheckpoint renders the sim's checkpoint at pos as its on-disk
 // frame, the platform columns written from the live platform: the index
-// half on a goroutine beside the gob and the tables half. The frame
-// aliases s.ckpt.
+// half on a goroutine beside the gob and the tables half. It refuses a
+// Sim that is not at a day boundary. The frame aliases s.ckpt.
 func (s *Sim) encodeCheckpoint(pos LogPosition) ([]byte, error) {
+	if err := dayBoundary(s.phase); err != nil {
+		return nil, err
+	}
 	b := &s.ckpt
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -255,7 +261,7 @@ func DecodeCheckpoint(data []byte) (c *Checkpoint, err error) {
 }
 
 // WriteCheckpointFile writes the sim's checkpoint with the given log
-// position in one call.
+// position in one call; between days only, like every save.
 func (s *Sim) WriteCheckpointFile(path string, pos LogPosition) error {
 	frame, err := s.encodeCheckpoint(pos)
 	if err != nil {
@@ -278,11 +284,10 @@ type CheckpointInfo struct {
 	Valid bool
 	Err   string
 
-	Day   int
-	Phase string
-	Log   LogPosition
-	Seed  uint64
-	Days  int
+	Day  int
+	Log  LogPosition
+	Seed uint64
+	Days int
 }
 
 // InspectCheckpoint reads a checkpoint file for triage: it never
@@ -306,7 +311,6 @@ func InspectCheckpoint(path string) (*CheckpointInfo, error) {
 	}
 	info.Valid = true
 	info.Day = int(c.State.Day)
-	info.Phase = c.State.Phase.String()
 	info.Log = c.Log
 	info.Seed = c.State.Config.Seed
 	info.Days = int(c.State.Config.Days)

@@ -157,3 +157,60 @@ func TestCheckpointRefusesOlderVersions(t *testing.T) {
 		}
 	}
 }
+
+// atDrawAhead steps a small sim to day 1's agents→serving boundary,
+// where the day's queries are drawn and not yet served.
+func atDrawAhead(t *testing.T) *sim.Sim {
+	t.Helper()
+	s := sim.New(sweepConfig(17))
+	s.Step()
+	for s.Phase() != sim.PhaseServing {
+		s.StepPhase()
+	}
+	return s
+}
+
+// TestRestoreRefusesMidDayState: a checkpoint is restored only between
+// days, so a State whose phase cursor stands anywhere else is an error
+// from Restore, and the reference writer refuses to write it.
+func TestRestoreRefusesMidDayState(t *testing.T) {
+	s := sim.New(sweepConfig(17))
+	s.Step()
+	st := s.Snapshot()
+	st.Phase = sim.PhaseServing
+	if _, err := sim.Restore(st); err == nil {
+		t.Fatal("Restore accepted a state before the serving phase")
+	}
+	path := filepath.Join(t.TempDir(), "ck.frsnap")
+	if err := sim.WriteCheckpoint(path, &sim.Checkpoint{State: st}); err == nil {
+		t.Fatal("WriteCheckpoint wrote a state before the serving phase")
+	}
+}
+
+// TestSaveRefusedMidDay: between the agents and serving phases a save
+// returns an error and leaves no file behind.
+func TestSaveRefusedMidDay(t *testing.T) {
+	s := atDrawAhead(t)
+	if _, err := sim.LiveFrame(s); err == nil {
+		t.Fatal("a save between the agents and serving phases encoded a frame")
+	}
+	path := filepath.Join(t.TempDir(), "ck.frsnap")
+	if err := s.WriteCheckpointFile(path, sim.LogPosition{}); err == nil {
+		t.Fatal("WriteCheckpointFile succeeded between the agents and serving phases")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a refused save left %s behind (%v)", path, err)
+	}
+}
+
+// TestSnapshotPanicsMidDay: the Snapshot oracle has no error to return,
+// so off a day boundary it panics.
+func TestSnapshotPanicsMidDay(t *testing.T) {
+	s := atDrawAhead(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Snapshot between the agents and serving phases did not panic")
+		}
+	}()
+	s.Snapshot()
+}

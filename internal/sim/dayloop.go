@@ -22,9 +22,9 @@ package sim
 // checkpoints, event logs) is identical at any worker count, proven
 // against the recorded one-worker runs in record_test.go.
 //
-// StepPhase exposes the phase boundaries to callers: checkpoints may be
-// taken between any two phases, not just between days, and resumed at a
-// different worker count.
+// StepPhase exposes the phase boundaries to callers, which may change the
+// worker count at any of them. A checkpoint is taken and resumed only at
+// a day boundary, before arrivals (dayBoundary in snapshot.go).
 //
 // The agents phase also draws the day's query stream ahead of serving, on
 // one goroutine of its own (queryDraw below), at every worker count.
@@ -94,8 +94,8 @@ func (s *Sim) Phase() Phase { return s.phase }
 // StepPhase advances the simulation by one phase of the current day. The
 // first call on a fresh Sim seeds the initial population. It returns
 // false — without running anything — once the horizon is reached.
-// Snapshot may be called between any two StepPhase calls, so a
-// checkpoint can be taken mid-day at a phase boundary.
+// SetWorkers may be called between any two StepPhase calls; a
+// checkpoint only between days, when Phase is PhaseArrivals.
 func (s *Sim) StepPhase() bool {
 	if s.day >= s.cfg.Days {
 		return false
@@ -181,23 +181,20 @@ func (s *Sim) arrivalsPhase(day simclock.Day) {
 // (Runtime.Step through Runtime.universe), so agentPhase draws the day's
 // QueriesPerDay queries on a goroutine of its own while the agents step,
 // and joins it before returning: no goroutine outlives a StepPhase call.
-// Serving then takes the drawn queries instead of drawing them. Between
-// the two phases the generator is a day ahead of the day cursor, so
-// Snapshot writes pre, the state recorded before the draw: a restore at
-// that boundary redraws the same queries in its serving phase, and every
-// seeded byte stays identical however a run is stopped and resumed.
+// Serving then serves the drawn queries. Between the two phases the
+// generator is a day ahead of the day cursor, which no checkpoint sees: a
+// Sim is saved and restored only between days (dayBoundary in
+// snapshot.go), where no draw is outstanding.
 type queryDraw struct {
-	qs      []queries.Query        // the day's queries; reused every day
-	pre     queries.GeneratorState // generator state before the draw
-	pending bool                   // qs is drawn and not yet served
-	took    time.Duration          // wall time of the last draw
+	qs   []queries.Query // the day's queries; reused every day
+	took time.Duration   // wall time of the last draw
 
 	wg  sync.WaitGroup
 	run func() // the goroutine's body, built once so a day allocates nothing
 }
 
 // drawQueries draws the day's query stream into the buffer the Sim keeps.
-func (s *Sim) drawQueries() []queries.Query {
+func (s *Sim) drawQueries() {
 	d := &s.draw
 	n := s.cfg.QueriesPerDay
 	if cap(d.qs) < n {
@@ -207,11 +204,10 @@ func (s *Sim) drawQueries() []queries.Query {
 	for i := range d.qs {
 		d.qs[i] = s.qgen.Next()
 	}
-	return d.qs
 }
 
-// startDraw records the generator's state and starts the draw goroutine;
-// joinDraw must follow before the phase returns.
+// startDraw starts the draw goroutine; joinDraw must follow before the
+// phase returns.
 func (s *Sim) startDraw() {
 	d := &s.draw
 	if d.run == nil {
@@ -222,12 +218,11 @@ func (s *Sim) startDraw() {
 			d.took = time.Since(t0)
 		}
 	}
-	s.qgen.StateInto(&d.pre)
 	d.wg.Add(1)
 	go d.run()
 }
 
-// joinDraw waits for the draw goroutine and marks the queries pending.
+// joinDraw waits for the draw goroutine.
 func (s *Sim) joinDraw() {
 	d := &s.draw
 	var t0 time.Time
@@ -235,22 +230,10 @@ func (s *Sim) joinDraw() {
 		t0 = time.Now()
 	}
 	d.wg.Wait()
-	d.pending = true
 	if s.timing != nil {
 		s.timing.DrawWait += time.Since(t0)
 		s.timing.QueryDraw += d.took
 	}
-}
-
-// takeDrawn hands serving the queries the draw-ahead left pending, or nil
-// on a Sim restored at the serving boundary, whose snapshot holds no
-// drawn queries.
-func (s *Sim) takeDrawn() []queries.Query {
-	if !s.draw.pending {
-		return nil
-	}
-	s.draw.pending = false
-	return s.draw.qs
 }
 
 // agentPhase runs one day of campaign management: it compacts dead agents

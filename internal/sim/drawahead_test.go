@@ -1,8 +1,9 @@
 package sim
 
-// White-box pins for the two serving-side mechanisms of DESIGN.md §12
-// "Serving at more than one worker": the agents-phase draw-ahead costs no
-// allocation per day, and the packed page key cannot collide.
+// White-box pins for two serving-side mechanisms: the agents-phase
+// draw-ahead (DESIGN.md §8 "Draw-ahead") costs no allocation per day,
+// and the packed page key (DESIGN.md §7 "Eligibility/page cache") cannot
+// collide.
 
 import (
 	"testing"
@@ -13,20 +14,19 @@ import (
 	"repro/internal/verticals"
 )
 
-// TestDrawAheadAllocFree pins a day's draw-ahead — state record, goroutine
-// start, the draw, the join, and serving taking the queries — at zero
-// allocations once the query buffer and the state's storage exist.
+// TestDrawAheadAllocFree pins a day's draw-ahead — goroutine start, the
+// draw, the join — at zero allocations once the query buffer exists.
 func TestDrawAheadAllocFree(t *testing.T) {
 	cfg := SmallConfig()
 	s := New(cfg)
 	day := func() {
 		s.startDraw()
 		s.joinDraw()
-		if qs := s.takeDrawn(); len(qs) != cfg.QueriesPerDay {
-			t.Fatalf("took %d queries, want %d", len(qs), cfg.QueriesPerDay)
+		if len(s.draw.qs) != cfg.QueriesPerDay {
+			t.Fatalf("drew %d queries, want %d", len(s.draw.qs), cfg.QueriesPerDay)
 		}
 	}
-	day() // the buffers' first and only allocation
+	day() // the buffer's first and only allocation
 	if avg := testing.AllocsPerRun(50, day); avg != 0 {
 		t.Fatalf("draw-ahead allocates %.1f times per day, want 0", avg)
 	}

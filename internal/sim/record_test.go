@@ -2,10 +2,12 @@
 // run's bytes equal the one-worker reference run's, so each (seed,
 // shape) world's reference is simulated once per test binary and
 // recorded: the canonical digest, the hash of each phase's events, the
-// hash of gob(Snapshot) and of the reference FRSNAP frame at every
+// hash of gob(Snapshot) and of the reference FRSNAP frame at every day
 // boundary of the every-boundary worlds, and whole frames at the restore
 // points. A variant run fails at the first phase whose events, or the
-// first boundary whose state, differs from the recording, and names it.
+// first day boundary whose state, differs from the recording, and names
+// it. A checkpoint is taken only between days, so those are the only
+// boundaries with a state to compare.
 //
 // To add a world, add it to the table below. Every recorded world is
 // then held to the companion laws (TestGoldenCompanionInvariants) and to
@@ -73,13 +75,16 @@ func at(day int, p sim.Phase) int { return 4*day + int(p) }
 // phaseName names the k-th phase a run steps, from 0.
 func phaseName(k int) string { return fmt.Sprintf("day %d %s", k/4, sim.Phase(k%4)) }
 
-// The restore points. y1q2Day is a day boundary inside Y1Q2, with the
-// window lanes mid-accumulation; y1q2Serving is the same day's
+// betweenDays reports whether boundary k is a day boundary, the only kind
+// a checkpoint is taken at.
+func betweenDays(k int) bool { return k%4 == int(sim.PhaseArrivals) }
+
+// y1q2Day, the restore point, is a day boundary inside Y1Q2, with the
+// window lanes mid-accumulation. sweepDrawAhead is a sweep world's
 // agents→serving boundary, where a run holds the day's queries drawn
-// ahead, and so is sweepDrawAhead in the sweep worlds.
+// ahead and not yet served.
 var (
 	y1q2Day        = at(100, sim.PhaseArrivals)
-	y1q2Serving    = at(100, sim.PhaseServing)
 	sweepDrawAhead = at(5, sim.PhaseServing)
 )
 
@@ -87,8 +92,8 @@ var (
 type world struct {
 	name   string
 	cfg    sim.Config // the shape; each run sets its worker count
-	every  bool       // hash the snapshot and the reference frame at every boundary
-	keep   []int      // boundaries whose reference frames are kept whole
+	every  bool       // hash the snapshot and the reference frame at every day boundary
+	keep   []int      // day boundaries whose reference frames are kept whole
 	result bool       // keep the Result, for tests that read more than its digest
 
 	once sync.Once
@@ -107,12 +112,12 @@ var (
 func init() {
 	for _, seed := range []uint64{7, 11, 23, 31} {
 		matrixWorlds[seed] = &world{name: fmt.Sprintf("seed=%d", seed), cfg: matrixConfig(seed),
-			keep: []int{y1q2Day, y1q2Serving}}
+			keep: []int{y1q2Day}}
 		allWorlds = append(allWorlds, matrixWorlds[seed])
 	}
 	for _, seed := range []uint64{17, 29, 43} {
 		sweepWorlds[seed] = &world{name: fmt.Sprintf("seed=%d", seed), cfg: sweepConfig(seed),
-			every: true, keep: []int{sweepDrawAhead}}
+			every: true}
 		allWorlds = append(allWorlds, sweepWorlds[seed])
 	}
 }
@@ -145,9 +150,9 @@ type phase struct {
 	log    [sha256.Size]byte
 }
 
-// bound is the state at one boundary, hashed at every boundary of an
-// every-boundary world and at the keep boundaries of any world (frame
-// only).
+// bound is the state at one boundary, hashed at every day boundary of
+// an every-boundary world and at the keep boundaries of any world (frame
+// only); zero elsewhere.
 type bound struct {
 	snap  [sha256.Size]byte // gob(Snapshot)
 	frame [sha256.Size]byte // sim.ReferenceFrame
@@ -179,7 +184,8 @@ func (w *world) run() (*recording, error) {
 		rec.phases = append(rec.phases, phase{n, sum})
 		k := len(rec.phases)
 		var b bound
-		if w.every || slices.Contains(w.keep, k) {
+		every := w.every && betweenDays(k)
+		if every || slices.Contains(w.keep, k) {
 			frame, err := sim.ReferenceFrame(s)
 			if err != nil {
 				return nil, err
@@ -189,7 +195,7 @@ func (w *world) run() (*recording, error) {
 				rec.frames[k] = frame
 			}
 		}
-		if w.every {
+		if every {
 			snap, err := snapshotGob(s)
 			if err != nil {
 				return nil, err
@@ -461,20 +467,16 @@ func TestParallelCheckpointResume(t *testing.T) {
 	checkRestore(t, worlds(matrixWorlds, 7, 11, 23, 31), y1q2Day, 5)
 }
 
-// TestPhaseBoundaryCheckpointResume restores each matrix world between
-// the agents and serving phases of day 100 — a boundary only StepPhase
-// exposes — and finishes it at six workers on the recording. Its
-// every-boundary subtests hold the snapshot bytes of sweep-world runs
-// at two, four and seven workers to the recording's after every single
-// phase, the horizon included: the agents→serving boundaries are the
-// ones the draw-ahead could break (the generator is a day ahead there
-// and Snapshot must say it is not).
+// TestPhaseBoundaryCheckpointResume holds the snapshot bytes of
+// sweep-world runs at two, four and seven workers to the recording's at
+// every day boundary, the horizon included, after a day whose serving
+// phase took the queries the agents phase drew ahead: Snapshot must see
+// the generator where the recording's did.
 func TestPhaseBoundaryCheckpointResume(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs several partial simulations")
 	}
-	checkRestore(t, worlds(matrixWorlds, 7, 11, 23, 31), y1q2Serving, 6)
 	for _, w := range worlds(sweepWorlds, 17, 29, 43) {
 		for _, n := range []int{2, 4, 7} {
 			t.Run(fmt.Sprintf("every-boundary/%s/workers=%d", w.name, n), func(t *testing.T) {
@@ -482,6 +484,9 @@ func TestPhaseBoundaryCheckpointResume(t *testing.T) {
 				rec := w.record(t)
 				s := rec.start(n)
 				follow(t, rec, s, 0, func(k int) {
+					if !betweenDays(k) {
+						return
+					}
 					snap, err := snapshotGob(s)
 					if err != nil {
 						t.Fatal(err)
@@ -497,9 +502,8 @@ func TestPhaseBoundaryCheckpointResume(t *testing.T) {
 
 // TestLiveCheckpointMatchesReference holds the frame a save writes — the
 // platform written straight from the live tables, its two halves on two
-// goroutines — to the recorded reference frame at every boundary of a
-// two-worker sweep run, the agents→serving ones with a draw-ahead
-// pending.
+// goroutines — to the recorded reference frame at every day boundary of
+// a two-worker sweep run.
 func TestLiveCheckpointMatchesReference(t *testing.T) {
 	t.Parallel()
 	for _, w := range worlds(sweepWorlds, 17, 29, 43) {
@@ -507,18 +511,20 @@ func TestLiveCheckpointMatchesReference(t *testing.T) {
 			t.Parallel()
 			rec := w.record(t)
 			s := rec.start(2)
-			follow(t, rec, s, 0, func(k int) { checkLiveFrame(t, rec, s, k) })
+			follow(t, rec, s, 0, func(k int) {
+				if betweenDays(k) {
+					checkLiveFrame(t, rec, s, k)
+				}
+			})
 		})
 	}
 }
 
 // TestDrawAheadBoundary stops three-worker sweep runs between the agents
 // and serving phases of day 5, where the day's queries are drawn but not
-// served, and takes each way out of that boundary: serving on a rebuilt
-// engine of one worker or of four (SetWorkers changes only the fan-out,
-// so both serve the queries already drawn), and a Sim restored from the
-// frame there, which holds no drawn queries and must redraw the same
-// ones.
+// served, and serves them on a rebuilt engine of one worker or of four:
+// SetWorkers changes only the fan-out, so both serve the queries already
+// drawn.
 func TestDrawAheadBoundary(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -538,13 +544,6 @@ func TestDrawAheadBoundary(t *testing.T) {
 			}
 		})
 	}
-	t.Run("restore", func(t *testing.T) {
-		t.Parallel()
-		for _, w := range worlds(sweepWorlds, 17, 29, 43) {
-			rec := w.record(t)
-			follow(t, rec, rec.restore(t, sweepDrawAhead, 3), sweepDrawAhead, nil)
-		}
-	})
 }
 
 // checkRun runs rec's world through Sim.Run, the whole-run entry point

@@ -13,8 +13,7 @@ package sim
 // global query order. Concretely a day's serving runs five sub-phases:
 //
 //	A. take the day's queries as the agents phase drew them ahead
-//	   (queryDraw in dayloop.go), or, on a Sim restored at this phase's
-//	   boundary, draw them now — one sequential RNG stream either way;
+//	   (queryDraw in dayloop.go), one sequential RNG stream;
 //	B. shard the query indices into contiguous blocks, one per worker;
 //	   each worker builds its block's pages (clicks.PageBuilder:
 //	   eligibility, auction, click probabilities) against the frozen
@@ -172,15 +171,14 @@ type shard struct {
 }
 
 // serveEngine owns the worker shards, the page builder they share and
-// the per-day substream tables; queries is the day's stream, which the
-// Sim owns (queryDraw).
+// the per-day substream tables. The day's queries are the Sim's
+// (s.draw.qs, see queryDraw).
 type serveEngine struct {
 	shards []*shard
 	pages  clicks.PageBuilder
 
-	queries []queries.Query
-	draws   []int32
-	states  []stats.RNGState
+	draws  []int32
+	states []stats.RNGState
 }
 
 func newServeEngine(workers int) *serveEngine {
@@ -271,10 +269,7 @@ func (s *Sim) serveQueries(day simclock.Day) {
 	n := s.cfg.QueriesPerDay
 
 	// Phase A: the query stream is one sequential RNG, drawn up front by
-	// the agents phase — here only on a Sim restored at this boundary.
-	if e.queries = s.takeDrawn(); e.queries == nil {
-		e.queries = s.drawQueries()
-	}
+	// the agents phase into s.draw.qs.
 	if cap(e.draws) < n {
 		e.draws = make([]int32, n)
 	}
@@ -333,7 +328,7 @@ func (s *Sim) shardAuctions(k, lo, hi, nWin int, epoch uint64, live []bool) {
 	sh.events = sh.events[:0]
 	sh.pages = sh.pages[:0]
 	for gi := lo; gi < hi; gi++ {
-		pg := sh.page(s, &e.queries[gi], live)
+		pg := sh.page(s, &s.draw.qs[gi], live)
 		sp := servePage{pg: pg}
 		if len(pg.Placements) > 0 {
 			sh.acc.Auctions++
@@ -362,7 +357,7 @@ func (s *Sim) shardClicks(day simclock.Day, k, lo, hi int) {
 		if len(pg.Placements) == 0 {
 			continue
 		}
-		q := &e.queries[gi]
+		q := &s.draw.qs[gi]
 		rng.SetState(e.states[gi])
 		country := string(q.Country)
 		// Every eligible ad sits in the query's own (vertical, country)

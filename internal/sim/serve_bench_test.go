@@ -5,8 +5,8 @@ package sim
 // world, per worker count. Each iteration advances the index epoch first, so
 // every measured day pays the realistic cold-cache start a live day pays
 // (agent campaign edits invalidate the page cache daily). serveQueries is
-// called with no agents phase before it, so it draws the day's queries
-// itself at every worker count.
+// called with no agents phase before it, so each iteration draws the
+// day's queries first, on the benchmark goroutine.
 
 import (
 	"bytes"
@@ -85,6 +85,7 @@ func BenchmarkServeDay(b *testing.B) {
 				// A live day starts cache-cold: rewriting a bid at its own
 				// amount advances the index epoch and changes nothing else.
 				s.p.Index().UpdateBid(ad, bid, bid.MaxBid)
+				s.drawQueries()
 				s.serveQueries(day)
 			}
 			b.StopTimer()

@@ -201,7 +201,8 @@ type Sim struct {
 
 	// day is the next day to simulate, phase the next phase of that day,
 	// and seeded records whether the initial population warmup has run.
-	// Together they are the resume cursor.
+	// day and seeded are the resume cursor: a checkpoint is taken only
+	// when phase is PhaseArrivals.
 	day     simclock.Day
 	phase   Phase
 	seeded  bool
@@ -331,13 +332,12 @@ func (s *Sim) Collector() *dataset.Collector { return s.col }
 // from. Its keyword universes are immutable and safe to read at any time
 // (the adserver and the load harness resolve keywords through them). Its
 // stream positions — State, or anything Next would return — are meaningful
-// only between days: the agents phase draws the day's queries ahead of
-// serving, so at the agents→serving boundary the generator is a day ahead
-// of the day cursor (Snapshot corrects for that; this accessor does not).
-// No draw is started for a day StepPhase will not serve, so after the last
-// day the generator stands where the last serving phase left it. Drawing
-// from it mid-run perturbs the trajectory like any other use of a seeded
-// stream.
+// only between days, the only place a checkpoint is taken: the agents
+// phase draws the day's queries ahead of serving, so from then until
+// serving the generator is a day ahead of the day cursor. No draw is
+// started for a day StepPhase will not serve, so after the last day the
+// generator stands where the last serving phase left it. Drawing from it
+// mid-run perturbs the trajectory like any other use of a seeded stream.
 func (s *Sim) Queries() *queries.Generator { return s.qgen }
 
 // fraudShare returns the fraudulent fraction of arrivals on a day.
@@ -459,8 +459,8 @@ func (s *Sim) Run() *Result {
 func (s *Sim) Day() simclock.Day { return s.day }
 
 // Step advances the simulation to the next day boundary: the remaining
-// phases of the current day (all four, starting from a fresh Sim or a
-// day-boundary checkpoint). The first call on a fresh Sim also seeds the
+// phases of the current day (all four, starting from a fresh Sim, a
+// restored one or a Step). The first call on a fresh Sim also seeds the
 // initial population. It returns false — without running anything — once
 // the horizon is reached, so `for s.Step() {}` drives a run to
 // completion.

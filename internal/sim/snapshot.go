@@ -1,7 +1,7 @@
 package sim
 
 // Checkpoint support: State is the complete serializable state of a
-// running simulation at a phase boundary. The restore strategy is
+// running simulation at a day boundary. The restore strategy is
 // "reconstruct, then overwrite": Restore builds the object graph exactly
 // the way New does (same construction order, same named RNG forks, same
 // immutable tables — keyword universes, market weights, Zipf parameters),
@@ -58,9 +58,9 @@ type PendingRereg struct {
 	Profiles []agents.Profile
 }
 
-// State is the full serializable state of a Sim at a phase boundary
-// (between two StepPhase calls; a day boundary is the common case, where
-// Phase is PhaseArrivals).
+// State is the full serializable state of a Sim at a day boundary. Phase
+// is always PhaseArrivals (Restore refuses any other); it stays a field
+// because dropping it would change the gob, and so every FRSNAP byte.
 type State struct {
 	Config Config
 	Day    simclock.Day
@@ -86,10 +86,13 @@ type State struct {
 }
 
 // Snapshot captures the simulation's full state. It must be called at a
-// phase boundary (between StepPhase calls — day boundaries included,
-// never mid-phase) and the returned State shares memory with the live
-// sim: encode it before stepping further.
+// day boundary (Phase is PhaseArrivals) and panics elsewhere; the
+// returned State shares memory with the live sim: encode it before
+// stepping further.
 func (s *Sim) Snapshot() *State {
+	if err := dayBoundary(s.phase); err != nil {
+		panic(err)
+	}
 	st := new(State)
 	s.stateInto(st)
 	st.Platform = s.p.Snapshot()
@@ -123,7 +126,7 @@ func (s *Sim) stateInto(st *State) {
 		ClickRNG:      s.clickRNG.State(),
 		Collector:     collector,
 		Pipeline:      pipeline,
-		Queries:       s.queriesState(),
+		Queries:       s.qgen.State(),
 		Factory:       s.factory.State(),
 		Runtime:       s.runtime.State(),
 		Live:          live,
@@ -140,21 +143,19 @@ func (s *Sim) stateInto(st *State) {
 	slices.SortFunc(st.PendingReregs, func(a, b PendingRereg) int { return cmp.Compare(a.Day, b.Day) })
 }
 
-// queriesState is the query generator's state as a checkpoint records
-// it: the day's draw belongs to the serving phase, so while a draw-ahead
-// is pending (agents done, serving not yet run) that is the state
-// recorded before the draw, not the generator's own, which is a day
-// further on.
-func (s *Sim) queriesState() queries.GeneratorState {
-	if !s.draw.pending {
-		return s.qgen.State()
+// dayBoundary refuses a checkpoint anywhere but between days: a Sim is
+// saved (Snapshot, encodeCheckpoint) and restored (Restore) only before
+// a day's arrivals phase, where no query draw is ahead of the day cursor
+// (queryDraw in dayloop.go).
+func dayBoundary(p Phase) error {
+	if p != PhaseArrivals {
+		return fmt.Errorf("sim: a checkpoint is taken only between days, not before the %s phase", p)
 	}
-	st := s.draw.pre
-	st.Zipfs = slices.Clone(st.Zipfs)
-	return st
+	return nil
 }
 
-// Restore rebuilds a Sim from a snapshot. Every cross-reference is
+// Restore rebuilds a Sim from a snapshot taken between days; a State
+// whose Phase is not PhaseArrivals is an error. Every cross-reference is
 // validated so hostile snapshot bytes yield an error, never a panic.
 // The event sink is not restored, and the worker count and progress
 // callback are not stored; set them with SetEvents, SetWorkers and
@@ -170,8 +171,8 @@ func Restore(st *State) (*Sim, error) {
 	if st.Day < 0 || st.Day > cfg.Days {
 		return nil, fmt.Errorf("sim: snapshot day %d outside horizon %d", st.Day, cfg.Days)
 	}
-	if st.Phase > PhaseDetection {
-		return nil, fmt.Errorf("sim: snapshot phase %d invalid", st.Phase)
+	if err := dayBoundary(st.Phase); err != nil {
+		return nil, err
 	}
 	p, err := platform.FromSnapshot(st.Platform)
 	if err != nil {
@@ -210,7 +211,6 @@ func Restore(st *State) (*Sim, error) {
 
 	s.res.Counters = st.Counters
 	s.day = st.Day
-	s.phase = st.Phase
 	s.seeded = st.Seeded
 	return s, nil
 }

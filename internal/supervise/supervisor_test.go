@@ -26,6 +26,7 @@ func testSpec(dir string, seed uint64) WorkerSpec {
 		Dir:             dir,
 		Shape:           sim.Shape{Scale: "small", Seed: seed, Days: 12, Queries: 200, Regs: 8, Legit: 100},
 		CheckpointEvery: 4,
+		Retain:          sim.DefaultRetain,
 		Sync:            "none",
 	}
 }
@@ -598,4 +599,26 @@ func TestRunJoinsOutputReader(t *testing.T) {
 		t.Fatalf("want a fatal error, got %v", err)
 	}
 	time.Sleep(50 * time.Millisecond) // room for a reader Run did not join to narrate
+}
+
+// TestParseWorkerArgsChecksSizes: a worker refuses the checkpoint sizes
+// fraudsupervise refuses, so a spec reaching it by another way cannot
+// mean a default it did not say; a valid spec round-trips through Args.
+func TestParseWorkerArgsChecksSizes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-checkpoint-retain", "0"}, {"-checkpoint-retain", "-1"}, {"-checkpoint-every", "-1"},
+	} {
+		_, err := ParseWorkerArgs(append([]string{"-dir", t.TempDir()}, args...))
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%q: %v, want a refusal naming %s", args, err, args[0])
+		}
+	}
+	want := testSpec(t.TempDir(), 3)
+	got, err := ParseWorkerArgs(want.Args())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Retain != want.Retain || got.CheckpointEvery != want.CheckpointEvery || got.Dir != want.Dir {
+		t.Errorf("round trip: %+v, want %+v", got, want)
+	}
 }

@@ -45,10 +45,12 @@ type WorkerSpec struct {
 	// run's workers are spawned).
 	Shape sim.Shape
 
+	// CheckpointEvery is the checkpoint interval in simulated days; 0
+	// means no checkpoints, and a dead worker starts over.
 	CheckpointEvery int
 	// Retain is the checkpoint-lineage depth (last K checkpoints kept;
-	// <= 0 means sim.DefaultRetain). It does not affect the trajectory,
-	// only how much corruption a restart survives.
+	// at least 1, see Check). It does not affect the trajectory, only how
+	// much corruption a restart survives.
 	Retain int
 	Sync   string // event log fsync policy: none, rotate, interval
 
@@ -109,6 +111,20 @@ func (sp WorkerSpec) Args() []string {
 	return args
 }
 
+// Check refuses checkpoint sizes the worker would replace with a default
+// or could not honour: a negative interval, and a lineage depth below
+// one. fraudsupervise checks its flags with it before spawning anything,
+// and ParseWorkerArgs checks every worker's.
+func (sp WorkerSpec) Check() error {
+	switch {
+	case sp.CheckpointEvery < 0:
+		return fmt.Errorf("-checkpoint-every %d is negative", sp.CheckpointEvery)
+	case sp.Retain <= 0:
+		return fmt.Errorf("-checkpoint-retain %d is not positive", sp.Retain)
+	}
+	return nil
+}
+
 // ParseWorkerArgs parses a worker flag list back into a spec.
 func ParseWorkerArgs(args []string) (WorkerSpec, error) {
 	sp := DefaultSpec()
@@ -121,6 +137,9 @@ func ParseWorkerArgs(args []string) (WorkerSpec, error) {
 	}
 	if sp.Dir == "" {
 		return sp, errors.New("supervise: worker needs -dir")
+	}
+	if err := sp.Check(); err != nil {
+		return sp, fmt.Errorf("supervise: worker flags: %w", err)
 	}
 	return sp, nil
 }
