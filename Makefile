@@ -51,12 +51,13 @@ oneproc:
 chaos:
 	$(GO) test -race -run 'Chaos' ./internal/adserver ./internal/faultinject ./internal/router ./internal/sim
 
-# crash runs the crash-safety suite: seeded kill-point sweeps proving
-# recover + resume lands on the exact trajectory of an uninterrupted run
-# (digest-identical results and replayed event logs), plus a real
-# SIGKILL-a-subprocess harness over the fraudsim CLI.
+# crash runs the crash-safety suite under the race detector: seeded
+# kill-point sweeps proving recover + resume lands on the exact
+# trajectory of an uninterrupted run (digest-identical results and
+# replayed event logs), plus a real SIGKILL-a-subprocess harness over
+# the fraudsim CLI.
 crash:
-	$(GO) test -run 'TestCrash' ./internal/sim ./cmd/fraudsim
+	$(GO) test -race -run 'TestCrash' ./internal/sim ./cmd/fraudsim
 
 # crash-supervise runs the supervised-run suite under -race: the seeds
 # x failure-modes equivalence matrix on in-process workers, a harness

@@ -72,17 +72,6 @@ type postings struct {
 type Index struct {
 	byVC map[vcKey]*postings
 
-	// epoch counts mutations that can change what a lookup returns:
-	// posting-list edits (AddBid/RemoveAd) and in-place bid-amount
-	// changes (UpdateBid, which Platform.ModifyBid calls ahead of its
-	// write through the held pointer). Serving-side caches key their
-	// validity on it — see internal/sim's per-day eligibility cache.
-	// Account-liveness and fraud-flag flips are intentionally NOT counted:
-	// every liveness transition of an account with indexed bids removes
-	// those bids (Shutdown/Close/RetireAd pause the ads), and fraud flags
-	// are never part of a lookup result.
-	epoch uint64
-
 	// The staging window, BeginStage to Flush: edits go to log in call
 	// order instead of to the lists. touched holds the groups with edits
 	// in the log, logCap the length at which the log applies itself
@@ -226,16 +215,8 @@ func (x *Index) AddBid(ad *Ad, bid *KeywordBid) {
 // addBid is AddBid into an already resolved group, for callers that add
 // several bids of one ad.
 func (x *Index) addBid(ps *postings, ad *Ad, bid *KeywordBid) {
-	x.epoch++
 	x.do(edit{ps: ps, ad: ad, bid: bid, score: bid.MaxBid * ad.Quality, kind: editAdd})
 }
-
-// Epoch returns the index's mutation counter. Two lookups bracketed by
-// equal Epoch values are guaranteed to return the same bids with the
-// same effective amounts (liveness filtering aside — see the field
-// comment), which is what lets serving memoize eligibility and auction
-// results across repeated hot queries.
-func (x *Index) Epoch() uint64 { return x.epoch }
 
 // findEntry locates a bid's slot in a posting list. The fast path binary
 // searches by the entry's current score s and scans the equal-score run;
@@ -274,9 +255,8 @@ func findEntry(list []entry, bid *KeywordBid, s float64) int {
 // in-place amount change. Call with the OLD amount still in bid.MaxBid
 // (the old score is the lookup key); the caller writes the new amount
 // after. Bids that are not indexed (paused ads) keep no entry to
-// re-sync, but the epoch advances either way, as for every amount change.
+// re-sync.
 func (x *Index) UpdateBid(ad *Ad, bid *KeywordBid, newMax float64) {
-	x.epoch++
 	if ps := x.group(ad, false); ps != nil {
 		x.do(edit{ps: ps, bid: bid, score: bid.MaxBid * ad.Quality, to: newMax * ad.Quality, kind: editUpdate})
 	}
@@ -287,7 +267,6 @@ func (x *Index) UpdateBid(ad *Ad, bid *KeywordBid, newMax float64) {
 // entries displaced by in-place modifications) and removed with a single tail
 // copy, instead of rewriting every touched list.
 func (x *Index) RemoveAd(ad *Ad) {
-	x.epoch++
 	ps := x.group(ad, false)
 	if ps == nil {
 		return
@@ -298,8 +277,8 @@ func (x *Index) RemoveAd(ad *Ad) {
 }
 
 // BeginStage opens a staging window: until Flush, AddBid, UpdateBid and
-// RemoveAd advance the epoch and record their edit, with the values it
-// reads captured, instead of editing the lists. Flush then applies each
+// RemoveAd record their edit, with the values it reads captured, instead
+// of editing the lists. Flush then applies each
 // (vertical, market) group's edits in call order on one goroutine and
 // spreads the groups over workers goroutines. An edit touches only its
 // own group's lists, so every list sees exactly the edit sequence direct
@@ -431,10 +410,9 @@ func Matches(m MatchType, bidKw, queryKw int, sameCluster bool, form QueryForm) 
 
 // Sublists is a resolved (vertical, market) handle into the index: the
 // two expensive composite-key map lookups are paid once, after which each
-// query costs two int32 map probes. A handle is valid for the epoch it
-// was resolved in — resolve again after the epoch advances (a pair with
-// no lists yet resolves to an empty handle, and lists appearing later
-// always bump the epoch).
+// query costs two int32 map probes. A handle is valid until the next
+// index edit — resolve again after one (a pair with no lists yet
+// resolves to an empty handle, which a later AddBid does not fill).
 type Sublists struct {
 	ps *postings
 }
@@ -453,7 +431,7 @@ func (x *Index) Sublists(v verticals.Vertical, c market.Country) Sublists {
 // cannot outrank them. The liveness check is a dense array load
 // (live[account]) and the match filter reads the entry's cached match
 // type. live must cover every account with indexed bids — use
-// Platform.LiveSet, which restamps whenever the index epoch moves.
+// Platform.LiveSet, stamped after the last index edit.
 //
 // Inactive ads never appear in posting lists (every deactivation path
 // goes through PauseAd → RemoveAd before the ad's bids are released), so

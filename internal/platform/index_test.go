@@ -231,48 +231,6 @@ func TestRemoveAdIsolation(t *testing.T) {
 	}
 }
 
-// TestIndexEpoch pins the cache-invalidation contract: every mutation that
-// can change a lookup's result — adding a bid, removing an ad's bids, or
-// modifying a held bid's amount in place — advances the epoch, and reads
-// never do. The index counts an amount change itself, in UpdateBid, so
-// ModifyBid advances the epoch exactly once.
-func TestIndexEpoch(t *testing.T) {
-	p, a := indexFixture(t)
-	x := p.Index()
-	e0 := x.Epoch()
-	if e0 == 0 {
-		t.Fatal("fixture added bids without advancing the epoch")
-	}
-
-	// Reads leave the epoch alone.
-	eligible(x, verticals.Games, market.US, 3, 1, FormBare, p.LiveSet())
-	if x.Epoch() != e0 {
-		t.Fatal("a lookup advanced the epoch")
-	}
-
-	ad := a.Ads[0]
-	x.UpdateBid(ad, ad.Bids[0], ad.Bids[0].MaxBid)
-	if x.Epoch() != e0+1 {
-		t.Fatalf("UpdateBid moved the epoch from %d to %d, want %d", e0, x.Epoch(), e0+1)
-	}
-	e0 = x.Epoch()
-	p.ModifyBid(ad, ad.Bids[0], ad.Bids[0].MaxBid*1.1)
-	e1 := x.Epoch()
-	if e1 != e0+1 {
-		t.Fatalf("ModifyBid with a new amount moved the epoch from %d to %d, want %d", e0, e1, e0+1)
-	}
-	// A no-op modification (amount rejected) must not invalidate.
-	p.ModifyBid(ad, ad.Bids[0], 0)
-	if x.Epoch() != e1 {
-		t.Fatal("rejected ModifyBid advanced the epoch")
-	}
-
-	p.PauseAd(ad)
-	if x.Epoch() <= e1 {
-		t.Fatal("PauseAd (RemoveAd) did not advance the epoch")
-	}
-}
-
 // TestFindEntryMatchesFullScan: on posting lists left out of order by
 // in-place bid edits (UpdateBid rewrites a slot's score without moving
 // it), the outward search from the binary-search probe finds the slot a

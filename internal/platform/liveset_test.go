@@ -1,9 +1,9 @@
 package platform
 
 // Tests for the dense liveness bitmap the serving hot path filters with
-// (Platform.LiveSet + Sublists.EligibleAppendLive): the epoch-keyed stamp
-// must make every liveness transition visible to the very next lookup,
-// while fraud flags stay out of the stamp entirely (they are read live
+// (Platform.LiveSet + Sublists.EligibleAppendLive): a stamp taken after
+// a liveness transition must show it to the very next lookup, while
+// fraud flags stay out of the stamp entirely (they are read live
 // per impression — the uncached-fraud rule), and the fast path must stay
 // allocation-free.
 
@@ -56,9 +56,9 @@ func TestLiveSetSuspensionVisibleToNextQuery(t *testing.T) {
 		t.Fatalf("%d eligible before suspension, want 2", len(got))
 	}
 
-	// Suspend a mid-day. The enforcement removes a's bids — which bumps
-	// the index epoch — so the stamped bitmap is invalid and the very
-	// next query must restamp, with no explicit invalidation call.
+	// Suspend a mid-day. The enforcement removes a's bids and flips its
+	// status, so the next stamp and the very next query both drop it,
+	// with no explicit invalidation call.
 	if err := p.Shutdown(a.ID, simclock.StampAt(1, 0.5), "policy"); err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +91,8 @@ func TestLiveSetVoluntaryCloseVisibleToNextQuery(t *testing.T) {
 }
 
 // TestLiveSetGrowsWithRegistrations: accounts that appear after the stamp
-// have no indexed bids yet, but the bitmap must still cover their IDs by
-// the time they do — the length guard restamps even when the epoch is
-// unchanged by the registration itself.
+// have no indexed bids yet, but a later stamp must cover their IDs by the
+// time they do, although the registration itself edits no index list.
 func TestLiveSetGrowsWithRegistrations(t *testing.T) {
 	p, _, _ := liveFixture(t)
 	stamped := p.LiveSet()
@@ -125,14 +124,10 @@ func TestLiveSetGrowsWithRegistrations(t *testing.T) {
 // TestFraudFlagNeverCached: flipping an account's fraud flag changes
 // neither the bitmap nor eligibility — the flag is intentionally not part
 // of the stamp and must be read live from the account at impression time,
-// so a mid-day flip is always observed without any epoch traffic.
+// so a mid-day flip is always observed without touching the index.
 func TestFraudFlagNeverCached(t *testing.T) {
 	p, a, _ := liveFixture(t)
-	before := p.Index().Epoch()
 	p.MustAccount(a.ID).Fraud = true
-	if p.Index().Epoch() != before {
-		t.Fatal("fraud flip touched the index epoch")
-	}
 	live := p.LiveSet()
 	if !live[a.ID] {
 		t.Fatal("fraud flip changed liveness")
@@ -147,6 +142,17 @@ func TestFraudFlagNeverCached(t *testing.T) {
 		if ref.Ad.Account == a.ID && !p.MustAccount(ref.Ad.Account).Fraud {
 			t.Fatal("live fraud read missed the flip")
 		}
+	}
+}
+
+// TestLiveSetIsCallerOwned: each stamp is a fresh bitmap the caller
+// owns, so a write into one leaves the next stamp untouched.
+func TestLiveSetIsCallerOwned(t *testing.T) {
+	p, a, _ := liveFixture(t)
+	first := p.LiveSet()
+	first[a.ID] = false
+	if !p.LiveSet()[a.ID] {
+		t.Fatal("a write into one stamp showed through the next: LiveSet handed back a shared bitmap")
 	}
 }
 

@@ -23,11 +23,6 @@ type Platform struct {
 	index    *Index
 	ledger   Ledger
 	events   eventlog.Sink
-
-	// Dense account-liveness stamp for the serving hot path; see LiveSet.
-	liveSet   []bool
-	liveEpoch uint64
-	liveValid bool
 }
 
 // New returns an empty platform.
@@ -195,30 +190,17 @@ func (p *Platform) Index() *Index { return p.index }
 
 // LiveSet returns a dense liveness bitmap indexed by AccountID, for use
 // with Sublists.EligibleAppendLive: live[id] is true iff the account is in
-// StatusActive. The stamp is cached and keyed on the index epoch, which
-// is sound because every liveness transition of an account with indexed
-// bids removes those bids (and so bumps the epoch), and accounts that
-// change liveness without touching the index have nothing a lookup could
-// return. Fraud flags are intentionally NOT part of the stamp — they are
-// read live per impression (the PR 5 rule).
-//
-// Single-writer contract: call from the mutating goroutine (stamp once
-// before fanning out read-only serving workers). The returned slice is
-// owned by the platform and valid until the next mutation.
+// StatusActive. Each call stamps a fresh bitmap, which the caller owns:
+// it reflects the accounts as of the call, so stamp once after the last
+// write and before fanning out read-only serving workers. Fraud flags
+// are intentionally NOT part of the stamp — they are read live per
+// impression.
 func (p *Platform) LiveSet() []bool {
-	if !p.liveValid || p.liveEpoch != p.index.epoch || len(p.liveSet) != len(p.accounts) {
-		if cap(p.liveSet) < len(p.accounts) {
-			p.liveSet = make([]bool, len(p.accounts))
-		} else {
-			p.liveSet = p.liveSet[:len(p.accounts)]
-		}
-		for i, a := range p.accounts {
-			p.liveSet[i] = a.Status == StatusActive
-		}
-		p.liveEpoch = p.index.epoch
-		p.liveValid = true
+	live := make([]bool, len(p.accounts))
+	for i, a := range p.accounts {
+		live[i] = a.Status == StatusActive
 	}
-	return p.liveSet
+	return live
 }
 
 // CreateAd posts a new ad for an active account. The ad starts with no

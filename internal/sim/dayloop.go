@@ -66,7 +66,7 @@ func (p Phase) String() string {
 
 // PhaseTimes accumulates wall time per day-loop phase; attach with
 // SetPhaseTimes to profile where a day's cost goes (BenchmarkStepDay
-// and bench/ do). QueryDraw and DrawWait split out the draw-ahead
+// does; bench/ times around StepPhase instead). QueryDraw and DrawWait split out the draw-ahead
 // inside the agents phase: QueryDraw is time spent on the draw goroutine
 // (concurrent with the agents' steps, so not part of any phase's
 // wall), DrawWait the part of Agents spent blocked on it. IndexApply is

@@ -17,7 +17,7 @@ package sim
 //	B. shard the query indices into contiguous blocks, one per worker;
 //	   each worker builds its block's pages (clicks.PageBuilder:
 //	   eligibility, auction, click probabilities) against the frozen
-//	   index — through a per-worker, epoch-invalidated page cache — and
+//	   index — through a per-worker page cache that lives one day — and
 //	   records each query's click-RNG draw count;
 //	C. derive each query's click-RNG substream sequentially from the
 //	   master click stream (stats.SubStreams), which advances the master
@@ -53,12 +53,13 @@ import (
 )
 
 // pageKey identifies a query equivalence class: two queries with the same
-// key see the same eligible bids and auction outcome while the index
-// epoch is unchanged. It packs (keyword, vertical, country, form) into
-// one integer, so the page cache is a map the runtime hashes on its
-// fast 64-bit path; the keyword's cluster is a function of vertical and
-// keyword and needs no bits. checkPageKeyWidths proves every field fits
-// its width, which makes two distinct classes sharing a key impossible.
+// key see the same eligible bids and auction outcome within one served
+// day, while the index is frozen. It packs (keyword, vertical, country,
+// form) into one integer, so the page cache is a map the runtime hashes
+// on its fast 64-bit path; the keyword's cluster is a function of
+// vertical and keyword and needs no bits. checkPageKeyWidths proves
+// every field fits its width, which makes two distinct classes sharing a
+// key impossible.
 type pageKey uint64
 
 // pageKey field layout, low bits to high: keyword 32, vertical 16,
@@ -100,10 +101,10 @@ func checkPageKeyWidths(keywords, verticals, countries int) error {
 }
 
 // pagePool recycles clicks.Page structs and their backing slices across
-// epochs: pages live exactly as long as the cache that holds them, so
-// when the cache is invalidated the pool rewinds and the next day's
-// misses reuse the same storage instead of reallocating three slices
-// per page.
+// days: pages live exactly as long as the cache that holds them, so when
+// the cache is cleared at the start of a day the pool rewinds and that
+// day's misses reuse the same storage instead of reallocating three
+// slices per page.
 type pagePool struct {
 	chunks [][]clicks.Page
 	used   int
@@ -148,16 +149,15 @@ type subEntry struct {
 
 // shard is one worker's private serving state.
 type shard struct {
-	// Page cache, valid for one index epoch.
-	cache    map[pageKey]*clicks.Page
-	epoch    uint64
-	hasEpoch bool
-	pool     pagePool
+	// Page cache, valid for one served day: the agents phase edits the
+	// index every night.
+	cache map[pageKey]*clicks.Page
+	pool  pagePool
 
-	// Sublist cache, also epoch-scoped: the index's composite (vertical,
+	// Sublist cache, also one day's: the index's composite (vertical,
 	// country) map key hashes two strings, so each shard resolves it once
-	// per pair per epoch instead of once per query. Outer slice indexed
-	// by vertical index; inner lists hold a handful of countries.
+	// per pair per day instead of once per query. Outer slice indexed by
+	// vertical index; inner lists hold a handful of countries.
 	subs [][]subEntry
 
 	// Eligibility and auction scratch reused across queries.
@@ -184,7 +184,10 @@ type serveEngine struct {
 func newServeEngine(workers int) *serveEngine {
 	e := &serveEngine{shards: make([]*shard, workers)}
 	for i := range e.shards {
-		e.shards[i] = &shard{}
+		e.shards[i] = &shard{
+			cache: make(map[pageKey]*clicks.Page, 1024),
+			subs:  make([][]subEntry, len(verticals.All())),
+		}
 	}
 	return e
 }
@@ -205,29 +208,19 @@ func fanOut(w, n int, fn func(k, lo, hi int)) {
 	wg.Wait()
 }
 
-// ensureEpoch drops every cached page (and rewinds the page pool and
-// sublist cache) when the index has mutated since the cache was filled,
-// or on first use.
-func (sh *shard) ensureEpoch(epoch uint64) {
-	if sh.cache == nil {
-		sh.cache = make(map[pageKey]*clicks.Page, 1024)
-	}
-	if sh.subs == nil {
-		sh.subs = make([][]subEntry, len(verticals.All()))
-	}
-	if !sh.hasEpoch || sh.epoch != epoch {
-		clear(sh.cache)
-		sh.pool.reset()
-		for i := range sh.subs {
-			sh.subs[i] = sh.subs[i][:0]
-		}
-		sh.epoch = epoch
-		sh.hasEpoch = true
+// beginDay starts a served day with an empty page cache, a rewound page
+// pool and an empty sublist cache: no cache outlives the day it was
+// filled in, since the index is edited between served days.
+func (sh *shard) beginDay() {
+	clear(sh.cache)
+	sh.pool.reset()
+	for i := range sh.subs {
+		sh.subs[i] = sh.subs[i][:0]
 	}
 }
 
 // sublists resolves the query's (vertical, country) posting-list handle
-// through the shard's epoch-scoped cache.
+// through the shard's sublist cache.
 func (sh *shard) sublists(s *Sim, q *queries.Query) platform.Sublists {
 	row := sh.subs[q.VerticalIdx]
 	for i := range row {
@@ -275,7 +268,6 @@ func (s *Sim) serveQueries(day simclock.Day) {
 	}
 	e.draws = e.draws[:n]
 
-	epoch := s.p.Index().Epoch()
 	nWin := s.col.ActiveWindowCount(day)
 	// Stamp the liveness bitmap on the simulation goroutine before the
 	// fan-out; workers read it concurrently but never write.
@@ -283,7 +275,7 @@ func (s *Sim) serveQueries(day simclock.Day) {
 
 	// Phase B: eligibility + auctions against the frozen index.
 	e.pages = clicks.PageBuilder{Model: s.model, Auction: s.cfg.Auction, Platform: s.p}
-	fanOut(len(e.shards), n, func(k, lo, hi int) { s.shardAuctions(k, lo, hi, nWin, epoch, live) })
+	fanOut(len(e.shards), n, func(k, lo, hi int) { s.shardAuctions(k, lo, hi, nWin, live) })
 
 	// Phase C: partition the master click stream by per-query draw
 	// count; the master ends the day advanced by their sum.
@@ -319,10 +311,10 @@ func (s *Sim) serveQueries(day simclock.Day) {
 // shardAuctions is phase B for worker k: resolve every query in its
 // block [lo, hi) through the page cache and record its draw count. All
 // writes are shard-private or to this block's slice of e.draws.
-func (s *Sim) shardAuctions(k, lo, hi, nWin int, epoch uint64, live []bool) {
+func (s *Sim) shardAuctions(k, lo, hi, nWin int, live []bool) {
 	e := s.eng
 	sh := e.shards[k]
-	sh.ensureEpoch(epoch)
+	sh.beginDay()
 	sh.acc.BeginDay(nWin)
 	sh.clicks = sh.clicks[:0]
 	sh.events = sh.events[:0]

@@ -2,11 +2,10 @@ package sim
 
 // Serving-loop benchmark. BenchmarkServeDay times serveQueries — the
 // phase the Workers pool parallelizes — against a warmed MediumConfig
-// world, per worker count. Each iteration advances the index epoch first, so
-// every measured day pays the realistic cold-cache start a live day pays
-// (agent campaign edits invalidate the page cache daily). serveQueries is
-// called with no agents phase before it, so each iteration draws the
-// day's queries first, on the benchmark goroutine.
+// world, per worker count. Every served day starts with an empty page
+// cache, so each measured day pays the cold-cache start a live day pays.
+// serveQueries is called with no agents phase before it, so each
+// iteration draws the day's queries first, on the benchmark goroutine.
 
 import (
 	"bytes"
@@ -15,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/platform"
 	"repro/internal/simclock"
 )
 
@@ -79,12 +77,8 @@ func BenchmarkServeDay(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			s := restoreServing(b, state, workers)
-			ad, bid := firstBid(b, s)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// A live day starts cache-cold: rewriting a bid at its own
-				// amount advances the index epoch and changes nothing else.
-				s.p.Index().UpdateBid(ad, bid, bid.MaxBid)
 				s.drawQueries()
 				s.serveQueries(day)
 			}
@@ -94,19 +88,4 @@ func BenchmarkServeDay(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/served, "ns/query")
 		})
 	}
-}
-
-// firstBid returns an indexed bid of s's platform: the first bid of the
-// first active ad.
-func firstBid(tb testing.TB, s *Sim) (*platform.Ad, *platform.KeywordBid) {
-	tb.Helper()
-	for _, acct := range s.p.Accounts() {
-		for _, ad := range acct.Ads {
-			if ad.Active && len(ad.Bids) > 0 {
-				return ad, ad.Bids[0]
-			}
-		}
-	}
-	tb.Fatal("the warmed world holds no active ad with a bid")
-	return nil, nil
 }

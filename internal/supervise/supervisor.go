@@ -145,6 +145,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.MaxRestarts < 0 {
 		return nil, fmt.Errorf("supervise: MaxRestarts %d is negative", cfg.MaxRestarts)
 	}
+	if err := cfg.Spec.Check(); err != nil {
+		return nil, fmt.Errorf("supervise: %w", err)
+	}
 	clk := cfg.clock
 	if clk == nil {
 		clk = wallClock{}

@@ -447,15 +447,31 @@ func TestZeroRestartBudget(t *testing.T) {
 	}
 }
 
-// TestHBTimeoutRefused: Run takes the heartbeat timeout it is given.
-// One whose tenth is not a positive interval (zero included) is refused
-// before anything is spawned, not replaced by a default.
-func TestHBTimeoutRefused(t *testing.T) {
+// TestRunRefusesBadSizes: Run takes the heartbeat timeout and checkpoint
+// sizes it is given. A timeout whose tenth is not a positive interval
+// (zero included), a lineage depth below one and a negative checkpoint
+// interval are refused before anything is spawned, not replaced by a
+// default or left for every worker to refuse.
+func TestRunRefusesBadSizes(t *testing.T) {
+	type bad struct {
+		name string
+		edit func(*Config)
+		want string
+	}
+	cases := []bad{
+		{"Retain 0", func(c *Config) { c.Spec.Retain = 0 }, "-checkpoint-retain 0 is not positive"},
+		{"CheckpointEvery -1", func(c *Config) { c.Spec.CheckpointEvery = -1 }, "-checkpoint-every -1 is negative"},
+	}
 	for _, hb := range []time.Duration{0, 9, -time.Second} {
+		cases = append(cases, bad{fmt.Sprintf("HBTimeout %v", hb), func(c *Config) { c.HBTimeout = hb }, "is too short"})
+	}
+	for _, tc := range cases {
 		ss := &scriptSpawner{next: func(int) Proc { return newDeadProc("", errors.New("exit status 137")) }}
-		_, err := Run(Config{Spec: testSpec(t.TempDir(), 3), Spawn: ss, HBTimeout: hb, clock: newFakeClock()})
-		if err == nil || !strings.Contains(err.Error(), "is too short") || ss.spawns != 0 {
-			t.Errorf("HBTimeout %v: %v after %d spawns, want refused before any", hb, err, ss.spawns)
+		cfg := Config{Spec: testSpec(t.TempDir(), 3), Spawn: ss, HBTimeout: DefaultHBTimeout, clock: newFakeClock()}
+		tc.edit(&cfg)
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || ss.spawns != 0 {
+			t.Errorf("%s: %v after %d spawns, want %q before any", tc.name, err, ss.spawns, tc.want)
 		}
 	}
 }

@@ -113,8 +113,9 @@ func (sp WorkerSpec) Args() []string {
 
 // Check refuses checkpoint sizes the worker would replace with a default
 // or could not honour: a negative interval, and a lineage depth below
-// one. fraudsupervise checks its flags with it before spawning anything,
-// and ParseWorkerArgs checks every worker's.
+// one. Run checks its spec with it before it loads a lineage or spawns
+// anything, fraudsupervise its flags before it makes its directory, and
+// ParseWorkerArgs every worker's.
 func (sp WorkerSpec) Check() error {
 	switch {
 	case sp.CheckpointEvery < 0:
