@@ -407,6 +407,16 @@ func (c *Collector) Detection(rec DetectionRecord) {
 // Detections returns all detection records in collection order.
 func (c *Collector) Detections() []DetectionRecord { return c.detections }
 
+// ShutdownsByStage counts the detection records by stage; a stage with
+// no record has no entry.
+func (c *Collector) ShutdownsByStage() map[DetectionStage]int {
+	n := make(map[DetectionStage]int)
+	for _, rec := range c.detections {
+		n[rec.Stage]++
+	}
+	return n
+}
+
 // DetectedAt returns the stamp of the account's first detection and
 // whether one exists.
 func (c *Collector) DetectedAt(id platform.AccountID) (simclock.Stamp, bool) {

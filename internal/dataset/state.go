@@ -1,7 +1,9 @@
 package dataset
 
 // Checkpoint support. CollectorState is the gob-friendly form of a
-// Collector. Two encoding choices matter:
+// Collector. It stores each fact once: the first-detection index is not
+// saved but rebuilt by SetState from the detection records, with the rule
+// Detection applies. Two encoding choices matter:
 //
 //   - gob refuses nil pointers inside slices, and both the account table
 //     and each account's Windows slice use nil holes as "never touched"
@@ -17,6 +19,7 @@ import (
 	"slices"
 
 	"repro/internal/market"
+	"repro/internal/platform"
 	"repro/internal/simclock"
 )
 
@@ -64,8 +67,7 @@ type CollectorState struct {
 	NumAccounts int
 	Accounts    []AccountAggState
 
-	Detections  []DetectionRecord
-	DetectionAt []simclock.Stamp
+	Detections []DetectionRecord
 
 	ClicksByCountry    []CountryClicks
 	ClicksByMatch      [3]FraudSplit
@@ -81,7 +83,6 @@ func (c *Collector) StateInto(st *CollectorState) {
 	*st = CollectorState{
 		NumAccounts:        len(c.accounts),
 		Detections:         c.detections,
-		DetectionAt:        c.detectionAt,
 		ClicksByCountry:    st.ClicksByCountry[:0],
 		ClicksByMatch:      c.clicksByMatch,
 		FraudClicksByMonth: st.FraudClicksByMonth[:0],
@@ -133,8 +134,8 @@ func (c *Collector) SetState(st *CollectorState) error {
 	if st == nil {
 		return fmt.Errorf("dataset: nil collector state")
 	}
-	if st.NumAccounts < 0 || len(st.DetectionAt) != st.NumAccounts {
-		return fmt.Errorf("dataset: collector state has %d detection stamps for %d accounts", len(st.DetectionAt), st.NumAccounts)
+	if st.NumAccounts < 0 {
+		return fmt.Errorf("dataset: collector state tracks %d accounts", st.NumAccounts)
 	}
 	accounts := make([]*AccountAgg, st.NumAccounts)
 	for _, as := range st.Accounts {
@@ -166,9 +167,21 @@ func (c *Collector) SetState(st *CollectorState) error {
 		}
 		accounts[as.ID] = a
 	}
+	detectionAt := make([]simclock.Stamp, st.NumAccounts)
+	for i := range detectionAt {
+		detectionAt[i] = platform.NoStamp
+	}
+	for _, rec := range st.Detections {
+		if rec.Account < 0 || int(rec.Account) >= st.NumAccounts {
+			return fmt.Errorf("dataset: collector state detection of account %d out of range [0, %d)", rec.Account, st.NumAccounts)
+		}
+		if detectionAt[rec.Account] == platform.NoStamp {
+			detectionAt[rec.Account] = rec.At
+		}
+	}
 	c.accounts = accounts
 	c.detections = st.Detections
-	c.detectionAt = st.DetectionAt
+	c.detectionAt = detectionAt
 	c.clicksByMatch = st.ClicksByMatch
 	c.clicksByCountry = make(map[market.Country]*FraudSplit, len(st.ClicksByCountry))
 	for _, e := range st.ClicksByCountry {

@@ -180,8 +180,10 @@ type state struct {
 	// number of deviates per account (rejection sampling, outcome-gated
 	// draws), so a shared stream could not be partitioned by draw count
 	// the way serving's click stream is; a stream per account makes the
-	// sweep's decisions independent of scan order — the property the
-	// sharded parallel sweep rests on.
+	// sweep's decisions independent of scan order. The sweep runs on the
+	// simulation goroutine (DESIGN.md §8), so that independence is not
+	// what keeps the streams: every golden pins the detection bytes these
+	// streams draw, and one shared stream would draw different ones.
 	rng stats.RNG
 
 	baseDue       simclock.Stamp
@@ -220,9 +222,6 @@ type Pipeline struct {
 	// deterministic — map iteration order would desynchronize enforcement
 	// order across runs with the same seed.
 	states []*state
-
-	// Shutdowns counts enforcement actions by stage (diagnostics).
-	Shutdowns map[dataset.DetectionStage]int
 }
 
 // New constructs a pipeline. events receives one record per enforcement
@@ -231,12 +230,11 @@ type Pipeline struct {
 // total simulated span, used to scale detection improvement over time.
 func New(cfg Config, rng *stats.RNG, p *platform.Platform, events eventlog.Sink, horizon simclock.Day) *Pipeline {
 	return &Pipeline{
-		cfg:       cfg,
-		rng:       rng.ForkNamed("detection"),
-		p:         p,
-		events:    events,
-		horizon:   horizon,
-		Shutdowns: make(map[dataset.DetectionStage]int),
+		cfg:     cfg,
+		rng:     rng.ForkNamed("detection"),
+		p:       p,
+		events:  events,
+		horizon: horizon,
 	}
 }
 
@@ -286,7 +284,6 @@ func (d *Pipeline) Screen(id platform.AccountID, det Detectability, at simclock.
 	when := simclock.Stamp(float64(at) + d.rng.Range(0.01, 0.6))
 	if err := d.p.Reject(id, when, "screening"); err == nil {
 		d.emit(id, when, dataset.StageScreening, "registration screening")
-		d.Shutdowns[dataset.StageScreening]++
 	}
 	return false
 }
@@ -467,12 +464,11 @@ func (d *Pipeline) scanAccount(s *state, acct *platform.Account, dayEnd simclock
 	return due, stage, due <= dayEnd
 }
 
-// enforce executes one due shutdown: platform action, detection event,
-// counters.
+// enforce executes one due shutdown: platform action and detection
+// event.
 func (d *Pipeline) enforce(s *state, due simclock.Stamp, stage dataset.DetectionStage, shut []platform.AccountID) []platform.AccountID {
 	if err := d.p.Shutdown(s.id, due, stage.String()); err == nil {
 		d.emit(s.id, due, stage, stage.String())
-		d.Shutdowns[stage]++
 		shut = append(shut, s.id)
 	}
 	return shut

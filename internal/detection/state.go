@@ -1,11 +1,12 @@
 package detection
 
 // Checkpoint support. PipelineState is the gob-friendly form of a
-// Pipeline's accumulated state: the RNG stream position, the per-account
-// monitoring records (encoded sparsely — gob rejects the nil holes the
-// states slice uses for unmonitored accounts), and the shutdown counters.
-// Configuration (Config, platform, collector, horizon) is re-supplied to
-// New on restore.
+// Pipeline's accumulated state: the RNG stream position and the
+// per-account monitoring records (encoded sparsely — gob rejects the nil
+// holes the states slice uses for unmonitored accounts). The shutdowns by
+// stage are not stored: they are a count of the collector's detection
+// records (dataset.Collector.ShutdownsByStage). Configuration (Config,
+// platform, collector, horizon) is re-supplied to New on restore.
 
 import (
 	"fmt"
@@ -36,18 +37,11 @@ type AccountState struct {
 	Complaints float64
 }
 
-// StageCount is one entry of the shutdowns-by-stage counter map.
-type StageCount struct {
-	Stage dataset.DetectionStage
-	Count int
-}
-
 // PipelineState is the serializable state of a Pipeline.
 type PipelineState struct {
 	RNG       stats.RNGState
 	NumStates int
 	States    []AccountState
-	Shutdowns []StageCount
 }
 
 // StateInto captures the pipeline's accumulated state into st, reusing
@@ -57,7 +51,6 @@ func (d *Pipeline) StateInto(st *PipelineState) {
 		RNG:       d.rng.State(),
 		NumStates: len(d.states),
 		States:    st.States[:0],
-		Shutdowns: st.Shutdowns[:0],
 	}
 	for _, s := range d.states {
 		if s == nil {
@@ -78,11 +71,6 @@ func (d *Pipeline) StateInto(st *PipelineState) {
 			LastClicks:    s.lastClicks,
 			Complaints:    s.complaints,
 		})
-	}
-	for stage := dataset.StageScreening; stage <= dataset.StageManualReview; stage++ {
-		if n, ok := d.Shutdowns[stage]; ok {
-			st.Shutdowns = append(st.Shutdowns, StageCount{stage, n})
-		}
 	}
 }
 
@@ -121,10 +109,6 @@ func (d *Pipeline) SetState(st *PipelineState) error {
 		}
 		st.rng.SetState(as.RNG)
 		d.states[as.ID] = st
-	}
-	d.Shutdowns = make(map[dataset.DetectionStage]int, len(st.Shutdowns))
-	for _, sc := range st.Shutdowns {
-		d.Shutdowns[sc.Stage] = sc.Count
 	}
 	return nil
 }

@@ -141,9 +141,6 @@ func encodeCheckpoint(b *checkpointBufs, c *Checkpoint) ([]byte, error) {
 	if c == nil || c.State == nil || c.State.Platform == nil {
 		return nil, fmt.Errorf("sim: nil checkpoint")
 	}
-	if err := dayBoundary(c.State.Phase); err != nil {
-		return nil, err
-	}
 	if err := b.begin(c); err != nil {
 		return nil, fmt.Errorf("sim: encode checkpoint: %w", err)
 	}

@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -54,16 +56,37 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		f.Add(mut)
 	}
 	// CRC-valid but semantically hostile: re-frame a decoded checkpoint
-	// after vandalizing its state.
-	c, err := sim.DecodeCheckpoint(valid)
-	if err != nil {
-		f.Fatal(err)
-	}
-	c.State.Day = -1
-	if err := sim.WriteCheckpoint(path, c); err != nil {
-		f.Fatal(err)
-	}
-	if hostile, err := os.ReadFile(path); err == nil {
+	// after vandalizing its state. Each must come back from Restore as an
+	// error. A collector sized past the platform must be refused before
+	// anything is allocated for it, and a detection record must name a
+	// tracked account, since the first-detection index is rebuilt from
+	// the records.
+	for _, vandalize := range []func(*sim.State){
+		func(st *sim.State) { st.Day = -1 },
+		func(st *sim.State) { st.Collector.NumAccounts = 1 << 40 },
+		func(st *sim.State) {
+			st.Collector.Detections = append(st.Collector.Detections,
+				dataset.DetectionRecord{Account: platform.AccountID(st.Collector.NumAccounts)})
+		},
+	} {
+		c, err := sim.DecodeCheckpoint(valid)
+		if err != nil {
+			f.Fatal(err)
+		}
+		vandalize(c.State)
+		if err := sim.WriteCheckpoint(path, c); err != nil {
+			f.Fatal(err)
+		}
+		hostile, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if c, err = sim.DecodeCheckpoint(hostile); err != nil {
+			f.Fatalf("a re-framed checkpoint should decode (the damage is semantic): %v", err)
+		}
+		if _, err := sim.Restore(c.State); err == nil {
+			f.Fatal("Restore accepted a vandalized state")
+		}
 		f.Add(hostile)
 	}
 	// Likewise for the platform's columns: lengths and counts that

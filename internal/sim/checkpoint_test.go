@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -117,6 +119,47 @@ func TestCheckpointRoundTripByteEqual(t *testing.T) {
 	}
 }
 
+// TestRestoreRecountsDetections: a checkpoint stores the detection
+// records but neither the first-detection index nor the shutdowns by
+// stage, so Restore rebuilds the one and Finish recounts the other. Both
+// must equal an uninterrupted run's.
+func TestRestoreRecountsDetections(t *testing.T) {
+	cfg := sweepConfig(17)
+	whole := sim.New(cfg)
+	for whole.Step() {
+	}
+	want := whole.Finish()
+
+	s := sim.New(cfg)
+	for s.Day() < cfg.Days/2 {
+		s.Step()
+	}
+	c, err := sim.DecodeCheckpoint(checkpointFrame(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := sim.Restore(c.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(restored.Collector().Detections()) == 0 {
+		t.Fatal("no detection before the restore day: nothing to rebuild")
+	}
+	for restored.Step() {
+	}
+	got := restored.Finish()
+	for id := range platform.AccountID(want.Platform.NumAccounts()) {
+		wantAt, wantOK := want.Collector.DetectedAt(id)
+		gotAt, gotOK := got.Collector.DetectedAt(id)
+		if gotAt != wantAt || gotOK != wantOK {
+			t.Fatalf("account %d: DetectedAt = (%v, %v) after a restore, (%v, %v) uninterrupted", id, gotAt, gotOK, wantAt, wantOK)
+		}
+	}
+	if !maps.Equal(got.ShutdownsByStage, want.ShutdownsByStage) {
+		t.Fatalf("ShutdownsByStage = %v after a restore, %v uninterrupted", got.ShutdownsByStage, want.ShutdownsByStage)
+	}
+}
+
 // TestRestoreRejectsInconsistentPlatform: a frame that passes the CRC and
 // gob but whose platform columns disagree is an error from Restore.
 func TestRestoreRejectsInconsistentPlatform(t *testing.T) {
@@ -168,23 +211,6 @@ func atDrawAhead(t *testing.T) *sim.Sim {
 		s.StepPhase()
 	}
 	return s
-}
-
-// TestRestoreRefusesMidDayState: a checkpoint is restored only between
-// days, so a State whose phase cursor stands anywhere else is an error
-// from Restore, and the reference writer refuses to write it.
-func TestRestoreRefusesMidDayState(t *testing.T) {
-	s := sim.New(sweepConfig(17))
-	s.Step()
-	st := s.Snapshot()
-	st.Phase = sim.PhaseServing
-	if _, err := sim.Restore(st); err == nil {
-		t.Fatal("Restore accepted a state before the serving phase")
-	}
-	path := filepath.Join(t.TempDir(), "ck.frsnap")
-	if err := sim.WriteCheckpoint(path, &sim.Checkpoint{State: st}); err == nil {
-		t.Fatal("WriteCheckpoint wrote a state before the serving phase")
-	}
 }
 
 // TestSaveRefusedMidDay: between the agents and serving phases a save

@@ -103,9 +103,8 @@ func (s *Sim) StepPhase() bool {
 	if s.started.IsZero() {
 		s.started = time.Now()
 	}
-	if !s.seeded {
+	if s.day == 0 && s.phase == PhaseArrivals {
 		s.seedInitialPopulation()
-		s.seeded = true
 	}
 	day := s.day
 	var t0 time.Time

@@ -199,13 +199,12 @@ type Sim struct {
 	workers  int
 	progress func(string)
 
-	// day is the next day to simulate, phase the next phase of that day,
-	// and seeded records whether the initial population warmup has run.
-	// day and seeded are the resume cursor: a checkpoint is taken only
-	// when phase is PhaseArrivals.
+	// day is the next day to simulate and phase the next phase of that
+	// day. day is the resume cursor: a checkpoint is taken only when phase
+	// is PhaseArrivals, and the initial population is seeded at the start
+	// of day 0's arrivals.
 	day     simclock.Day
 	phase   Phase
-	seeded  bool
 	started time.Time
 	timing  *PhaseTimes
 
@@ -497,7 +496,7 @@ func (s *Sim) emitProgress(day simclock.Day) {
 // Finish seals the result after the last Step. Elapsed covers only this
 // process's share of a resumed run.
 func (s *Sim) Finish() *Result {
-	s.res.ShutdownsByStage = s.pipeline.Shutdowns
+	s.res.ShutdownsByStage = s.col.ShutdownsByStage()
 	if !s.started.IsZero() {
 		s.res.Elapsed = time.Since(s.started)
 	}

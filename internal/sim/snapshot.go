@@ -58,14 +58,15 @@ type PendingRereg struct {
 	Profiles []agents.Profile
 }
 
-// State is the full serializable state of a Sim at a day boundary. Phase
-// is always PhaseArrivals (Restore refuses any other); it stays a field
-// because dropping it would change the gob, and so every FRSNAP byte.
+// State is the full serializable state of a Sim at a day boundary. It
+// stores each fact once: nothing the records or the day cursor imply.
+// The phase is always the day's first, and the initial population is
+// seeded exactly when Day > 0, so neither is a field; the shutdowns by
+// stage and the first-detection index are recounted from the collector's
+// detection records.
 type State struct {
 	Config Config
 	Day    simclock.Day
-	Phase  Phase
-	Seeded bool
 
 	Counters Counters
 
@@ -118,8 +119,6 @@ func (s *Sim) stateInto(st *State) {
 	*st = State{
 		Config:        cfg,
 		Day:           s.day,
-		Phase:         s.phase,
-		Seeded:        s.seeded,
 		Counters:      s.res.Counters,
 		RootRNG:       s.rng.State(),
 		ArrRNG:        s.arrRNG.State(),
@@ -144,9 +143,9 @@ func (s *Sim) stateInto(st *State) {
 }
 
 // dayBoundary refuses a checkpoint anywhere but between days: a Sim is
-// saved (Snapshot, encodeCheckpoint) and restored (Restore) only before
-// a day's arrivals phase, where no query draw is ahead of the day cursor
-// (queryDraw in dayloop.go).
+// saved (Snapshot, encodeCheckpoint) only before a day's arrivals phase,
+// where no query draw is ahead of the day cursor (queryDraw in
+// dayloop.go), so Restore resumes at that phase.
 func dayBoundary(p Phase) error {
 	if p != PhaseArrivals {
 		return fmt.Errorf("sim: a checkpoint is taken only between days, not before the %s phase", p)
@@ -154,12 +153,11 @@ func dayBoundary(p Phase) error {
 	return nil
 }
 
-// Restore rebuilds a Sim from a snapshot taken between days; a State
-// whose Phase is not PhaseArrivals is an error. Every cross-reference is
-// validated so hostile snapshot bytes yield an error, never a panic.
-// The event sink is not restored, and the worker count and progress
-// callback are not stored; set them with SetEvents, SetWorkers and
-// SetProgress before Run.
+// Restore rebuilds a Sim from a snapshot taken between days. Every
+// cross-reference is validated so hostile snapshot bytes yield an error,
+// never a panic. The event sink is not restored, and the worker count
+// and progress callback are not stored; set them with SetEvents,
+// SetWorkers and SetProgress before Run.
 func Restore(st *State) (*Sim, error) {
 	if st == nil {
 		return nil, fmt.Errorf("sim: nil state")
@@ -171,12 +169,14 @@ func Restore(st *State) (*Sim, error) {
 	if st.Day < 0 || st.Day > cfg.Days {
 		return nil, fmt.Errorf("sim: snapshot day %d outside horizon %d", st.Day, cfg.Days)
 	}
-	if err := dayBoundary(st.Phase); err != nil {
-		return nil, err
-	}
 	p, err := platform.FromSnapshot(st.Platform)
 	if err != nil {
 		return nil, err
+	}
+	// The collector tracks only platform accounts. This bound comes before
+	// SetState sizes its tables by NumAccounts.
+	if st.Collector != nil && st.Collector.NumAccounts > p.NumAccounts() {
+		return nil, fmt.Errorf("sim: snapshot collector tracks %d accounts, platform has %d", st.Collector.NumAccounts, p.NumAccounts())
 	}
 	col := dataset.NewCollector(cfg.Windows, cfg.SampleWindow)
 	if err := col.SetState(st.Collector); err != nil {
@@ -211,6 +211,5 @@ func Restore(st *State) (*Sim, error) {
 
 	s.res.Counters = st.Counters
 	s.day = st.Day
-	s.seeded = st.Seeded
 	return s, nil
 }

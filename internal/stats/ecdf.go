@@ -60,25 +60,7 @@ func (e *ECDF) At(x float64) float64 {
 
 // Quantile returns the q-quantile for q in [0, 1] using the nearest-rank
 // method. It returns 0 for an empty ECDF.
-func (e *ECDF) Quantile(q float64) float64 {
-	if len(e.xs) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return e.xs[0]
-	}
-	if q >= 1 {
-		return e.xs[len(e.xs)-1]
-	}
-	i := int(math.Ceil(q*float64(len(e.xs)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(e.xs) {
-		i = len(e.xs) - 1
-	}
-	return e.xs[i]
-}
+func (e *ECDF) Quantile(q float64) float64 { return nearestRank(e.xs, q) }
 
 // Median returns the 0.5-quantile.
 func (e *ECDF) Median() float64 { return e.Quantile(0.5) }

@@ -41,11 +41,15 @@ func TestECDFEmpty(t *testing.T) {
 }
 
 func TestECDFQuantileNearestRank(t *testing.T) {
-	e := NewECDF([]float64{10, 20, 30, 40})
+	xs := []float64{40, 10, 30, 20}
+	e := NewECDF(xs)
 	cases := map[float64]float64{0: 10, 0.25: 10, 0.5: 20, 0.75: 30, 1: 40, 0.51: 30}
 	for q, want := range cases {
 		if got := e.Quantile(q); got != want {
 			t.Fatalf("Quantile(%v) = %v, want %v", q, got, want)
+		}
+		if got := Quantile(xs, q); got != want {
+			t.Fatalf("stats.Quantile(xs, %v) = %v, want %v", q, got, want)
 		}
 	}
 }

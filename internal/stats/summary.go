@@ -28,23 +28,28 @@ func Sum(xs []float64) float64 {
 
 // Quantile returns the nearest-rank q-quantile of xs without mutating it.
 func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	cp := make([]float64, len(xs))
 	copy(cp, xs)
 	sort.Float64s(cp)
+	return nearestRank(cp, q)
+}
+
+// nearestRank returns the nearest-rank q-quantile of sorted: its first
+// element for q <= 0, its last for q >= 1, and 0 when it is empty. It is
+// the one rule behind Quantile and ECDF.Quantile.
+func nearestRank(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return 0
+	}
 	if q <= 0 {
-		return cp[0]
+		return sorted[0]
 	}
 	if q >= 1 {
-		return cp[len(cp)-1]
+		return sorted[n-1]
 	}
-	i := int(math.Ceil(q*float64(len(cp)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return cp[i]
+	i := int(math.Ceil(q*float64(n))) - 1
+	return sorted[min(max(i, 0), n-1)]
 }
 
 // Median returns the 0.5-quantile of xs.
