@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,9 +47,10 @@ func TestCkptInspectsValidFile(t *testing.T) {
 	_ = day
 }
 
-// TestCkptReportsCorruption: a flipped byte, a truncated file, and a
-// non-checkpoint file each come back CORRUPT with a reason, every file
-// is still reported, and the command exits nonzero.
+// TestCkptReportsCorruption: a flipped byte, a truncated file, a
+// non-checkpoint file, and a file whose CRC holds but whose platform has
+// a bid with no match type each come back CORRUPT with a reason, every
+// file is still reported, and the command exits nonzero.
 func TestCkptReportsCorruption(t *testing.T) {
 	good, _ := writeCkpt(t)
 	dir := t.TempDir()
@@ -73,14 +76,40 @@ func TestCkptReportsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The payload ends in the platform's columns; a match byte keeps
+	// their length, so only they and the CRC change.
+	c, err := sim.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.Restore(c.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Platform().Snapshot()
+	st.BidMatch[0] = 7
+	cols := st.AppendColumns(nil)
+	mut = append([]byte(nil), data...)
+	end := len(mut) - 4
+	copy(mut[end-len(cols):end], cols)
+	_, w := binary.Uvarint(mut[7:])
+	binary.LittleEndian.PutUint32(mut[end:], crc32.Checksum(mut[7+w:end], crc32.MakeTable(crc32.Castagnoli)))
+	unmatched := filepath.Join(dir, "unmatched.frsnap")
+	if err := os.WriteFile(unmatched, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	var out, errw strings.Builder
-	err = run([]string{"ckpt", good, flipped, torn, alien}, &out, &errw)
-	if err == nil || !strings.Contains(err.Error(), "3 of 4 checkpoint files invalid") {
+	err = run([]string{"ckpt", good, flipped, torn, alien, unmatched}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "4 of 5 checkpoint files invalid") {
 		t.Fatalf("ckpt over damaged files: %v", err)
 	}
 	got := out.String()
-	if n := strings.Count(got, "CORRUPT"); n != 3 {
-		t.Errorf("want 3 CORRUPT lines, got %d:\n%s", n, got)
+	if n := strings.Count(got, "CORRUPT"); n != 4 {
+		t.Errorf("want 4 CORRUPT lines, got %d:\n%s", n, got)
+	}
+	if !strings.Contains(got, "match byte 7") {
+		t.Errorf("the file with an unmatched bid should be called out by its match byte:\n%s", got)
 	}
 	if !strings.Contains(got, "ok (version") {
 		t.Errorf("the valid file should still be reported ok:\n%s", got)

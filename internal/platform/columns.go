@@ -6,19 +6,19 @@ package platform
 // and lengths plain uvarints), floats 8 little-endian bytes, strings a
 // uvarint length and the bytes, bools and the two uint8 enums one byte.
 // Every column carries its own count, so a snapshot whose columns
-// disagree with each other still encodes, and it is FromSnapshot that
+// disagree with each other still encodes, and it is DecodeColumns that
 // refuses it.
 //
-// There are two writers of the format. The live one, AppendTables then
-// AppendIndex, walks the platform's own tables and index with no Snapshot
-// built in between; its two halves read disjoint state and write into
-// disjoint buffers, so they may run at once. Snapshot.AppendColumns is
-// the small reference writer: the inverse of DecodeColumns, the oracle
-// the live writer's bytes are pinned to, and how tests build frames a
-// live platform could never produce.
+// There are two writers of the format and one reader. The live writer,
+// AppendTables then AppendIndex, walks the platform's own tables and
+// index with no Snapshot built in between; its two halves read disjoint
+// state and write into disjoint buffers, so they may run at once.
+// Snapshot.AppendColumns is the small reference writer: the oracle the
+// live writer's bytes are pinned to, and how tests build frames a live
+// platform could never produce. DecodeColumns reads the columns straight
+// into a live platform, checking them as it goes.
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -33,7 +33,7 @@ import (
 // ColumnsVersion is the checkpoint format version (the FRSNAP header's
 // version byte) whose platform columns this codec writes and reads.
 // Version 5 dropped the live-ad count and the ledger's per-account maps,
-// which FromSnapshot recounts or the accounts already hold.
+// which DecodeColumns recounts or the accounts already hold.
 const ColumnsVersion = 5
 
 // The smallest encoded row of each row column: every string empty, every
@@ -288,48 +288,216 @@ func appendFloats(dst []byte, col []float64) []byte {
 	return dst
 }
 
-// DecodeColumns reads the column format into a Snapshot for FromSnapshot
-// to validate. It checks every row count against the bytes left before it
-// allocates, refuses trailing bytes, and never panics.
-func DecodeColumns(data []byte) (*Snapshot, error) {
+// DecodeColumns reads the column format straight into a new Platform: it
+// is the one read side of a checkpoint. It bounds every row count by the
+// bytes left before it allocates, and checks every count, ID and index
+// reference against the tables before it follows one. It refuses
+// trailing bytes and never panics: bytes no live platform could have
+// written are an error.
+func DecodeColumns(data []byte) (*Platform, error) {
 	r := &colReader{b: data}
-	st := new(Snapshot)
-	st.Accounts = make([]Account, r.count(minAccountRow))
-	for i := range st.Accounts {
-		r.account(&st.Accounts[i])
+	p := New()
+	if ads, nBids, serving := r.tables(p); r.err == nil {
+		r.index(p, ads, nBids, serving)
 	}
-	st.NextAdID = AdID(r.int32())
-	st.AdCount = readInts[int32](r)
-	st.Ads = make([]Ad, r.count(minAdRow))
-	for i := range st.Ads {
-		r.ad(&st.Ads[i])
-	}
-	st.BidCount = readInts[int32](r)
-	st.BidKeyword = readInts[int](r)
-	st.BidCluster = readInts[int](r)
-	st.BidMatch = bytes.Clone(r.next(r.count(1)))
-	st.BidMax = readFloats(r)
-	st.BidCreated = readFloats(r)
-	st.TotalBilled = r.f64()
-	st.TotalLost = r.f64()
-	st.Index = make([]IndexEntry, r.count(minIndexRow))
-	for i := range st.Index {
-		e := &st.Index[i]
-		e.Vertical = verticals.Vertical(r.sym())
-		e.Country = market.Country(r.sym())
-		e.Kw = r.int32()
-		e.Broad = r.bool()
-		e.Refs = r.int32()
-	}
-	st.RefAd = readInts[int32](r)
-	st.RefBid = readInts[int32](r)
 	if r.err == nil && len(r.b) > 0 {
 		r.fail("%d trailing bytes", len(r.b))
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	return st, nil
+	return p, nil
+}
+
+// adRow is a decoded ad and the row of its first bid in the bid columns.
+type adRow struct {
+	ad   *Ad
+	bid0 int
+}
+
+// tables reads the first half of the columns, Accounts through TotalLost,
+// into p. It returns the ads by ID, the number of bids, and how many of
+// them the live index files: the bids of serving ads of active accounts.
+func (r *colReader) tables(p *Platform) (ads map[AdID]adRow, nBids, serving int) {
+	// The account table only grows, so the accounts live in one array;
+	// ads and bids are retired individually and get allocations with
+	// their own lifetimes.
+	accts := make([]Account, r.count(minAccountRow))
+	p.accounts = make([]*Account, len(accts))
+	for i := range accts {
+		a := &accts[i]
+		r.account(a)
+		if int(a.ID) != i {
+			r.fail("account %d carries ID %d", i, a.ID)
+		}
+		p.accounts[i] = a
+	}
+	if p.nextAdID = AdID(r.int32()); p.nextAdID < 0 {
+		r.fail("next ad ID %d is negative", p.nextAdID)
+	}
+	adCount, nAds := r.counts("ad", len(accts))
+	if n := r.count(minAdRow); n != nAds {
+		r.fail("ad counts sum to %d, have %d ads", nAds, n)
+	}
+	if r.err != nil {
+		return nil, 0, 0
+	}
+	for i, a := range p.accounts {
+		a.Ads = make([]*Ad, adCount[i])
+		for j := range a.Ads {
+			ad := new(Ad)
+			r.ad(ad)
+			if ad.Account != a.ID {
+				r.fail("ad %d under account %d carries account %d", ad.ID, a.ID, ad.Account)
+			}
+			if ad.ID < 0 || ad.ID >= p.nextAdID {
+				r.fail("ad ID %d outside [0, %d), the IDs issued so far", ad.ID, p.nextAdID)
+			}
+			if ad.Active {
+				p.adsLive++
+			}
+			a.Ads[j] = ad
+		}
+	}
+
+	bidCount, nBids := r.counts("bid", nAds)
+	r.column("keyword", nBids, 1)
+	if r.err != nil {
+		return nil, 0, 0
+	}
+	ads = make(map[AdID]adRow, nAds)
+	bids := make([]*KeywordBid, 0, nBids)
+	k := 0
+	for _, a := range p.accounts {
+		for _, ad := range a.Ads {
+			// One map write per ad: a repeated ID leaves the size as is.
+			n := len(ads)
+			ads[ad.ID] = adRow{ad, len(bids)}
+			if len(ads) == n {
+				r.fail("ad ID %d twice", ad.ID)
+				return nil, 0, 0
+			}
+			// One exact-size backing array per ad, as AddBidsBatch
+			// builds them.
+			arr := make([]KeywordBid, bidCount[k])
+			ad.Bids = make([]*KeywordBid, len(arr))
+			for i := range arr {
+				ad.Bids[i] = &arr[i]
+			}
+			bids = append(bids, ad.Bids...)
+			if ad.Active && a.Status == StatusActive {
+				serving += len(arr)
+			}
+			k++
+		}
+	}
+	for _, b := range bids {
+		b.KeywordID = r.int()
+	}
+	r.column("cluster", nBids, 1)
+	for _, b := range bids {
+		b.Cluster = r.int()
+	}
+	r.column("match", nBids, 1)
+	for _, b := range bids {
+		if b.Match = MatchType(r.byte()); b.Match > MatchBroad {
+			r.fail("bid match byte %d", b.Match)
+		}
+	}
+	r.column("max bid", nBids, 8)
+	for _, b := range bids {
+		b.MaxBid = r.f64()
+	}
+	r.column("created", nBids, 8)
+	for _, b := range bids {
+		b.Created = simclock.Stamp(r.f64())
+	}
+	p.ledger.totalBilled = r.f64()
+	p.ledger.totalLost = r.f64()
+	return ads, nBids, serving
+}
+
+// index reads the second half of the columns, Index through RefBid, into
+// p's index. A reference must name a bid the live index would file under
+// its list, and no other: a serving ad of an active account, in the
+// list's market, under its own keyword (its cluster for a broad bid),
+// once; and every one of the serving bids tables counted is named.
+// nBids is the number of bid rows.
+func (r *colReader) index(p *Platform, ads map[AdID]adRow, nBids, serving int) {
+	keys := make([]IndexEntry, r.count(minIndexRow))
+	nRefs := 0
+	for i := range keys {
+		e := &keys[i]
+		e.Vertical = verticals.Vertical(r.sym())
+		e.Country = market.Country(r.sym())
+		e.Kw = r.int32()
+		e.Broad = r.bool()
+		if e.Refs = r.int32(); e.Refs < 0 {
+			r.fail("index list %d has negative length %d", i, e.Refs)
+		}
+		nRefs += int(e.Refs)
+	}
+	r.column("ref ad", nRefs, 1)
+	if r.err != nil {
+		return
+	}
+	refAd := make([]int32, nRefs)
+	for i := range refAd {
+		refAd[i] = r.int32()
+	}
+	r.column("ref bid", nRefs, 1)
+	if r.err != nil {
+		return
+	}
+	seen := make([]bool, nBids)
+	k := 0
+	for _, e := range keys {
+		vc := vcKey{e.Vertical, e.Country}
+		ps := p.index.group(vc, true)
+		m := ps.kw
+		if e.Broad {
+			m = ps.broad
+		}
+		if _, dup := m[e.Kw]; dup {
+			r.fail("index list %s/%s %d (broad %t) twice", e.Vertical, e.Country, e.Kw, e.Broad)
+			return
+		}
+		list := make([]entry, e.Refs)
+		m[e.Kw] = list
+		for i := range list {
+			row, ok := ads[AdID(refAd[k])]
+			pos := int(r.int32())
+			k++
+			if !ok || pos < 0 || pos >= len(row.ad.Bids) {
+				r.fail("index references bid %d of ad %d, which is not there", pos, refAd[k-1])
+				return
+			}
+			ad, b := row.ad, row.ad.Bids[pos]
+			_, kw := ps.listFor(b)
+			switch {
+			case !ad.Active:
+				r.fail("index references paused ad %d", ad.ID)
+			case p.accounts[ad.Account].Status != StatusActive:
+				r.fail("index references ad %d of a %s account", ad.ID, p.accounts[ad.Account].Status)
+			case vcKey{ad.Vertical, ad.Target} != vc:
+				r.fail("ad %d of %s/%s filed under %s/%s", ad.ID, ad.Vertical, ad.Target, e.Vertical, e.Country)
+			case (b.Match == MatchBroad) != e.Broad || kw != e.Kw:
+				r.fail("bid %d of ad %d (%s, keyword %d, cluster %d) filed under list %d (broad %t)",
+					pos, ad.ID, b.Match, b.KeywordID, b.Cluster, e.Kw, e.Broad)
+			case seen[row.bid0+pos]:
+				r.fail("bid %d of ad %d referenced twice", pos, ad.ID)
+			}
+			seen[row.bid0+pos] = true
+			// The cached score invariant is "current MaxBid × Quality"
+			// (UpdateBid keeps it synced through in-place modifications),
+			// so recomputing from the serialized amounts restores the
+			// live run's exact values.
+			list[i] = entry{ad: ad, bid: b, score: b.MaxBid * ad.Quality, acct: ad.Account, match: b.Match}
+		}
+	}
+	if nRefs != serving {
+		r.fail("index files %d bids, the serving ads hold %d", nRefs, serving)
+	}
 }
 
 // colReader is DecodeColumns' cursor. The first error sticks and empties
@@ -359,6 +527,31 @@ func (r *colReader) count(minRow int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// counts reads a count column, one entry per row of the table before it,
+// and returns it with its sum. No entry may be negative.
+func (r *colReader) counts(what string, rows int) ([]int32, int) {
+	col := make([]int32, r.count(1))
+	if len(col) != rows {
+		r.fail("%d %s counts for %d rows", len(col), what, rows)
+	}
+	sum := 0
+	for i := range col {
+		if col[i] = r.int32(); col[i] < 0 {
+			r.fail("%s count %d is negative (%d)", what, i, col[i])
+		}
+		sum += int(col[i])
+	}
+	return col, sum
+}
+
+// column reads the row count of a column that must hold n rows of at
+// least minRow bytes each.
+func (r *colReader) column(what string, n, minRow int) {
+	if got := r.count(minRow); got != n && r.err == nil {
+		r.fail("%s column holds %d rows, the counts before it sum to %d", what, got, n)
+	}
 }
 
 func (r *colReader) uvarint() uint64 {
@@ -424,13 +617,6 @@ func (r *colReader) bool() bool {
 	}
 }
 
-// next consumes n bytes; count has already checked they are there.
-func (r *colReader) next(n int) []byte {
-	b := r.b[:n]
-	r.b = r.b[n:]
-	return b
-}
-
 // bytes reads a length-prefixed byte string, aliasing the input.
 func (r *colReader) bytes() []byte {
 	n := r.uvarint()
@@ -438,7 +624,9 @@ func (r *colReader) bytes() []byte {
 		r.fail("string of %d bytes, %d left", n, len(r.b))
 		return nil
 	}
-	return r.next(int(n))
+	b := r.b[:n]
+	r.b = r.b[n:]
+	return b
 }
 
 func (r *colReader) str() string { return string(r.bytes()) }
@@ -456,36 +644,6 @@ func (r *colReader) sym() string {
 	return s
 }
 
-// readInts reads a varint column. It is the decoder's inner loop over
-// the bid and reference columns, so it decodes in place rather than
-// through the per-value readers.
-func readInts[T int | int32](r *colReader) []T {
-	col := make([]T, r.count(1))
-	for i := range col {
-		v, n := binary.Varint(r.b)
-		if n <= 0 {
-			r.fail("bad varint")
-			return nil
-		}
-		if int64(T(v)) != v {
-			r.fail("%d overflows %T", v, T(0))
-			return nil
-		}
-		col[i] = T(v)
-		r.b = r.b[n:]
-	}
-	return col
-}
-
-func readFloats(r *colReader) []float64 {
-	col := make([]float64, r.count(8))
-	for i := range col {
-		col[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
-	}
-	r.b = r.b[8*len(col):]
-	return col
-}
-
 func (r *colReader) account(a *Account) {
 	a.ID = AccountID(r.int32())
 	a.Created = simclock.Stamp(r.f64())
@@ -496,7 +654,9 @@ func (r *colReader) account(a *Account) {
 	a.PrimaryVertical = verticals.Vertical(r.sym())
 	a.StolenPayment = r.bool()
 	a.Generation = r.int()
-	a.Status = AccountStatus(r.byte())
+	if a.Status = AccountStatus(r.byte()); a.Status > StatusClosed {
+		r.fail("account status byte %d", a.Status)
+	}
 	a.ShutdownAt = simclock.Stamp(r.f64())
 	a.ShutdownReason = r.sym()
 	a.FirstAdAt = simclock.Stamp(r.f64())

@@ -104,10 +104,9 @@ func NewIndex() *Index {
 	return &Index{byVC: make(map[vcKey]*postings), logCap: stageLogCap}
 }
 
-// group resolves an ad's (vertical, market) posting-list group, creating
-// it when create is set; without create a missing group is nil.
-func (x *Index) group(ad *Ad, create bool) *postings {
-	k := vcKey{ad.Vertical, ad.Target}
+// group resolves a (vertical, market) posting-list group, creating it
+// when create is set; without create a missing group is nil.
+func (x *Index) group(k vcKey, create bool) *postings {
 	ps := x.byVC[k]
 	if ps == nil && create {
 		ps = &postings{kw: make(map[int32][]entry), broad: make(map[int32][]entry)}
@@ -209,7 +208,7 @@ func (x *Index) do(e edit) {
 // maintains the invariant), so insertion positions are identical to
 // recomputing the score per probe.
 func (x *Index) AddBid(ad *Ad, bid *KeywordBid) {
-	x.addBid(x.group(ad, true), ad, bid)
+	x.addBid(x.group(vcKey{ad.Vertical, ad.Target}, true), ad, bid)
 }
 
 // addBid is AddBid into an already resolved group, for callers that add
@@ -257,7 +256,7 @@ func findEntry(list []entry, bid *KeywordBid, s float64) int {
 // after. Bids that are not indexed (paused ads) keep no entry to
 // re-sync.
 func (x *Index) UpdateBid(ad *Ad, bid *KeywordBid, newMax float64) {
-	if ps := x.group(ad, false); ps != nil {
+	if ps := x.group(vcKey{ad.Vertical, ad.Target}, false); ps != nil {
 		x.do(edit{ps: ps, bid: bid, score: bid.MaxBid * ad.Quality, to: newMax * ad.Quality, kind: editUpdate})
 	}
 }
@@ -267,7 +266,7 @@ func (x *Index) UpdateBid(ad *Ad, bid *KeywordBid, newMax float64) {
 // entries displaced by in-place modifications) and removed with a single tail
 // copy, instead of rewriting every touched list.
 func (x *Index) RemoveAd(ad *Ad) {
-	ps := x.group(ad, false)
+	ps := x.group(vcKey{ad.Vertical, ad.Target}, false)
 	if ps == nil {
 		return
 	}

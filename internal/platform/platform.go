@@ -279,7 +279,7 @@ func (p *Platform) AddBidsBatch(ad *Ad, bids []KeywordBid, at simclock.Stamp) {
 		ad.Bids = grown
 	}
 	acct := p.MustAccount(ad.Account)
-	ps := p.index.group(ad, true) // every bid of an ad shares its group
+	ps := p.index.group(vcKey{ad.Vertical, ad.Target}, true) // every bid of an ad shares its group
 	for i := range bids {
 		if bids[i].MaxBid <= 0 {
 			continue

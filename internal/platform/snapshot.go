@@ -1,7 +1,7 @@
 package platform
 
-// Checkpoint support. A Snapshot is the whole platform laid out flat, in
-// the columns a checkpoint stores (FRSNAP version 5, see columns.go):
+// The reference writer. A Snapshot is the whole platform laid out flat,
+// in the columns a checkpoint stores (FRSNAP version 5, see columns.go):
 //
 //   - Accounts and ads are value copies with their child slices cleared
 //     (an account's Ads, an ad's Bids); AdCount and BidCount say how many
@@ -26,19 +26,18 @@ package platform
 //     ledger's two totals are stored because they are sums in charge
 //     order, which no walk of the accounts reproduces bit for bit.
 //
-// A Snapshot shares no mutable memory with the platform it was taken from.
-// A checkpoint save never builds one: the platform writes the same bytes
-// straight from its live tables (AppendTables, AppendIndex). Snapshot is
-// the read side — DecodeColumns fills one for FromSnapshot to validate —
-// and the reference the live writer is tested against.
+// A Snapshot shares no mutable memory with the platform it was taken
+// from. No checkpoint builds one: a save writes the same bytes straight
+// from the live tables (AppendTables, AppendIndex), and a restore decodes
+// them straight into a live platform (DecodeColumns). Snapshot and
+// AppendColumns are the reference the live writer is tested against, and
+// how tests write frames a live platform never would.
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/market"
-	"repro/internal/simclock"
 	"repro/internal/verticals"
 )
 
@@ -168,142 +167,4 @@ func (p *Platform) Snapshot() *Snapshot {
 		}
 	}
 	return st
-}
-
-// sumCounts adds up a count column, rejecting negative entries.
-func sumCounts(what string, counts []int32) (int, error) {
-	n := 0
-	for i, c := range counts {
-		if c < 0 {
-			return 0, fmt.Errorf("platform: snapshot %s count %d is negative (%d)", what, i, c)
-		}
-		n += int(c)
-	}
-	return n, nil
-}
-
-// FromSnapshot rebuilds a Platform from a snapshot, taking ownership of
-// it. Column lengths, counts and all cross-references are checked so
-// hostile snapshot bytes yield an error, never a panic.
-func FromSnapshot(st *Snapshot) (*Platform, error) {
-	if st == nil {
-		return nil, fmt.Errorf("platform: nil snapshot")
-	}
-	if len(st.AdCount) != len(st.Accounts) || len(st.BidCount) != len(st.Ads) {
-		return nil, fmt.Errorf("platform: snapshot has %d ad counts for %d accounts, %d bid counts for %d ads",
-			len(st.AdCount), len(st.Accounts), len(st.BidCount), len(st.Ads))
-	}
-	nAds, err := sumCounts("ad", st.AdCount)
-	if err != nil {
-		return nil, err
-	}
-	nBids, err := sumCounts("bid", st.BidCount)
-	if err != nil {
-		return nil, err
-	}
-	if nAds != len(st.Ads) {
-		return nil, fmt.Errorf("platform: snapshot ad counts sum to %d, have %d ads", nAds, len(st.Ads))
-	}
-	if nBids != len(st.BidKeyword) || nBids != len(st.BidCluster) || nBids != len(st.BidMatch) ||
-		nBids != len(st.BidMax) || nBids != len(st.BidCreated) {
-		return nil, fmt.Errorf("platform: snapshot bid counts sum to %d, columns hold %d/%d/%d/%d/%d",
-			nBids, len(st.BidKeyword), len(st.BidCluster), len(st.BidMatch), len(st.BidMax), len(st.BidCreated))
-	}
-
-	p := New()
-	p.nextAdID = st.NextAdID
-	p.accounts = make([]*Account, len(st.Accounts))
-	adByID := make(map[AdID]*Ad, len(st.Ads))
-	nextAd, nextBid := 0, 0
-	for i := range st.Accounts {
-		// The account table only grows, so the accounts can live in the
-		// snapshot's one array; ads and bids are retired individually
-		// and get allocations with their own lifetimes.
-		a := &st.Accounts[i]
-		if int(a.ID) != i {
-			return nil, fmt.Errorf("platform: snapshot account %d carries ID %d", i, a.ID)
-		}
-		a.Ads = nil
-		if n := int(st.AdCount[i]); n > 0 {
-			a.Ads = make([]*Ad, n)
-		}
-		for j := range a.Ads {
-			ad := new(Ad)
-			*ad = st.Ads[nextAd]
-			if ad.Account != a.ID {
-				return nil, fmt.Errorf("platform: snapshot ad %d under account %d carries account %d", ad.ID, a.ID, ad.Account)
-			}
-			ad.Bids = nil
-			if n := int(st.BidCount[nextAd]); n > 0 {
-				// One exact-size backing array per ad, as AddBidsBatch
-				// builds them.
-				arr := make([]KeywordBid, n)
-				ad.Bids = make([]*KeywordBid, n)
-				for k := range arr {
-					arr[k] = KeywordBid{
-						KeywordID: st.BidKeyword[nextBid],
-						Cluster:   st.BidCluster[nextBid],
-						Match:     MatchType(st.BidMatch[nextBid]),
-						MaxBid:    st.BidMax[nextBid],
-						Created:   simclock.Stamp(st.BidCreated[nextBid]),
-					}
-					ad.Bids[k] = &arr[k]
-					nextBid++
-				}
-			}
-			nextAd++
-			if ad.Active {
-				p.adsLive++
-			}
-			a.Ads[j] = ad
-			adByID[ad.ID] = ad
-		}
-		p.accounts[i] = a
-	}
-
-	nRefs := 0
-	for i := range st.Index {
-		if st.Index[i].Refs < 0 {
-			return nil, fmt.Errorf("platform: snapshot index list %d has negative length %d", i, st.Index[i].Refs)
-		}
-		nRefs += int(st.Index[i].Refs)
-	}
-	if nRefs != len(st.RefAd) || nRefs != len(st.RefBid) {
-		return nil, fmt.Errorf("platform: snapshot index lists sum to %d refs, columns hold %d/%d", nRefs, len(st.RefAd), len(st.RefBid))
-	}
-	next := 0
-	for _, e := range st.Index {
-		ps := p.index.byVC[vcKey{e.Vertical, e.Country}]
-		if ps == nil {
-			ps = &postings{kw: make(map[int32][]entry), broad: make(map[int32][]entry)}
-			p.index.byVC[vcKey{e.Vertical, e.Country}] = ps
-		}
-		list := make([]entry, e.Refs)
-		for i := range list {
-			adID, pos := AdID(st.RefAd[next]), st.RefBid[next]
-			next++
-			ad, ok := adByID[adID]
-			if !ok {
-				return nil, fmt.Errorf("platform: snapshot index references unknown ad %d", adID)
-			}
-			if pos < 0 || int(pos) >= len(ad.Bids) {
-				return nil, fmt.Errorf("platform: snapshot index references bid %d of ad %d (has %d)", pos, adID, len(ad.Bids))
-			}
-			b := ad.Bids[pos]
-			// The cached score invariant is "current MaxBid × Quality"
-			// (UpdateBid keeps it synced through in-place modifications),
-			// so recomputing from the serialized amounts restores the
-			// live run's exact values.
-			list[i] = entry{ad: ad, bid: b, score: b.MaxBid * ad.Quality, acct: ad.Account, match: b.Match}
-		}
-		if e.Broad {
-			ps.broad[e.Kw] = list
-		} else {
-			ps.kw[e.Kw] = list
-		}
-	}
-
-	p.ledger.totalBilled = st.TotalBilled
-	p.ledger.totalLost = st.TotalLost
-	return p, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,25 +75,33 @@ func liveColumns(p *Platform, sc *ColumnScratch) []byte {
 // TestSnapshotFieldsComplete pins the codec to the structs: with every
 // field of a Snapshot, of its accounts and of its ads set, the reference
 // writer and DecodeColumns round-trip it unchanged. A field added to any
-// of them but not to the codec comes back zero.
+// of them but not to the codec comes back zero. The fields the decoder
+// checks against the rest of the tables (IDs, owners, the status, the
+// market of an ad the index files) keep the fixture's values.
 func TestSnapshotFieldsComplete(t *testing.T) {
 	st := snapshotFixture(t).Snapshot()
-	st.Accounts[0] = Account{}
-	fillFields(t, reflect.ValueOf(&st.Accounts[0]).Elem(), "Ads")
-	st.Ads[0] = Ad{}
-	fillFields(t, reflect.ValueOf(&st.Ads[0]).Elem(), "Bids")
+	a := &st.Accounts[0]
+	keepAcct := *a
+	*a = Account{}
+	fillFields(t, reflect.ValueOf(a).Elem(), "Ads")
+	a.ID, a.Status = keepAcct.ID, keepAcct.Status
+	ad := &st.Ads[0]
+	keepAd := *ad
+	*ad = Ad{}
+	fillFields(t, reflect.ValueOf(ad).Elem(), "Bids")
+	ad.ID, ad.Account, ad.Vertical, ad.Target = keepAd.ID, keepAd.Account, keepAd.Vertical, keepAd.Target
 	v := reflect.ValueOf(st).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		if v.Field(i).IsZero() {
 			t.Fatalf("fixture leaves Snapshot.%s zero", v.Type().Field(i).Name)
 		}
 	}
-	got, err := DecodeColumns(st.AppendColumns(nil))
+	p, err := DecodeColumns(st.AppendColumns(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, st) {
-		t.Fatalf("round trip lost a field:\n got %+v\nwant %+v", got.Accounts[0], st.Accounts[0])
+	if got := p.Snapshot(); !reflect.DeepEqual(got, st) {
+		t.Fatalf("round trip lost a field:\n got %+v\nwant %+v\n got %+v\nwant %+v", got.Accounts[0], st.Accounts[0], got.Ads[0], st.Ads[0])
 	}
 }
 
@@ -154,11 +163,7 @@ func TestLiveColumnsMatchReference(t *testing.T) {
 			t.Fatalf("write %d: live columns (%d bytes) differ from the reference (%d bytes)", i, len(got), len(want))
 		}
 	}
-	st, err := DecodeColumns(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := FromSnapshot(st)
+	q, err := DecodeColumns(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,19 +208,18 @@ func TestDecodeColumnsRejectsDamage(t *testing.T) {
 	if _, err := DecodeColumns(huge); err == nil || !strings.Contains(err.Error(), "rows") {
 		t.Fatalf("huge account count: %v", err)
 	}
-	// An empty snapshot ends in the RefAd and RefBid counts; swap them
-	// for one RefAd row past int32 and an empty RefBid.
-	wide := (&Snapshot{}).AppendColumns(nil)
-	wide = binary.AppendVarint(append(wide[:len(wide)-2], 1), 1<<40)
-	wide = append(wide, 0)
+	// An empty snapshot starts with the account count and NextAdID; swap
+	// NextAdID for one past int32.
+	empty := (&Snapshot{}).AppendColumns(nil)
+	wide := append(binary.AppendVarint(empty[:1:1], 1<<40), empty[2:]...)
 	if _, err := DecodeColumns(wide); err == nil || !strings.Contains(err.Error(), "overflows") {
 		t.Fatalf("int32 overflow: %v", err)
 	}
 }
 
-// TestSnapshotRoundTripByteEqual: encode → DecodeColumns → FromSnapshot
-// → Snapshot → encode reproduces the bytes, and the restored platform
-// serves the same posting lists in the same order.
+// TestSnapshotRoundTripByteEqual: encode → DecodeColumns → Snapshot →
+// encode reproduces the bytes, and the restored platform serves the same
+// posting lists in the same order.
 func TestSnapshotRoundTripByteEqual(t *testing.T) {
 	p := snapshotFixture(t)
 	first := p.Snapshot().AppendColumns(nil)
@@ -223,11 +227,7 @@ func TestSnapshotRoundTripByteEqual(t *testing.T) {
 		t.Fatal("two snapshots of one state encode differently")
 	}
 
-	decoded, err := DecodeColumns(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := FromSnapshot(decoded)
+	q, err := DecodeColumns(first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +265,43 @@ func TestSnapshotRoundTripByteEqual(t *testing.T) {
 	}
 }
 
+// adOf is the row of st's ad id.
+func adOf(st *Snapshot, id int32) *Ad {
+	for i := range st.Ads {
+		if int32(st.Ads[i].ID) == id {
+			return &st.Ads[i]
+		}
+	}
+	panic("no such ad")
+}
+
+// listOf is the position in st.Index of the first exact or phrase list
+// under keyword kw.
+func listOf(st *Snapshot, kw int32) int {
+	for i, e := range st.Index {
+		if e.Kw == kw && !e.Broad {
+			return i
+		}
+	}
+	panic("no such list")
+}
+
+// refTwice points a reference at the bid its list's previous reference
+// names, where both are to one ad: the bid is then filed twice.
+func refTwice(st *Snapshot) {
+	for i := 1; i < len(st.RefAd); i++ {
+		if st.RefAd[i] == st.RefAd[i-1] {
+			st.RefBid[i] = st.RefBid[i-1]
+			return
+		}
+	}
+	panic("no list holds two bids of one ad")
+}
+
 // TestFromSnapshotRejectsInconsistentColumns: every way the flat layout
-// can disagree with itself is an error, never a panic or a silently
-// misattributed bid.
+// can disagree with itself, and every reference the live index would not
+// file where the columns put it, is a DecodeColumns error, never a panic
+// or a silently misattributed bid.
 func TestFromSnapshotRejectsInconsistentColumns(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -280,27 +314,58 @@ func TestFromSnapshotRejectsInconsistentColumns(t *testing.T) {
 		{"negative bid count", func(st *Snapshot) { st.BidCount[0] = -4 }, "negative"},
 		{"ad counts oversum", func(st *Snapshot) { st.AdCount[0]++ }, "ad counts sum"},
 		{"ad counts undersum", func(st *Snapshot) { st.AdCount[1]-- }, "ad counts sum"},
-		{"bid counts oversum", func(st *Snapshot) { st.BidCount[0] += 2 }, "bid counts sum"},
-		{"short keyword column", func(st *Snapshot) { st.BidKeyword = st.BidKeyword[1:] }, "bid counts sum"},
-		{"short cluster column", func(st *Snapshot) { st.BidCluster = st.BidCluster[:0] }, "bid counts sum"},
-		{"short match column", func(st *Snapshot) { st.BidMatch = st.BidMatch[1:] }, "bid counts sum"},
-		{"long max column", func(st *Snapshot) { st.BidMax = append(st.BidMax, 1) }, "bid counts sum"},
-		{"short created column", func(st *Snapshot) { st.BidCreated = nil }, "bid counts sum"},
-		{"bids moved between ads", func(st *Snapshot) { st.BidCount[0]--; st.BidCount[1]++ }, "references bid"},
+		{"bid counts oversum", func(st *Snapshot) { st.BidCount[0] += 2 }, "counts before it sum"},
+		{"short keyword column", func(st *Snapshot) { st.BidKeyword = st.BidKeyword[1:] }, "keyword column"},
+		{"short cluster column", func(st *Snapshot) { st.BidCluster = st.BidCluster[:0] }, "cluster column"},
+		{"short match column", func(st *Snapshot) { st.BidMatch = st.BidMatch[1:] }, "match column"},
+		{"long max column", func(st *Snapshot) { st.BidMax = append(st.BidMax, 1) }, "max bid column"},
+		{"short created column", func(st *Snapshot) { st.BidCreated = nil }, "created column"},
+		{"bids moved between ads", func(st *Snapshot) { st.BidCount[0]--; st.BidCount[1]++ }, "filed under"},
 		{"ad under the wrong account", func(st *Snapshot) { st.AdCount[0]--; st.AdCount[1]++ }, "carries account"},
 		{"account ID out of place", func(st *Snapshot) { st.Accounts[1].ID = 3 }, "carries ID"},
 		{"negative list length", func(st *Snapshot) { st.Index[0].Refs = -1 }, "negative length"},
-		{"list lengths oversum", func(st *Snapshot) { st.Index[0].Refs++ }, "refs"},
-		{"short ref ad column", func(st *Snapshot) { st.RefAd = st.RefAd[1:] }, "refs"},
-		{"short ref bid column", func(st *Snapshot) { st.RefBid = st.RefBid[1:] }, "refs"},
-		{"unknown ad", func(st *Snapshot) { st.RefAd[0] = 9999 }, "unknown ad"},
+		{"list lengths oversum", func(st *Snapshot) { st.Index[0].Refs++ }, "ref ad column"},
+		{"short ref ad column", func(st *Snapshot) { st.RefAd = st.RefAd[1:] }, "ref ad column"},
+		{"short ref bid column", func(st *Snapshot) { st.RefBid = st.RefBid[1:] }, "ref bid column"},
+		{"unknown ad", func(st *Snapshot) { st.RefAd[0] = 9999 }, "ad 9999, which is not there"},
 		{"bid position out of range", func(st *Snapshot) { st.RefBid[0] = 99 }, "references bid"},
 		{"negative bid position", func(st *Snapshot) { st.RefBid[0] = -1 }, "references bid"},
+
+		// Bytes no enum value has.
+		{"match byte above broad", func(st *Snapshot) { st.BidMatch[0] = 7 }, "match byte 7"},
+		{"status byte above closed", func(st *Snapshot) { st.Accounts[0].Status = StatusClosed + 1 }, "status byte 5"},
+
+		// IDs the platform would not have issued.
+		{"negative next ad ID", func(st *Snapshot) { st.NextAdID = -1 }, "next ad ID -1"},
+		{"ad ID issued again", func(st *Snapshot) { st.NextAdID = 11 }, "ad ID 11 outside"},
+		{"ad ID twice", func(st *Snapshot) { adOf(st, 6).ID = 9 }, "ad ID 9 twice"}, // no list files ad 6, a shut-down account's
+
+		// References the live index would file elsewhere, or not at all.
+		{"paused ad filed", func(st *Snapshot) { adOf(st, st.RefAd[0]).Active = false }, "paused ad"},
+		{"closed account's ad filed", func(st *Snapshot) {
+			st.Accounts[adOf(st, st.RefAd[0]).Account].Status = StatusClosed
+		}, "closed account"},
+		{"list of another vertical", func(st *Snapshot) { st.Index[0].Vertical = verticals.Luxury }, "filed under luxury/"},
+		{"list of another market", func(st *Snapshot) { st.Index[0].Country = market.DE }, "/DE"},
+		{"exact bids in a broad list", func(st *Snapshot) { st.Index[listOf(st, 7)].Broad = true }, "filed under list 7 (broad true)"},
+		{"bids under another keyword", func(st *Snapshot) { st.Index[listOf(st, 7)].Kw = 8 }, "filed under list 8"},
+		{"bid filed twice", refTwice, "referenced twice"},
+		{"serving bid not filed", func(st *Snapshot) {
+			n := st.Index[0].Refs - 1
+			st.Index[0].Refs = n
+			st.RefAd = slices.Delete(st.RefAd, int(n), int(n)+1)
+			st.RefBid = slices.Delete(st.RefBid, int(n), int(n)+1)
+		}, "the serving ads hold"},
+		{"list key twice", func(st *Snapshot) {
+			refs := st.Index[1].Refs
+			st.Index[1] = st.Index[0]
+			st.Index[1].Refs = refs
+		}, "(broad false) twice"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := snapshotFixture(t).Snapshot()
 			tc.break_(st)
-			p, err := FromSnapshot(st)
+			p, err := DecodeColumns(st.AppendColumns(nil))
 			if err == nil {
 				t.Fatalf("accepted (platform with %d accounts)", p.NumAccounts())
 			}
@@ -309,14 +374,12 @@ func TestFromSnapshotRejectsInconsistentColumns(t *testing.T) {
 			}
 		})
 	}
-	if _, err := FromSnapshot(nil); err == nil {
-		t.Fatal("nil snapshot accepted")
-	}
 }
 
 // FuzzDecodeColumns calls the decoder directly, with no recover guard
-// around it: any panic fails the fuzzer. What decodes must also survive
-// FromSnapshot, and re-encode to a fixed point.
+// around it: any panic fails the fuzzer. What decodes re-encodes by the
+// reference writer to a fixed point: decode, re-encode, decode the result
+// and re-encode it again, and the two encodings are the same bytes.
 func FuzzDecodeColumns(f *testing.F) {
 	p := snapshotFixture(f)
 	valid := p.Snapshot().AppendColumns(nil)
@@ -335,6 +398,8 @@ func FuzzDecodeColumns(f *testing.F) {
 		func(st *Snapshot) { st.AdCount[0] += 3 },
 		func(st *Snapshot) { st.RefBid[0] = 1 << 20 },
 		func(st *Snapshot) { st.RefAd[0] = -7 },
+		func(st *Snapshot) { st.BidMatch[0] = 7 },
+		func(st *Snapshot) { st.Index[0].Country = market.DE },
 	} {
 		st := p.Snapshot()
 		vandalize(st)
@@ -342,18 +407,17 @@ func FuzzDecodeColumns(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := DecodeColumns(data)
+		p, err := DecodeColumns(data)
 		if err != nil {
 			return
 		}
-		again := st.AppendColumns(nil)
-		st2, err := DecodeColumns(again)
+		once := p.Snapshot().AppendColumns(nil)
+		q, err := DecodeColumns(once)
 		if err != nil {
 			t.Fatalf("re-encoded columns do not decode: %v", err)
 		}
-		if !bytes.Equal(st2.AppendColumns(nil), again) {
+		if !bytes.Equal(q.Snapshot().AppendColumns(nil), once) {
 			t.Fatal("re-encoding is not a fixed point")
 		}
-		FromSnapshot(st)
 	})
 }

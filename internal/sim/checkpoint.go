@@ -9,10 +9,10 @@ package sim
 //	          refused by the version check, there is no migration)
 //	then:     uvarint payload length | payload | crc32c(payload) LE
 //
-// The payload is one gob value — the Checkpoint with its platform
-// detached — followed by the platform's columns. Everything outside the
-// platform — collector, pipeline, agents, RNG streams — is a few percent
-// of the bytes and stays ordinary gob structs.
+// The payload is one gob value — the Checkpoint, whose State carries the
+// platform in no gob field — followed by the platform's columns.
+// Everything outside the platform — collector, pipeline, agents, RNG
+// streams — is a few percent of the bytes and stays ordinary gob structs.
 //
 // A Sim saving itself writes the columns straight from its live platform
 // in two halves (platform.AppendTables and AppendIndex) that read
@@ -20,6 +20,8 @@ package sim
 // gob and the tables half run on the caller's, each into its own reused
 // buffer, and the halves are concatenated in wire order. The bytes are the
 // same as platform.Snapshot.AppendColumns writes for a saved Checkpoint.
+// A load decodes the columns straight into a live platform
+// (platform.DecodeColumns), which checks them on the way.
 //
 // The CRC is computed with the Castagnoli polynomial — the same framing
 // discipline as the event log — so a torn or bit-flipped snapshot is
@@ -103,8 +105,7 @@ func (w *frameWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// begin starts a frame in b: the reserved head, then the gob of c with its
-// platform detached.
+// begin starts a frame in b: the reserved head, then the gob of c.
 func (b *checkpointBufs) begin(c *Checkpoint) error {
 	if b.enc == nil {
 		b.frame.b = b.frame.b[:0]
@@ -115,9 +116,7 @@ func (b *checkpointBufs) begin(c *Checkpoint) error {
 		b.types = bytes.Clone(b.frame.b[:b.frame.last])
 	}
 	b.frame.b = append(append(b.frame.b[:0], make([]byte, frameHead)...), b.types...)
-	st := *c.State
-	st.Platform = nil
-	return b.enc.Encode(&Checkpoint{State: &st, Log: c.Log})
+	return b.enc.Encode(c)
 }
 
 // finish closes the frame begun in b — CRC, then the head right-aligned
@@ -138,13 +137,13 @@ func (b *checkpointBufs) finish() []byte {
 // encodeCheckpoint renders a saved Checkpoint as its on-disk frame, its
 // platform columns by the reference writer.
 func encodeCheckpoint(b *checkpointBufs, c *Checkpoint) ([]byte, error) {
-	if c == nil || c.State == nil || c.State.Platform == nil {
+	if c == nil || c.State == nil || c.State.p == nil {
 		return nil, fmt.Errorf("sim: nil checkpoint")
 	}
 	if err := b.begin(c); err != nil {
 		return nil, fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
-	b.frame.b = c.State.Platform.AppendColumns(b.frame.b)
+	b.frame.b = c.State.p.Snapshot().AppendColumns(b.frame.b)
 	return b.finish(), nil
 }
 
@@ -196,8 +195,8 @@ func writeFrame(path string, frame []byte) error {
 
 // ReadCheckpoint reads and validates a checkpoint file: magic, version,
 // declared length, and CRC are all checked before anything is decoded,
-// and the decode itself is guarded so hostile bytes yield an error, never
-// a panic.
+// the platform's columns are checked as they decode, and the decode
+// itself is guarded so hostile bytes yield an error, never a panic.
 func ReadCheckpoint(path string) (c *Checkpoint, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -207,7 +206,8 @@ func ReadCheckpoint(path string) (c *Checkpoint, err error) {
 }
 
 // DecodeCheckpoint validates and decodes checkpoint bytes (the body of
-// ReadCheckpoint, split out for fuzzing).
+// ReadCheckpoint, split out for fuzzing). The State it returns holds the
+// decoded platform for Restore, which checks the rest of the State.
 func DecodeCheckpoint(data []byte) (c *Checkpoint, err error) {
 	if len(data) < len(checkpointMagic) || !bytes.Equal(data[:len(checkpointMagic)-1], checkpointMagic[:len(checkpointMagic)-1]) {
 		return nil, fmt.Errorf("sim: not a checkpoint file")
@@ -248,7 +248,7 @@ func DecodeCheckpoint(data []byte) (c *Checkpoint, err error) {
 	}
 	// The gob decoder reads a bytes.Reader message by message, never
 	// ahead, so what it left is the platform's columns.
-	if c.State.Platform, err = platform.DecodeColumns(payload[len(payload)-rd.Len():]); err != nil {
+	if c.State.p, err = platform.DecodeColumns(payload[len(payload)-rd.Len():]); err != nil {
 		return nil, fmt.Errorf("sim: decode checkpoint platform: %w", err)
 	}
 	if c.Log.NextSegment < 0 {

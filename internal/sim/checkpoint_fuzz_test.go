@@ -1,10 +1,10 @@
 package sim_test
 
 // FuzzRestoreCheckpoint feeds hostile bytes through the full resume path:
-// DecodeCheckpoint (framing, CRC, guarded decode) and, when that
-// accepts, Restore. Neither may ever panic — a corrupt checkpoint must
-// come back as an error, and a checkpoint that restores must land on the
-// day it recorded.
+// DecodeCheckpoint (framing, CRC, guarded decode, the platform's checks)
+// and, when that accepts, Restore, then one day of the restored sim. None
+// may ever panic — a corrupt checkpoint must come back as an error, and a
+// checkpoint that restores must land on the day it recorded and run.
 
 import (
 	"bytes"
@@ -89,12 +89,14 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		}
 		f.Add(hostile)
 	}
-	// Likewise for the platform's columns: lengths and counts that
-	// disagree with each other, and bytes the column decoder refuses.
+	// Likewise for the platform's columns: lengths, counts and references
+	// that disagree with each other, a match byte past MatchBroad (which
+	// the click fold would index with) and a misfiled reference, all of
+	// which the column decoder refuses.
 	for _, hostile := range hostilePlatformFrames(f, valid) {
 		f.Add(hostile)
 	}
-	for _, hostile := range reframeColumns(f, valid) {
+	for _, hostile := range reframeColumns(valid) {
 		f.Add(hostile)
 	}
 
@@ -110,5 +112,6 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		if restored.Day() != c.State.Day {
 			t.Fatalf("restored sim at day %d, checkpoint says %d", restored.Day(), c.State.Day)
 		}
+		restored.Step()
 	})
 }

@@ -14,62 +14,69 @@ import (
 	"repro/internal/sim"
 )
 
-// hostilePlatformFrames re-frames a valid checkpoint after breaking the
-// platform snapshot's flat layout in ways only platform.FromSnapshot can
-// notice: the frames are CRC-valid and decode cleanly, but their columns
-// and counts disagree. Shared by the restore test below and the fuzz
-// targets' seed corpora.
+// reframe re-frames a valid checkpoint after editing its payload, whose
+// tail is the platform's columns, with a fresh length and CRC: the frame
+// passes the framing checks and reaches the decoders.
+func reframe(valid []byte, edit func(payload []byte) []byte) []byte {
+	n, w := binary.Uvarint(valid[7:])
+	p := edit(bytes.Clone(valid[7+w : 7+w+int(n)]))
+	frame := binary.AppendUvarint(bytes.Clone(valid[:7]), uint64(len(p)))
+	frame = append(frame, p...)
+	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// hostilePlatformFrames re-frames a valid checkpoint with its platform's
+// columns swapped for those of a vandalized snapshot of that platform,
+// by the reference writer: columns whose lengths, counts and references
+// disagree, a match byte no match type has, and a reference filed under
+// a list the live index would not file its bid in. The frames are
+// CRC-valid and their gob decodes; only the platform's decoder can
+// refuse them. Shared by the tests below and the fuzz targets' seed
+// corpora.
 func hostilePlatformFrames(t testing.TB, valid []byte) map[string][]byte {
 	t.Helper()
+	c, err := sim.DecodeCheckpoint(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.Restore(c.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := len(s.Platform().Snapshot().AppendColumns(nil))
 	out := map[string][]byte{}
-	path := filepath.Join(t.TempDir(), "hostile.frsnap")
-	for name, vandalize := range map[string]func(*sim.State){
-		"short bid column":   func(st *sim.State) { st.Platform.BidMax = st.Platform.BidMax[1:] },
-		"no created column":  func(st *sim.State) { st.Platform.BidCreated = nil },
-		"ad counts oversum":  func(st *sim.State) { st.Platform.AdCount[0] += 3 },
-		"bid counts oversum": func(st *sim.State) { st.Platform.BidCount[0] += 3 },
-		"negative bid count": func(st *sim.State) { st.Platform.BidCount[0] = -st.Platform.BidCount[0] - 1 },
-		"ref columns differ": func(st *sim.State) { st.Platform.RefBid = st.Platform.RefBid[1:] },
-		"refs oversum":       func(st *sim.State) { st.Platform.Index[0].Refs += 2 },
-		"bid out of range":   func(st *sim.State) { st.Platform.RefBid[0] = 1 << 20 },
-		"missing ad":         func(st *sim.State) { st.Platform.RefAd[0] = -7 },
-		"ads without counts": func(st *sim.State) { st.Platform.AdCount = nil },
+	for name, vandalize := range map[string]func(*platform.Snapshot){
+		"short bid column":   func(st *platform.Snapshot) { st.BidMax = st.BidMax[1:] },
+		"no created column":  func(st *platform.Snapshot) { st.BidCreated = nil },
+		"ad counts oversum":  func(st *platform.Snapshot) { st.AdCount[0] += 3 },
+		"bid counts oversum": func(st *platform.Snapshot) { st.BidCount[0] += 3 },
+		"negative bid count": func(st *platform.Snapshot) { st.BidCount[0] = -st.BidCount[0] - 1 },
+		"ref columns differ": func(st *platform.Snapshot) { st.RefBid = st.RefBid[1:] },
+		"refs oversum":       func(st *platform.Snapshot) { st.Index[0].Refs += 2 },
+		"bid out of range":   func(st *platform.Snapshot) { st.RefBid[0] = 1 << 20 },
+		"missing ad":         func(st *platform.Snapshot) { st.RefAd[0] = -7 },
+		"ads without counts": func(st *platform.Snapshot) { st.AdCount = nil },
+		"match byte 7": func(st *platform.Snapshot) {
+			for i := range st.BidMatch {
+				st.BidMatch[i] = 7
+			}
+		},
+		"misfiled reference": func(st *platform.Snapshot) { st.Index[0].Kw = -1 },
 	} {
-		c, err := sim.DecodeCheckpoint(valid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vandalize(c.State)
-		if err := sim.WriteCheckpoint(path, c); err != nil {
-			t.Fatal(err)
-		}
-		frame, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = frame
+		st := s.Platform().Snapshot()
+		vandalize(st)
+		out[name] = reframe(valid, func(p []byte) []byte { return append(p[:len(p)-cols], st.AppendColumns(nil)...) })
 	}
 	return out
 }
 
-// reframeColumns re-frames a valid checkpoint after editing its payload,
-// whose tail is the platform's columns, with a fresh length and CRC: the
-// frames pass the framing checks and reach the column decoder.
-func reframeColumns(t testing.TB, valid []byte) map[string][]byte {
-	t.Helper()
-	n, w := binary.Uvarint(valid[7:])
-	payload := valid[7+w : 7+w+int(n)]
-	out := map[string][]byte{}
-	for name, edit := range map[string]func([]byte) []byte{
-		"trailing column byte": func(p []byte) []byte { return append(p, 0) },
-		"short last column":    func(p []byte) []byte { return p[:len(p)-1] },
-	} {
-		p := edit(bytes.Clone(payload))
-		frame := binary.AppendUvarint(bytes.Clone(valid[:7]), uint64(len(p)))
-		frame = append(frame, p...)
-		out[name] = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+// reframeColumns re-frames a valid checkpoint after cutting or extending
+// its columns: the frames reach the column decoder, which refuses them.
+func reframeColumns(valid []byte) map[string][]byte {
+	return map[string][]byte{
+		"trailing column byte": reframe(valid, func(p []byte) []byte { return append(p, 0) }),
+		"short last column":    reframe(valid, func(p []byte) []byte { return p[:len(p)-1] }),
 	}
-	return out
 }
 
 // midRunCheckpoint runs a small sim to a mid-horizon day boundary and
@@ -161,16 +168,13 @@ func TestRestoreRecountsDetections(t *testing.T) {
 }
 
 // TestRestoreRejectsInconsistentPlatform: a frame that passes the CRC and
-// gob but whose platform columns disagree is an error from Restore.
+// gob but whose platform columns disagree never reaches Restore: the
+// platform's decoder refuses it inside DecodeCheckpoint.
 func TestRestoreRejectsInconsistentPlatform(t *testing.T) {
 	_, valid := midRunCheckpoint(t)
 	for name, frame := range hostilePlatformFrames(t, valid) {
-		c, err := sim.DecodeCheckpoint(frame)
-		if err != nil {
-			t.Fatalf("%s: frame should decode (the damage is semantic): %v", name, err)
-		}
-		if _, err := sim.Restore(c.State); err == nil || !strings.Contains(err.Error(), "platform: snapshot") {
-			t.Fatalf("%s: Restore = %v, want a platform snapshot error", name, err)
+		if _, err := sim.DecodeCheckpoint(frame); err == nil || !strings.Contains(err.Error(), "platform: columns") {
+			t.Fatalf("%s: DecodeCheckpoint = %v, want a platform column error", name, err)
 		}
 	}
 }
@@ -179,7 +183,7 @@ func TestRestoreRejectsInconsistentPlatform(t *testing.T) {
 // columns of a CRC-valid frame is a decode error, never a panic.
 func TestDecodeCheckpointRejectsBadColumns(t *testing.T) {
 	_, valid := midRunCheckpoint(t)
-	for name, frame := range reframeColumns(t, valid) {
+	for name, frame := range reframeColumns(valid) {
 		if _, err := sim.DecodeCheckpoint(frame); err == nil || !strings.Contains(err.Error(), "platform: columns") {
 			t.Fatalf("%s: DecodeCheckpoint = %v, want a column decode error", name, err)
 		}

@@ -10,7 +10,6 @@ package sim_test
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -100,12 +99,11 @@ func TestCrashResumeDigestIdentical(t *testing.T) {
 	}
 }
 
-// TestCrashCheckpointRoundTrip takes the gob(Snapshot) path through a
-// mid-run save: at day 4 of a one-worker sweep run, two encodings of the
-// snapshot are the same bytes and hash to the recorded snapshot, and a
-// Sim restored from them finishes at two workers on the recording's
-// events and digest. The donor's own continuation is
-// TestSameSeedByteIdentical's run.
+// TestCrashCheckpointRoundTrip takes the reference frame through a
+// mid-run save: at day 4 of a one-worker sweep run, two reference frames
+// are the same bytes and hash to the recorded frame, and a Sim restored
+// from one finishes at two workers on the recording's events and digest.
+// The donor's own continuation is TestSameSeedByteIdentical's run.
 func TestCrashCheckpointRoundTrip(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -116,22 +114,22 @@ func TestCrashCheckpointRoundTrip(t *testing.T) {
 	for s.Day() < 4 {
 		s.Step()
 	}
-	enc, err := snapshotGob(s)
+	frame, err := sim.ReferenceFrame(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, err := snapshotGob(s); err != nil || !bytes.Equal(enc, again) {
-		t.Fatalf("snapshot encoding is not byte-deterministic (%v)", err)
+	if again, err := sim.ReferenceFrame(s); err != nil || !bytes.Equal(frame, again) {
+		t.Fatalf("the reference frame is not byte-deterministic (%v)", err)
 	}
 	mid := at(4, sim.PhaseArrivals)
-	if sha256.Sum256(enc) != rec.bounds[mid].snap {
-		t.Fatalf("%s: the snapshot before %s differs from the recording's", rec.name, phaseName(mid))
+	if sha256.Sum256(frame) != rec.frameAt[mid] {
+		t.Fatalf("%s: the frame before %s differs from the recording's", rec.name, phaseName(mid))
 	}
-	var st sim.State
-	if err := gob.NewDecoder(bytes.NewReader(enc)).Decode(&st); err != nil {
+	c, err := sim.DecodeCheckpoint(frame)
+	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := sim.Restore(&st)
+	restored, err := sim.Restore(c.State)
 	if err != nil {
 		t.Fatal(err)
 	}

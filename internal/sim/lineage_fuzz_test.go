@@ -51,13 +51,14 @@ func FuzzLineageLoad(f *testing.F) {
 	f.Add([]byte("FRSNAP\x02junk"), flipped, torn, false)
 	f.Add([]byte("FRSNAP\x03junk"), flipped, torn, false)
 	f.Add([]byte("FRSNAP\x04junk"), flipped, torn, false)
-	// Frames that validate but hold a self-inconsistent platform: Load
-	// accepts them (it checks framing, not meaning); they are here so the
-	// fuzzer mutates from both sides of that line.
+	// CRC-valid frames whose platform is self-inconsistent: Load
+	// quarantines them like a torn frame, since DecodeCheckpoint runs the
+	// platform's checks; they are here so the fuzzer mutates from both
+	// sides of the CRC.
 	for _, hostile := range hostilePlatformFrames(f, valid) {
 		f.Add(hostile, valid, torn, false)
 	}
-	for _, hostile := range reframeColumns(f, valid) {
+	for _, hostile := range reframeColumns(valid) {
 		f.Add(hostile, valid, torn, false)
 	}
 

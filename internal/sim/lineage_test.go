@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -255,5 +256,40 @@ func TestLineageDefaultRetain(t *testing.T) {
 	}
 	if kept != sim.DefaultRetain {
 		t.Errorf("kept %d generations, want DefaultRetain=%d", kept, sim.DefaultRetain)
+	}
+}
+
+// TestResumeRunSkipsInconsistentPlatform: the newest generation passes
+// its CRC, but its platform's bid counts disagree with its bid columns.
+// DecodeCheckpoint refuses it, so Load quarantines it and ResumeRun
+// resumes from the generation before it.
+func TestResumeRunSkipsInconsistentPlatform(t *testing.T) {
+	cfg := crashConfig(9)
+	cfg.Days = 4
+	s := sim.New(cfg)
+	l := sim.Lineage{Path: filepath.Join(t.TempDir(), "ck.frsnap")}
+	for range 2 {
+		s.Step()
+		if err := s.SaveCheckpointLineage(l, sim.LogPosition{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newest, err := os.ReadFile(l.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(l.Path, hostilePlatformFrames(t, newest)["bid counts oversum"], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var notes strings.Builder
+	d, err := sim.ResumeRun(l, "", &notes)
+	if err != nil {
+		t.Fatalf("ResumeRun: %v", err)
+	}
+	if d.From != l.Path+".1" || d.Sim.Day() != 1 {
+		t.Fatalf("resumed from %s at day %d, want %s.1 at day 1", d.From, d.Sim.Day(), l.Path)
+	}
+	if _, err := os.Stat(l.Path + sim.CorruptSuffix); err != nil {
+		t.Fatalf("the inconsistent generation was not quarantined: %v (notes: %q)", err, notes.String())
 	}
 }

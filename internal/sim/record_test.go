@@ -2,9 +2,8 @@
 // run's bytes equal the one-worker reference run's, so each (seed,
 // shape) world's reference is simulated once per test binary and
 // recorded: the canonical digest, the hash of each phase's events, the
-// hash of gob(Snapshot) and of the reference FRSNAP frame at every day
-// boundary of the every-boundary worlds, and whole frames at the restore
-// points. A variant run fails at the first phase whose events, or the
+// hash of the reference FRSNAP frame at every day boundary of the
+// every-boundary worlds, and whole frames at the restore points. A variant run fails at the first phase whose events, or the
 // first day boundary whose state, differs from the recording, and names
 // it. A checkpoint is taken only between days, so those are the only
 // boundaries with a state to compare.
@@ -19,7 +18,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash"
 	"math"
@@ -92,7 +90,7 @@ var (
 type world struct {
 	name   string
 	cfg    sim.Config // the shape; each run sets its worker count
-	every  bool       // hash the snapshot and the reference frame at every day boundary
+	every  bool       // hash the reference frame at every day boundary
 	keep   []int      // day boundaries whose reference frames are kept whole
 	result bool       // keep the Result, for tests that read more than its digest
 
@@ -133,14 +131,14 @@ func worlds(m map[uint64]*world, seeds ...uint64) []*world {
 
 // recording is what a world's one-worker reference run left behind.
 type recording struct {
-	name   string
-	cfg    sim.Config
-	res    *sim.Result    // kept only where the world asks for it
-	laws   error          // the result's companion-law violations
-	digest []byte         // canonical digest bytes
-	phases []phase        // phases[k]: the k-th phase the run stepped
-	bounds []bound        // bounds[k]: the boundary before phases[k]; the last is the horizon
-	frames map[int][]byte // reference frames at the world's keep boundaries
+	name    string
+	cfg     sim.Config
+	res     *sim.Result         // kept only where the world asks for it
+	laws    error               // the result's companion-law violations
+	digest  []byte              // canonical digest bytes
+	phases  []phase             // phases[k]: the k-th phase the run stepped
+	frameAt [][sha256.Size]byte // frameAt[k]: the reference frame's hash before phases[k]; the last is the horizon
+	frames  map[int][]byte      // reference frames at the world's keep boundaries
 }
 
 // phase is what a recording keeps of one phase: its event count and the
@@ -148,14 +146,6 @@ type recording struct {
 type phase struct {
 	events int
 	log    [sha256.Size]byte
-}
-
-// bound is the state at one boundary, hashed at every day boundary of
-// an every-boundary world and at the keep boundaries of any world (frame
-// only); zero elsewhere.
-type bound struct {
-	snap  [sha256.Size]byte // gob(Snapshot)
-	frame [sha256.Size]byte // sim.ReferenceFrame
 }
 
 // record returns w's recording, running the reference on first use.
@@ -177,32 +167,24 @@ func (w *world) run() (*recording, error) {
 	cfg.Events = log
 	s := sim.New(cfg)
 	s.SetWorkers(1)
-	rec := &recording{name: w.name, cfg: w.cfg, bounds: []bound{{}}, frames: map[int][]byte{}}
+	rec := &recording{name: w.name, cfg: w.cfg, frameAt: [][sha256.Size]byte{{}}, frames: map[int][]byte{}}
 	for more := true; more; {
 		more = s.StepPhase()
 		n, sum := log.cut()
 		rec.phases = append(rec.phases, phase{n, sum})
 		k := len(rec.phases)
-		var b bound
-		every := w.every && betweenDays(k)
-		if every || slices.Contains(w.keep, k) {
+		var frameSum [sha256.Size]byte // zero where the world hashes no frame
+		if w.every && betweenDays(k) || slices.Contains(w.keep, k) {
 			frame, err := sim.ReferenceFrame(s)
 			if err != nil {
 				return nil, err
 			}
-			b.frame = sha256.Sum256(frame)
+			frameSum = sha256.Sum256(frame)
 			if slices.Contains(w.keep, k) {
 				rec.frames[k] = frame
 			}
 		}
-		if every {
-			snap, err := snapshotGob(s)
-			if err != nil {
-				return nil, err
-			}
-			b.snap = sha256.Sum256(snap)
-		}
-		rec.bounds = append(rec.bounds, b)
+		rec.frameAt = append(rec.frameAt, frameSum)
 	}
 	res := s.Finish()
 	rec.laws = companionLaws(res)
@@ -212,13 +194,6 @@ func (w *world) run() (*recording, error) {
 	var err error
 	rec.digest, err = testutil.MarshalStable(testutil.DigestResult(res))
 	return rec, err
-}
-
-// snapshotGob is gob(Snapshot).
-func snapshotGob(s *sim.Sim) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(s.Snapshot())
-	return buf.Bytes(), err
 }
 
 // phaseLog is an event sink that hashes each phase's events, every
@@ -323,7 +298,7 @@ func checkLiveFrame(t *testing.T, rec *recording, s *sim.Sim, k int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sha256.Sum256(frame) != rec.bounds[k].frame {
+	if sha256.Sum256(frame) != rec.frameAt[k] {
 		t.Fatalf("%s: the frame a save writes before %s differs from the recorded reference frame",
 			rec.name, phaseName(k))
 	}
@@ -467,7 +442,7 @@ func TestParallelCheckpointResume(t *testing.T) {
 	checkRestore(t, worlds(matrixWorlds, 7, 11, 23, 31), y1q2Day, 5)
 }
 
-// TestPhaseBoundaryCheckpointResume holds the snapshot bytes of
+// TestPhaseBoundaryCheckpointResume holds the reference frame of
 // sweep-world runs at two, four and seven workers to the recording's at
 // every day boundary, the horizon included, after a day whose serving
 // phase took the queries the agents phase drew ahead: Snapshot must see
@@ -487,11 +462,11 @@ func TestPhaseBoundaryCheckpointResume(t *testing.T) {
 					if !betweenDays(k) {
 						return
 					}
-					snap, err := snapshotGob(s)
+					frame, err := sim.ReferenceFrame(s)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if sha256.Sum256(snap) != rec.bounds[k].snap {
+					if sha256.Sum256(frame) != rec.frameAt[k] {
 						t.Fatalf("%s: the snapshot before %s differs from the recording's", rec.name, phaseName(k))
 					}
 				})

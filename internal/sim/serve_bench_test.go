@@ -8,8 +8,6 @@ package sim
 // iteration draws the day's queries first, on the benchmark goroutine.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"testing"
@@ -17,9 +15,10 @@ import (
 	"repro/internal/simclock"
 )
 
-// warmServingState runs cfg to warmDays and returns the gob-encoded
-// snapshot plus the next day to serve: every measurement restores from
-// the same frozen world, so worker counts compete on identical state.
+// warmServingState runs cfg to warmDays and returns its reference
+// checkpoint frame plus the next day to serve: every measurement
+// restores from the same frozen world, so worker counts compete on
+// identical state.
 func warmServingState(tb testing.TB, cfg Config, warmDays int) ([]byte, simclock.Day) {
 	tb.Helper()
 	s := New(cfg)
@@ -28,20 +27,20 @@ func warmServingState(tb testing.TB, cfg Config, warmDays int) ([]byte, simclock
 			tb.Fatal("horizon ended during benchmark warmup")
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.Snapshot()); err != nil {
+	frame, err := ReferenceFrame(s)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return buf.Bytes(), s.day
+	return frame, s.day
 }
 
-func restoreServing(tb testing.TB, state []byte, workers int) *Sim {
+func restoreServing(tb testing.TB, frame []byte, workers int) *Sim {
 	tb.Helper()
-	var st State
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&st); err != nil {
+	c, err := DecodeCheckpoint(frame)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	s, err := Restore(&st)
+	s, err := Restore(c.State)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -6,12 +6,13 @@ package sim
 // the way New does (same construction order, same named RNG forks, same
 // immutable tables — keyword universes, market weights, Zipf parameters),
 // then overwrites every mutable piece: RNG stream positions, the platform
-// tables and bid index (with posting-list tie order preserved — see
-// platform.Snapshot), the collector aggregates, the detection pipeline's
-// per-account records, the agent population, and the engine's own
-// counters and cursors. A restored Sim continues the same deterministic
-// trajectory as the original: the crash-chaos suite in this package
-// proves digest-identity against uninterrupted runs.
+// (decoded from its checkpoint columns straight into a live platform,
+// with posting-list tie order preserved — see platform.DecodeColumns),
+// the collector aggregates, the detection pipeline's per-account
+// records, the agent population, and the engine's own counters and
+// cursors. A restored Sim continues the same deterministic trajectory as
+// the original: the crash-chaos suite in this package proves
+// digest-identity against uninterrupted runs.
 //
 // One Config field cannot travel through a snapshot: Events (an
 // interface, nil'd before encoding so gob skips it). Callers reattach it
@@ -63,7 +64,9 @@ type PendingRereg struct {
 // The phase is always the day's first, and the initial population is
 // seeded exactly when Day > 0, so neither is a field; the shutdowns by
 // stage and the first-detection index are recounted from the collector's
-// detection records.
+// detection records. The platform, p, is no gob field: it travels as
+// columns after the gob. DecodeCheckpoint decodes it into p, Restore
+// takes it, and Snapshot points p at the live one.
 type State struct {
 	Config Config
 	Day    simclock.Day
@@ -74,7 +77,7 @@ type State struct {
 	ArrRNG   stats.RNGState
 	ClickRNG stats.RNGState
 
-	Platform  *platform.Snapshot
+	p         *platform.Platform
 	Collector *dataset.CollectorState
 	Pipeline  *detection.PipelineState
 	Queries   queries.GeneratorState
@@ -88,15 +91,15 @@ type State struct {
 
 // Snapshot captures the simulation's full state. It must be called at a
 // day boundary (Phase is PhaseArrivals) and panics elsewhere; the
-// returned State shares memory with the live sim: encode it before
-// stepping further.
+// returned State shares memory with the live sim, its platform included:
+// encode it before stepping further, and do not Restore it.
 func (s *Sim) Snapshot() *State {
 	if err := dayBoundary(s.phase); err != nil {
 		panic(err)
 	}
 	st := new(State)
 	s.stateInto(st)
-	st.Platform = s.p.Snapshot()
+	st.p = s.p
 	return st
 }
 
@@ -153,10 +156,12 @@ func dayBoundary(p Phase) error {
 	return nil
 }
 
-// Restore rebuilds a Sim from a snapshot taken between days. Every
-// cross-reference is validated so hostile snapshot bytes yield an error,
-// never a panic. The event sink is not restored, and the worker count
-// and progress callback are not stored; set them with SetEvents,
+// Restore rebuilds a Sim from a State that DecodeCheckpoint decoded. It
+// takes the State's platform, which DecodeCheckpoint has already checked,
+// and leaves none behind, so a State restores once. Every other
+// cross-reference is validated here, so hostile checkpoint bytes yield an
+// error, never a panic. The event sink is not restored, and the worker
+// count and progress callback are not stored; set them with SetEvents,
 // SetWorkers and SetProgress before Run.
 func Restore(st *State) (*Sim, error) {
 	if st == nil {
@@ -169,10 +174,11 @@ func Restore(st *State) (*Sim, error) {
 	if st.Day < 0 || st.Day > cfg.Days {
 		return nil, fmt.Errorf("sim: snapshot day %d outside horizon %d", st.Day, cfg.Days)
 	}
-	p, err := platform.FromSnapshot(st.Platform)
-	if err != nil {
-		return nil, err
+	p := st.p
+	if p == nil {
+		return nil, fmt.Errorf("sim: state has no platform")
 	}
+	st.p = nil
 	// The collector tracks only platform accounts. This bound comes before
 	// SetState sizes its tables by NumAccounts.
 	if st.Collector != nil && st.Collector.NumAccounts > p.NumAccounts() {
